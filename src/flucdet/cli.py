@@ -47,7 +47,7 @@ from .green import (
     BC_DIRICHLET,
     BC_PERIODIC,
     BOUNDARY_CONDITIONS,
-    build_kernel,
+    GreenKernel,
 )
 from .odesolve import make_basis, solve_ermakov
 from .profiles import (
@@ -73,29 +73,6 @@ SUITES = ("all", "dirichlet", "periodic", "antiperiodic", "zeromode", "gflow")
 def _fmt(x: float) -> str:
     """Shortest round-trip decimal form of a float."""
     return repr(float(x))
-
-
-def _render(value) -> str:
-    if value is None or isinstance(value, (bool, int, str)):
-        return json.dumps(value)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        return repr(value)
-    if isinstance(value, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_render(v)}"
-                          for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in value) + "]"
-    return json.dumps(str(value))
-
-
-def render_json(record: dict) -> str:
-    """JSON text with floats at full round-trip precision."""
-    return _render(record)
 
 
 def _csv_quote(text: str) -> str:
@@ -128,6 +105,12 @@ def _load(profile_spec: str, t_a: float, t_b: float):
     return interval, profile_from_config(text, interval)
 
 
+def _finite(ctx, param, value: float) -> float:
+    if not math.isfinite(value):
+        raise click.BadParameter(f"must be a finite number, got {value!r}")
+    return value
+
+
 def shared_options(command):
     decorators = [
         click.option("--profile", "profile_spec",
@@ -142,6 +125,7 @@ def shared_options(command):
                      default=BC_DIRICHLET, show_default=True,
                      help="Boundary condition."),
         click.option("--omega0", type=float, default=1.0, show_default=True,
+                     callback=_finite,
                      help="Reference frequency for ratios and the pq route."),
         click.option("--out", default=None,
                      help="Write output to this file instead of stdout."),
@@ -259,7 +243,8 @@ def det_command(profile_spec, t_a, t_b, bc, omega0, out, regularized, method):
         record = _det_pq_record(profile, bc, omega0)
     else:
         record = _det_endpoint_record(profile, bc, omega0)
-    _emit(render_json(record) + "\n", out)
+    # strict JSON: a non-finite number is an error, never NaN or Infinity
+    _emit(json.dumps(record, allow_nan=False) + "\n", out)
 
 
 # -- green --------------------------------------------------------------------
@@ -274,7 +259,7 @@ def green_command(profile_spec, t_a, t_b, bc, omega0, out, grid_size):
     if grid_size < 2:
         raise ConfigError("--grid-size must be at least 2")
     basis = make_basis(profile)
-    kernel = build_kernel(basis, bc)
+    kernel = GreenKernel(basis, bc)
     grid, table = kernel.table(grid_size)
     lines = ["t," + ",".join(_fmt(tp) for tp in grid)]
     for ti, row in zip(grid, table):
@@ -478,7 +463,7 @@ def main(argv=None) -> int:
         exc.show()
         return 1
     except DegenerateOperatorError as exc:
-        click.echo(render_json({"error": {
+        click.echo(json.dumps({"error": {
             "type": "DegenerateOperatorError", "message": str(exc)}}))
         return 2
     except VerificationError as exc:

@@ -1,7 +1,8 @@
-"""Functional determinants of -d^2/dt^2 - Omega^2(t) from endpoint data.
+"""Functional determinants of -d^2/dt^2 - Omega^2(t) from the transfer matrix.
 
-The determinant under each boundary condition is the determinant of a 2x2
-endpoint matrix divided by the Wronskian of the basis.  Values are signed
+Each determinant is read from the transfer matrix M = Y_b Y_a^{-1} of a
+solution basis Y(t) (see odesolve): M12 under Dirichlet, 2 - tr M under
+periodic and 2 + tr M under antiperiodic conditions.  Values are signed
 (negative beyond a focal point) and are reported together with the ratio
 against a reference operator: the free operator for Dirichlet, the constant
 frequency omega0 operator for periodic and antiperiodic conditions.
@@ -25,10 +26,9 @@ from scipy.integrate import quad
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
 from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC,
-                    BOUNDARY_CONDITIONS, GreenKernel, endpoint_det_dirichlet,
-                    endpoint_det_wrapped, trace_omega_sq)
-from .odesolve import (CANONICAL, CLASSICAL_PATH, HomogeneousBasis, Solution,
-                       make_basis, solve_homogeneous)
+                    BOUNDARY_CONDITIONS, GreenKernel, condition_estimate,
+                    det_from_transfer, trace_omega_sq)
+from .odesolve import HomogeneousBasis, make_basis
 from .profiles import FrequencyProfile, shifted_profile
 
 REFERENCE_FREE = "free"
@@ -70,13 +70,6 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
-def _condition_estimate(entries, det: float) -> float:
-    scale = max(abs(e) for e in entries)
-    if det == 0.0:
-        return math.inf
-    return scale * scale / abs(det)
-
-
 def _period_compatible(profile: FrequencyProfile) -> bool:
     iv = profile.interval
     va = float(profile.omega_sq(iv.t_a))
@@ -84,47 +77,37 @@ def _period_compatible(profile: FrequencyProfile) -> bool:
     return abs(va - vb) <= 1e-8 * (1.0 + abs(va))
 
 
+def _read(basis: HomogeneousBasis, bc: str):
+    """The determinant under bc and its diagnostics: the Wronskian, the
+    determinant of the basis endpoint matrix (W times the value) and the
+    condition estimate of the read."""
+    m = basis.m
+    value = det_from_transfer(m, bc)
+    diagnostics = {"w": basis.w, "endpoint_det": basis.w * value,
+                   "condition": condition_estimate(m, value)}
+    return value, diagnostics
+
+
 def det_dirichlet(basis: HomogeneousBasis) -> DetResult:
-    """Determinant under Dirichlet conditions: det of the endpoint value
-    matrix over the Wronskian; ratio normalized so the free operator gives 1.
+    """Determinant under Dirichlet conditions, M12; ratio normalized so the
+    free operator gives 1.
     """
-    if basis.w == 0.0:
-        raise DegenerateOperatorError("basis Wronskian vanishes")
-    det_lam = endpoint_det_dirichlet(basis)
-    value = det_lam / basis.w
+    value, diagnostics = _read(basis, BC_DIRICHLET)
     span = basis.interval.span
-    diagnostics = {
-        "w": basis.w,
-        "endpoint_det": det_lam,
-        "condition": _condition_estimate(
-            (basis.eta_a, basis.xi_a, basis.eta_b, basis.xi_b), det_lam),
-    }
     return DetResult(value=value, ratio=value / span, bc=BC_DIRICHLET,
                      reference=REFERENCE_FREE, reference_value=span,
                      omega0=None, diagnostics=diagnostics)
 
 
 def _det_wrapped(basis: HomogeneousBasis, omega0: float, anti: bool) -> DetResult:
-    if basis.w == 0.0:
-        raise DegenerateOperatorError("basis Wronskian vanishes")
     bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
-    det_bar = endpoint_det_wrapped(basis, anti=anti)
-    value = det_bar / basis.w
-    span = basis.interval.span
-    ref = free_reference(bc, span, omega0)
+    value, diagnostics = _read(basis, bc)
+    ref = free_reference(bc, basis.interval.span, omega0)
     if abs(ref) <= REFERENCE_DEGENERACY_TOL:
         raise DegenerateOperatorError(
             f"reference operator for {bc} is degenerate at omega0 = {omega0} "
             f"(reference determinant {ref:.3e}); choose a different omega0")
-    s = -1.0 if anti else 1.0
-    entries = (basis.eta_b - s * basis.eta_a, basis.xi_b - s * basis.xi_a,
-               basis.deta_b - s * basis.deta_a, basis.dxi_b - s * basis.dxi_a)
-    diagnostics = {
-        "w": basis.w,
-        "endpoint_det": det_bar,
-        "condition": _condition_estimate(entries, det_bar),
-        "profile_period_compatible": _period_compatible(basis.profile),
-    }
+    diagnostics["profile_period_compatible"] = _period_compatible(basis.profile)
     return DetResult(value=value, ratio=value / ref, bc=bc,
                      reference=REFERENCE_CONSTANT, reference_value=ref,
                      omega0=float(omega0), diagnostics=diagnostics)
@@ -139,12 +122,11 @@ def det_antiperiodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
 
 
 def determinant(profile: FrequencyProfile, bc: str = BC_DIRICHLET,
-                g: float = 1.0, omega0: float = 1.0,
-                convention: str = CANONICAL) -> DetResult:
-    """Build a basis and evaluate the endpoint determinant for one bc."""
+                g: float = 1.0, omega0: float = 1.0) -> DetResult:
+    """Build a basis and evaluate the determinant for one bc."""
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
-    basis = make_basis(profile, g=g, convention=convention)
+    basis = make_basis(profile, g=g)
     if bc == BC_DIRICHLET:
         return det_dirichlet(basis)
     if bc == BC_PERIODIC:
@@ -153,17 +135,11 @@ def determinant(profile: FrequencyProfile, bc: str = BC_DIRICHLET,
 
 
 # ---------------------------------------------------------------------------
-# trace identity: Tr Omega^2 G_g = -d/dg log(endpoint det / W)
+# trace identity: Tr Omega^2 G_g = -d/dg log det K_g
 
 
-def endpoint_log_det(profile: FrequencyProfile, bc: str, g: float) -> float:
-    """log |endpoint determinant / W| of the coupling-g operator."""
-    basis = make_basis(profile, g=g)
-    if bc == BC_DIRICHLET:
-        det = endpoint_det_dirichlet(basis)
-    else:
-        det = endpoint_det_wrapped(basis, anti=(bc == BC_ANTIPERIODIC))
-    value = det / basis.w
+def _log_abs_det(profile: FrequencyProfile, bc: str, g: float) -> float:
+    value = det_from_transfer(make_basis(profile, g=g).m, bc)
     if value == 0.0:
         raise DegenerateOperatorError(
             f"endpoint determinant vanishes at g = {g}; log undefined")
@@ -172,9 +148,9 @@ def endpoint_log_det(profile: FrequencyProfile, bc: str, g: float) -> float:
 
 def log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float,
                      delta: float = 1e-5) -> float:
-    """Central finite difference of log |det/W| with respect to g."""
-    hi = endpoint_log_det(profile, bc, g + delta)
-    lo = endpoint_log_det(profile, bc, g - delta)
+    """Central finite difference of log |det| with respect to g."""
+    hi = _log_abs_det(profile, bc, g + delta)
+    lo = _log_abs_det(profile, bc, g - delta)
     return (hi - lo) / (2.0 * delta)
 
 
@@ -184,7 +160,7 @@ def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float,
 
     Returns (trace, -dlogdet/dg, relative residual).  The trace of
     Omega^2 * G_g is computed from the Green kernel; the derivative side by
-    finite differences of the endpoint determinant.
+    finite differences of the determinant.
     """
     basis = make_basis(profile, g=g)
     kernel = GreenKernel(basis, bc)
@@ -202,24 +178,30 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
                     delta: float = 1e-3) -> float:
     """Determinant from mixed second differences of the classical action.
 
-    The classical path between endpoint values (x_a, x_b) is assembled from
-    the classical-path basis; the action of L = (mass/2)(xdot^2 - Omega^2 x^2)
-    is integrated by adaptive quadrature on a 2x2 stencil x in {-delta, +delta}
-    for each endpoint, and the determinant is -mass divided by the mixed
-    second difference.  The action is exactly quadratic in (x_a, x_b), so the
-    stencil introduces no truncation error.
+    The classical path between endpoint values (x_a, x_b) is Phi(t) (x_a, s)
+    with the initial slope s = (x_b - M11 x_a) / M12; the action of
+    L = (mass/2)(xdot^2 - Omega^2 x^2) is integrated by adaptive quadrature
+    on a 2x2 stencil x in {-delta, +delta} for each endpoint, and the
+    determinant is -mass divided by the mixed second difference.  The action
+    is exactly quadratic in (x_a, x_b), so the stencil introduces no
+    truncation error.
     """
     if mass == 0.0:
         raise ValueError("mass must be nonzero")
-    basis = make_basis(profile, g=1.0, convention=CLASSICAL_PATH)
+    basis = make_basis(profile, g=1.0)
     iv = profile.interval
     om = profile.omega_sq
-    xi, eta = basis.xi, basis.eta
+    (m11, m12), _ = basis.m
+    if abs(m12) <= 1e-10 * iv.span * max(1.0, abs(m11)):
+        raise DegenerateOperatorError(
+            "classical path is degenerate: a solution vanishes at both "
+            f"endpoints (M12 = {m12:.3e})")
 
     def action(x_a: float, x_b: float) -> float:
+        start = np.array([x_a, (x_b - m11 * x_a) / m12])
+
         def lagrangian(t):
-            x = x_a * xi.value(t) + x_b * eta.value(t)
-            dx = x_a * xi.derivative(t) + x_b * eta.derivative(t)
+            x, dx = basis.phi(t) @ start
             return 0.5 * mass * (dx * dx - float(om(t)) * x * x)
         value, _ = quad(lagrangian, iv.t_a, iv.t_b,
                         epsabs=1e-16, epsrel=1e-11, limit=200)
@@ -274,17 +256,17 @@ def _zero_mode_scale(profile: FrequencyProfile) -> float:
 
 def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
                       eps: float, first_order: float,
-                      max_iter: int = 60) -> float:
+                      max_iter: int = 60):
     """Solve A(lam) = eps by the secant method, where A(lam) is the value at
-    t_a of the backward solution of the lam-shifted equation launched from
-    (0, slope_b) at t_b."""
-    iv = profile.interval
+    t_a of the solution of the lam-shifted equation with (0, slope_b) at t_b.
 
-    def boundary_value(lam: float) -> float:
-        shifted = shifted_profile(profile, lam)
-        sol = solve_homogeneous(shifted, 1.0, (0.0, slope_b),
-                                direction="backward")
-        return sol.value(iv.t_a)
+    That solution is M^{-1} (0, slope_b) at t_a, so A = -slope_b M12(lam) with
+    det M = 1.  Returns lam and M12(lam), the shifted Dirichlet determinant.
+    """
+
+    def shifted_m12(lam: float) -> float:
+        return det_from_transfer(make_basis(shifted_profile(profile, lam)).m,
+                                 BC_DIRICHLET)
 
     # The boundary value inherits inaccuracies of the profile representation
     # (finite-difference shapes plateau near 1e-10), so the residual target
@@ -293,24 +275,21 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
     tol = max(1e-14, 1e-6 * abs(eps))
     x0 = first_order
     x1 = first_order * 1.02 if first_order != 0.0 else eps
-    f0 = boundary_value(x0) - eps
-    f1 = boundary_value(x1) - eps
+    d1 = shifted_m12(x1)
+    f0 = -slope_b * shifted_m12(x0) - eps
+    f1 = -slope_b * d1 - eps
     for _ in range(max_iter):
         if abs(f1) <= tol:
-            return x1
+            return x1, d1
         if f1 == f0:
             break
         x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
-        f0, f1 = f1, boundary_value(x1) - eps
+        d1 = shifted_m12(x1)
+        f0, f1 = f1, -slope_b * d1 - eps
     if abs(f1) <= tol:
-        return x1
+        return x1, d1
     raise ShootingError(
         f"perturbed-eigenvalue solve did not converge (residual {abs(f1):.3e})")
-
-
-def _shifted_dirichlet_det(profile: FrequencyProfile, lam: float) -> float:
-    basis = make_basis(shifted_profile(profile, lam), g=1.0)
-    return endpoint_det_dirichlet(basis) / basis.w
 
 
 def det_dirichlet_regularized(profile: FrequencyProfile,
@@ -327,23 +306,22 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = iv.span
 
     basis = make_basis(profile, g=1.0)
-    det_lam = endpoint_det_dirichlet(basis)
-    if abs(det_lam / basis.w) > ZERO_MODE_PRESENT_TOL * span:
+    det_d = det_from_transfer(basis.m, BC_DIRICHLET)
+    if abs(det_d) > ZERO_MODE_PRESENT_TOL * span:
         raise ProfileError(
-            "profile has no Dirichlet zero mode "
-            f"(endpoint determinant {det_lam / basis.w:.3e})")
+            f"profile has no Dirichlet zero mode (endpoint determinant {det_d:.3e})")
 
+    # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
     scale = _zero_mode_scale(profile)
-    mode = Solution.linear_combination(scale, basis.eta, 0.0, basis.xi)
-    dxi_a = scale * basis.deta_a
-    dxi_b = scale * basis.deta_b
+    dxi_a = scale
+    dxi_b = scale * float(basis.m[1, 1])
     slope_floor = 1e-8 * max(abs(dxi_a), abs(dxi_b), 1.0 / span)
     if abs(dxi_a) <= slope_floor or abs(dxi_b) <= slope_floor:
         raise DegenerateOperatorError(
             "zero-mode endpoint slope vanishes; the regularized determinant "
             f"formula is undefined (slopes {dxi_a:.3e}, {dxi_b:.3e})")
 
-    norm_sq, _ = quad(lambda t: mode.value(t) ** 2, iv.t_a, iv.t_b,
+    norm_sq, _ = quad(lambda t: (scale * basis.phi(t)[0, 1]) ** 2, iv.t_a, iv.t_b,
                       epsabs=1e-14, epsrel=1e-12, limit=200)
     det_reg = norm_sq / (dxi_a * dxi_b)
 
@@ -353,8 +331,9 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     slope_ratio = -dxi_a / norm_sq
 
     def quotient(e: float):
-        lam = _eigenvalue_shift(profile, dxi_b, e, first_order=slope_ratio * e)
-        return _shifted_dirichlet_det(profile, lam) / lam, lam
+        lam, det_shifted = _eigenvalue_shift(profile, dxi_b, e,
+                                             first_order=slope_ratio * e)
+        return det_shifted / lam, lam
 
     q_full, lam_full = quotient(eps)
     q_half, _ = quotient(0.5 * eps)
@@ -419,32 +398,26 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
 
     bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
     basis = make_basis(profile, g=1.0)
-    det_bar = endpoint_det_wrapped(basis, anti=anti)
-    if abs(det_bar / basis.w) > ZERO_MODE_PRESENT_TOL:
+    m = basis.m
+    det_bar = det_from_transfer(m, bc)
+    if abs(det_bar) > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
-            f"profile has no {bc} zero mode "
-            f"(endpoint determinant {det_bar / basis.w:.3e})")
+            f"profile has no {bc} zero mode (endpoint determinant {det_bar:.3e})")
 
+    # the zero mode xi = Phi(t) c has M c = c (periodic) or M c = -c
     s = -1.0 if anti else 1.0
-    monodromy = np.array([[basis.xi_b, basis.eta_b],
-                          [basis.dxi_b, basis.deta_b]])
-    _, _, vh = np.linalg.svd(monodromy - s * np.eye(2))
+    _, _, vh = np.linalg.svd(m - s * np.eye(2))
     c = vh[-1]
     lead = c[0] if abs(c[0]) > abs(c[1]) else c[1]
     if lead < 0:
         c = -c
-    c1, c2 = float(c[0]), float(c[1])
-
-    mode = Solution.linear_combination(c1, basis.xi, c2, basis.eta)
     iv = profile.interval
-    norm_sq, _ = quad(lambda t: mode.value(t) ** 2, iv.t_a, iv.t_b,
+    norm_sq, _ = quad(lambda t: (basis.phi(t)[0] @ c) ** 2, iv.t_a, iv.t_b,
                       epsabs=1e-14, epsrel=1e-12, limit=200)
-    xi_a = c1 * basis.xi_a + c2 * basis.eta_a
-    xi_b = c1 * basis.xi_b + c2 * basis.eta_b
-    dxi_a = c1 * basis.dxi_a + c2 * basis.deta_a
-
-    eta_a = basis.xi_a + basis.eta_a
-    deta_a = basis.dxi_a + basis.deta_a
+    xi_a, dxi_a = float(c[0]), float(c[1])
+    xi_b = float(m[0] @ c)
+    # eta = u + v, the solution with (value, slope) = (1, 1) at t_a
+    eta_a = deta_a = 1.0
 
     formula = wrapped_difference_quotient(
         xi_a, xi_b, dxi_a, eta_a, deta_a, norm_sq, anti=anti)

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DegenerateOperatorError
-from .odesolve import ErmakovSolution, HomogeneousBasis, Solution
+from .odesolve import ErmakovSolution, HomogeneousBasis
 
 PQ_DEGENERACY_TOL = 1e-10
 PERIODICITY_RESIDUAL_TOL = 1e-6
@@ -27,15 +29,14 @@ def _total_phase(sol: ErmakovSolution) -> float:
 
 
 def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
-    """Closed-form basis with eta_a = xi_b = 0 and eta_b = xi_a = 1.
+    """Closed-form basis (eta, xi) with eta_a = xi_b = 0 and eta_b = xi_a = 1.
 
     xi(t) = p(t) p_b sin(omega0 (q_b - q(t))) / D and
     eta(t) = p(t) p_a sin(omega0 q(t)) / D with D = p_a p_b sin(omega0 q_b).
-    Derivatives use the phase constraint omega0 q' = 1/p^2, so no numerical
+    Slopes use the phase constraint omega0 q' = 1/p^2, so no numerical
     differentiation is involved.
     """
     w0 = sol.omega0
-    p, q = sol.p, sol.q
     p_a, p_b = sol.p_a, sol.p_b
     phase = _total_phase(sol)
     sin_phase = math.sin(phase)
@@ -44,38 +45,22 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
             "amplitude-phase denominator sin(omega0 q_b) vanishes "
             f"({sin_phase:.3e}): the operator has a Dirichlet zero mode")
     d = p_a * p_b * sin_phase
+    state = sol.state
 
-    def xi_val(t):
-        return p.value(t) * p_b * math.sin(w0 * (sol.q_b - q.value(t))) / d
-
-    def xi_der(t):
-        rest = w0 * (sol.q_b - q.value(t))
-        return (p.derivative(t) * p_b * math.sin(rest)
-                - (p_b / p.value(t)) * math.cos(rest)) / d
-
-    def eta_val(t):
-        return p.value(t) * p_a * math.sin(w0 * q.value(t)) / d
-
-    def eta_der(t):
-        run = w0 * q.value(t)
-        return (p.derivative(t) * p_a * math.sin(run)
-                + (p_a / p.value(t)) * math.cos(run)) / d
-
-    iv = sol.interval
-    xi = Solution.from_callables(iv.t_a, iv.t_b, xi_val, xi_der)
-    eta = Solution.from_callables(iv.t_a, iv.t_b, eta_val, eta_der)
+    def y(t):
+        p, dp, q = state(t)
+        run, rest = w0 * q, w0 * (sol.q_b - q)
+        return np.array([
+            [p * p_a * np.sin(run) / d, p * p_b * np.sin(rest) / d],
+            [(dp * p_a * np.sin(run) + (p_a / p) * np.cos(run)) / d,
+             (dp * p_b * np.sin(rest) - (p_b / p) * np.cos(rest)) / d]])
 
     cos_phase = math.cos(phase)
-    dxi_a = (sol.dp_a * p_b * sin_phase - (p_b / p_a) * cos_phase) / d
-    dxi_b = -1.0 / d
-    deta_a = 1.0 / d
-    deta_b = (sol.dp_b * p_a * sin_phase + (p_a / p_b) * cos_phase) / d
-
-    return HomogeneousBasis(
-        eta=eta, xi=xi,
-        eta_a=0.0, eta_b=1.0, deta_a=deta_a, deta_b=deta_b,
-        xi_a=1.0, xi_b=0.0, dxi_a=dxi_a, dxi_b=dxi_b,
-        w=-1.0 / d, g=1.0, profile=sol.profile)
+    y_a = np.array([[0.0, 1.0],
+                    [1.0 / d, (sol.dp_a * p_b * sin_phase - (p_b / p_a) * cos_phase) / d]])
+    y_b = np.array([[1.0, 0.0],
+                    [(sol.dp_b * p_a * sin_phase + (p_a / p_b) * cos_phase) / d, -1.0 / d]])
+    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, g=1.0, profile=sol.profile)
 
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:

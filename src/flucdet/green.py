@@ -1,21 +1,28 @@
 """Green functions of -d^2/dt^2 - g*Omega^2(t) built from a solution basis.
 
-Everything is assembled from the antisymmetric pair function
+Everything is read from the transfer matrix M = Y_b Y_a^{-1} and from
+Phi(t) = Y(t) Y_a^{-1} of the basis (see odesolve), whose columns u and v
+start from (1, 0) and (0, 1) at t_a.  The determinants are
 
-    f(t, t') = (eta(t)*xi(t') - xi(t)*eta(t')) / W,
+    Dirichlet M12,   periodic 2 - tr M,   antiperiodic 2 + tr M
 
-which solves the homogeneous equation in each argument and has unit slope
-discontinuity structure.  The Dirichlet kernel follows from endpoint products
-of f, and the periodic and antiperiodic kernels differ from it by a separable
-correction fixed by the monodromy-type endpoint determinant.
+(Gel'fand-Yaglom, Forman).  The Dirichlet kernel is built from the
+left-anchored solution l = v, which vanishes at t_a, and the right-anchored
+solution r = M12 u - M11 v, which vanishes at t_b:
+
+    G_D(t, t') = l(min(t, t')) r(max(t, t')) / M12.
+
+With sigma = +1 (periodic) or -1 (antiperiodic) and h = l + sigma*r, the
+wrapped kernels add the separable correction
+-sigma h(t) h(t') / ((2 - sigma tr M) M12).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
+import numpy as np
 from scipy.integrate import quad
 
 from .errors import DegenerateOperatorError, VerificationError
@@ -26,130 +33,39 @@ BC_PERIODIC = "periodic"
 BC_ANTIPERIODIC = "antiperiodic"
 BOUNDARY_CONDITIONS = (BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC)
 
+# A determinant whose condition estimate exceeds 1/ENDPOINT_DEGENERACY_TOL is
+# treated as zero: the operator has a zero mode under that condition.
 ENDPOINT_DEGENERACY_TOL = 1e-10
 BC_CHECK_TOL = 1e-7
 _PROBE_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
-class PairFunction:
-    """The two-point combination f(t, t') and its partial derivatives."""
-
-    def __init__(self, basis: HomogeneousBasis):
-        scale = max(1.0, abs(basis.eta_b), abs(basis.xi_b),
-                    abs(basis.deta_b), abs(basis.dxi_b))
-        if abs(basis.w) <= 1e-12 * scale:
-            raise ValueError(f"basis Wronskian {basis.w!r} is numerically zero")
-        self.basis = basis
-        self.w = basis.w
-
-    def __call__(self, t: float, tp: float) -> float:
-        b = self.basis
-        return (b.eta.value(t) * b.xi.value(tp)
-                - b.xi.value(t) * b.eta.value(tp)) / self.w
-
-    def d1(self, t: float, tp: float) -> float:
-        """Partial derivative in the first argument."""
-        b = self.basis
-        return (b.eta.derivative(t) * b.xi.value(tp)
-                - b.xi.derivative(t) * b.eta.value(tp)) / self.w
-
-    def d2(self, t: float, tp: float) -> float:
-        """Partial derivative in the second argument."""
-        b = self.basis
-        return (b.eta.value(t) * b.xi.derivative(tp)
-                - b.xi.value(t) * b.eta.derivative(tp)) / self.w
-
-    # endpoint-anchored values computed from stored endpoint data, avoiding
-    # interpolation error at the interval ends
-
-    def from_a(self, t: float) -> float:
-        """f(t, t_a)."""
-        b = self.basis
-        return (b.eta.value(t) * b.xi_a - b.xi.value(t) * b.eta_a) / self.w
-
-    def d_from_a(self, t: float) -> float:
-        """d/dt of f(t, t_a)."""
-        b = self.basis
-        return (b.eta.derivative(t) * b.xi_a - b.xi.derivative(t) * b.eta_a) / self.w
-
-    def to_b(self, t: float) -> float:
-        """f(t_b, t)."""
-        b = self.basis
-        return (b.eta_b * b.xi.value(t) - b.xi_b * b.eta.value(t)) / self.w
-
-    def d_to_b(self, t: float) -> float:
-        """d/dt of f(t_b, t)."""
-        b = self.basis
-        return (b.eta_b * b.xi.derivative(t) - b.xi_b * b.eta.derivative(t)) / self.w
-
-
-def endpoint_det_dirichlet(basis: HomogeneousBasis) -> float:
-    """det of [[eta_a, xi_a], [eta_b, xi_b]], the Dirichlet endpoint matrix."""
-    return basis.eta_a * basis.xi_b - basis.xi_a * basis.eta_b
-
-
-def endpoint_det_wrapped(basis: HomogeneousBasis, anti: bool = False) -> float:
-    """det of the periodic (or antiperiodic) difference endpoint matrix."""
-    s = -1.0 if anti else 1.0
-    a11 = basis.eta_b - s * basis.eta_a
-    a12 = basis.xi_b - s * basis.xi_a
-    a21 = basis.deta_b - s * basis.deta_a
-    a22 = basis.dxi_b - s * basis.dxi_a
-    return a11 * a22 - a12 * a21
-
-
-def _endpoint_scale(basis: HomogeneousBasis) -> float:
-    m = max(abs(basis.eta_a), abs(basis.xi_a), abs(basis.eta_b), abs(basis.xi_b),
-            abs(basis.deta_a), abs(basis.dxi_a), abs(basis.deta_b), abs(basis.dxi_b), 1.0)
-    return m * m
-
-
-@dataclass(frozen=True)
-class EndpointMatrix:
-    """2x2 endpoint matrix whose determinant feeds the determinant formulas."""
-
-    entries: tuple
-    kind: str
-    det: float
-
-
-def endpoint_matrix(basis: HomogeneousBasis, bc: str) -> EndpointMatrix:
-    """Assemble the endpoint matrix for a boundary condition.
-
-    Dirichlet uses boundary values of the two solutions; the wrapped
-    conditions use differences of endpoint values and slopes.  For the
-    Dirichlet case the determinant is cross-checked against the equivalent
-    two-point evaluation f(t_a, t_b) * W.
-    """
+def det_from_transfer(m: np.ndarray, bc: str) -> float:
+    """The determinant of the operator under bc, read from M: M12 for
+    Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic."""
     if bc == BC_DIRICHLET:
-        entries = ((basis.eta_a, basis.xi_a), (basis.eta_b, basis.xi_b))
-        det = endpoint_det_dirichlet(basis)
-        pair = PairFunction(basis)
-        alt = pair(basis.interval.t_a, basis.interval.t_b) * basis.w
-        if abs(det - alt) > 1e-10 * _endpoint_scale(basis):
-            raise VerificationError(
-                "endpoint determinant disagrees with the two-point evaluation: "
-                f"{det!r} vs {alt!r}")
-        return EndpointMatrix(entries=entries, kind=bc, det=det)
-    if bc in (BC_PERIODIC, BC_ANTIPERIODIC):
-        s = -1.0 if bc == BC_ANTIPERIODIC else 1.0
-        entries = ((basis.eta_b - s * basis.eta_a, basis.xi_b - s * basis.xi_a),
-                   (basis.deta_b - s * basis.deta_a, basis.dxi_b - s * basis.dxi_a))
-        det = endpoint_det_wrapped(basis, anti=(bc == BC_ANTIPERIODIC))
-        return EndpointMatrix(entries=entries, kind=bc, det=det)
+        return float(m[0, 1])
+    if bc == BC_PERIODIC:
+        return float(2.0 - (m[0, 0] + m[1, 1]))
+    if bc == BC_ANTIPERIODIC:
+        return float(2.0 + (m[0, 0] + m[1, 1]))
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
-def f_function(basis: HomogeneousBasis, t: float, tp: float) -> float:
-    """Evaluate f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W."""
-    return PairFunction(basis)(t, tp)
+def condition_estimate(m: np.ndarray, value: float) -> float:
+    """Cancellation estimate of a determinant read from M: the largest entry
+    of M (at least 1), which sets the integration error of the read, over
+    |value|."""
+    if value == 0.0:
+        return math.inf
+    return max(1.0, float(np.max(np.abs(m)))) / abs(value)
 
 
 class GreenKernel:
     """Green function under one of the three supported boundary conditions.
 
-    evaluate(t, tp) returns G(t, tp); on the diagonal the two branches are
-    averaged.  evaluate_dt differentiates in the first argument, with the
+    evaluate(t, tp) returns G(t, tp); on the diagonal the two branches
+    coincide.  evaluate_dt differentiates in the first argument, with the
     branch chosen by side ("auto", "upper" for t > tp, "lower" for t < tp).
     """
 
@@ -158,59 +74,50 @@ class GreenKernel:
             raise ValueError(f"unsupported boundary condition {bc!r}")
         self.basis = basis
         self.bc = bc
-        self.pair = PairFunction(basis)
-        scale = _endpoint_scale(basis)
+        m = basis.m
 
-        det_d = endpoint_det_dirichlet(basis)
-        if abs(det_d) <= ENDPOINT_DEGENERACY_TOL * scale:
+        self.f_ab = det_from_transfer(m, BC_DIRICHLET)
+        if condition_estimate(m, self.f_ab) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
             raise DegenerateOperatorError(
                 "Dirichlet endpoint determinant vanishes "
-                f"({det_d:.3e}); the Green function does not exist")
-        self.f_ab = det_d / basis.w
+                f"({self.f_ab:.3e}); the Green function does not exist")
 
         if bc == BC_DIRICHLET:
+            self.sigma = 0.0
             self.delta = None
         else:
-            anti = bc == BC_ANTIPERIODIC
-            det_w = endpoint_det_wrapped(basis, anti=anti)
-            if abs(det_w) <= ENDPOINT_DEGENERACY_TOL * scale:
+            self.sigma = 1.0 if bc == BC_PERIODIC else -1.0
+            self.delta = det_from_transfer(m, bc)
+            if condition_estimate(m, self.delta) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
                 raise DegenerateOperatorError(
-                    f"{bc} endpoint determinant vanishes ({det_w:.3e}); "
+                    f"{bc} endpoint determinant vanishes ({self.delta:.3e}); "
                     "the Green function does not exist")
-            self.delta = det_w / basis.w
+
+        # [l, r] = Phi(t) [[0, M12], [1, -M11]] = Y(t) Y_a^{-1} [[0, M12], [1, -M11]]
+        self._anchor = basis.inv_a @ np.array([[0.0, m[0, 1]], [1.0, -m[0, 0]]])
 
         if validate:
             self._validate_boundary_values()
 
     @property
     def denom(self) -> float:
-        """Normalizing denominator: f(t_a, t_b) for Dirichlet, Delta otherwise."""
+        """Normalizing denominator: M12 for Dirichlet, 2 -+ tr M otherwise."""
         return self.f_ab if self.delta is None else self.delta
+
+    def _anchored(self, t) -> np.ndarray:
+        """[[l, r], [l', r']] at a time (shape (2, 2)) or at an array of
+        times (shape (2, 2, n))."""
+        return np.einsum("ij...,jk->ik...", self.basis.y(t), self._anchor)
 
     # -- evaluation ---------------------------------------------------------
 
-    def _dirichlet_part(self, t: float, tp: float) -> float:
-        p = self.pair
-        if t > tp:
-            return p.from_a(tp) * p.to_b(t) / self.f_ab
-        if t < tp:
-            return p.from_a(t) * p.to_b(tp) / self.f_ab
-        return p.from_a(t) * p.to_b(t) / self.f_ab
-
-    def _correction(self, t: float, tp: float) -> float:
-        if self.bc == BC_DIRICHLET:
-            return 0.0
-        p = self.pair
-        if self.bc == BC_PERIODIC:
-            left = p.from_a(t) + p.to_b(t)
-            right = p.from_a(tp) + p.to_b(tp)
-            return -left * right / (self.delta * self.f_ab)
-        left = p.from_a(t) - p.to_b(t)
-        right = p.from_a(tp) - p.to_b(tp)
-        return left * right / (self.delta * self.f_ab)
-
     def evaluate(self, t: float, tp: float) -> float:
-        return self._dirichlet_part(t, tp) + self._correction(t, tp)
+        (l, r), _ = self._anchored(np.array((t, tp)))
+        value = (l[1] * r[0] if t > tp else l[0] * r[1]) / self.f_ab
+        if self.sigma:
+            h = l + self.sigma * r
+            value -= self.sigma * h[0] * h[1] / (self.delta * self.f_ab)
+        return float(value)
 
     __call__ = evaluate
 
@@ -219,24 +126,20 @@ class GreenKernel:
 
     def evaluate_dt(self, t: float, tp: float, side: str = "auto") -> float:
         """Derivative of G with respect to the first argument."""
-        p = self.pair
+        (l, r), (dl, dr) = self._anchored(np.array((t, tp)))
         if side == "auto":
             side = "upper" if t >= tp else "lower"
         if side == "upper":
-            d_dir = p.from_a(tp) * p.d_to_b(t) / self.f_ab
+            value = l[1] * dr[0] / self.f_ab
         elif side == "lower":
-            d_dir = p.d_from_a(t) * p.to_b(tp) / self.f_ab
+            value = dl[0] * r[1] / self.f_ab
         else:
             raise ValueError(f"side must be 'auto', 'upper' or 'lower', got {side!r}")
-        if self.bc == BC_DIRICHLET:
-            return d_dir
-        if self.bc == BC_PERIODIC:
-            d_left = p.d_from_a(t) + p.d_to_b(t)
-            right = p.from_a(tp) + p.to_b(tp)
-            return d_dir - d_left * right / (self.delta * self.f_ab)
-        d_left = p.d_from_a(t) - p.d_to_b(t)
-        right = p.from_a(tp) - p.to_b(tp)
-        return d_dir + d_left * right / (self.delta * self.f_ab)
+        if self.sigma:
+            dh = dl[0] + self.sigma * dr[0]
+            h = l[1] + self.sigma * r[1]
+            value -= self.sigma * dh * h / (self.delta * self.f_ab)
+        return float(value)
 
     def slope_jump(self, t: float) -> float:
         """Jump of the t-derivative across the diagonal; should equal -1."""
@@ -245,7 +148,12 @@ class GreenKernel:
     def table(self, grid_size: int):
         """Values on a uniform grid: (grid, nested list of G(t_i, t_j))."""
         ts = self.basis.interval.grid(grid_size)
-        return ts, [[self.evaluate(ti, tj) for tj in ts] for ti in ts]
+        (l, r), _ = self._anchored(np.asarray(ts))
+        values = (np.triu(np.outer(l, r)) + np.tril(np.outer(r, l), -1)) / self.f_ab
+        if self.sigma:
+            h = l + self.sigma * r
+            values -= self.sigma * np.outer(h, h) / (self.delta * self.f_ab)
+        return ts, values.tolist()
 
     # -- construction-time checks -------------------------------------------
 
@@ -265,25 +173,13 @@ class GreenKernel:
                 res = max(
                     abs(self.evaluate(iv.t_a, s) + self.evaluate(iv.t_b, s)),
                     abs(self.evaluate_dt(iv.t_a, s) + self.evaluate_dt(iv.t_b, s)))
-            worst = max(worst, res / scale)
+            # the unit slope jump fails once r = M12 u - M11 v has cancelled
+            # away its digits, as for strongly growing (hyperbolic) bases
+            worst = max(worst, res / scale, abs(self.slope_jump(s) + 1.0))
         if worst > BC_CHECK_TOL:
             raise VerificationError(
-                f"{self.bc} Green function violates its boundary conditions "
-                f"(residual {worst:.3e} > {BC_CHECK_TOL})")
-
-
-def dirichlet_kernel(basis: HomogeneousBasis, validate: bool = True) -> GreenKernel:
-    return GreenKernel(basis, BC_DIRICHLET, validate=validate)
-
-
-def periodic_kernel(basis: HomogeneousBasis, anti: bool = False,
-                    validate: bool = True) -> GreenKernel:
-    return GreenKernel(basis, BC_ANTIPERIODIC if anti else BC_PERIODIC,
-                       validate=validate)
-
-
-def build_kernel(basis: HomogeneousBasis, bc: str, validate: bool = True) -> GreenKernel:
-    return GreenKernel(basis, bc, validate=validate)
+                f"{self.bc} Green function violates its boundary or jump "
+                f"conditions (residual {worst:.3e} > {BC_CHECK_TOL})")
 
 
 def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable[[float], float],
@@ -300,23 +196,31 @@ def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable[[float], float
     return value
 
 
+def _pair(basis: HomogeneousBasis, row_t, row_tp) -> float:
+    """f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W from the value rows
+    (eta, xi) of Y at t and at t'."""
+    return float(row_t[0] * row_tp[1] - row_t[1] * row_tp[0]) / basis.w
+
+
 def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
     """Dirichlet trace of Omega^2 G assembled from the two-point function.
 
-    Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b) directly rather than
-    going through the kernel object, which makes it a useful consistency
-    check on the kernel assembly.
+    Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b) with f built from the
+    basis columns and the endpoint rows of Y_a and Y_b, never from M or the
+    anchored solutions of the kernel, which makes it a consistency check on
+    the kernel assembly.
     """
-    pair = PairFunction(basis)
     iv = basis.interval
-    f_ab = pair(iv.t_a, iv.t_b)
-    if abs(f_ab) <= ENDPOINT_DEGENERACY_TOL * _endpoint_scale(basis):
+    row_a, row_b = basis.y_a[0], basis.y_b[0]
+    f_ab = _pair(basis, row_a, row_b)
+    if condition_estimate(basis.m, f_ab) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
         raise DegenerateOperatorError(
             "Dirichlet endpoint determinant vanishes; the trace is undefined")
     omega_sq = basis.profile.omega_sq
 
     def integrand(t: float) -> float:
-        return float(omega_sq(t)) * pair(t, iv.t_a) * pair(iv.t_b, t)
+        row = basis.y(t)[0]
+        return float(omega_sq(t)) * _pair(basis, row, row_a) * _pair(basis, row_b, row)
 
     value, _ = quad(integrand, iv.t_a, iv.t_b, epsabs=1e-9, epsrel=1e-9, limit=200)
     return value / f_ab
@@ -344,9 +248,8 @@ def retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
     Solves the same inhomogeneous equation as the boundary kernels but with
     causal support; R vanishes for t < t' and on the diagonal.
     """
-    pair = PairFunction(basis)
 
     def retarded(t: float, tp: float) -> float:
-        return pair(t, tp) if t > tp else 0.0
+        return _pair(basis, basis.y(t)[0], basis.y(tp)[0]) if t > tp else 0.0
 
     return retarded

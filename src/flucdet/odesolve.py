@@ -1,81 +1,109 @@
 """Homogeneous solutions and amplitude-phase solutions of h'' = -g*Omega^2(t)*h.
 
-All integrations use an adaptive high-order embedded Runge-Kutta pair with
-dense output, so solutions can be evaluated anywhere on the interval.  The
-first derivative is carried as a state component and therefore interpolates
-with the same accuracy as the value.
+A solution basis is one 2x2 fundamental matrix Y(t): its columns are two
+independent solutions, its first row their values and its second row their
+slopes.  Everything downstream reads the endpoint matrices Y_a = Y(t_a) and
+Y_b = Y(t_b):
+
+    W = det Y_a               the Wronskian, constant in t
+    M = Y_b Y_a^{-1}          the transfer matrix Phi(t_b, t_a), det M = 1
+    Phi(t) = Y(t) Y_a^{-1}    columns u, v start from (1, 0) and (0, 1) at t_a
+
+M does not depend on the choice of basis.  make_basis integrates the whole
+matrix in one pass of an adaptive high-order embedded Runge-Kutta pair with
+dense output, so Y(t) can be evaluated anywhere on the interval, for one time
+or for an array of times; slopes are state components and interpolate with
+the same accuracy as values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateOperatorError, IntegrationError, ShootingError
+from .errors import IntegrationError, ShootingError
 from .profiles import FrequencyProfile, Interval
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
 
-CANONICAL = "canonical"
-CLASSICAL_PATH = "classical-path"
+# Canonical basis (eta, xi): eta has (value, slope) = (0, 1) at t_a and xi has
+# (1, 0), so W = eta*xi' - eta'*xi = -1.
+_CANONICAL_Y_A = np.array([[0.0, 1.0], [1.0, 0.0]])
+_CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
 
 
-class Solution:
-    """Scalar function with first derivative on [t_a, t_b]."""
+def _on_interval(fn: Callable, iv: Interval) -> Callable:
+    """fn restricted to [t_a, t_b]: times within a relative 1e-9 of the ends
+    are clipped onto the interval, times further out are an error."""
+    slack = 1e-9 * iv.span
 
-    __slots__ = ("t_lo", "t_hi", "_val", "_der")
+    def restricted(t):
+        tt = np.asarray(t, dtype=float)
+        if np.any(tt < iv.t_a - slack) or np.any(tt > iv.t_b + slack):
+            raise ValueError(f"t = {t!r} outside solution domain [{iv.t_a}, {iv.t_b}]")
+        return fn(np.clip(tt, iv.t_a, iv.t_b))
 
-    def __init__(self, t_lo: float, t_hi: float,
-                 val: Callable[[float], float], der: Callable[[float], float]):
-        self.t_lo = t_lo
-        self.t_hi = t_hi
-        self._val = val
-        self._der = der
-
-    def _clip(self, t: float) -> float:
-        slack = 1e-9 * (self.t_hi - self.t_lo)
-        if t < self.t_lo - slack or t > self.t_hi + slack:
-            raise ValueError(f"t = {t!r} outside solution domain [{self.t_lo}, {self.t_hi}]")
-        return min(max(t, self.t_lo), self.t_hi)
-
-    def value(self, t: float) -> float:
-        return float(self._val(self._clip(t)))
-
-    def derivative(self, t: float) -> float:
-        return float(self._der(self._clip(t)))
-
-    def __call__(self, t: float) -> float:
-        return self.value(t)
-
-    @classmethod
-    def from_ode(cls, ode_sol, t_lo, t_hi, value_index=0, deriv_index=1):
-        return cls(t_lo, t_hi,
-                   lambda t: ode_sol(t)[value_index],
-                   lambda t: ode_sol(t)[deriv_index])
-
-    @classmethod
-    def from_callables(cls, t_lo, t_hi, val, der):
-        return cls(t_lo, t_hi, val, der)
-
-    @classmethod
-    def linear_combination(cls, a: float, s1: "Solution", b: float, s2: "Solution"):
-        return cls(s1.t_lo, s1.t_hi,
-                   lambda t: a * s1._val(t) + b * s2._val(t),
-                   lambda t: a * s1._der(t) + b * s2._der(t))
+    return restricted
 
 
-def solve_homogeneous(profile: FrequencyProfile, g: float,
-                      init: Sequence[float], direction: str = "forward",
-                      rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Solution:
-    """Integrate h'' = -g*Omega^2(t)*h with initial data (h, h') at one endpoint.
+def _times(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Y C for Y of shape (2, 2) or (2, 2, n) and a constant 2x2 matrix C."""
+    return np.einsum("ij...,jk->ik...", y, c)
 
-    direction "forward" starts at t_a, "backward" at t_b.  Returns a dense
-    solution valid on the whole interval.
+
+@dataclass(frozen=True, eq=False)
+class HomogeneousBasis:
+    """Fundamental matrix Y(t) of a solution basis with its endpoint matrices.
+
+    y(t) takes a time or a 1-D array of times and returns Y(t) with shape
+    (2, 2) or (2, 2, n).  Column j holds solution j: row 0 its value, row 1
+    its slope.
+    """
+
+    y: Callable[[object], np.ndarray]
+    y_a: np.ndarray
+    y_b: np.ndarray
+    g: float
+    profile: FrequencyProfile
+
+    @property
+    def interval(self) -> Interval:
+        return self.profile.interval
+
+    @property
+    def w(self) -> float:
+        """Wronskian det Y_a."""
+        (a, b), (c, d) = self.y_a
+        return float(a * d - b * c)
+
+    @cached_property
+    def inv_a(self) -> np.ndarray:
+        (a, b), (c, d) = self.y_a
+        return np.array([[d, -b], [-c, a]]) / self.w
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """Transfer matrix M = Y_b Y_a^{-1}."""
+        return self.y_b @ self.inv_a
+
+    def phi(self, t) -> np.ndarray:
+        """Phi(t) = Y(t) Y_a^{-1}, the fundamental matrix equal to I at t_a."""
+        return _times(self.y(t), self.inv_a)
+
+
+def make_basis(profile: FrequencyProfile, g: float = 1.0,
+               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> HomogeneousBasis:
+    """Canonical basis (eta, xi) from one integration of the fundamental matrix.
+
+    eta has (value, slope) = (0, 1) at t_a and xi has (1, 0), so M = Phi(t_b)
+    and W = -1.  The four components of Y evolve under
+    Y' = [[0, 1], [-g Omega^2, 0]] Y, one Omega^2 evaluation per step stage.
     """
     iv = profile.interval
     gg = float(g)
@@ -84,121 +112,41 @@ def solve_homogeneous(profile: FrequencyProfile, g: float,
     om = profile.omega_sq
 
     def rhs(t, y):
-        return (y[1], -gg * float(om(t)) * y[0])
+        k = -gg * float(om(t))
+        return (y[2], y[3], k * y[0], k * y[1])
 
-    if direction == "forward":
-        t_span = (iv.t_a, iv.t_b)
-    elif direction == "backward":
-        t_span = (iv.t_b, iv.t_a)
-    else:
-        raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
-
-    result = solve_ivp(rhs, t_span, [float(init[0]), float(init[1])],
+    result = solve_ivp(rhs, (iv.t_a, iv.t_b), _CANONICAL_Y_A.ravel(),
                        method="DOP853", dense_output=True, rtol=rtol, atol=atol)
     if not result.success:
-        t_fail = result.t[-1] if len(result.t) else t_span[0]
+        t_fail = result.t[-1] if len(result.t) else iv.t_a
         raise IntegrationError(
             f"homogeneous integration failed near t = {t_fail}: {result.message}")
-    return Solution.from_ode(result.sol, iv.t_a, iv.t_b)
+    dense = result.sol
 
+    def y(t):
+        state = dense(t)
+        return state.reshape((2, 2) + state.shape[1:])
 
-@dataclass(frozen=True)
-class HomogeneousBasis:
-    """Pair of independent solutions (eta, xi) with endpoint data and Wronskian.
-
-    The Wronskian convention is W = eta*xi' - eta'*xi, constant in t.
-    """
-
-    eta: Solution
-    xi: Solution
-    eta_a: float
-    eta_b: float
-    deta_a: float
-    deta_b: float
-    xi_a: float
-    xi_b: float
-    dxi_a: float
-    dxi_b: float
-    w: float
-    g: float
-    profile: FrequencyProfile
-
-    @property
-    def interval(self) -> Interval:
-        return self.profile.interval
-
-
-def make_basis(profile: FrequencyProfile, g: float = 1.0,
-               convention: str = CANONICAL,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> HomogeneousBasis:
-    """Construct a solution basis in one of two endpoint conventions.
-
-    "canonical": xi has (value, slope) = (1, 0) at t_a and eta has (0, 1).
-    "classical-path": eta vanishes at t_a and equals 1 at t_b, xi the reverse.
-    The classical-path convention fails when a solution vanishes at both
-    endpoints (the operator has a Dirichlet zero mode).
-    """
-    iv = profile.interval
-    u = solve_homogeneous(profile, g, (1.0, 0.0), rtol=rtol, atol=atol)
-    v = solve_homogeneous(profile, g, (0.0, 1.0), rtol=rtol, atol=atol)
-    u_b, du_b = u.value(iv.t_b), u.derivative(iv.t_b)
-    v_b, dv_b = v.value(iv.t_b), v.derivative(iv.t_b)
-
-    if convention == CANONICAL:
-        return HomogeneousBasis(
-            eta=v, xi=u,
-            eta_a=0.0, eta_b=v_b, deta_a=1.0, deta_b=dv_b,
-            xi_a=1.0, xi_b=u_b, dxi_a=0.0, dxi_b=du_b,
-            w=-1.0, g=g, profile=profile)
-
-    if convention == CLASSICAL_PATH:
-        scale = iv.span * max(1.0, abs(u_b))
-        if abs(v_b) <= 1e-10 * scale:
-            raise DegenerateOperatorError(
-                "classical-path basis is degenerate: a solution vanishes at both "
-                f"endpoints (endpoint value {v_b:.3e})")
-        c = -u_b / v_b
-        d = 1.0 / v_b
-        xi_cp = Solution.linear_combination(1.0, u, c, v)
-        eta_cp = Solution.linear_combination(d, v, 0.0, u)
-        return HomogeneousBasis(
-            eta=eta_cp, xi=xi_cp,
-            eta_a=0.0, eta_b=d * v_b, deta_a=d, deta_b=d * dv_b,
-            xi_a=1.0, xi_b=u_b + c * v_b, dxi_a=c, dxi_b=du_b + c * dv_b,
-            w=-d, g=g, profile=profile)
-
-    raise ValueError(f"unknown basis convention {convention!r}")
+    return HomogeneousBasis(y=_on_interval(y, iv), y_a=_CANONICAL_Y_A,
+                            y_b=result.y[:, -1].reshape(2, 2), g=gg, profile=profile)
 
 
 def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
-    """Apply an invertible 2x2 mixing (eta, xi) -> (a*eta + b*xi, c*eta + d*xi)."""
-    (a, b), (c, d) = matrix
-    det = a * d - b * c
-    scale = max(abs(a), abs(b), abs(c), abs(d))
+    """The basis Y C: column j of the result is sum_i C[i, j] times column i."""
+    c = np.asarray(matrix, dtype=float)
+    det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+    scale = float(np.max(np.abs(c)))
     if abs(det) <= 1e-14 * scale * scale:
         raise ValueError("mixing matrix is singular")
-    return HomogeneousBasis(
-        eta=Solution.linear_combination(a, basis.eta, b, basis.xi),
-        xi=Solution.linear_combination(c, basis.eta, d, basis.xi),
-        eta_a=a * basis.eta_a + b * basis.xi_a,
-        eta_b=a * basis.eta_b + b * basis.xi_b,
-        deta_a=a * basis.deta_a + b * basis.dxi_a,
-        deta_b=a * basis.deta_b + b * basis.dxi_b,
-        xi_a=c * basis.eta_a + d * basis.xi_a,
-        xi_b=c * basis.eta_b + d * basis.xi_b,
-        dxi_a=c * basis.deta_a + d * basis.dxi_a,
-        dxi_b=c * basis.deta_b + d * basis.dxi_b,
-        w=det * basis.w, g=basis.g, profile=basis.profile)
+    y = basis.y
+    return HomogeneousBasis(y=lambda t: _times(y(t), c), y_a=basis.y_a @ c,
+                            y_b=basis.y_b @ c, g=basis.g, profile=basis.profile)
 
 
 def wronskian_drift(basis: HomogeneousBasis, num: int = 201) -> float:
-    """Maximum deviation of eta*xi' - eta'*xi from the stored Wronskian."""
-    worst = 0.0
-    for t in basis.interval.grid(num):
-        w_t = basis.eta.value(t) * basis.xi.derivative(t) \
-            - basis.eta.derivative(t) * basis.xi.value(t)
-        worst = max(worst, abs(w_t - basis.w))
-    return worst
+    """Maximum deviation of det Y(t) from the stored Wronskian det Y_a."""
+    (a, b), (c, d) = basis.y(np.asarray(basis.interval.grid(num)))
+    return float(np.max(np.abs(a * d - b * c - basis.w)))
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +157,12 @@ def wronskian_drift(basis: HomogeneousBasis, num: int = 201) -> float:
 class ErmakovSolution:
     """Amplitude p(t) and phase q(t) with p'' + Omega^2 p = p^-3, omega0*q'*p^2 = 1.
 
-    q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude satisfies
-    p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to the shooting tolerance.
+    state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
+    times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
+    satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to the shooting tolerance.
     """
 
-    p: Solution
-    q: Solution
+    state: Callable[[object], np.ndarray]
     omega0: float
     p_a: float
     p_b: float
@@ -327,20 +275,17 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float, bc: str = "initial",
     else:
         raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
 
-    p = Solution.from_ode(sol, iv.t_a, iv.t_b, value_index=0, deriv_index=1)
-    q = Solution.from_callables(
-        iv.t_a, iv.t_b,
-        lambda t: sol(t)[2],
-        lambda t: 1.0 / (float(omega0) * sol(t)[0] ** 2))
+    state = _on_interval(sol, iv)
     end = sol(iv.t_b)
 
     evenness = None
     if bc == "periodic":
-        taus = [0.5 * iv.span * k / 50 for k in range(51)]
-        evenness = max(abs(p.value(iv.t_a + tau) - p.value(iv.t_b - tau)) for tau in taus)
+        taus = 0.5 * iv.span * np.arange(51) / 50
+        evenness = float(np.max(np.abs(state(iv.t_a + taus)[0]
+                                       - state(iv.t_b - taus)[0])))
 
     return ErmakovSolution(
-        p=p, q=q, omega0=float(omega0),
+        state=state, omega0=float(omega0),
         p_a=p_start, p_b=float(end[0]), dp_a=dp_start, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
         evenness_residual=evenness, newton_iterations=iterations)

@@ -25,9 +25,8 @@ from scipy.optimize import brentq
 
 from .determinants import free_reference
 from .errors import DegenerateOperatorError, VerificationError
-from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC,
-                    BOUNDARY_CONDITIONS, GreenKernel, endpoint_det_dirichlet,
-                    endpoint_det_wrapped, trace_weighted_diagonal)
+from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
+                    GreenKernel, det_from_transfer, trace_weighted_diagonal)
 from .odesolve import make_basis
 from .profiles import KIND_USER, FrequencyProfile
 
@@ -284,12 +283,8 @@ def _flow_profile(profile: FrequencyProfile, omega0_ref: float,
 
 def _flow_endpoint_det(profile_s: FrequencyProfile, bc: str):
     basis = make_basis(profile_s, g=1.0)
-    if bc == BC_DIRICHLET:
-        det = endpoint_det_dirichlet(basis)
-        measure = abs(det / basis.w) / basis.interval.span
-    else:
-        det = endpoint_det_wrapped(basis, anti=(bc == BC_ANTIPERIODIC))
-        measure = abs(det / basis.w)
+    det = det_from_transfer(basis.m, bc)
+    measure = abs(det) / basis.interval.span if bc == BC_DIRICHLET else abs(det)
     return basis, det, measure
 
 

@@ -18,6 +18,9 @@ from .errors import ConfigError, ProfileError
 
 CONTINUITY_SAMPLES = 10_000
 CONTINUITY_REL_JUMP = 1e-3
+# Bisections of a flagged sample step: a smooth difference falls below the
+# threshold once the step is short enough, a jump stays above it throughout.
+CONTINUITY_REFINEMENTS = 12
 PERIODICITY_TOL = 1e-10
 # Smooth curvature ratios approach their endpoint limit with O(h) or O(h^2)
 # residuals (~1e-6 relative at the sampling steps used); singular ones leave
@@ -107,7 +110,19 @@ class ZeroModeData:
     name: str
 
 
+def _jump_tol(v0: float, v1: float) -> float:
+    return CONTINUITY_REL_JUMP * (1.0 + max(abs(v0), abs(v1)))
+
+
 def _check_continuity(omega_sq, interval, n=CONTINUITY_SAMPLES):
+    """Reject a profile that is not finite or not continuous on the interval.
+
+    A sample-to-sample difference above the threshold is refined by
+    bisection, following the half with the larger difference: a true jump
+    keeps its size however short the step, while the difference of a smooth
+    profile shrinks with it.  Profiles that never trip the threshold take no
+    samples beyond the n of the grid.
+    """
     ts = interval.grid(n)
     prev_t = ts[0]
     prev_v = float(omega_sq(prev_t))
@@ -117,13 +132,29 @@ def _check_continuity(omega_sq, interval, n=CONTINUITY_SAMPLES):
         v = float(omega_sq(t))
         if not math.isfinite(v):
             raise ProfileError(f"Omega^2 is not finite at t = {t!r}")
-        scale = 1.0 + max(abs(prev_v), abs(v))
-        if abs(v - prev_v) > CONTINUITY_REL_JUMP * scale:
-            raise ProfileError(
-                f"Omega^2 jumps by {abs(v - prev_v):.3e} between t = {prev_t!r} "
-                f"and t = {t!r}; profiles must be continuous"
-            )
+        if abs(v - prev_v) > _jump_tol(prev_v, v):
+            _refine_jump(omega_sq, prev_t, prev_v, t, v)
         prev_t, prev_v = t, v
+
+
+def _refine_jump(omega_sq, t0, v0, t1, v1):
+    """Bisect [t0, t1] down to 2^-CONTINUITY_REFINEMENTS of its length; raise
+    if the difference never falls below the threshold."""
+    for _ in range(CONTINUITY_REFINEMENTS):
+        tm = 0.5 * (t0 + t1)
+        vm = float(omega_sq(tm))
+        if not math.isfinite(vm):
+            raise ProfileError(f"Omega^2 is not finite at t = {tm!r}")
+        if abs(vm - v0) >= abs(v1 - vm):
+            t1, v1 = tm, vm
+        else:
+            t0, v0 = tm, vm
+        if abs(v1 - v0) <= _jump_tol(v0, v1):
+            return
+    raise ProfileError(
+        f"Omega^2 jumps by {abs(v1 - v0):.3e} between t = {t0!r} "
+        f"and t = {t1!r}; profiles must be continuous"
+    )
 
 
 def _check_periodicity(omega_sq, interval, period):

@@ -21,7 +21,7 @@ from flucdet.determinants import (
     van_vleck_check,
 )
 from flucdet.ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
-from flucdet.green import build_kernel
+from flucdet.green import GreenKernel
 from flucdet.odesolve import make_basis, mix_basis, solve_ermakov
 from flucdet.oracle import (
     gflow_ratio,
@@ -220,7 +220,7 @@ def test_criterion_10_kernel_properties(rng):
         basis = make_basis(profile)
         lo, hi = iv.t_a + 2.5 * h, iv.t_b - 2.5 * h
         for bc in ALL_BCS:
-            kernel = build_kernel(basis, bc)
+            kernel = GreenKernel(basis, bc)
             pairs = rng.uniform(lo, hi, size=(100, 2))
             for t, tp in pairs:
                 scale = 1.0 + abs(kernel(t, tp))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import flucdet as fd
 from flucdet import cli
 
 MODULATED = '{"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": 3.0}'
@@ -126,6 +127,29 @@ class TestDetErrors:
     def test_missing_profile_file(self, capsys):
         code, _, err = run(capsys, "det", "--profile", "/nonexistent.json")
         assert code == 1 and "not found" in err
+
+    def test_nan_omega0_rejected(self, capsys):
+        code, out, err = run(capsys, "det", "--bc", "periodic", "--omega0", "nan")
+        assert code == 1 and out == ""
+        assert "--omega0" in err
+
+    def test_infinite_omega0_rejected(self, capsys):
+        code, out, err = run(capsys, "det", "--bc", "periodic", "--omega0", "inf")
+        assert code == 1 and out == ""
+        assert "--omega0" in err
+
+
+class TestHyperbolic:
+    def test_periodic_no_false_zero_mode(self, capsys, monkeypatch):
+        """Omega^2 = -4 on [0, 30]: 2 - tr M = 2 - 2 cosh(60), not a zero mode."""
+        interval = fd.Interval(0.0, 30.0)
+        profile = fd.make_user_profile(lambda t: -4.0, interval)
+        monkeypatch.setattr(cli, "_load", lambda spec, t_a, t_b: (interval, profile))
+        code, out, _ = run(capsys, "det", "--bc", "periodic")
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == pytest.approx(2.0 - 2.0 * math.cosh(60.0), rel=1e-10)
+        assert math.isfinite(record["diagnostics"]["condition"])
 
 
 class TestGreen:

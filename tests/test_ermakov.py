@@ -97,8 +97,9 @@ class TestBasisFromPQ:
     def test_endpoint_values(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, omega0=1.0)
         basis = basis_from_pq(sol)
-        assert basis.xi_a == 1.0 and basis.xi_b == 0.0
-        assert basis.eta_a == 0.0 and basis.eta_b == 1.0
+        # value rows (eta, xi) at t_a and t_b
+        assert basis.y_a[0].tolist() == [0.0, 1.0]
+        assert basis.y_b[0].tolist() == [1.0, 0.0]
 
     def test_determinant_consistency(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, omega0=1.0)
@@ -115,11 +116,12 @@ class TestBasisFromPQ:
         basis = basis_from_pq(sol)
         h = 1e-4
         for t in (0.4, 1.1, 1.7):
-            for s in (basis.xi, basis.eta):
-                second = (s.value(t + h) - 2.0 * s.value(t)
-                          + s.value(t - h)) / (h * h)
-                residual = -second - modulated_profile(t) * s.value(t)
-                assert abs(residual) <= 1e-5 * (1.0 + abs(s.value(t)))
+            for j in (1, 0):
+                def s(tt):
+                    return basis.y(tt)[0, j]
+                second = (s(t + h) - 2.0 * s(t) + s(t - h)) / (h * h)
+                residual = -second - modulated_profile(t) * s(t)
+                assert abs(residual) <= 1e-5 * (1.0 + abs(s(t)))
 
     def test_wronskian_constancy(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, omega0=1.0)

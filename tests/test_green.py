@@ -10,14 +10,9 @@ from flucdet.green import (
     BC_ANTIPERIODIC,
     BC_DIRICHLET,
     BC_PERIODIC,
-    PairFunction,
-    build_kernel,
-    dirichlet_kernel,
+    GreenKernel,
+    det_from_transfer,
     dirichlet_trace_direct,
-    endpoint_det_dirichlet,
-    endpoint_det_wrapped,
-    endpoint_matrix,
-    f_function,
     retarded_green,
     trace_omega_sq,
     trace_weighted_diagonal,
@@ -42,102 +37,112 @@ def apply_kernel(kernel, source, t, interval):
 
 
 class TestPairFunction:
-    def test_free_two_point_values(self, free_profile):
-        pair = PairFunction(make_basis(free_profile))
-        assert pair(0.2, 0.9) == pytest.approx(0.7, abs=1e-13)
-        assert pair.d1(0.2, 0.9) == pytest.approx(-1.0, abs=1e-12)
-        assert pair.d2(0.2, 0.9) == pytest.approx(1.0, abs=1e-12)
-
     def test_constant_two_point_values(self, const2_profile):
-        pair = PairFunction(make_basis(const2_profile))
-        for t, tp in ((0.1, 0.8), (0.6, 0.2)):
-            assert pair(t, tp) == pytest.approx(
+        # f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W, the retarded kernel for t > t'
+        ret = retarded_green(make_basis(const2_profile))
+        for t, tp in ((0.8, 0.1), (0.6, 0.2)):
+            assert ret(t, tp) == pytest.approx(
                 math.sin(2.0 * (tp - t)) / 2.0, abs=1e-11)
-
-    def test_antisymmetry(self, modulated_profile):
-        pair = PairFunction(make_basis(modulated_profile))
-        assert pair(0.4, 1.7) == pytest.approx(-pair(1.7, 0.4), rel=1e-12)
-
-    def test_f_function_wrapper(self, const_profile):
-        basis = make_basis(const_profile)
-        assert f_function(basis, 0.3, 0.8) == pytest.approx(
-            PairFunction(basis)(0.3, 0.8))
 
     def test_mixing_invariance(self, modulated_profile, rng):
         basis = make_basis(modulated_profile)
         mixed = fd.mix_basis(basis, rng.uniform(-2.0, 2.0, size=(2, 2)))
-        p0, p1 = PairFunction(basis), PairFunction(mixed)
-        for t, tp in ((0.3, 1.5), (1.9, 0.2)):
-            assert p1(t, tp) == pytest.approx(p0(t, tp), rel=1e-11, abs=1e-13)
+        for bc in (BC_DIRICHLET, BC_PERIODIC):
+            k0, k1 = GreenKernel(basis, bc), GreenKernel(mixed, bc)
+            for t, tp in ((0.3, 1.5), (1.9, 0.2)):
+                assert k1(t, tp) == pytest.approx(k0(t, tp), rel=1e-11, abs=1e-13)
 
 
 class TestEndpointMatrices:
     def test_dirichlet_det_constant(self, const2_profile):
-        basis = make_basis(const2_profile)
-        det = endpoint_det_dirichlet(basis)
-        assert det / basis.w == pytest.approx(math.sin(2.0) / 2.0, rel=1e-11)
+        m = make_basis(const2_profile).m
+        assert det_from_transfer(m, BC_DIRICHLET) == pytest.approx(
+            math.sin(2.0) / 2.0, rel=1e-11)
 
     def test_wrapped_det_constant(self, const_profile):
-        basis = make_basis(const_profile)
-        per = endpoint_det_wrapped(basis) / basis.w
-        anti = endpoint_det_wrapped(basis, anti=True) / basis.w
+        m = make_basis(const_profile).m
+        per = det_from_transfer(m, BC_PERIODIC)
+        anti = det_from_transfer(m, BC_ANTIPERIODIC)
         assert per == pytest.approx(4.0 * math.sin(0.5) ** 2, rel=1e-11)
         assert anti == pytest.approx(4.0 * math.cos(0.5) ** 2, rel=1e-11)
 
     def test_endpoint_matrix_kinds(self, modulated_profile):
+        """The reads from M equal the general-basis endpoint formulas: the
+        determinant of the boundary-value matrix (Dirichlet) or of the
+        endpoint-difference matrix (wrapped) over the Wronskian."""
         basis = make_basis(modulated_profile)
-        for bc, direct in ((BC_DIRICHLET, endpoint_det_dirichlet(basis)),
-                           (BC_PERIODIC, endpoint_det_wrapped(basis)),
-                           (BC_ANTIPERIODIC, endpoint_det_wrapped(basis, anti=True))):
-            em = endpoint_matrix(basis, bc)
-            assert em.kind == bc
-            assert em.det == pytest.approx(direct, rel=1e-14)
-            (a11, a12), (a21, a22) = em.entries
-            assert a11 * a22 - a12 * a21 == pytest.approx(em.det, rel=1e-12)
+        (eta_a, xi_a), (deta_a, dxi_a) = basis.y_a
+        (eta_b, xi_b), (deta_b, dxi_b) = basis.y_b
+        w = basis.w
+        assert det_from_transfer(basis.m, BC_DIRICHLET) == pytest.approx(
+            (eta_a * xi_b - xi_a * eta_b) / w, rel=1e-14)
+        for bc, s in ((BC_PERIODIC, 1.0), (BC_ANTIPERIODIC, -1.0)):
+            a11, a12 = eta_b - s * eta_a, xi_b - s * xi_a
+            a21, a22 = deta_b - s * deta_a, dxi_b - s * dxi_a
+            assert det_from_transfer(basis.m, bc) == pytest.approx(
+                (a11 * a22 - a12 * a21) / w, rel=1e-12)
 
     def test_endpoint_matrix_bad_bc(self, const_profile):
         with pytest.raises(ValueError):
-            endpoint_matrix(make_basis(const_profile), "neumann")
+            det_from_transfer(make_basis(const_profile).m, "neumann")
+
+    def test_hyperbolic_wrapped_no_cancellation(self):
+        """Omega^2 = -4 on [0, 30]: 2 -+ tr M = 2 -+ 2 cosh(60), where the
+        general endpoint formula cancels products of size e^120."""
+        profile = fd.make_user_profile(lambda t: -4.0, fd.Interval(0.0, 30.0))
+        m = make_basis(profile).m
+        assert abs(np.linalg.det(m) - 1.0) <= 1e-10 * np.max(np.abs(m)) ** 2
+        for bc, sign in ((BC_PERIODIC, -1.0), (BC_ANTIPERIODIC, 1.0)):
+            exact = 2.0 + sign * 2.0 * math.cosh(60.0)
+            assert det_from_transfer(m, bc) == pytest.approx(exact, rel=1e-10)
 
 
 class TestKernelValues:
     def test_dirichlet_diagonal_constant(self, const_profile):
-        kernel = dirichlet_kernel(make_basis(const_profile))
+        kernel = GreenKernel(make_basis(const_profile), BC_DIRICHLET)
         for t in (0.25, 0.5, 0.8):
             expected = math.sin(t) * math.sin(1.0 - t) / math.sin(1.0)
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-10)
 
     def test_periodic_diagonal_constant(self, const_profile):
-        kernel = build_kernel(make_basis(const_profile), BC_PERIODIC)
+        kernel = GreenKernel(make_basis(const_profile), BC_PERIODIC)
         expected = -math.cos(0.5) / (2.0 * math.sin(0.5))
         for t in (0.0, 0.3, 0.9):
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-9)
 
     def test_antiperiodic_diagonal_constant(self, const_profile):
-        kernel = build_kernel(make_basis(const_profile), BC_ANTIPERIODIC)
+        kernel = GreenKernel(make_basis(const_profile), BC_ANTIPERIODIC)
         expected = math.sin(0.5) / (2.0 * math.cos(0.5))
         for t in (0.1, 0.5, 1.0):
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-9)
 
     def test_denom_property(self, const_profile):
         basis = make_basis(const_profile)
-        assert dirichlet_kernel(basis).denom == pytest.approx(
+        assert GreenKernel(basis, BC_DIRICHLET).denom == pytest.approx(
             math.sin(1.0), rel=1e-11)
-        assert build_kernel(basis, BC_PERIODIC).denom == pytest.approx(
+        assert GreenKernel(basis, BC_PERIODIC).denom == pytest.approx(
             4.0 * math.sin(0.5) ** 2, rel=1e-11)
 
     def test_table_shape(self, const_profile):
-        kernel = dirichlet_kernel(make_basis(const_profile))
+        kernel = GreenKernel(make_basis(const_profile), BC_DIRICHLET)
         grid, table = kernel.table(5)
         assert len(grid) == 5 and len(table) == 5
         assert all(len(row) == 5 for row in table)
         assert table[0][2] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    def test_table_matches_pointwise(self, modulated_profile, bc):
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
+        grid, table = kernel.table(17)
+        for ti, row in zip(grid, table):
+            for tj, value in zip(grid, row):
+                assert abs(value - kernel(ti, tj)) <= 1e-12
+
 
 class TestKernelProperties:
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_symmetry(self, modulated_profile, rng, bc):
-        kernel = build_kernel(make_basis(modulated_profile), bc)
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
         iv = modulated_profile.interval
         pts = rng.uniform(iv.t_a, iv.t_b, size=(20, 2))
         for t, tp in pts:
@@ -146,13 +151,13 @@ class TestKernelProperties:
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_slope_jump(self, modulated_profile, bc):
-        kernel = build_kernel(make_basis(modulated_profile), bc)
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
         for t in (0.4, 1.0, 1.7):
             assert kernel.slope_jump(t) == pytest.approx(-1.0, abs=1e-6)
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_annihilation_off_diagonal(self, modulated_profile, bc):
-        kernel = build_kernel(make_basis(modulated_profile), bc)
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
         h = 1e-3
         tp = 0.55
         for t in (1.2, 1.6):
@@ -164,7 +169,7 @@ class TestKernelProperties:
             assert abs(residual) <= 1e-6
 
     def test_dirichlet_boundary_values(self, modulated_profile):
-        kernel = build_kernel(make_basis(modulated_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(modulated_profile), BC_DIRICHLET)
         iv = modulated_profile.interval
         for s in (0.3, 0.9, 1.5):
             assert kernel(iv.t_a, s) == pytest.approx(0.0, abs=1e-10)
@@ -174,7 +179,7 @@ class TestKernelProperties:
         iv = modulated_profile.interval
         basis = make_basis(modulated_profile)
         for bc, sign in ((BC_PERIODIC, 1.0), (BC_ANTIPERIODIC, -1.0)):
-            kernel = build_kernel(basis, bc)
+            kernel = GreenKernel(basis, bc)
             for s in (0.4, 1.1, 1.8):
                 va, vb = kernel(iv.t_a, s), kernel(iv.t_b, s)
                 assert vb == pytest.approx(sign * va, rel=1e-7, abs=1e-9)
@@ -183,7 +188,7 @@ class TestKernelProperties:
                 assert db == pytest.approx(sign * da, rel=1e-6, abs=1e-8)
 
     def test_continuity_across_diagonal(self, const2_profile):
-        kernel = dirichlet_kernel(make_basis(const2_profile))
+        kernel = GreenKernel(make_basis(const2_profile), BC_DIRICHLET)
         t, d = 0.6, 1e-8
         assert kernel(t, t + d) == pytest.approx(kernel(t, t - d), abs=1e-7)
         assert kernel(t, t) == pytest.approx(kernel(t, t + d), abs=1e-7)
@@ -207,7 +212,7 @@ class TestResolvent:
         """Applying the kernel to K phi returns phi for phi in the domain."""
         iv = const_profile.interval
         span = iv.span
-        kernel = build_kernel(make_basis(const_profile), bc)
+        kernel = GreenKernel(make_basis(const_profile), bc)
 
         def phi(t):
             return shape((t - iv.t_a) / span)
@@ -223,19 +228,19 @@ class TestResolvent:
 
 class TestTraces:
     def test_free_unit_weight_trace(self, free_profile):
-        kernel = dirichlet_kernel(make_basis(free_profile))
+        kernel = GreenKernel(make_basis(free_profile), BC_DIRICHLET)
         value = trace_weighted_diagonal(kernel, lambda t: 1.0)
         assert value == pytest.approx(1.0 / 6.0, rel=1e-10)
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_trace_omega_sq_runs(self, modulated_profile, bc):
-        kernel = build_kernel(make_basis(modulated_profile), bc)
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
         value = trace_omega_sq(kernel, check=True)
         assert math.isfinite(value)
 
     def test_direct_assembly_matches_kernel(self, modulated_profile):
         basis = make_basis(modulated_profile)
-        kernel = dirichlet_kernel(basis)
+        kernel = GreenKernel(basis, BC_DIRICHLET)
         via_kernel = trace_omega_sq(kernel)
         direct = dirichlet_trace_direct(basis)
         assert direct == pytest.approx(via_kernel, rel=1e-9)
@@ -245,10 +250,9 @@ class TestRetarded:
     def test_causal_support(self, const_profile):
         basis = make_basis(const_profile)
         ret = retarded_green(basis)
-        pair = PairFunction(basis)
         assert ret(0.3, 0.8) == 0.0
         assert ret(0.5, 0.5) == 0.0
-        assert ret(0.8, 0.3) == pytest.approx(pair(0.8, 0.3))
+        assert ret(0.8, 0.3) == pytest.approx(math.sin(0.3 - 0.8), abs=1e-11)
 
     def test_free_values(self, free_profile):
         ret = retarded_green(make_basis(free_profile))
@@ -259,12 +263,12 @@ class TestDegeneracies:
     def test_dirichlet_focal_interval(self):
         prof = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))
         with pytest.raises(fd.DegenerateOperatorError):
-            dirichlet_kernel(make_basis(prof))
+            GreenKernel(make_basis(prof), BC_DIRICHLET)
 
     def test_periodic_free_interval(self, free_profile):
         with pytest.raises(fd.DegenerateOperatorError):
-            build_kernel(make_basis(free_profile), BC_PERIODIC)
+            GreenKernel(make_basis(free_profile), BC_PERIODIC)
 
     def test_unsupported_bc(self, const_profile):
         with pytest.raises(ValueError):
-            build_kernel(make_basis(const_profile), "robin")
+            GreenKernel(make_basis(const_profile), "robin")

@@ -7,21 +7,18 @@ import pytest
 
 import flucdet as fd
 from flucdet.odesolve import (
-    CANONICAL,
-    CLASSICAL_PATH,
-    Solution,
     make_basis,
     mix_basis,
     solve_ermakov,
-    solve_homogeneous,
     wronskian_drift,
 )
 
 
 class TestCanonicalBasis:
     def test_initial_conditions_exact(self, modulated_profile):
+        # columns (eta, xi): eta starts from (0, 1), xi from (1, 0)
         b = make_basis(modulated_profile)
-        assert (b.xi_a, b.dxi_a, b.eta_a, b.deta_a) == (1.0, 0.0, 0.0, 1.0)
+        assert b.y_a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         assert b.w == -1.0
 
     def test_constant_solutions(self, const_profile):
@@ -29,55 +26,72 @@ class TestCanonicalBasis:
         # accurate than the step endpoints themselves
         b = make_basis(const_profile)
         for t in (0.2, 0.7, 1.0):
-            assert b.xi.value(t) == pytest.approx(math.cos(t), abs=1e-10)
-            assert b.eta.value(t) == pytest.approx(math.sin(t), abs=1e-10)
-            assert b.xi.derivative(t) == pytest.approx(-math.sin(t), abs=1e-10)
-            assert b.eta.derivative(t) == pytest.approx(math.cos(t), abs=1e-10)
+            (eta, xi), (deta, dxi) = b.y(t)
+            assert xi == pytest.approx(math.cos(t), abs=1e-10)
+            assert eta == pytest.approx(math.sin(t), abs=1e-10)
+            assert dxi == pytest.approx(-math.sin(t), abs=1e-10)
+            assert deta == pytest.approx(math.cos(t), abs=1e-10)
 
     def test_free_solutions(self, free_profile):
         b = make_basis(free_profile)
         for t in (0.0, 0.4, 1.0):
-            assert b.xi.value(t) == pytest.approx(1.0, abs=1e-13)
-            assert b.eta.value(t) == pytest.approx(t, abs=1e-13)
+            (eta, xi), _ = b.y(t)
+            assert xi == pytest.approx(1.0, abs=1e-13)
+            assert eta == pytest.approx(t, abs=1e-13)
 
     def test_coupling_scales_frequency(self, const_profile):
         b = make_basis(const_profile, g=4.0)
         # -u'' = 4 u has basis cos(2t), sin(2t)/2
-        assert b.xi.value(0.5) == pytest.approx(math.cos(1.0), abs=1e-11)
-        assert b.eta.value(0.5) == pytest.approx(math.sin(1.0) / 2.0, abs=1e-11)
+        (eta, xi), _ = b.y(0.5)
+        assert xi == pytest.approx(math.cos(1.0), abs=1e-11)
+        assert eta == pytest.approx(math.sin(1.0) / 2.0, abs=1e-11)
 
-    def test_superposition(self, modulated_profile):
+    def test_superposition(self, modulated_profile, rng):
+        # Phi(t) = Y(t) Y_a^{-1} does not depend on the basis, so the solution
+        # with data (2, -3) at t_a is the same combination in any basis
         b = make_basis(modulated_profile)
-        y = solve_homogeneous(modulated_profile, 1.0, (2.0, -3.0))
+        mixed = mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
         for t in (0.3, 1.1, 1.9):
-            expected = 2.0 * b.xi.value(t) - 3.0 * b.eta.value(t)
-            assert y.value(t) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+            (eta, xi), _ = b.y(t)
+            y = mixed.phi(t) @ (2.0, -3.0)
+            assert y[0] == pytest.approx(2.0 * xi - 3.0 * eta, rel=1e-10, abs=1e-12)
 
     def test_wronskian_constancy(self, modulated_profile):
         b = make_basis(modulated_profile)
         assert wronskian_drift(b) <= 1e-10
         for t in (0.25, 1.5):
-            w_t = b.eta.value(t) * b.xi.derivative(t) - b.eta.derivative(t) * b.xi.value(t)
-            assert w_t == pytest.approx(b.w, abs=1e-11)
+            assert np.linalg.det(b.y(t)) == pytest.approx(b.w, abs=1e-11)
+
+    def test_transfer_matrix_unimodular(self, modulated_profile):
+        assert abs(np.linalg.det(make_basis(modulated_profile).m) - 1.0) <= 1e-10
+
+    def test_array_evaluation_matches_pointwise(self, modulated_profile):
+        b = make_basis(modulated_profile)
+        ts = np.array([0.0, 0.7, 1.3, 2.0])
+        table = b.y(ts)
+        assert table.shape == (2, 2, 4)
+        for k, t in enumerate(ts):
+            np.testing.assert_allclose(table[:, :, k], b.y(t), rtol=1e-14, atol=1e-15)
 
     def test_solution_domain_guard(self, const_profile):
         b = make_basis(const_profile)
         with pytest.raises(ValueError):
-            b.xi.value(1.5)
+            b.y(1.5)
         with pytest.raises(ValueError):
-            b.xi.value(-0.2)
+            b.y(-0.2)
 
     def test_linear_combination(self, const_profile):
         b = make_basis(const_profile)
-        combo = Solution.linear_combination(2.0, b.xi, 0.5, b.eta)
+        combo = mix_basis(b, ((2.0, 1.0), (0.5, -1.0)))
         t = 0.6
-        assert combo.value(t) == pytest.approx(2.0 * b.xi.value(t) + 0.5 * b.eta.value(t))
-        assert combo.derivative(t) == pytest.approx(
-            2.0 * b.xi.derivative(t) + 0.5 * b.eta.derivative(t))
+        (eta, xi), (deta, dxi) = b.y(t)
+        (value, _), (slope, _) = combo.y(t)
+        assert value == pytest.approx(2.0 * eta + 0.5 * xi)
+        assert slope == pytest.approx(2.0 * deta + 0.5 * dxi)
 
     def test_nonfinite_coupling_rejected(self, const_profile):
         with pytest.raises(ValueError):
-            solve_homogeneous(const_profile, math.nan, (1.0, 0.0))
+            make_basis(const_profile, g=math.nan)
 
 
 class TestMixing:
@@ -88,12 +102,10 @@ class TestMixing:
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert mixed.w == pytest.approx(det * b.w, rel=1e-14)
         t = 1.3
-        expected_eta = m[0][0] * b.eta.value(t) + m[0][1] * b.xi.value(t)
-        expected_xi = m[1][0] * b.eta.value(t) + m[1][1] * b.xi.value(t)
-        assert mixed.eta.value(t) == pytest.approx(expected_eta, rel=1e-13)
-        assert mixed.xi.value(t) == pytest.approx(expected_xi, rel=1e-13)
-        assert mixed.eta_b == pytest.approx(
-            m[0][0] * b.eta_b + m[0][1] * b.xi_b, rel=1e-13)
+        expected = b.y(t) @ m
+        assert np.allclose(mixed.y(t), expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(mixed.y_b, b.y_b @ m, rtol=1e-13, atol=0.0)
+        assert np.allclose(mixed.m, b.m, rtol=1e-12, atol=1e-14)
 
     def test_singular_matrix_rejected(self, const_profile):
         b = make_basis(const_profile)
@@ -102,27 +114,22 @@ class TestMixing:
 
 
 class TestClassicalPathConvention:
+    @staticmethod
+    def classical_path(basis):
+        # columns (eta, xi) with eta = 0 at t_a and 1 at t_b, xi the reverse
+        (m11, m12), _ = basis.m
+        return mix_basis(basis, ((1.0 / m12, -m11 / m12), (0.0, 1.0)))
+
     def test_boundary_values(self, const_profile):
-        b = make_basis(const_profile, convention=CLASSICAL_PATH)
-        assert b.xi_a == pytest.approx(1.0, abs=1e-12)
-        assert b.xi_b == pytest.approx(0.0, abs=1e-12)
-        assert b.eta_a == pytest.approx(0.0, abs=1e-12)
-        assert b.eta_b == pytest.approx(1.0, abs=1e-12)
+        b = self.classical_path(make_basis(const_profile))
+        assert b.y_a[0].tolist() == pytest.approx([0.0, 1.0], abs=1e-12)
+        assert b.y_b[0].tolist() == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_same_determinant_as_canonical(self, modulated_profile):
-        v1 = fd.det_dirichlet(make_basis(modulated_profile)).value
-        v2 = fd.det_dirichlet(make_basis(modulated_profile,
-                                         convention=CLASSICAL_PATH)).value
+        basis = make_basis(modulated_profile)
+        v1 = fd.det_dirichlet(basis).value
+        v2 = fd.det_dirichlet(self.classical_path(basis)).value
         assert v2 == pytest.approx(v1, rel=1e-10)
-
-    def test_focal_interval_degenerate(self):
-        prof = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))
-        with pytest.raises(fd.DegenerateOperatorError):
-            make_basis(prof, convention=CLASSICAL_PATH)
-
-    def test_unknown_convention(self, const_profile):
-        with pytest.raises(ValueError):
-            make_basis(const_profile, convention="other")
 
 
 class TestCouplingFlowIdentity:
@@ -138,32 +145,33 @@ class TestCouplingFlowIdentity:
         bm = make_basis(modulated_profile, g=g - dg)
 
         def bracket(t):
-            dxi_dg = (bp.xi.value(t) - bm.xi.value(t)) / (2.0 * dg)
-            ddxi_dg = (bp.xi.derivative(t) - bm.xi.derivative(t)) / (2.0 * dg)
-            return b0.eta.derivative(t) * dxi_dg - b0.eta.value(t) * ddxi_dg
+            dxi_dg, ddxi_dg = (bp.y(t)[:, 1] - bm.y(t)[:, 1]) / (2.0 * dg)
+            (eta, _), (deta, _) = b0.y(t)
+            return deta * dxi_dg - eta * ddxi_dg
 
         for t in (0.3, 0.9, 1.4, 1.8):
             lhs = (bracket(t + dt) - bracket(t - dt)) / (2.0 * dt)
-            rhs = modulated_profile(t) * b0.xi.value(t) * b0.eta.value(t)
+            (eta, xi), _ = b0.y(t)
+            rhs = modulated_profile(t) * xi * eta
             assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-7)
 
 
 class TestErmakov:
     def test_free_amplitude_and_phase(self, free_profile):
         sol = solve_ermakov(free_profile, 1.0)
-        assert sol.p.value(1.0) == pytest.approx(math.sqrt(2.0), rel=1e-11)
+        assert sol.state(1.0)[0] == pytest.approx(math.sqrt(2.0), rel=1e-11)
         assert sol.q_b == pytest.approx(math.atan(1.0), rel=1e-11)
 
     def test_constant_amplitude_flat(self, const_profile):
         sol = solve_ermakov(const_profile, 2.3)
         for t in (0.0, 0.5, 1.0):
-            assert sol.p.value(t) == pytest.approx(1.0, abs=1e-12)
+            assert sol.state(t)[0] == pytest.approx(1.0, abs=1e-12)
         # omega0 * q_b equals the accumulated phase omega * T
         assert 2.3 * sol.q_b == pytest.approx(1.0, rel=1e-11)
 
     def test_phase_monotone(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, 1.0)
-        qs = [sol.q.value(t) for t in (0.0, 0.5, 1.0, 1.5, 2.0)]
+        qs = [sol.state(t)[2] for t in (0.0, 0.5, 1.0, 1.5, 2.0)]
         assert all(b > a for a, b in zip(qs, qs[1:]))
         assert qs[0] == 0.0
 

@@ -61,6 +61,13 @@ class TestFactories:
         prof = make_user_profile(lambda t: 1.0 + t * t, unit_interval)
         assert prof(0.5) == pytest.approx(1.25)
 
+    @pytest.mark.parametrize("omega,eps,nu,span", [(1.0, 0.5, 10.0, 10.0),
+                                                   (1.0, 0.9, 1.0, 40.0)])
+    def test_steep_smooth_profile_accepted(self, omega, eps, nu, span):
+        # per-sample differences exceed the jump threshold but shrink on refinement
+        prof = fd.make_modulated_profile(omega, eps, nu, fd.Interval(0.0, span))
+        assert prof(1.0) == pytest.approx(1.0 + eps * math.sin(nu), rel=1e-15)
+
     def test_user_profile_rejects_jump(self, unit_interval):
         with pytest.raises(fd.ProfileError):
             make_user_profile(lambda t: 0.0 if t < 0.5 else 10.0, unit_interval)
