@@ -39,7 +39,6 @@ from .errors import (
     ConfigError,
     DegenerateOperatorError,
     FlucdetError,
-    ProfileError,
     VerificationError,
 )
 from .green import (
@@ -469,13 +468,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         click.echo(f"verification failure: {exc}", err=True)
         return 3
-    except (ConfigError, ProfileError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except FlucdetError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    except ValueError as exc:
+    except (FlucdetError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 1
     return 0

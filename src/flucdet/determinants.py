@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
@@ -180,8 +179,9 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
 
     The classical path between endpoint values (x_a, x_b) is Phi(t) (x_a, s)
     with the initial slope s = (x_b - M11 x_a) / M12; the action of
-    L = (mass/2)(xdot^2 - Omega^2 x^2) is integrated by adaptive quadrature
-    on a 2x2 stencil x in {-delta, +delta} for each endpoint, and the
+    L = (mass/2)(xdot^2 - Omega^2 x^2) is integrated by the basis's Gauss
+    rule on the integrator's steps (HomogeneousBasis.quadrature) on a 2x2
+    stencil x in {-delta, +delta} for each endpoint, and the
     determinant is -mass divided by the mixed second difference.  The action
     is exactly quadratic in (x_a, x_b), so the stencil introduces no
     truncation error.
@@ -189,23 +189,19 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
     if mass == 0.0:
         raise ValueError("mass must be nonzero")
     basis = make_basis(profile, g=1.0)
-    iv = profile.interval
-    om = profile.omega_sq
     (m11, m12), _ = basis.m
-    if abs(m12) <= 1e-10 * iv.span * max(1.0, abs(m11)):
+    if abs(m12) <= 1e-10 * profile.interval.span * max(1.0, abs(m11)):
         raise DegenerateOperatorError(
             "classical path is degenerate: a solution vanishes at both "
             f"endpoints (M12 = {m12:.3e})")
 
-    def action(x_a: float, x_b: float) -> float:
-        start = np.array([x_a, (x_b - m11 * x_a) / m12])
+    nodes, weights = basis.quadrature
+    phi = basis.phi(nodes)
+    om = np.array([float(profile.omega_sq(t)) for t in nodes])
 
-        def lagrangian(t):
-            x, dx = basis.phi(t) @ start
-            return 0.5 * mass * (dx * dx - float(om(t)) * x * x)
-        value, _ = quad(lagrangian, iv.t_a, iv.t_b,
-                        epsabs=1e-16, epsrel=1e-11, limit=200)
-        return value
+    def action(x_a: float, x_b: float) -> float:
+        x, dx = np.einsum("ij...,j->i...", phi, [x_a, (x_b - m11 * x_a) / m12])
+        return 0.5 * mass * float(weights @ (dx * dx - om * x * x))
 
     s_pp = action(delta, delta)
     s_pm = action(delta, -delta)
@@ -302,8 +298,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     determinant by the eigenvalue; one Richardson step in eps must reproduce
     the closed form to 1e-3 relative or a verification error is raised.
     """
-    iv = profile.interval
-    span = iv.span
+    span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
     det_d = det_from_transfer(basis.m, BC_DIRICHLET)
@@ -321,8 +316,8 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
             "zero-mode endpoint slope vanishes; the regularized determinant "
             f"formula is undefined (slopes {dxi_a:.3e}, {dxi_b:.3e})")
 
-    norm_sq, _ = quad(lambda t: (scale * basis.phi(t)[0, 1]) ** 2, iv.t_a, iv.t_b,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
+    nodes, weights = basis.quadrature
+    norm_sq = float(weights @ (scale * basis.phi(nodes)[0, 1]) ** 2)
     det_reg = norm_sq / (dxi_a * dxi_b)
 
     if eps is None:
@@ -411,9 +406,8 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
     lead = c[0] if abs(c[0]) > abs(c[1]) else c[1]
     if lead < 0:
         c = -c
-    iv = profile.interval
-    norm_sq, _ = quad(lambda t: (basis.phi(t)[0] @ c) ** 2, iv.t_a, iv.t_b,
-                      epsabs=1e-14, epsrel=1e-12, limit=200)
+    nodes, weights = basis.quadrature
+    norm_sq = float(weights @ (c @ basis.phi(nodes)[0]) ** 2)
     xi_a, dxi_a = float(c[0]), float(c[1])
     xi_b = float(m[0] @ c)
     # eta = u + v, the solution with (value, slope) = (1, 1) at t_a

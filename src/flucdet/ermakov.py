@@ -34,7 +34,7 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
     xi(t) = p(t) p_b sin(omega0 (q_b - q(t))) / D and
     eta(t) = p(t) p_a sin(omega0 q(t)) / D with D = p_a p_b sin(omega0 q_b).
     Slopes use the phase constraint omega0 q' = 1/p^2, so no numerical
-    differentiation is involved.
+    differentiation is involved.  The knots are the amplitude solver's steps.
     """
     w0 = sol.omega0
     p_a, p_b = sol.p_a, sol.p_b
@@ -60,7 +60,8 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
                     [1.0 / d, (sol.dp_a * p_b * sin_phase - (p_b / p_a) * cos_phase) / d]])
     y_b = np.array([[1.0, 0.0],
                     [(sol.dp_b * p_a * sin_phase + (p_a / p_b) * cos_phase) / d, -1.0 / d]])
-    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, g=1.0, profile=sol.profile)
+    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, g=1.0, profile=sol.profile,
+                            knots=sol.knots)
 
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:

@@ -20,10 +20,9 @@ wrapped kernels add the separable correction
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DegenerateOperatorError, VerificationError
 from .odesolve import HomogeneousBasis
@@ -67,6 +66,8 @@ class GreenKernel:
     evaluate(t, tp) returns G(t, tp); on the diagonal the two branches
     coincide.  evaluate_dt differentiates in the first argument, with the
     branch chosen by side ("auto", "upper" for t > tp, "lower" for t < tp).
+    Both take times or arrays of times that broadcast together (a grid is
+    evaluate(ts[:, None], ts[None, :])) and return a float for scalar times.
     """
 
     def __init__(self, basis: HomogeneousBasis, bc: str, validate: bool = True):
@@ -105,101 +106,97 @@ class GreenKernel:
         return self.f_ab if self.delta is None else self.delta
 
     def _anchored(self, t) -> np.ndarray:
-        """[[l, r], [l', r']] at a time (shape (2, 2)) or at an array of
-        times (shape (2, 2, n))."""
-        return np.einsum("ij...,jk->ik...", self.basis.y(t), self._anchor)
+        """[[l, r], [l', r']] at a time or an array of times t, with shape
+        (2, 2) + t.shape."""
+        t = np.asarray(t, dtype=float)
+        lr = np.einsum("ij...,jk->ik...", self.basis.y(t.ravel()), self._anchor)
+        return lr.reshape((2, 2) + t.shape)
+
+    def _eval(self, t, tp, side: Optional[str] = None):
+        """G(t, tp) for side None, else dG/dt on the branch side names, at
+        times t and tp that broadcast together; a float for scalar times.
+
+        The upper branch (t > tp) is l(tp) r(t), the lower one l(t) r(tp).
+        """
+        at_t = self._anchored(t)
+        (l, r), (dl, dr) = at_t
+        (lp, rp), _ = at_t if tp is t else self._anchored(tp)
+        if side is None:
+            upper = np.greater(t, tp)
+        elif side == "auto":
+            upper = np.greater_equal(t, tp)
+        elif side in ("upper", "lower"):
+            upper = side == "upper"
+        else:
+            raise ValueError(f"side must be 'auto', 'upper' or 'lower', got {side!r}")
+        if side is not None:
+            l, r = dl, dr
+        value = np.where(upper, lp * r, l * rp) / self.f_ab
+        if self.sigma:
+            h, hp = l + self.sigma * r, lp + self.sigma * rp
+            value = value - self.sigma * h * hp / (self.delta * self.f_ab)
+        return float(value) if value.ndim == 0 else value
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, t: float, tp: float) -> float:
-        (l, r), _ = self._anchored(np.array((t, tp)))
-        value = (l[1] * r[0] if t > tp else l[0] * r[1]) / self.f_ab
-        if self.sigma:
-            h = l + self.sigma * r
-            value -= self.sigma * h[0] * h[1] / (self.delta * self.f_ab)
-        return float(value)
+    def evaluate(self, t, tp):
+        return self._eval(t, tp)
 
     __call__ = evaluate
 
-    def diagonal(self, t: float) -> float:
-        return self.evaluate(t, t)
+    def diagonal(self, t):
+        return self._eval(t, t)
 
-    def evaluate_dt(self, t: float, tp: float, side: str = "auto") -> float:
+    def evaluate_dt(self, t, tp, side: str = "auto"):
         """Derivative of G with respect to the first argument."""
-        (l, r), (dl, dr) = self._anchored(np.array((t, tp)))
-        if side == "auto":
-            side = "upper" if t >= tp else "lower"
-        if side == "upper":
-            value = l[1] * dr[0] / self.f_ab
-        elif side == "lower":
-            value = dl[0] * r[1] / self.f_ab
-        else:
-            raise ValueError(f"side must be 'auto', 'upper' or 'lower', got {side!r}")
-        if self.sigma:
-            dh = dl[0] + self.sigma * dr[0]
-            h = l[1] + self.sigma * r[1]
-            value -= self.sigma * dh * h / (self.delta * self.f_ab)
-        return float(value)
+        return self._eval(t, tp, side)
 
-    def slope_jump(self, t: float) -> float:
+    def slope_jump(self, t):
         """Jump of the t-derivative across the diagonal; should equal -1."""
-        return self.evaluate_dt(t, t, side="upper") - self.evaluate_dt(t, t, side="lower")
+        return self._eval(t, t, "upper") - self._eval(t, t, "lower")
 
     def table(self, grid_size: int):
         """Values on a uniform grid: (grid, nested list of G(t_i, t_j))."""
         ts = self.basis.interval.grid(grid_size)
-        (l, r), _ = self._anchored(np.asarray(ts))
-        values = (np.triu(np.outer(l, r)) + np.tril(np.outer(r, l), -1)) / self.f_ab
-        if self.sigma:
-            h = l + self.sigma * r
-            values -= self.sigma * np.outer(h, h) / (self.delta * self.f_ab)
-        return ts, values.tolist()
+        grid = np.asarray(ts)
+        return ts, self.evaluate(grid[:, None], grid[None, :]).tolist()
 
     # -- construction-time checks -------------------------------------------
 
     def _validate_boundary_values(self) -> None:
         iv = self.basis.interval
-        probes = [iv.t_a + fr * iv.span for fr in _PROBE_FRACTIONS]
-        worst = 0.0
-        for s in probes:
-            scale = 1.0 + abs(self.evaluate(s, s))
-            if self.bc == BC_DIRICHLET:
-                res = max(abs(self.evaluate(iv.t_a, s)), abs(self.evaluate(iv.t_b, s)))
-            elif self.bc == BC_PERIODIC:
-                res = max(
-                    abs(self.evaluate(iv.t_a, s) - self.evaluate(iv.t_b, s)),
-                    abs(self.evaluate_dt(iv.t_a, s) - self.evaluate_dt(iv.t_b, s)))
-            else:
-                res = max(
-                    abs(self.evaluate(iv.t_a, s) + self.evaluate(iv.t_b, s)),
-                    abs(self.evaluate_dt(iv.t_a, s) + self.evaluate_dt(iv.t_b, s)))
-            # the unit slope jump fails once r = M12 u - M11 v has cancelled
-            # away its digits, as for strongly growing (hyperbolic) bases
-            worst = max(worst, res / scale, abs(self.slope_jump(s) + 1.0))
+        s = iv.t_a + np.array(_PROBE_FRACTIONS) * iv.span
+        ends = np.array([[iv.t_a], [iv.t_b]])
+        at_ends = self._eval(ends, s)
+        if self.bc == BC_DIRICHLET:
+            res = np.max(np.abs(at_ends), axis=0)
+        else:
+            slopes = self._eval(ends, s, "auto")
+            res = np.maximum(np.abs(at_ends[0] - self.sigma * at_ends[1]),
+                             np.abs(slopes[0] - self.sigma * slopes[1]))
+        # the unit slope jump fails once r = M12 u - M11 v has cancelled
+        # away its digits, as for strongly growing (hyperbolic) bases
+        worst = float(np.max(np.maximum(res / (1.0 + np.abs(self.diagonal(s))),
+                                        np.abs(self.slope_jump(s) + 1.0))))
         if worst > BC_CHECK_TOL:
             raise VerificationError(
                 f"{self.bc} Green function violates its boundary or jump "
                 f"conditions (residual {worst:.3e} > {BC_CHECK_TOL})")
 
 
-def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable[[float], float],
-                            epsabs: float = 1e-9, epsrel: float = 1e-9,
-                            limit: int = 200) -> float:
-    """Integral of weight(t) * G(t, t) over the interval.
-
-    The diagonal of the kernel is smooth, so adaptive quadrature converges
-    quickly.
-    """
-    iv = kernel.basis.interval
-    value, _ = quad(lambda t: float(weight(t)) * kernel.diagonal(t),
-                    iv.t_a, iv.t_b, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    return value
+def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable[[float], float]) -> float:
+    """Integral of weight(t) * G(t, t) over the interval, by the basis's
+    Gauss rule on the integrator's steps (weight is sampled one time at a
+    time)."""
+    nodes, weights = kernel.basis.quadrature
+    samples = np.array([float(weight(t)) for t in nodes])
+    return float(weights @ (samples * kernel.diagonal(nodes)))
 
 
-def _pair(basis: HomogeneousBasis, row_t, row_tp) -> float:
+def _pair(basis: HomogeneousBasis, row_t, row_tp):
     """f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W from the value rows
-    (eta, xi) of Y at t and at t'."""
-    return float(row_t[0] * row_tp[1] - row_t[1] * row_tp[0]) / basis.w
+    (eta, xi) of Y at t and at t' (each a pair or a pair of arrays)."""
+    return (row_t[0] * row_tp[1] - row_t[1] * row_tp[0]) / basis.w
 
 
 def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
@@ -210,20 +207,16 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
     anchored solutions of the kernel, which makes it a consistency check on
     the kernel assembly.
     """
-    iv = basis.interval
     row_a, row_b = basis.y_a[0], basis.y_b[0]
-    f_ab = _pair(basis, row_a, row_b)
+    f_ab = float(_pair(basis, row_a, row_b))
     if condition_estimate(basis.m, f_ab) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
         raise DegenerateOperatorError(
             "Dirichlet endpoint determinant vanishes; the trace is undefined")
-    omega_sq = basis.profile.omega_sq
-
-    def integrand(t: float) -> float:
-        row = basis.y(t)[0]
-        return float(omega_sq(t)) * _pair(basis, row, row_a) * _pair(basis, row_b, row)
-
-    value, _ = quad(integrand, iv.t_a, iv.t_b, epsabs=1e-9, epsrel=1e-9, limit=200)
-    return value / f_ab
+    nodes, weights = basis.quadrature
+    omega_sq = np.array([float(basis.profile.omega_sq(t)) for t in nodes])
+    rows = basis.y(nodes)[0]
+    integrand = omega_sq * _pair(basis, rows, row_a) * _pair(basis, row_b, rows)
+    return float(weights @ integrand) / f_ab
 
 
 def trace_omega_sq(kernel: GreenKernel, check: bool = False) -> float:
@@ -250,6 +243,6 @@ def retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
     """
 
     def retarded(t: float, tp: float) -> float:
-        return _pair(basis, basis.y(t)[0], basis.y(tp)[0]) if t > tp else 0.0
+        return float(_pair(basis, basis.y(t)[0], basis.y(tp)[0])) if t > tp else 0.0
 
     return retarded

@@ -13,7 +13,8 @@ M does not depend on the choice of basis.  make_basis integrates the whole
 matrix in one pass of an adaptive high-order embedded Runge-Kutta pair with
 dense output, so Y(t) can be evaluated anywhere on the interval, for one time
 or for an array of times; slopes are state components and interpolate with
-the same accuracy as values.
+the same accuracy as values.  Integrals over the interval use one Gauss rule
+on the integrator's own steps (HomogeneousBasis.quadrature).
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ DEFAULT_ATOL = 1e-14
 # (1, 0), so W = eta*xi' - eta'*xi = -1.
 _CANONICAL_Y_A = np.array([[0.0, 1.0], [1.0, 0.0]])
 _CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
+
+# Between two knots Y(t) is the solver's degree-7 dense-output polynomial, so
+# eight Gauss-Legendre nodes per step integrate a product of two entries of Y
+# exactly; the rule has no tolerance of its own.
+GAUSS_NODES_PER_STEP = 8
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_STEP)
 
 
 def _on_interval(fn: Callable, iv: Interval) -> Callable:
@@ -63,7 +70,7 @@ class HomogeneousBasis:
 
     y(t) takes a time or a 1-D array of times and returns Y(t) with shape
     (2, 2) or (2, 2, n).  Column j holds solution j: row 0 its value, row 1
-    its slope.
+    its slope.  knots are the integrator's step times from t_a to t_b.
     """
 
     y: Callable[[object], np.ndarray]
@@ -71,6 +78,7 @@ class HomogeneousBasis:
     y_b: np.ndarray
     g: float
     profile: FrequencyProfile
+    knots: np.ndarray
 
     @property
     def interval(self) -> Interval:
@@ -95,6 +103,14 @@ class HomogeneousBasis:
     def phi(self, t) -> np.ndarray:
         """Phi(t) = Y(t) Y_a^{-1}, the fundamental matrix equal to I at t_a."""
         return _times(self.y(t), self.inv_a)
+
+    @cached_property
+    def quadrature(self) -> tuple:
+        """Nodes and weights of the Gauss rule with GAUSS_NODES_PER_STEP nodes
+        on each step between knots: the integral of f is weights @ f(nodes)."""
+        half = 0.5 * np.diff(self.knots)[:, None]
+        mid = 0.5 * (self.knots[1:] + self.knots[:-1])[:, None]
+        return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
 def make_basis(profile: FrequencyProfile, g: float = 1.0,
@@ -128,7 +144,8 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0,
         return state.reshape((2, 2) + state.shape[1:])
 
     return HomogeneousBasis(y=_on_interval(y, iv), y_a=_CANONICAL_Y_A,
-                            y_b=result.y[:, -1].reshape(2, 2), g=gg, profile=profile)
+                            y_b=result.y[:, -1].reshape(2, 2), g=gg, profile=profile,
+                            knots=result.t)
 
 
 def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
@@ -140,7 +157,8 @@ def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
         raise ValueError("mixing matrix is singular")
     y = basis.y
     return HomogeneousBasis(y=lambda t: _times(y(t), c), y_a=basis.y_a @ c,
-                            y_b=basis.y_b @ c, g=basis.g, profile=basis.profile)
+                            y_b=basis.y_b @ c, g=basis.g, profile=basis.profile,
+                            knots=basis.knots)
 
 
 def wronskian_drift(basis: HomogeneousBasis, num: int = 201) -> float:
@@ -153,13 +171,14 @@ def wronskian_drift(basis: HomogeneousBasis, num: int = 201) -> float:
 # amplitude-phase representation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErmakovSolution:
     """Amplitude p(t) and phase q(t) with p'' + Omega^2 p = p^-3, omega0*q'*p^2 = 1.
 
     state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
     times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
     satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to the shooting tolerance.
+    knots are the integrator's step times from t_a to t_b.
     """
 
     state: Callable[[object], np.ndarray]
@@ -171,12 +190,9 @@ class ErmakovSolution:
     q_b: float
     profile: FrequencyProfile
     periodic: bool
+    knots: np.ndarray
     evenness_residual: Optional[float] = None
     newton_iterations: int = 0
-
-    @property
-    def q_a(self) -> float:
-        return 0.0
 
     @property
     def interval(self) -> Interval:
@@ -288,4 +304,4 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float, bc: str = "initial",
         state=state, omega0=float(omega0),
         p_a=p_start, p_b=float(end[0]), dp_a=dp_start, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
-        evenness_residual=evenness, newton_iterations=iterations)
+        knots=sol.ts, evenness_residual=evenness, newton_iterations=iterations)

@@ -138,6 +138,30 @@ class TestKernelValues:
             for tj, value in zip(grid, row):
                 assert abs(value - kernel(ti, tj)) <= 1e-12
 
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    def test_arrays_equal_scalar_calls(self, modulated_profile, rng, bc):
+        """Array calls, the (n, 1) x (1, n) broadcast included, equal the
+        elementwise scalar calls exactly; scalar calls return float."""
+        kernel = GreenKernel(make_basis(modulated_profile), bc)
+        iv = modulated_profile.interval
+        ts = np.concatenate(([iv.t_a], rng.uniform(iv.t_a, iv.t_b, size=6), [iv.t_b]))
+        calls = [kernel.evaluate] + [
+            lambda t, tp, side=side: kernel.evaluate_dt(t, tp, side=side)
+            for side in ("auto", "upper", "lower")]
+        for call in calls:
+            square = call(ts[:, None], ts[None, :])
+            assert square.shape == (ts.size, ts.size)
+            for i, t in enumerate(ts):
+                for j, tp in enumerate(ts):
+                    scalar = call(t, tp)
+                    assert type(scalar) is float
+                    assert square[i, j] == scalar
+            paired = call(ts, ts[::-1])
+            assert paired.tolist() == [call(t, tp) for t, tp in zip(ts, ts[::-1])]
+        assert kernel.diagonal(ts).tolist() == [kernel.diagonal(t) for t in ts]
+        assert type(kernel.diagonal(float(ts[1]))) is float
+        assert type(kernel.slope_jump(float(ts[1]))) is float
+
 
 class TestKernelProperties:
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
@@ -244,6 +268,37 @@ class TestTraces:
         via_kernel = trace_omega_sq(kernel)
         direct = dirichlet_trace_direct(basis)
         assert direct == pytest.approx(via_kernel, rel=1e-9)
+
+
+class TestTraceClosedForms:
+    """Tr[Omega^2 G] = -d/dg log det K_g at g = 1 for constant Omega^2 on a
+    shifted interval, with x = omega T or k T."""
+
+    T_A, SPAN = -1.7, 2.5
+
+    def trace(self, omega_sq: float, bc: str) -> float:
+        iv = fd.Interval(self.T_A, self.T_A + self.SPAN)
+        profile = fd.make_user_profile(lambda t: omega_sq, iv)
+        return trace_omega_sq(GreenKernel(make_basis(profile), bc), check=True)
+
+    @pytest.mark.parametrize("x", [1.0, 6.0, 10.25, 30.3])
+    @pytest.mark.parametrize("bc,closed", [
+        (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tan(x)),
+        (BC_PERIODIC, lambda x: -0.5 * x / math.tan(0.5 * x)),
+        (BC_ANTIPERIODIC, lambda x: 0.5 * x * math.tan(0.5 * x)),
+    ])
+    def test_oscillatory(self, x, bc, closed):
+        omega = x / self.SPAN
+        assert self.trace(omega * omega, bc) == pytest.approx(closed(x), rel=1e-9)
+
+    @pytest.mark.parametrize("x", [2.0, 6.0, 6.9])
+    @pytest.mark.parametrize("bc,closed", [
+        (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tanh(x)),
+        (BC_ANTIPERIODIC, lambda x: -0.5 * x * math.tanh(0.5 * x)),
+    ])
+    def test_hyperbolic(self, x, bc, closed):
+        k = x / self.SPAN
+        assert self.trace(-k * k, bc) == pytest.approx(closed(x), rel=1e-9)
 
 
 class TestRetarded:
