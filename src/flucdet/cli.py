@@ -59,8 +59,9 @@ from .profiles import (
     profile_to_config,
 )
 
-# A determinant this close to zero (relative to the interval length) is
+# A determinant ratio (against the reference operator) this close to zero is
 # treated as a zero mode: plain `det` refuses and points at --regularized.
+# The ratio, unlike the determinant, is not small on every short interval.
 ZERO_MODE_GUARD = 1e-6
 
 SWEEP_PARAMS = ("omega", "T", "eps", "nu")
@@ -141,16 +142,16 @@ def cli():
 
 # -- det ----------------------------------------------------------------------
 
-def _guard_zero_mode(value: float, span: float, bc: str) -> None:
-    if abs(value) <= ZERO_MODE_GUARD * max(1.0, span):
+def _guard_zero_mode(value: float, ratio: float, bc: str) -> None:
+    if abs(ratio) <= ZERO_MODE_GUARD:
         raise DegenerateOperatorError(
-            f"zero mode detected for bc={bc} (determinant {value!r}); "
-            "rerun with --regularized")
+            f"zero mode detected for bc={bc} (determinant {value!r}, |ratio| <= "
+            f"ZERO_MODE_GUARD = {ZERO_MODE_GUARD}); rerun with --regularized")
 
 
 def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
     result = determinant(profile, bc=bc, omega0=omega0)
-    _guard_zero_mode(result.value, profile.interval.span, bc)
+    _guard_zero_mode(result.value, result.ratio, bc)
     diagnostics = dict(result.diagnostics)
     diagnostics.update({
         "method": "endpoint",
@@ -177,7 +178,7 @@ def _det_pq_record(profile, bc: str, omega0: float) -> dict:
         reference = "constant-frequency"
         reference_value = free_reference(bc, span, omega0)
     value = ratio * reference_value
-    _guard_zero_mode(value, span, bc)
+    _guard_zero_mode(value, ratio, bc)
     diagnostics = {
         "method": "pq",
         "reference": reference,

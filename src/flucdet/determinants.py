@@ -36,6 +36,8 @@ REFERENCE_CONSTANT = "constant-frequency"
 REFERENCE_DEGENERACY_TOL = 1e-9
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
+LOG_DET_FD_STEP = 1e-5  # coupling step of the central difference in g
+EIGENVALUE_SHIFT_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -69,13 +71,6 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
-def _period_compatible(profile: FrequencyProfile) -> bool:
-    iv = profile.interval
-    va = float(profile.omega_sq(iv.t_a))
-    vb = float(profile.omega_sq(iv.t_b))
-    return abs(va - vb) <= 1e-8 * (1.0 + abs(va))
-
-
 def _read(basis: HomogeneousBasis, bc: str):
     """The determinant under bc and its diagnostics: the Wronskian, the
     determinant of the basis endpoint matrix (W times the value) and the
@@ -100,13 +95,16 @@ def det_dirichlet(basis: HomogeneousBasis) -> DetResult:
 
 def _det_wrapped(basis: HomogeneousBasis, omega0: float, anti: bool) -> DetResult:
     bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
+    iv = basis.interval
     value, diagnostics = _read(basis, bc)
-    ref = free_reference(bc, basis.interval.span, omega0)
+    ref = free_reference(bc, iv.span, omega0)
     if abs(ref) <= REFERENCE_DEGENERACY_TOL:
         raise DegenerateOperatorError(
             f"reference operator for {bc} is degenerate at omega0 = {omega0} "
             f"(reference determinant {ref:.3e}); choose a different omega0")
-    diagnostics["profile_period_compatible"] = _period_compatible(basis.profile)
+    om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
+    diagnostics["profile_period_compatible"] = bool(
+        abs(om_a - om_b) <= 1e-8 * (1.0 + abs(om_a)))
     return DetResult(value=value, ratio=value / ref, bc=bc,
                      reference=REFERENCE_CONSTANT, reference_value=ref,
                      omega0=float(omega0), diagnostics=diagnostics)
@@ -145,16 +143,14 @@ def _log_abs_det(profile: FrequencyProfile, bc: str, g: float) -> float:
     return math.log(abs(value))
 
 
-def log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float,
-                     delta: float = 1e-5) -> float:
+def log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float) -> float:
     """Central finite difference of log |det| with respect to g."""
-    hi = _log_abs_det(profile, bc, g + delta)
-    lo = _log_abs_det(profile, bc, g - delta)
-    return (hi - lo) / (2.0 * delta)
+    hi = _log_abs_det(profile, bc, g + LOG_DET_FD_STEP)
+    lo = _log_abs_det(profile, bc, g - LOG_DET_FD_STEP)
+    return (hi - lo) / (2.0 * LOG_DET_FD_STEP)
 
 
-def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float,
-                            delta: float = 1e-5):
+def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
     """Both sides of the trace identity at coupling g.
 
     Returns (trace, -dlogdet/dg, relative residual).  The trace of
@@ -164,7 +160,7 @@ def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float,
     basis = make_basis(profile, g=g)
     kernel = GreenKernel(basis, bc)
     lhs = trace_omega_sq(kernel)
-    rhs = -log_det_slope_fd(profile, bc, g, delta=delta)
+    rhs = -log_det_slope_fd(profile, bc, g)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, abs(lhs - rhs) / scale
 
@@ -197,7 +193,7 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
 
     nodes, weights = basis.quadrature
     phi = basis.phi(nodes)
-    om = np.array([float(profile.omega_sq(t)) for t in nodes])
+    om = profile.omega_sq(nodes)
 
     def action(x_a: float, x_b: float) -> float:
         x, dx = np.einsum("ij...,j->i...", phi, [x_a, (x_b - m11 * x_a) / m12])
@@ -251,8 +247,7 @@ def _zero_mode_scale(profile: FrequencyProfile) -> float:
 
 
 def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
-                      eps: float, first_order: float,
-                      max_iter: int = 60):
+                      eps: float, first_order: float):
     """Solve A(lam) = eps by the secant method, where A(lam) is the value at
     t_a of the solution of the lam-shifted equation with (0, slope_b) at t_b.
 
@@ -274,7 +269,7 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
     d1 = shifted_m12(x1)
     f0 = -slope_b * shifted_m12(x0) - eps
     f1 = -slope_b * d1 - eps
-    for _ in range(max_iter):
+    for _ in range(EIGENVALUE_SHIFT_MAX_ITER):
         if abs(f1) <= tol:
             return x1, d1
         if f1 == f0:

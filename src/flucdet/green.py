@@ -70,7 +70,7 @@ class GreenKernel:
     evaluate(ts[:, None], ts[None, :])) and return a float for scalar times.
     """
 
-    def __init__(self, basis: HomogeneousBasis, bc: str, validate: bool = True):
+    def __init__(self, basis: HomogeneousBasis, bc: str):
         if bc not in BOUNDARY_CONDITIONS:
             raise ValueError(f"unsupported boundary condition {bc!r}")
         self.basis = basis
@@ -96,9 +96,7 @@ class GreenKernel:
 
         # [l, r] = Phi(t) [[0, M12], [1, -M11]] = Y(t) Y_a^{-1} [[0, M12], [1, -M11]]
         self._anchor = basis.inv_a @ np.array([[0.0, m[0, 1]], [1.0, -m[0, 0]]])
-
-        if validate:
-            self._validate_boundary_values()
+        self._validate_boundary_values()
 
     @property
     def denom(self) -> float:
@@ -158,8 +156,7 @@ class GreenKernel:
     def table(self, grid_size: int):
         """Values on a uniform grid: (grid, nested list of G(t_i, t_j))."""
         ts = self.basis.interval.grid(grid_size)
-        grid = np.asarray(ts)
-        return ts, self.evaluate(grid[:, None], grid[None, :]).tolist()
+        return ts, self.evaluate(ts[:, None], ts[None, :]).tolist()
 
     # -- construction-time checks -------------------------------------------
 
@@ -184,13 +181,12 @@ class GreenKernel:
                 f"conditions (residual {worst:.3e} > {BC_CHECK_TOL})")
 
 
-def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable[[float], float]) -> float:
+def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable) -> float:
     """Integral of weight(t) * G(t, t) over the interval, by the basis's
-    Gauss rule on the integrator's steps (weight is sampled one time at a
-    time)."""
+    Gauss rule on the integrator's steps.  weight is called once, on the
+    array of Gauss nodes, as a profile's omega_sq is."""
     nodes, weights = kernel.basis.quadrature
-    samples = np.array([float(weight(t)) for t in nodes])
-    return float(weights @ (samples * kernel.diagonal(nodes)))
+    return float(weights @ (weight(nodes) * kernel.diagonal(nodes)))
 
 
 def _pair(basis: HomogeneousBasis, row_t, row_tp):
@@ -213,9 +209,9 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
         raise DegenerateOperatorError(
             "Dirichlet endpoint determinant vanishes; the trace is undefined")
     nodes, weights = basis.quadrature
-    omega_sq = np.array([float(basis.profile.omega_sq(t)) for t in nodes])
     rows = basis.y(nodes)[0]
-    integrand = omega_sq * _pair(basis, rows, row_a) * _pair(basis, row_b, rows)
+    integrand = (basis.profile.omega_sq(nodes)
+                 * _pair(basis, rows, row_a) * _pair(basis, row_b, rows))
     return float(weights @ integrand) / f_ab
 
 

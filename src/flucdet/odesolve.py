@@ -32,6 +32,11 @@ from .profiles import FrequencyProfile, Interval
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
+WRONSKIAN_DRIFT_POINTS = 201
+# periodic amplitude shooting: Newton iterations, tolerance, Jacobian FD step
+SHOOTING_MAX_ITER = 100
+SHOOTING_TOL = 1e-8
+SHOOTING_FD_DELTA = 1e-6
 
 # Canonical basis (eta, xi): eta has (value, slope) = (0, 1) at t_a and xi has
 # (1, 0), so W = eta*xi' - eta'*xi = -1.
@@ -113,8 +118,7 @@ class HomogeneousBasis:
         return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
-def make_basis(profile: FrequencyProfile, g: float = 1.0,
-               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> HomogeneousBasis:
+def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     """Canonical basis (eta, xi) from one integration of the fundamental matrix.
 
     eta has (value, slope) = (0, 1) at t_a and xi has (1, 0), so M = Phi(t_b)
@@ -132,7 +136,8 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0,
         return (y[2], y[3], k * y[0], k * y[1])
 
     result = solve_ivp(rhs, (iv.t_a, iv.t_b), _CANONICAL_Y_A.ravel(),
-                       method="DOP853", dense_output=True, rtol=rtol, atol=atol)
+                       method="DOP853", dense_output=True,
+                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL)
     if not result.success:
         t_fail = result.t[-1] if len(result.t) else iv.t_a
         raise IntegrationError(
@@ -161,9 +166,9 @@ def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
                             knots=basis.knots)
 
 
-def wronskian_drift(basis: HomogeneousBasis, num: int = 201) -> float:
+def wronskian_drift(basis: HomogeneousBasis) -> float:
     """Maximum deviation of det Y(t) from the stored Wronskian det Y_a."""
-    (a, b), (c, d) = basis.y(np.asarray(basis.interval.grid(num)))
+    (a, b), (c, d) = basis.y(basis.interval.grid(WRONSKIAN_DRIFT_POINTS))
     return float(np.max(np.abs(a * d - b * c - basis.w)))
 
 
@@ -199,7 +204,7 @@ class ErmakovSolution:
         return self.profile.interval
 
 
-def _integrate_ermakov(profile, omega0, p0, dp0, rtol, atol):
+def _integrate_ermakov(profile, omega0, p0, dp0):
     iv = profile.interval
     om = profile.omega_sq
     w0 = float(omega0)
@@ -215,7 +220,7 @@ def _integrate_ermakov(profile, omega0, p0, dp0, rtol, atol):
 
     result = solve_ivp(rhs, (iv.t_a, iv.t_b), [p0, dp0, 0.0],
                        method="DOP853", dense_output=True,
-                       rtol=rtol, atol=atol, events=collapse)
+                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=collapse)
     if result.status == 1:
         raise IntegrationError(
             f"amplitude solution collapsed to zero near t = {result.t_events[0][0]}")
@@ -225,53 +230,42 @@ def _integrate_ermakov(profile, omega0, p0, dp0, rtol, atol):
     return result.sol
 
 
-def solve_ermakov(profile: FrequencyProfile, omega0: float, bc: str = "initial",
-                  init=None, rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL,
-                  max_iter: int = 100, shooting_tol: float = 1e-8,
-                  fd_delta: float = 1e-6) -> ErmakovSolution:
+def solve_ermakov(profile: FrequencyProfile, omega0: float,
+                  bc: str = "initial") -> ErmakovSolution:
     """Solve the amplitude-phase system for the profile.
 
     bc="initial" starts from p(t_a) = Omega(t_a)^(-1/2) (or 1 if Omega^2(t_a)
-    is not positive) with p'(t_a) = 0, or from the supplied init pair.
-    bc="periodic" runs two-parameter Newton shooting on (p(t_a), p'(t_a)) to
-    enforce matching endpoint amplitude and slope.
+    is not positive) with p'(t_a) = 0.  bc="periodic" runs two-parameter
+    Newton shooting on (p(t_a), p'(t_a)) from there to enforce matching
+    endpoint amplitude and slope.
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
     iv = profile.interval
 
-    if init is not None:
-        p_start, dp_start = float(init[0]), float(init[1])
-        if p_start <= 0.0:
-            raise ValueError("initial amplitude must be positive")
-    else:
-        om_a = float(profile.omega_sq(iv.t_a))
-        p_start = om_a ** (-0.25) if om_a > 0.0 else 1.0
-        dp_start = 0.0
+    om_a = float(profile.omega_sq(np.array(iv.t_a)))
+    p_start = om_a ** (-0.25) if om_a > 0.0 else 1.0
+    dp_start = 0.0
 
     if bc == "initial":
-        sol = _integrate_ermakov(profile, omega0, p_start, dp_start, rtol, atol)
+        sol = _integrate_ermakov(profile, omega0, p_start, dp_start)
         iterations = 0
     elif bc == "periodic":
         z = np.array([p_start, dp_start])
 
         def residual(zz):
-            s = _integrate_ermakov(profile, omega0, zz[0], zz[1], rtol, atol)
-            end = s(iv.t_b)
-            return np.array([end[0] - zz[0], end[1] - zz[1]])
+            s = _integrate_ermakov(profile, omega0, zz[0], zz[1])
+            return s, s(iv.t_b)[:2] - zz
 
-        iterations = 0
-        converged = False
-        res = residual(z)
-        for iterations in range(1, max_iter + 1):
-            if np.max(np.abs(res)) <= shooting_tol * (1.0 + abs(z[0])):
-                converged = True
+        sol, res = residual(z)
+        for iterations in range(1, SHOOTING_MAX_ITER + 1):
+            if np.max(np.abs(res)) <= SHOOTING_TOL * (1.0 + abs(z[0])):
                 break
             jac = np.empty((2, 2))
             for j in range(2):
                 z_pert = z.copy()
-                z_pert[j] += fd_delta
-                jac[:, j] = (residual(z_pert) - res) / fd_delta
+                z_pert[j] += SHOOTING_FD_DELTA
+                jac[:, j] = (residual(z_pert)[1] - res) / SHOOTING_FD_DELTA
             try:
                 step = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
@@ -281,13 +275,13 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float, bc: str = "initial",
             while z[0] + lam * step[0] <= 1e-6 and lam > 1e-4:
                 lam *= 0.5
             z = z + lam * step
-            res = residual(z)
-        if not converged and np.max(np.abs(res)) > shooting_tol * (1.0 + abs(z[0])):
-            raise ShootingError(
-                f"periodic amplitude shooting did not converge in {max_iter} "
-                f"iterations (residual {np.max(np.abs(res)):.3e})")
+            sol, res = residual(z)
+        else:
+            if np.max(np.abs(res)) > SHOOTING_TOL * (1.0 + abs(z[0])):
+                raise ShootingError(
+                    f"periodic amplitude shooting did not converge in {SHOOTING_MAX_ITER} "
+                    f"iterations (residual {np.max(np.abs(res)):.3e})")
         p_start, dp_start = float(z[0]), float(z[1])
-        sol = _integrate_ermakov(profile, omega0, p_start, dp_start, rtol, atol)
     else:
         raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
 

@@ -67,19 +67,18 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
     if n < 16:
         raise ValueError(f"mesh size must be at least 16, got {n}")
     iv = profile.interval
-    om = profile.omega_sq
     if bc == BC_DIRICHLET:
         h = iv.span / (n + 1)
         nodes = iv.t_a + h * np.arange(1, n + 1)
-        values = np.array([float(om(t)) for t in nodes])
+        diag = 2.0 - h * h * g * profile.omega_sq(nodes)
         corner = 0.0
     else:
         h = iv.span / n
         nodes = iv.t_a + h * np.arange(n)
-        values = np.array([float(om(t)) for t in nodes])
-        values[0] = 0.5 * (float(om(iv.t_a)) + float(om(iv.t_b)))
+        values = profile.omega_sq(np.append(nodes, iv.t_b))
+        diag = 2.0 - h * h * g * values[:-1]
+        diag[0] = 2.0 - h * h * g * (0.5 * (values[0] + values[-1]))
         corner = -1.0 if bc == BC_PERIODIC else 1.0
-    diag = 2.0 - h * h * g * values
     return LatticeOperator(bc=bc, g=g, mesh_size=n, step=h, nodes=nodes,
                            diag=diag, corner=corner, profile=profile)
 
@@ -273,7 +272,7 @@ def _flow_profile(profile: FrequencyProfile, omega0_ref: float,
     w0sq = omega0_ref * omega0_ref
 
     def omega_sq(t, _s=float(s)):
-        return w0sq + _s * (float(base(t)) - w0sq)
+        return w0sq + _s * (base(t) - w0sq)
 
     return FrequencyProfile(
         omega_sq=omega_sq, interval=profile.interval, kind=KIND_USER,
@@ -318,9 +317,6 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     base = profile.omega_sq
     w0sq = omega0_ref * omega0_ref
 
-    def weight(t):
-        return float(base(t)) - w0sq
-
     def det_at(s: float) -> float:
         _, det, _ = _flow_endpoint_det(_flow_profile(profile, omega0_ref, s), bc)
         return det
@@ -347,5 +343,5 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     integral = 0.0
     for s, w, basis in zip(s_nodes, s_weights, bases[1:-1]):
         kernel = GreenKernel(basis, bc)
-        integral += w * trace_weighted_diagonal(kernel, weight)
+        integral += w * trace_weighted_diagonal(kernel, lambda t: base(t) - w0sq)
     return math.exp(-integral)

@@ -4,7 +4,9 @@ A profile bundles the squared frequency Omega^2(t) with the time interval
 [t_a, t_b] on which the operator lives.  Profiles are immutable; all
 constructors validate continuity by dense sampling, and the synthetic
 zero-mode constructor additionally checks that the generating shape xi(t)
-really produces a regular Omega^2 = -xi''/xi.
+really produces a regular Omega^2 = -xi''/xi.  A profile's omega_sq takes a
+float or an ndarray of times and returns a value of the same shape; user
+callables need only take a float, and _lift extends them to arrays once.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import ConfigError, ProfileError
 
@@ -52,15 +56,12 @@ class Interval:
     def span(self) -> float:
         return self.t_b - self.t_a
 
-    def grid(self, n: int) -> list:
-        """n equally spaced points from t_a to t_b inclusive."""
+    def grid(self, n: int) -> np.ndarray:
+        """n equally spaced points t_a + i*h, h = span/(n - 1), i = 0..n-1."""
         if n < 2:
             raise ValueError("grid needs at least 2 points")
         h = self.span / (n - 1)
-        return [self.t_a + i * h for i in range(n)]
-
-    def contains(self, t: float, slack: float = 0.0) -> bool:
-        return self.t_a - slack <= t <= self.t_b + slack
+        return self.t_a + h * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ class SyntheticZeroModeSpec:
     xi must vanish at both interval endpoints, have no zeros inside the open
     interval, and have nonzero endpoint slopes.  If dxi/d2xi are omitted they
     are replaced by fourth-order central finite differences, which requires
-    xi to be evaluable slightly outside the interval.
+    xi to be evaluable slightly outside the interval.  The callables need only
+    take a float.
     """
 
     xi: Callable[[float], float]
@@ -84,11 +86,11 @@ class SyntheticZeroModeSpec:
 class FrequencyProfile:
     """Immutable squared-frequency profile on an interval.
 
-    omega_sq maps a scalar time to a scalar value.  periodic_with, when set,
-    records a period P with Omega^2(t + P) = Omega^2(t).
+    omega_sq maps a float or an ndarray of times to a value of the same shape.
+    periodic_with, when set, records a period P with Omega^2(t + P) = Omega^2(t).
     """
 
-    omega_sq: Callable[[float], float]
+    omega_sq: Callable[[object], object]
     interval: Interval
     kind: str = KIND_USER
     periodic_with: Optional[float] = None
@@ -96,45 +98,72 @@ class FrequencyProfile:
     zero_mode: Optional["ZeroModeData"] = None
     config: Optional[dict] = field(default=None, repr=False)
 
-    def __call__(self, t: float) -> float:
-        return float(self.omega_sq(t))
+    def __call__(self, t):
+        return self.omega_sq(t)
 
 
 @dataclass(frozen=True)
 class ZeroModeData:
-    """Resolved zero-mode shape attached to a synthetic profile."""
+    """Resolved zero-mode shape of a synthetic profile, evaluable on arrays."""
 
-    xi: Callable[[float], float]
-    dxi: Callable[[float], float]
-    d2xi: Callable[[float], float]
+    xi: Callable[[object], object]
+    dxi: Callable[[object], object]
+    d2xi: Callable[[object], object]
     name: str
 
 
-def _jump_tol(v0: float, v1: float) -> float:
-    return CONTINUITY_REL_JUMP * (1.0 + max(abs(v0), abs(v1)))
+def _on_arrays(fn):
+    """Mark fn as taking arrays of times already, so that _lift leaves it."""
+    fn.on_arrays = True
+    return fn
 
 
-def _check_continuity(omega_sq, interval, n=CONTINUITY_SAMPLES):
+def _lift(fn):
+    """fn, a callable of one float, as a callable of a float or an ndarray of
+    times: a float goes straight to fn, an array element by element."""
+    if getattr(fn, "on_arrays", False):
+        return fn
+
+    @_on_arrays
+    def lifted(t):
+        if isinstance(t, np.ndarray):
+            return np.array([fn(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
+        return fn(t)
+
+    return lifted
+
+
+def _math_for(t):
+    """numpy for an array, math (several times cheaper) for one float."""
+    return np if isinstance(t, np.ndarray) else math
+
+
+def _jump_tol(v0, v1):
+    return CONTINUITY_REL_JUMP * (1.0 + np.maximum(np.abs(v0), np.abs(v1)))
+
+
+def _check_continuity(omega_sq, interval):
     """Reject a profile that is not finite or not continuous on the interval.
 
     A sample-to-sample difference above the threshold is refined by
     bisection, following the half with the larger difference: a true jump
     keeps its size however short the step, while the difference of a smooth
     profile shrinks with it.  Profiles that never trip the threshold take no
-    samples beyond the n of the grid.
+    samples beyond the CONTINUITY_SAMPLES of the grid.
     """
-    ts = interval.grid(n)
-    prev_t = ts[0]
-    prev_v = float(omega_sq(prev_t))
-    if not math.isfinite(prev_v):
-        raise ProfileError(f"Omega^2 is not finite at t = {prev_t!r}")
-    for t in ts[1:]:
-        v = float(omega_sq(t))
-        if not math.isfinite(v):
-            raise ProfileError(f"Omega^2 is not finite at t = {t!r}")
-        if abs(v - prev_v) > _jump_tol(prev_v, v):
-            _refine_jump(omega_sq, prev_t, prev_v, t, v)
-        prev_t, prev_v = t, v
+    ts = interval.grid(CONTINUITY_SAMPLES)
+    vs = _finite_samples(omega_sq, ts)
+    for i in np.flatnonzero(np.abs(np.diff(vs)) > _jump_tol(vs[:-1], vs[1:])):
+        _refine_jump(omega_sq, float(ts[i]), float(vs[i]),
+                     float(ts[i + 1]), float(vs[i + 1]))
+
+
+def _finite_samples(omega_sq, ts):
+    vs = omega_sq(ts)
+    bad = np.flatnonzero(~np.isfinite(vs))
+    if bad.size:
+        raise ProfileError(f"Omega^2 is not finite at t = {float(ts[bad[0]])!r}")
+    return vs
 
 
 def _refine_jump(omega_sq, t0, v0, t1, v1):
@@ -160,15 +189,15 @@ def _refine_jump(omega_sq, t0, v0, t1, v1):
 def _check_periodicity(omega_sq, interval, period):
     if period <= 0:
         raise ProfileError(f"period must be positive, got {period}")
-    for frac in (0.0, 0.17, 0.43, 0.71, 1.0):
-        t = interval.t_a + frac * interval.span
-        v0 = float(omega_sq(t))
-        v1 = float(omega_sq(t + period))
-        if abs(v1 - v0) > PERIODICITY_TOL * (1.0 + abs(v0)):
-            raise ProfileError(
-                f"Omega^2 is not periodic with period {period}: "
-                f"values at t = {t} and t + P differ by {abs(v1 - v0):.3e}"
-            )
+    ts = interval.t_a + np.array([0.0, 0.17, 0.43, 0.71, 1.0]) * interval.span
+    v0 = omega_sq(ts)
+    diff = np.abs(omega_sq(ts + period) - v0)
+    bad = np.flatnonzero(diff > PERIODICITY_TOL * (1.0 + np.abs(v0)))
+    if bad.size:
+        raise ProfileError(
+            f"Omega^2 is not periodic with period {period}: values at "
+            f"t = {float(ts[bad[0]])} and t + P differ by {diff[bad[0]]:.3e}"
+        )
 
 
 def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:
@@ -176,8 +205,12 @@ def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:
     if omega < 0:
         raise ProfileError(f"omega must be nonnegative, got {omega}")
     w2 = float(omega) * float(omega)
+
+    def omega_sq(t, _w2=w2):
+        return np.full(t.shape, _w2) if isinstance(t, np.ndarray) else _w2
+
     prof = FrequencyProfile(
-        omega_sq=lambda t, _w2=w2: _w2,
+        omega_sq=omega_sq,
         interval=interval,
         kind=KIND_CONSTANT,
         periodic_with=interval.span,
@@ -195,7 +228,7 @@ def make_modulated_profile(omega: float, eps: float, nu: float,
     e, n = float(eps), float(nu)
 
     def omega_sq(t, _w2=w2, _e=e, _n=n):
-        return _w2 * (1.0 + _e * math.sin(_n * t))
+        return _w2 * (1.0 + _e * _math_for(t).sin(_n * t))
 
     period = 2.0 * math.pi / abs(n) if n != 0.0 else interval.span
     prof = FrequencyProfile(
@@ -214,9 +247,9 @@ def make_modulated_profile(omega: float, eps: float, nu: float,
 def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,
                       periodic_with: Optional[float] = None,
                       description: str = "user") -> FrequencyProfile:
-    """Wrap an arbitrary continuous callable as a profile."""
+    """Wrap an arbitrary continuous callable of one float as a profile."""
     prof = FrequencyProfile(
-        omega_sq=omega_sq,
+        omega_sq=_lift(omega_sq),
         interval=interval,
         kind=KIND_USER,
         periodic_with=periodic_with,
@@ -237,14 +270,6 @@ def _fd_second(f, t, h):
             + 16 * f(t - h) - f(t - 2 * h)) / (12 * h * h)
 
 
-def _resolve_derivatives(spec: SyntheticZeroModeSpec):
-    h = spec.interval.span * FD_STEP_FACTOR
-    xi = spec.xi
-    dxi = spec.dxi if spec.dxi is not None else (lambda t: _fd_first(xi, t, h))
-    d2xi = spec.d2xi if spec.d2xi is not None else (lambda t: _fd_second(xi, t, h))
-    return dxi, d2xi
-
-
 def _endpoint_limit(xi, d2xi, t0, direction, span):
     """One-sided limit of -xi''/xi at an endpoint where xi vanishes.
 
@@ -252,16 +277,12 @@ def _endpoint_limit(xi, d2xi, t0, direction, span):
     converge (linearly or quadratically) and leave tiny extrapolation
     differences, while a singular endpoint leaves order-one ones.
     """
-    h0 = span * 1e-3
-
-    def ratio(h):
-        t = t0 + direction * h
-        x = xi(t)
-        if x == 0.0:
-            raise ProfileError(f"shape function vanishes at interior point t = {t!r}")
-        return -d2xi(t) / x
-
-    v1, v2, v3 = ratio(h0), ratio(h0 / 2), ratio(h0 / 4)
+    ts = t0 + direction * (span * 1e-3) * np.array([1.0, 0.5, 0.25])
+    xs = xi(ts)
+    if np.any(xs == 0.0):
+        raise ProfileError("shape function vanishes at interior point "
+                           f"t = {float(ts[xs == 0.0][0])!r}")
+    v1, v2, v3 = -d2xi(ts) / xs
     l1 = 2 * v2 - v1
     l2 = 2 * v3 - v2
     if not all(math.isfinite(v) for v in (l1, l2)):
@@ -271,7 +292,7 @@ def _endpoint_limit(xi, d2xi, t0, direction, span):
             f"Omega^2 = -xi''/xi does not approach a finite limit at t = {t0!r} "
             f"(successive extrapolations differ by {abs(l2 - l1):.3e})"
         )
-    return l2
+    return float(l2)
 
 
 def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
@@ -282,23 +303,24 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     vanishing endpoint slopes, or endpoint-singular curvature ratios.
     """
     iv = spec.interval
-    dxi, d2xi = _resolve_derivatives(spec)
-    xi = spec.xi
+    xi = _lift(spec.xi)
+    h = iv.span * FD_STEP_FACTOR
+    dxi = _lift(spec.dxi) if spec.dxi is not None else (lambda t: _fd_first(xi, t, h))
+    d2xi = _lift(spec.d2xi) if spec.d2xi is not None else (lambda t: _fd_second(xi, t, h))
 
     # interior zeros make -xi''/xi singular inside the interval
     ts = iv.grid(CONTINUITY_SAMPLES)
-    vals = [float(xi(t)) for t in ts]
-    xmax = max(abs(v) for v in vals)
+    vals = xi(ts)
+    xmax = float(np.max(np.abs(vals)))
     if xmax == 0.0:
         raise ProfileError("shape function is identically zero on the sampling grid")
-    for i in range(1, len(ts) - 2):
-        if vals[i] * vals[i + 1] < 0.0 or abs(vals[i]) < 1e-12 * xmax:
-            raise ProfileError(
-                f"shape function has a zero inside the interval near t = {ts[i]!r}"
-            )
+    inner = vals[1:-2]
+    zeros = np.flatnonzero((inner * vals[2:-1] < 0.0) | (np.abs(inner) < 1e-12 * xmax))
+    if zeros.size:
+        raise ProfileError("shape function has a zero inside the interval near "
+                           f"t = {float(ts[zeros[0] + 1])!r}")
 
-    slope_a = float(dxi(iv.t_a))
-    slope_b = float(dxi(iv.t_b))
+    slope_a, slope_b = dxi(np.array([iv.t_a, iv.t_b]))
     slope_scale = max(abs(slope_a), abs(slope_b), xmax / iv.span)
     if abs(slope_a) <= 1e-8 * slope_scale or abs(slope_b) <= 1e-8 * slope_scale:
         raise ProfileError(
@@ -309,6 +331,10 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     lim_a = _endpoint_limit(xi, d2xi, iv.t_a, +1.0, iv.span)
     lim_b = _endpoint_limit(xi, d2xi, iv.t_b, -1.0, iv.span)
     seam = iv.span * 1e-6
+    lo, hi = iv.t_a + seam, iv.t_b - seam
+
+    def interior(t):
+        return -d2xi(t) / xi(t)
 
     if spec.d2xi is None:
         # The pointwise finite-difference fallback carries roundoff noise of
@@ -316,24 +342,17 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
         # the curvature ratio once and interpolate a smooth representation.
         from scipy.interpolate import CubicSpline
 
-        lo, hi = iv.t_a + seam, iv.t_b - seam
         step = (hi - lo) / (CURVATURE_SPLINE_NODES - 1)
-        ts_nodes = [lo + i * step for i in range(CURVATURE_SPLINE_NODES)]
-        spline = CubicSpline(ts_nodes,
-                             [-d2xi(t) / xi(t) for t in ts_nodes])
-
-        def interior(t):
-            return float(spline(t))
-    else:
-        def interior(t):
-            return -d2xi(t) / xi(t)
+        nodes = lo + step * np.arange(CURVATURE_SPLINE_NODES)
+        interior = CubicSpline(nodes, interior(nodes))
 
     def omega_sq(t):
-        if t <= iv.t_a + seam:
-            return lim_a
-        if t >= iv.t_b - seam:
-            return lim_b
-        return interior(t)
+        if isinstance(t, np.ndarray):
+            out = np.where(t <= lo, lim_a, lim_b)
+            inside = (t > lo) & (t < hi)
+            out[inside] = interior(t[inside])
+            return out
+        return lim_a if t <= lo else lim_b if t >= hi else float(interior(t))
 
     prof = FrequencyProfile(
         omega_sq=omega_sq,
@@ -352,7 +371,7 @@ def shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile
     """Profile with Omega^2(t) + shift; used for spectral-parameter sweeps."""
     base = profile.omega_sq
     return FrequencyProfile(
-        omega_sq=lambda t, _b=base, _s=float(shift): float(_b(t)) + _s,
+        omega_sq=lambda t, _b=base, _s=float(shift): _b(t) + _s,
         interval=profile.interval,
         kind=KIND_USER,
         periodic_with=profile.periodic_with,
@@ -362,13 +381,8 @@ def shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile
 
 def sample_profile(profile: FrequencyProfile, grid_size: int):
     """Evaluate the profile on a uniform grid, returning (t, Omega^2(t)) pairs."""
-    pairs = []
-    for t in profile.interval.grid(grid_size):
-        v = float(profile.omega_sq(t))
-        if not math.isfinite(v):
-            raise ProfileError(f"Omega^2 is not finite at t = {t!r}")
-        pairs.append((t, v))
-    return pairs
+    ts = profile.interval.grid(grid_size)
+    return list(zip(ts.tolist(), _finite_samples(profile.omega_sq, ts).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +393,9 @@ def _sinpi_spec(interval: Interval) -> SyntheticZeroModeSpec:
     a, span = interval.t_a, interval.span
     k = math.pi / span
     return SyntheticZeroModeSpec(
-        xi=lambda t: math.sin(k * (t - a)),
-        dxi=lambda t: k * math.cos(k * (t - a)),
-        d2xi=lambda t: -k * k * math.sin(k * (t - a)),
+        xi=_on_arrays(lambda t: _math_for(t).sin(k * (t - a))),
+        dxi=_on_arrays(lambda t: k * _math_for(t).cos(k * (t - a))),
+        d2xi=_on_arrays(lambda t: -k * k * _math_for(t).sin(k * (t - a))),
         interval=interval,
         name="sinpi",
     )
@@ -396,18 +410,21 @@ def _sinpi_bump_spec(interval: Interval) -> SyntheticZeroModeSpec:
     a, span = interval.t_a, interval.span
     k = math.pi / span
 
+    @_on_arrays
     def xi(t):
-        s = math.sin(k * (t - a))
+        s = _math_for(t).sin(k * (t - a))
         return s * (1.0 + 0.1 * s * s)
 
+    @_on_arrays
     def dxi(t):
-        u = k * (t - a)
-        s, c = math.sin(u), math.cos(u)
+        m, u = _math_for(t), k * (t - a)
+        s, c = m.sin(u), m.cos(u)
         return k * c * (1.0 + 0.3 * s * s)
 
+    @_on_arrays
     def d2xi(t):
-        u = k * (t - a)
-        s, c = math.sin(u), math.cos(u)
+        m, u = _math_for(t), k * (t - a)
+        s, c = m.sin(u), m.cos(u)
         return k * k * (-s * (1.0 + 0.3 * s * s) + 0.6 * s * c * c)
 
     return SyntheticZeroModeSpec(xi=xi, dxi=dxi, d2xi=d2xi,

@@ -75,6 +75,19 @@ class TestDet:
         assert "zero mode detected" in record["error"]["message"]
         assert "--regularized" in record["error"]["message"]
 
+    @pytest.mark.parametrize("argv,ratio", [
+        (("--t-b", "1e-7"), 1.0),
+        (("--t-b", "1e-7", "--method", "pq"), 1.0),
+        (("--bc", "periodic", "--t-b", "1e-4",
+          "--profile", '{"kind":"constant","omega":2.0}'), 4.0),
+    ])
+    def test_short_interval_no_false_zero_mode(self, capsys, argv, ratio):
+        # every determinant is small on a short interval; the guard reads
+        # the ratio against the reference, which is not
+        code, out, _ = run(capsys, "det", *argv)
+        assert code == 0
+        assert json.loads(out)["ratio"] == pytest.approx(ratio, abs=1e-6)
+
     def test_regularized_dirichlet(self, capsys):
         code, out, _ = run(capsys, "det", "--profile", SINPI, "--regularized")
         assert code == 0

@@ -3,9 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import flucdet as fd
+from flucdet.determinants import van_vleck_check
+from flucdet.green import GreenKernel, trace_omega_sq
+from flucdet.odesolve import make_basis
+from flucdet.oracle import _flow_profile, gflow_ratio, lattice_ratio
 from flucdet.profiles import (
     SyntheticZeroModeSpec,
     builtin_zero_mode_spec,
@@ -176,3 +181,74 @@ class TestConfig:
     def test_invalid_json_text(self, unit_interval):
         with pytest.raises(fd.ConfigError):
             profile_from_config("{not json", unit_interval)
+
+
+def assert_array_contract(omega_sq, iv):
+    """omega_sq on an array equals the scalar calls exactly and keeps the
+    array's shape: 0-d, 1-d, (n, 1), (1, n) and their (n, n) broadcast."""
+    # synthetic profiles switch to their endpoint limits at a seam of
+    # 1e-6 * span: probe inside it, on it and just beyond it
+    ts = np.array([iv.t_a, iv.t_a + 1e-7 * iv.span, iv.t_a + iv.span * 1e-6,
+                   iv.t_a + 2e-6 * iv.span, iv.t_a + 0.13 * iv.span,
+                   iv.t_a + 0.5 * iv.span, iv.t_a + 0.91 * iv.span,
+                   iv.t_b - iv.span * 1e-6, iv.t_b - 1e-7 * iv.span, iv.t_b])
+    for t in ts.tolist():
+        value = omega_sq(np.array(t))
+        assert np.shape(value) == () and value == omega_sq(t)
+    for arr in (ts, ts[:, None], ts[None, :], 0.5 * (ts[:, None] + ts[None, :])):
+        values = omega_sq(arr)
+        expected = [omega_sq(t) for t in arr.ravel().tolist()]
+        assert values.shape == arr.shape
+        assert np.array_equal(values.ravel(), expected)
+
+
+class TestArrayContract:
+    def test_constant_and_modulated(self, const2_profile, modulated_profile):
+        for prof in (const2_profile, modulated_profile):
+            assert_array_contract(prof.omega_sq, prof.interval)
+
+    @pytest.mark.parametrize("name", ["sinpi", "sinpi_bump"])
+    def test_builtin_zero_mode_shapes(self, name):
+        iv = fd.Interval(-0.4, 1.3)
+        prof = make_zero_mode_profile(builtin_zero_mode_spec(name, iv))
+        assert_array_contract(prof.omega_sq, iv)
+        for fn in (prof.zero_mode.xi, prof.zero_mode.dxi, prof.zero_mode.d2xi):
+            assert_array_contract(fn, iv)
+
+    @pytest.mark.parametrize("derivatives", [False, True])
+    def test_user_shapes(self, unit_interval, derivatives):
+        # scalar-only shapes, with the finite-difference fallback or without
+        k = math.pi
+        spec = SyntheticZeroModeSpec(
+            lambda t: math.sin(k * t), unit_interval,
+            dxi=(lambda t: k * math.cos(k * t)) if derivatives else None,
+            d2xi=(lambda t: -k * k * math.sin(k * t)) if derivatives else None)
+        prof = make_zero_mode_profile(spec)
+        assert_array_contract(prof.omega_sq, unit_interval)
+        for fn in (prof.zero_mode.xi, prof.zero_mode.dxi, prof.zero_mode.d2xi):
+            assert_array_contract(fn, unit_interval)
+
+    def test_user_profile(self, unit_interval):
+        prof = make_user_profile(lambda t: 1.0 + 0.5 * math.cos(2.0 * t), unit_interval)
+        assert_array_contract(prof.omega_sq, unit_interval)
+
+    def test_shifted_and_flow_profiles(self, modulated_profile):
+        iv = modulated_profile.interval
+        assert_array_contract(shifted_profile(modulated_profile, -0.7).omega_sq, iv)
+        assert_array_contract(_flow_profile(modulated_profile, 1.3, 0.4).omega_sq, iv)
+
+    def test_scalar_only_callable_everywhere(self):
+        # math.sin refuses arrays, so every array sample goes through the lift
+        iv = fd.Interval(0.0, 2.0)
+        user = make_user_profile(lambda t: 1.0 + 0.2 * math.sin(3.0 * t), iv)
+        builtin = fd.make_modulated_profile(1.0, 0.2, 3.0, iv)
+
+        def routes(prof):
+            yield van_vleck_check(prof)
+            yield gflow_ratio(prof, "periodic", omega0=1.0, g_steps=8)
+            for bc in ("dirichlet", "periodic"):
+                yield trace_omega_sq(GreenKernel(make_basis(prof), bc))
+                yield lattice_ratio(prof, bc, 1.0, 400)
+
+        for got, want in zip(routes(user), routes(builtin)):
+            assert got == pytest.approx(want, rel=1e-12)
