@@ -39,7 +39,6 @@ from .odesolve import (
     make_basis,
     mix_basis,
     solve_ermakov,
-    wronskian_drift,
 )
 from .green import (
     BC_ANTIPERIODIC,
@@ -152,5 +151,4 @@ __all__ = [
     "trace_weighted_diagonal",
     "van_vleck_check",
     "wrapped_difference_quotient",
-    "wronskian_drift",
 ]

@@ -73,12 +73,20 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
 
 def _read(basis: HomogeneousBasis, bc: str):
     """The determinant under bc and its diagnostics: the Wronskian, the
-    determinant of the basis endpoint matrix (W times the value) and the
-    condition estimate of the read."""
+    determinant of the basis endpoint matrix (W times the value), the
+    condition estimate of the read, the integrator's steps and its error
+    estimate for the entries of M, and det_m_residual = |det M - 1| over
+    max(1, max|M_ij|)^2, the scale of the rounding of det M (unscaled, det M
+    overflows for kT above about 355)."""
     m = basis.m
     value = det_from_transfer(m, bc)
+    scale = max(1.0, float(np.max(np.abs(m))))
+    (a, b), (c, d) = m / scale
     diagnostics = {"w": basis.w, "endpoint_det": basis.w * value,
-                   "condition": condition_estimate(m, value)}
+                   "condition": condition_estimate(m, value),
+                   "steps": len(basis.knots) - 1,
+                   "error_estimate": basis.error_estimate,
+                   "det_m_residual": float(abs(a * d - b * c - 1.0 / scale / scale))}
     return value, diagnostics
 
 

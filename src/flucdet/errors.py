@@ -14,7 +14,8 @@ class ConfigError(FlucdetError):
 
 
 class IntegrationError(FlucdetError):
-    """ODE integration or quadrature failed to reach the requested accuracy."""
+    """ODE integration or quadrature failed to reach the requested accuracy
+    within its work bound, or its result lies outside the float range."""
 
 
 class DegenerateOperatorError(FlucdetError):

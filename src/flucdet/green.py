@@ -8,9 +8,13 @@ start from (1, 0) and (0, 1) at t_a.  The determinants are
 
 (Gel'fand-Yaglom, Forman).  The Dirichlet kernel is built from the
 left-anchored solution l = v, which vanishes at t_a, and the right-anchored
-solution r = M12 u - M11 v, which vanishes at t_b:
+solution r with (r, r') = (0, -1) at t_b:
 
     G_D(t, t') = l(min(t, t')) r(max(t, t')) / M12.
+
+With S(t) = Phi(t_b, t), (r, r') = S(t)^{-1} (0, -1) = (S12, -S11), read from
+the basis's suffix products, so r is never the difference M12 u - M11 v of
+growing solutions.
 
 With sigma = +1 (periodic) or -1 (antiperiodic) and h = l + sigma*r, the
 wrapped kernels add the separable correction
@@ -94,8 +98,6 @@ class GreenKernel:
                     f"{bc} endpoint determinant vanishes ({self.delta:.3e}); "
                     "the Green function does not exist")
 
-        # [l, r] = Phi(t) [[0, M12], [1, -M11]] = Y(t) Y_a^{-1} [[0, M12], [1, -M11]]
-        self._anchor = basis.inv_a @ np.array([[0.0, m[0, 1]], [1.0, -m[0, 0]]])
         self._validate_boundary_values()
 
     @property
@@ -103,12 +105,17 @@ class GreenKernel:
         """Normalizing denominator: M12 for Dirichlet, 2 -+ tr M otherwise."""
         return self.f_ab if self.delta is None else self.delta
 
-    def _anchored(self, t) -> np.ndarray:
-        """[[l, r], [l', r']] at a time or an array of times t, with shape
-        (2, 2) + t.shape."""
-        t = np.asarray(t, dtype=float)
-        lr = np.einsum("ij...,jk->ik...", self.basis.y(t.ravel()), self._anchor)
-        return lr.reshape((2, 2) + t.shape)
+    def _anchored(self, *times) -> list:
+        """[[l, r], [l', r']] at each of the given times or arrays of times,
+        with shape (2, 2) + its shape, from one evaluation of the basis."""
+        arrays = [np.asarray(t, dtype=float) for t in times]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        l, dl = self.basis.phi(flat)[:, 1]
+        (s11, s12), _ = self.basis.to_end(flat)
+        lr = np.array([[l, s12], [dl, -s11]])
+        ends = np.cumsum([0] + [a.size for a in arrays])
+        return [lr[..., lo:hi].reshape((2, 2) + a.shape)
+                for a, lo, hi in zip(arrays, ends[:-1], ends[1:])]
 
     def _eval(self, t, tp, side: Optional[str] = None):
         """G(t, tp) for side None, else dG/dt on the branch side names, at
@@ -116,9 +123,9 @@ class GreenKernel:
 
         The upper branch (t > tp) is l(tp) r(t), the lower one l(t) r(tp).
         """
-        at_t = self._anchored(t)
+        at_t, at_tp = self._anchored(t) * 2 if tp is t else self._anchored(t, tp)
         (l, r), (dl, dr) = at_t
-        (lp, rp), _ = at_t if tp is t else self._anchored(tp)
+        (lp, rp), _ = at_tp
         if side is None:
             upper = np.greater(t, tp)
         elif side == "auto":
@@ -129,10 +136,12 @@ class GreenKernel:
             raise ValueError(f"side must be 'auto', 'upper' or 'lower', got {side!r}")
         if side is not None:
             l, r = dl, dr
-        value = np.where(upper, lp * r, l * rp) / self.f_ab
+        # divided before multiplying: l(t) r(t') alone overflows for strongly
+        # growing bases on the branch np.where discards
+        value = np.where(upper, (lp / self.f_ab) * r, (l / self.f_ab) * rp)
         if self.sigma:
             h, hp = l + self.sigma * r, lp + self.sigma * rp
-            value = value - self.sigma * h * hp / (self.delta * self.f_ab)
+            value = value - self.sigma * (h / self.delta) * (hp / self.f_ab)
         return float(value) if value.ndim == 0 else value
 
     # -- evaluation ---------------------------------------------------------
@@ -171,8 +180,8 @@ class GreenKernel:
             slopes = self._eval(ends, s, "auto")
             res = np.maximum(np.abs(at_ends[0] - self.sigma * at_ends[1]),
                              np.abs(slopes[0] - self.sigma * slopes[1]))
-        # the unit slope jump fails once r = M12 u - M11 v has cancelled
-        # away its digits, as for strongly growing (hyperbolic) bases
+        # the unit slope jump fails once r has lost its digits, as it does
+        # for strongly growing bases without suffix products (basis_from_pq)
         worst = float(np.max(np.maximum(res / (1.0 + np.abs(self.diagonal(s))),
                                         np.abs(self.slope_jump(s) + 1.0))))
         if worst > BC_CHECK_TOL:
@@ -198,10 +207,12 @@ def _pair(basis: HomogeneousBasis, row_t, row_tp):
 def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
     """Dirichlet trace of Omega^2 G assembled from the two-point function.
 
-    Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b) with f built from the
-    basis columns and the endpoint rows of Y_a and Y_b, never from M or the
-    anchored solutions of the kernel, which makes it a consistency check on
-    the kernel assembly.
+    Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b), with f(t, t_a) built
+    from the basis columns and the rows of Y_a, f(t_a, t_b) from the endpoint
+    rows of Y_a and Y_b, and f(t_b, t) = -S12(t) from S(t) = Phi(t_b, t)
+    (HomogeneousBasis.to_end), where the two columns would cancel for growing
+    bases.  The anchored solutions of the kernel do not enter, which makes it
+    a consistency check on the kernel assembly.
     """
     row_a, row_b = basis.y_a[0], basis.y_b[0]
     f_ab = float(_pair(basis, row_a, row_b))
@@ -211,8 +222,8 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
     nodes, weights = basis.quadrature
     rows = basis.y(nodes)[0]
     integrand = (basis.profile.omega_sq(nodes)
-                 * _pair(basis, rows, row_a) * _pair(basis, row_b, rows))
-    return float(weights @ integrand) / f_ab
+                 * (_pair(basis, rows, row_a) / f_ab) * -basis.to_end(nodes)[0, 1])
+    return float(weights @ integrand)
 
 
 def trace_omega_sq(kernel: GreenKernel, check: bool = False) -> float:

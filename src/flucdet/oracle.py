@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .determinants import free_reference
-from .errors import DegenerateOperatorError, VerificationError
+from .errors import DegenerateOperatorError, IntegrationError, VerificationError
 from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
                     GreenKernel, det_from_transfer, trace_weighted_diagonal)
 from .odesolve import make_basis
@@ -36,6 +34,7 @@ FLOW_DEGENERACY_TOL = 1e-8
 # Eigenvalue products carry LAPACK noise on the smallest modes that grows
 # with the mesh, so the recurrence cross-check budget scales with n.
 RECURRENCE_CHECK_TOL_PER_NODE = 2e-11
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -98,6 +97,8 @@ def _reference_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOp
 def lattice_eigenvalues_scaled(op: LatticeOperator) -> np.ndarray:
     """Ascending eigenvalues of the scaled matrix."""
     if op.corner == 0.0:
+        from scipy.linalg import eigvalsh_tridiagonal  # imported on first use
+
         off = -np.ones(op.mesh_size - 1)
         return eigvalsh_tridiagonal(op.diag, off)
     mat = np.diag(op.diag)
@@ -335,6 +336,8 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
         dets.append(det)
     for i in range(len(s_probe) - 1):
         if dets[i] * dets[i + 1] < 0.0:
+            from scipy.optimize import brentq  # imported on first use
+
             crossing = brentq(det_at, s_probe[i], s_probe[i + 1], xtol=1e-8)
             raise DegenerateOperatorError(
                 "coupling flow crosses a zero mode at g' ≈ "
@@ -344,4 +347,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     for s, w, basis in zip(s_nodes, s_weights, bases[1:-1]):
         kernel = GreenKernel(basis, bc)
         integral += w * trace_weighted_diagonal(kernel, lambda t: base(t) - w0sq)
+    if -integral > _LOG_FLOAT_MAX:
+        raise IntegrationError(
+            f"coupling-flow ratio exp({-integral:.6g}) exceeds the float range")
     return math.exp(-integral)

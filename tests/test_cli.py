@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,10 @@ class TestDet:
         diag = record["diagnostics"]
         assert diag["method"] == "endpoint"
         assert diag["w"] == pytest.approx(-1.0)
+        # integrator work and invariant residual of the Magnus product
+        assert type(diag["steps"]) is int and diag["steps"] >= 1
+        assert 0.0 <= diag["error_estimate"] <= 1e-12
+        assert 0.0 <= diag["det_m_residual"] <= 1e-13
 
     def test_full_precision_floats(self, capsys):
         _, out, _ = run(capsys, "det")
@@ -164,6 +172,18 @@ class TestHyperbolic:
         assert record["value"] == pytest.approx(2.0 - 2.0 * math.cosh(60.0), rel=1e-10)
         assert math.isfinite(record["diagnostics"]["condition"])
 
+    def test_diagnostics_of_a_huge_transfer_matrix(self, capsys, monkeypatch):
+        """Omega^2 = -1 on [0, 400]: M12 = sinh(400) = 2.6e173, and every
+        diagnostic stays finite, det M included (its products reach 1e346)."""
+        interval = fd.Interval(0.0, 400.0)
+        profile = fd.make_user_profile(lambda t: -1.0, interval)
+        monkeypatch.setattr(cli, "_load", lambda spec, t_a, t_b: (interval, profile))
+        code, out, _ = run(capsys, "det")
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == pytest.approx(math.sinh(400.0), rel=1e-12)
+        assert 0.0 <= record["diagnostics"]["det_m_residual"] <= 1e-15
+
 
 class TestGreen:
     def test_csv_table(self, capsys):
@@ -273,6 +293,20 @@ class TestVerify:
         assert "fake,dirichlet,analytic" in out
         assert "verification failure" in err
         assert "0/1" in err
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy_solver(self):
+        """scipy is imported where a route needs it, never by the CLI
+        module itself: a cold `det` pays only for numpy and click."""
+        code = ("import sys, flucdet.cli; print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] in (['scipy', 'integrate'], "
+                "['scipy', 'optimize'], ['scipy', 'linalg'])))")
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestOutput:

@@ -71,10 +71,15 @@ class TestDirichlet:
         assert result.value < 0.0
 
     def test_diagnostics_keys(self, const_profile):
-        result = det_dirichlet(make_basis(const_profile))
-        assert set(result.diagnostics) == {"w", "endpoint_det", "condition"}
+        basis = make_basis(const_profile)
+        result = det_dirichlet(basis)
+        assert set(result.diagnostics) == {"w", "endpoint_det", "condition", "steps",
+                                           "error_estimate", "det_m_residual"}
         assert result.diagnostics["w"] == pytest.approx(-1.0)
         assert result.diagnostics["condition"] >= 1.0
+        assert result.diagnostics["steps"] == len(basis.knots) - 1
+        assert 0.0 <= result.diagnostics["error_estimate"] <= 1e-12
+        assert 0.0 <= result.diagnostics["det_m_residual"] <= 1e-14
 
 
 class TestWrapped:

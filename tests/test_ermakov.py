@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import flucdet as fd
@@ -11,7 +12,8 @@ from flucdet.ermakov import (
     det_ratio_dirichlet_pq,
     det_ratio_periodic_pq,
 )
-from flucdet.odesolve import make_basis, solve_ermakov, wronskian_drift
+from flucdet.green import GreenKernel
+from flucdet.odesolve import make_basis, solve_ermakov
 
 OMEGA0_CHOICES = (0.7, 1.0, 2.3)
 
@@ -124,8 +126,20 @@ class TestBasisFromPQ:
                 assert abs(residual) <= 1e-5 * (1.0 + abs(s(t)))
 
     def test_wronskian_constancy(self, modulated_profile):
-        sol = solve_ermakov(modulated_profile, omega0=1.0)
-        assert wronskian_drift(basis_from_pq(sol)) <= 1e-9
+        basis = basis_from_pq(solve_ermakov(modulated_profile, omega0=1.0))
+        (eta, xi), (deta, dxi) = basis.y(modulated_profile.interval.grid(201))
+        assert np.max(np.abs(eta * dxi - xi * deta - basis.w)) <= 1e-9
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    def test_green_kernel_without_suffix_products(self, modulated_profile, bc):
+        """A pq basis has no suffix products, so the kernel's right-anchored
+        solution comes from Phi(t_b, t) = M Phi(t)^{-1}; it must agree with
+        the Magnus basis, which reads it from suffix products."""
+        basis = basis_from_pq(solve_ermakov(modulated_profile, omega0=1.0))
+        assert basis.back is None
+        _, table = GreenKernel(basis, bc).table(9)
+        _, expected = GreenKernel(make_basis(modulated_profile), bc).table(9)
+        np.testing.assert_allclose(table, expected, rtol=0.0, atol=1e-11)
 
     def test_zero_mode_rejected(self):
         profile = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))

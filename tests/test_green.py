@@ -291,7 +291,7 @@ class TestTraceClosedForms:
         omega = x / self.SPAN
         assert self.trace(omega * omega, bc) == pytest.approx(closed(x), rel=1e-9)
 
-    @pytest.mark.parametrize("x", [2.0, 6.0, 6.9])
+    @pytest.mark.parametrize("x", [2.0, 6.0, 6.9, 16.0, 30.0])
     @pytest.mark.parametrize("bc,closed", [
         (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tanh(x)),
         (BC_ANTIPERIODIC, lambda x: -0.5 * x * math.tanh(0.5 * x)),

@@ -1,16 +1,19 @@
 """Homogeneous solutions, basis construction, and the amplitude-phase solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import flucdet as fd
+from flucdet import odesolve
 from flucdet.odesolve import (
+    MAGNUS_MAX_STEPS,
+    MAGNUS_REL_TARGET,
     make_basis,
     mix_basis,
     solve_ermakov,
-    wronskian_drift,
 )
 
 
@@ -22,8 +25,7 @@ class TestCanonicalBasis:
         assert b.w == -1.0
 
     def test_constant_solutions(self, const_profile):
-        # dense-output interpolation between accepted steps is a little less
-        # accurate than the step endpoints themselves
+        # between knots, Y(t) is a prefix product times one local Magnus step
         b = make_basis(const_profile)
         for t in (0.2, 0.7, 1.0):
             (eta, xi), (deta, dxi) = b.y(t)
@@ -58,7 +60,8 @@ class TestCanonicalBasis:
 
     def test_wronskian_constancy(self, modulated_profile):
         b = make_basis(modulated_profile)
-        assert wronskian_drift(b) <= 1e-10
+        (eta, xi), (deta, dxi) = b.y(modulated_profile.interval.grid(201))
+        assert np.max(np.abs(eta * dxi - xi * deta - b.w)) <= 1e-10
         for t in (0.25, 1.5):
             assert np.linalg.det(b.y(t)) == pytest.approx(b.w, abs=1e-11)
 
@@ -92,6 +95,111 @@ class TestCanonicalBasis:
     def test_nonfinite_coupling_rejected(self, const_profile):
         with pytest.raises(ValueError):
             make_basis(const_profile, g=math.nan)
+
+
+def constant_transfer(omega_sq: float, tau):
+    """Phi(t_a + tau, t_a) in closed form for a constant Omega^2, with
+    shape (2, 2) + tau.shape."""
+    tau = np.asarray(tau, dtype=float)
+    if omega_sq >= 0.0:
+        w = math.sqrt(omega_sq)
+        c, s = np.cos(w * tau), np.sin(w * tau)
+        return np.array([[c, s / w], [-w * s, c]])
+    k = math.sqrt(-omega_sq)
+    c, s = np.cosh(k * tau), np.sinh(k * tau)
+    return np.array([[c, s / k], [k * s, c]])
+
+
+class TestMagnus:
+    """The sixth-order Magnus product against closed forms, on a shifted
+    interval [-3, 7]."""
+
+    T_A, SPAN = -3.0, 10.0
+
+    def basis(self, omega_sq: float):
+        iv = fd.Interval(self.T_A, self.T_A + self.SPAN)
+        return make_basis(fd.make_user_profile(lambda t: omega_sq, iv))
+
+    @pytest.mark.parametrize("x", [1.0, 30.0, 300.0])
+    def test_oscillatory_transfer_matrix(self, x):
+        # the adaptive DOP853 integrator this replaced reached about 2e-12
+        # (Dirichlet, relative) and 2.2e-11 (2 -+ tr M) here
+        omega = x / self.SPAN
+        basis = self.basis(omega * omega)
+        m, exact = basis.m, constant_transfer(omega * omega, self.SPAN)
+        assert np.max(np.abs(m - exact)) <= 2e-12 * max(1.0, omega)
+        assert abs(m[0, 1] - exact[0, 1]) <= 2e-12 * abs(exact[0, 1])
+        assert abs(np.trace(m) - np.trace(exact)) <= 2.2e-11
+        assert basis.error_estimate <= MAGNUS_REL_TARGET * np.max(np.abs(m))
+
+    @pytest.mark.parametrize("x", [5.0, 60.0])
+    def test_hyperbolic_transfer_matrix(self, x):
+        k = x / self.SPAN
+        m = self.basis(-k * k).m
+        exact = constant_transfer(-k * k, self.SPAN)
+        np.testing.assert_allclose(m, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("omega_sq", [9.0, -0.25])
+    def test_dense_output(self, omega_sq, rng):
+        """Y(t) at interior times, on and off the knots, and at both ends."""
+        basis = self.basis(omega_sq)
+        ts = np.concatenate(([self.T_A], basis.knots[[1, 17, -2]],
+                             rng.uniform(self.T_A, self.T_A + self.SPAN, 9),
+                             [self.T_A + self.SPAN]))
+        exact = constant_transfer(omega_sq, ts - self.T_A)
+        scale = np.max(np.abs(exact), axis=(0, 1))
+        assert np.all(np.abs(basis.phi(ts) - exact) <= 1e-12 * scale)
+        # S(t) = Phi(t_b, t), from the suffix products
+        exact_back = constant_transfer(omega_sq, self.T_A + self.SPAN - ts)
+        scale = np.max(np.abs(exact_back), axis=(0, 1))
+        assert np.all(np.abs(basis.to_end(ts) - exact_back) <= 1e-12 * scale)
+
+    def test_sixth_order(self):
+        """Halving the step divides the error of M by 2^6 on a varying
+        profile, where the commutator terms of the Magnus exponent matter
+        (constant profiles are integrated exactly at any step)."""
+        profile = fd.make_modulated_profile(1.0, 0.5, 3.0, fd.Interval(-1.0, 2.0))
+        exact = make_basis(profile).m
+        errors = [np.max(np.abs(odesolve._MagnusGrid(
+            profile.omega_sq, 1.0, profile.interval, n).transfer()[0] - exact))
+            for n in (8, 16, 32, 64)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 56.0 <= coarse / fine <= 72.0
+
+    def test_chunked_product(self, monkeypatch):
+        """Steps are multiplied MAGNUS_CHUNK at a time; more chunks change
+        only the rounding of M."""
+        profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
+        whole = make_basis(profile)
+        monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
+        chunked = make_basis(profile)
+        assert len(chunked.knots) == len(whole.knots) > 64 * 8
+        np.testing.assert_allclose(chunked.m, whole.m, rtol=0.0, atol=1e-13)
+        ts = np.linspace(0.0, 10.0, 7)
+        np.testing.assert_allclose(chunked.y(ts), whole.y(ts), rtol=0.0, atol=1e-13)
+
+    def test_overflow_is_an_integration_error(self):
+        """Omega^2 = -1 on [0, 800]: M has entries near e^800 / 2."""
+        profile = fd.make_user_profile(lambda t: -1.0, fd.Interval(0.0, 800.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fd.IntegrationError, match="overflows"):
+                make_basis(profile)
+
+    def test_work_estimate_above_step_cap(self):
+        profile = fd.make_constant_profile(1.0, fd.Interval(0.0, 1e6))
+        with pytest.raises(fd.IntegrationError,
+                           match=f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}") as info:
+            make_basis(profile)
+        assert "work estimate of 2e+06" in str(info.value)
+
+    def test_step_doubling_above_step_cap(self, monkeypatch):
+        profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
+        monkeypatch.setattr(odesolve, "MAGNUS_MAX_STEPS", 256)
+        with pytest.raises(fd.IntegrationError,
+                           match="MAGNUS_MAX_STEPS = 256") as info:
+            make_basis(profile)
+        assert "error estimate" in str(info.value)
 
 
 class TestMixing:

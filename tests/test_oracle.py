@@ -195,3 +195,18 @@ class TestCouplingFlow:
     def test_degenerate_reference_rejected(self, const_profile):
         with pytest.raises(fd.DegenerateOperatorError, match="omega0"):
             gflow_ratio(const_profile, "periodic", omega0=2.0 * math.pi)
+
+    def test_ratio_beyond_float_range(self):
+        """Omega^2 = -k^2 with kT = 709.5 against the antiperiodic reference
+        at omega0 T = pi - 1e-3: every basis on the flow is finite, but the
+        ratio is about e^723.  The flow, whose 192 nodes resolve its
+        sqrt-type integrand near g' = 0 only to about e^710, must refuse it
+        with a named error rather than a bare OverflowError."""
+        span, kt = 1000.0, 709.5
+        k_sq = (kt / span) ** 2
+        profile = fd.FrequencyProfile(
+            omega_sq=lambda t: np.full(np.shape(t), -k_sq),
+            interval=fd.Interval(0.0, span))
+        with pytest.raises(fd.IntegrationError, match="float range"):
+            gflow_ratio(profile, "antiperiodic", omega0=(math.pi - 1e-3) / span,
+                        g_steps=192)
