@@ -4,9 +4,8 @@ The package computes determinants of K = -d^2/dt^2 - Omega^2(t) on a finite
 interval under Dirichlet, periodic, and antiperiodic boundary conditions.
 The closed-form route reads every determinant from the transfer matrix
 M = Phi(t_b, t_a) of one integrated fundamental matrix; independent oracles
-(lattice spectra, determinant recurrences, a coupling flow driven by
-Green-function traces, and an amplitude-phase route) cross check every
-result.
+(lattice determinant recurrences, a coupling flow driven by Green-function
+traces, and an amplitude-phase route) cross check every result.
 """
 
 from .errors import (
@@ -76,14 +75,11 @@ from .oracle import (
     LatticeOperator,
     SpectrumReport,
     build_lattice,
-    count_nonpositive,
     gflow_ratio,
     lattice_determinant_scaled,
-    lattice_eigenvalues_scaled,
     lattice_ratio,
     lattice_ratio_richardson,
     pseudo_det_ratio,
-    reference_eigenvalues_scaled,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +111,6 @@ __all__ = [
     "basis_from_pq",
     "build_lattice",
     "builtin_zero_mode_spec",
-    "count_nonpositive",
     "det_antiperiodic",
     "det_dirichlet",
     "det_dirichlet_regularized",
@@ -128,7 +123,6 @@ __all__ = [
     "free_reference",
     "gflow_ratio",
     "lattice_determinant_scaled",
-    "lattice_eigenvalues_scaled",
     "lattice_ratio",
     "lattice_ratio_richardson",
     "log_det_slope_fd",
@@ -141,7 +135,6 @@ __all__ = [
     "profile_from_config",
     "profile_to_config",
     "pseudo_det_ratio",
-    "reference_eigenvalues_scaled",
     "retarded_green",
     "sample_profile",
     "shifted_profile",

@@ -46,6 +46,7 @@ from .green import (
     BC_DIRICHLET,
     BC_PERIODIC,
     BOUNDARY_CONDITIONS,
+    ENDPOINT_DEGENERACY_TOL,
     GreenKernel,
 )
 from .odesolve import make_basis, solve_ermakov
@@ -142,16 +143,21 @@ def cli():
 
 # -- det ----------------------------------------------------------------------
 
-def _guard_zero_mode(value: float, ratio: float, bc: str) -> None:
+def _guard_zero_mode(value: float, ratio: float, bc: str,
+                     condition: float = 0.0) -> None:
     if abs(ratio) <= ZERO_MODE_GUARD:
         raise DegenerateOperatorError(
             f"zero mode detected for bc={bc} (determinant {value!r}, |ratio| <= "
             f"ZERO_MODE_GUARD = {ZERO_MODE_GUARD}); rerun with --regularized")
+    if condition >= 1.0 / ENDPOINT_DEGENERACY_TOL:
+        raise DegenerateOperatorError(
+            f"determinant {value!r} for bc={bc} is lost to cancellation (condition "
+            f"{condition:.3g} >= 1/ENDPOINT_DEGENERACY_TOL); rerun with --regularized")
 
 
 def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
     result = determinant(profile, bc=bc, omega0=omega0)
-    _guard_zero_mode(result.value, result.ratio, bc)
+    _guard_zero_mode(result.value, result.ratio, bc, result.diagnostics["condition"])
     diagnostics = dict(result.diagnostics)
     diagnostics.update({
         "method": "endpoint",

@@ -1,16 +1,21 @@
 """Brute-force verification paths independent of the endpoint construction.
 
 Two oracles live here.  The lattice oracle discretizes the operator by
-second-order finite differences and works with eigenvalue products and
-three-term-recurrence determinants; ratios of same-size matrices are formed
-so that mesh factors cancel, then multiplied by the reference operator's
+second-order finite differences and reads everything from one O(n) LDL^T
+sweep of the tridiagonal (or, for the wrapped conditions, bordered
+tridiagonal) matrix: the log-determinant and its sign from the pivots, Sturm
+counts of the eigenvalues below a shift from the pivot signs, and the
+derivative of the log-determinant in the shift, which gives the determinant
+with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
+without computing a spectrum.  Ratios of same-size matrices are formed so
+that mesh factors cancel, then multiplied by the reference operator's
 continuum value.  The flow oracle integrates the Green-function trace along a
 family of operators connecting the reference to the target and exponentiates.
 
 Scaled convention: matrices are stored as h^2 * A, i.e. tridiagonal entries
 (-1, 2 - h^2 g Omega^2(t_i), -1), with corner entries -+1 for the wrapped
-boundary conditions.  Determinant and eigenvalue-product ratios are identical
-in the scaled and physical conventions.
+boundary conditions.  Determinant ratios are identical in the scaled and
+physical conventions.
 """
 
 from __future__ import annotations
@@ -22,19 +27,21 @@ from typing import Optional
 import numpy as np
 
 from .determinants import free_reference
-from .errors import DegenerateOperatorError, IntegrationError, VerificationError
+from .errors import DegenerateOperatorError, IntegrationError
 from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
                     GreenKernel, det_from_transfer, trace_weighted_diagonal)
 from .odesolve import make_basis
 from .profiles import KIND_USER, FrequencyProfile
 
+# Zero-mode windows of the lattice, relative to the Gershgorin bound of the
+# scaled spectrum: lattice_ratio refuses an eigenvalue within
+# LATTICE_ZERO_TOL of zero, pseudo_det_ratio needs exactly one within
+# PSEUDO_ZERO_TOL.
 LATTICE_ZERO_TOL = 1e-10
 PSEUDO_ZERO_TOL = 1e-8
 FLOW_DEGENERACY_TOL = 1e-8
-# Eigenvalue products carry LAPACK noise on the smallest modes that grows
-# with the mesh, so the recurrence cross-check budget scales with n.
-RECURRENCE_CHECK_TOL_PER_NODE = 2e-11
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -83,135 +90,133 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
 
 
 def _reference_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
-    if bc == BC_DIRICHLET:
-        h = span / (n + 1)
-        corner = 0.0
-    else:
-        h = span / n
-        corner = -1.0 if bc == BC_PERIODIC else 1.0
-    diag = np.full(n, 2.0 - h * h * omega0 * omega0)
-    return LatticeOperator(bc=bc, g=1.0, mesh_size=n, step=h,
-                           nodes=np.zeros(n), diag=diag, corner=corner)
+    h = span / (n + 1) if bc == BC_DIRICHLET else span / n
+    corner = {BC_DIRICHLET: 0.0, BC_PERIODIC: -1.0}.get(bc, 1.0)
+    return LatticeOperator(bc=bc, g=1.0, mesh_size=n, step=h, nodes=np.zeros(n),
+                           diag=np.full(n, 2.0 - h * h * omega0 * omega0), corner=corner)
 
 
-def lattice_eigenvalues_scaled(op: LatticeOperator) -> np.ndarray:
-    """Ascending eigenvalues of the scaled matrix."""
-    if op.corner == 0.0:
-        from scipy.linalg import eigvalsh_tridiagonal  # imported on first use
-
-        off = -np.ones(op.mesh_size - 1)
-        return eigvalsh_tridiagonal(op.diag, off)
-    mat = np.diag(op.diag)
-    idx = np.arange(op.mesh_size - 1)
-    mat[idx, idx + 1] = -1.0
-    mat[idx + 1, idx] = -1.0
-    mat[0, -1] = op.corner
-    mat[-1, 0] = op.corner
-    return np.linalg.eigvalsh(mat)
+def _gershgorin(op: LatticeOperator) -> float:
+    """max|d_k| + 2, a Gershgorin bound of every |eigenvalue| of the lattice."""
+    return float(np.max(np.abs(op.diag))) + 2.0
 
 
-def reference_eigenvalues_scaled(bc: str, n: int, step: float,
-                                 omega0: float) -> np.ndarray:
-    """Closed-form ascending eigenvalues of the scaled reference matrix."""
-    shift = step * step * omega0 * omega0
-    if bc == BC_DIRICHLET:
-        k = np.arange(1, n + 1)
-        vals = 2.0 - 2.0 * np.cos(k * np.pi / (n + 1)) - shift
-    elif bc == BC_PERIODIC:
-        k = np.arange(n)
-        vals = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n) - shift
-    else:
-        k = np.arange(n)
-        vals = 2.0 - 2.0 * np.cos((2.0 * k + 1.0) * np.pi / n) - shift
-    return np.sort(vals)
+def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
+    """One LDL^T pass over the scaled matrix minus mu, in O(n): (log|det|,
+    sign of det, number of eigenvalues below mu, d/dmu log|det|).
+
+    The pivots p_k = (d_k - mu) - 1/p_{k-1} run over all n rows for
+    Dirichlet; the wrapped conditions run them over the first n-1 rows (the
+    block T) and add the Schur complement of the last row, s = d_n - mu -
+    b^T T^-1 b with b = (c, 0, ..., 0, -1).  The count is that of negative
+    pivots and of s < 0 (Sylvester's inertia law, Haynsworth's additivity).
+    The slope, only on request, sums p_k'/p_k, p_k' = -1 + p_{k-1}'/p_{k-1}^2,
+    and s'/s, s' = -1 - |T^-1 b|^2.  A pivot zero to working precision is
+    nudged to a negative one of that size, as in LAPACK's bisection.
+    """
+    a = op.diag - mu
+    wrapped = op.corner != 0.0
+    floor = _EPS * _gershgorin(op)
+    piv, dpiv = [], []
+    p, dp = math.inf, 0.0
+    for ak in (a[:-1] if wrapped else a).tolist():
+        if slope:
+            dp = -1.0 + dp / (p * p)
+            dpiv.append(dp)
+        p = ak - 1.0 / p
+        if -floor < p < floor:
+            p = -floor
+        piv.append(p)
+    piv = np.array(piv)
+    dlog = float(np.sum(np.array(dpiv) / piv)) if slope else math.nan
+    if wrapped:
+        # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
+        y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
+        y[-1] -= 1.0
+        z = y / piv
+        s = float(a[-1] - y @ z)
+        if -floor < s < floor:
+            s = -floor
+        if slope:
+            # T^-1 b = L^-T z, one backward pass with the same pivots
+            x = norm = 0.0
+            for zk, pk in zip(z[::-1].tolist(), piv[::-1].tolist()):
+                x = zk + x / pk
+                norm += x * x
+            dlog += (-1.0 - norm) / s
+        piv = np.append(piv, s)
+    below = int(np.count_nonzero(piv < 0.0))
+    return float(np.sum(np.log(np.abs(piv)))), (-1.0 if below % 2 else 1.0), below, dlog
 
 
-def _tridiag_det(diag: np.ndarray) -> float:
-    """Determinant of tridiag(-1, diag, -1) by the three-term recurrence."""
-    d_prev_prev = 0.0
-    d_prev = 1.0
-    det = 1.0
-    for d in diag:
-        det = d * d_prev - d_prev_prev
-        d_prev_prev, d_prev = d_prev, det
-    return det
+def _window(op: LatticeOperator, tol: float) -> tuple:
+    """Counts of the eigenvalues below -delta and below +delta, with delta =
+    tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
+    delta = tol * _gershgorin(op)
+    return _sweep(op, -delta)[2], _sweep(op, delta)[2]
+
+
+def _exp_signed(log_abs: float, sign: float, what: str) -> float:
+    if log_abs > _LOG_FLOAT_MAX:
+        raise IntegrationError(
+            f"{what} exp({log_abs:.6g}) exceeds the float range")
+    return sign * math.exp(log_abs)
 
 
 def lattice_determinant_scaled(op: LatticeOperator) -> float:
-    """Determinant of the scaled matrix.
-
-    Dirichlet is the plain three-term recurrence.  For corner entries c the
-    bordered identity det = D_n + 2c - c^2 * D_inner applies, where D_inner
-    drops the first and last mesh points.
-    """
-    d_full = _tridiag_det(op.diag)
-    if op.corner == 0.0:
-        return d_full
-    d_inner = _tridiag_det(op.diag[1:-1])
-    c = op.corner
-    return d_full + 2.0 * c - c * c * d_inner
+    """Determinant of the scaled matrix, from the pivots of one sweep."""
+    log_abs, sign, _, _ = _sweep(op)
+    return _exp_signed(log_abs, sign, "lattice determinant")
 
 
-def _signed_exp_ratio(num: np.ndarray, den: np.ndarray) -> float:
-    negatives = int(np.sum(num < 0.0)) + int(np.sum(den < 0.0))
-    sign = -1.0 if negatives % 2 else 1.0
-    log_ratio = float(np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den))))
-    return sign * math.exp(log_ratio)
+def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
+                    span: float, omega0: float) -> float:
+    """sign exp(log_abs) over the reference lattice's determinant."""
+    ref = _reference_lattice(op.bc, op.mesh_size, span, omega0)
+    below, nonpositive = _window(ref, LATTICE_ZERO_TOL)
+    if nonpositive != below:
+        raise DegenerateOperatorError(
+            f"reference lattice has a zero mode at omega0 = {omega0}")
+    ref_log, ref_sign, _, _ = _sweep(ref)
+    return _exp_signed(log_abs - ref_log, sign * ref_sign,
+                       "lattice determinant ratio")
 
 
 def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
-                  g: float = 1.0, method: str = "eigen") -> float:
+                  g: float = 1.0) -> float:
     """det(A)/det(reference) on an n-point mesh; converges with order h^2.
 
-    The eigen method multiplies eigenvalue magnitudes in log space with the
-    sign tracked separately; for Dirichlet the three-term recurrence is run
-    as an internal cross-check.  The recurrence method uses determinant
-    recurrences only (cheap, used for Richardson refinement).
+    Both determinants come from the pivots of one sweep each.  An eigenvalue
+    within LATTICE_ZERO_TOL of zero (Sturm counts at -+delta that differ) is
+    refused with a pointer to the pseudo-determinant; a ratio beyond the
+    float range raises IntegrationError.
     """
     op = build_lattice(profile, bc, n, g=g)
-    if method == "recurrence":
-        det_num = lattice_determinant_scaled(op)
-        det_den = lattice_determinant_scaled(
-            _reference_lattice(bc, n, profile.interval.span, omega0))
-        if det_den == 0.0:
-            raise DegenerateOperatorError("reference lattice determinant is zero")
-        return det_num / det_den
-    if method != "eigen":
-        raise ValueError(f"method must be 'eigen' or 'recurrence', got {method!r}")
-
-    eigs = lattice_eigenvalues_scaled(op)
-    if np.min(np.abs(eigs)) < LATTICE_ZERO_TOL * np.max(np.abs(eigs)):
+    below, nonpositive = _window(op, LATTICE_ZERO_TOL)
+    if nonpositive != below:
         raise DegenerateOperatorError(
             "zero mode on lattice; use the pseudo-determinant path")
-    ref = reference_eigenvalues_scaled(bc, n, op.step, omega0)
-    ratio = _signed_exp_ratio(eigs, ref)
-
-    if bc == BC_DIRICHLET:
-        det_rec = lattice_determinant_scaled(op)
-        ref_rec = lattice_determinant_scaled(
-            _reference_lattice(bc, n, profile.interval.span, omega0))
-        rec_ratio = det_rec / ref_rec
-        tol = max(1e-10, RECURRENCE_CHECK_TOL_PER_NODE * n)
-        if abs(rec_ratio - ratio) > tol * max(abs(ratio), 1.0):
-            raise VerificationError(
-                "recurrence and eigenvalue-product determinants disagree: "
-                f"{rec_ratio!r} vs {ratio!r}")
-    return ratio
+    log_abs, sign, _, _ = _sweep(op)
+    return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
 
 
 def lattice_ratio_richardson(profile: FrequencyProfile, bc: str,
                              omega0: float, n: int, g: float = 1.0) -> float:
     """One h^2 -> 0 refinement step: (4 r_{2n} - r_n) / 3."""
-    r1 = lattice_ratio(profile, bc, omega0, n, g=g, method="recurrence")
-    r2 = lattice_ratio(profile, bc, omega0, 2 * n, g=g, method="recurrence")
-    return (4.0 * r2 - r1) / 3.0
+    r1 = lattice_ratio(profile, bc, omega0, n, g=g)
+    r2 = lattice_ratio(profile, bc, omega0, 2 * n, g=g)
+    refined = (4.0 * r2 - r1) / 3.0
+    if not math.isfinite(refined):
+        raise IntegrationError(
+            f"Richardson lattice ratio (4 {r2!r} - {r1!r}) / 3 exceeds the "
+            "float range")
+    return refined
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Lattice spectrum with one near-zero eigenvalue removed."""
+    """Lattice determinant with one near-zero eigenvalue removed."""
 
-    eigenvalues: np.ndarray = field(repr=False)
     num_nonpositive: int
     zero_mode_index: int
     pseudo_det_ratio: float
@@ -223,44 +228,35 @@ class SpectrumReport:
 
 def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
                      omega0: float = 0.0, g: float = 1.0) -> SpectrumReport:
-    """Normalized product of the nonzero lattice eigenvalues.
+    """Normalized lattice determinant with its near-zero eigenvalue removed.
 
-    Exactly one eigenvalue within 1e-8 of zero (relative to the spectral
-    scale) is removed; the remaining product is divided by the reference
-    operator's full product and multiplied by the reference's continuum value
-    (aligned_pseudo_det), which converges to the regularized determinant up
-    to the sign convention of the removed mode.
+    The Sturm counts at -delta and +delta (delta is PSEUDO_ZERO_TOL times the
+    Gershgorin bound) must differ by one: the first is the zero mode's index
+    in the ascending spectrum, the second the number of nonpositive
+    eigenvalues, the removed mode included whatever its rounding sign.  The
+    reduced determinant -d/dmu det(A - mu) at 0 is the product of the other
+    eigenvalues up to a relative lambda_0 sum_{j != 0} 1/lambda_j.  Over the
+    reference lattice's determinant, times h^2 for the removed mode, it is
+    pseudo_det_ratio; times the reference's continuum value it is
+    aligned_pseudo_det, which converges to the regularized determinant up to
+    the sign convention of the removed mode.
     """
     op = build_lattice(profile, bc, n, g=g)
-    eigs = lattice_eigenvalues_scaled(op)
-    scale = float(np.max(np.abs(eigs)))
-    near_zero = np.flatnonzero(np.abs(eigs) < PSEUDO_ZERO_TOL * scale)
-    if len(near_zero) != 1:
+    index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
+    if nonpositive - index != 1:
         raise DegenerateOperatorError(
             f"expected exactly one near-zero lattice eigenvalue, found "
-            f"{len(near_zero)}")
-    zero_index = int(near_zero[0])
-    kept = np.delete(eigs, zero_index)
-    ref = reference_eigenvalues_scaled(bc, n, op.step, omega0)
-    raw = _signed_exp_ratio(kept, ref) * op.step ** 2
+            f"{nonpositive - index}")
+    log_abs, sign, _, slope = _sweep(op, slope=True)
     span = profile.interval.span
-    aligned = raw * free_reference(bc, span, omega0)
-    physical = eigs / op.step ** 2
+    raw = _over_reference(op, log_abs + math.log(abs(slope)) + 2.0 * math.log(op.step),
+                          -sign * math.copysign(1.0, slope), span, omega0)
     return SpectrumReport(
-        eigenvalues=physical,
-        num_nonpositive=int(np.sum(physical <= 0.0)),
-        zero_mode_index=zero_index,
+        num_nonpositive=nonpositive,
+        zero_mode_index=index,
         pseudo_det_ratio=raw,
-        aligned_pseudo_det=aligned,
+        aligned_pseudo_det=raw * free_reference(bc, span, omega0),
         mesh_size=n, bc=bc, omega0=float(omega0))
-
-
-def count_nonpositive(profile: FrequencyProfile, bc: str, n: int,
-                      g: float) -> int:
-    """Number of nonpositive lattice eigenvalues at coupling g."""
-    op = build_lattice(profile, bc, n, g=g)
-    eigs = lattice_eigenvalues_scaled(op)
-    return int(np.sum(eigs <= 0.0))
 
 
 # ---------------------------------------------------------------------------

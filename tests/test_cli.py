@@ -83,6 +83,20 @@ class TestDet:
         assert "zero mode detected" in record["error"]["message"]
         assert "--regularized" in record["error"]["message"]
 
+    @pytest.mark.parametrize("omega0", ["6.283235307179586", "6.2832853071795865"])
+    def test_cancelled_determinant_refused(self, capsys, omega0):
+        """Periodic omega = 2 pi: 2 - tr M is rounding (-7.1e-15, condition
+        1.4e14), while the reference 4 sin^2(omega0 / 2), about 2.5e-9 at
+        the first omega0, keeps the ratio (-2.8e-6) above ZERO_MODE_GUARD."""
+        code, out, _ = run(capsys, "det", "--bc", "periodic", "--profile",
+                           '{"kind":"constant","omega":6.283185307179586}',
+                           "--omega0", omega0)
+        assert code == 2
+        message = json.loads(out)["error"]["message"]
+        assert "--regularized" in message
+        if omega0 == "6.283235307179586":
+            assert "ENDPOINT_DEGENERACY_TOL" in message
+
     @pytest.mark.parametrize("argv,ratio", [
         (("--t-b", "1e-7"), 1.0),
         (("--t-b", "1e-7", "--method", "pq"), 1.0),

@@ -10,7 +10,6 @@ import flucdet as fd
 from flucdet import odesolve
 from flucdet.odesolve import (
     MAGNUS_MAX_STEPS,
-    MAGNUS_REL_TARGET,
     make_basis,
     mix_basis,
     solve_ermakov,
@@ -130,7 +129,24 @@ class TestMagnus:
         assert np.max(np.abs(m - exact)) <= 2e-12 * max(1.0, omega)
         assert abs(m[0, 1] - exact[0, 1]) <= 2e-12 * abs(exact[0, 1])
         assert abs(np.trace(m) - np.trace(exact)) <= 2.2e-11
-        assert basis.error_estimate <= MAGNUS_REL_TARGET * np.max(np.abs(m))
+        assert np.max(np.abs(m - exact)) <= basis.error_estimate
+
+    @pytest.mark.parametrize("omega_sq,t_a,span", [
+        (1.0, 0.0, 1e3), (1.0, 0.0, 1e4), (1.0, 0.0, 1e5),
+        (0.01, -3.0, 10.0), (9.0, -3.0, 10.0), (900.0, -3.0, 10.0),
+        (-0.25, -3.0, 10.0), (-36.0, -3.0, 10.0),
+        # omega T = 3 pi: M is nearly diagonal, M12 errs by the phase over omega
+        (3.469e-4, 0.0, 505.8),
+    ])
+    def test_error_estimate_bounds_error(self, omega_sq, t_a, span):
+        """The reported error estimate of M bounds its error against the
+        closed form, and overstates it less than a hundredfold, also where
+        both step-doubling levels share the error: on [0, 1e5] step doubling
+        alone reports 4.5e-13 for an error of 2.2e-11."""
+        iv = fd.Interval(t_a, t_a + span)
+        basis = make_basis(fd.make_user_profile(lambda t: omega_sq, iv))
+        error = np.max(np.abs(basis.m - constant_transfer(omega_sq, iv.span)))
+        assert error <= basis.error_estimate <= 100.0 * error
 
     @pytest.mark.parametrize("x", [5.0, 60.0])
     def test_hyperbolic_transfer_matrix(self, x):

@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 import flucdet as fd
+from flucdet import cli
 from flucdet.determinants import det_dirichlet, det_periodic, determinant
 from flucdet.odesolve import make_basis
 from flucdet.oracle import (
+    LATTICE_ZERO_TOL,
+    PSEUDO_ZERO_TOL,
     LatticeOperator,
+    _reference_lattice,
+    _sweep,
     build_lattice,
-    count_nonpositive,
     gflow_ratio,
     lattice_determinant_scaled,
-    lattice_eigenvalues_scaled,
     lattice_ratio,
     lattice_ratio_richardson,
     pseudo_det_ratio,
-    reference_eigenvalues_scaled,
 )
 
 
@@ -31,6 +33,45 @@ def dense_matrix(op: LatticeOperator) -> np.ndarray:
         mat[0, -1] = op.corner
         mat[-1, 0] = op.corner
     return mat
+
+
+def dense_spectrum(op: LatticeOperator) -> np.ndarray:
+    """Ascending eigenvalues from a dense eigensolve, the test-only check of
+    the O(n) sweep."""
+    assert op.mesh_size <= 300
+    return np.linalg.eigvalsh(dense_matrix(op))
+
+
+def closed_form_spectrum(bc: str, n: int, step: float, omega0: float) -> np.ndarray:
+    """Eigenvalues of the scaled constant-frequency lattice."""
+    if bc == "dirichlet":
+        angles = np.arange(1, n + 1) * np.pi / (n + 1)
+    elif bc == "periodic":
+        angles = 2.0 * np.pi * np.arange(n) / n
+    else:
+        angles = (2.0 * np.arange(n) + 1.0) * np.pi / n
+    return 2.0 - 2.0 * np.cos(angles) - (step * omega0) ** 2
+
+
+def log_product(values: np.ndarray) -> tuple:
+    """(log|prod|, sign of prod)."""
+    sign = -1.0 if np.count_nonzero(values < 0.0) % 2 else 1.0
+    return float(np.sum(np.log(np.abs(values)))), sign
+
+
+def constant(omega: float, span: float) -> fd.FrequencyProfile:
+    return fd.make_constant_profile(omega, fd.Interval(0.0, span))
+
+
+def zero_mode(name: str) -> fd.FrequencyProfile:
+    return fd.make_zero_mode_profile(
+        fd.builtin_zero_mode_spec(name, fd.Interval(0.0, 1.0)))
+
+
+def hyperbolic(kt: float, span: float = 2.0) -> fd.FrequencyProfile:
+    k_sq = (kt / span) ** 2
+    return fd.FrequencyProfile(omega_sq=lambda t: np.full(np.shape(t), -k_sq),
+                               interval=fd.Interval(0.0, span))
 
 
 class TestLatticeAssembly:
@@ -73,18 +114,174 @@ class TestLatticeAssembly:
 class TestEigenvalues:
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_reference_spectra_match_dense(self, bc):
+        """The reference lattice's determinant against the product of its
+        closed-form eigenvalues."""
         profile = fd.make_constant_profile(2.0, fd.Interval(0.0, 1.0))
         op = build_lattice(profile, bc, 32)
-        computed = lattice_eigenvalues_scaled(op)
-        analytic = reference_eigenvalues_scaled(bc, 32, op.step, 2.0)
-        assert np.allclose(computed, analytic, atol=1e-12)
+        analytic = np.prod(closed_form_spectrum(bc, 32, op.step, 2.0))
+        ref = _reference_lattice(bc, 32, 1.0, 2.0)
+        assert ref.step == op.step
+        assert np.allclose(lattice_determinant_scaled(ref), analytic, atol=1e-12)
+        assert np.allclose(lattice_determinant_scaled(op), analytic, atol=1e-12)
 
     def test_count_nonpositive_monotone(self, const_profile):
         profile = fd.make_constant_profile(4.0, fd.Interval(0.0, 2.0))
-        counts = [count_nonpositive(profile, "dirichlet", 200, g=g)
+        counts = [_sweep(build_lattice(profile, "dirichlet", 200, g=g))[2]
                   for g in (0.1, 0.5, 1.0, 2.0)]
         assert counts == sorted(counts)
         assert counts[-1] > counts[0]
+
+
+class TestSturmSweep:
+    """The O(n) sweep against dense inertia and a dense log-determinant."""
+
+    @pytest.mark.parametrize("bc,corner", [("dirichlet", 0.0),
+                                           ("periodic", -1.0),
+                                           ("antiperiodic", 1.0)])
+    def test_random_diagonals_of_both_signs(self, rng, bc, corner):
+        for _ in range(5):
+            diag = rng.uniform(-3.0, 3.0, size=60)
+            op = LatticeOperator(bc=bc, g=1.0, mesh_size=60, step=0.1,
+                                 nodes=np.zeros(60), diag=diag, corner=corner)
+            eigs = dense_spectrum(op)
+            for mu in (-4.5, -1.3, 0.0, 0.4, 2.2, 4.5):
+                log_abs, sign, below, slope = _sweep(op, mu, slope=True)
+                assert below == np.count_nonzero(eigs < mu)
+                dense_log, dense_sign = log_product(eigs - mu)
+                assert log_abs == pytest.approx(dense_log, abs=1e-9)
+                assert sign == dense_sign
+                trace = float(np.sum(1.0 / (eigs - mu)))
+                assert slope == pytest.approx(-trace, rel=1e-8, abs=1e-10)
+
+    def test_exact_zero_pivot_is_nudged(self):
+        """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
+        regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
+        op = LatticeOperator(bc="dirichlet", g=1.0, mesh_size=22, step=0.1,
+                             nodes=np.zeros(22), diag=np.ones(22), corner=0.0)
+        eigs = dense_spectrum(op)
+        log_abs, sign, below, _ = _sweep(op)
+        assert below == np.count_nonzero(eigs < 0.0)
+        assert np.isfinite(log_abs)
+        assert sign * math.exp(log_abs) == pytest.approx(np.prod(eigs), abs=1e-12)
+
+
+# (profile, boundary condition, omega0) without a lattice zero mode
+RATIO_CASES = {
+    "constant-dirichlet": (lambda: constant(1.3, 2.0), "dirichlet", 0.0),
+    "constant-periodic": (lambda: constant(1.3, 2.0), "periodic", 1.0),
+    "constant-antiperiodic": (lambda: constant(1.3, 2.0), "antiperiodic", 1.0),
+    "modulated-dirichlet": (lambda: fd.make_modulated_profile(
+        1.0, 0.2, 3.0, fd.Interval(0.0, 2.0)), "dirichlet", 0.0),
+    "modulated-periodic": (lambda: fd.make_modulated_profile(
+        5.0, 0.1, 7.0, fd.Interval(-3.0, 7.0)), "periodic", 1.0),
+    "modulated-antiperiodic": (lambda: fd.make_modulated_profile(
+        1.0, 0.2, 3.0, fd.Interval(0.0, 2.0)), "antiperiodic", 1.0),
+    "hyperbolic5-dirichlet": (lambda: hyperbolic(5.0), "dirichlet", 0.0),
+    "hyperbolic30-periodic": (lambda: hyperbolic(30.0), "periodic", 1.0),
+    "hyperbolic60-dirichlet": (lambda: hyperbolic(60.0), "dirichlet", 0.0),
+    "hyperbolic60-periodic": (lambda: hyperbolic(60.0), "periodic", 1.0),
+    "hyperbolic60-antiperiodic": (lambda: hyperbolic(60.0), "antiperiodic", 1.0),
+    "sinpi-periodic": (lambda: zero_mode("sinpi"), "periodic", 1.0),
+    "sinpi_bump-periodic": (lambda: zero_mode("sinpi_bump"), "periodic", 1.0),
+}
+
+# profiles with one lattice zero mode under the given condition
+PSEUDO_CASES = {
+    "sinpi-dirichlet": (lambda: zero_mode("sinpi"), "dirichlet", 0.0),
+    "sinpi_bump-dirichlet": (lambda: zero_mode("sinpi_bump"), "dirichlet", 0.0),
+    "sinpi_bump-antiperiodic": (lambda: zero_mode("sinpi_bump"), "antiperiodic", 1.0),
+    "free-periodic": (lambda: constant(0.0, 2.0), "periodic", 1.0),
+}
+
+
+def dense_ratio(profile, bc: str, omega0: float, n: int) -> tuple:
+    """(log|ratio|, sign) of the lattice against its reference, from dense
+    eigenvalues."""
+    op = build_lattice(profile, bc, n)
+    ref = _reference_lattice(bc, n, profile.interval.span, omega0)
+    log_num, sign_num = log_product(dense_spectrum(op))
+    log_den, sign_den = log_product(dense_spectrum(ref))
+    return log_num - log_den, sign_num * sign_den
+
+
+class TestDenseCrossCheck:
+    """Every lattice output against a dense eigensolve at n <= 300."""
+
+    @pytest.mark.parametrize("case", sorted(RATIO_CASES))
+    def test_ratio_and_sign(self, case):
+        make, bc, omega0 = RATIO_CASES[case]
+        profile = make()
+        for n in (150, 300):
+            log_ratio, sign = dense_ratio(profile, bc, omega0, n)
+            ratio = lattice_ratio(profile, bc, omega0, n)
+            assert math.copysign(1.0, ratio) == sign
+            assert math.log(abs(ratio)) == pytest.approx(log_ratio, abs=1e-9)
+        r1, r2 = (sign * math.exp(log_ratio) for log_ratio, sign in
+                  (dense_ratio(profile, bc, omega0, n) for n in (150, 300)))
+        assert lattice_ratio_richardson(profile, bc, omega0, 150) == pytest.approx(
+            (4.0 * r2 - r1) / 3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("case", sorted(PSEUDO_CASES))
+    def test_pseudo_determinant(self, case):
+        make, bc, omega0 = PSEUDO_CASES[case]
+        profile = make()
+        n = 300
+        report = pseudo_det_ratio(profile, bc, n, omega0=omega0)
+        op = build_lattice(profile, bc, n)
+        eigs = dense_spectrum(op)
+        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        assert report.zero_mode_index == np.count_nonzero(eigs < -delta)
+        assert report.num_nonpositive == np.count_nonzero(eigs < delta)
+        zero = int(np.argmin(np.abs(eigs)))
+        assert zero == report.zero_mode_index
+        kept = np.delete(eigs, zero)
+        ref = dense_spectrum(_reference_lattice(bc, n, profile.interval.span, omega0))
+        log_kept, sign_kept = log_product(kept)
+        log_ref, sign_ref = log_product(ref)
+        product = sign_kept * sign_ref * math.exp(log_kept - log_ref) * op.step ** 2
+        # -d/dmu det(A - mu) at 0 is the product of the other eigenvalues
+        # times 1 + lambda_0 sum_j 1/lambda_j
+        correction = eigs[zero] * float(np.sum(1.0 / kept))
+        assert report.pseudo_det_ratio == pytest.approx(
+            product * (1.0 + correction), rel=1e-9)
+        assert abs(correction) <= 1e-4
+        assert report.aligned_pseudo_det == pytest.approx(
+            report.pseudo_det_ratio * fd.free_reference(bc, profile.interval.span, omega0),
+            rel=1e-15)
+
+    @pytest.mark.parametrize("omega,bc", [(math.pi, "antiperiodic"),
+                                          (2.0 * math.pi, "periodic")])
+    def test_two_zero_modes_refused(self, omega, bc):
+        """Two continuum zero modes give two near-zero lattice eigenvalues;
+        dense counts the same window."""
+        prof = constant(omega, 1.0)
+        op = build_lattice(prof, bc, 300)
+        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        assert np.count_nonzero(np.abs(dense_spectrum(op)) < delta) == 2
+        with pytest.raises(fd.DegenerateOperatorError, match="found 2"):
+            pseudo_det_ratio(prof, bc, 300, omega0=1.0)
+
+    @pytest.mark.parametrize("case", ["sinpi-dirichlet", "free-periodic"])
+    def test_zero_mode_window(self, case):
+        """lattice_ratio refuses exactly when a dense eigenvalue lies within
+        LATTICE_ZERO_TOL of zero, relative to the Gershgorin bound: the free
+        periodic lattice has an exact zero mode; sinpi's lowest eigenvalue
+        is 1e-9 at n = 300, outside the window."""
+        make, bc, omega0 = PSEUDO_CASES[case]
+        profile = make()
+        op = build_lattice(profile, bc, 300)
+        delta = LATTICE_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        eigs = dense_spectrum(op)
+        if np.any((eigs >= -delta) & (eigs < delta)):
+            with pytest.raises(fd.DegenerateOperatorError, match="pseudo-determinant"):
+                lattice_ratio(profile, bc, omega0, 300)
+        else:
+            # a dense eigenvalue is off by up to about n eps ||A||, which is
+            # a relative 3e-4 of sinpi's lowest one
+            log_ratio, sign = dense_ratio(profile, bc, omega0, 300)
+            noise = 300 * np.finfo(float).eps * 4.0 / np.min(np.abs(eigs))
+            assert lattice_ratio(profile, bc, omega0, 300) == pytest.approx(
+                sign * math.exp(log_ratio), rel=noise)
 
 
 class TestDeterminantRecurrence:
@@ -113,10 +310,11 @@ class TestLatticeRatio:
         assert ratio < 0.0
 
     def test_eigen_and_recurrence_agree(self, modulated_profile):
-        eig = lattice_ratio(modulated_profile, "dirichlet", 0.0, 300)
-        rec = lattice_ratio(modulated_profile, "dirichlet", 0.0, 300,
-                            method="recurrence")
-        assert rec == pytest.approx(eig, rel=1e-9)
+        """The Dirichlet check the eigen path once ran internally: the sweep's
+        ratio against a dense eigenvalue product."""
+        log_ratio, sign = dense_ratio(modulated_profile, "dirichlet", 0.0, 300)
+        rec = lattice_ratio(modulated_profile, "dirichlet", 0.0, 300)
+        assert rec == pytest.approx(sign * math.exp(log_ratio), rel=1e-9)
 
     @pytest.mark.parametrize("bc,omega0", [("dirichlet", 0.0),
                                            ("periodic", 1.0),
@@ -128,8 +326,7 @@ class TestLatticeRatio:
 
     def test_richardson_beats_plain(self, modulated_profile):
         exact = det_dirichlet(make_basis(modulated_profile)).ratio
-        plain = lattice_ratio(modulated_profile, "dirichlet", 0.0, 200,
-                              method="recurrence")
+        plain = lattice_ratio(modulated_profile, "dirichlet", 0.0, 200)
         refined = lattice_ratio_richardson(modulated_profile, "dirichlet",
                                            0.0, 200)
         assert abs(refined - exact) < 0.01 * abs(plain - exact)
@@ -142,9 +339,27 @@ class TestLatticeRatio:
                            match="pseudo-determinant"):
             lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
 
-    def test_bad_method(self, const_profile):
-        with pytest.raises(ValueError, match="method"):
-            lattice_ratio(const_profile, "dirichlet", 0.0, 100, method="qr")
+
+    @pytest.mark.parametrize("fn", [lattice_ratio, lattice_ratio_richardson])
+    def test_degenerate_reference_rejected(self, modulated_profile, fn):
+        """omega0 = 0 makes the periodic reference lattice singular (the
+        constant vector); the ratio over it is refused, not rounding."""
+        with pytest.raises(fd.DegenerateOperatorError, match="reference lattice"):
+            fn(modulated_profile, "periodic", 0.0, 200)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "antiperiodic"])
+    @pytest.mark.parametrize("fn", [lattice_ratio, lattice_ratio_richardson])
+    def test_ratio_beyond_float_range(self, bc, fn):
+        """Omega^2 = -800^2 on [0, 1]: the ratio is about e^725, a named
+        refusal, not an OverflowError or a NaN with overflow warnings."""
+        with pytest.raises(fd.IntegrationError, match="float range"):
+            fn(hyperbolic(800.0, span=1.0), bc, 1.0, 500)
+
+    def test_large_ratio_within_float_range(self):
+        """Omega^2 = -400^2 on [0, 1]: 7.97e168, as the eigenvalue product
+        gave."""
+        ratio = lattice_ratio(hyperbolic(400.0, span=1.0), "antiperiodic", 1.0, 500)
+        assert ratio == pytest.approx(7.971704692144622e168, rel=1e-9)
 
 
 class TestPseudoDeterminant:
@@ -210,3 +425,34 @@ class TestCouplingFlow:
         with pytest.raises(fd.IntegrationError, match="float range"):
             gflow_ratio(profile, "antiperiodic", omega0=(math.pi - 1e-3) / span,
                         g_steps=192)
+
+
+class TestNoEigensolve:
+    def test_lattice_oracles_and_verify_without_eigensolvers(
+            self, monkeypatch, capsys, modulated_profile, sinpi_profile):
+        """The lattice oracle and every verify suite run with the dense and
+        tridiagonal eigensolvers disabled.  The coupling flow's Gauss rule,
+        whose nodes numpy finds as companion-matrix eigenvalues, is taken
+        before they are."""
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigensolver called")
+
+        rule = np.polynomial.legendre.leggauss(32)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda deg: rule if deg == 32 else refuse())
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("eigvalsh_tridiagonal", "eigh_tridiagonal"):
+            monkeypatch.setattr(scipy.linalg, name, refuse)
+        for bc, omega0 in (("dirichlet", 0.0), ("periodic", 1.0),
+                           ("antiperiodic", 1.0)):
+            assert math.isfinite(lattice_ratio(modulated_profile, bc, omega0, 2000))
+            assert math.isfinite(lattice_ratio_richardson(
+                modulated_profile, bc, omega0, 2000))
+        report = pseudo_det_ratio(sinpi_profile, "dirichlet", 2000)
+        assert abs(report.aligned_pseudo_det) == pytest.approx(
+            1.0 / (2.0 * math.pi ** 2), rel=1e-4)
+        assert cli.main(["verify", "--suite", "all"]) == 0
+        assert "26/26 checks within tolerance" in capsys.readouterr().err
