@@ -21,7 +21,6 @@ from .profiles import (
     FrequencyProfile,
     Interval,
     SyntheticZeroModeSpec,
-    ZeroModeData,
     builtin_zero_mode_spec,
     make_constant_profile,
     make_modulated_profile,
@@ -29,7 +28,6 @@ from .profiles import (
     make_zero_mode_profile,
     profile_from_config,
     profile_to_config,
-    sample_profile,
     shifted_profile,
 )
 from .odesolve import (
@@ -61,10 +59,8 @@ from .determinants import (
     det_periodic_regularized,
     determinant,
     free_reference,
-    log_det_slope_fd,
     trace_identity_residual,
     van_vleck_check,
-    wrapped_difference_quotient,
 )
 from .ermakov import (
     basis_from_pq,
@@ -76,7 +72,6 @@ from .oracle import (
     SpectrumReport,
     build_lattice,
     gflow_ratio,
-    lattice_determinant_scaled,
     lattice_ratio,
     lattice_ratio_richardson,
     pseudo_det_ratio,
@@ -106,7 +101,6 @@ __all__ = [
     "SyntheticZeroModeSpec",
     "VerificationError",
     "WrappedZeroModeReport",
-    "ZeroModeData",
     "ZeroModeReport",
     "basis_from_pq",
     "build_lattice",
@@ -122,10 +116,8 @@ __all__ = [
     "determinant",
     "free_reference",
     "gflow_ratio",
-    "lattice_determinant_scaled",
     "lattice_ratio",
     "lattice_ratio_richardson",
-    "log_det_slope_fd",
     "make_basis",
     "make_constant_profile",
     "make_modulated_profile",
@@ -136,12 +128,10 @@ __all__ = [
     "profile_to_config",
     "pseudo_det_ratio",
     "retarded_green",
-    "sample_profile",
     "shifted_profile",
     "solve_ermakov",
     "trace_identity_residual",
     "trace_omega_sq",
     "trace_weighted_diagonal",
     "van_vleck_check",
-    "wrapped_difference_quotient",
 ]

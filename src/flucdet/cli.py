@@ -32,7 +32,7 @@ from .determinants import (
     det_dirichlet_regularized,
     det_periodic_regularized,
     determinant,
-    free_reference,
+    reference_determinant,
 )
 from .ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
 from .errors import (
@@ -172,17 +172,14 @@ def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
 def _det_pq_record(profile, bc: str, omega0: float) -> dict:
     if not omega0 > 0:
         raise ConfigError("the pq route requires --omega0 > 0")
-    span = profile.interval.span
+    reference, reference_value = reference_determinant(
+        bc, profile.interval.span, omega0)
     if bc == BC_DIRICHLET:
         sol = solve_ermakov(profile, omega0, bc="initial")
         ratio = det_ratio_dirichlet_pq(sol)
-        reference = "free"
-        reference_value = span
     else:
         sol = solve_ermakov(profile, omega0, bc="periodic")
         ratio = det_ratio_periodic_pq(sol, anti=(bc == BC_ANTIPERIODIC))
-        reference = "constant-frequency"
-        reference_value = free_reference(bc, span, omega0)
     value = ratio * reference_value
     _guard_zero_mode(value, ratio, bc)
     diagnostics = {
@@ -285,9 +282,8 @@ def _sweep_row(v: float, param: str, config: dict, interval: Interval,
         iv = Interval(interval.t_a, interval.t_a + v)
     else:
         cfg[param] = v
-    profile = profile_from_config(cfg, iv)
-    result = determinant(profile, bc=bc, omega0=omega0)
-    return f"{_fmt(v)},{_fmt(result.value)},{_fmt(result.ratio)},"
+    record = _det_endpoint_record(profile_from_config(cfg, iv), bc, omega0)
+    return f"{_fmt(v)},{_fmt(record['value'])},{_fmt(record['ratio'])},"
 
 
 @cli.command("sweep")
@@ -304,8 +300,9 @@ def sweep_command(profile_spec, t_a, t_b, bc, omega0, out, param, start,
     """Sweep one parameter and print a determinant per row as CSV.
 
     Rows are emitted in ascending parameter order.  A row that fails (for
-    example a degenerate reference) keeps its place with empty value and
-    ratio fields and the error message in the last column.
+    example a degenerate reference, or a zero mode that `det` refuses) keeps
+    its place with empty value and ratio fields and the error message in the
+    last column.
     """
     interval, profile = _load(profile_spec, t_a, t_b)
     if steps < 1:

@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
-from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC,
-                    BOUNDARY_CONDITIONS, GreenKernel, condition_estimate,
-                    det_from_transfer, trace_omega_sq)
+from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC, GreenKernel,
+                    condition_estimate, det_from_transfer, trace_omega_sq)
 from .odesolve import HomogeneousBasis, make_basis
 from .profiles import FrequencyProfile, shifted_profile
 
@@ -38,6 +37,7 @@ ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
 LOG_DET_FD_STEP = 1e-5  # coupling step of the central difference in g
 EIGENVALUE_SHIFT_MAX_ITER = 60
+WRAPPED_ZERO_MODE_LATTICE_N = 800  # mesh of the lattice next to the wrapped formula
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,32 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
-def _read(basis: HomogeneousBasis, bc: str):
-    """The determinant under bc and its diagnostics: the Wronskian, the
-    determinant of the basis endpoint matrix (W times the value), the
-    condition estimate of the read, the integrator's steps and its error
-    estimate for the entries of M, and det_m_residual = |det M - 1| over
-    max(1, max|M_ij|)^2, the scale of the rounding of det M (unscaled, det M
-    overflows for kT above about 355)."""
-    m = basis.m
+def reference_determinant(bc: str, span: float, omega0: float) -> tuple:
+    """(name, value) of the reference operator a ratio is taken against: the
+    free operator for Dirichlet, constant frequency omega0 otherwise.  The
+    only test of a reference for degeneracy: |value| <= REFERENCE_DEGENERACY_TOL
+    is refused."""
+    if bc == BC_DIRICHLET:
+        return REFERENCE_FREE, span
+    ref = free_reference(bc, span, omega0)
+    if abs(ref) <= REFERENCE_DEGENERACY_TOL:
+        raise DegenerateOperatorError(
+            f"reference operator for {bc} is degenerate at omega0 = {omega0} "
+            f"(reference determinant {ref:.3e}); choose a different omega0")
+    return REFERENCE_CONSTANT, ref
+
+
+def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
+    """The determinant under bc read from M, its ratio over the reference and
+    its diagnostics: the Wronskian, the determinant of the basis endpoint
+    matrix (W times the value), the condition estimate of the read, the
+    integrator's steps and its error estimate for the entries of M,
+    det_m_residual = |det M - 1| over max(1, max|M_ij|)^2, the scale of the
+    rounding of det M (unscaled, det M overflows for kT above about 355), and
+    for the wrapped conditions whether Omega^2 takes one value at both ends."""
+    m, iv = basis.m, basis.interval
     value = det_from_transfer(m, bc)
+    reference, ref = reference_determinant(bc, iv.span, omega0)
     scale = max(1.0, float(np.max(np.abs(m))))
     (a, b), (c, d) = m / scale
     diagnostics = {"w": basis.w, "endpoint_det": basis.w * value,
@@ -87,56 +104,32 @@ def _read(basis: HomogeneousBasis, bc: str):
                    "steps": len(basis.knots) - 1,
                    "error_estimate": basis.error_estimate,
                    "det_m_residual": float(abs(a * d - b * c - 1.0 / scale / scale))}
-    return value, diagnostics
+    if bc != BC_DIRICHLET:
+        om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
+        diagnostics["profile_period_compatible"] = bool(
+            abs(om_a - om_b) <= 1e-8 * (1.0 + abs(om_a)))
+    return DetResult(value=value, ratio=value / ref, bc=bc, reference=reference,
+                     reference_value=ref, diagnostics=diagnostics,
+                     omega0=None if bc == BC_DIRICHLET else float(omega0))
 
 
 def det_dirichlet(basis: HomogeneousBasis) -> DetResult:
-    """Determinant under Dirichlet conditions, M12; ratio normalized so the
-    free operator gives 1.
-    """
-    value, diagnostics = _read(basis, BC_DIRICHLET)
-    span = basis.interval.span
-    return DetResult(value=value, ratio=value / span, bc=BC_DIRICHLET,
-                     reference=REFERENCE_FREE, reference_value=span,
-                     omega0=None, diagnostics=diagnostics)
-
-
-def _det_wrapped(basis: HomogeneousBasis, omega0: float, anti: bool) -> DetResult:
-    bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
-    iv = basis.interval
-    value, diagnostics = _read(basis, bc)
-    ref = free_reference(bc, iv.span, omega0)
-    if abs(ref) <= REFERENCE_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            f"reference operator for {bc} is degenerate at omega0 = {omega0} "
-            f"(reference determinant {ref:.3e}); choose a different omega0")
-    om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
-    diagnostics["profile_period_compatible"] = bool(
-        abs(om_a - om_b) <= 1e-8 * (1.0 + abs(om_a)))
-    return DetResult(value=value, ratio=value / ref, bc=bc,
-                     reference=REFERENCE_CONSTANT, reference_value=ref,
-                     omega0=float(omega0), diagnostics=diagnostics)
+    """Determinant under Dirichlet conditions, M12, over the free operator's."""
+    return _det(basis, BC_DIRICHLET, 0.0)
 
 
 def det_periodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
-    return _det_wrapped(basis, omega0, anti=False)
+    return _det(basis, BC_PERIODIC, omega0)
 
 
 def det_antiperiodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
-    return _det_wrapped(basis, omega0, anti=True)
+    return _det(basis, BC_ANTIPERIODIC, omega0)
 
 
 def determinant(profile: FrequencyProfile, bc: str = BC_DIRICHLET,
                 g: float = 1.0, omega0: float = 1.0) -> DetResult:
     """Build a basis and evaluate the determinant for one bc."""
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unsupported boundary condition {bc!r}")
-    basis = make_basis(profile, g=g)
-    if bc == BC_DIRICHLET:
-        return det_dirichlet(basis)
-    if bc == BC_PERIODIC:
-        return det_periodic(basis, omega0)
-    return det_antiperiodic(basis, omega0)
+    return _det(make_basis(profile, g=g), bc, omega0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +144,7 @@ def _log_abs_det(profile: FrequencyProfile, bc: str, g: float) -> float:
     return math.log(abs(value))
 
 
-def log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float) -> float:
+def _log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float) -> float:
     """Central finite difference of log |det| with respect to g."""
     hi = _log_abs_det(profile, bc, g + LOG_DET_FD_STEP)
     lo = _log_abs_det(profile, bc, g - LOG_DET_FD_STEP)
@@ -168,7 +161,7 @@ def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
     basis = make_basis(profile, g=g)
     kernel = GreenKernel(basis, bc)
     lhs = trace_omega_sq(kernel)
-    rhs = -log_det_slope_fd(profile, bc, g)
+    rhs = -_log_det_slope_fd(profile, bc, g)
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, abs(lhs - rhs) / scale
 
@@ -177,18 +170,18 @@ def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
 # Van Vleck cross-check
 
 
-def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
-                    delta: float = 1e-3) -> float:
-    """Determinant from mixed second differences of the classical action.
+def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0) -> float:
+    """Determinant from the mixed derivative of the classical action.
 
-    The classical path between endpoint values (x_a, x_b) is Phi(t) (x_a, s)
-    with the initial slope s = (x_b - M11 x_a) / M12; the action of
-    L = (mass/2)(xdot^2 - Omega^2 x^2) is integrated by the basis's Gauss
-    rule on the integrator's steps (HomogeneousBasis.quadrature) on a 2x2
-    stencil x in {-delta, +delta} for each endpoint, and the
-    determinant is -mass divided by the mixed second difference.  The action
-    is exactly quadratic in (x_a, x_b), so the stencil introduces no
-    truncation error.
+    The action of L = (mass/2)(xdot^2 - Omega^2 x^2) along the classical path
+    between endpoint values (x_a, x_b) is a quadratic form in them, whose
+    mixed derivative is mass * integral (x1' x2' - Omega^2 x1 x2) over the
+    unit paths x1 = (1 at t_a, 0 at t_b) and x2 = (0, 1); the determinant is
+    -mass over it.  x2 = v / M12 comes from the prefix products and
+    (x1, x1') = (S12, -S11) / M12 from the suffix products S(t) = Phi(t_b, t),
+    so neither path is a difference of growing solutions.  The integral is
+    taken by the basis's Gauss rule on the integrator's steps
+    (HomogeneousBasis.quadrature).
     """
     if mass == 0.0:
         raise ValueError("mass must be nonzero")
@@ -200,21 +193,11 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0,
             f"endpoints (M12 = {m12:.3e})")
 
     nodes, weights = basis.quadrature
-    phi = basis.phi(nodes)
-    om = profile.omega_sq(nodes)
-
-    def action(x_a: float, x_b: float) -> float:
-        x, dx = np.einsum("ij...,j->i...", phi, [x_a, (x_b - m11 * x_a) / m12])
-        return 0.5 * mass * float(weights @ (dx * dx - om * x * x))
-
-    s_pp = action(delta, delta)
-    s_pm = action(delta, -delta)
-    s_mp = action(-delta, delta)
-    s_mm = action(-delta, -delta)
-    mixed = (s_pp - s_pm - s_mp + s_mm) / (4.0 * delta * delta)
+    x2, dx2 = basis.phi(nodes)[:, 1] / m12
+    (s11, s12), _ = basis.to_end(nodes) / m12
+    mixed = mass * float(weights @ (-s11 * dx2 - profile.omega_sq(nodes) * s12 * x2))
     if mixed == 0.0:
-        raise DegenerateOperatorError(
-            "mixed second difference of the action vanishes")
+        raise DegenerateOperatorError("mixed derivative of the action vanishes")
     return -mass / mixed
 
 
@@ -249,9 +232,7 @@ def _zero_mode_scale(profile: FrequencyProfile) -> float:
     scale invariant either way).
     """
     zm = profile.zero_mode
-    if zm is None or zm.dxi is None:
-        return 1.0
-    return float(zm.dxi(profile.interval.t_a))
+    return 1.0 if zm is None else float(zm.dxi(profile.interval.t_a))
 
 
 def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
@@ -366,12 +347,14 @@ class WrappedZeroModeReport:
     discrepant: bool
 
 
-def wrapped_difference_quotient(xi_a: float, xi_b: float, dxi_a: float,
-                                eta_a: float, deta_a: float,
-                                norm_sq: float, anti: bool = False) -> float:
-    """(xi_b -+ xi_a) <xi|xi> / (eta_a (eta_a xi'_a - eta'_a xi_b)).
+def _wrapped_difference_quotient(xi_a: float, xi_b: float, dxi_a: float,
+                                 eta_a: float, deta_a: float,
+                                 norm_sq: float, anti: bool = False) -> tuple:
+    """(xi_b -+ xi_a) <xi|xi> / (eta_a (eta_a xi'_a - eta'_a xi_b)) and its
+    denominator.
 
-    Guarded division; the denominator vanishing is an error.
+    Guarded division; the denominator vanishing is an error.  A numerator
+    that cancels to zero gives 0.0, never -0.0.
     """
     s = -1.0 if anti else 1.0
     denominator = eta_a * (eta_a * dxi_a - deta_a * xi_b)
@@ -379,11 +362,10 @@ def wrapped_difference_quotient(xi_a: float, xi_b: float, dxi_a: float,
     if abs(denominator) <= 1e-12 * scale * scale:
         raise DegenerateOperatorError(
             f"difference-quotient denominator vanishes ({denominator:.3e})")
-    return (xi_b - s * xi_a) * norm_sq / denominator
+    return (xi_b - s * xi_a) * norm_sq / denominator + 0.0, denominator
 
 
 def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
-                             lattice_n: int = 800,
                              omega0: float = 1.0) -> WrappedZeroModeReport:
     """Evaluate the wrapped-boundary difference-quotient formula next to the
     lattice pseudo-determinant oracle.
@@ -416,11 +398,11 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
     # eta = u + v, the solution with (value, slope) = (1, 1) at t_a
     eta_a = deta_a = 1.0
 
-    formula = wrapped_difference_quotient(
+    formula, denominator = _wrapped_difference_quotient(
         xi_a, xi_b, dxi_a, eta_a, deta_a, norm_sq, anti=anti)
-    denominator = eta_a * (eta_a * dxi_a - deta_a * xi_b)
 
-    report = oracle.pseudo_det_ratio(profile, bc, lattice_n, omega0=omega0)
+    report = oracle.pseudo_det_ratio(profile, bc, WRAPPED_ZERO_MODE_LATTICE_N,
+                                     omega0=omega0)
     oracle_value = report.aligned_pseudo_det
     scale = max(abs(formula), abs(oracle_value), 1e-30)
     discrepant = (abs(formula - oracle_value) / scale > 1e-2

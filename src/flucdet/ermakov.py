@@ -16,7 +16,9 @@ import math
 
 import numpy as np
 
+from .determinants import reference_determinant
 from .errors import DegenerateOperatorError
+from .green import BC_ANTIPERIODIC, BC_PERIODIC
 from .odesolve import ErmakovSolution, HomogeneousBasis
 
 PQ_DEGENERACY_TOL = 1e-10
@@ -60,8 +62,7 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
                     [1.0 / d, (sol.dp_a * p_b * sin_phase - (p_b / p_a) * cos_phase) / d]])
     y_b = np.array([[1.0, 0.0],
                     [(sol.dp_b * p_a * sin_phase + (p_a / p_b) * cos_phase) / d, -1.0 / d]])
-    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, g=1.0, profile=sol.profile,
-                            knots=sol.knots)
+    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, profile=sol.profile, knots=sol.knots)
 
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:
@@ -70,8 +71,8 @@ def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:
 
 
 def det_ratio_periodic_pq(sol: ErmakovSolution, anti: bool = False) -> float:
-    """Wrapped-boundary ratio 4sin^2(omega0 q_b/2) / 4sin^2(omega0 T/2)
-    (cosines for the antiperiodic case).
+    """Wrapped-boundary ratio 4sin^2(omega0 q_b/2) over the reference
+    determinant 4sin^2(omega0 T/2) (cosines for the antiperiodic case).
 
     Valid only for an amplitude satisfying the periodic endpoint conditions,
     which the formula's derivation assumes; a non-periodic solution is
@@ -85,16 +86,7 @@ def det_ratio_periodic_pq(sol: ErmakovSolution, anti: bool = False) -> float:
             "amplitude solution does not satisfy periodic endpoint "
             f"conditions (residuals {res_p:.3e}, {res_dp:.3e}); solve with "
             "bc='periodic'")
+    bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
+    _, ref = reference_determinant(bc, sol.interval.span, sol.omega0)
     half = 0.5 * _total_phase(sol)
-    ref_half = 0.5 * sol.omega0 * sol.interval.span
-    if anti:
-        num = math.cos(half) ** 2
-        den = math.cos(ref_half) ** 2
-    else:
-        num = math.sin(half) ** 2
-        den = math.sin(ref_half) ** 2
-    if abs(den) <= PQ_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            "reference determinant vanishes for this omega0; "
-            "choose a different omega0")
-    return num / den
+    return 4.0 * (math.cos(half) if anti else math.sin(half)) ** 2 / ref

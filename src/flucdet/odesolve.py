@@ -326,7 +326,6 @@ class HomogeneousBasis:
     y: Callable[[object], np.ndarray]
     y_a: np.ndarray
     y_b: np.ndarray
-    g: float
     profile: FrequencyProfile
     knots: np.ndarray
     back: Optional[Callable[[object], np.ndarray]] = None
@@ -390,7 +389,7 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
         raise ValueError("coupling g must be finite")
     grid, m, error = _magnus(profile, gg)
     return HomogeneousBasis(y=_on_interval(grid.y, iv), y_a=_CANONICAL_Y_A,
-                            y_b=m @ _CANONICAL_Y_A, g=gg, profile=profile,
+                            y_b=m @ _CANONICAL_Y_A, profile=profile,
                             knots=grid.knots, back=_on_interval(grid.back, iv),
                             error_estimate=error)
 
@@ -404,7 +403,7 @@ def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
         raise ValueError("mixing matrix is singular")
     y = basis.y
     return HomogeneousBasis(y=lambda t: _times(y(t), c), y_a=basis.y_a @ c,
-                            y_b=basis.y_b @ c, g=basis.g, profile=basis.profile,
+                            y_b=basis.y_b @ c, profile=basis.profile,
                             knots=basis.knots, back=basis.back,
                             error_estimate=basis.error_estimate)
 

@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .determinants import free_reference
+from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
                     GreenKernel, det_from_transfer, trace_weighted_diagonal)
 from .odesolve import make_basis
-from .profiles import KIND_USER, FrequencyProfile
+from .profiles import FrequencyProfile
 
 # Zero-mode windows of the lattice, relative to the Gershgorin bound of the
 # scaled spectrum: lattice_ratio refuses an eigenvalue within
@@ -49,13 +48,11 @@ class LatticeOperator:
     """Finite-difference discretization in the scaled (h^2 A) convention."""
 
     bc: str
-    g: float
     mesh_size: int
     step: float
     nodes: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
     corner: float
-    profile: Optional[FrequencyProfile] = field(default=None, repr=False)
 
 
 def build_lattice(profile: FrequencyProfile, bc: str, n: int,
@@ -85,14 +82,14 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
         diag = 2.0 - h * h * g * values[:-1]
         diag[0] = 2.0 - h * h * g * (0.5 * (values[0] + values[-1]))
         corner = -1.0 if bc == BC_PERIODIC else 1.0
-    return LatticeOperator(bc=bc, g=g, mesh_size=n, step=h, nodes=nodes,
-                           diag=diag, corner=corner, profile=profile)
+    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, diag=diag,
+                           corner=corner)
 
 
 def _reference_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
     h = span / (n + 1) if bc == BC_DIRICHLET else span / n
     corner = {BC_DIRICHLET: 0.0, BC_PERIODIC: -1.0}.get(bc, 1.0)
-    return LatticeOperator(bc=bc, g=1.0, mesh_size=n, step=h, nodes=np.zeros(n),
+    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
                            diag=np.full(n, 2.0 - h * h * omega0 * omega0), corner=corner)
 
 
@@ -163,7 +160,7 @@ def _exp_signed(log_abs: float, sign: float, what: str) -> float:
     return sign * math.exp(log_abs)
 
 
-def lattice_determinant_scaled(op: LatticeOperator) -> float:
+def _lattice_determinant_scaled(op: LatticeOperator) -> float:
     """Determinant of the scaled matrix, from the pivots of one sweep."""
     log_abs, sign, _, _ = _sweep(op)
     return _exp_signed(log_abs, sign, "lattice determinant")
@@ -271,10 +268,8 @@ def _flow_profile(profile: FrequencyProfile, omega0_ref: float,
     def omega_sq(t, _s=float(s)):
         return w0sq + _s * (base(t) - w0sq)
 
-    return FrequencyProfile(
-        omega_sq=omega_sq, interval=profile.interval, kind=KIND_USER,
-        periodic_with=profile.periodic_with,
-        description=f"flow interpolant s={s!r}")
+    return FrequencyProfile(omega_sq=omega_sq, interval=profile.interval,
+                            description=f"flow interpolant s={s!r}")
 
 
 def _flow_endpoint_det(profile_s: FrequencyProfile, bc: str):
@@ -291,25 +286,24 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     The flow connects the reference operator (free for Dirichlet, constant
     frequency omega0 for the wrapped conditions) to the target along
     V_s = omega0_ref^2 + s (Omega^2 - omega0_ref^2); the ratio is
-    exp(-integral_0^1 ds Tr[(Omega^2 - omega0_ref^2) G_s]) with the trace at
-    Gauss-Legendre nodes.  The flow must stay clear of zero modes: endpoint
-    determinants are monitored at every node and a sign change between nodes
-    is located and reported as a crossing.
+    exp(-integral_0^1 ds Tr[(Omega^2 - omega0_ref^2) G_s]).  The integral is
+    taken in u = sqrt(s), with g_steps Gauss-Legendre nodes u_i on [0, 1]:
+    s = u_i^2 with weights 2 u_i w_i, which absorbs the 1/sqrt(s) growth of
+    a hyperbolic integrand near s = 0.  The flow must stay clear of zero
+    modes: endpoint determinants are monitored at every node, a sign change
+    between nodes is located and reported as a crossing, and the lattice
+    Sturm counts of the reference and the target, which differ by the number
+    of eigenvalues the flow takes through zero, must agree.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
     omega0_ref = 0.0 if bc == BC_DIRICHLET else float(omega0)
     span = profile.interval.span
-    if bc != BC_DIRICHLET:
-        ref = free_reference(bc, span, omega0_ref)
-        if abs(ref) <= 1e-9:
-            raise DegenerateOperatorError(
-                f"reference operator for {bc} is degenerate at omega0 = "
-                f"{omega0}; choose a different omega0")
+    reference_determinant(bc, span, omega0_ref)
 
     xs, ws = np.polynomial.legendre.leggauss(int(g_steps))
-    s_nodes = 0.5 * (xs + 1.0)
-    s_weights = 0.5 * ws
+    u = 0.5 * (xs + 1.0)
+    s_nodes, s_weights = u * u, u * ws
 
     base = profile.omega_sq
     w0sq = omega0_ref * omega0_ref
@@ -338,9 +332,20 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             raise DegenerateOperatorError(
                 "coupling flow crosses a zero mode at g' ≈ "
                 f"{crossing:.6f}; the trace integrand diverges there")
+    # An even number of crossings keeps the sign.  The lattice mesh is the
+    # Magnus step count of the end bases: at least two points per radian of
+    # sqrt(max|V_s|) T.
+    n = max(len(bases[0].knots), len(bases[-1].knots)) - 1
+    below_ref = _sweep(_reference_lattice(bc, n, span, omega0_ref))[2]
+    below = _sweep(build_lattice(profile, bc, n))[2]
+    if below != below_ref:
+        raise DegenerateOperatorError(
+            f"coupling flow passes zero modes without a sign change: the lattice "
+            f"counts {below_ref} negative eigenvalues at the reference and "
+            f"{below} at the target; the trace integrand diverges there")
 
     integral = 0.0
-    for s, w, basis in zip(s_nodes, s_weights, bases[1:-1]):
+    for w, basis in zip(s_weights, bases[1:-1]):
         kernel = GreenKernel(basis, bc)
         integral += w * trace_weighted_diagonal(kernel, lambda t: base(t) - w0sq)
     if -integral > _LOG_FLOAT_MAX:

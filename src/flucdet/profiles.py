@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,18 +25,12 @@ CONTINUITY_REL_JUMP = 1e-3
 # Bisections of a flagged sample step: a smooth difference falls below the
 # threshold once the step is short enough, a jump stays above it throughout.
 CONTINUITY_REFINEMENTS = 12
-PERIODICITY_TOL = 1e-10
 # Smooth curvature ratios approach their endpoint limit with O(h) or O(h^2)
 # residuals (~1e-6 relative at the sampling steps used); singular ones leave
 # O(1) or larger extrapolation differences, so 1e-4 separates them cleanly.
 ENDPOINT_LIMIT_TOL = 1e-4
 FD_STEP_FACTOR = 1e-4
 CURVATURE_SPLINE_NODES = 1201
-
-KIND_CONSTANT = "constant"
-KIND_MODULATED = "modulated"
-KIND_SYNTHETIC = "synthetic-zero-mode"
-KIND_USER = "user"
 
 
 @dataclass(frozen=True)
@@ -87,29 +81,18 @@ class FrequencyProfile:
     """Immutable squared-frequency profile on an interval.
 
     omega_sq maps a float or an ndarray of times to a value of the same shape.
-    periodic_with, when set, records a period P with Omega^2(t + P) = Omega^2(t).
+    zero_mode, on a synthetic profile, is its shape with xi, dxi and d2xi
+    evaluable on arrays.
     """
 
     omega_sq: Callable[[object], object]
     interval: Interval
-    kind: str = KIND_USER
-    periodic_with: Optional[float] = None
     description: str = ""
-    zero_mode: Optional["ZeroModeData"] = None
+    zero_mode: Optional[SyntheticZeroModeSpec] = None
     config: Optional[dict] = field(default=None, repr=False)
 
     def __call__(self, t):
         return self.omega_sq(t)
-
-
-@dataclass(frozen=True)
-class ZeroModeData:
-    """Resolved zero-mode shape of a synthetic profile, evaluable on arrays."""
-
-    xi: Callable[[object], object]
-    dxi: Callable[[object], object]
-    d2xi: Callable[[object], object]
-    name: str
 
 
 def _on_arrays(fn):
@@ -186,20 +169,6 @@ def _refine_jump(omega_sq, t0, v0, t1, v1):
     )
 
 
-def _check_periodicity(omega_sq, interval, period):
-    if period <= 0:
-        raise ProfileError(f"period must be positive, got {period}")
-    ts = interval.t_a + np.array([0.0, 0.17, 0.43, 0.71, 1.0]) * interval.span
-    v0 = omega_sq(ts)
-    diff = np.abs(omega_sq(ts + period) - v0)
-    bad = np.flatnonzero(diff > PERIODICITY_TOL * (1.0 + np.abs(v0)))
-    if bad.size:
-        raise ProfileError(
-            f"Omega^2 is not periodic with period {period}: values at "
-            f"t = {float(ts[bad[0]])} and t + P differ by {diff[bad[0]]:.3e}"
-        )
-
-
 def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:
     """Profile with Omega^2(t) = omega^2 everywhere."""
     if omega < 0:
@@ -212,8 +181,6 @@ def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:
     prof = FrequencyProfile(
         omega_sq=omega_sq,
         interval=interval,
-        kind=KIND_CONSTANT,
-        periodic_with=interval.span,
         description=f"constant omega={omega}",
         config={"kind": "constant", "omega": float(omega)},
     )
@@ -230,34 +197,22 @@ def make_modulated_profile(omega: float, eps: float, nu: float,
     def omega_sq(t, _w2=w2, _e=e, _n=n):
         return _w2 * (1.0 + _e * _math_for(t).sin(_n * t))
 
-    period = 2.0 * math.pi / abs(n) if n != 0.0 else interval.span
     prof = FrequencyProfile(
         omega_sq=omega_sq,
         interval=interval,
-        kind=KIND_MODULATED,
-        periodic_with=period,
         description=f"modulated omega={omega} eps={eps} nu={nu}",
         config={"kind": "modulated", "omega": float(omega), "eps": e, "nu": n},
     )
     _check_continuity(prof.omega_sq, interval)
-    _check_periodicity(prof.omega_sq, interval, period)
     return prof
 
 
 def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,
-                      periodic_with: Optional[float] = None,
                       description: str = "user") -> FrequencyProfile:
     """Wrap an arbitrary continuous callable of one float as a profile."""
-    prof = FrequencyProfile(
-        omega_sq=_lift(omega_sq),
-        interval=interval,
-        kind=KIND_USER,
-        periodic_with=periodic_with,
-        description=description,
-    )
+    prof = FrequencyProfile(omega_sq=_lift(omega_sq), interval=interval,
+                            description=description)
     _check_continuity(prof.omega_sq, interval)
-    if periodic_with is not None:
-        _check_periodicity(prof.omega_sq, interval, periodic_with)
     return prof
 
 
@@ -357,10 +312,8 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     prof = FrequencyProfile(
         omega_sq=omega_sq,
         interval=iv,
-        kind=KIND_SYNTHETIC,
-        periodic_with=None,
         description=f"synthetic zero mode '{spec.name}'",
-        zero_mode=ZeroModeData(xi=xi, dxi=dxi, d2xi=d2xi, name=spec.name),
+        zero_mode=replace(spec, xi=xi, dxi=dxi, d2xi=d2xi),
         config={"kind": "synthetic", "xi": spec.name},
     )
     _check_continuity(prof.omega_sq, iv)
@@ -373,16 +326,8 @@ def shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile
     return FrequencyProfile(
         omega_sq=lambda t, _b=base, _s=float(shift): _b(t) + _s,
         interval=profile.interval,
-        kind=KIND_USER,
-        periodic_with=profile.periodic_with,
         description=f"{profile.description} shifted by {shift}",
     )
-
-
-def sample_profile(profile: FrequencyProfile, grid_size: int):
-    """Evaluate the profile on a uniform grid, returning (t, Omega^2(t)) pairs."""
-    ts = profile.interval.grid(grid_size)
-    return list(zip(ts.tolist(), _finite_samples(profile.omega_sq, ts).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -503,5 +448,6 @@ def profile_from_config(config, interval: Interval) -> FrequencyProfile:
 def profile_to_config(profile: FrequencyProfile) -> dict:
     """Serialize a config-born profile back to its JSON mapping."""
     if profile.config is None:
-        raise ConfigError(f"{profile.kind} profile is not representable as a config mapping")
+        raise ConfigError(
+            f"profile {profile.description!r} is not representable as a config mapping")
     return dict(profile.config)

@@ -128,12 +128,29 @@ class TestDet:
         assert record["diagnostics"]["discrepant"] is True
         assert record["diagnostics"]["oracle_value"] == pytest.approx(
             -4.0, rel=1e-3)
+        # the formula's numerator cancels to zero over a negative
+        # denominator: the record says 0.0, never -0.0
+        assert '"value": 0.0,' in out and "-0.0" not in out
 
     def test_degenerate_reference(self, capsys):
         code, out, _ = run(capsys, "det", "--bc", "periodic",
                            "--omega0", repr(2.0 * math.pi))
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DegenerateOperatorError"
+
+    def test_degenerate_reference_same_refusal_on_both_routes(self, capsys):
+        outs = [run(capsys, "det", "--bc", "periodic", "--method", method,
+                    "--omega0", repr(2.0 * math.pi))[:2] for method in ("endpoint", "pq")]
+        assert outs[0] == outs[1]
+        assert "reference operator for periodic is degenerate" in outs[0][1]
+
+    def test_smooth_profile_at_large_times(self, capsys):
+        """sin(3 t) near t = 1e7 rounds differently at t and t + 2 pi / 3;
+        the profile is smooth and accepted."""
+        code, out, _ = run(capsys, "det", "--profile", MODULATED,
+                           "--t-a", "1e7", "--t-b", "10000002")
+        assert code == 0
+        assert json.loads(out)["ratio"] == pytest.approx(0.4887522334270983, rel=1e-9)
 
 
 class TestDetErrors:
@@ -276,6 +293,21 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("argv,guard", [
+        (("--bc", "periodic", "--profile", '{"kind":"constant","omega":6.283185307179586}',
+          "--omega0", "6.283235307179586", "--param", "omega",
+          "--from", "6.283185307179586", "--to", "6.283185307179586"),
+         "ENDPOINT_DEGENERACY_TOL"),
+        (("--t-b", "3.141592653589793", "--param", "omega", "--from", "1", "--to", "1"),
+         "ZERO_MODE_GUARD"),
+    ], ids=["cancelled", "focal-point"])
+    def test_rows_refused_as_det_refuses(self, capsys, argv, guard):
+        """A row that `det` refuses with exit code 2 is an error row."""
+        code, out, _ = run(capsys, "sweep", *argv, "--steps", "1")
+        assert code == 0
+        row = out.strip().split("\n")[1]
+        assert ",,," in row and "DegenerateOperatorError" in row and guard in row
 
     def test_zero_steps(self, capsys):
         code, _, err = run(capsys, "sweep", "--param", "omega",

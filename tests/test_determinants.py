@@ -15,7 +15,7 @@ from flucdet.determinants import (
     free_reference,
     trace_identity_residual,
     van_vleck_check,
-    wrapped_difference_quotient,
+    _wrapped_difference_quotient,
 )
 from flucdet.odesolve import make_basis
 
@@ -168,6 +168,14 @@ class TestVanVleck:
         with pytest.raises(ValueError):
             van_vleck_check(const_profile, mass=0.0)
 
+    @pytest.mark.parametrize("kt", [10.0, 30.0, 60.0])
+    def test_hyperbolic(self, kt):
+        """Omega^2 = -k^2 on [0, 3]: M12 = sinh(kT) / k, read without
+        subtracting growing solutions."""
+        k = kt / 3.0
+        profile = fd.make_user_profile(lambda t: -k * k, fd.Interval(0.0, 3.0))
+        assert van_vleck_check(profile) == pytest.approx(math.sinh(kt) / k, rel=1e-9)
+
 
 class TestDirichletZeroMode:
     def test_sine_mode_report(self, sinpi_profile):
@@ -209,23 +217,24 @@ class TestDirichletZeroMode:
 
 class TestWrappedZeroMode:
     def test_difference_quotient_arithmetic(self):
-        value = wrapped_difference_quotient(
+        value, denominator = _wrapped_difference_quotient(
             xi_a=0.5, xi_b=2.0, dxi_a=1.5, eta_a=1.0, deta_a=1.0, norm_sq=2.0)
         assert value == pytest.approx(-6.0, rel=1e-14)
-        anti = wrapped_difference_quotient(
+        assert denominator == pytest.approx(-0.5, rel=1e-14)
+        anti, _ = _wrapped_difference_quotient(
             xi_a=0.5, xi_b=2.0, dxi_a=1.5, eta_a=1.0, deta_a=1.0,
             norm_sq=2.0, anti=True)
         assert anti == pytest.approx(-10.0, rel=1e-14)
 
     def test_difference_quotient_zero_denominator(self):
         with pytest.raises(fd.DegenerateOperatorError, match="denominator"):
-            wrapped_difference_quotient(
+            _wrapped_difference_quotient(
                 xi_a=0.5, xi_b=1.5, dxi_a=1.5, eta_a=1.0, deta_a=1.0,
                 norm_sq=2.0)
 
     def test_free_periodic_report(self):
         profile = const(0.0, 0.0, 2.0)
-        report = det_periodic_regularized(profile, lattice_n=800)
+        report = det_periodic_regularized(profile)
         assert report.bc == "periodic"
         # the constant mode makes the formula's numerator vanish while the
         # lattice pseudo-determinant stays at -span^2; the two are reported

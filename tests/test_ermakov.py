@@ -89,6 +89,24 @@ class TestPeriodicRatio:
         for ph in phases[1:]:
             assert ph == pytest.approx(phases[0], rel=1e-10)
 
+    def test_degenerate_reference_refused(self, seam_profile):
+        """omega0 T = 2 pi: the reference 4 sin^2(omega0 T/2) vanishes, and
+        the refusal is the one every route shares."""
+        sol = solve_ermakov(seam_profile, omega0=math.pi, bc="periodic")
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match="reference operator for periodic is degenerate"):
+            det_ratio_periodic_pq(sol)
+
+    def test_ratio_bit_identical_to_quotient_of_squares(self, seam_profile):
+        """4 sin^2(omega0 q_b/2) over the reference 4 sin^2(omega0 T/2) is
+        the quotient sin^2/sin^2 to the bit: the factor 4 is exact."""
+        sol = solve_ermakov(seam_profile, omega0=1.0, bc="periodic")
+        half, ref_half = 0.5 * sol.omega0 * sol.q_b, 0.5 * sol.omega0 * 2.0
+        assert det_ratio_periodic_pq(sol) == (
+            math.sin(half) ** 2 / math.sin(ref_half) ** 2)
+        assert det_ratio_periodic_pq(sol, anti=True) == (
+            math.cos(half) ** 2 / math.cos(ref_half) ** 2)
+
     def test_initial_shot_rejected(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, omega0=1.0)
         with pytest.raises(ValueError, match="periodic endpoint"):

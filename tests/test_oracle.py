@@ -13,11 +13,11 @@ from flucdet.oracle import (
     LATTICE_ZERO_TOL,
     PSEUDO_ZERO_TOL,
     LatticeOperator,
+    _lattice_determinant_scaled,
     _reference_lattice,
     _sweep,
     build_lattice,
     gflow_ratio,
-    lattice_determinant_scaled,
     lattice_ratio,
     lattice_ratio_richardson,
     pseudo_det_ratio,
@@ -121,8 +121,8 @@ class TestEigenvalues:
         analytic = np.prod(closed_form_spectrum(bc, 32, op.step, 2.0))
         ref = _reference_lattice(bc, 32, 1.0, 2.0)
         assert ref.step == op.step
-        assert np.allclose(lattice_determinant_scaled(ref), analytic, atol=1e-12)
-        assert np.allclose(lattice_determinant_scaled(op), analytic, atol=1e-12)
+        assert np.allclose(_lattice_determinant_scaled(ref), analytic, atol=1e-12)
+        assert np.allclose(_lattice_determinant_scaled(op), analytic, atol=1e-12)
 
     def test_count_nonpositive_monotone(self, const_profile):
         profile = fd.make_constant_profile(4.0, fd.Interval(0.0, 2.0))
@@ -141,7 +141,7 @@ class TestSturmSweep:
     def test_random_diagonals_of_both_signs(self, rng, bc, corner):
         for _ in range(5):
             diag = rng.uniform(-3.0, 3.0, size=60)
-            op = LatticeOperator(bc=bc, g=1.0, mesh_size=60, step=0.1,
+            op = LatticeOperator(bc=bc, mesh_size=60, step=0.1,
                                  nodes=np.zeros(60), diag=diag, corner=corner)
             eigs = dense_spectrum(op)
             for mu in (-4.5, -1.3, 0.0, 0.4, 2.2, 4.5):
@@ -156,7 +156,7 @@ class TestSturmSweep:
     def test_exact_zero_pivot_is_nudged(self):
         """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
         regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
-        op = LatticeOperator(bc="dirichlet", g=1.0, mesh_size=22, step=0.1,
+        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1,
                              nodes=np.zeros(22), diag=np.ones(22), corner=0.0)
         eigs = dense_spectrum(op)
         log_abs, sign, below, _ = _sweep(op)
@@ -289,10 +289,10 @@ class TestDeterminantRecurrence:
         for bc, corner in (("dirichlet", 0.0), ("periodic", -1.0),
                            ("antiperiodic", 1.0)):
             diag = rng.uniform(1.5, 2.5, size=40)
-            op = LatticeOperator(bc=bc, g=1.0, mesh_size=40, step=0.02,
+            op = LatticeOperator(bc=bc, mesh_size=40, step=0.02,
                                  nodes=np.zeros(40), diag=diag, corner=corner)
             direct = float(np.linalg.det(dense_matrix(op)))
-            assert lattice_determinant_scaled(op) == pytest.approx(
+            assert _lattice_determinant_scaled(op) == pytest.approx(
                 direct, rel=1e-10)
 
 
@@ -414,9 +414,8 @@ class TestCouplingFlow:
     def test_ratio_beyond_float_range(self):
         """Omega^2 = -k^2 with kT = 709.5 against the antiperiodic reference
         at omega0 T = pi - 1e-3: every basis on the flow is finite, but the
-        ratio is about e^723.  The flow, whose 192 nodes resolve its
-        sqrt-type integrand near g' = 0 only to about e^710, must refuse it
-        with a named error rather than a bare OverflowError."""
+        ratio is about e^723, beyond the float range.  The flow must refuse
+        it with a named error rather than a bare OverflowError."""
         span, kt = 1000.0, 709.5
         k_sq = (kt / span) ** 2
         profile = fd.FrequencyProfile(
@@ -425,6 +424,44 @@ class TestCouplingFlow:
         with pytest.raises(fd.IntegrationError, match="float range"):
             gflow_ratio(profile, "antiperiodic", omega0=(math.pi - 1e-3) / span,
                         g_steps=192)
+
+
+class TestCouplingFlowHyperbolic:
+    """Omega^2 = -k^2 on [0, 2] with kT = 33: near g' = 0 the integrand
+    grows like kT / (2 sqrt(g')), which the rule in sqrt(g') absorbs."""
+
+    def test_dirichlet(self):
+        ratio = gflow_ratio(hyperbolic(33.0), "dirichlet")
+        assert ratio == pytest.approx(math.sinh(33.0) / 33.0, rel=1e-9)
+
+    def test_antiperiodic(self):
+        expected = (2.0 + 2.0 * math.cosh(33.0)) / (4.0 * math.cos(1.0) ** 2)
+        ratio = gflow_ratio(hyperbolic(33.0), "antiperiodic", omega0=1.0)
+        assert ratio == pytest.approx(expected, rel=1e-9)
+
+    def test_found_input_beyond_float_range(self):
+        """kT = 700, antiperiodic, omega0 T = pi - 1e-4: the ratio is about
+        1e312, which the flow must refuse rather than return as 1e300."""
+        with pytest.raises(fd.IntegrationError, match="float range"):
+            gflow_ratio(hyperbolic(700.0, span=1.0), "antiperiodic",
+                        omega0=math.pi - 1e-4)
+
+
+class TestCouplingFlowDoubleZero:
+    """Periodic Omega^2 about 4.8^2 on [-1, 1.5] against omega0 = 1.1: the
+    flow takes the degenerate pair of wrapped modes k = +-1 through zero
+    together, so the determinant keeps its sign.  The lattice counts one
+    negative eigenvalue at the reference and three at the target."""
+
+    @pytest.mark.parametrize("profile", [
+        fd.make_constant_profile(4.8, fd.Interval(-1.0, 1.5)),
+        fd.make_modulated_profile(4.8, 0.05, 2.0 * math.pi / 2.5,
+                                  fd.Interval(-1.0, 1.5)),
+    ], ids=["constant", "modulated"])
+    def test_refused(self, profile):
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match="counts 1 negative eigenvalues at the reference and 3"):
+            gflow_ratio(profile, "periodic", omega0=1.1)
 
 
 class TestNoEigensolve:

@@ -18,7 +18,6 @@ from flucdet.profiles import (
     make_zero_mode_profile,
     profile_from_config,
     profile_to_config,
-    sample_profile,
     shifted_profile,
 )
 
@@ -59,9 +58,6 @@ class TestFactories:
             expected = 1.0 + 0.2 * math.sin(3.0 * t)
             assert modulated_profile(t) == pytest.approx(expected, rel=1e-15)
 
-    def test_modulated_period_metadata(self, modulated_profile):
-        assert modulated_profile.periodic_with == pytest.approx(2.0 * math.pi / 3.0)
-
     def test_user_profile_accepts_smooth(self, unit_interval):
         prof = make_user_profile(lambda t: 1.0 + t * t, unit_interval)
         assert prof(0.5) == pytest.approx(1.25)
@@ -92,7 +88,8 @@ class TestZeroModeShapes:
 
     def test_zero_mode_data_attached(self, sinpi_profile):
         zm = sinpi_profile.zero_mode
-        assert zm is not None
+        assert isinstance(zm, SyntheticZeroModeSpec)
+        assert zm.name == "sinpi" and zm.interval == sinpi_profile.interval
         assert zm.xi(0.5) == pytest.approx(1.0)
         assert zm.dxi(0.0) == pytest.approx(math.pi)
 
@@ -131,12 +128,6 @@ class TestHelpers:
     def test_shifted_profile(self, const_profile):
         shifted = shifted_profile(const_profile, 2.5)
         assert shifted(0.4) == pytest.approx(3.5)
-
-    def test_sample_profile(self, const2_profile):
-        pairs = sample_profile(const2_profile, 5)
-        assert len(pairs) == 5
-        assert pairs[0][0] == 0.0 and pairs[-1][0] == 1.0
-        assert all(v == pytest.approx(4.0) for _, v in pairs)
 
 
 class TestConfig:
