@@ -148,11 +148,11 @@ def _guard_zero_mode(value: float, ratio: float, bc: str,
     if abs(ratio) <= ZERO_MODE_GUARD:
         raise DegenerateOperatorError(
             f"zero mode detected for bc={bc} (determinant {value!r}, |ratio| <= "
-            f"ZERO_MODE_GUARD = {ZERO_MODE_GUARD}); rerun with --regularized")
+            f"ZERO_MODE_GUARD = {ZERO_MODE_GUARD}); use det --regularized")
     if condition >= 1.0 / ENDPOINT_DEGENERACY_TOL:
         raise DegenerateOperatorError(
             f"determinant {value!r} for bc={bc} is lost to cancellation (condition "
-            f"{condition:.3g} >= 1/ENDPOINT_DEGENERACY_TOL); rerun with --regularized")
+            f"{condition:.3g} >= 1/ENDPOINT_DEGENERACY_TOL); use det --regularized")
 
 
 def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:

@@ -193,8 +193,9 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0) -> float:
             f"endpoints (M12 = {m12:.3e})")
 
     nodes, weights = basis.quadrature
-    x2, dx2 = basis.phi(nodes)[:, 1] / m12
-    (s11, s12), _ = basis.to_end(nodes) / m12
+    phi, s = basis.frame(nodes)
+    x2, dx2 = phi[:, 1] / m12
+    (s11, s12), _ = s / m12
     mixed = mass * float(weights @ (-s11 * dx2 - profile.omega_sq(nodes) * s12 * x2))
     if mixed == 0.0:
         raise DegenerateOperatorError("mixed derivative of the action vanishes")

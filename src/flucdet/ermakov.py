@@ -19,7 +19,8 @@ import numpy as np
 from .determinants import reference_determinant
 from .errors import DegenerateOperatorError
 from .green import BC_ANTIPERIODIC, BC_PERIODIC
-from .odesolve import ErmakovSolution, HomogeneousBasis
+from .odesolve import (MAGNUS_STEPS_PER_RADIAN, ErmakovSolution, HomogeneousBasis,
+                       _adjugate, _times)
 
 PQ_DEGENERACY_TOL = 1e-10
 PERIODICITY_RESIDUAL_TOL = 1e-6
@@ -36,7 +37,9 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
     xi(t) = p(t) p_b sin(omega0 (q_b - q(t))) / D and
     eta(t) = p(t) p_a sin(omega0 q(t)) / D with D = p_a p_b sin(omega0 q_b).
     Slopes use the phase constraint omega0 q' = 1/p^2, so no numerical
-    differentiation is involved.  The knots are the amplitude solver's steps.
+    differentiation is involved.  The frame is (Y(t) Y_a^{-1}, M adj(Phi(t))),
+    whose second half cancels growing solutions; the knots split the solver's
+    steps to 1/MAGNUS_STEPS_PER_RADIAN radian of omega0 q or less.
     """
     w0 = sol.omega0
     p_a, p_b = sol.p_a, sol.p_b
@@ -47,22 +50,29 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
             "amplitude-phase denominator sin(omega0 q_b) vanishes "
             f"({sin_phase:.3e}): the operator has a Dirichlet zero mode")
     d = p_a * p_b * sin_phase
-    state = sol.state
-
-    def y(t):
-        p, dp, q = state(t)
-        run, rest = w0 * q, w0 * (sol.q_b - q)
-        return np.array([
-            [p * p_a * np.sin(run) / d, p * p_b * np.sin(rest) / d],
-            [(dp * p_a * np.sin(run) + (p_a / p) * np.cos(run)) / d,
-             (dp * p_b * np.sin(rest) - (p_b / p) * np.cos(rest)) / d]])
-
     cos_phase = math.cos(phase)
     y_a = np.array([[0.0, 1.0],
                     [1.0 / d, (sol.dp_a * p_b * sin_phase - (p_b / p_a) * cos_phase) / d]])
     y_b = np.array([[1.0, 0.0],
                     [(sol.dp_b * p_a * sin_phase + (p_a / p_b) * cos_phase) / d, -1.0 / d]])
-    return HomogeneousBasis(y=y, y_a=y_a, y_b=y_b, profile=sol.profile, knots=sol.knots)
+    w, adj_a = -1.0 / d, _adjugate(y_a)  # W = det Y_a
+    m = y_b @ adj_a / w
+
+    def frame(t):
+        p, dp, q = sol.state(t)
+        run, rest = w0 * q, w0 * (sol.q_b - q)
+        y = np.array([
+            [p * p_a * np.sin(run) / d, p * p_b * np.sin(rest) / d],
+            [(dp * p_a * np.sin(run) + (p_a / p) * np.cos(run)) / d,
+             (dp * p_b * np.sin(rest) - (p_b / p) * np.cos(rest)) / d]])
+        phi = _times(y, adj_a / w)
+        return phi, np.einsum("ij,jk...->ik...", m, _adjugate(phi))
+
+    # each solver step splits into ceil(advance) equal parts, at whole part counts
+    advance = MAGNUS_STEPS_PER_RADIAN * w0 * np.diff(sol.state(sol.knots)[2])
+    counts = np.concatenate(([0.0], np.cumsum(np.maximum(1.0, np.ceil(advance)))))
+    knots = np.interp(np.arange(counts[-1] + 1.0), counts, sol.knots)
+    return HomogeneousBasis(frame=frame, y_a=y_a, y_b=y_b, profile=sol.profile, knots=knots)
 
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:

@@ -1,8 +1,8 @@
 """Green functions of -d^2/dt^2 - g*Omega^2(t) built from a solution basis.
 
-Everything is read from the transfer matrix M = Y_b Y_a^{-1} and from
-Phi(t) = Y(t) Y_a^{-1} of the basis (see odesolve), whose columns u and v
-start from (1, 0) and (0, 1) at t_a.  The determinants are
+Everything is read from M = Y_b Y_a^{-1} and the frame (Phi(t), S(t)) =
+(Phi(t, t_a), Phi(t_b, t)) of the basis (see odesolve); the columns u and v
+of Phi start from (1, 0) and (0, 1) at t_a.  The determinants are
 
     Dirichlet M12,   periodic 2 - tr M,   antiperiodic 2 + tr M
 
@@ -12,9 +12,8 @@ solution r with (r, r') = (0, -1) at t_b:
 
     G_D(t, t') = l(min(t, t')) r(max(t, t')) / M12.
 
-With S(t) = Phi(t_b, t), (r, r') = S(t)^{-1} (0, -1) = (S12, -S11), read from
-the basis's suffix products, so r is never the difference M12 u - M11 v of
-growing solutions.
+(r, r') = S(t)^{-1} (0, -1) = (S12, -S11), which make_basis reads from suffix
+products, so r is never the difference M12 u - M11 v of growing solutions.
 
 With sigma = +1 (periodic) or -1 (antiperiodic) and h = l + sigma*r, the
 wrapped kernels add the separable correction
@@ -110,8 +109,8 @@ class GreenKernel:
         with shape (2, 2) + its shape, from one evaluation of the basis."""
         arrays = [np.asarray(t, dtype=float) for t in times]
         flat = np.concatenate([a.ravel() for a in arrays])
-        l, dl = self.basis.phi(flat)[:, 1]
-        (s11, s12), _ = self.basis.to_end(flat)
+        phi, s = self.basis.frame(flat)
+        (l, dl), (s11, s12) = phi[:, 1], s[0]
         lr = np.array([[l, s12], [dl, -s11]])
         ends = np.cumsum([0] + [a.size for a in arrays])
         return [lr[..., lo:hi].reshape((2, 2) + a.shape)
@@ -181,7 +180,7 @@ class GreenKernel:
             res = np.maximum(np.abs(at_ends[0] - self.sigma * at_ends[1]),
                              np.abs(slopes[0] - self.sigma * slopes[1]))
         # the unit slope jump fails once r has lost its digits, as it does
-        # for strongly growing bases without suffix products (basis_from_pq)
+        # for growing bases whose frame has no suffix products (basis_from_pq)
         worst = float(np.max(np.maximum(res / (1.0 + np.abs(self.diagonal(s))),
                                         np.abs(self.slope_jump(s) + 1.0))))
         if worst > BC_CHECK_TOL:
@@ -209,10 +208,10 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
 
     Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b), with f(t, t_a) built
     from the basis columns and the rows of Y_a, f(t_a, t_b) from the endpoint
-    rows of Y_a and Y_b, and f(t_b, t) = -S12(t) from S(t) = Phi(t_b, t)
-    (HomogeneousBasis.to_end), where the two columns would cancel for growing
-    bases.  The anchored solutions of the kernel do not enter, which makes it
-    a consistency check on the kernel assembly.
+    rows of Y_a and Y_b, and f(t_b, t) = -S12(t) from S(t) = Phi(t_b, t) of
+    the same frame, where the two columns would cancel for growing bases.
+    The anchored solutions of the kernel do not enter, which makes it a
+    consistency check on the kernel assembly.
     """
     row_a, row_b = basis.y_a[0], basis.y_b[0]
     f_ab = float(_pair(basis, row_a, row_b))
@@ -220,9 +219,9 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
         raise DegenerateOperatorError(
             "Dirichlet endpoint determinant vanishes; the trace is undefined")
     nodes, weights = basis.quadrature
-    rows = basis.y(nodes)[0]
+    phi, s = basis.frame(nodes)
     integrand = (basis.profile.omega_sq(nodes)
-                 * (_pair(basis, rows, row_a) / f_ab) * -basis.to_end(nodes)[0, 1])
+                 * (_pair(basis, basis.y_a.T @ phi[0], row_a) / f_ab) * -s[0, 1])
     return float(weights @ integrand)
 
 

@@ -17,12 +17,13 @@ exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
 M is the pairwise product of the n step matrices.  n starts from a work
 estimate and doubles until two levels agree to MAGNUS_REL_TARGET.
 
-Dense output: Y(t) is the prefix product Phi(t_k, t_a) at the knot t_k before
-t times one Magnus step from t_k to t, for one time or an array of times, and
-Phi(t_b, t) is the suffix product Phi(t_b, t_k) times the inverse of that
-step.  The prefix and suffix products are formed on the first dense call, so
-a determinant never pays for them.  Integrals over the interval use one Gauss
-rule on the Magnus steps (HomogeneousBasis.quadrature).
+Dense output is one frame per time: one local Magnus step E from the knot
+t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
+Phi(t_b, t_k) adj(E), from prefix and suffix products formed on the first
+dense call, so a determinant never pays for them.  Integrals use one Gauss
+rule on the steps between knots (HomogeneousBasis.quadrature); every basis
+keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
+solutions' phase, where that rule reaches rounding level.
 
 The amplitude-phase system is solved by scipy's adaptive DOP853, which keeps
 that route independent of the Magnus product.
@@ -31,7 +32,7 @@ that route independent of the Magnus product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -100,6 +101,12 @@ def _on_interval(fn: Callable, iv: Interval) -> Callable:
 def _times(y: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Y C for Y of shape (2, 2) or (2, 2, n) and a constant 2x2 matrix C."""
     return np.einsum("ij...,jk->ik...", y, c)
+
+
+def _adjugate(y: np.ndarray) -> np.ndarray:
+    """adj(Y) = det(Y) Y^{-1} for Y of shape (2, 2) or (2, 2, n)."""
+    (a, b), (c, d) = y
+    return np.array([[d, -b], [-c, a]])
 
 
 # ---------------------------------------------------------------------------
@@ -231,31 +238,19 @@ class _MagnusGrid:
         e = np.hstack([np.array(e) for e, _ in self._chunks()])
         return _scan(e), _scan(e, reverse=True)
 
-    def _dense(self, t, back: bool) -> np.ndarray:
-        """Phi(t, t_a) = E Phi(t_k, t_a), or with back=True Phi(t_b, t) =
-        Phi(t_b, t_k) E^{-1}, where t_k is the knot before t and E the Magnus
-        step from t_k to t, whose inverse is its adjugate; shape
-        (2, 2) + t.shape."""
+    def frame(self, t) -> tuple:
+        """(Phi(t, t_a), Phi(t_b, t)) = (E Phi(t_k, t_a), Phi(t_b, t_k) E^{-1}),
+        where t_k is the knot before t and E the Magnus step from t_k to t,
+        whose inverse is its adjugate; each of shape (2, 2) + t.shape."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         k = np.clip(np.floor((flat - self.iv.t_a) / self.h), 0, self.n).astype(np.intp)
         tau = flat - self.knots[k]
-        e11, e12, e21, e22 = _step_matrices(self.sample(self.knots[k], tau), tau)
+        e11, e12, e21, e22 = e = _step_matrices(self.sample(self.knots[k], tau), tau)
         pre, suf = self._products
-        if back:
-            out = _mul(suf[:, k], (e22, -e12, -e21, e11))
-        else:
-            out = _mul((e11, e12, e21, e22), pre[:, k])
-        return np.array(out).reshape((2, 2) + t.shape)
-
-    def y(self, t) -> np.ndarray:
-        """Y(t) = Phi(t, t_a) Y_a of the canonical basis: the columns of
-        Phi(t, t_a) swapped."""
-        return self._dense(t, back=False)[:, ::-1]
-
-    def back(self, t) -> np.ndarray:
-        """Phi(t_b, t), from the suffix products."""
-        return self._dense(t, back=True)
+        shape = (2, 2) + t.shape
+        return (np.array(_mul(e, pre[:, k])).reshape(shape),
+                np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
 
 
 def _work_estimate(a_max: float, iv: Interval) -> float:
@@ -313,22 +308,22 @@ def _magnus(profile: FrequencyProfile, g: float):
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousBasis:
-    """Fundamental matrix Y(t) of a solution basis with its endpoint matrices.
+    """A solution basis: its endpoint matrices Y_a, Y_b and its frame.
 
-    y(t) takes a time or a 1-D array of times and returns Y(t) with shape
-    (2, 2) or (2, 2, n).  Column j holds solution j: row 0 its value, row 1
-    its slope.  knots are the integrator's step times from t_a to t_b.
-    back, if given, returns Phi(t_b, t) the same way, from products that
-    never subtract growing solutions; error_estimate is the integrator's
-    estimate of the largest error in an entry of M, if it has one.
+    frame(t) takes a time or a 1-D array of times and returns (Phi(t, t_a),
+    Phi(t_b, t)), each of shape (2, 2) or (2, 2, n) and the same for every
+    basis.  Column j of Y(t) = Phi(t, t_a) Y_a holds solution j: row 0 its
+    value, row 1 its slope.  knots are the integrator's step times from t_a
+    to t_b, each step at most 1/MAGNUS_STEPS_PER_RADIAN radian of the
+    solutions' phase; error_estimate is the integrator's estimate of the
+    largest error in an entry of M, if it has one.
     """
 
-    y: Callable[[object], np.ndarray]
+    frame: Callable[[object], tuple]
     y_a: np.ndarray
     y_b: np.ndarray
     profile: FrequencyProfile
     knots: np.ndarray
-    back: Optional[Callable[[object], np.ndarray]] = None
     error_estimate: Optional[float] = None
 
     @property
@@ -342,28 +337,21 @@ class HomogeneousBasis:
         return float(a * d - b * c)
 
     @cached_property
-    def inv_a(self) -> np.ndarray:
-        (a, b), (c, d) = self.y_a
-        return np.array([[d, -b], [-c, a]]) / self.w
-
-    @cached_property
     def m(self) -> np.ndarray:
-        """Transfer matrix M = Y_b Y_a^{-1}."""
-        return self.y_b @ self.inv_a
+        """Transfer matrix M = Y_b adj(Y_a) / W."""
+        return self.y_b @ _adjugate(self.y_a) / self.w
+
+    def y(self, t) -> np.ndarray:
+        """Y(t) = Phi(t) Y_a."""
+        return _times(self.phi(t), self.y_a)
 
     def phi(self, t) -> np.ndarray:
-        """Phi(t) = Y(t) Y_a^{-1}, the fundamental matrix equal to I at t_a."""
-        return _times(self.y(t), self.inv_a)
+        """Phi(t) = Phi(t, t_a), the fundamental matrix equal to I at t_a."""
+        return self.frame(t)[0]
 
     def to_end(self, t) -> np.ndarray:
-        """S(t) = Phi(t_b, t), the fundamental matrix equal to I at t_b.
-
-        Without back it is M Phi(t)^{-1}, which cancels growing solutions
-        against each other."""
-        if self.back is not None:
-            return self.back(t)
-        (a, b), (c, d) = self.phi(t)
-        return np.einsum("ij,jk...->ik...", self.m, np.array([[d, -b], [-c, a]]))
+        """S(t) = Phi(t_b, t), the fundamental matrix equal to I at t_b."""
+        return self.frame(t)[1]
 
     @cached_property
     def quadrature(self) -> tuple:
@@ -378,34 +366,29 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     """Canonical basis (eta, xi) from the sixth-order Magnus product.
 
     eta has (value, slope) = (0, 1) at t_a and xi has (1, 0), so M = Phi(t_b)
-    and W = -1.  Y(t) and Phi(t_b, t) are evaluated from prefix and suffix
-    products of the Magnus steps, formed on the first call.  Raises
-    IntegrationError when the work estimate or the step doubling passes
-    MAGNUS_MAX_STEPS, or when M overflows.
+    and W = -1.  The frame is read from prefix and suffix products of the
+    Magnus steps, formed on the first call.  Raises IntegrationError when the
+    work estimate or the step doubling passes MAGNUS_MAX_STEPS, or when M
+    overflows.
     """
-    iv = profile.interval
     gg = float(g)
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
     grid, m, error = _magnus(profile, gg)
-    return HomogeneousBasis(y=_on_interval(grid.y, iv), y_a=_CANONICAL_Y_A,
-                            y_b=m @ _CANONICAL_Y_A, profile=profile,
-                            knots=grid.knots, back=_on_interval(grid.back, iv),
-                            error_estimate=error)
+    return HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval),
+                            y_a=_CANONICAL_Y_A, y_b=m @ _CANONICAL_Y_A,
+                            profile=profile, knots=grid.knots, error_estimate=error)
 
 
 def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
-    """The basis Y C: column j of the result is sum_i C[i, j] times column i."""
+    """The basis Y C: column j of the result is sum_i C[i, j] times column i;
+    the frame does not depend on the basis."""
     c = np.asarray(matrix, dtype=float)
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
     scale = float(np.max(np.abs(c)))
     if abs(det) <= 1e-14 * scale * scale:
         raise ValueError("mixing matrix is singular")
-    y = basis.y
-    return HomogeneousBasis(y=lambda t: _times(y(t), c), y_a=basis.y_a @ c,
-                            y_b=basis.y_b @ c, profile=basis.profile,
-                            knots=basis.knots, back=basis.back,
-                            error_estimate=basis.error_estimate)
+    return replace(basis, y_a=basis.y_a @ c, y_b=basis.y_b @ c)
 
 
 # ---------------------------------------------------------------------------

@@ -303,11 +303,13 @@ class TestSweep:
          "ZERO_MODE_GUARD"),
     ], ids=["cancelled", "focal-point"])
     def test_rows_refused_as_det_refuses(self, capsys, argv, guard):
-        """A row that `det` refuses with exit code 2 is an error row."""
+        """A row that `det` refuses with exit code 2 is an error row, whose
+        advice names the command that has --regularized."""
         code, out, _ = run(capsys, "sweep", *argv, "--steps", "1")
         assert code == 0
         row = out.strip().split("\n")[1]
         assert ",,," in row and "DegenerateOperatorError" in row and guard in row
+        assert "det --regularized" in row
 
     def test_zero_steps(self, capsys):
         code, _, err = run(capsys, "sweep", "--param", "omega",

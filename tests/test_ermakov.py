@@ -151,13 +151,25 @@ class TestBasisFromPQ:
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_green_kernel_without_suffix_products(self, modulated_profile, bc):
         """A pq basis has no suffix products, so the kernel's right-anchored
-        solution comes from Phi(t_b, t) = M Phi(t)^{-1}; it must agree with
-        the Magnus basis, which reads it from suffix products."""
+        solution comes from Phi(t_b, t) = M Phi(t)^{-1}, which basis_from_pq
+        builds into its frame; it must agree with the Magnus basis, which
+        reads it from suffix products."""
         basis = basis_from_pq(solve_ermakov(modulated_profile, omega0=1.0))
-        assert basis.back is None
         _, table = GreenKernel(basis, bc).table(9)
         _, expected = GreenKernel(make_basis(modulated_profile), bc).table(9)
         np.testing.assert_allclose(table, expected, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("omega,interval", [
+        (3.0, fd.Interval(-1.7, 8.3)), (12.12, fd.Interval(0.0, 2.5))])
+    def test_trace_resolves_the_oscillation(self, omega, interval):
+        """The amplitude is constant here, so the solver's steps are long;
+        the knots split them to half a radian of the phase, and the Gauss
+        rule on them reaches the closed form 1/2 - (x/2) cot x at x = 30 and
+        30.3."""
+        sol = solve_ermakov(fd.make_constant_profile(omega, interval), omega0=1.0)
+        trace = fd.trace_omega_sq(GreenKernel(basis_from_pq(sol), "dirichlet"))
+        x = omega * interval.span
+        assert trace == pytest.approx(0.5 - 0.5 * x / math.tan(x), rel=1e-9)
 
     def test_zero_mode_rejected(self):
         profile = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))

@@ -162,6 +162,24 @@ class TestKernelValues:
         assert type(kernel.diagonal(float(ts[1]))) is float
         assert type(kernel.slope_jump(float(ts[1]))) is float
 
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    def test_one_frame_per_time(self, modulated_profile, bc):
+        """Once the prefix and suffix products are formed, each time costs
+        one local Magnus step for both anchored solutions: Omega^2 is
+        sampled at its three Gauss nodes, once."""
+        sampled = []
+
+        def omega_sq(t):
+            sampled.append(np.size(t))
+            return modulated_profile.omega_sq(t)
+
+        profile = fd.FrequencyProfile(omega_sq, modulated_profile.interval)
+        kernel = GreenKernel(make_basis(profile), bc)
+        ts = modulated_profile.interval.grid(101)
+        sampled.clear()
+        kernel.diagonal(ts)
+        assert sum(sampled) == 3 * len(ts)
+
 
 class TestKernelProperties:
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])

@@ -236,6 +236,31 @@ class TestMixing:
         with pytest.raises(ValueError):
             mix_basis(b, ((1.0, 2.0), (2.0, 4.0)))
 
+    def test_frame_shared(self, modulated_profile, rng):
+        """Phi(t, t_a) and Phi(t_b, t) do not depend on the basis, so mixing
+        leaves them exactly as they were."""
+        b = make_basis(modulated_profile)
+        mixed = mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
+        ts = modulated_profile.interval.grid(41)
+        assert np.array_equal(mixed.phi(ts), b.phi(ts))
+        assert np.array_equal(mixed.to_end(ts), b.to_end(ts))
+
+
+@pytest.mark.parametrize("kind", ["magnus", "mixed", "pq"])
+def test_frame_composes_to_transfer_matrix(modulated_profile, kind):
+    """Phi(t_b, t) Phi(t, t_a) = M at every time, whichever way the basis
+    builds its frame."""
+    if kind == "pq":
+        basis = fd.basis_from_pq(solve_ermakov(modulated_profile, omega0=1.0))
+    else:
+        basis = make_basis(modulated_profile)
+        if kind == "mixed":
+            basis = mix_basis(basis, ((2.0, 1.0), (0.5, -1.0)))
+    ts = modulated_profile.interval.grid(41)
+    m = basis.m
+    composed = np.einsum("ijn,jkn->ikn", basis.to_end(ts), basis.phi(ts))
+    assert np.max(np.abs(composed - m[:, :, None])) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
 
 class TestClassicalPathConvention:
     @staticmethod
