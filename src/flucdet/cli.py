@@ -191,6 +191,7 @@ def _det_pq_record(profile, bc: str, omega0: float) -> dict:
         "p_b": sol.p_b,
         "total_phase": omega0 * sol.q_b,
         "newton_iterations": sol.newton_iterations,
+        "steps": len(sol.knots) - 1,
     }
     if sol.evenness_residual is not None:
         diagnostics["evenness_residual"] = sol.evenness_residual

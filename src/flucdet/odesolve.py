@@ -26,7 +26,10 @@ keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
 solutions' phase, where that rule reaches rounding level.
 
 The amplitude-phase system is solved by scipy's adaptive DOP853, which keeps
-that route independent of the Magnus product.
+that route independent of the Magnus product.  Periodic amplitude shooting
+integrates the variational equation of (p, p') in the same solve, so each
+Newton step costs one solve and its Jacobian is exact; newton_iterations
+counts the steps.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from .profiles import FrequencyProfile, Interval
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-# periodic amplitude shooting: Newton iterations, tolerance, Jacobian FD step
+# periodic amplitude shooting: Newton steps and tolerance
 SHOOTING_MAX_ITER = 100
 SHOOTING_TOL = 1e-8
-SHOOTING_FD_DELTA = 1e-6
 
 # Magnus step doubling stops once the error estimate |M_2n - M_n| / 63 of the
 # finer level is at most MAGNUS_REL_TARGET times its largest entry, or, from
@@ -423,14 +425,22 @@ class ErmakovSolution:
         return self.profile.interval
 
 
-def _integrate_ermakov(profile, omega0, p0, dp0):
+def _integrate_ermakov(profile, omega0, start):
+    """DOP853 solution of (p, p', q) from start = (p_a, p'_a, 0) or, with
+    seven components, also of the fundamental matrix Phi_dp of the
+    variational equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q
+    from start[3:] = (1, 0, 0, 1)."""
     iv = profile.interval
     om = profile.omega_sq
     w0 = float(omega0)
 
     def rhs(t, y):
-        p = y[0]
-        return (y[1], 1.0 / p ** 3 - float(om(t)) * p, 1.0 / (w0 * p * p))
+        p, om_t = y[0], float(om(t))
+        f = [y[1], 1.0 / p ** 3 - om_t * p, 1.0 / (w0 * p * p)]
+        if len(y) > 3:
+            k = -(om_t + 3.0 / p ** 4)
+            f += [y[5], y[6], k * y[3], k * y[4]]
+        return f
 
     def collapse(t, y):
         return y[0] - 1e-8
@@ -439,7 +449,7 @@ def _integrate_ermakov(profile, omega0, p0, dp0):
 
     from scipy.integrate import solve_ivp  # only this route needs scipy
 
-    result = solve_ivp(rhs, (iv.t_a, iv.t_b), [p0, dp0, 0.0],
+    result = solve_ivp(rhs, (iv.t_a, iv.t_b), start,
                        method="DOP853", dense_output=True,
                        rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=collapse)
     if result.status == 1:
@@ -451,6 +461,14 @@ def _integrate_ermakov(profile, omega0, p0, dp0):
     return result.sol
 
 
+def _shoot(profile, omega0, z):
+    """One shooting solve from (p_a, p'_a) = z: the dense solution, the
+    residual r(z) = (p, p')(t_b) - z and its exact Jacobian Phi_dp(t_b) - I."""
+    sol = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0], np.eye(2).ravel()]))
+    end = sol(profile.interval.t_b)
+    return sol, end[:2] - z, end[3:].reshape(2, 2) - np.eye(2)
+
+
 def solve_ermakov(profile: FrequencyProfile, omega0: float,
                   bc: str = "initial") -> ErmakovSolution:
     """Solve the amplitude-phase system for the profile.
@@ -458,7 +476,9 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     bc="initial" starts from p(t_a) = Omega(t_a)^(-1/2) (or 1 if Omega^2(t_a)
     is not positive) with p'(t_a) = 0.  bc="periodic" runs two-parameter
     Newton shooting on (p(t_a), p'(t_a)) from there to enforce matching
-    endpoint amplitude and slope.
+    endpoint amplitude and slope; each Newton step costs one solve, whose
+    variational equation gives the exact Jacobian with the residual.
+    newton_iterations counts the steps taken, at most SHOOTING_MAX_ITER.
     """
     if not omega0 > 0.0:
         raise ValueError(f"omega0 must be positive, got {omega0}")
@@ -467,46 +487,34 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     om_a = float(profile.omega_sq(np.array(iv.t_a)))
     p_start = om_a ** (-0.25) if om_a > 0.0 else 1.0
     dp_start = 0.0
+    iterations = 0
 
     if bc == "initial":
-        sol = _integrate_ermakov(profile, omega0, p_start, dp_start)
-        iterations = 0
+        sol = _integrate_ermakov(profile, omega0, [p_start, dp_start, 0.0])
     elif bc == "periodic":
         z = np.array([p_start, dp_start])
-
-        def residual(zz):
-            s = _integrate_ermakov(profile, omega0, zz[0], zz[1])
-            return s, s(iv.t_b)[:2] - zz
-
-        sol, res = residual(z)
-        for iterations in range(1, SHOOTING_MAX_ITER + 1):
-            if np.max(np.abs(res)) <= SHOOTING_TOL * (1.0 + abs(z[0])):
-                break
-            jac = np.empty((2, 2))
-            for j in range(2):
-                z_pert = z.copy()
-                z_pert[j] += SHOOTING_FD_DELTA
-                jac[:, j] = (residual(z_pert)[1] - res) / SHOOTING_FD_DELTA
+        sol, res, jac = _shoot(profile, omega0, z)
+        while np.max(np.abs(res)) > SHOOTING_TOL * (1.0 + abs(z[0])):
+            if iterations == SHOOTING_MAX_ITER:
+                raise ShootingError(
+                    f"periodic amplitude shooting did not converge in {SHOOTING_MAX_ITER} "
+                    f"Newton steps (residual {np.max(np.abs(res)):.3e})")
+            iterations += 1
             try:
                 step = np.linalg.solve(jac, -res)
             except np.linalg.LinAlgError:
                 raise ShootingError(
-                    f"singular shooting Jacobian at iteration {iterations}") from None
+                    f"singular shooting Jacobian at Newton step {iterations}") from None
             lam = 1.0
             while z[0] + lam * step[0] <= 1e-6 and lam > 1e-4:
                 lam *= 0.5
             z = z + lam * step
-            sol, res = residual(z)
-        else:
-            if np.max(np.abs(res)) > SHOOTING_TOL * (1.0 + abs(z[0])):
-                raise ShootingError(
-                    f"periodic amplitude shooting did not converge in {SHOOTING_MAX_ITER} "
-                    f"iterations (residual {np.max(np.abs(res)):.3e})")
+            sol, res, jac = _shoot(profile, omega0, z)
         p_start, dp_start = float(z[0]), float(z[1])
     else:
         raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
 
-    state = _on_interval(sol, iv)
+    state = _on_interval(lambda t: sol(t)[:3], iv)
     end = sol(iv.t_b)
 
     evenness = None

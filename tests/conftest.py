@@ -55,6 +55,13 @@ def seam_profile():
 
 
 @pytest.fixture(scope="session")
+def shifted_profile():
+    """Omega^2 = 6.5^2 (1 + 0.36 sin(4t)) on [1.88, 2.62], a det-sweep-like
+    modulated case: tr M = 0.61, so a periodic amplitude exists."""
+    return fd.make_modulated_profile(6.5, 0.36, 4.0, fd.Interval(1.88, 2.62))
+
+
+@pytest.fixture(scope="session")
 def sinpi_profile():
     """Synthetic profile whose Dirichlet operator annihilates sin(pi t) on [0, 1]."""
     return fd.make_zero_mode_profile(

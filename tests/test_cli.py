@@ -74,6 +74,8 @@ class TestDet:
         pq = json.loads(out_pq)
         assert pq["ratio"] == pytest.approx(endpoint["ratio"], rel=1e-6)
         assert pq["diagnostics"]["newton_iterations"] >= 1
+        steps = pq["diagnostics"]["steps"]
+        assert type(steps) is int and steps >= 1
 
     def test_zero_mode_guard(self, capsys):
         code, out, _ = run(capsys, "det", "--profile", SINPI)

@@ -65,6 +65,15 @@ class TestPeriodicRatio:
         assert det_ratio_periodic_pq(sol, anti=True) == pytest.approx(
             anti, rel=1e-6)
 
+    def test_shifted_profile_both_wrappings(self, shifted_profile):
+        sol = solve_ermakov(shifted_profile, omega0=6.5, bc="periodic")
+        basis = make_basis(shifted_profile)
+        per = det_periodic(basis, omega0=6.5).ratio
+        anti = det_antiperiodic(basis, omega0=6.5).ratio
+        assert det_ratio_periodic_pq(sol) == pytest.approx(per, rel=1e-6)
+        assert det_ratio_periodic_pq(sol, anti=True) == pytest.approx(
+            anti, rel=1e-6)
+
     def test_shooting_closes(self, seam_profile):
         sol = solve_ermakov(seam_profile, omega0=1.0, bc="periodic")
         assert sol.periodic is True

@@ -331,6 +331,43 @@ class TestErmakov:
         assert sol.dp_b == pytest.approx(sol.dp_a, abs=1e-7 * (1.0 + abs(sol.dp_a)))
         assert sol.newton_iterations >= 1
 
+    def test_periodic_start_takes_no_step(self):
+        """A constant profile's start p = omega^(-1/2), p' = 0 is already
+        periodic: newton_iterations counts steps, not residual checks."""
+        profile = fd.make_constant_profile(1.3, fd.Interval(0.0, 2.0))
+        assert solve_ermakov(profile, 1.3, bc="periodic").newton_iterations == 0
+
+    def test_one_solve_per_newton_step(self, seam_profile, monkeypatch):
+        """The residual and its Jacobian come from one solve, so shooting
+        makes one solve per Newton step plus the first."""
+        calls = []
+        integrate = odesolve._integrate_ermakov
+
+        def counted(*args):
+            calls.append(args)
+            return integrate(*args)
+
+        monkeypatch.setattr(odesolve, "_integrate_ermakov", counted)
+        sol = solve_ermakov(seam_profile, 1.0, bc="periodic")
+        assert sol.newton_iterations >= 1
+        assert len(calls) == sol.newton_iterations + 1
+
+    @pytest.mark.parametrize("name, omega0", [("seam_profile", 1.0),
+                                              ("shifted_profile", 6.5)])
+    def test_variational_jacobian(self, request, name, omega0):
+        """The shooting Jacobian Phi_dp(t_b) - I against a central difference
+        of the residual with step 1e-6, at the unconverged start."""
+        profile = request.getfixturevalue(name)
+        z = np.array([float(profile.omega_sq(profile.interval.t_a)) ** -0.25, 0.0])
+        _, res, jac = odesolve._shoot(profile, omega0, z)
+        assert np.max(np.abs(res)) > 1e-2
+        h = 1e-6
+        central = np.column_stack([
+            (odesolve._shoot(profile, omega0, z + dz)[1]
+             - odesolve._shoot(profile, omega0, z - dz)[1]) / (2.0 * h)
+            for dz in h * np.eye(2)])
+        assert np.max(np.abs(jac - central)) <= 1e-5 * np.max(np.abs(jac))
+
     def test_invalid_omega0(self, const_profile):
         with pytest.raises(ValueError):
             solve_ermakov(const_profile, 0.0)
