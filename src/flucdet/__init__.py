@@ -44,7 +44,6 @@ from .green import (
     BOUNDARY_CONDITIONS,
     GreenKernel,
     det_from_transfer,
-    retarded_green,
     trace_omega_sq,
     trace_weighted_diagonal,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "profile_from_config",
     "profile_to_config",
     "pseudo_det_ratio",
-    "retarded_green",
     "shifted_profile",
     "solve_ermakov",
     "trace_identity_residual",

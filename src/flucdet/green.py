@@ -22,7 +22,6 @@ wrapped kernels add the separable correction
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,25 +41,37 @@ BC_CHECK_TOL = 1e-7
 _PROBE_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _scalar(x):
+    """A float for a 0-d result, else the array of one value per member."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def det_from_transfer(m: np.ndarray, bc: str) -> float:
     """The determinant of the operator under bc, read from M: M12 for
-    Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic."""
+    Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic; one per
+    member for M of shape (2, 2, members)."""
     if bc == BC_DIRICHLET:
-        return float(m[0, 1])
+        return _scalar(m[0, 1])
     if bc == BC_PERIODIC:
-        return float(2.0 - (m[0, 0] + m[1, 1]))
+        return _scalar(2.0 - (m[0, 0] + m[1, 1]))
     if bc == BC_ANTIPERIODIC:
-        return float(2.0 + (m[0, 0] + m[1, 1]))
+        return _scalar(2.0 + (m[0, 0] + m[1, 1]))
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
 def condition_estimate(m: np.ndarray, value: float) -> float:
     """Cancellation estimate of a determinant read from M: the largest entry
     of M (at least 1), which sets the integration error of the read, over
-    |value|."""
-    if value == 0.0:
-        return math.inf
-    return max(1.0, float(np.max(np.abs(m)))) / abs(value)
+    |value|; one per member for M of shape (2, 2, members)."""
+    with np.errstate(divide="ignore"):
+        return _scalar(np.maximum(1.0, np.abs(m).max(axis=(0, 1))) / np.abs(value))
+
+
+def _refuse_degenerate(m: np.ndarray, value, message: str) -> None:
+    """Refuse the first member whose condition estimate is >= 1/ENDPOINT_DEGENERACY_TOL."""
+    bad = np.flatnonzero(condition_estimate(m, value) >= 1.0 / ENDPOINT_DEGENERACY_TOL)
+    if bad.size:
+        raise DegenerateOperatorError(message.format(np.ravel(value)[bad[0]]))
 
 
 class GreenKernel:
@@ -71,6 +82,7 @@ class GreenKernel:
     branch chosen by side ("auto", "upper" for t > tp, "lower" for t < tp).
     Both take times or arrays of times that broadcast together (a grid is
     evaluate(ts[:, None], ts[None, :])) and return a float for scalar times.
+    A family basis (odesolve) is checked per member; values carry members last.
     """
 
     def __init__(self, basis: HomogeneousBasis, bc: str):
@@ -81,10 +93,8 @@ class GreenKernel:
         m = basis.m
 
         self.f_ab = det_from_transfer(m, BC_DIRICHLET)
-        if condition_estimate(m, self.f_ab) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
-            raise DegenerateOperatorError(
-                "Dirichlet endpoint determinant vanishes "
-                f"({self.f_ab:.3e}); the Green function does not exist")
+        _refuse_degenerate(m, self.f_ab, "Dirichlet endpoint determinant vanishes "
+                           "({:.3e}); the Green function does not exist")
 
         if bc == BC_DIRICHLET:
             self.sigma = 0.0
@@ -92,10 +102,8 @@ class GreenKernel:
         else:
             self.sigma = 1.0 if bc == BC_PERIODIC else -1.0
             self.delta = det_from_transfer(m, bc)
-            if condition_estimate(m, self.delta) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
-                raise DegenerateOperatorError(
-                    f"{bc} endpoint determinant vanishes ({self.delta:.3e}); "
-                    "the Green function does not exist")
+            _refuse_degenerate(m, self.delta, f"{bc} endpoint determinant vanishes "
+                               "({:.3e}); the Green function does not exist")
 
         self._validate_boundary_values()
 
@@ -106,25 +114,20 @@ class GreenKernel:
 
     def _anchored(self, *times) -> list:
         """[[l, r], [l', r']] at each of the given times or arrays of times,
-        with shape (2, 2) + its shape, from one evaluation of the basis."""
+        with shape (2, 2) + its shape + members, from one frame call."""
         arrays = [np.asarray(t, dtype=float) for t in times]
         flat = np.concatenate([a.ravel() for a in arrays])
         phi, s = self.basis.frame(flat)
         (l, dl), (s11, s12) = phi[:, 1], s[0]
         lr = np.array([[l, s12], [dl, -s11]])
         ends = np.cumsum([0] + [a.size for a in arrays])
-        return [lr[..., lo:hi].reshape((2, 2) + a.shape)
+        return [lr[:, :, lo:hi].reshape((2, 2) + a.shape + lr.shape[3:])
                 for a, lo, hi in zip(arrays, ends[:-1], ends[1:])]
 
     def _eval(self, t, tp, side: Optional[str] = None):
         """G(t, tp) for side None, else dG/dt on the branch side names, at
-        times t and tp that broadcast together; a float for scalar times.
-
-        The upper branch (t > tp) is l(tp) r(t), the lower one l(t) r(tp).
-        """
+        times t and tp that broadcast together; a float for scalar times."""
         at_t, at_tp = self._anchored(t) * 2 if tp is t else self._anchored(t, tp)
-        (l, r), (dl, dr) = at_t
-        (lp, rp), _ = at_tp
         if side is None:
             upper = np.greater(t, tp)
         elif side == "auto":
@@ -133,8 +136,16 @@ class GreenKernel:
             upper = side == "upper"
         else:
             raise ValueError(f"side must be 'auto', 'upper' or 'lower', got {side!r}")
-        if side is not None:
+        return self._assemble(at_t, at_tp, upper, side is not None)
+
+    def _assemble(self, at_t, at_tp, upper, slope: bool):
+        """G(t, tp), or dG/dt with slope, from the anchored solutions at t and
+        tp on the branch upper selects: l(tp) r(t) (t > tp) or l(t) r(tp)."""
+        (l, r), (dl, dr) = at_t
+        (lp, rp), _ = at_tp
+        if slope:
             l, r = dl, dr
+        upper = np.reshape(upper, np.shape(upper) + (1,) * np.ndim(self.f_ab))
         # divided before multiplying: l(t) r(t') alone overflows for strongly
         # growing bases on the branch np.where discards
         value = np.where(upper, (lp / self.f_ab) * r, (l / self.f_ab) * rp)
@@ -172,17 +183,19 @@ class GreenKernel:
         iv = self.basis.interval
         s = iv.t_a + np.array(_PROBE_FRACTIONS) * iv.span
         ends = np.array([[iv.t_a], [iv.t_b]])
-        at_ends = self._eval(ends, s)
+        lr_ends, lr_s = self._anchored(ends, s)
+        values = self._assemble(lr_ends, lr_s, ends > s, False)
         if self.bc == BC_DIRICHLET:
-            res = np.max(np.abs(at_ends), axis=0)
+            res = np.max(np.abs(values), axis=0)
         else:
-            slopes = self._eval(ends, s, "auto")
-            res = np.maximum(np.abs(at_ends[0] - self.sigma * at_ends[1]),
+            slopes = self._assemble(lr_ends, lr_s, ends > s, True)
+            res = np.maximum(np.abs(values[0] - self.sigma * values[1]),
                              np.abs(slopes[0] - self.sigma * slopes[1]))
+        diagonal = self._assemble(lr_s, lr_s, False, False)
+        jump = self._assemble(lr_s, lr_s, True, True) - self._assemble(lr_s, lr_s, False, True)
         # the unit slope jump fails once r has lost its digits, as it does
         # for growing bases whose frame has no suffix products (basis_from_pq)
-        worst = float(np.max(np.maximum(res / (1.0 + np.abs(self.diagonal(s))),
-                                        np.abs(self.slope_jump(s) + 1.0))))
+        worst = float(np.max(np.maximum(res / (1.0 + np.abs(diagonal)), np.abs(jump + 1.0))))
         if worst > BC_CHECK_TOL:
             raise VerificationError(
                 f"{self.bc} Green function violates its boundary or jump "
@@ -191,10 +204,11 @@ class GreenKernel:
 
 def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable) -> float:
     """Integral of weight(t) * G(t, t) over the interval, by the basis's
-    Gauss rule on the integrator's steps.  weight is called once, on the
-    array of Gauss nodes, as a profile's omega_sq is."""
+    Gauss rule on the integrator's steps (per member).  weight is called
+    once, on the array of Gauss nodes, as a profile's omega_sq is."""
     nodes, weights = kernel.basis.quadrature
-    return float(weights @ (weight(nodes) * kernel.diagonal(nodes)))
+    # .T puts a member axis first, where weight(nodes) broadcasts
+    return _scalar(weights @ (kernel.diagonal(nodes).T * weight(nodes)).T)
 
 
 def _pair(basis: HomogeneousBasis, row_t, row_tp):
@@ -215,9 +229,8 @@ def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
     """
     row_a, row_b = basis.y_a[0], basis.y_b[0]
     f_ab = float(_pair(basis, row_a, row_b))
-    if condition_estimate(basis.m, f_ab) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            "Dirichlet endpoint determinant vanishes; the trace is undefined")
+    _refuse_degenerate(basis.m, f_ab,
+                       "Dirichlet endpoint determinant vanishes; the trace is undefined")
     nodes, weights = basis.quadrature
     phi, s = basis.frame(nodes)
     integrand = (basis.profile.omega_sq(nodes)
@@ -241,7 +254,7 @@ def trace_omega_sq(kernel: GreenKernel, check: bool = False) -> float:
     return value
 
 
-def retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
+def _retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
     """Retarded kernel R(t, t') = step(t - t') * f(t, t').
 
     Solves the same inhomogeneous equation as the boundary kernels but with

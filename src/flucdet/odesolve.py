@@ -15,7 +15,10 @@ review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009) on n uniform
 steps.  Each step samples Omega^2 at three Gauss nodes, builds the Magnus
 exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
 M is the pairwise product of the n step matrices.  n starts from a work
-estimate and doubles until two levels agree to MAGNUS_REL_TARGET.
+estimate and doubles until two levels agree to MAGNUS_REL_TARGET.  The
+integrator solves an affine family Omega_j^2 = c0_j + c1_j Omega^2 at once,
+with the members along a trailing axis of every array and one Omega^2 sample
+per node for all of them; make_basis is its one-member case (0, g), scalar.
 
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
@@ -59,7 +62,8 @@ SHOOTING_TOL = 1e-8
 # bounds the error of M against closed forms (constant Omega^2, w T from
 # 0.01 to 1e5).  The first level has at least MAGNUS_STEPS_PER_RADIAN steps
 # per radian of w, never fewer than MAGNUS_MIN_STEPS; a level above
-# MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK steps at a time keep memory flat.
+# MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK steps x members per array keep
+# memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -182,20 +186,29 @@ def _scan(e, reverse: bool = False) -> np.ndarray:
         else:
             p[:, d:] = _mul(p[:, d:], p[:, :-d])
         d *= 2
-    one = np.array(_IDENTITY)[:, None]
-    return np.hstack([p, one] if reverse else [one, p])
+    one = np.broadcast_to(np.reshape(_IDENTITY, (4, 1) + (1,) * (p.ndim - 2)), p[:, :1].shape)
+    return np.concatenate([p, one] if reverse else [one, p], axis=1)
 
 
 class _MagnusGrid:
-    """n uniform Magnus steps of Y' = [[0, 1], [-g Omega^2, 0]] Y on an
-    interval: the transfer matrix and dense evaluation."""
+    """n uniform Magnus steps of Y' = [[0, 1], [-(c0 + c1 Omega^2), 0]] Y on
+    an interval: the transfer matrix and dense evaluation, for each member
+    (c0, c1) along a trailing axis, or without it for scalar c0 and c1."""
 
-    def __init__(self, omega_sq: Callable, g: float, iv: Interval, n: int):
+    def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
         self.omega_sq = omega_sq
-        self.g = g
+        self.c0, self.c1, self.members = c0, c1, np.shape(c1)
         self.iv = iv
         self.n = n
         self.h = iv.span / n
+
+    def sampled_max(self):
+        """Each member's largest |c0 + c1 Omega^2| on the Gauss nodes of the steps."""
+        return np.abs(self.sample(self.starts(0, self.n), self.h)).max(axis=(0, 1))
+
+    def select(self, members) -> "_MagnusGrid":
+        """The grid of some members; a single index drops the member axis."""
+        return _MagnusGrid(self.omega_sq, self.c0[members], self.c1[members], self.iv, self.n)
 
     def starts(self, lo: int, hi: int) -> np.ndarray:
         """The knots t_a + k h, k = lo..hi-1."""
@@ -211,27 +224,30 @@ class _MagnusGrid:
         return knots
 
     def sample(self, starts: np.ndarray, h) -> np.ndarray:
-        """-g Omega^2 at the three Gauss nodes of the steps of length h from
-        starts, in one array call, shape (3, m)."""
-        a = -self.g * np.asarray(self.omega_sq(starts + _MAGNUS_NODES * h), dtype=float)
+        """-(c0 + c1 Omega^2) at the three Gauss nodes of the steps of length h
+        from starts, from one array call, shape (3, m) + members."""
+        om = np.asarray(self.omega_sq(starts + _MAGNUS_NODES * h), dtype=float)
+        a = np.multiply.outer(om, -self.c1) - self.c0
         if not np.all(np.isfinite(a)):
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
 
     def _chunks(self):
-        """Step matrices, MAGNUS_CHUNK steps at a time, with the largest
-        sampled |g Omega^2| of each chunk."""
-        for lo in range(0, self.n, MAGNUS_CHUNK):
-            a = self.sample(self.starts(lo, min(self.n, lo + MAGNUS_CHUNK)), self.h)
-            yield _step_matrices(a, self.h), float(np.max(np.abs(a)))
+        """Step matrices, at most MAGNUS_CHUNK steps x members (a power of two
+        of steps) at a time, with each member's largest |c0 + c1 Omega^2|."""
+        chunk = 1 << max(0, (MAGNUS_CHUNK // math.prod(self.members)).bit_length() - 1)
+        for lo in range(0, self.n, chunk):
+            a = self.sample(self.starts(lo, min(self.n, lo + chunk)), self.h)
+            yield _step_matrices(a, self.h), np.abs(a).max(axis=(0, 1))
 
     def transfer(self):
-        """M = Phi(t_b, t_a) and the largest sampled |g Omega^2|."""
+        """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
+        largest sampled |c0 + c1 Omega^2|."""
         acc, a_max = _IDENTITY, 0.0
         for e, a_chunk in self._chunks():
             acc = _mul(_reduce(e), acc)
-            a_max = max(a_max, a_chunk)
-        return np.array(acc).reshape(2, 2), a_max
+            a_max = np.maximum(a_max, a_chunk)
+        return np.array(acc).reshape((2, 2) + self.members), a_max
 
     @cached_property
     def _products(self):
@@ -243,69 +259,82 @@ class _MagnusGrid:
     def frame(self, t) -> tuple:
         """(Phi(t, t_a), Phi(t_b, t)) = (E Phi(t_k, t_a), Phi(t_b, t_k) E^{-1}),
         where t_k is the knot before t and E the Magnus step from t_k to t,
-        whose inverse is its adjugate; each of shape (2, 2) + t.shape."""
+        whose inverse is its adjugate; each of shape (2, 2) + t.shape +
+        members."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         k = np.clip(np.floor((flat - self.iv.t_a) / self.h), 0, self.n).astype(np.intp)
         tau = flat - self.knots[k]
-        e11, e12, e21, e22 = e = _step_matrices(self.sample(self.knots[k], tau), tau)
+        h = tau.reshape((-1,) + (1,) * len(self.members))
+        e11, e12, e21, e22 = e = _step_matrices(self.sample(self.knots[k], tau), h)
         pre, suf = self._products
-        shape = (2, 2) + t.shape
+        shape = (2, 2) + t.shape + self.members
         return (np.array(_mul(e, pre[:, k])).reshape(shape),
                 np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
 
 
-def _work_estimate(a_max: float, iv: Interval) -> float:
-    """Steps for MAGNUS_STEPS_PER_RADIAN per radian of the largest sampled
-    frequency; above MAGNUS_MAX_STEPS the integration is refused."""
-    estimate = MAGNUS_STEPS_PER_RADIAN * math.sqrt(a_max) * iv.span
-    if estimate > MAGNUS_MAX_STEPS:
+def _work_estimate(a_max: np.ndarray, iv: Interval) -> np.ndarray:
+    """Steps for MAGNUS_STEPS_PER_RADIAN per radian of each member's largest
+    sampled frequency; above MAGNUS_MAX_STEPS the integration is refused."""
+    estimate = MAGNUS_STEPS_PER_RADIAN * np.sqrt(a_max) * iv.span
+    over = estimate[estimate > MAGNUS_MAX_STEPS]
+    if over.size:
         raise IntegrationError(
-            f"work estimate of {estimate:.4g} Magnus steps "
+            f"work estimate of {over[0]:.4g} Magnus steps "
             f"(MAGNUS_STEPS_PER_RADIAN = {MAGNUS_STEPS_PER_RADIAN} per radian "
             f"of max|g Omega^2|^(1/2) over T = {iv.span}) exceeds "
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
     return estimate
 
 
-def _magnus(profile: FrequencyProfile, g: float):
-    """The Magnus grid, M and the error estimate of M's entries, by step
-    doubling from the work estimate."""
-    iv, om = profile.interval, profile.omega_sq
-    coarse = _MagnusGrid(om, g, iv, MAGNUS_MIN_STEPS)
-    a_max = float(np.max(np.abs(coarse.sample(coarse.starts(0, coarse.n), coarse.h))))
+def _magnus(om: Callable, c0, c1, iv: Interval):
+    """The Magnus grid, M and the error estimates of M's entries of members
+    (c0, c1), doubling from the work estimate until all meet MAGNUS_REL_TARGET."""
+    a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
     n, error = MAGNUS_MIN_STEPS, math.inf
     with np.errstate(over="raise", invalid="raise"):
         try:
             # a finer level can sample a larger |Omega^2|, so the estimate
             # is checked again on every level it sets
-            estimate, m = _work_estimate(a_max, iv), None
+            estimate, m = _work_estimate(a_max, iv).max(), None
             while m is None or n < estimate:
                 if estimate > n:
                     n = 1 << math.ceil(math.log2(estimate))
-                m, a_max = _MagnusGrid(om, g, iv, n).transfer()
-                estimate = _work_estimate(a_max, iv)
+                m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer()
+                estimate = _work_estimate(a_max, iv).max()
             while True:
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
                         f"Magnus step doubling needs more than MAGNUS_MAX_STEPS = "
                         f"{MAGNUS_MAX_STEPS} steps to meet MAGNUS_REL_TARGET = "
-                        f"{MAGNUS_REL_TARGET} (error estimate {error:.3e} at {n} "
-                        f"steps; work estimate {estimate:.4g} steps)")
+                        f"{MAGNUS_REL_TARGET} (error estimate {np.max(error):.3e} at "
+                        f"{n} steps; work estimate {estimate:.4g} steps)")
                 n *= 2
-                grid = _MagnusGrid(om, g, iv, n)
+                grid = _MagnusGrid(om, c0, c1, iv, n)
                 fine, _ = grid.transfer()
-                error = float(np.max(np.abs(fine - m))) / 63.0
+                error = np.abs(fine - m).max(axis=(0, 1)) / 63.0
                 m = fine
-                scale = float(np.max(np.abs(m)))
-                if error <= max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale:
-                    w, span = math.sqrt(a_max), iv.span
-                    envelope = max(scale, w, span / max(1.0, w * span))
-                    return grid, m, max(error, 2.0 * n * _EPS * envelope)
+                scale = np.abs(m).max(axis=(0, 1))
+                if (error <= max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale).all():
+                    w, span = np.sqrt(a_max), iv.span
+                    envelope = np.maximum(np.maximum(scale, w), span / np.maximum(1.0, w * span))
+                    return grid, m, np.maximum(error, 2.0 * n * _EPS * envelope)
         except FloatingPointError:
             raise IntegrationError(
                 f"the fundamental matrix overflows on [{iv.t_a}, {iv.t_b}] "
                 f"at {n} Magnus steps") from None
+
+
+def _family(profile: FrequencyProfile, c0, c1) -> list:
+    """The members Omega_j^2 = c0_j + c1_j Omega^2 in groups whose work
+    estimates on one coarse sampling round up to the same power of two, each
+    doubled on its own: a list of (member indices, grid, M, error)."""
+    iv, om = profile.interval, profile.omega_sq
+    c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
+    a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
+    level = np.ceil(np.log2(np.maximum(_work_estimate(a_max, iv), MAGNUS_MIN_STEPS)))
+    return [(members, *_magnus(om, c0[members], c1[members], iv))
+            for members in (np.flatnonzero(level == e) for e in np.unique(level))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,12 +342,11 @@ class HomogeneousBasis:
     """A solution basis: its endpoint matrices Y_a, Y_b and its frame.
 
     frame(t) takes a time or a 1-D array of times and returns (Phi(t, t_a),
-    Phi(t_b, t)), each of shape (2, 2) or (2, 2, n) and the same for every
-    basis.  Column j of Y(t) = Phi(t, t_a) Y_a holds solution j: row 0 its
-    value, row 1 its slope.  knots are the integrator's step times from t_a
-    to t_b, each step at most 1/MAGNUS_STEPS_PER_RADIAN radian of the
-    solutions' phase; error_estimate is the integrator's estimate of the
-    largest error in an entry of M, if it has one.
+    Phi(t_b, t)), each of shape (2, 2) + t.shape (+ members, for a family).
+    Column j of Y(t) = Phi(t, t_a) Y_a holds solution j: row 0 its value,
+    row 1 its slope.  knots are the integrator's step times from t_a to t_b,
+    each step at most 1/MAGNUS_STEPS_PER_RADIAN radian of the solutions'
+    phase; error_estimate is the integrator's error estimate of M, if any.
     """
 
     frame: Callable[[object], tuple]
@@ -341,7 +369,7 @@ class HomogeneousBasis:
     @cached_property
     def m(self) -> np.ndarray:
         """Transfer matrix M = Y_b adj(Y_a) / W."""
-        return self.y_b @ _adjugate(self.y_a) / self.w
+        return np.matmul(self.y_b, _adjugate(self.y_a), axes=[(0, 1)] * 3) / self.w
 
     def y(self, t) -> np.ndarray:
         """Y(t) = Phi(t) Y_a."""
@@ -350,10 +378,6 @@ class HomogeneousBasis:
     def phi(self, t) -> np.ndarray:
         """Phi(t) = Phi(t, t_a), the fundamental matrix equal to I at t_a."""
         return self.frame(t)[0]
-
-    def to_end(self, t) -> np.ndarray:
-        """S(t) = Phi(t_b, t), the fundamental matrix equal to I at t_b."""
-        return self.frame(t)[1]
 
     @cached_property
     def quadrature(self) -> tuple:
@@ -376,9 +400,15 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     gg = float(g)
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
-    grid, m, error = _magnus(profile, gg)
+    grid, m, error = _magnus(profile.omega_sq, 0.0, gg, profile.interval)
+    return _canonical(profile, grid, m, float(error))
+
+
+def _canonical(profile: FrequencyProfile, grid: _MagnusGrid, m, error) -> HomogeneousBasis:
+    """The canonical basis on a grid whose transfer matrices are m."""
     return HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval),
-                            y_a=_CANONICAL_Y_A, y_b=m @ _CANONICAL_Y_A,
+                            y_a=_CANONICAL_Y_A,
+                            y_b=np.matmul(m, _CANONICAL_Y_A, axes=[(0, 1)] * 3),
                             profile=profile, knots=grid.knots, error_estimate=error)
 
 
@@ -427,9 +457,9 @@ class ErmakovSolution:
 
 def _integrate_ermakov(profile, omega0, start):
     """DOP853 solution of (p, p', q) from start = (p_a, p'_a, 0) or, with
-    seven components, also of the fundamental matrix Phi_dp of the
-    variational equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q
-    from start[3:] = (1, 0, 0, 1)."""
+    seven components, also of a fundamental matrix of the variational
+    equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q from
+    start[3:]."""
     iv = profile.interval
     om = profile.omega_sq
     w0 = float(omega0)
@@ -463,10 +493,13 @@ def _integrate_ermakov(profile, omega0, start):
 
 def _shoot(profile, omega0, z):
     """One shooting solve from (p_a, p'_a) = z: the dense solution, the
-    residual r(z) = (p, p')(t_b) - z and its exact Jacobian Phi_dp(t_b) - I."""
-    sol = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0], np.eye(2).ravel()]))
+    residual r(z) = (p, p')(t_b) - z and its Jacobian Phi_dp(t_b) - I.  Phi_dp
+    starts from scale * I: it is linear, so only DOP853's error weights see
+    the scale, and its 2 omega oscillation no longer sets the step."""
+    scale = 1e-4
+    sol = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0, scale, 0.0, 0.0, scale]]))
     end = sol(profile.interval.t_b)
-    return sol, end[:2] - z, end[3:].reshape(2, 2) - np.eye(2)
+    return sol, end[:2] - z, end[3:].reshape(2, 2) / scale - np.eye(2)
 
 
 def solve_ermakov(profile: FrequencyProfile, omega0: float,

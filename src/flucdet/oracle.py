@@ -10,7 +10,8 @@ with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
 without computing a spectrum.  Ratios of same-size matrices are formed so
 that mesh factors cancel, then multiplied by the reference operator's
 continuum value.  The flow oracle integrates the Green-function trace along a
-family of operators connecting the reference to the target and exponentiates.
+family of operators connecting the reference to the target and exponentiates;
+the family is one batched Magnus family per step-count group.
 
 Scaled convention: matrices are stored as h^2 * A, i.e. tridiagonal entries
 (-1, 2 - h^2 g Omega^2(t_i), -1), with corner entries -+1 for the wrapped
@@ -29,7 +30,7 @@ from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
                     GreenKernel, det_from_transfer, trace_weighted_diagonal)
-from .odesolve import make_basis
+from .odesolve import GAUSS_NODES_PER_STEP, MAGNUS_CHUNK, _canonical, _family
 from .profiles import FrequencyProfile
 
 # Zero-mode windows of the lattice, relative to the Gershgorin bound of the
@@ -260,25 +261,6 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
 # coupling-flow oracle
 
 
-def _flow_profile(profile: FrequencyProfile, omega0_ref: float,
-                  s: float) -> FrequencyProfile:
-    base = profile.omega_sq
-    w0sq = omega0_ref * omega0_ref
-
-    def omega_sq(t, _s=float(s)):
-        return w0sq + _s * (base(t) - w0sq)
-
-    return FrequencyProfile(omega_sq=omega_sq, interval=profile.interval,
-                            description=f"flow interpolant s={s!r}")
-
-
-def _flow_endpoint_det(profile_s: FrequencyProfile, bc: str):
-    basis = make_basis(profile_s, g=1.0)
-    det = det_from_transfer(basis.m, bc)
-    measure = abs(det) / basis.interval.span if bc == BC_DIRICHLET else abs(det)
-    return basis, det, measure
-
-
 def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
                 g_steps: int = 32) -> float:
     """Determinant ratio from the exponentiated Green-function trace.
@@ -289,11 +271,12 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     exp(-integral_0^1 ds Tr[(Omega^2 - omega0_ref^2) G_s]).  The integral is
     taken in u = sqrt(s), with g_steps Gauss-Legendre nodes u_i on [0, 1]:
     s = u_i^2 with weights 2 u_i w_i, which absorbs the 1/sqrt(s) growth of
-    a hyperbolic integrand near s = 0.  The flow must stay clear of zero
-    modes: endpoint determinants are monitored at every node, a sign change
-    between nodes is located and reported as a crossing, and the lattice
-    Sturm counts of the reference and the target, which differ by the number
-    of eigenvalues the flow takes through zero, must agree.
+    a hyperbolic integrand near s = 0.  V_s is affine in s, so the nodes and
+    ends are one Magnus family, read by GreenKernels.  The flow must stay
+    clear of zero modes: endpoint determinants are monitored at every node, a
+    sign change between nodes is located and reported as a crossing, and the
+    lattice Sturm counts of the reference and the target, which differ by the
+    number of eigenvalues the flow takes through zero, must agree.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
@@ -303,39 +286,38 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
 
     xs, ws = np.polynomial.legendre.leggauss(int(g_steps))
     u = 0.5 * (xs + 1.0)
-    s_nodes, s_weights = u * u, u * ws
-
-    base = profile.omega_sq
+    s_probe = np.concatenate([[0.0], u * u, [1.0]])
     w0sq = omega0_ref * omega0_ref
 
     def det_at(s: float) -> float:
-        _, det, _ = _flow_endpoint_det(_flow_profile(profile, omega0_ref, s), bc)
-        return det
+        ((_, _, m, _),) = _family(profile, [w0sq * (1.0 - s)], [s])
+        return det_from_transfer(m[..., 0], bc)
 
-    bases = []
-    dets = []
-    s_probe = [0.0, *s_nodes.tolist(), 1.0]
-    for s in s_probe:
-        basis, det, measure = _flow_endpoint_det(
-            _flow_profile(profile, omega0_ref, s), bc)
-        if measure < FLOW_DEGENERACY_TOL:
-            raise DegenerateOperatorError(
-                f"coupling flow is degenerate at g' = {s:.6f} "
-                f"(endpoint determinant measure {measure:.3e})")
-        bases.append(basis)
-        dets.append(det)
-    for i in range(len(s_probe) - 1):
-        if dets[i] * dets[i + 1] < 0.0:
-            from scipy.optimize import brentq  # imported on first use
+    groups = _family(profile, w0sq * (1.0 - s_probe), s_probe)
+    dets = np.empty(s_probe.size)
+    for members, _, m, _ in groups:
+        dets[members] = det_from_transfer(m, bc)
+    measure = np.abs(dets) / span if bc == BC_DIRICHLET else np.abs(dets)
+    i = int(np.argmax(measure < FLOW_DEGENERACY_TOL))
+    if measure[i] < FLOW_DEGENERACY_TOL:
+        raise DegenerateOperatorError(
+            f"coupling flow is degenerate at g' = {s_probe[i]:.6f} "
+            f"(endpoint determinant measure {measure[i]:.3e})")
+    # signs, not products: the product of two determinants can overflow
+    flips = np.sign(dets[:-1]) != np.sign(dets[1:])
+    if flips.any():
+        from scipy.optimize import brentq  # imported on first use
 
-            crossing = brentq(det_at, s_probe[i], s_probe[i + 1], xtol=1e-8)
-            raise DegenerateOperatorError(
-                "coupling flow crosses a zero mode at g' ≈ "
-                f"{crossing:.6f}; the trace integrand diverges there")
+        i = int(np.argmax(flips))
+        crossing = brentq(det_at, s_probe[i], s_probe[i + 1], xtol=1e-8)
+        raise DegenerateOperatorError(
+            "coupling flow crosses a zero mode at g' ≈ "
+            f"{crossing:.6f}; the trace integrand diverges there")
     # An even number of crossings keeps the sign.  The lattice mesh is the
-    # Magnus step count of the end bases: at least two points per radian of
-    # sqrt(max|V_s|) T.
-    n = max(len(bases[0].knots), len(bases[-1].knots)) - 1
+    # Magnus step count of the end members: at least two points per radian
+    # of sqrt(max|V_s|) T.
+    n = max(grid.n for members, grid, _, _ in groups
+            if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = _sweep(_reference_lattice(bc, n, span, omega0_ref))[2]
     below = _sweep(build_lattice(profile, bc, n))[2]
     if below != below_ref:
@@ -344,10 +326,16 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             f"counts {below_ref} negative eigenvalues at the reference and "
             f"{below} at the target; the trace integrand diverges there")
 
-    integral = 0.0
-    for w, basis in zip(s_weights, bases[1:-1]):
-        kernel = GreenKernel(basis, bc)
-        integral += w * trace_weighted_diagonal(kernel, lambda t: base(t) - w0sq)
+    traces = np.empty(int(g_steps))
+    for members, grid, m, error in groups:
+        # members x Gauss nodes within MAGNUS_CHUNK per array of the kernel
+        inner = np.flatnonzero((members > 0) & (members <= traces.size))
+        per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
+        for chunk in np.split(inner, range(per, inner.size, per)):
+            basis = _canonical(profile, grid.select(chunk), m[..., chunk], error[chunk])
+            traces[members[chunk] - 1] = trace_weighted_diagonal(
+                GreenKernel(basis, bc), lambda t: profile.omega_sq(t) - w0sq)
+    integral = float((u * ws) @ traces)
     if -integral > _LOG_FLOAT_MAX:
         raise IntegrationError(
             f"coupling-flow ratio exp({-integral:.6g}) exceeds the float range")

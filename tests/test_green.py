@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import flucdet as fd
+from flucdet import odesolve
 from flucdet.green import (
     BC_ANTIPERIODIC,
     BC_DIRICHLET,
     BC_PERIODIC,
     GreenKernel,
     det_from_transfer,
+    _retarded_green,
     dirichlet_trace_direct,
-    retarded_green,
     trace_omega_sq,
     trace_weighted_diagonal,
 )
@@ -39,7 +40,7 @@ def apply_kernel(kernel, source, t, interval):
 class TestPairFunction:
     def test_constant_two_point_values(self, const2_profile):
         # f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W, the retarded kernel for t > t'
-        ret = retarded_green(make_basis(const2_profile))
+        ret = _retarded_green(make_basis(const2_profile))
         for t, tp in ((0.8, 0.1), (0.6, 0.2)):
             assert ret(t, tp) == pytest.approx(
                 math.sin(2.0 * (tp - t)) / 2.0, abs=1e-11)
@@ -319,16 +320,58 @@ class TestTraceClosedForms:
         assert self.trace(-k * k, bc) == pytest.approx(closed(x), rel=1e-9)
 
 
+class TestFamilyKernel:
+    """GreenKernel and trace_weighted_diagonal on a basis with a trailing
+    member axis, as the coupling flow builds them."""
+
+    S = np.array([0.2, 0.6, 1.0])
+
+    def family(self, profile, c0, c1):
+        ((members, grid, m, error),) = odesolve._family(profile, c0, c1)
+        return grid, m, error
+
+    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    def test_per_member_values(self, modulated_profile, bc):
+        """Every value and trace of the family kernel is that member's own
+        kernel's, and its checks pass per member."""
+        grid, m, error = self.family(modulated_profile, 1.0 - self.S, self.S)
+        kernel = GreenKernel(odesolve._canonical(modulated_profile, grid, m, error), bc)
+        ts = modulated_profile.interval.grid(9)
+        table = kernel.evaluate(ts[:, None], ts[None, :])
+        slopes = kernel.evaluate_dt(ts[:, None], ts[None, :])
+        traces = trace_weighted_diagonal(kernel, modulated_profile.omega_sq)
+        assert table.shape == slopes.shape == (9, 9, self.S.size)
+        assert traces.shape == (self.S.size,)
+        for j in range(self.S.size):
+            alone = GreenKernel(odesolve._canonical(modulated_profile, grid.select(j),
+                                                    m[..., j], float(error[j])), bc)
+            assert np.array_equal(table[..., j], alone.evaluate(ts[:, None], ts[None, :]))
+            assert np.array_equal(slopes[..., j], alone.evaluate_dt(ts[:, None], ts[None, :]))
+            assert traces[j] == pytest.approx(
+                trace_weighted_diagonal(alone, modulated_profile.omega_sq), rel=1e-14)
+
+    def test_degenerate_member_refused(self):
+        """Omega^2 = 1 on [0, pi] is a focal interval: the member s = 1 is
+        refused by name, though the member s = 1/2 is regular."""
+        profile = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))
+        grid, m, error = self.family(profile, [0.0, 0.0], [0.5, 1.0])
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match="Dirichlet endpoint determinant vanishes"):
+            GreenKernel(odesolve._canonical(profile, grid, m, error), BC_DIRICHLET)
+        GreenKernel(odesolve._canonical(profile, grid.select(0), m[..., 0], float(error[0])),
+                    BC_DIRICHLET)
+
+
 class TestRetarded:
     def test_causal_support(self, const_profile):
         basis = make_basis(const_profile)
-        ret = retarded_green(basis)
+        ret = _retarded_green(basis)
         assert ret(0.3, 0.8) == 0.0
         assert ret(0.5, 0.5) == 0.0
         assert ret(0.8, 0.3) == pytest.approx(math.sin(0.3 - 0.8), abs=1e-11)
 
     def test_free_values(self, free_profile):
-        ret = retarded_green(make_basis(free_profile))
+        ret = _retarded_green(make_basis(free_profile))
         assert ret(0.9, 0.4) == pytest.approx(-0.5, abs=1e-12)
 
 

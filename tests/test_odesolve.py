@@ -168,7 +168,7 @@ class TestMagnus:
         # S(t) = Phi(t_b, t), from the suffix products
         exact_back = constant_transfer(omega_sq, self.T_A + self.SPAN - ts)
         scale = np.max(np.abs(exact_back), axis=(0, 1))
-        assert np.all(np.abs(basis.to_end(ts) - exact_back) <= 1e-12 * scale)
+        assert np.all(np.abs(basis.frame(ts)[1] - exact_back) <= 1e-12 * scale)
 
     def test_sixth_order(self):
         """Halving the step divides the error of M by 2^6 on a varying
@@ -177,7 +177,7 @@ class TestMagnus:
         profile = fd.make_modulated_profile(1.0, 0.5, 3.0, fd.Interval(-1.0, 2.0))
         exact = make_basis(profile).m
         errors = [np.max(np.abs(odesolve._MagnusGrid(
-            profile.omega_sq, 1.0, profile.interval, n).transfer()[0] - exact))
+            profile.omega_sq, 0.0, 1.0, profile.interval, n).transfer()[0] - exact))
             for n in (8, 16, 32, 64)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 56.0 <= coarse / fine <= 72.0
@@ -218,6 +218,57 @@ class TestMagnus:
         assert "error estimate" in str(info.value)
 
 
+class TestFamily:
+    """The members V_j = c0_j + c1_j Omega^2 of an affine family, solved
+    together by odesolve._family."""
+
+    @pytest.mark.parametrize("name", ["const_profile", "modulated_profile",
+                                      "seam_profile", "shifted_profile"])
+    def test_make_basis_is_the_one_member_case(self, name, request):
+        """make_basis is the one-member family (c0, c1) = (0, g) bit for bit,
+        and the frame with a member axis changes no bit of its frame."""
+        profile = request.getfixturevalue(name)
+        ts = np.linspace(profile.interval.t_a, profile.interval.t_b, 23)
+        for g in (1.0, -0.6):
+            basis = make_basis(profile, g)
+            ((members, grid, m, error),) = odesolve._family(profile, [0.0], [g])
+            assert members.tolist() == [0]
+            assert np.array_equal(basis.m, m[..., 0])
+            assert np.array_equal(basis.knots, grid.knots)
+            assert basis.error_estimate == error[0]
+            for alone, family in zip(basis.frame(ts), grid.select(members).frame(ts)):
+                assert family.shape == alone.shape + (1,)
+                assert np.array_equal(alone, family[..., 0])
+
+    def test_member_matches_its_own_basis(self, modulated_profile):
+        """Each member of the coupling-flow family V_s = w^2 + s (Omega^2 -
+        w^2) has the M that make_basis gives the profile V_s."""
+        w0sq, s = 1.1 ** 2, np.array([0.05, 0.5, 0.95])
+        groups = odesolve._family(modulated_profile, w0sq * (1.0 - s), s)
+        assert sorted(np.concatenate([g[0] for g in groups]).tolist()) == [0, 1, 2]
+        for members, _, m, _ in groups:
+            for j, i in enumerate(members.tolist()):
+                v_s = fd.FrequencyProfile(
+                    omega_sq=lambda t, si=s[i]: w0sq + si * (modulated_profile.omega_sq(t) - w0sq),
+                    interval=modulated_profile.interval)
+                alone = make_basis(v_s).m
+                assert np.max(np.abs(m[..., j] - alone)) <= 1e-13 * np.max(np.abs(alone))
+
+    def test_groups_by_first_level(self):
+        """Members whose work estimates round up to different powers of two
+        double on their own: a one-member group is make_basis at that
+        coupling, bit for bit."""
+        profile = fd.make_constant_profile(1.0, fd.Interval(0.0, 10.0))
+        g = np.array([400.0, 1.0, 1e4])
+        groups = odesolve._family(profile, np.zeros(3), g)
+        assert [members.tolist() for members, *_ in groups] == [[1], [0], [2]]
+        for members, grid, m, error in groups:
+            alone = make_basis(profile, g[members[0]])
+            assert len(alone.knots) == grid.n + 1
+            assert np.array_equal(alone.m, m[..., 0])
+            assert alone.error_estimate == error[0]
+
+
 class TestMixing:
     def test_endpoint_data_transforms(self, modulated_profile, rng):
         b = make_basis(modulated_profile)
@@ -243,7 +294,7 @@ class TestMixing:
         mixed = mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
         ts = modulated_profile.interval.grid(41)
         assert np.array_equal(mixed.phi(ts), b.phi(ts))
-        assert np.array_equal(mixed.to_end(ts), b.to_end(ts))
+        assert np.array_equal(mixed.frame(ts)[1], b.frame(ts)[1])
 
 
 @pytest.mark.parametrize("kind", ["magnus", "mixed", "pq"])
@@ -258,7 +309,7 @@ def test_frame_composes_to_transfer_matrix(modulated_profile, kind):
             basis = mix_basis(basis, ((2.0, 1.0), (0.5, -1.0)))
     ts = modulated_profile.interval.grid(41)
     m = basis.m
-    composed = np.einsum("ijn,jkn->ikn", basis.to_end(ts), basis.phi(ts))
+    composed = np.einsum("ijn,jkn->ikn", basis.frame(ts)[1], basis.phi(ts))
     assert np.max(np.abs(composed - m[:, :, None])) <= 1e-12 * max(1.0, np.max(np.abs(m)))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flucdet as fd
-from flucdet import cli
+from flucdet import cli, odesolve, oracle
 from flucdet.determinants import det_dirichlet, det_periodic, determinant
 from flucdet.odesolve import make_basis
 from flucdet.oracle import (
@@ -399,6 +399,31 @@ class TestCouplingFlow:
         expected = determinant(modulated_profile, bc=bc, omega0=1.0).ratio
         ratio = gflow_ratio(modulated_profile, bc, omega0=1.0)
         assert ratio == pytest.approx(expected, rel=1e-5)
+
+    def test_one_family_samples_omega_sq(self, modulated_profile):
+        """The flow solves its nodes and ends as one Magnus family, so it
+        samples Omega^2 once per level and kernel chunk of the family, in
+        fewer calls than the g_steps + 2 bases it needs (one make_basis each
+        made at least three)."""
+        calls = []
+
+        def omega_sq(t):
+            calls.append(np.size(t))
+            return modulated_profile.omega_sq(t)
+
+        counted = fd.FrequencyProfile(omega_sq=omega_sq, interval=modulated_profile.interval)
+        assert gflow_ratio(counted, "dirichlet", g_steps=32) == gflow_ratio(
+            modulated_profile, "dirichlet", g_steps=32)
+        assert len(calls) < 32 + 2
+
+    def test_chunks_change_only_rounding(self, modulated_profile, monkeypatch):
+        """At MAGNUS_CHUNK = 64 the family multiplies one step per array and
+        builds one kernel per member; the flow changes only in rounding."""
+        whole = gflow_ratio(modulated_profile, "periodic", omega0=1.0)
+        monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
+        monkeypatch.setattr(oracle, "MAGNUS_CHUNK", 64)
+        assert gflow_ratio(modulated_profile, "periodic", omega0=1.0) == pytest.approx(
+            whole, rel=1e-13)
 
     def test_crossing_detected_and_located(self):
         profile = fd.make_constant_profile(1.0, fd.Interval(0.0, 4.0))

@@ -8,9 +8,10 @@ import pytest
 
 import flucdet as fd
 from flucdet.determinants import van_vleck_check
+from flucdet import odesolve
 from flucdet.green import GreenKernel, trace_omega_sq
 from flucdet.odesolve import make_basis
-from flucdet.oracle import _flow_profile, gflow_ratio, lattice_ratio
+from flucdet.oracle import gflow_ratio, lattice_ratio
 from flucdet.profiles import (
     SyntheticZeroModeSpec,
     builtin_zero_mode_spec,
@@ -226,7 +227,20 @@ class TestArrayContract:
     def test_shifted_and_flow_profiles(self, modulated_profile):
         iv = modulated_profile.interval
         assert_array_contract(shifted_profile(modulated_profile, -0.7).omega_sq, iv)
-        assert_array_contract(_flow_profile(modulated_profile, 1.3, 0.4).omega_sq, iv)
+        # the coupling flow samples V_s = 1.3^2 + s (Omega^2 - 1.3^2) as the
+        # members (c0, c1) = (1.3^2 (1 - s), s) of one array call: each
+        # member's slice is that member sampled alone, and the value is V_s
+        s = np.array([0.0, 0.4, 1.0])
+        grid = odesolve._MagnusGrid(modulated_profile.omega_sq, 1.69 * (1.0 - s), s, iv, 16)
+        starts = grid.starts(0, grid.n)
+        samples = grid.sample(starts, grid.h)
+        assert samples.shape == (3, grid.n, s.size)
+        for j in range(s.size):
+            assert np.array_equal(samples[..., j], grid.select(j).sample(starts, grid.h))
+        ts = starts + odesolve._MAGNUS_NODES * grid.h
+        np.testing.assert_allclose(
+            -samples[..., 1], 1.69 + 0.4 * (modulated_profile.omega_sq(ts) - 1.69),
+            rtol=1e-15, atol=0.0)
 
     def test_scalar_only_callable_everywhere(self):
         # math.sin refuses arrays, so every array sample goes through the lift
