@@ -273,14 +273,13 @@ class _MagnusGrid:
                 np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
 
 
-def _work_estimate(a_max: np.ndarray, iv: Interval) -> np.ndarray:
-    """Steps for MAGNUS_STEPS_PER_RADIAN per radian of each member's largest
-    sampled frequency; above MAGNUS_MAX_STEPS the integration is refused."""
-    estimate = MAGNUS_STEPS_PER_RADIAN * np.sqrt(a_max) * iv.span
-    over = estimate[estimate > MAGNUS_MAX_STEPS]
-    if over.size:
+def _work_estimate(a_max: float, iv: Interval) -> float:
+    """Steps for MAGNUS_STEPS_PER_RADIAN per radian of the largest sampled
+    frequency; above MAGNUS_MAX_STEPS the integration is refused."""
+    estimate = MAGNUS_STEPS_PER_RADIAN * math.sqrt(a_max) * iv.span
+    if estimate > MAGNUS_MAX_STEPS:
         raise IntegrationError(
-            f"work estimate of {over[0]:.4g} Magnus steps "
+            f"work estimate of {estimate:.4g} Magnus steps "
             f"(MAGNUS_STEPS_PER_RADIAN = {MAGNUS_STEPS_PER_RADIAN} per radian "
             f"of max|g Omega^2|^(1/2) over T = {iv.span}) exceeds "
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
@@ -296,12 +295,12 @@ def _magnus(om: Callable, c0, c1, iv: Interval):
         try:
             # a finer level can sample a larger |Omega^2|, so the estimate
             # is checked again on every level it sets
-            estimate, m = _work_estimate(a_max, iv).max(), None
+            estimate, m = _work_estimate(float(a_max.max()), iv), None
             while m is None or n < estimate:
                 if estimate > n:
                     n = 1 << math.ceil(math.log2(estimate))
                 m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer()
-                estimate = _work_estimate(a_max, iv).max()
+                estimate = _work_estimate(float(a_max.max()), iv)
             while True:
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
@@ -332,7 +331,8 @@ def _family(profile: FrequencyProfile, c0, c1) -> list:
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
-    level = np.ceil(np.log2(np.maximum(_work_estimate(a_max, iv), MAGNUS_MIN_STEPS)))
+    level = np.ceil(np.log2(np.maximum([_work_estimate(a, iv) for a in a_max.tolist()],
+                                       MAGNUS_MIN_STEPS)))
     return [(members, *_magnus(om, c0[members], c1[members], iv))
             for members in (np.flatnonzero(level == e) for e in np.unique(level))]
 
