@@ -15,10 +15,9 @@ review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009) on n uniform
 steps.  Each step samples Omega^2 at three Gauss nodes, builds the Magnus
 exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
 M is the pairwise product of the n step matrices.  n starts from a work
-estimate and doubles until two levels agree to MAGNUS_REL_TARGET.  The
-integrator solves an affine family Omega_j^2 = c0_j + c1_j Omega^2 at once,
-with the members along a trailing axis of every array and one Omega^2 sample
-per node for all of them; make_basis is its one-member case (0, g), scalar.
+estimate and doubles until two levels agree to MAGNUS_REL_TARGET.  It solves
+an affine family c0_j + c1_j Omega^2 at once (members on a trailing axis, one
+Omega^2 sample per node for all); make_basis is the one-member case (0, g).
 
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
@@ -197,7 +196,7 @@ class _MagnusGrid:
 
     def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
         self.omega_sq = omega_sq
-        self.c0, self.c1, self.members = c0, c1, np.shape(c1)
+        self.c0, self.c1, self.members = c0, c1, getattr(c1, "shape", ())
         self.iv = iv
         self.n = n
         self.h = iv.span / n
@@ -227,7 +226,8 @@ class _MagnusGrid:
         """-(c0 + c1 Omega^2) at the three Gauss nodes of the steps of length h
         from starts, from one array call, shape (3, m) + members."""
         om = np.asarray(self.omega_sq(starts + _MAGNUS_NODES * h), dtype=float)
-        a = np.multiply.outer(om, -self.c1) - self.c0
+        a = np.multiply.outer(om, -self.c1)
+        a -= self.c0
         if not np.all(np.isfinite(a)):
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
