@@ -43,7 +43,7 @@ _PROBE_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 def _scalar(x):
     """A float for a 0-d result, else the array of one value per member."""
-    return float(x) if np.ndim(x) == 0 else x
+    return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
 def det_from_transfer(m: np.ndarray, bc: str) -> float:

@@ -195,26 +195,16 @@ class _MagnusGrid:
     (c0, c1) along a trailing axis, or without it for scalar c0 and c1."""
 
     def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
-        self.omega_sq = omega_sq
+        self.omega_sq, self.iv, self.n, self.h = omega_sq, iv, n, iv.span / n
         self.c0, self.c1, self.members = c0, c1, getattr(c1, "shape", ())
-        self.iv = iv
-        self.n = n
-        self.h = iv.span / n
 
     def sampled_max(self):
         """Each member's largest |c0 + c1 Omega^2| on the Gauss nodes of the steps."""
         return np.abs(self.sample(self.starts(0, self.n), self.h)).max(axis=(0, 1))
 
-    def select(self, members) -> "_MagnusGrid":
-        """The grid of some members; a single index drops the member axis."""
-        return _MagnusGrid(self.omega_sq, self.c0[members], self.c1[members], self.iv, self.n)
-
     def starts(self, lo: int, hi: int) -> np.ndarray:
         """The knots t_a + k h, k = lo..hi-1."""
-        k = np.arange(lo, hi, dtype=float)
-        k *= self.h
-        k += self.iv.t_a
-        return k
+        return np.arange(lo, hi, dtype=float) * self.h + self.iv.t_a
 
     @cached_property
     def knots(self) -> np.ndarray:
@@ -226,8 +216,9 @@ class _MagnusGrid:
         """-(c0 + c1 Omega^2) at the three Gauss nodes of the steps of length h
         from starts, from one array call, shape (3, m) + members."""
         om = np.asarray(self.omega_sq(starts + _MAGNUS_NODES * h), dtype=float)
-        a = np.multiply.outer(om, -self.c1)
-        a -= self.c0
+        a = np.multiply.outer(om, -self.c1) if self.members else -self.c1 * om
+        if self.members or self.c0:  # make_basis has c0 = 0
+            a -= self.c0
         if not np.all(np.isfinite(a)):
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
@@ -243,10 +234,10 @@ class _MagnusGrid:
     def transfer(self):
         """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
         largest sampled |c0 + c1 Omega^2|."""
-        acc, a_max = _IDENTITY, 0.0
+        acc, a_max = _IDENTITY, None
         for e, a_chunk in self._chunks():
             acc = _mul(_reduce(e), acc)
-            a_max = np.maximum(a_max, a_chunk)
+            a_max = a_chunk if a_max is None else np.maximum(a_max, a_chunk)
         return np.array(acc).reshape((2, 2) + self.members), a_max
 
     @cached_property
@@ -273,9 +264,10 @@ class _MagnusGrid:
                 np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
 
 
-def _work_estimate(a_max: float, iv: Interval) -> float:
+def _work_estimate(a_max: float, iv: Interval) -> tuple:
     """Steps for MAGNUS_STEPS_PER_RADIAN per radian of the largest sampled
-    frequency; above MAGNUS_MAX_STEPS the integration is refused."""
+    frequency, and its level: the power of two of steps at or above it, at
+    least MAGNUS_MIN_STEPS.  Above MAGNUS_MAX_STEPS it is refused."""
     estimate = MAGNUS_STEPS_PER_RADIAN * math.sqrt(a_max) * iv.span
     if estimate > MAGNUS_MAX_STEPS:
         raise IntegrationError(
@@ -283,24 +275,21 @@ def _work_estimate(a_max: float, iv: Interval) -> float:
             f"(MAGNUS_STEPS_PER_RADIAN = {MAGNUS_STEPS_PER_RADIAN} per radian "
             f"of max|g Omega^2|^(1/2) over T = {iv.span}) exceeds "
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
-    return estimate
+    return estimate, 1 << math.ceil(math.log2(max(estimate, MAGNUS_MIN_STEPS)))
 
 
-def _magnus(om: Callable, c0, c1, iv: Interval):
+def _magnus(om: Callable, c0, c1, iv: Interval, n: int):
     """The Magnus grid, M and the error estimates of M's entries of members
-    (c0, c1), doubling from the work estimate until all meet MAGNUS_REL_TARGET."""
-    a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
-    n, error = MAGNUS_MIN_STEPS, math.inf
+    (c0, c1), doubling from level n until all meet MAGNUS_REL_TARGET."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             # a finer level can sample a larger |Omega^2|, so the estimate
             # is checked again on every level it sets
-            estimate, m = _work_estimate(float(a_max.max()), iv), None
+            estimate, level, m, error = n, n, None, math.inf
             while m is None or n < estimate:
-                if estimate > n:
-                    n = 1 << math.ceil(math.log2(estimate))
+                n = level
                 m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer()
-                estimate = _work_estimate(float(a_max.max()), iv)
+                estimate, level = _work_estimate(float(a_max.max()), iv)
             while True:
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
@@ -315,9 +304,11 @@ def _magnus(om: Callable, c0, c1, iv: Interval):
                 m = fine
                 scale = np.abs(m).max(axis=(0, 1))
                 if (error <= max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale).all():
-                    w, span = np.sqrt(a_max), iv.span
-                    envelope = np.maximum(np.maximum(scale, w), span / np.maximum(1.0, w * span))
-                    return grid, m, np.maximum(error, 2.0 * n * _EPS * envelope)
+                    # one member (make_basis) takes the scalar functions
+                    top, sqrt = (np.maximum, np.sqrt) if grid.members else (max, math.sqrt)
+                    w, span = sqrt(a_max), iv.span
+                    envelope = top(top(scale, w), span / top(1.0, w * span))
+                    return grid, m, top(error, 2.0 * n * _EPS * envelope)
         except FloatingPointError:
             raise IntegrationError(
                 f"the fundamental matrix overflows on [{iv.t_a}, {iv.t_b}] "
@@ -326,15 +317,26 @@ def _magnus(om: Callable, c0, c1, iv: Interval):
 
 def _family(profile: FrequencyProfile, c0, c1) -> list:
     """The members Omega_j^2 = c0_j + c1_j Omega^2 in groups whose work
-    estimates on one coarse sampling round up to the same power of two, each
-    doubled on its own: a list of (member indices, grid, M, error)."""
+    estimates on one coarse sampling have the same level, each doubled on its
+    own from there: a list of (member indices, grid, M, error)."""
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
-    level = np.ceil(np.log2(np.maximum([_work_estimate(a, iv) for a in a_max.tolist()],
-                                       MAGNUS_MIN_STEPS)))
-    return [(members, *_magnus(om, c0[members], c1[members], iv))
-            for members in (np.flatnonzero(level == e) for e in np.unique(level))]
+    level = np.array([_work_estimate(a, iv)[1] for a in a_max.tolist()])
+    return [(np.flatnonzero(level == n), *_magnus(om, c0[level == n], c1[level == n], iv, n))
+            for n in np.unique(level).tolist()]
+
+
+def _family_bases(profile: FrequencyProfile, group, keep: np.ndarray):
+    """(member indices, canonical basis) pairs of the members of a _family
+    group that keep, a mask over the family, selects: the bases hold at most
+    MAGNUS_CHUNK members x Gauss nodes each."""
+    members, grid, m, error = group
+    picked = np.flatnonzero(keep[members])
+    per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
+    for j in (picked[lo:lo + per] for lo in range(0, picked.size, per)):
+        part = _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
+        yield members[j], _canonical(profile, part, m[..., j], error[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,7 +402,9 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     gg = float(g)
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
-    grid, m, error = _magnus(profile.omega_sq, 0.0, gg, profile.interval)
+    om, iv = profile.omega_sq, profile.interval
+    a_max = float(_MagnusGrid(om, 0.0, gg, iv, MAGNUS_MIN_STEPS).sampled_max())
+    grid, m, error = _magnus(om, 0.0, gg, iv, _work_estimate(a_max, iv)[1])
     return _canonical(profile, grid, m, float(error))
 
 

@@ -30,7 +30,7 @@ from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
                     GreenKernel, det_from_transfer, trace_weighted_diagonal)
-from .odesolve import GAUSS_NODES_PER_STEP, MAGNUS_CHUNK, _canonical, _family
+from .odesolve import _family, _family_bases
 from .profiles import FrequencyProfile
 
 # Zero-mode windows of the lattice, relative to the Gershgorin bound of the
@@ -314,8 +314,8 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             "coupling flow crosses a zero mode at g' ≈ "
             f"{crossing:.6f}; the trace integrand diverges there")
     # An even number of crossings keeps the sign.  The lattice mesh is the
-    # Magnus step count of the end members: at least two points per radian
-    # of sqrt(max|V_s|) T.
+    # larger step count of the groups that hold the end members: at least
+    # two points per radian of sqrt(max|V_s|) T.
     n = max(grid.n for members, grid, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = _sweep(_reference_lattice(bc, n, span, omega0_ref))[2]
@@ -326,16 +326,12 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             f"counts {below_ref} negative eigenvalues at the reference and "
             f"{below} at the target; the trace integrand diverges there")
 
-    traces = np.empty(int(g_steps))
-    for members, grid, m, error in groups:
-        # members x Gauss nodes within MAGNUS_CHUNK per array of the kernel
-        inner = np.flatnonzero((members > 0) & (members <= traces.size))
-        per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
-        for chunk in np.split(inner, range(per, inner.size, per)):
-            basis = _canonical(profile, grid.select(chunk), m[..., chunk], error[chunk])
-            traces[members[chunk] - 1] = trace_weighted_diagonal(
+    traces = np.zeros(s_probe.size)
+    for group in groups:
+        for members, basis in _family_bases(profile, group, (s_probe > 0.0) & (s_probe < 1.0)):
+            traces[members] = trace_weighted_diagonal(
                 GreenKernel(basis, bc), lambda t: profile.omega_sq(t) - w0sq)
-    integral = float((u * ws) @ traces)
+    integral = float((u * ws) @ traces[1:-1])
     if -integral > _LOG_FLOAT_MAX:
         raise IntegrationError(
             f"coupling-flow ratio exp({-integral:.6g}) exceeds the float range")

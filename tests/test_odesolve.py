@@ -236,7 +236,7 @@ class TestFamily:
             assert np.array_equal(basis.m, m[..., 0])
             assert np.array_equal(basis.knots, grid.knots)
             assert basis.error_estimate == error[0]
-            for alone, family in zip(basis.frame(ts), grid.select(members).frame(ts)):
+            for alone, family in zip(basis.frame(ts), grid.frame(ts)):
                 assert family.shape == alone.shape + (1,)
                 assert np.array_equal(alone, family[..., 0])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import flucdet as fd
-from flucdet import cli, odesolve, oracle
+from flucdet import cli, odesolve
 from flucdet.determinants import det_dirichlet, det_periodic, determinant
 from flucdet.odesolve import make_basis
 from flucdet.oracle import (
@@ -421,7 +421,6 @@ class TestCouplingFlow:
         builds one kernel per member; the flow changes only in rounding."""
         whole = gflow_ratio(modulated_profile, "periodic", omega0=1.0)
         monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
-        monkeypatch.setattr(oracle, "MAGNUS_CHUNK", 64)
         assert gflow_ratio(modulated_profile, "periodic", omega0=1.0) == pytest.approx(
             whole, rel=1e-13)
 
@@ -463,6 +462,15 @@ class TestCouplingFlowHyperbolic:
         expected = (2.0 + 2.0 * math.cosh(33.0)) / (4.0 * math.cos(1.0) ** 2)
         ratio = gflow_ratio(hyperbolic(33.0), "antiperiodic", omega0=1.0)
         assert ratio == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("kt", [32.0125, 64.05])
+    def test_end_member_alone_in_its_group(self, kt):
+        """At kT = 32.0125 the target s = 1 (work estimate 64.03) needs the
+        128-step level and the last node s = 0.99726 (63.94) the 64-step one,
+        so s = 1 is the only member of its group and none of its members
+        needs a kernel; the same holds above 64.  The flow is unchanged."""
+        ratio = gflow_ratio(hyperbolic(kt, span=1.0), "dirichlet", g_steps=32)
+        assert ratio == pytest.approx(math.sinh(kt) / kt, rel=1e-8)
 
     def test_found_input_beyond_float_range(self):
         """kT = 700, antiperiodic, omega0 T = pi - 1e-4: the ratio is about

@@ -236,7 +236,8 @@ class TestArrayContract:
         samples = grid.sample(starts, grid.h)
         assert samples.shape == (3, grid.n, s.size)
         for j in range(s.size):
-            assert np.array_equal(samples[..., j], grid.select(j).sample(starts, grid.h))
+            alone = odesolve._MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], iv, grid.n)
+            assert np.array_equal(samples[..., j], alone.sample(starts, grid.h))
         ts = starts + odesolve._MAGNUS_NODES * grid.h
         np.testing.assert_allclose(
             -samples[..., 1], 1.69 + 0.4 * (modulated_profile.omega_sq(ts) - 1.69),
