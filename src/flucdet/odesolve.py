@@ -196,7 +196,7 @@ class _MagnusGrid:
 
     def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
         self.omega_sq, self.iv, self.n, self.h = omega_sq, iv, n, iv.span / n
-        self.c0, self.c1, self.members = c0, c1, getattr(c1, "shape", ())
+        self.c0, self.c1, self.members = c0, c1, c1.shape if isinstance(c1, np.ndarray) else ()
 
     def sampled_max(self):
         """Each member's largest |c0 + c1 Omega^2| on the Gauss nodes of the steps."""
@@ -304,7 +304,7 @@ def _magnus(om: Callable, c0, c1, iv: Interval, n: int):
                 m = fine
                 scale = np.abs(m).max(axis=(0, 1))
                 if (error <= max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale).all():
-                    # one member (make_basis) takes the scalar functions
+                    # without a member axis (make_basis) the scalar max and sqrt cost less
                     top, sqrt = (np.maximum, np.sqrt) if grid.members else (max, math.sqrt)
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
