@@ -198,9 +198,8 @@ class _MagnusGrid:
         self.omega_sq, self.iv, self.n, self.h = omega_sq, iv, n, iv.span / n
         self.c0, self.c1, self.members = c0, c1, c1.shape if isinstance(c1, np.ndarray) else ()
 
-    def sampled_max(self):
-        """Each member's largest |c0 + c1 Omega^2| on the Gauss nodes of the steps."""
-        return np.abs(self.sample(self.starts(0, self.n), self.h)).max(axis=(0, 1))
+    def samples(self) -> np.ndarray:
+        return self.sample(self.starts(0, self.n), self.h)
 
     def starts(self, lo: int, hi: int) -> np.ndarray:
         """The knots t_a + k h, k = lo..hi-1."""
@@ -223,19 +222,20 @@ class _MagnusGrid:
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
 
-    def _chunks(self):
-        """Step matrices, at most MAGNUS_CHUNK steps x members (a power of two
-        of steps) at a time, with each member's largest |c0 + c1 Omega^2|."""
+    def _chunks(self, a0=None):
+        """Step matrices of at most MAGNUS_CHUNK steps x members (a power of two
+        of steps) each, cut from a0 if given, and each member's max |c0 + c1 Omega^2|."""
         chunk = 1 << max(0, (MAGNUS_CHUNK // math.prod(self.members)).bit_length() - 1)
         for lo in range(0, self.n, chunk):
-            a = self.sample(self.starts(lo, min(self.n, lo + chunk)), self.h)
+            hi = min(self.n, lo + chunk)
+            a = self.sample(self.starts(lo, hi), self.h) if a0 is None else a0[:, lo:hi]
             yield _step_matrices(a, self.h), np.abs(a).max(axis=(0, 1))
 
-    def transfer(self):
+    def transfer(self, a0=None):
         """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
-        largest sampled |c0 + c1 Omega^2|."""
+        largest sampled |c0 + c1 Omega^2|; a0 as for _chunks."""
         acc, a_max = _IDENTITY, None
-        for e, a_chunk in self._chunks():
+        for e, a_chunk in self._chunks(a0):
             acc = _mul(_reduce(e), acc)
             a_max = a_chunk if a_max is None else np.maximum(a_max, a_chunk)
         return np.array(acc).reshape((2, 2) + self.members), a_max
@@ -278,17 +278,18 @@ def _work_estimate(a_max: float, iv: Interval) -> tuple:
     return estimate, 1 << math.ceil(math.log2(max(estimate, MAGNUS_MIN_STEPS)))
 
 
-def _magnus(om: Callable, c0, c1, iv: Interval, n: int):
+def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
     """The Magnus grid, M and the error estimates of M's entries of members
-    (c0, c1), doubling from level n until all meet MAGNUS_REL_TARGET."""
+    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, doubled to MAGNUS_REL_TARGET."""
+    n, m, error = MAGNUS_MIN_STEPS, None, math.inf
     with np.errstate(over="raise", invalid="raise"):
         try:
             # a finer level can sample a larger |Omega^2|, so the estimate
             # is checked again on every level it sets
-            estimate, level, m, error = n, n, None, math.inf
+            estimate, level = _work_estimate(float(np.abs(a0).max()), iv)
             while m is None or n < estimate:
-                n = level
-                m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer()
+                n, a = level, (a0 if level == n else None)
+                m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer(a)
                 estimate, level = _work_estimate(float(a_max.max()), iv)
             while True:
                 if 2 * n > MAGNUS_MAX_STEPS:
@@ -321,22 +322,22 @@ def _family(profile: FrequencyProfile, c0, c1) -> list:
     own from there: a list of (member indices, grid, M, error)."""
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
-    a_max = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).sampled_max()
-    level = np.array([_work_estimate(a, iv)[1] for a in a_max.tolist()])
-    return [(np.flatnonzero(level == n), *_magnus(om, c0[level == n], c1[level == n], iv, n))
-            for n in np.unique(level).tolist()]
+    a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
+    level = np.array([_work_estimate(a, iv)[1] for a in np.abs(a0).max(axis=(0, 1)).tolist()])
+    return [(np.flatnonzero(k), *_magnus(om, c0[k], c1[k], iv, a0[..., k]))
+            for k in (level == n for n in np.unique(level).tolist())]
 
 
-def _family_bases(profile: FrequencyProfile, group, keep: np.ndarray):
-    """(member indices, canonical basis) pairs of the members of a _family
-    group that keep, a mask over the family, selects: the bases hold at most
+def _family_bases(profile: FrequencyProfile, groups: list, keep: np.ndarray):
+    """(member indices, canonical basis) pairs of the members of the _family
+    groups that keep, a mask over the family, selects: the bases hold at most
     MAGNUS_CHUNK members x Gauss nodes each."""
-    members, grid, m, error = group
-    picked = np.flatnonzero(keep[members])
-    per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
-    for j in (picked[lo:lo + per] for lo in range(0, picked.size, per)):
-        part = _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
-        yield members[j], _canonical(profile, part, m[..., j], error[j])
+    for members, grid, m, error in groups:
+        picked = np.flatnonzero(keep[members])
+        per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
+        for j in (picked[lo:lo + per] for lo in range(0, picked.size, per)):
+            part = _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
+            yield members[j], _canonical(profile, part, m[..., j], error[j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,8 +404,8 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
     om, iv = profile.omega_sq, profile.interval
-    a_max = float(_MagnusGrid(om, 0.0, gg, iv, MAGNUS_MIN_STEPS).sampled_max())
-    grid, m, error = _magnus(om, 0.0, gg, iv, _work_estimate(a_max, iv)[1])
+    a0 = _MagnusGrid(om, 0.0, gg, iv, MAGNUS_MIN_STEPS).samples()
+    grid, m, error = _magnus(om, 0.0, gg, iv, a0)
     return _canonical(profile, grid, m, float(error))
 
 

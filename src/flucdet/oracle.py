@@ -327,10 +327,9 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             f"{below} at the target; the trace integrand diverges there")
 
     traces = np.zeros(s_probe.size)
-    for group in groups:
-        for members, basis in _family_bases(profile, group, (s_probe > 0.0) & (s_probe < 1.0)):
-            traces[members] = trace_weighted_diagonal(
-                GreenKernel(basis, bc), lambda t: profile.omega_sq(t) - w0sq)
+    for members, basis in _family_bases(profile, groups, (s_probe > 0.0) & (s_probe < 1.0)):
+        traces[members] = trace_weighted_diagonal(
+            GreenKernel(basis, bc), lambda t: profile.omega_sq(t) - w0sq)
     integral = float((u * ws) @ traces[1:-1])
     if -integral > _LOG_FLOAT_MAX:
         raise IntegrationError(
