@@ -268,6 +268,25 @@ class TestFamily:
             assert np.array_equal(alone.m, m[..., 0])
             assert alone.error_estimate == error[0]
 
+    def test_first_level_takes_the_coarse_samples(self, modulated_profile):
+        """A first level of 64 steps multiplies the coarse samples, so no
+        node is sampled twice: one call on the 64 coarse steps, one on the
+        128 steps of the doubling, for make_basis and for a family alike."""
+        calls = []
+
+        def omega_sq(t):
+            calls.append(np.size(t))
+            return modulated_profile.omega_sq(t)
+
+        counted = fd.FrequencyProfile(omega_sq=omega_sq, interval=modulated_profile.interval)
+        calls.clear()
+        assert np.array_equal(make_basis(counted).m, make_basis(modulated_profile).m)
+        assert calls == [3 * 64, 3 * 128]
+        calls.clear()
+        ((_, _, m, _),) = odesolve._family(counted, [0.0, 0.0], [0.5, 1.0])
+        assert np.array_equal(m[..., 1], make_basis(modulated_profile).m)
+        assert calls == [3 * 64, 3 * 128]
+
 
 class TestMixing:
     def test_endpoint_data_transforms(self, modulated_profile, rng):
