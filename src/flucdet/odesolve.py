@@ -411,10 +411,13 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
 
 def _canonical(profile: FrequencyProfile, grid: _MagnusGrid, m, error) -> HomogeneousBasis:
     """The canonical basis on a grid whose transfer matrices are m."""
-    return HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval),
-                            y_a=_CANONICAL_Y_A,
-                            y_b=np.matmul(m, _CANONICAL_Y_A, axes=[(0, 1)] * 3),
-                            profile=profile, knots=grid.knots, error_estimate=error)
+    basis = HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval),
+                             y_a=_CANONICAL_Y_A,
+                             y_b=np.matmul(m, _CANONICAL_Y_A, axes=[(0, 1)] * 3),
+                             profile=profile, knots=grid.knots, error_estimate=error)
+    # Y_a is its own inverse and W = -1, so Y_b adj(Y_a) / W is m exactly
+    basis.__dict__["m"] = m
+    return basis
 
 
 def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:

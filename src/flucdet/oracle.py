@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -261,6 +262,14 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
 # coupling-flow oracle
 
 
+@lru_cache(maxsize=8)
+def _gauss_legendre(n: int) -> tuple:
+    """The n Gauss-Legendre nodes and weights on [-1, 1], read-only."""
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = ws.flags.writeable = False
+    return xs, ws
+
+
 def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
                 g_steps: int = 32) -> float:
     """Determinant ratio from the exponentiated Green-function trace.
@@ -284,7 +293,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     span = profile.interval.span
     reference_determinant(bc, span, omega0_ref)
 
-    xs, ws = np.polynomial.legendre.leggauss(int(g_steps))
+    xs, ws = _gauss_legendre(int(g_steps))
     u = 0.5 * (xs + 1.0)
     s_probe = np.concatenate([[0.0], u * u, [1.0]])
     w0sq = omega0_ref * omega0_ref

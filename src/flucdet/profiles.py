@@ -2,11 +2,13 @@
 
 A profile bundles the squared frequency Omega^2(t) with the time interval
 [t_a, t_b] on which the operator lives.  Profiles are immutable; all
-constructors validate continuity by dense sampling, and the synthetic
-zero-mode constructor additionally checks that the generating shape xi(t)
-really produces a regular Omega^2 = -xi''/xi.  A profile's omega_sq takes a
-float or an ndarray of times and returns a value of the same shape; user
-callables need only take a float, and _lift extends them to arrays once.
+constructors validate continuity by dense sampling, bisecting every sample
+step that trips the jump threshold in one batch (one omega_sq call on an
+array per level), and the synthetic zero-mode constructor additionally
+checks that the generating shape xi(t) really produces a regular
+Omega^2 = -xi''/xi.  A profile's omega_sq takes a float or an ndarray of
+times and returns a value of the same shape; user callables need only take a
+float, and _lift extends them to arrays once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import ConfigError, ProfileError
 
 CONTINUITY_SAMPLES = 10_000
 CONTINUITY_REL_JUMP = 1e-3
-# Bisections of a flagged sample step: a smooth difference falls below the
-# threshold once the step is short enough, a jump stays above it throughout.
+# Bisection levels for the flagged sample steps: a smooth difference falls
+# below the threshold once the step is short enough, a jump stays above it.
 CONTINUITY_REFINEMENTS = 12
 # Smooth curvature ratios approach their endpoint limit with O(h) or O(h^2)
 # residuals (~1e-6 relative at the sampling steps used); singular ones leave
@@ -128,17 +130,45 @@ def _jump_tol(v0, v1):
 def _check_continuity(omega_sq, interval):
     """Reject a profile that is not finite or not continuous on the interval.
 
-    A sample-to-sample difference above the threshold is refined by
-    bisection, following the half with the larger difference: a true jump
-    keeps its size however short the step, while the difference of a smooth
-    profile shrinks with it.  Profiles that never trip the threshold take no
-    samples beyond the CONTINUITY_SAMPLES of the grid.
+    Sample steps whose difference passes the threshold are bisected together,
+    one array call of omega_sq per level, each following the half with the
+    larger difference: a true jump keeps its size however short the step,
+    while the difference of a smooth profile shrinks with it, and a step
+    leaves the batch once its difference falls under the threshold.  After
+    CONTINUITY_REFINEMENTS levels the earliest step left is refused.  Profiles
+    that never trip the threshold take no samples beyond the
+    CONTINUITY_SAMPLES of the grid.
     """
     ts = interval.grid(CONTINUITY_SAMPLES)
     vs = _finite_samples(omega_sq, ts)
-    for i in np.flatnonzero(np.abs(np.diff(vs)) > _jump_tol(vs[:-1], vs[1:])):
-        _refine_jump(omega_sq, float(ts[i]), float(vs[i]),
-                     float(ts[i + 1]), float(vs[i + 1]))
+    i = np.flatnonzero(np.abs(np.diff(vs)) > _jump_tol(vs[:-1], vs[1:]))
+    if not i.size:
+        return
+    # the steps stay in time order, so the first one left is the earliest
+    t0, v0, t1, v1 = ts[i], vs[i], ts[i + 1], vs[i + 1]
+    refusal = None
+    for _ in range(CONTINUITY_REFINEMENTS):
+        tm = 0.5 * (t0 + t1)
+        vm = omega_sq(tm)
+        bad = np.flatnonzero(~np.isfinite(vm))
+        if bad.size:
+            # refused unless an earlier step fails too: only those go on
+            k = bad[0]
+            refusal = ProfileError(f"Omega^2 is not finite at t = {float(tm[k])!r}")
+            t0, v0, t1, v1, tm, vm = t0[:k], v0[:k], t1[:k], v1[:k], tm[:k], vm[:k]
+        left = np.abs(vm - v0) >= np.abs(v1 - vm)
+        t0, v0 = np.where(left, t0, tm), np.where(left, v0, vm)
+        t1, v1 = np.where(left, tm, t1), np.where(left, vm, v1)
+        keep = np.abs(v1 - v0) > _jump_tol(v0, v1)
+        t0, v0, t1, v1 = t0[keep], v0[keep], t1[keep], v1[keep]
+        if not t0.size:
+            break
+    if t0.size:
+        raise ProfileError(
+            f"Omega^2 jumps by {abs(v1[0] - v0[0]):.3e} between t = {float(t0[0])!r} "
+            f"and t = {float(t1[0])!r}; profiles must be continuous")
+    if refusal is not None:
+        raise refusal
 
 
 def _finite_samples(omega_sq, ts):
@@ -147,26 +177,6 @@ def _finite_samples(omega_sq, ts):
     if bad.size:
         raise ProfileError(f"Omega^2 is not finite at t = {float(ts[bad[0]])!r}")
     return vs
-
-
-def _refine_jump(omega_sq, t0, v0, t1, v1):
-    """Bisect [t0, t1] down to 2^-CONTINUITY_REFINEMENTS of its length; raise
-    if the difference never falls below the threshold."""
-    for _ in range(CONTINUITY_REFINEMENTS):
-        tm = 0.5 * (t0 + t1)
-        vm = float(omega_sq(tm))
-        if not math.isfinite(vm):
-            raise ProfileError(f"Omega^2 is not finite at t = {tm!r}")
-        if abs(vm - v0) >= abs(v1 - vm):
-            t1, v1 = tm, vm
-        else:
-            t0, v0 = tm, vm
-        if abs(v1 - v0) <= _jump_tol(v0, v1):
-            return
-    raise ProfileError(
-        f"Omega^2 jumps by {abs(v1 - v0):.3e} between t = {t0!r} "
-        f"and t = {t1!r}; profiles must be continuous"
-    )
 
 
 def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:

@@ -64,6 +64,15 @@ class TestCanonicalBasis:
         for t in (0.25, 1.5):
             assert np.linalg.det(b.y(t)) == pytest.approx(b.w, abs=1e-11)
 
+    @pytest.mark.parametrize("name", ["const_profile", "free_profile", "modulated_profile",
+                                      "seam_profile", "shifted_profile"])
+    def test_transfer_matrix_is_the_rebuilt_product(self, name, request):
+        # a canonical basis holds M from the integrator; Y_b adj(Y_a) / W
+        # rebuilds it exactly
+        b = make_basis(request.getfixturevalue(name))
+        rebuilt = b.y_b @ odesolve._adjugate(b.y_a) / b.w
+        assert np.array_equal(b.m, rebuilt)
+
     def test_transfer_matrix_unimodular(self, modulated_profile):
         assert abs(np.linalg.det(make_basis(modulated_profile).m) - 1.0) <= 1e-10
 

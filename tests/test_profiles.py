@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,11 @@ from flucdet.green import GreenKernel, trace_omega_sq
 from flucdet.odesolve import make_basis
 from flucdet.oracle import gflow_ratio, lattice_ratio
 from flucdet.profiles import (
+    CONTINUITY_REFINEMENTS,
+    CONTINUITY_SAMPLES,
     SyntheticZeroModeSpec,
+    _jump_tol,
+    _on_arrays,
     builtin_zero_mode_spec,
     make_user_profile,
     make_zero_mode_profile,
@@ -73,6 +78,32 @@ class TestFactories:
     def test_user_profile_rejects_jump(self, unit_interval):
         with pytest.raises(fd.ProfileError):
             make_user_profile(lambda t: 0.0 if t < 0.5 else 10.0, unit_interval)
+        # a jump among thousands of flagged steps of a steep smooth background
+        # is still refused, and the reported interval brackets it
+        with pytest.raises(fd.ProfileError, match="jumps") as refused:
+            make_user_profile(lambda t: 1.0 + 0.5 * math.sin(10.0 * t) + (t >= 6.3),
+                              fd.Interval(0.0, 10.0))
+        t0, t1 = map(float, re.findall(r"t = (\S+?)(?: |;)", str(refused.value)))
+        assert t0 < 6.3 <= t1
+
+    def test_flagged_steps_bisected_together(self):
+        # 1 + 0.5 sin(10 t) on [0, 10] trips the jump threshold on thousands
+        # of sample steps; an array callable is sampled once on the grid and
+        # at most once per bisection level for all of them
+        calls = []
+
+        @_on_arrays
+        def omega_sq(t):
+            calls.append(np.size(t))
+            return 1.0 + 0.5 * np.sin(10.0 * t)
+
+        iv = fd.Interval(0.0, 10.0)
+        ts = iv.grid(CONTINUITY_SAMPLES)
+        vs = omega_sq(ts)
+        assert np.sum(np.abs(np.diff(vs)) > _jump_tol(vs[:-1], vs[1:])) > 1000
+        calls.clear()
+        make_user_profile(omega_sq, iv)
+        assert 1 < len(calls) <= 1 + CONTINUITY_REFINEMENTS
 
 
 class TestZeroModeShapes:
