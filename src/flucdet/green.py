@@ -22,6 +22,7 @@ wrapped kernels add the separable correction
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +64,9 @@ def condition_estimate(m: np.ndarray, value: float) -> float:
     """Cancellation estimate of a determinant read from M: the largest entry
     of M (at least 1), which sets the integration error of the read, over
     |value|; one per member for M of shape (2, 2, members)."""
+    if m.ndim == 2:  # one determinant: floats cost less than 0-d ufuncs
+        (a, b), (c, d) = m.tolist()
+        return max(1.0, abs(a), abs(b), abs(c), abs(d)) / abs(value) if value else math.inf
     with np.errstate(divide="ignore"):
         return _scalar(np.maximum(1.0, np.abs(m).max(axis=(0, 1))) / np.abs(value))
 

@@ -27,11 +27,13 @@ rule on the steps between knots (HomogeneousBasis.quadrature); every basis
 keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
 solutions' phase, where that rule reaches rounding level.
 
-The amplitude-phase system is solved by scipy's adaptive DOP853, which keeps
-that route independent of the Magnus product.  Periodic amplitude shooting
-integrates the variational equation of (p, p') in the same solve, so each
-Newton step costs one solve and its Jacobian is exact; newton_iterations
-counts the steps.
+The amplitude-phase system is solved by the package's own adaptive DOP853
+(dop853.py), which keeps that route independent of the Magnus product.  It
+steps as scipy's solve_ivp(method="DOP853") does, with one Omega^2 call per
+step attempt, and builds its dense output only for the steps a time falls
+into.  Periodic amplitude shooting integrates the variational equation of
+(p, p') in the same solve, so each Newton step costs one solve and its
+Jacobian is exact; newton_iterations counts the steps.
 """
 
 from __future__ import annotations
@@ -464,50 +466,27 @@ class ErmakovSolution:
 
 
 def _integrate_ermakov(profile, omega0, start):
-    """DOP853 solution of (p, p', q) from start = (p_a, p'_a, 0) or, with
-    seven components, also of a fundamental matrix of the variational
-    equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q from
-    start[3:]."""
-    iv = profile.interval
-    om = profile.omega_sq
-    w0 = float(omega0)
+    """The DOP853 solution (dop853.solve) of (p, p', q) from start = (p_a,
+    p'_a, 0) or, with seven components, also of a fundamental matrix of the
+    variational equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q
+    from start[3:], to DEFAULT_RTOL and DEFAULT_ATOL.  The solver module is
+    compiled on the route's first use: a cold start without it skips that."""
+    from .dop853 import solve
 
-    def rhs(t, y):
-        p, om_t = y[0], float(om(t))
-        f = [y[1], 1.0 / p ** 3 - om_t * p, 1.0 / (w0 * p * p)]
-        if len(y) > 3:
-            k = -(om_t + 3.0 / p ** 4)
-            f += [y[5], y[6], k * y[3], k * y[4]]
-        return f
-
-    def collapse(t, y):
-        return y[0] - 1e-8
-    collapse.terminal = True
-    collapse.direction = -1
-
-    from scipy.integrate import solve_ivp  # only this route needs scipy
-
-    result = solve_ivp(rhs, (iv.t_a, iv.t_b), start,
-                       method="DOP853", dense_output=True,
-                       rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, events=collapse)
-    if result.status == 1:
-        raise IntegrationError(
-            f"amplitude solution collapsed to zero near t = {result.t_events[0][0]}")
-    if not result.success:
-        raise IntegrationError(
-            f"amplitude-phase integration failed near t = {result.t[-1]}: {result.message}")
-    return result.sol
+    return solve(profile.omega_sq, profile.interval, float(omega0), start,
+                 DEFAULT_RTOL, DEFAULT_ATOL)
 
 
 def _shoot(profile, omega0, z):
-    """One shooting solve from (p_a, p'_a) = z: the dense solution, the
-    residual r(z) = (p, p')(t_b) - z and its Jacobian Phi_dp(t_b) - I.  Phi_dp
-    starts from scale * I: it is linear, so only DOP853's error weights see
-    the scale, and its 2 omega oscillation no longer sets the step."""
+    """One shooting solve from (p_a, p'_a) = z: the solver steps, the
+    residual r(z) = (p, p')(t_b) - z and its Jacobian Phi_dp(t_b) - I, all
+    read from the last step's end state.  Phi_dp starts from scale * I: it
+    is linear, so only DOP853's error weights see the scale, and its
+    2 omega oscillation no longer sets the step."""
     scale = 1e-4
-    sol = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0, scale, 0.0, 0.0, scale]]))
-    end = sol(profile.interval.t_b)
-    return sol, end[:2] - z, end[3:].reshape(2, 2) / scale - np.eye(2)
+    steps = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0, scale, 0.0, 0.0, scale]]))
+    end = steps.ys[-1]
+    return steps, end[:2] - z, end[3:].reshape(2, 2) / scale - np.eye(2)
 
 
 def solve_ermakov(profile: FrequencyProfile, omega0: float,
@@ -556,13 +535,13 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
         raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
 
     state = _on_interval(lambda t: sol(t)[:3], iv)
-    end = sol(iv.t_b)
+    end = sol.ys[-1]
 
     evenness = None
     if bc == "periodic":
         taus = 0.5 * iv.span * np.arange(51) / 50
-        evenness = float(np.max(np.abs(state(iv.t_a + taus)[0]
-                                       - state(iv.t_b - taus)[0])))
+        p = state(np.concatenate([iv.t_a + taus, iv.t_b - taus]))[0]
+        evenness = float(np.max(np.abs(p[:51] - p[51:])))
 
     return ErmakovSolution(
         state=state, omega0=float(omega0),

@@ -358,6 +358,22 @@ class TestImports:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_pq_route_loads_no_scipy_integrate(self):
+        """The amplitude-phase route runs on the package's own DOP853: a
+        cold periodic pq `det` exits with no scipy.integrate module loaded."""
+        argv = ["det", "--method", "pq", "--bc", "periodic", "--profile", MODULATED,
+                "--t-b", "2.0"]
+        code = (f"import sys\nfrom flucdet import cli\ncode = cli.main({argv!r})\n"
+                "print(code, sorted(m for m in sys.modules "
+                "if m.split('.')[:2] == ['scipy', 'integrate']))")
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        record, last = out.strip().rsplit("\n", 1)
+        assert json.loads(record)["diagnostics"]["method"] == "pq"
+        assert last == "0 []"
+
 
 class TestOutput:
     def test_out_file_matches_stdout(self, capsys, tmp_path):

@@ -12,6 +12,7 @@ from flucdet.green import (
     BC_DIRICHLET,
     BC_PERIODIC,
     GreenKernel,
+    condition_estimate,
     det_from_transfer,
     _retarded_green,
     dirichlet_trace_direct,
@@ -391,3 +392,32 @@ class TestDegeneracies:
     def test_unsupported_bc(self, const_profile):
         with pytest.raises(ValueError):
             GreenKernel(make_basis(const_profile), "robin")
+
+
+class TestConditionEstimate:
+    MATRICES = [np.array([[0.3, -2.0], [0.5, 1.2]]),
+                np.array([[0.1, 0.2], [-0.3, 0.4]]),
+                np.array([[-7.5e8, 1e-3], [2.0, -1.3e-9]])]
+    VALUES = [0.01, -3.0, 2.5e-12, 0.0, -0.0, 1e300]
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("index", range(len(MATRICES)))
+    def test_scalar_path_equals_array_path(self, index, value):
+        """A 2x2 M takes a path on floats: max(1, max|M_ij|) / |value|, inf
+        at value = +-0; a one-member family takes the array path."""
+        m = self.MATRICES[index]
+        scalar = condition_estimate(m, value)
+        assert type(scalar) is float
+        family = condition_estimate(m[..., None], np.array([value]))
+        assert isinstance(family, np.ndarray) and family.shape == (1,)
+        assert scalar == family[0]
+        if value == 0.0:
+            assert scalar == math.inf
+
+    def test_family(self):
+        """Members side by side give what each gives alone."""
+        m = np.stack(self.MATRICES, axis=-1)
+        values = np.array([0.01, -0.0, 2.5e-12])
+        family = condition_estimate(m, values)
+        assert family.tolist() == [condition_estimate(m[..., j], v)
+                                   for j, v in enumerate(values.tolist())]

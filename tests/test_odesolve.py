@@ -456,3 +456,90 @@ class TestErmakov:
     def test_invalid_bc(self, const_profile):
         with pytest.raises(ValueError):
             solve_ermakov(const_profile, 1.0, bc="none")
+
+
+def _scipy_dop853(profile, omega0, start):
+    """scipy's DOP853 on the Ermakov right-hand side, one scalar Omega^2
+    call per stage: the reference the package's port must reproduce."""
+    from scipy.integrate import solve_ivp  # the reference only; src/ never imports it
+
+    om, w0 = profile.omega_sq, float(omega0)
+
+    def rhs(t, y):
+        p, om_t = y[0], float(om(t))
+        f = [y[1], 1.0 / p ** 3 - om_t * p, 1.0 / (w0 * p * p)]
+        if len(y) > 3:
+            k = -(om_t + 3.0 / p ** 4)
+            f += [y[5], y[6], k * y[3], k * y[4]]
+        return f
+
+    iv = profile.interval
+    return solve_ivp(rhs, (iv.t_a, iv.t_b), start, method="DOP853", dense_output=True,
+                     rtol=odesolve.DEFAULT_RTOL, atol=odesolve.DEFAULT_ATOL)
+
+
+class TestDop853Port:
+    @pytest.fixture(scope="class")
+    def user_profile(self):
+        return fd.make_user_profile(lambda t: 1.0 + 0.5 * math.cos(2.0 * t),
+                                    fd.Interval(-1.0, 3.0))
+
+    @pytest.mark.parametrize("name, omega0", [
+        ("const_profile", 1.0), ("modulated_profile", 1.0), ("seam_profile", 1.0),
+        ("shifted_profile", 6.5), ("user_profile", 1.0)])
+    @pytest.mark.parametrize("components", [3, 7])
+    def test_matches_scipy(self, request, name, omega0, components):
+        """The same accepted steps, knots and states as scipy's solve_ivp,
+        and the same dense output at 101 interior times."""
+        profile = request.getfixturevalue(name)
+        iv = profile.interval
+        p_a = float(profile.omega_sq(iv.t_a)) ** -0.25
+        start = [p_a, 0.1, 0.0, 1e-4, 0.0, 0.0, 1e-4] if components == 7 else [p_a, 0.0, 0.0]
+        port = odesolve._integrate_ermakov(profile, omega0, start)
+        ref = _scipy_dop853(profile, omega0, start)
+        assert ref.status == 0
+        assert port.ts.size == ref.t.size
+        np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(port.ys.T, ref.y, rtol=0.0, atol=1e-12)
+        times = np.linspace(iv.t_a, iv.t_b, 103)[1:-1]
+        np.testing.assert_allclose(port(times), ref.sol(times), rtol=0.0, atol=1e-12)
+
+    def test_overflowing_amplitude_matches_scipy(self):
+        """Omega^2 = -1 on [0, 200] grows p past 1e86, where the p^4 of the
+        variational rows overflows: the port then steps on numpy scalars'
+        inf, as scipy does."""
+        profile = fd.make_user_profile(lambda t: -1.0, fd.Interval(0.0, 200.0))
+        start = [1.0, 0.0, 0.0, 1e-4, 0.0, 0.0, 1e-4]
+        port = odesolve._integrate_ermakov(profile, 1.0, start)
+        with np.errstate(over="ignore"):
+            ref = _scipy_dop853(profile, 1.0, start)
+        assert ref.status == 0 and ref.y[0, -1] > 1e86
+        assert port.ts.size == ref.t.size
+        np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(port.ys.T, ref.y, rtol=1e-12, atol=0.0)
+
+    def test_dense_output_shapes(self, modulated_profile):
+        port = odesolve._integrate_ermakov(modulated_profile, 1.0, [1.0, 0.0, 0.0])
+        assert port(0.7).shape == (3,)
+        assert port(np.array([0.7])).shape == (3, 1)
+        np.testing.assert_array_equal(port(np.array([0.7, 1.3]))[:, 1], port(1.3))
+        # a knot reads the interpolant of the step before it, which ends there
+        np.testing.assert_allclose(port(port.ts), port.ys.T, rtol=0.0, atol=1e-15)
+
+    def test_collapse_refused(self):
+        """p'(t_a) = -1e9 drives p from 1 to the collapse level 1e-8 at about
+        t = 1e-9, where the refusal names the crossing."""
+        profile = fd.make_constant_profile(1.3, fd.Interval(0.0, 2.0))
+        with pytest.raises(fd.IntegrationError, match="collapsed to zero near t") as info:
+            odesolve._integrate_ermakov(profile, 1.3, [1.0, -1e9, 0.0])
+        assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_step_too_small_refused(self):
+        """Omega^2 that is NaN from t = 1 on rejects every step across it,
+        until the step size falls below ten float spacings there."""
+        profile = fd.FrequencyProfile(
+            omega_sq=lambda t: np.where(np.asarray(t) < 1.0, 1.0, np.nan),
+            interval=fd.Interval(0.0, 2.0))
+        with pytest.raises(fd.IntegrationError, match="integration failed near t") as info:
+            odesolve._integrate_ermakov(profile, 1.0, [1.0, 0.0, 0.0])
+        assert float(str(info.value).split("= ")[1].split(":")[0]) == pytest.approx(1.0)

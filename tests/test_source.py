@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and none imports scipy.integrate."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import flucdet
 
-SOURCES = sorted(path for path in Path(flucdet.__file__).parent.glob("*.py")
-                 if path.name != "__init__.py")
+ALL_SOURCES = sorted(Path(flucdet.__file__).parent.glob("*.py"))
+SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -32,3 +33,34 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_integrate_imports(source: str) -> list:
+    """Imports of scipy.integrate or of a module under it, at any depth."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[:2] == ["scipy", "integrate"]]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            parts = node.module.split(".")
+            if parts[:2] == ["scipy", "integrate"]:
+                found.append(node.module)
+            elif parts == ["scipy"]:
+                found += ["scipy." + alias.name for alias in node.names
+                          if alias.name == "integrate"]
+    return found
+
+
+def test_detects_scipy_integrate_import():
+    source = ("import scipy.integrate\nimport scipy.optimize\n"
+              "def f():\n    from scipy.integrate import solve_ivp\n"
+              "    from scipy import integrate, linalg\n"
+              "    from scipy.integrate._ivp import rk\n")
+    assert scipy_integrate_imports(source) == [
+        "scipy.integrate", "scipy.integrate", "scipy.integrate", "scipy.integrate._ivp"]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[path.name for path in ALL_SOURCES])
+def test_no_scipy_integrate_import(path):
+    assert scipy_integrate_imports(path.read_text(encoding="utf-8")) == []
