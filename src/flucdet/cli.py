@@ -220,14 +220,12 @@ def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
     spectrum = report.oracle_report
     diagnostics = {
         "method": "regularized-endpoint",
-        "denominator": report.denominator,
         "oracle_value": report.oracle_value,
-        "discrepant": report.discrepant,
         "lattice_n": spectrum.mesh_size,
         "num_nonpositive": spectrum.num_nonpositive,
         "zero_mode_index": spectrum.zero_mode_index,
     }
-    return {"value": report.formula_value, "ratio": None, "bc": bc,
+    return {"value": report.value, "ratio": None, "bc": bc,
             "diagnostics": diagnostics}
 
 
@@ -395,7 +393,7 @@ def _suite_zeromode() -> list:
     ]
     spectrum = oracle.pseudo_det_ratio(profile, BC_DIRICHLET, n=2000, omega0=0.0)
     rows.append(_check("sinpi", BC_DIRICHLET, "lattice-2000",
-                       abs(spectrum.aligned_pseudo_det), abs(target), 1e-4))
+                       -spectrum.aligned_pseudo_det, target, 1e-4))
     return rows
 
 

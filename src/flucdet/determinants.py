@@ -7,11 +7,11 @@ periodic and 2 + tr M under antiperiodic conditions.  Values are signed
 against a reference operator: the free operator for Dirichlet, the constant
 frequency omega0 operator for periodic and antiperiodic conditions.
 
-Zero-mode handling: when the operator annihilates a function xi vanishing at
-both ends, the raw Dirichlet determinant is zero and the regularized value
-<xi|xi>/(xi'_a xi'_b) is computed instead, together with a finite-eps chain
-(shift the profile by the perturbed eigenvalue, divide determinant by
-eigenvalue, extrapolate eps -> 0) that must agree with the closed form.
+Zero modes: with one zero mode, F vanishes and det' K = -dF/dlambda of
+K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda.  The
+Dirichlet closed form <xi|xi>/(xi'_a xi'_b) = +dM12/dlambda = -det' K comes
+with a finite-eps chain (shift the profile by the perturbed eigenvalue, divide
+determinant by eigenvalue, extrapolate eps -> 0) that must agree with it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
-from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC, GreenKernel,
+from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC, GreenKernel, _det_slope,
                     condition_estimate, det_from_transfer, trace_omega_sq)
 from .odesolve import HomogeneousBasis, make_basis
 from .profiles import FrequencyProfile, shifted_profile
@@ -35,9 +35,8 @@ REFERENCE_CONSTANT = "constant-frequency"
 REFERENCE_DEGENERACY_TOL = 1e-9
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
-LOG_DET_FD_STEP = 1e-5  # coupling step of the central difference in g
 EIGENVALUE_SHIFT_MAX_ITER = 60
-WRAPPED_ZERO_MODE_LATTICE_N = 800  # mesh of the lattice next to the wrapped formula
+WRAPPED_ZERO_MODE_LATTICE_N = 800  # mesh of the lattice next to the wrapped value
 
 
 @dataclass(frozen=True)
@@ -136,32 +135,18 @@ def determinant(profile: FrequencyProfile, bc: str = BC_DIRICHLET,
 # trace identity: Tr Omega^2 G_g = -d/dg log det K_g
 
 
-def _log_abs_det(profile: FrequencyProfile, bc: str, g: float) -> float:
-    value = det_from_transfer(make_basis(profile, g=g).m, bc)
-    if value == 0.0:
-        raise DegenerateOperatorError(
-            f"endpoint determinant vanishes at g = {g}; log undefined")
-    return math.log(abs(value))
-
-
-def _log_det_slope_fd(profile: FrequencyProfile, bc: str, g: float) -> float:
-    """Central finite difference of log |det| with respect to g."""
-    hi = _log_abs_det(profile, bc, g + LOG_DET_FD_STEP)
-    lo = _log_abs_det(profile, bc, g - LOG_DET_FD_STEP)
-    return (hi - lo) / (2.0 * LOG_DET_FD_STEP)
-
-
 def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
     """Both sides of the trace identity at coupling g.
 
     Returns (trace, -dlogdet/dg, relative residual).  The trace of
-    Omega^2 * G_g is computed from the Green kernel; the derivative side by
-    finite differences of the determinant.
+    Omega^2 * G_g is computed from the Green kernel; the derivative side is
+    the exact dF/dg of the same basis (green._det_slope with weight Omega^2)
+    over F = kernel.denom.
     """
     basis = make_basis(profile, g=g)
     kernel = GreenKernel(basis, bc)
     lhs = trace_omega_sq(kernel)
-    rhs = -_log_det_slope_fd(profile, bc, g)
+    rhs = -_det_slope(basis, bc, profile.omega_sq) / kernel.denom
     scale = max(abs(lhs), abs(rhs), 1e-30)
     return lhs, rhs, abs(lhs - rhs) / scale
 
@@ -183,8 +168,8 @@ def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0) -> float:
     taken by the basis's Gauss rule on the integrator's steps
     (HomogeneousBasis.quadrature).
     """
-    if mass == 0.0:
-        raise ValueError("mass must be nonzero")
+    if mass == 0.0 or not math.isfinite(mass):
+        raise ValueError(f"mass must be finite and nonzero, got {mass!r}")
     basis = make_basis(profile, g=1.0)
     (m11, m12), _ = basis.m
     if abs(m12) <= 1e-10 * profile.interval.span * max(1.0, abs(m11)):
@@ -278,11 +263,15 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     """Regularized determinant <xi|xi>/(xi'_a xi'_b) for a profile whose
     operator annihilates a Dirichlet zero mode, plus the finite-eps chain.
 
-    The chain perturbs the boundary value at t_a to eps, solves for the
-    perturbed eigenvalue, shifts the profile by it, and divides the shifted
-    determinant by the eigenvalue; one Richardson step in eps must reproduce
-    the closed form to 1e-3 relative or a verification error is raised.
+    The closed form equals +dM12/dlambda of K - lambda at lambda = 0: minus
+    det' K = -dF/dlambda and minus the lattice's aligned_pseudo_det.  The
+    chain perturbs the boundary value at t_a to eps (finite, nonzero), solves
+    for the perturbed eigenvalue, shifts the profile by it, and divides the
+    shifted determinant by the eigenvalue; one Richardson step in eps must
+    reproduce the closed form to 1e-3 relative or a verification error is raised.
     """
+    if eps is not None and not (math.isfinite(eps) and eps != 0.0):
+        raise ValueError(f"eps must be finite and nonzero, got {eps!r}")
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
@@ -336,45 +325,20 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
 
 @dataclass(frozen=True)
 class WrappedZeroModeReport:
-    """Difference-quotient regularized determinant for wrapped boundary
-    conditions, reported next to the independent lattice pseudo-determinant.
-    """
+    """Regularized determinant -dF/dlambda for a wrapped boundary condition,
+    reported next to the independent lattice pseudo-determinant."""
 
     bc: str
-    formula_value: float
-    denominator: float
+    value: float
     oracle_value: float
     oracle_report: object
-    discrepant: bool
-
-
-def _wrapped_difference_quotient(xi_a: float, xi_b: float, dxi_a: float,
-                                 eta_a: float, deta_a: float,
-                                 norm_sq: float, anti: bool = False) -> tuple:
-    """(xi_b -+ xi_a) <xi|xi> / (eta_a (eta_a xi'_a - eta'_a xi_b)) and its
-    denominator.
-
-    Guarded division; the denominator vanishing is an error.  A numerator
-    that cancels to zero gives 0.0, never -0.0.
-    """
-    s = -1.0 if anti else 1.0
-    denominator = eta_a * (eta_a * dxi_a - deta_a * xi_b)
-    scale = max(abs(eta_a), abs(deta_a), abs(dxi_a), abs(xi_b), 1.0)
-    if abs(denominator) <= 1e-12 * scale * scale:
-        raise DegenerateOperatorError(
-            f"difference-quotient denominator vanishes ({denominator:.3e})")
-    return (xi_b - s * xi_a) * norm_sq / denominator + 0.0, denominator
 
 
 def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
                              omega0: float = 1.0) -> WrappedZeroModeReport:
-    """Evaluate the wrapped-boundary difference-quotient formula next to the
-    lattice pseudo-determinant oracle.
-
-    The formula's free-operator limit contradicts the oracle (its numerator
-    vanishes for an exactly periodic zero mode), so the two numbers are
-    reported side by side with a discrepancy flag instead of being merged.
-    """
+    """det' K = -dF/dlambda at lambda = 0, F = 2 -+ tr M, for a profile with one
+    periodic (antiperiodic with anti) zero mode, next to the lattice oracle's
+    signed pseudo-determinant.  Two zero modes (M = +-I) are refused."""
     from . import oracle
 
     bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
@@ -384,32 +348,13 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
     if abs(det_bar) > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
             f"profile has no {bc} zero mode (endpoint determinant {det_bar:.3e})")
-
-    # the zero mode xi = Phi(t) c has M c = c (periodic) or M c = -c
-    s = -1.0 if anti else 1.0
-    _, _, vh = np.linalg.svd(m - s * np.eye(2))
-    c = vh[-1]
-    lead = c[0] if abs(c[0]) > abs(c[1]) else c[1]
-    if lead < 0:
-        c = -c
-    nodes, weights = basis.quadrature
-    norm_sq = float(weights @ (c @ basis.phi(nodes)[0]) ** 2)
-    xi_a, dxi_a = float(c[0]), float(c[1])
-    xi_b = float(m[0] @ c)
-    # eta = u + v, the solution with (value, slope) = (1, 1) at t_a
-    eta_a = deta_a = 1.0
-
-    formula, denominator = _wrapped_difference_quotient(
-        xi_a, xi_b, dxi_a, eta_a, deta_a, norm_sq, anti=anti)
+    if np.max(np.abs(m - (-1.0 if anti else 1.0) * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
+        raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if anti else '+'}I "
+                                      f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
 
     report = oracle.pseudo_det_ratio(profile, bc, WRAPPED_ZERO_MODE_LATTICE_N,
                                      omega0=omega0)
-    oracle_value = report.aligned_pseudo_det
-    scale = max(abs(formula), abs(oracle_value), 1e-30)
-    discrepant = (abs(formula - oracle_value) / scale > 1e-2
-                  or (formula * oracle_value) < 0.0)
-
-    return WrappedZeroModeReport(
-        bc=bc, formula_value=formula, denominator=denominator,
-        oracle_value=oracle_value, oracle_report=report,
-        discrepant=discrepant)
+    # + 0.0: a slope that rounds to -0.0 is reported as 0.0
+    return WrappedZeroModeReport(bc=bc, value=-_det_slope(basis, bc) + 0.0,
+                                 oracle_value=report.aligned_pseudo_det,
+                                 oracle_report=report)

@@ -60,6 +60,21 @@ def det_from_transfer(m: np.ndarray, bc: str) -> float:
     raise ValueError(f"unsupported boundary condition {bc!r}")
 
 
+def _det_slope(basis: HomogeneousBasis, bc: str, weight: Optional[Callable] = None) -> float:
+    """dF/ds at s = 0 for the operator K - s weight(t), F the determinant under
+    bc read from M (weight 1 if None): d/dlambda, or d/dg for weight Omega^2.
+    dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt, E21 having a single 1
+    in its lower-left entry, by the basis's Gauss rule from one frame call."""
+    nodes, weights = basis.quadrature
+    if weight is not None:
+        weights = weights * weight(nodes)
+    phi, s = basis.frame(nodes)
+    dm = -np.einsum("in,jn,n->ij", s[:, 1], phi[0], weights)
+    if bc == BC_DIRICHLET:
+        return float(dm[0, 1])
+    return float(np.trace(dm)) * (-1.0 if bc == BC_PERIODIC else 1.0)
+
+
 def condition_estimate(m: np.ndarray, value: float) -> float:
     """Cancellation estimate of a determinant read from M: the largest entry
     of M (at least 1), which sets the integration error of the read, over

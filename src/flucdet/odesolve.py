@@ -426,6 +426,8 @@ def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
     """The basis Y C: column j of the result is sum_i C[i, j] times column i;
     the frame does not depend on the basis."""
     c = np.asarray(matrix, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("mixing matrix has a non-finite entry")
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
     scale = float(np.max(np.abs(c)))
     if abs(det) <= 1e-14 * scale * scale:
@@ -500,8 +502,8 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     variational equation gives the exact Jacobian with the residual.
     newton_iterations counts the steps taken, at most SHOOTING_MAX_ITER.
     """
-    if not omega0 > 0.0:
-        raise ValueError(f"omega0 must be positive, got {omega0}")
+    if not 0.0 < omega0 < math.inf:
+        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
     iv = profile.interval
 
     om_a = float(profile.omega_sq(np.array(iv.t_a)))

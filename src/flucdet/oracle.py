@@ -237,8 +237,9 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
     eigenvalues up to a relative lambda_0 sum_{j != 0} 1/lambda_j.  Over the
     reference lattice's determinant, times h^2 for the removed mode, it is
     pseudo_det_ratio; times the reference's continuum value it is
-    aligned_pseudo_det, which converges to the regularized determinant up to
-    the sign convention of the removed mode.
+    aligned_pseudo_det, which converges to det' K = -dF/dlambda, sign
+    included: to det_periodic_regularized's value for the wrapped conditions
+    and to minus det_dirichlet_regularized's closed form for Dirichlet.
     """
     op = build_lattice(profile, bc, n, g=g)
     index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
@@ -289,6 +290,8 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
+    if not (g_steps >= 1 and float(g_steps).is_integer()):
+        raise ValueError(f"g_steps must be a positive integer, got {g_steps!r}")
     omega0_ref = 0.0 if bc == BC_DIRICHLET else float(omega0)
     span = profile.interval.span
     reference_determinant(bc, span, omega0_ref)

@@ -121,18 +121,29 @@ class TestDet:
             -1.0 / (2.0 * math.pi ** 2), rel=1e-6)
         assert record["diagnostics"]["check_residual"] <= 1e-3
 
-    def test_regularized_periodic_discrepancy(self, capsys):
+    def test_regularized_periodic_value(self, capsys):
         code, out, _ = run(capsys, "det", "--profile",
                            '{"kind": "constant", "omega": 0.0}',
                            "--t-b", "2.0", "--bc", "periodic", "--regularized")
         assert code == 0
         record = json.loads(out)
-        assert record["diagnostics"]["discrepant"] is True
+        assert record["value"] == pytest.approx(-4.0, rel=1e-12)
         assert record["diagnostics"]["oracle_value"] == pytest.approx(
             -4.0, rel=1e-3)
-        # the formula's numerator cancels to zero over a negative
-        # denominator: the record says 0.0, never -0.0
-        assert '"value": 0.0,' in out and "-0.0" not in out
+        assert not {"denominator", "discrepant"} & set(record["diagnostics"])
+        assert "-0.0" not in out
+
+    @pytest.mark.parametrize("profile,t_b,bc", [
+        ('{"kind": "constant", "omega": 3.141592653589793}', "2.0", "periodic"),
+        (SINPI, "1.0", "antiperiodic"),
+    ])
+    def test_regularized_two_zero_modes_refused(self, capsys, profile, t_b, bc):
+        code, out, _ = run(capsys, "det", "--profile", profile, "--t-b", t_b,
+                           "--bc", bc, "--regularized")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "DegenerateOperatorError"
+        assert "two" in error["message"]
 
     def test_degenerate_reference(self, capsys):
         code, out, _ = run(capsys, "det", "--bc", "periodic",
@@ -331,6 +342,10 @@ class TestVerify:
         lines = out.strip().split("\n")
         assert lines[0] == "profile,bc,resolution,closed_form,oracle,rel_err"
         assert len(lines) >= 3
+        # the signed closed form against minus the lattice pseudo-determinant
+        (lattice,) = [line for line in lines if ",lattice-2000," in line]
+        closed, oracle_value = map(float, lattice.split(",")[3:5])
+        assert closed < 0.0 and oracle_value < 0.0
         assert "checks within tolerance" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):

@@ -15,9 +15,10 @@ from flucdet.determinants import (
     free_reference,
     trace_identity_residual,
     van_vleck_check,
-    _wrapped_difference_quotient,
 )
+from flucdet.green import _det_slope, det_from_transfer
 from flucdet.odesolve import make_basis
+from flucdet.profiles import shifted_profile
 
 SIN_1 = 0.8414709848078965
 SIN_2_OVER_2 = 0.45464871341284085
@@ -144,6 +145,53 @@ class TestTraceIdentity:
         assert math.isfinite(lhs) and math.isfinite(rhs)
         assert rel <= 1e-5
 
+    def test_one_basis(self, monkeypatch, modulated_profile):
+        """Both sides are read from one basis, at the coupling asked for."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("g"))
+            return make_basis(*args, **kwargs)
+
+        monkeypatch.setattr(fd.determinants, "make_basis", counted)
+        trace_identity_residual(modulated_profile, "periodic", 0.5)
+        assert calls == [0.5]
+
+
+SLOPE_CASES = {
+    "modulated": fd.make_modulated_profile(1.0, 0.2, 3.0, fd.Interval(0.0, 2.0)),
+    "hyperbolic-kT10": fd.make_user_profile(lambda t: -(10.0 / 3.0) ** 2,
+                                            fd.Interval(0.0, 3.0)),
+    "shifted-t_a": fd.make_modulated_profile(1.0, 0.2, 3.0, fd.Interval(-3.0, -1.0)),
+}
+
+
+def central_difference(f, step=1e-5):
+    return (f(step) - f(-step)) / (2.0 * step)
+
+
+class TestDetSlope:
+    """_det_slope against central differences of det_from_transfer."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    @pytest.mark.parametrize("case", sorted(SLOPE_CASES))
+    def test_lambda_and_coupling_derivatives(self, case, bc):
+        profile = SLOPE_CASES[case]
+        basis = make_basis(profile)
+        d_lambda = central_difference(lambda s: det_from_transfer(
+            make_basis(shifted_profile(profile, s)).m, bc))
+        d_g = central_difference(lambda s: det_from_transfer(
+            make_basis(profile, g=1.0 + s).m, bc))
+        assert _det_slope(basis, bc) == pytest.approx(d_lambda, rel=1e-7)
+        assert _det_slope(basis, bc, profile.omega_sq) == pytest.approx(d_g, rel=1e-7)
+
+    def test_dirichlet_closed_form_sign(self, sinpi_profile, sinpi_bump_profile):
+        """<xi|xi>/(xi'_a xi'_b) is +dM12/dlambda, minus det' K."""
+        for profile in (sinpi_profile, sinpi_bump_profile):
+            report = det_dirichlet_regularized(profile)
+            assert report.det_regularized == pytest.approx(
+                _det_slope(make_basis(profile), "dirichlet"), rel=1e-12)
+
 
 class TestVanVleck:
     def test_constant_profile(self, const_profile):
@@ -167,6 +215,11 @@ class TestVanVleck:
     def test_zero_mass_rejected(self, const_profile):
         with pytest.raises(ValueError):
             van_vleck_check(const_profile, mass=0.0)
+
+    def test_nonfinite_mass_rejected(self, const_profile):
+        for mass in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mass"):
+                van_vleck_check(const_profile, mass=mass)
 
     @pytest.mark.parametrize("kt", [10.0, 30.0, 60.0])
     def test_hyperbolic(self, kt):
@@ -207,41 +260,42 @@ class TestDirichletZeroMode:
         from flucdet.oracle import pseudo_det_ratio
         report = det_dirichlet_regularized(sinpi_bump_profile)
         lattice = pseudo_det_ratio(sinpi_bump_profile, "dirichlet", n=1000)
-        assert abs(report.det_regularized) == pytest.approx(
-            abs(lattice.aligned_pseudo_det), rel=1e-4)
+        assert report.det_regularized == pytest.approx(
+            -lattice.aligned_pseudo_det, rel=1e-4)
 
     def test_rejects_invertible_profile(self, const_profile):
         with pytest.raises(fd.ProfileError, match="no Dirichlet zero mode"):
             det_dirichlet_regularized(const_profile)
 
+    def test_zero_eps_rejected(self, sinpi_profile):
+        with pytest.raises(ValueError, match="eps"):
+            det_dirichlet_regularized(sinpi_profile, eps=0.0)
+
 
 class TestWrappedZeroMode:
-    def test_difference_quotient_arithmetic(self):
-        value, denominator = _wrapped_difference_quotient(
-            xi_a=0.5, xi_b=2.0, dxi_a=1.5, eta_a=1.0, deta_a=1.0, norm_sq=2.0)
-        assert value == pytest.approx(-6.0, rel=1e-14)
-        assert denominator == pytest.approx(-0.5, rel=1e-14)
-        anti, _ = _wrapped_difference_quotient(
-            xi_a=0.5, xi_b=2.0, dxi_a=1.5, eta_a=1.0, deta_a=1.0,
-            norm_sq=2.0, anti=True)
-        assert anti == pytest.approx(-10.0, rel=1e-14)
-
-    def test_difference_quotient_zero_denominator(self):
-        with pytest.raises(fd.DegenerateOperatorError, match="denominator"):
-            _wrapped_difference_quotient(
-                xi_a=0.5, xi_b=1.5, dxi_a=1.5, eta_a=1.0, deta_a=1.0,
-                norm_sq=2.0)
-
     def test_free_periodic_report(self):
+        """F = 2 - 2 cos(sqrt(lambda) T) = lambda T^2 + ..., so det' K = -T^2,
+        which the lattice pseudo-determinant also converges to."""
         profile = const(0.0, 0.0, 2.0)
         report = det_periodic_regularized(profile)
         assert report.bc == "periodic"
-        # the constant mode makes the formula's numerator vanish while the
-        # lattice pseudo-determinant stays at -span^2; the two are reported
-        # side by side and flagged
-        assert abs(report.formula_value) <= 1e-6
+        assert report.value == pytest.approx(-4.0, rel=1e-12)
         assert report.oracle_value == pytest.approx(-4.0, rel=1e-4)
-        assert report.discrepant is True
+
+    def test_shifted_bump_matches_lattice(self):
+        profile = fd.make_zero_mode_profile(
+            fd.builtin_zero_mode_spec("sinpi_bump", fd.Interval(-3.0, -1.5)))
+        report = det_periodic_regularized(profile, anti=True)
+        assert report.bc == "antiperiodic"
+        assert report.value == pytest.approx(report.oracle_value, rel=1e-4)
+
+    @pytest.mark.parametrize("anti", [False, True])
+    def test_two_zero_modes_refused(self, sinpi_profile, anti):
+        """M = +I (omega = pi on [0, 2]) or -I (omega = pi on [0, 1]): every
+        solution is a zero mode and F has a double zero."""
+        profile = sinpi_profile if anti else const(math.pi, 0.0, 2.0)
+        with pytest.raises(fd.DegenerateOperatorError, match="two .*zero modes"):
+            det_periodic_regularized(profile, anti=anti)
 
     def test_rejects_invertible_profile(self, const_profile):
         with pytest.raises(fd.ProfileError, match="zero mode"):

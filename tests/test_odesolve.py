@@ -315,6 +315,11 @@ class TestMixing:
         with pytest.raises(ValueError):
             mix_basis(b, ((1.0, 2.0), (2.0, 4.0)))
 
+    def test_nonfinite_matrix_rejected(self, const_profile):
+        b = make_basis(const_profile)
+        with pytest.raises(ValueError, match="matrix"):
+            mix_basis(b, ((1.0, math.nan), (0.0, 1.0)))
+
     def test_frame_shared(self, modulated_profile, rng):
         """Phi(t, t_a) and Phi(t_b, t) do not depend on the basis, so mixing
         leaves them exactly as they were."""
@@ -452,6 +457,10 @@ class TestErmakov:
             solve_ermakov(const_profile, 0.0)
         with pytest.raises(ValueError):
             solve_ermakov(const_profile, -1.0)
+
+    def test_infinite_omega0_rejected(self, const_profile):
+        with pytest.raises(ValueError, match="omega0"):
+            solve_ermakov(const_profile, math.inf)
 
     def test_invalid_bc(self, const_profile):
         with pytest.raises(ValueError):

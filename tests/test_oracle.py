@@ -368,9 +368,8 @@ class TestPseudoDeterminant:
         assert report.zero_mode_index == 0
         assert report.num_nonpositive == 1
         assert report.mesh_size == 800
-        # magnitude matches 1/(2 pi^2); the removed-mode sign convention
-        # differs from the regularized closed form, so compare magnitudes
-        assert abs(report.aligned_pseudo_det) == pytest.approx(
+        # det' K = -dM12/dlambda = +1/(2 pi^2), minus the closed form
+        assert report.aligned_pseudo_det == pytest.approx(
             1.0 / (2.0 * math.pi ** 2), rel=2e-4)
 
     def test_free_periodic_zero_mode(self):
@@ -388,6 +387,11 @@ class TestCouplingFlow:
     def test_dirichlet_constant(self, const_profile):
         ratio = gflow_ratio(const_profile, "dirichlet")
         assert ratio == pytest.approx(math.sin(1.0), rel=1e-5)
+
+    def test_fractional_g_steps_rejected(self, const_profile):
+        """2.7 nodes is refused, not run as int(2.7) = 2."""
+        with pytest.raises(ValueError, match="g_steps"):
+            gflow_ratio(const_profile, "dirichlet", g_steps=2.7)
 
     def test_dirichlet_modulated(self, modulated_profile):
         expected = det_dirichlet(make_basis(modulated_profile)).ratio
@@ -522,7 +526,7 @@ class TestNoEigensolve:
             assert math.isfinite(lattice_ratio_richardson(
                 modulated_profile, bc, omega0, 2000))
         report = pseudo_det_ratio(sinpi_profile, "dirichlet", 2000)
-        assert abs(report.aligned_pseudo_det) == pytest.approx(
+        assert report.aligned_pseudo_det == pytest.approx(
             1.0 / (2.0 * math.pi ** 2), rel=1e-4)
         assert cli.main(["verify", "--suite", "all"]) == 0
         assert "26/26 checks within tolerance" in capsys.readouterr().err
