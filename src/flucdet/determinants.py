@@ -338,7 +338,9 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
                              omega0: float = 1.0) -> WrappedZeroModeReport:
     """det' K = -dF/dlambda at lambda = 0, F = 2 -+ tr M, for a profile with one
     periodic (antiperiodic with anti) zero mode, next to the lattice oracle's
-    signed pseudo-determinant.  Two zero modes (M = +-I) are refused."""
+    signed pseudo-determinant.  Two zero modes (M = +-I) are refused, and so
+    are two near-zero modes: Newton's step T^2 |F / (dF/dlambda)| to the
+    eigenvalue nearest zero must be within ZERO_MODE_PRESENT_TOL."""
     from . import oracle
 
     bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
@@ -351,10 +353,16 @@ def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
     if np.max(np.abs(m - (-1.0 if anti else 1.0) * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
         raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if anti else '+'}I "
                                       f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
+    slope = _det_slope(basis, bc)
+    newton = profile.interval.span ** 2 * abs(det_bar / slope) if slope else math.inf
+    if newton > ZERO_MODE_PRESENT_TOL:
+        raise DegenerateOperatorError(
+            f"two near-zero {bc} modes: Newton's step T^2 |F / (dF/dlambda)| = {newton:.3e} "
+            f"exceeds ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
 
     report = oracle.pseudo_det_ratio(profile, bc, WRAPPED_ZERO_MODE_LATTICE_N,
                                      omega0=omega0)
     # + 0.0: a slope that rounds to -0.0 is reported as 0.0
-    return WrappedZeroModeReport(bc=bc, value=-_det_slope(basis, bc) + 0.0,
+    return WrappedZeroModeReport(bc=bc, value=-slope + 0.0,
                                  oracle_value=report.aligned_pseudo_det,
                                  oracle_report=report)

@@ -6,18 +6,19 @@ of Phi start from (1, 0) and (0, 1) at t_a.  The determinants are
 
     Dirichlet M12,   periodic 2 - tr M,   antiperiodic 2 + tr M
 
-(Gel'fand-Yaglom, Forman).  The Dirichlet kernel is built from the
-left-anchored solution l = v, which vanishes at t_a, and the right-anchored
-solution r with (r, r') = (0, -1) at t_b:
+(Gel'fand-Yaglom, Forman).  Every kernel is Wronski's construction from l =
+v, which vanishes at t_a, and r with (r, r') = (sin theta, -cos theta) at t_b,
+read as S(t)^{-1} (sin theta, -cos theta) from suffix products, so r is never
+a difference of growing solutions.  With W = -(M12 cos theta + M22 sin theta)
 
-    G_D(t, t') = l(min(t, t')) r(max(t, t')) / M12.
+    G(t, t') = -l(min(t, t')) r(max(t, t')) / W + [l r](t) A [l r](t')^T.
 
-(r, r') = S(t)^{-1} (0, -1) = (S12, -S11), which make_basis reads from suffix
-products, so r is never the difference M12 u - M11 v of growing solutions.
-
-With sigma = +1 (periodic) or -1 (antiperiodic) and h = l + sigma*r, the
-wrapped kernels add the separable correction
--sigma h(t) h(t') / ((2 - sigma tr M) M12).
+Dirichlet is theta = 0 and A = 0.  The wrapped conditions, sigma = +1
+(periodic) or -1 (antiperiodic), take theta = atan2(M22, M12), where |W| =
+hypot(M12, M22) is largest and, as det M = 1, never 0, and the symmetric
+A = -(Y_b - sigma Y_a)^{-1} B / W with B = [[-sin theta, 0], [cos theta,
+sigma]], Y holding (l, r) and their slopes at an end; its one denominator is
+det(Y_b - sigma Y_a) / W = 2 - sigma tr M.
 """
 
 from __future__ import annotations
@@ -62,35 +63,33 @@ def det_from_transfer(m: np.ndarray, bc: str) -> float:
 
 def _det_slope(basis: HomogeneousBasis, bc: str, weight: Optional[Callable] = None) -> float:
     """dF/ds at s = 0 for the operator K - s weight(t), F the determinant under
-    bc read from M (weight 1 if None): d/dlambda, or d/dg for weight Omega^2.
-    dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt, E21 having a single 1
-    in its lower-left entry, by the basis's Gauss rule from one frame call."""
+    bc read from M (weight 1 if None): d/dlambda, or d/dg for weight Omega^2;
+    one per member for a family basis, whose weight(nodes) may carry members
+    last.  dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt, E21 having a
+    single 1 in its lower-left entry, by the basis's Gauss rule from one
+    frame call."""
     nodes, weights = basis.quadrature
-    if weight is not None:
-        weights = weights * weight(nodes)
+    if weight is not None:  # transposed, so that members last broadcast
+        weights = (np.transpose(weight(nodes)) * weights).T
     phi, s = basis.frame(nodes)
-    dm = -np.einsum("in,jn,n->ij", s[:, 1], phi[0], weights)
+    dm = -np.einsum("in...,jn...,n...->ij...", s[:, 1], phi[0], weights)
     if bc == BC_DIRICHLET:
-        return float(dm[0, 1])
-    return float(np.trace(dm)) * (-1.0 if bc == BC_PERIODIC else 1.0)
+        return _scalar(dm[0, 1])
+    return _scalar(np.trace(dm) * (-1.0 if bc == BC_PERIODIC else 1.0))
 
 
 def condition_estimate(m: np.ndarray, value: float) -> float:
     """Cancellation estimate of a determinant read from M: the largest entry
     of M (at least 1), which sets the integration error of the read, over
-    |value|; one per member for M of shape (2, 2, members)."""
-    if m.ndim == 2:  # one determinant: floats cost less than 0-d ufuncs
-        (a, b), (c, d) = m.tolist()
-        return max(1.0, abs(a), abs(b), abs(c), abs(d)) / abs(value) if value else math.inf
-    with np.errstate(divide="ignore"):
-        return _scalar(np.maximum(1.0, np.abs(m).max(axis=(0, 1))) / np.abs(value))
+    |value|; inf at value = +-0."""
+    (a, b), (c, d) = m.tolist()
+    return max(1.0, abs(a), abs(b), abs(c), abs(d)) / abs(value) if value else math.inf
 
 
-def _refuse_degenerate(m: np.ndarray, value, message: str) -> None:
-    """Refuse the first member whose condition estimate is >= 1/ENDPOINT_DEGENERACY_TOL."""
-    bad = np.flatnonzero(condition_estimate(m, value) >= 1.0 / ENDPOINT_DEGENERACY_TOL)
-    if bad.size:
-        raise DegenerateOperatorError(message.format(np.ravel(value)[bad[0]]))
+def _refuse_degenerate(m: np.ndarray, value: float, message: str) -> None:
+    """Refuse a determinant whose condition estimate is >= 1/ENDPOINT_DEGENERACY_TOL."""
+    if condition_estimate(m, value) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
+        raise DegenerateOperatorError(message.format(value))
 
 
 class GreenKernel:
@@ -101,7 +100,8 @@ class GreenKernel:
     branch chosen by side ("auto", "upper" for t > tp, "lower" for t < tp).
     Both take times or arrays of times that broadcast together (a grid is
     evaluate(ts[:, None], ts[None, :])) and return a float for scalar times.
-    A family basis (odesolve) is checked per member; values carry members last.
+    denom is the determinant F under bc, the one value the kernel refuses
+    when its condition estimate is >= 1/ENDPOINT_DEGENERACY_TOL.
     """
 
     def __init__(self, basis: HomogeneousBasis, bc: str):
@@ -110,37 +110,39 @@ class GreenKernel:
         self.basis = basis
         self.bc = bc
         m = basis.m
-
-        self.f_ab = det_from_transfer(m, BC_DIRICHLET)
-        _refuse_degenerate(m, self.f_ab, "Dirichlet endpoint determinant vanishes "
+        self.denom = det_from_transfer(m, bc)
+        _refuse_degenerate(m, self.denom, f"{bc} endpoint determinant vanishes "
                            "({:.3e}); the Green function does not exist")
 
-        if bc == BC_DIRICHLET:
-            self.sigma = 0.0
-            self.delta = None
-        else:
-            self.sigma = 1.0 if bc == BC_PERIODIC else -1.0
-            self.delta = det_from_transfer(m, bc)
-            _refuse_degenerate(m, self.delta, f"{bc} endpoint determinant vanishes "
-                               "({:.3e}); the Green function does not exist")
-
+        # r has (r, r') = (sin theta, -cos theta) at t_b and W = -n, n = M12 cos
+        # theta + M22 sin theta: theta = 0 for Dirichlet, else atan2(M22, M12),
+        # where n = hypot(M12, M22) > 0 since det M = 1
+        (m11, m12), (m21, m22) = m.tolist()
+        self._n = m12 if bc == BC_DIRICHLET else math.hypot(m12, m22)
+        self._sin, self._cos, self._c = 0.0, 1.0, (0.0, 0.0, 0.0)
+        if bc != BC_DIRICHLET:
+            n, sigma = self._n, 1.0 if bc == BC_PERIODIC else -1.0
+            self._sigma = sigma
+            sin, cos = self._sin, self._cos = m22 / n, m12 / n
+            # C = D^{-1} B = -adj(D / n) B / Delta for D = Y_b - sigma Y_a, where
+            # (l, r) = (M12, sin), (M22, -cos) at t_b, (0, n), (1, -(M21 sin +
+            # M11 cos)) at t_a; D / n keeps Delta W from overflowing
+            d12, d22 = sin / n - sigma, (sigma * (m21 * sin + m11 * cos) - cos) / n
+            self._c = tuple(x / self.denom for x in
+                            (d22 * sin + d12 * cos, sigma * d12, -sigma * cos))
         self._validate_boundary_values()
-
-    @property
-    def denom(self) -> float:
-        """Normalizing denominator: M12 for Dirichlet, 2 -+ tr M otherwise."""
-        return self.f_ab if self.delta is None else self.delta
 
     def _anchored(self, *times) -> list:
         """[[l, r], [l', r']] at each of the given times or arrays of times,
-        with shape (2, 2) + its shape + members, from one frame call."""
+        with shape (2, 2) + its shape, from one frame call: l = v and
+        (r, r') = S(t)^{-1} (sin theta, -cos theta)."""
         arrays = [np.asarray(t, dtype=float) for t in times]
-        flat = np.concatenate([a.ravel() for a in arrays])
-        phi, s = self.basis.frame(flat)
-        (l, dl), (s11, s12) = phi[:, 1], s[0]
-        lr = np.array([[l, s12], [dl, -s11]])
+        phi, s = self.basis.frame(np.concatenate([a.ravel() for a in arrays]))
+        (l, dl), ((s11, s12), (s21, s22)) = phi[:, 1], s
+        sin, cos = self._sin, self._cos
+        lr = np.array([[l, s22 * sin + s12 * cos], [dl, -(s21 * sin + s11 * cos)]])
         ends = np.cumsum([0] + [a.size for a in arrays])
-        return [lr[:, :, lo:hi].reshape((2, 2) + a.shape + lr.shape[3:])
+        return [lr[:, :, lo:hi].reshape((2, 2) + a.shape)
                 for a, lo, hi in zip(arrays, ends[:-1], ends[1:])]
 
     def _eval(self, t, tp, side: Optional[str] = None):
@@ -159,18 +161,18 @@ class GreenKernel:
 
     def _assemble(self, at_t, at_tp, upper, slope: bool):
         """G(t, tp), or dG/dt with slope, from the anchored solutions at t and
-        tp on the branch upper selects: l(tp) r(t) (t > tp) or l(t) r(tp)."""
+        tp: (l(min) r(max) + [l r](t) C [l r](tp)^T) / n on the branch upper
+        selects, l(tp) r(t) (t > tp) or l(t) r(tp)."""
         (l, r), (dl, dr) = at_t
         (lp, rp), _ = at_tp
         if slope:
             l, r = dl, dr
-        upper = np.reshape(upper, np.shape(upper) + (1,) * np.ndim(self.f_ab))
         # divided before multiplying: l(t) r(t') alone overflows for strongly
         # growing bases on the branch np.where discards
-        value = np.where(upper, (lp / self.f_ab) * r, (l / self.f_ab) * rp)
-        if self.sigma:
-            h, hp = l + self.sigma * r, lp + self.sigma * rp
-            value = value - self.sigma * (h / self.delta) * (hp / self.f_ab)
+        ln, rn = l / self._n, r / self._n
+        c11, c12, c22 = self._c
+        value = (np.where(upper, (lp / self._n) * r, ln * rp)
+                 + (ln * c11 + rn * c12) * lp + (ln * c12 + rn * c22) * rp)
         return float(value) if value.ndim == 0 else value
 
     # -- evaluation ---------------------------------------------------------
@@ -203,13 +205,10 @@ class GreenKernel:
         s = iv.t_a + np.array(_PROBE_FRACTIONS) * iv.span
         ends = np.array([[iv.t_a], [iv.t_b]])
         lr_ends, lr_s = self._anchored(ends, s)
-        values = self._assemble(lr_ends, lr_s, ends > s, False)
-        if self.bc == BC_DIRICHLET:
-            res = np.max(np.abs(values), axis=0)
-        else:
-            slopes = self._assemble(lr_ends, lr_s, ends > s, True)
-            res = np.maximum(np.abs(values[0] - self.sigma * values[1]),
-                             np.abs(slopes[0] - self.sigma * slopes[1]))
+        values, slopes = (self._assemble(lr_ends, lr_s, ends > s, d) for d in (False, True))
+        res = (np.max(np.abs(values), axis=0) if self.bc == BC_DIRICHLET else
+               np.maximum(np.abs(values[0] - self._sigma * values[1]),
+                          np.abs(slopes[0] - self._sigma * slopes[1])))
         diagonal = self._assemble(lr_s, lr_s, False, False)
         jump = self._assemble(lr_s, lr_s, True, True) - self._assemble(lr_s, lr_s, False, True)
         # the unit slope jump fails once r has lost its digits, as it does
@@ -223,64 +222,27 @@ class GreenKernel:
 
 def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable) -> float:
     """Integral of weight(t) * G(t, t) over the interval, by the basis's
-    Gauss rule on the integrator's steps (per member).  weight is called
-    once, on the array of Gauss nodes, as a profile's omega_sq is."""
+    Gauss rule on the integrator's steps.  weight is called once, on the
+    array of Gauss nodes, as a profile's omega_sq is."""
     nodes, weights = kernel.basis.quadrature
-    # .T puts a member axis first, where weight(nodes) broadcasts
-    return _scalar(weights @ (kernel.diagonal(nodes).T * weight(nodes)).T)
+    return float(weights @ (kernel.diagonal(nodes) * weight(nodes)))
 
 
-def _pair(basis: HomogeneousBasis, row_t, row_tp):
-    """f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W from the value rows
-    (eta, xi) of Y at t and at t' (each a pair or a pair of arrays)."""
-    return (row_t[0] * row_tp[1] - row_t[1] * row_tp[0]) / basis.w
-
-
-def dirichlet_trace_direct(basis: HomogeneousBasis) -> float:
-    """Dirichlet trace of Omega^2 G assembled from the two-point function.
-
-    Uses G(t, t) = f(t, t_a) f(t_b, t) / f(t_a, t_b), with f(t, t_a) built
-    from the basis columns and the rows of Y_a, f(t_a, t_b) from the endpoint
-    rows of Y_a and Y_b, and f(t_b, t) = -S12(t) from S(t) = Phi(t_b, t) of
-    the same frame, where the two columns would cancel for growing bases.
-    The anchored solutions of the kernel do not enter, which makes it a
-    consistency check on the kernel assembly.
-    """
-    row_a, row_b = basis.y_a[0], basis.y_b[0]
-    f_ab = float(_pair(basis, row_a, row_b))
-    _refuse_degenerate(basis.m, f_ab,
-                       "Dirichlet endpoint determinant vanishes; the trace is undefined")
-    nodes, weights = basis.quadrature
-    phi, s = basis.frame(nodes)
-    integrand = (basis.profile.omega_sq(nodes)
-                 * (_pair(basis, basis.y_a.T @ phi[0], row_a) / f_ab) * -s[0, 1])
-    return float(weights @ integrand)
-
-
-def trace_omega_sq(kernel: GreenKernel, check: bool = False) -> float:
-    """Integral of Omega^2(t) * G(t, t) over the interval.
-
-    With check=True the Dirichlet result is re-derived from the two-point
-    function and the two assemblies must agree to 1e-8 relative.
-    """
-    value = trace_weighted_diagonal(kernel, kernel.basis.profile.omega_sq)
-    if check and kernel.bc == BC_DIRICHLET:
-        direct = dirichlet_trace_direct(kernel.basis)
-        if abs(value - direct) > 1e-8 * (1.0 + abs(value)):
-            raise VerificationError(
-                "Dirichlet trace assemblies disagree: "
-                f"kernel diagonal {value!r} vs two-point form {direct!r}")
-    return value
+def trace_omega_sq(kernel: GreenKernel) -> float:
+    """Integral of Omega^2(t) * G(t, t) over the interval."""
+    return trace_weighted_diagonal(kernel, kernel.basis.profile.omega_sq)
 
 
 def _retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
-    """Retarded kernel R(t, t') = step(t - t') * f(t, t').
+    """Retarded kernel R(t, t') = step(t - t') * f(t, t'), f(t, t') = (eta(t)
+    xi(t') - xi(t) eta(t')) / W from the value rows (eta, xi) of Y.
 
     Solves the same inhomogeneous equation as the boundary kernels but with
     causal support; R vanishes for t < t' and on the diagonal.
     """
 
     def retarded(t: float, tp: float) -> float:
-        return float(_pair(basis, basis.y(t)[0], basis.y(tp)[0])) if t > tp else 0.0
+        (eta, xi), (eta_p, xi_p) = basis.y(t)[0], basis.y(tp)[0]
+        return float((eta * xi_p - xi * eta_p) / basis.w) if t > tp else 0.0
 
     return retarded

@@ -11,7 +11,9 @@ without computing a spectrum.  Ratios of same-size matrices are formed so
 that mesh factors cancel, then multiplied by the reference operator's
 continuum value.  The flow oracle integrates the Green-function trace along a
 family of operators connecting the reference to the target and exponentiates;
-the family is one batched Magnus family per step-count group.
+the family is one batched Magnus family per step-count group, and each
+member's trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s from
+the exact slope of its determinant (green._det_slope).
 
 Scaled convention: matrices are stored as h^2 * A, i.e. tridiagonal entries
 (-1, 2 - h^2 g Omega^2(t_i), -1), with corner entries -+1 for the wrapped
@@ -29,8 +31,7 @@ import numpy as np
 
 from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
-from .green import (BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS,
-                    GreenKernel, det_from_transfer, trace_weighted_diagonal)
+from .green import BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS, _det_slope, det_from_transfer
 from .odesolve import _family, _family_bases
 from .profiles import FrequencyProfile
 
@@ -282,11 +283,13 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     taken in u = sqrt(s), with g_steps Gauss-Legendre nodes u_i on [0, 1]:
     s = u_i^2 with weights 2 u_i w_i, which absorbs the 1/sqrt(s) growth of
     a hyperbolic integrand near s = 0.  V_s is affine in s, so the nodes and
-    ends are one Magnus family, read by GreenKernels.  The flow must stay
-    clear of zero modes: endpoint determinants are monitored at every node, a
-    sign change between nodes is located and reported as a crossing, and the
-    lattice Sturm counts of the reference and the target, which differ by the
-    number of eigenvalues the flow takes through zero, must agree.
+    ends are one Magnus family; each node's trace is -dF_s/ds / F_s, with
+    dF_s/ds the exact slope of the determinant read from M.  The flow must
+    stay clear of zero modes: endpoint determinants are monitored at every
+    node, a sign change between nodes is located and reported as a crossing,
+    and the lattice Sturm counts of the reference and the target, which
+    differ by the number of eigenvalues the flow takes through zero, must
+    agree.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
@@ -340,8 +343,10 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
 
     traces = np.zeros(s_probe.size)
     for members, basis in _family_bases(profile, groups, (s_probe > 0.0) & (s_probe < 1.0)):
-        traces[members] = trace_weighted_diagonal(
-            GreenKernel(basis, bc), lambda t: profile.omega_sq(t) - w0sq)
+        # -dF/ds / F with 1/F in the weight: dF/ds alone overflows where F
+        # nears the float range
+        traces[members] = -_det_slope(
+            basis, bc, lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members]))
     integral = float((u * ws) @ traces[1:-1])
     if -integral > _LOG_FLOAT_MAX:
         raise IntegrationError(

@@ -136,6 +136,7 @@ class TestDet:
     @pytest.mark.parametrize("profile,t_b,bc", [
         ('{"kind": "constant", "omega": 3.141592653589793}', "2.0", "periodic"),
         (SINPI, "1.0", "antiperiodic"),
+        ('{"kind": "constant", "omega": 3.1416926535897933}', "2.0", "periodic"),
     ])
     def test_regularized_two_zero_modes_refused(self, capsys, profile, t_b, bc):
         code, out, _ = run(capsys, "det", "--profile", profile, "--t-b", t_b,
@@ -248,6 +249,28 @@ class TestGreen:
         mid = float(out.strip().split("\n")[2].split(",")[2])
         expected = math.sin(0.5) ** 2 / math.sin(1.0)
         assert mid == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("bc,omega", [("periodic", 0.5 * math.pi),
+                                          ("antiperiodic", math.pi)])
+    def test_wrapped_kernel_with_vanishing_m12(self, capsys, bc, omega):
+        """omega T = pi (M = -I) and 2 pi (M = +I) on [0, 2]: M12 = 0, yet the
+        wrapped kernels exist; the table matches the closed form in u =
+        |t - t'| - T/2 to 1e-12 of max|G|."""
+        code, out, _ = run(capsys, "green", "--bc", bc, "--t-b", "2",
+                           "--profile", json.dumps({"kind": "constant", "omega": omega}))
+        assert code == 0
+        header, *lines = out.strip().split("\n")
+        grid = [float(c) for c in header.split(",")[1:]]
+        worst = scale = 0.0
+        for line in lines:
+            t, *row = (float(c) for c in line.split(","))
+            for tp, value in zip(grid, row):
+                u = abs(t - tp) - 1.0
+                exact = (-math.cos(omega * u) / (2.0 * omega * math.sin(omega))
+                         if bc == "periodic" else
+                         -math.sin(omega * u) / (2.0 * omega * math.cos(omega)))
+                worst, scale = max(worst, abs(value - exact)), max(scale, abs(exact))
+        assert worst <= 1e-12 * scale
 
     def test_degenerate_interval(self, capsys):
         code, out, _ = run(capsys, "green", "--t-b", repr(math.pi))

@@ -297,6 +297,15 @@ class TestWrappedZeroMode:
         with pytest.raises(fd.DegenerateOperatorError, match="two .*zero modes"):
             det_periodic_regularized(profile, anti=anti)
 
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6])
+    def test_two_near_zero_modes_refused(self, delta):
+        """omega = pi + delta on [0, 2]: F = 4 sin^2(omega) passes
+        ZERO_MODE_PRESENT_TOL, but both periodic modes sit near -2 pi delta,
+        so Newton's step T^2 |F / (dF/dlambda)| (about 4 pi delta) exceeds it."""
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match="two near-zero periodic modes.*ZERO_MODE_PRESENT_TOL"):
+            det_periodic_regularized(const(math.pi + delta, 0.0, 2.0))
+
     def test_rejects_invertible_profile(self, const_profile):
         with pytest.raises(fd.ProfileError, match="zero mode"):
             det_periodic_regularized(const_profile)

@@ -12,16 +12,23 @@ from flucdet.green import (
     BC_DIRICHLET,
     BC_PERIODIC,
     GreenKernel,
+    _det_slope,
     condition_estimate,
     det_from_transfer,
     _retarded_green,
-    dirichlet_trace_direct,
     trace_omega_sq,
     trace_weighted_diagonal,
 )
 from flucdet.odesolve import make_basis
 
 GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+
+def assert_trace_identity(value, basis, kernel):
+    """Tr[Omega^2 G] = -dF/dg / F, with dF/dg assembled by _det_slope from the
+    frame, to 1e-8 relative to 1 + |value|."""
+    slope = _det_slope(basis, kernel.bc, basis.profile.omega_sq)
+    assert abs(value + slope / kernel.denom) <= 1e-8 * (1.0 + abs(value))
 
 
 def apply_kernel(kernel, source, t, interval):
@@ -117,6 +124,42 @@ class TestKernelValues:
         expected = math.sin(0.5) / (2.0 * math.cos(0.5))
         for t in (0.1, 0.5, 1.0):
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("bc,omega_sq,span", [
+        # M = -I and M = +I: M12 = 0, though both kernels exist
+        (BC_PERIODIC, (0.5 * math.pi) ** 2, 2.0),
+        (BC_ANTIPERIODIC, math.pi ** 2, 2.0),
+        # periodic omega T = pi + delta: M12 of size delta
+        (BC_PERIODIC, (0.5 * (math.pi + 1e-2)) ** 2, 2.0),
+        (BC_PERIODIC, (0.5 * (math.pi + 1e-6)) ** 2, 2.0),
+        (BC_PERIODIC, (0.5 * (math.pi + 1e-8)) ** 2, 2.0),
+        # hyperbolic k T = 30: solutions of size e^30
+        (BC_PERIODIC, -(30.0 / 2.5) ** 2, 2.5),
+        (BC_ANTIPERIODIC, -(30.0 / 2.5) ** 2, 2.5),
+    ], ids=["periodic-pi", "antiperiodic-2pi", "periodic-pi+1e-2", "periodic-pi+1e-6",
+            "periodic-pi+1e-8", "periodic-kT30", "antiperiodic-kT30"])
+    def test_wrapped_table_closed_form(self, bc, omega_sq, span):
+        """Constant Omega^2 on [t_a, t_a + T], with u = |t - t'| - T/2: G =
+        -cos(omega u) / (2 omega sin(omega T/2)) periodic and -sin(omega u) /
+        (2 omega cos(omega T/2)) antiperiodic, or cosh(k u) / (2 k sinh(k T/2))
+        and -sinh(k u) / (2 k cosh(k T/2)) for Omega^2 = -k^2; to 1e-13 of
+        max|G|."""
+        iv = fd.Interval(-0.7, -0.7 + span)
+        kernel = GreenKernel(make_basis(fd.make_user_profile(lambda t: omega_sq, iv)), bc)
+        ts = iv.grid(21)
+        u = np.abs(ts[:, None] - ts[None, :]) - 0.5 * span
+        if omega_sq > 0.0:
+            w = math.sqrt(omega_sq)
+            exact = (-np.cos(w * u) / (2.0 * w * math.sin(0.5 * w * span))
+                     if bc == BC_PERIODIC else
+                     -np.sin(w * u) / (2.0 * w * math.cos(0.5 * w * span)))
+        else:
+            k = math.sqrt(-omega_sq)
+            exact = (np.cosh(k * u) / (2.0 * k * math.sinh(0.5 * k * span))
+                     if bc == BC_PERIODIC else
+                     -np.sinh(k * u) / (2.0 * k * math.cosh(0.5 * k * span)))
+        table = kernel.evaluate(ts[:, None], ts[None, :])
+        assert np.max(np.abs(table - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_denom_property(self, const_profile):
         basis = make_basis(const_profile)
@@ -276,17 +319,31 @@ class TestTraces:
         value = trace_weighted_diagonal(kernel, lambda t: 1.0)
         assert value == pytest.approx(1.0 / 6.0, rel=1e-10)
 
+    def test_periodic_unit_weight_trace_near_focal(self):
+        """omega T = pi + delta, delta = 1e-8, on [0, 2]: int G(t, t) dt =
+        T tan(delta/2) / (2 omega), of size 3e-9 against |G| up to 0.3."""
+        delta, span = 1e-8, 2.0
+        omega = (math.pi + delta) / span
+        profile = fd.make_constant_profile(omega, fd.Interval(0.0, span))
+        value = trace_weighted_diagonal(GreenKernel(make_basis(profile), BC_PERIODIC),
+                                        lambda t: 1.0)
+        assert value == pytest.approx(span * math.tan(0.5 * delta) / (2.0 * omega), rel=1e-6)
+
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_trace_omega_sq_runs(self, modulated_profile, bc):
-        kernel = GreenKernel(make_basis(modulated_profile), bc)
-        value = trace_omega_sq(kernel, check=True)
+        basis = make_basis(modulated_profile)
+        kernel = GreenKernel(basis, bc)
+        value = trace_omega_sq(kernel)
         assert math.isfinite(value)
+        assert_trace_identity(value, basis, kernel)
 
     def test_direct_assembly_matches_kernel(self, modulated_profile):
+        """The kernel diagonal against -dF/dg / F, which _det_slope assembles
+        from the frame's products without the kernel's anchored solutions."""
         basis = make_basis(modulated_profile)
         kernel = GreenKernel(basis, BC_DIRICHLET)
         via_kernel = trace_omega_sq(kernel)
-        direct = dirichlet_trace_direct(basis)
+        direct = -_det_slope(basis, BC_DIRICHLET, modulated_profile.omega_sq) / kernel.denom
         assert direct == pytest.approx(via_kernel, rel=1e-9)
 
 
@@ -298,8 +355,11 @@ class TestTraceClosedForms:
 
     def trace(self, omega_sq: float, bc: str) -> float:
         iv = fd.Interval(self.T_A, self.T_A + self.SPAN)
-        profile = fd.make_user_profile(lambda t: omega_sq, iv)
-        return trace_omega_sq(GreenKernel(make_basis(profile), bc), check=True)
+        basis = make_basis(fd.make_user_profile(lambda t: omega_sq, iv))
+        kernel = GreenKernel(basis, bc)
+        value = trace_omega_sq(kernel)
+        assert_trace_identity(value, basis, kernel)
+        return value
 
     @pytest.mark.parametrize("x", [1.0, 6.0, 10.25, 30.3])
     @pytest.mark.parametrize("bc,closed", [
@@ -314,6 +374,7 @@ class TestTraceClosedForms:
     @pytest.mark.parametrize("x", [2.0, 6.0, 6.9, 16.0, 30.0])
     @pytest.mark.parametrize("bc,closed", [
         (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tanh(x)),
+        (BC_PERIODIC, lambda x: -0.5 * x / math.tanh(0.5 * x)),
         (BC_ANTIPERIODIC, lambda x: -0.5 * x * math.tanh(0.5 * x)),
     ])
     def test_hyperbolic(self, x, bc, closed):
@@ -322,8 +383,8 @@ class TestTraceClosedForms:
 
 
 class TestFamilyKernel:
-    """GreenKernel and trace_weighted_diagonal on a basis with a trailing
-    member axis, as the coupling flow builds them."""
+    """_det_slope on a basis with a trailing member axis, as the coupling flow
+    reads it."""
 
     S = np.array([0.2, 0.6, 1.0])
 
@@ -338,32 +399,21 @@ class TestFamilyKernel:
 
     @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
     def test_per_member_values(self, modulated_profile, bc):
-        """Every value and trace of the family kernel is that member's own
-        kernel's, and its checks pass per member."""
+        """Every member's dF/ds, unweighted, weighted by Omega^2 or by a
+        members-last weight, is that member's own basis's."""
         grid, m, error = self.family(modulated_profile, 1.0 - self.S, self.S)
-        kernel = GreenKernel(odesolve._canonical(modulated_profile, grid, m, error), bc)
-        ts = modulated_profile.interval.grid(9)
-        table = kernel.evaluate(ts[:, None], ts[None, :])
-        slopes = kernel.evaluate_dt(ts[:, None], ts[None, :])
-        traces = trace_weighted_diagonal(kernel, modulated_profile.omega_sq)
-        assert table.shape == slopes.shape == (9, 9, self.S.size)
-        assert traces.shape == (self.S.size,)
-        for j in range(self.S.size):
-            alone = GreenKernel(self.alone(modulated_profile, grid, m, error, j), bc)
-            assert np.array_equal(table[..., j], alone.evaluate(ts[:, None], ts[None, :]))
-            assert np.array_equal(slopes[..., j], alone.evaluate_dt(ts[:, None], ts[None, :]))
-            assert traces[j] == pytest.approx(
-                trace_weighted_diagonal(alone, modulated_profile.omega_sq), rel=1e-14)
-
-    def test_degenerate_member_refused(self):
-        """Omega^2 = 1 on [0, pi] is a focal interval: the member s = 1 is
-        refused by name, though the member s = 1/2 is regular."""
-        profile = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))
-        grid, m, error = self.family(profile, [0.0, 0.0], [0.5, 1.0])
-        with pytest.raises(fd.DegenerateOperatorError,
-                           match="Dirichlet endpoint determinant vanishes"):
-            GreenKernel(odesolve._canonical(profile, grid, m, error), BC_DIRICHLET)
-        GreenKernel(self.alone(profile, grid, m, error, 0), BC_DIRICHLET)
+        basis = odesolve._canonical(modulated_profile, grid, m, error)
+        om, scale = modulated_profile.omega_sq, np.array([1.0, -2.5, 0.5])
+        cases = ((None, lambda j: None), (om, lambda j: om),
+                 (lambda t: np.multiply.outer(om(t), scale),
+                  lambda j: lambda t: scale[j] * om(t)))
+        for family_weight, member_weight in cases:
+            slopes = _det_slope(basis, bc, family_weight)
+            assert slopes.shape == (self.S.size,)
+            for j in range(self.S.size):
+                alone = self.alone(modulated_profile, grid, m, error, j)
+                assert slopes[j] == pytest.approx(
+                    _det_slope(alone, bc, member_weight(j)), rel=1e-14)
 
 
 class TestRetarded:
@@ -403,21 +453,12 @@ class TestConditionEstimate:
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_scalar_path_equals_array_path(self, index, value):
-        """A 2x2 M takes a path on floats: max(1, max|M_ij|) / |value|, inf
-        at value = +-0; a one-member family takes the array path."""
+        """M takes a path on floats, equal to max(1, max|M_ij|) / |value|
+        formed on arrays; inf at value = +-0."""
         m = self.MATRICES[index]
         scalar = condition_estimate(m, value)
         assert type(scalar) is float
-        family = condition_estimate(m[..., None], np.array([value]))
-        assert isinstance(family, np.ndarray) and family.shape == (1,)
-        assert scalar == family[0]
+        with np.errstate(divide="ignore"):
+            assert scalar == np.maximum(1.0, np.abs(m).max()) / np.abs(value)
         if value == 0.0:
             assert scalar == math.inf
-
-    def test_family(self):
-        """Members side by side give what each gives alone."""
-        m = np.stack(self.MATRICES, axis=-1)
-        values = np.array([0.01, -0.0, 2.5e-12])
-        family = condition_estimate(m, values)
-        assert family.tolist() == [condition_estimate(m[..., j], v)
-                                   for j, v in enumerate(values.tolist())]

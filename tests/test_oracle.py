@@ -388,6 +388,17 @@ class TestCouplingFlow:
         ratio = gflow_ratio(const_profile, "dirichlet")
         assert ratio == pytest.approx(math.sin(1.0), rel=1e-5)
 
+    def test_node_with_vanishing_m12(self):
+        """Constant Omega^2 chosen so that the flow's node s_20 (of 32) has
+        omega_s T = pi on [0, 2]: that member's M12 is zero to rounding, yet
+        its periodic determinant is 4, and the flow keeps its digits."""
+        nodes = (0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)) ** 2
+        omega_sq = 1.0 + ((0.5 * math.pi) ** 2 - 1.0) / nodes[20]
+        profile = fd.make_constant_profile(math.sqrt(omega_sq), fd.Interval(0.0, 2.0))
+        expected = (1.0 - math.cos(2.0 * math.sqrt(omega_sq))) / (1.0 - math.cos(2.0))
+        assert gflow_ratio(profile, "periodic", omega0=1.0) == pytest.approx(
+            expected, rel=1e-12)
+
     def test_fractional_g_steps_rejected(self, const_profile):
         """2.7 nodes is refused, not run as int(2.7) = 2."""
         with pytest.raises(ValueError, match="g_steps"):
@@ -406,7 +417,7 @@ class TestCouplingFlow:
 
     def test_one_family_samples_omega_sq(self, modulated_profile):
         """The flow solves its nodes and ends as one Magnus family, so it
-        samples Omega^2 once per level and kernel chunk of the family, in
+        samples Omega^2 once per level and dF/ds chunk of the family, in
         fewer calls than the g_steps + 2 bases it needs (one make_basis each
         made at least three)."""
         calls = []
@@ -422,7 +433,7 @@ class TestCouplingFlow:
 
     def test_chunks_change_only_rounding(self, modulated_profile, monkeypatch):
         """At MAGNUS_CHUNK = 64 the family multiplies one step per array and
-        builds one kernel per member; the flow changes only in rounding."""
+        reads dF/ds one member per frame; the flow changes only in rounding."""
         whole = gflow_ratio(modulated_profile, "periodic", omega0=1.0)
         monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
         assert gflow_ratio(modulated_profile, "periodic", omega0=1.0) == pytest.approx(
@@ -472,7 +483,7 @@ class TestCouplingFlowHyperbolic:
         """At kT = 32.0125 the target s = 1 (work estimate 64.03) needs the
         128-step level and the last node s = 0.99726 (63.94) the 64-step one,
         so s = 1 is the only member of its group and none of its members
-        needs a kernel; the same holds above 64.  The flow is unchanged."""
+        needs a dF/ds; the same holds above 64.  The flow is unchanged."""
         ratio = gflow_ratio(hyperbolic(kt, span=1.0), "dirichlet", g_steps=32)
         assert ratio == pytest.approx(math.sinh(kt) / kt, rel=1e-8)
 
