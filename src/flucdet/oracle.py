@@ -1,24 +1,24 @@
 """Brute-force verification paths independent of the endpoint construction.
 
 Two oracles live here.  The lattice oracle discretizes the operator by
-second-order finite differences and reads everything from one O(n) LDL^T
-sweep of the tridiagonal (or, for the wrapped conditions, bordered
-tridiagonal) matrix: the log-determinant and its sign from the pivots, Sturm
-counts of the eigenvalues below a shift from the pivot signs, and the
-derivative of the log-determinant in the shift, which gives the determinant
-with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
-without computing a spectrum.  Ratios of same-size matrices are formed so
-that mesh factors cancel, then multiplied by the reference operator's
-continuum value.  The flow oracle integrates the Green-function trace along a
+Numerov's fourth-order scheme, N = T' C: C = diag(c_k), c_k = 1 + q_k / 12
+with q_k = h^2 g Omega^2(t_k), and T' tridiagonal (bordered for the wrapped
+conditions) with off-diagonals -1 and diagonal 2 - q_k / c_k.  Everything is
+read from one O(n) LDL^T sweep of T' - mu W, W = C^-2, the pencil whose shift
+in mu is, to first order, that of T' in h^2 lambda: the log-determinant and
+its sign from the pivots, Sturm counts of the pencil's eigenvalues below a
+shift from the pivot signs, and the derivative of the log-determinant in the
+shift, which gives the determinant with one zero mode removed (Kirsten and
+McKane, Ann. Phys. 308, 502, 2003) without computing a spectrum.  Dirichlet
+reads M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
+c_{n+1}, which starts the recurrence at the solution's value at t_a + h to
+O(h^5); the wrapped conditions read 2 -+ tr M as det T'.  Ratios are taken
+over the constant reference lattice of the same size, whose spectrum is a
+closed form.  The flow oracle integrates the Green-function trace along a
 family of operators connecting the reference to the target and exponentiates;
 the family is one batched Magnus family per step-count group, and each
 member's trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s from
 the exact slope of its determinant (green._det_slope).
-
-Scaled convention: matrices are stored as h^2 * A, i.e. tridiagonal entries
-(-1, 2 - h^2 g Omega^2(t_i), -1), with corner entries -+1 for the wrapped
-boundary conditions.  Determinant ratios are identical in the scaled and
-physical conventions.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .green import BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS, _det_slope, d
 from .odesolve import _family, _family_bases
 from .profiles import FrequencyProfile
 
-# Zero-mode windows of the lattice, relative to the Gershgorin bound of the
-# scaled spectrum: lattice_ratio refuses an eigenvalue within
+# Zero-mode windows of the lattice pencil, relative to the Gershgorin bound
+# of its spectrum: lattice_ratio refuses an eigenvalue within
 # LATTICE_ZERO_TOL of zero, pseudo_det_ratio needs exactly one within
 # PSEUDO_ZERO_TOL.
 LATTICE_ZERO_TOL = 1e-10
@@ -48,87 +48,89 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Finite-difference discretization in the scaled (h^2 A) convention."""
+    """Numerov discretization N = T' C in the scaled (h^2 K) convention: the
+    diagonal of T', the pencil weight w_k = 1/c_k^2, the corner entry of T'
+    (0 for Dirichlet) and the Dirichlet boundary factor (1 when wrapped)."""
 
     bc: str
     mesh_size: int
     step: float
     nodes: np.ndarray = field(repr=False)
     diag: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
     corner: float
+    boundary: float
 
 
 def build_lattice(profile: FrequencyProfile, bc: str, n: int,
                   g: float = 1.0) -> LatticeOperator:
-    """Discretize -d^2/dt^2 - g*Omega^2 on n mesh points.
+    """Discretize -d^2/dt^2 - g*Omega^2 on n mesh points by Numerov's scheme.
 
-    Dirichlet uses the n interior points of an (n+1)-step mesh.  The wrapped
-    conditions use n points starting at t_a with the last step folding back,
-    and the diagonal at the fold uses the average of Omega^2 at the two
-    interval ends so that profiles that are not exactly interval-periodic
-    still discretize with second-order accuracy.
+    Dirichlet uses the n interior points of an (n+1)-step mesh; the samples
+    at t_a and t_b set its boundary factor.  The wrapped conditions use n
+    points starting at t_a with the last step folding back, and the fold
+    node uses the average of Omega^2 at the two interval ends, which keeps
+    profiles that are not exactly interval-periodic at second order.
     """
     if bc not in BOUNDARY_CONDITIONS:
         raise ValueError(f"unsupported boundary condition {bc!r}")
     if n < 16:
         raise ValueError(f"mesh size must be at least 16, got {n}")
     iv = profile.interval
-    if bc == BC_DIRICHLET:
-        h = iv.span / (n + 1)
-        nodes = iv.t_a + h * np.arange(1, n + 1)
-        diag = 2.0 - h * h * g * profile.omega_sq(nodes)
-        corner = 0.0
+    dirichlet = bc == BC_DIRICHLET
+    h = iv.span / (n + 1) if dirichlet else iv.span / n
+    times = np.append(iv.t_a + h * np.arange(n + dirichlet), iv.t_b)
+    q = h * h * g * profile.omega_sq(times)
+    if dirichlet:
+        # c_1 (1 - (q_0 + q_1) / 12) / c_{n+1}
+        boundary = float((12.0 + q[1]) * (1.0 - (q[0] + q[1]) / 12.0) / (12.0 + q[-1]))
+        q, nodes, corner = q[1:-1], times[1:-1], 0.0
     else:
-        h = iv.span / n
-        nodes = iv.t_a + h * np.arange(n)
-        values = profile.omega_sq(np.append(nodes, iv.t_b))
-        diag = 2.0 - h * h * g * values[:-1]
-        diag[0] = 2.0 - h * h * g * (0.5 * (values[0] + values[-1]))
+        q[0] = 0.5 * (q[0] + q[-1])
+        q, nodes, boundary = q[:-1], times[:-1], 1.0
         corner = -1.0 if bc == BC_PERIODIC else 1.0
-    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, diag=diag,
-                           corner=corner)
-
-
-def _reference_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
-    h = span / (n + 1) if bc == BC_DIRICHLET else span / n
-    corner = {BC_DIRICHLET: 0.0, BC_PERIODIC: -1.0}.get(bc, 1.0)
-    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
-                           diag=np.full(n, 2.0 - h * h * omega0 * omega0), corner=corner)
+    c = 1.0 + q / 12.0
+    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, diag=2.0 - q / c,
+                           weight=c ** -2.0, corner=corner, boundary=boundary)
 
 
 def _gershgorin(op: LatticeOperator) -> float:
-    """max|d_k| + 2, a Gershgorin bound of every |eigenvalue| of the lattice."""
-    return float(np.max(np.abs(op.diag))) + 2.0
+    """(max|d_k| + 2) / min w_k, a bound of every |eigenvalue| of the pencil
+    (T', W), which are those of C T' C."""
+    return float(np.max(np.abs(op.diag)) + 2.0) / float(np.min(op.weight))
 
 
 def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
-    """One LDL^T pass over the scaled matrix minus mu, in O(n): (log|det|,
-    sign of det, number of eigenvalues below mu, d/dmu log|det|).
+    """One LDL^T pass over T' - mu W, in O(n): (log|det|, sign of det, number
+    of the pencil's eigenvalues below mu, d/dmu log|det|).
 
-    The pivots p_k = (d_k - mu) - 1/p_{k-1} run over all n rows for
+    The pivots p_k = (d_k - mu w_k) - 1/p_{k-1} run over all n rows for
     Dirichlet; the wrapped conditions run them over the first n-1 rows (the
-    block T) and add the Schur complement of the last row, s = d_n - mu -
-    b^T T^-1 b with b = (c, 0, ..., 0, -1).  The count is that of negative
-    pivots and of s < 0 (Sylvester's inertia law, Haynsworth's additivity).
-    The slope, only on request, sums p_k'/p_k, p_k' = -1 + p_{k-1}'/p_{k-1}^2,
-    and s'/s, s' = -1 - |T^-1 b|^2.  A pivot zero to working precision is
-    nudged to a negative one of that size, as in LAPACK's bisection.
+    block T) and add the Schur complement of the last row, s = d_n - mu w_n
+    - b^T T^-1 b with b = (c, 0, ..., 0, -1).  The count is that of negative
+    pivots and of s < 0 (Sylvester's inertia law, Haynsworth's additivity;
+    W is positive).  The slope, only on request, sums p_k'/p_k, p_k' = -w_k
+    + p_{k-1}'/p_{k-1}^2, and s'/s, s' = -w_n - sum_k w_k x_k^2 with x =
+    T^-1 b.  A pivot zero to working precision is nudged to a negative one
+    of that size, as in LAPACK's bisection.
     """
-    a = op.diag - mu
+    a = op.diag - mu * op.weight
     wrapped = op.corner != 0.0
     floor = _EPS * _gershgorin(op)
-    piv, dpiv = [], []
-    p, dp = math.inf, 0.0
+    piv = []
+    p = math.inf
     for ak in (a[:-1] if wrapped else a).tolist():
-        if slope:
-            dp = -1.0 + dp / (p * p)
-            dpiv.append(dp)
         p = ak - 1.0 / p
         if -floor < p < floor:
             p = -floor
         piv.append(p)
+    dlog = math.nan
+    if slope:
+        dp = dlog = 0.0
+        for wk, prev, pk in zip(op.weight.tolist(), [math.inf] + piv[:-1], piv):
+            dp = -wk + dp / (prev * prev)
+            dlog += dp / pk
     piv = np.array(piv)
-    dlog = float(np.sum(np.array(dpiv) / piv)) if slope else math.nan
     if wrapped:
         # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
         y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
@@ -140,18 +142,20 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
         if slope:
             # T^-1 b = L^-T z, one backward pass with the same pivots
             x = norm = 0.0
-            for zk, pk in zip(z[::-1].tolist(), piv[::-1].tolist()):
+            for zk, pk, wk in zip(z[::-1].tolist(), piv[::-1].tolist(),
+                                  op.weight[-2::-1].tolist()):
                 x = zk + x / pk
-                norm += x * x
-            dlog += (-1.0 - norm) / s
+                norm += wk * x * x
+            dlog += (-op.weight[-1] - norm) / s
         piv = np.append(piv, s)
     below = int(np.count_nonzero(piv < 0.0))
     return float(np.sum(np.log(np.abs(piv)))), (-1.0 if below % 2 else 1.0), below, dlog
 
 
 def _window(op: LatticeOperator, tol: float) -> tuple:
-    """Counts of the eigenvalues below -delta and below +delta, with delta =
-    tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
+    """Counts of the pencil's eigenvalues below -delta and below +delta, with
+    delta = tol * _gershgorin(op); they differ by the number in
+    [-delta, delta)."""
     delta = tol * _gershgorin(op)
     return _sweep(op, -delta)[2], _sweep(op, delta)[2]
 
@@ -163,31 +167,51 @@ def _exp_signed(log_abs: float, sign: float, what: str) -> float:
     return sign * math.exp(log_abs)
 
 
-def _lattice_determinant_scaled(op: LatticeOperator) -> float:
-    """Determinant of the scaled matrix, from the pivots of one sweep."""
-    log_abs, sign, _, _ = _sweep(op)
-    return _exp_signed(log_abs, sign, "lattice determinant")
+def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
+    """The constant-omega0 reference lattice in closed form: the eigenvalues
+    a - 2 cos(theta_j) of its T', a = 2 - h^2 omega0^2 / c0, with theta_j =
+    pi j / (n+1) (Dirichlet, j = 1..n), 2 pi j / n (periodic) or (2j+1) pi /
+    n (antiperiodic); its pencil's eigenvalues are c0^2 times these and its
+    Gershgorin bound c0^2 (|a| + 2).  Also its Dirichlet boundary factor
+    1 - h^2 omega0^2 / 6.  a - 2 cos(theta) is summed as 4 sin^2(theta/2) -
+    (2 - a), which keeps its digits where a is near 2."""
+    dirichlet = bc == BC_DIRICHLET
+    h = span / (n + 1) if dirichlet else span / n
+    q0 = (h * omega0) ** 2
+    gap = q0 / (1.0 + q0 / 12.0)
+    if dirichlet:
+        theta = math.pi / (n + 1) * np.arange(1, n + 1)
+    else:
+        theta = math.pi / n * (2 * np.arange(n) + (bc != BC_PERIODIC))
+    eigs = 4.0 * np.sin(0.5 * theta) ** 2 - gap
+    return eigs, abs(2.0 - gap) + 2.0, 1.0 - q0 / 6.0 if dirichlet else 1.0
 
 
 def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                     span: float, omega0: float) -> float:
-    """sign exp(log_abs) over the reference lattice's determinant."""
-    ref = _reference_lattice(op.bc, op.mesh_size, span, omega0)
-    below, nonpositive = _window(ref, LATTICE_ZERO_TOL)
-    if nonpositive != below:
+    """sign exp(log_abs) det T' times the lattice's boundary factor over the
+    reference lattice's, from the reference's closed-form spectrum."""
+    eigs, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span, omega0)
+    delta = LATTICE_ZERO_TOL * bound
+    if np.any((eigs >= -delta) & (eigs < delta)):
         raise DegenerateOperatorError(
             f"reference lattice has a zero mode at omega0 = {omega0}")
-    ref_log, ref_sign, _, _ = _sweep(ref)
-    return _exp_signed(log_abs - ref_log, sign * ref_sign,
+    ref_sign = -1.0 if np.count_nonzero(eigs < 0.0) % 2 else 1.0
+    factor = op.boundary / boundary
+    return _exp_signed(log_abs + math.log(abs(factor)) - float(np.sum(np.log(np.abs(eigs)))),
+                       sign * ref_sign * math.copysign(1.0, factor),
                        "lattice determinant ratio")
 
 
 def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
                   g: float = 1.0) -> float:
-    """det(A)/det(reference) on an n-point mesh; converges with order h^2.
+    """det(K)/det(reference) on an n-point Numerov mesh; converges with order
+    h^4 under Dirichlet conditions, and under the wrapped ones where the
+    profile closes up at the fold (h^2 where it does not).
 
-    Both determinants come from the pivots of one sweep each.  An eigenvalue
-    within LATTICE_ZERO_TOL of zero (Sturm counts at -+delta that differ) is
+    The target's determinant comes from the pivots of one sweep, the
+    reference's from its closed-form spectrum.  An eigenvalue within
+    LATTICE_ZERO_TOL of zero (Sturm counts at -+delta that differ) is
     refused with a pointer to the pseudo-determinant; a ratio beyond the
     float range raises IntegrationError.
     """
@@ -202,14 +226,17 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
 
 def lattice_ratio_richardson(profile: FrequencyProfile, bc: str,
                              omega0: float, n: int, g: float = 1.0) -> float:
-    """One h^2 -> 0 refinement step: (4 r_{2n} - r_n) / 3."""
+    """One refinement step in the mesh step: (16 r_{2n} - r_n) / 15 for
+    Dirichlet (order h^4), (4 r_{2n} - r_n) / 3 for the wrapped conditions,
+    whose fold keeps them at order h^2."""
     r1 = lattice_ratio(profile, bc, omega0, n, g=g)
     r2 = lattice_ratio(profile, bc, omega0, 2 * n, g=g)
-    refined = (4.0 * r2 - r1) / 3.0
+    gain = 16.0 if bc == BC_DIRICHLET else 4.0
+    refined = (gain * r2 - r1) / (gain - 1.0)
     if not math.isfinite(refined):
         raise IntegrationError(
-            f"Richardson lattice ratio (4 {r2!r} - {r1!r}) / 3 exceeds the "
-            "float range")
+            f"Richardson lattice ratio ({gain:g} {r2!r} - {r1!r}) / {gain - 1.0:g} "
+            "exceeds the float range")
     return refined
 
 
@@ -232,15 +259,17 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
 
     The Sturm counts at -delta and +delta (delta is PSEUDO_ZERO_TOL times the
     Gershgorin bound) must differ by one: the first is the zero mode's index
-    in the ascending spectrum, the second the number of nonpositive
-    eigenvalues, the removed mode included whatever its rounding sign.  The
-    reduced determinant -d/dmu det(A - mu) at 0 is the product of the other
-    eigenvalues up to a relative lambda_0 sum_{j != 0} 1/lambda_j.  Over the
-    reference lattice's determinant, times h^2 for the removed mode, it is
-    pseudo_det_ratio; times the reference's continuum value it is
-    aligned_pseudo_det, which converges to det' K = -dF/dlambda, sign
-    included: to det_periodic_regularized's value for the wrapped conditions
-    and to minus det_dirichlet_regularized's closed form for Dirichlet.
+    in the ascending spectrum of the pencil (T', W), the second the number
+    of nonpositive eigenvalues, the removed mode included whatever its
+    rounding sign.  The reduced determinant -d/dmu det(T' - mu W) at 0 is
+    the product of the other eigenvalues, over det W, up to a relative
+    lambda_0 sum_{j != 0} 1/lambda_j; it is -h^-2 d/dlambda det T' at
+    lambda = 0.  Times the boundary factor, over the reference lattice's
+    determinant, times h^2 for the removed mode, it is pseudo_det_ratio;
+    times the reference's continuum value it is aligned_pseudo_det, which
+    converges to det' K = -dF/dlambda, sign included: to
+    det_periodic_regularized's value for the wrapped conditions and to minus
+    det_dirichlet_regularized's closed form for Dirichlet.
     """
     op = build_lattice(profile, bc, n, g=g)
     index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
@@ -333,7 +362,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     # two points per radian of sqrt(max|V_s|) T.
     n = max(grid.n for members, grid, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
-    below_ref = _sweep(_reference_lattice(bc, n, span, omega0_ref))[2]
+    below_ref = int(np.count_nonzero(_reference_spectrum(bc, n, span, omega0_ref)[0] < 0.0))
     below = _sweep(build_lattice(profile, bc, n))[2]
     if below != below_ref:
         raise DegenerateOperatorError(

@@ -13,8 +13,9 @@ from flucdet.oracle import (
     LATTICE_ZERO_TOL,
     PSEUDO_ZERO_TOL,
     LatticeOperator,
-    _lattice_determinant_scaled,
-    _reference_lattice,
+    _gershgorin,
+    _over_reference,
+    _reference_spectrum,
     _sweep,
     build_lattice,
     gflow_ratio,
@@ -25,6 +26,7 @@ from flucdet.oracle import (
 
 
 def dense_matrix(op: LatticeOperator) -> np.ndarray:
+    """T' as a dense matrix."""
     mat = np.diag(op.diag)
     idx = np.arange(op.mesh_size - 1)
     mat[idx, idx + 1] = -1.0
@@ -36,21 +38,49 @@ def dense_matrix(op: LatticeOperator) -> np.ndarray:
 
 
 def dense_spectrum(op: LatticeOperator) -> np.ndarray:
-    """Ascending eigenvalues from a dense eigensolve, the test-only check of
-    the O(n) sweep."""
-    assert op.mesh_size <= 300
-    return np.linalg.eigvalsh(dense_matrix(op))
+    """Ascending eigenvalues of the pencil (T', W), those of C T' C with C =
+    W^-1/2, from a dense eigensolve: the test-only check of the O(n) sweep."""
+    assert op.mesh_size <= 500
+    c = 1.0 / np.sqrt(op.weight)
+    return np.linalg.eigvalsh(c[:, None] * dense_matrix(op) * c[None, :])
+
+
+def dense_log_det(op: LatticeOperator) -> tuple:
+    """(log|det T' * boundary|, its sign) from the dense pencil spectrum:
+    det T' = det(C T' C) det W."""
+    log_abs, sign = log_product(dense_spectrum(op))
+    return (log_abs + float(np.sum(np.log(op.weight))) + math.log(abs(op.boundary)),
+            sign * math.copysign(1.0, op.boundary))
+
+
+def numerov(omega_sq: float, h: float) -> tuple:
+    """(diagonal of T', weight 1/c^2) at a node where Omega^2 = omega_sq."""
+    q = h * h * omega_sq
+    c = 1.0 + q / 12.0
+    return 2.0 - q / c, 1.0 / c ** 2
 
 
 def closed_form_spectrum(bc: str, n: int, step: float, omega0: float) -> np.ndarray:
-    """Eigenvalues of the scaled constant-frequency lattice."""
+    """Eigenvalues c0^2 (a - 2 cos theta_j) of the constant-frequency Numerov
+    pencil, with a its diagonal and c0^2 = 1/w."""
     if bc == "dirichlet":
         angles = np.arange(1, n + 1) * np.pi / (n + 1)
     elif bc == "periodic":
         angles = 2.0 * np.pi * np.arange(n) / n
     else:
         angles = (2.0 * np.arange(n) + 1.0) * np.pi / n
-    return 2.0 - 2.0 * np.cos(angles) - (step * omega0) ** 2
+    diag, weight = numerov(omega0 ** 2, step)
+    return (diag - 2.0 * np.cos(angles)) / weight
+
+
+def constant_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
+    """The constant-omega0 Numerov lattice built explicitly, entry by entry."""
+    h = span / (n + 1) if bc == "dirichlet" else span / n
+    diag, weight = numerov(omega0 ** 2, h)
+    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
+                           diag=np.full(n, diag), weight=np.full(n, weight),
+                           corner={"dirichlet": 0.0, "periodic": -1.0}.get(bc, 1.0),
+                           boundary=1.0 - (h * omega0) ** 2 / 6.0 if bc == "dirichlet" else 1.0)
 
 
 def log_product(values: np.ndarray) -> tuple:
@@ -68,10 +98,10 @@ def zero_mode(name: str) -> fd.FrequencyProfile:
         fd.builtin_zero_mode_spec(name, fd.Interval(0.0, 1.0)))
 
 
-def hyperbolic(kt: float, span: float = 2.0) -> fd.FrequencyProfile:
+def hyperbolic(kt: float, span: float = 2.0, t_a: float = 0.0) -> fd.FrequencyProfile:
     k_sq = (kt / span) ** 2
     return fd.FrequencyProfile(omega_sq=lambda t: np.full(np.shape(t), -k_sq),
-                               interval=fd.Interval(0.0, span))
+                               interval=fd.Interval(t_a, t_a + span))
 
 
 class TestLatticeAssembly:
@@ -82,7 +112,11 @@ class TestLatticeAssembly:
         assert op.nodes[0] == pytest.approx(op.step)
         assert op.nodes[-1] == pytest.approx(1.0 - op.step)
         assert op.corner == 0.0
-        assert np.allclose(op.diag, 2.0 - op.step ** 2)
+        diag, weight = numerov(1.0, op.step)
+        assert np.allclose(op.diag, diag, rtol=0.0, atol=1e-15)
+        assert np.allclose(op.weight, weight, rtol=1e-15)
+        # c_1 (1 - (q_0 + q_1) / 12) / c_{n+1} with q = h^2 throughout
+        assert op.boundary == pytest.approx(1.0 - op.step ** 2 / 6.0, rel=1e-15)
 
     def test_wrapped_mesh_and_corners(self, const_profile):
         per = build_lattice(const_profile, "periodic", 20)
@@ -95,12 +129,15 @@ class TestLatticeAssembly:
         op = build_lattice(modulated_profile, "periodic", 32)
         iv = modulated_profile.interval
         expected = 0.5 * (modulated_profile(iv.t_a) + modulated_profile(iv.t_b))
-        recovered = (2.0 - op.diag[0]) / op.step ** 2
+        # 2 - d = q / c and c = w^-1/2
+        recovered = (2.0 - op.diag[0]) / np.sqrt(op.weight[0]) / op.step ** 2
         assert recovered == pytest.approx(expected, rel=1e-12)
 
     def test_coupling_scales_diagonal(self, const_profile):
         op = build_lattice(const_profile, "dirichlet", 20, g=3.0)
-        assert np.allclose(op.diag, 2.0 - 3.0 * op.step ** 2)
+        diag, weight = numerov(3.0, op.step)
+        assert np.allclose(op.diag, diag, rtol=0.0, atol=1e-15)
+        assert np.allclose(op.weight, weight, rtol=1e-15)
 
     def test_minimum_size(self, const_profile):
         with pytest.raises(ValueError, match="at least 16"):
@@ -114,15 +151,20 @@ class TestLatticeAssembly:
 class TestEigenvalues:
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_reference_spectra_match_dense(self, bc):
-        """The reference lattice's determinant against the product of its
-        closed-form eigenvalues."""
+        """A constant lattice's dense pencil spectrum, eig(C T' C), against
+        the closed-form eigenvalues; its determinant with the boundary factor
+        against the closed-form reference's, by sweep and densely."""
         profile = fd.make_constant_profile(2.0, fd.Interval(0.0, 1.0))
         op = build_lattice(profile, bc, 32)
-        analytic = np.prod(closed_form_spectrum(bc, 32, op.step, 2.0))
-        ref = _reference_lattice(bc, 32, 1.0, 2.0)
-        assert ref.step == op.step
-        assert np.allclose(_lattice_determinant_scaled(ref), analytic, atol=1e-12)
-        assert np.allclose(_lattice_determinant_scaled(op), analytic, atol=1e-12)
+        analytic = np.sort(closed_form_spectrum(bc, 32, op.step, 2.0))
+        assert np.allclose(dense_spectrum(op), analytic, rtol=0.0, atol=1e-12)
+        eigs, _, boundary = _reference_spectrum(bc, 32, 1.0, 2.0)
+        # the pencil's eigenvalues are c0^2 = 1/w times those of T'
+        assert np.allclose(np.sort(eigs) / op.weight[0], analytic, rtol=0.0, atol=1e-12)
+        assert op.boundary == pytest.approx(boundary, rel=1e-15)
+        log_abs, sign = dense_log_det(op)
+        assert sign * math.exp(log_abs) == pytest.approx(np.prod(eigs) * boundary, rel=1e-12)
+        assert _over_reference(op, *_sweep(op)[:2], 1.0, 2.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_count_nonpositive_monotone(self, const_profile):
         profile = fd.make_constant_profile(4.0, fd.Interval(0.0, 2.0))
@@ -139,15 +181,19 @@ class TestSturmSweep:
                                            ("periodic", -1.0),
                                            ("antiperiodic", 1.0)])
     def test_random_diagonals_of_both_signs(self, rng, bc, corner):
+        """Random diagonals and weights: det(T' - mu W) = det W prod(lambda_j
+        - mu) over the pencil's eigenvalues."""
         for _ in range(5):
             diag = rng.uniform(-3.0, 3.0, size=60)
-            op = LatticeOperator(bc=bc, mesh_size=60, step=0.1,
-                                 nodes=np.zeros(60), diag=diag, corner=corner)
+            weight = rng.uniform(0.5, 2.0, size=60)
+            op = LatticeOperator(bc=bc, mesh_size=60, step=0.1, nodes=np.zeros(60),
+                                 diag=diag, weight=weight, corner=corner, boundary=1.0)
             eigs = dense_spectrum(op)
             for mu in (-4.5, -1.3, 0.0, 0.4, 2.2, 4.5):
                 log_abs, sign, below, slope = _sweep(op, mu, slope=True)
                 assert below == np.count_nonzero(eigs < mu)
                 dense_log, dense_sign = log_product(eigs - mu)
+                dense_log += float(np.sum(np.log(weight)))
                 assert log_abs == pytest.approx(dense_log, abs=1e-9)
                 assert sign == dense_sign
                 trace = float(np.sum(1.0 / (eigs - mu)))
@@ -156,8 +202,9 @@ class TestSturmSweep:
     def test_exact_zero_pivot_is_nudged(self):
         """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
         regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
-        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1,
-                             nodes=np.zeros(22), diag=np.ones(22), corner=0.0)
+        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+                             diag=np.ones(22), weight=np.ones(22), corner=0.0,
+                             boundary=1.0)
         eigs = dense_spectrum(op)
         log_abs, sign, below, _ = _sweep(op)
         assert below == np.count_nonzero(eigs < 0.0)
@@ -195,13 +242,17 @@ PSEUDO_CASES = {
 
 
 def dense_ratio(profile, bc: str, omega0: float, n: int) -> tuple:
-    """(log|ratio|, sign) of the lattice against its reference, from dense
-    eigenvalues."""
+    """(log|ratio|, sign) of the lattice against the constant reference
+    lattice, each from its dense pencil spectrum and boundary factor."""
     op = build_lattice(profile, bc, n)
-    ref = _reference_lattice(bc, n, profile.interval.span, omega0)
-    log_num, sign_num = log_product(dense_spectrum(op))
-    log_den, sign_den = log_product(dense_spectrum(ref))
+    log_num, sign_num = dense_log_det(op)
+    log_den, sign_den = dense_log_det(constant_lattice(bc, n, profile.interval.span, omega0))
     return log_num - log_den, sign_num * sign_den
+
+
+def richardson(bc: str, r1: float, r2: float) -> float:
+    gain = 16.0 if bc == "dirichlet" else 4.0
+    return (gain * r2 - r1) / (gain - 1.0)
 
 
 class TestDenseCrossCheck:
@@ -219,7 +270,7 @@ class TestDenseCrossCheck:
         r1, r2 = (sign * math.exp(log_ratio) for log_ratio, sign in
                   (dense_ratio(profile, bc, omega0, n) for n in (150, 300)))
         assert lattice_ratio_richardson(profile, bc, omega0, 150) == pytest.approx(
-            (4.0 * r2 - r1) / 3.0, rel=1e-9)
+            richardson(bc, r1, r2), rel=1e-9)
 
     @pytest.mark.parametrize("case", sorted(PSEUDO_CASES))
     def test_pseudo_determinant(self, case):
@@ -229,18 +280,20 @@ class TestDenseCrossCheck:
         report = pseudo_det_ratio(profile, bc, n, omega0=omega0)
         op = build_lattice(profile, bc, n)
         eigs = dense_spectrum(op)
-        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         assert report.zero_mode_index == np.count_nonzero(eigs < -delta)
         assert report.num_nonpositive == np.count_nonzero(eigs < delta)
         zero = int(np.argmin(np.abs(eigs)))
         assert zero == report.zero_mode_index
         kept = np.delete(eigs, zero)
-        ref = dense_spectrum(_reference_lattice(bc, n, profile.interval.span, omega0))
         log_kept, sign_kept = log_product(kept)
-        log_ref, sign_ref = log_product(ref)
+        log_kept += float(np.sum(np.log(op.weight))) + math.log(abs(op.boundary))
+        sign_kept *= math.copysign(1.0, op.boundary)
+        log_ref, sign_ref = dense_log_det(
+            constant_lattice(bc, n, profile.interval.span, omega0))
         product = sign_kept * sign_ref * math.exp(log_kept - log_ref) * op.step ** 2
-        # -d/dmu det(A - mu) at 0 is the product of the other eigenvalues
-        # times 1 + lambda_0 sum_j 1/lambda_j
+        # -d/dmu det(T' - mu W) at 0 is det W times the product of the other
+        # eigenvalues times 1 + lambda_0 sum_j 1/lambda_j
         correction = eigs[zero] * float(np.sum(1.0 / kept))
         assert report.pseudo_det_ratio == pytest.approx(
             product * (1.0 + correction), rel=1e-9)
@@ -256,7 +309,7 @@ class TestDenseCrossCheck:
         dense counts the same window."""
         prof = constant(omega, 1.0)
         op = build_lattice(prof, bc, 300)
-        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         assert np.count_nonzero(np.abs(dense_spectrum(op)) < delta) == 2
         with pytest.raises(fd.DegenerateOperatorError, match="found 2"):
             pseudo_det_ratio(prof, bc, 300, omega0=1.0)
@@ -266,21 +319,22 @@ class TestDenseCrossCheck:
         """lattice_ratio refuses exactly when a dense eigenvalue lies within
         LATTICE_ZERO_TOL of zero, relative to the Gershgorin bound: the free
         periodic lattice has an exact zero mode; sinpi's lowest eigenvalue
-        is 1e-9 at n = 300, outside the window."""
+        is -3.1e-9 at n = 32, outside the window (it shrinks like h^6, and
+        is -4.8e-15 at n = 300)."""
         make, bc, omega0 = PSEUDO_CASES[case]
         profile = make()
-        op = build_lattice(profile, bc, 300)
-        delta = LATTICE_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0)
+        op = build_lattice(profile, bc, 32)
+        delta = LATTICE_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         eigs = dense_spectrum(op)
         if np.any((eigs >= -delta) & (eigs < delta)):
             with pytest.raises(fd.DegenerateOperatorError, match="pseudo-determinant"):
-                lattice_ratio(profile, bc, omega0, 300)
+                lattice_ratio(profile, bc, omega0, 32)
         else:
             # a dense eigenvalue is off by up to about n eps ||A||, which is
-            # a relative 3e-4 of sinpi's lowest one
-            log_ratio, sign = dense_ratio(profile, bc, omega0, 300)
-            noise = 300 * np.finfo(float).eps * 4.0 / np.min(np.abs(eigs))
-            assert lattice_ratio(profile, bc, omega0, 300) == pytest.approx(
+            # a relative 1e-5 of sinpi's lowest one
+            log_ratio, sign = dense_ratio(profile, bc, omega0, 32)
+            noise = 32 * np.finfo(float).eps * 4.0 / np.min(np.abs(eigs))
+            assert lattice_ratio(profile, bc, omega0, 32) == pytest.approx(
                 sign * math.exp(log_ratio), rel=noise)
 
 
@@ -289,19 +343,31 @@ class TestDeterminantRecurrence:
         for bc, corner in (("dirichlet", 0.0), ("periodic", -1.0),
                            ("antiperiodic", 1.0)):
             diag = rng.uniform(1.5, 2.5, size=40)
-            op = LatticeOperator(bc=bc, mesh_size=40, step=0.02,
-                                 nodes=np.zeros(40), diag=diag, corner=corner)
+            op = LatticeOperator(bc=bc, mesh_size=40, step=0.02, nodes=np.zeros(40),
+                                 diag=diag, weight=np.ones(40), corner=corner,
+                                 boundary=1.0)
             direct = float(np.linalg.det(dense_matrix(op)))
-            assert _lattice_determinant_scaled(op) == pytest.approx(
-                direct, rel=1e-10)
+            log_abs, sign, _, _ = _sweep(op)
+            assert sign * math.exp(log_abs) == pytest.approx(direct, rel=1e-10)
 
 
 class TestLatticeRatio:
     def test_converges_to_closed_form(self, const_profile):
+        """Order h^4 under Dirichlet conditions.  The meshes are coarse: at
+        n = 400 the error (2e-13) is already at the sweep's rounding."""
         exact = math.sin(1.0)
         err = [abs(lattice_ratio(const_profile, "dirichlet", 0.0, n) - exact)
-               for n in (400, 800)]
-        assert err[0] / err[1] == pytest.approx(4.0, rel=0.1)
+               for n in (32, 64)]
+        assert err[0] / err[1] == pytest.approx(16.0, rel=0.1)
+
+    def test_wrapped_order_two_where_the_fold_does_not_close(self):
+        """Omega^2(t_a) != Omega^2(t_b): the fold averages a jump, which
+        keeps the wrapped conditions at order h^2."""
+        profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(-3.0, 7.0))
+        exact = determinant(profile, bc="periodic", omega0=1.0).ratio
+        err = [abs(lattice_ratio(profile, "periodic", 1.0, n) / exact - 1.0)
+               for n in (2000, 4000)]
+        assert err[0] / err[1] == pytest.approx(4.0, rel=0.05)
 
     def test_negative_determinant(self):
         profile = fd.make_constant_profile(1.0, fd.Interval(0.0, 4.0))
@@ -333,8 +399,8 @@ class TestLatticeRatio:
         assert refined == pytest.approx(exact, rel=1e-6)
 
     def test_zero_mode_rejected(self, sinpi_profile):
-        # the discrete zero-mode eigenvalue shrinks like h^4 in scaled units;
-        # from n=400 it sits below the degeneracy guard
+        # the discrete zero-mode eigenvalue shrinks like h^6 in scaled units;
+        # from n=48 it sits below the degeneracy guard
         with pytest.raises(fd.DegenerateOperatorError,
                            match="pseudo-determinant"):
             lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
@@ -356,10 +422,66 @@ class TestLatticeRatio:
             fn(hyperbolic(800.0, span=1.0), bc, 1.0, 500)
 
     def test_large_ratio_within_float_range(self):
-        """Omega^2 = -400^2 on [0, 1]: 7.97e168, as the eigenvalue product
-        gave."""
-        ratio = lattice_ratio(hyperbolic(400.0, span=1.0), "antiperiodic", 1.0, 500)
-        assert ratio == pytest.approx(7.971704692144622e168, rel=1e-9)
+        """Omega^2 = -400^2 on [0, 1]: 2.37e173, as the dense pencil spectrum
+        gives (h k = 0.8 is coarse; the continuum value is 1.69e173)."""
+        profile = hyperbolic(400.0, span=1.0)
+        log_ratio, sign = dense_ratio(profile, "antiperiodic", 1.0, 500)
+        ratio = lattice_ratio(profile, "antiperiodic", 1.0, 500)
+        assert ratio == pytest.approx(sign * math.exp(log_ratio), rel=1e-9)
+
+
+class TestClosedFormReference:
+    """The reference lattice's closed-form spectrum against the sweep of the
+    same constant lattice built entry by entry.  The sweep sees a rounded to
+    a float, which moves its log-determinant by up to eps |a| sum_j 1/|t_j|:
+    1.5e-8 for omega0 T = 0.7 under periodic conditions at n = 4000, whose
+    lowest eigenvalue is -3e-8; everywhere else that is below 1e-9."""
+
+    # (span, omega0); the last has h^2 omega0^2 > 6 at every n below
+    PAIRS = ((1.0, 0.7), (2.0, 5.3), (10.0, 31.7), (3.0, 411.0), (1.0, 3.0e4))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    @pytest.mark.parametrize("n", [100, 2000, 4000])
+    def test_sign_count_and_log(self, bc, n):
+        for span, omega0 in self.PAIRS:
+            op = constant_lattice(bc, n, span, omega0)
+            log_abs, sign, below, _ = _sweep(op)
+            eigs, bound, boundary = _reference_spectrum(bc, n, span, omega0)
+            assert below == np.count_nonzero(eigs < 0.0)
+            assert sign == (-1.0 if below % 2 else 1.0)
+            rounding = np.finfo(float).eps * abs(op.diag[0]) * float(np.sum(1.0 / np.abs(eigs)))
+            assert log_abs == pytest.approx(float(np.sum(np.log(np.abs(eigs)))),
+                                            abs=1e-9 + rounding)
+            assert boundary == op.boundary
+            assert bound == pytest.approx(_gershgorin(op) * op.weight[0], rel=1e-15)
+            assert _over_reference(op, log_abs, sign, span, omega0) == pytest.approx(
+                1.0, abs=1e-9 + rounding)
+        assert (op.step * omega0) ** 2 > 6.0
+
+
+class TestHyperbolicRegressions:
+    """The two green-crosscheck inputs that the second-order lattice missed
+    at n = 2000 by 4e-4 against its 2e-4 tolerance."""
+
+    def test_dirichlet(self):
+        k, t_a, t_b = 18.34058586339663, 0.06178430362249099, 1.8482699107529899
+        kt = k * (t_b - t_a)
+        profile = hyperbolic(kt, span=t_b - t_a, t_a=t_a)
+        exact = math.sinh(kt) / kt
+        assert lattice_ratio(profile, "dirichlet", 0.0, 2000) == pytest.approx(exact, rel=1e-7)
+        assert lattice_ratio_richardson(profile, "dirichlet", 0.0, 2000) == pytest.approx(
+            exact, rel=1e-8)
+
+    def test_antiperiodic(self):
+        k, omega0 = 18.69531349949888, 0.9672627262439097
+        t_a, t_b = -0.09587229261698127, 1.6429771449493493
+        span = t_b - t_a
+        profile = hyperbolic(k * span, span=span, t_a=t_a)
+        exact = (2.0 + 2.0 * math.cosh(k * span)) / (4.0 * math.cos(0.5 * omega0 * span) ** 2)
+        assert lattice_ratio(profile, "antiperiodic", omega0, 2000) == pytest.approx(
+            exact, rel=1e-7)
+        assert lattice_ratio_richardson(profile, "antiperiodic", omega0, 2000) == pytest.approx(
+            exact, rel=1e-8)
 
 
 class TestPseudoDeterminant:

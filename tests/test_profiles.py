@@ -205,6 +205,21 @@ class TestConfig:
         with pytest.raises(fd.ConfigError):
             profile_from_config("{not json", unit_interval)
 
+    @pytest.mark.parametrize("config", [
+        {"kind": "constant", "omega": math.nan},
+        {"kind": "constant", "omega": 1e200},
+        {"kind": "modulated", "omega": 1.0, "eps": math.nan, "nu": 3.0},
+        {"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": math.inf},
+    ], ids=["constant-omega-nan", "constant-omega-1e200", "modulated-eps-nan",
+            "modulated-nu-inf"])
+    def test_nonfinite_parameters_refused(self, unit_interval, config):
+        """Parameters whose Omega^2 is not finite are refused by name of the
+        profile error, not accepted: omega^2 overflows at 1e200, NaN and inf
+        propagate through sin.  numpy's invalid-value warning on the way is
+        not the refusal, so it is silenced here."""
+        with np.errstate(invalid="ignore"), pytest.raises(fd.ProfileError):
+            profile_from_config(config, unit_interval)
+
 
 def assert_array_contract(omega_sq, iv):
     """omega_sq on an array equals the scalar calls exactly and keeps the
