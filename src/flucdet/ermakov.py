@@ -69,7 +69,7 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
         return phi, np.einsum("ij,jk...->ik...", m, _adjugate(phi))
 
     # each solver step splits into ceil(advance) equal parts, at whole part counts
-    advance = MAGNUS_STEPS_PER_RADIAN * w0 * np.diff(sol.state(sol.knots)[2])
+    advance = MAGNUS_STEPS_PER_RADIAN * w0 * np.diff(sol.q_knots)
     counts = np.concatenate(([0.0], np.cumsum(np.maximum(1.0, np.ceil(advance)))))
     knots = np.interp(np.arange(counts[-1] + 1.0), counts, sol.knots)
     return HomogeneousBasis(frame=frame, y_a=y_a, y_b=y_b, profile=sol.profile, knots=knots)

@@ -446,7 +446,8 @@ class ErmakovSolution:
     state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
     times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
     satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to the shooting tolerance.
-    knots are the integrator's step times from t_a to t_b.
+    knots are the integrator's step times from t_a to t_b and q_knots the
+    phase at them, the solver's own step-end states.
     """
 
     state: Callable[[object], np.ndarray]
@@ -459,6 +460,7 @@ class ErmakovSolution:
     profile: FrequencyProfile
     periodic: bool
     knots: np.ndarray
+    q_knots: np.ndarray
     evenness_residual: Optional[float] = None
     newton_iterations: int = 0
 
@@ -549,4 +551,5 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
         state=state, omega0=float(omega0),
         p_a=p_start, p_b=float(end[0]), dp_a=dp_start, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
-        knots=sol.ts, evenness_residual=evenness, newton_iterations=iterations)
+        knots=sol.ts, q_knots=sol.ys[:, 2], evenness_residual=evenness,
+        newton_iterations=iterations)

@@ -49,17 +49,23 @@ _EPS = float(np.finfo(float).eps)
 @dataclass(frozen=True)
 class LatticeOperator:
     """Numerov discretization N = T' C in the scaled (h^2 K) convention: the
-    diagonal of T', the pencil weight w_k = 1/c_k^2, the corner entry of T'
-    (0 for Dirichlet) and the Dirichlet boundary factor (1 when wrapped)."""
+    gaps g_k = q_k / c_k of T', whose diagonal is 2 - g_k, the pencil weight
+    w_k = 1/c_k^2, the corner entry of T' (0 for Dirichlet) and the Dirichlet
+    boundary factor (1 when wrapped).  The gaps are stored, not the
+    diagonal: 2 - g_k would round g_k to eps relative to 2."""
 
     bc: str
     mesh_size: int
     step: float
     nodes: np.ndarray = field(repr=False)
-    diag: np.ndarray = field(repr=False)
+    gap: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
     corner: float
     boundary: float
+
+    @property
+    def diag(self) -> np.ndarray:
+        return 2.0 - self.gap
 
 
 def build_lattice(profile: FrequencyProfile, bc: str, n: int,
@@ -90,7 +96,7 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
         q, nodes, boundary = q[:-1], times[:-1], 1.0
         corner = -1.0 if bc == BC_PERIODIC else 1.0
     c = 1.0 + q / 12.0
-    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, diag=2.0 - q / c,
+    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, gap=q / c,
                            weight=c ** -2.0, corner=corner, boundary=boundary)
 
 
@@ -104,39 +110,50 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
     """One LDL^T pass over T' - mu W, in O(n): (log|det|, sign of det, number
     of the pencil's eigenvalues below mu, d/dmu log|det|).
 
-    The pivots p_k = (d_k - mu w_k) - 1/p_{k-1} run over all n rows for
-    Dirichlet; the wrapped conditions run them over the first n-1 rows (the
-    block T) and add the Schur complement of the last row, s = d_n - mu w_n
-    - b^T T^-1 b with b = (c, 0, ..., 0, -1).  The count is that of negative
-    pivots and of s < 0 (Sylvester's inertia law, Haynsworth's additivity;
-    W is positive).  The slope, only on request, sums p_k'/p_k, p_k' = -w_k
-    + p_{k-1}'/p_{k-1}^2, and s'/s, s' = -w_n - sum_k w_k x_k^2 with x =
-    T^-1 b.  A pivot zero to working precision is nudged to a negative one
-    of that size, as in LAPACK's bisection.
+    The pivots p_k = (2 - g_k - mu w_k) - 1/p_{k-1} are swept as their
+    excess e_k = p_k - 1 = e_{k-1}/p_{k-1} - (g_k + mu w_k), whose log1p
+    keeps the digits of pivots near 1 (the free lattice's are (k+1)/k).
+    They run over all n rows for Dirichlet; the wrapped conditions run them
+    over the first n-1 rows (the block T) and add the Schur complement of
+    the last row, s = 2 - g_n - mu w_n - b^T T^-1 b with b = (c, 0, ..., 0,
+    -1).  The count is that of negative pivots and of s < 0 (Sylvester's
+    inertia law, Haynsworth's additivity; W is positive).  The slope, only
+    on request, sums p_k'/p_k, p_k' = -w_k + p_{k-1}'/p_{k-1}^2, and s'/s,
+    s' = -w_n - sum_k w_k x_k^2 with x = T^-1 b.  A pivot zero to working
+    precision is nudged to a negative one of that size, as in LAPACK's
+    bisection.
     """
-    a = op.diag - mu * op.weight
+    gap = op.gap + mu * op.weight
     wrapped = op.corner != 0.0
-    floor = _EPS * _gershgorin(op)
-    piv = []
-    p = math.inf
-    for ak in (a[:-1] if wrapped else a).tolist():
-        p = ak - 1.0 / p
-        if -floor < p < floor:
-            p = -floor
-        piv.append(p)
+    # 1 + e resolves a pivot to eps at best, so the floor is at least eps
+    floor = _EPS * max(_gershgorin(op), 1.0)
+    exc, lo = [], -floor
+    append = exc.append
+    r = 1.0  # e_{k-1} / p_{k-1}, 1 before the first row
+    for gk in (gap[:-1] if wrapped else gap).tolist():
+        e = r - gk
+        p = 1.0 + e
+        if lo < p < floor:
+            e = lo - 1.0
+            p = 1.0 + e
+        append(e)
+        r = e / p
+    exc = np.array(exc)
+    piv = 1.0 + exc
+    logs = np.log1p(np.where(exc > -1.0, exc, -2.0 - exc))  # |p| - 1 = -2 - e for p < 0
     dlog = math.nan
     if slope:
         dp = dlog = 0.0
-        for wk, prev, pk in zip(op.weight.tolist(), [math.inf] + piv[:-1], piv):
+        pivots = piv.tolist()
+        for wk, prev, pk in zip(op.weight.tolist(), [math.inf] + pivots[:-1], pivots):
             dp = -wk + dp / (prev * prev)
             dlog += dp / pk
-    piv = np.array(piv)
     if wrapped:
         # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
         y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
         y[-1] -= 1.0
         z = y / piv
-        s = float(a[-1] - y @ z)
+        s = float(2.0 - gap[-1] - y @ z)
         if -floor < s < floor:
             s = -floor
         if slope:
@@ -148,8 +165,9 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
                 norm += wk * x * x
             dlog += (-op.weight[-1] - norm) / s
         piv = np.append(piv, s)
+        logs = np.append(logs, math.log(abs(s)))
     below = int(np.count_nonzero(piv < 0.0))
-    return float(np.sum(np.log(np.abs(piv)))), (-1.0 if below % 2 else 1.0), below, dlog
+    return float(np.sum(logs)), (-1.0 if below % 2 else 1.0), below, dlog
 
 
 def _window(op: LatticeOperator, tol: float) -> tuple:
@@ -169,36 +187,52 @@ def _exp_signed(log_abs: float, sign: float, what: str) -> float:
 
 def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
     """The constant-omega0 reference lattice in closed form: the eigenvalues
-    a - 2 cos(theta_j) of its T', a = 2 - h^2 omega0^2 / c0, with theta_j =
-    pi j / (n+1) (Dirichlet, j = 1..n), 2 pi j / n (periodic) or (2j+1) pi /
-    n (antiperiodic); its pencil's eigenvalues are c0^2 times these and its
-    Gershgorin bound c0^2 (|a| + 2).  Also its Dirichlet boundary factor
-    1 - h^2 omega0^2 / 6.  a - 2 cos(theta) is summed as 4 sin^2(theta/2) -
-    (2 - a), which keeps its digits where a is near 2."""
+    a - 2 cos(theta_j) of its T', a = 2 - g0 with g0 = h^2 omega0^2 / c0,
+    and theta_j = pi j / (n+1) (Dirichlet, j = 1..n), 2 pi j / n (periodic)
+    or (2j+1) pi / n (antiperiodic); the log of |det T'|; the Gershgorin
+    bound c0^2 (|a| + 2) of its pencil, whose eigenvalues are c0^2 times
+    those of T'; and its Dirichlet boundary factor 1 - h^2 omega0^2 / 6.
+
+    An eigenvalue is s_j - g0 with s_j = 4 sin^2(theta_j / 2), which keeps
+    its digits where a is near 2.  The log-determinant is log prod s_j +
+    sum_j log|1 - g0 / s_j| over s_j > 0, with the free lattice's prod s_j
+    exact: n + 1 (Dirichlet), 4 (antiperiodic) or n^2 (periodic, whose s_0
+    = 0 leaves the eigenvalue -g0).  The rounding of theta_j and of the
+    sines then enters only through g0 / s_j, where in a sum of log|s_j - g0|
+    their shared relative rounding alone moves the log by about n eps.  An
+    exact zero eigenvalue gives -inf, which the callers refuse before
+    reading."""
     dirichlet = bc == BC_DIRICHLET
+    periodic = bc == BC_PERIODIC
     h = span / (n + 1) if dirichlet else span / n
     q0 = (h * omega0) ** 2
     gap = q0 / (1.0 + q0 / 12.0)
     if dirichlet:
         theta = math.pi / (n + 1) * np.arange(1, n + 1)
     else:
-        theta = math.pi / n * (2 * np.arange(n) + (bc != BC_PERIODIC))
-    eigs = 4.0 * np.sin(0.5 * theta) ** 2 - gap
-    return eigs, abs(2.0 - gap) + 2.0, 1.0 - q0 / 6.0 if dirichlet else 1.0
+        theta = math.pi / n * (2 * np.arange(n) + (not periodic))
+    free = 4.0 * np.sin(0.5 * theta) ** 2
+    ratio = gap / free[periodic:]
+    log_free = 2.0 * math.log(n) if periodic else math.log(n + 1 if dirichlet else 4)
+    with np.errstate(divide="ignore"):
+        logs = np.log1p(np.where(ratio < 1.0, -ratio, ratio - 2.0))  # log|1 - ratio|
+        lone = np.log(gap) if periodic else 0.0  # the periodic eigenvalue -g0
+    return (free - gap, float(log_free + lone + np.sum(logs)), abs(2.0 - gap) + 2.0,
+            1.0 - q0 / 6.0 if dirichlet else 1.0)
 
 
 def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                     span: float, omega0: float) -> float:
     """sign exp(log_abs) det T' times the lattice's boundary factor over the
     reference lattice's, from the reference's closed-form spectrum."""
-    eigs, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span, omega0)
+    eigs, log_ref, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span, omega0)
     delta = LATTICE_ZERO_TOL * bound
     if np.any((eigs >= -delta) & (eigs < delta)):
         raise DegenerateOperatorError(
             f"reference lattice has a zero mode at omega0 = {omega0}")
     ref_sign = -1.0 if np.count_nonzero(eigs < 0.0) % 2 else 1.0
     factor = op.boundary / boundary
-    return _exp_signed(log_abs + math.log(abs(factor)) - float(np.sum(np.log(np.abs(eigs)))),
+    return _exp_signed(log_abs + math.log(abs(factor)) - log_ref,
                        sign * ref_sign * math.copysign(1.0, factor),
                        "lattice determinant ratio")
 

@@ -1,14 +1,16 @@
 """Frequency profiles for the fluctuation operator -d^2/dt^2 - g*Omega^2(t).
 
 A profile bundles the squared frequency Omega^2(t) with the time interval
-[t_a, t_b] on which the operator lives.  Profiles are immutable; all
-constructors validate continuity by dense sampling, bisecting every sample
-step that trips the jump threshold in one batch (one omega_sq call on an
-array per level), and the synthetic zero-mode constructor additionally
-checks that the generating shape xi(t) really produces a regular
-Omega^2 = -xi''/xi.  A profile's omega_sq takes a float or an ndarray of
-times and returns a value of the same shape; user callables need only take a
-float, and _lift extends them to arrays once.
+[t_a, t_b] on which the operator lives.  Profiles are immutable.  The
+constant and modulated kinds are continuous by construction and check their
+parameters: one that is not finite, or a bound of |Omega^2| or of sin's
+argument on the interval that is not, is refused by name before Omega^2 is
+evaluated.  User and synthetic zero-mode profiles are checked by dense
+sampling, bisecting every sample step that trips the jump threshold in one
+batch (one omega_sq call on an array per level); the synthetic constructor
+also checks that its shape xi(t) produces a regular Omega^2 = -xi''/xi.
+omega_sq takes a float or an ndarray of times and returns a value of the
+same shape; user callables need only take a float, and _lift extends them.
 """
 
 from __future__ import annotations
@@ -179,42 +181,49 @@ def _finite_samples(omega_sq, ts):
     return vs
 
 
+def _require_finite(*named):
+    """Refuse the first of the (name, value) pairs whose value is not finite."""
+    for name, value in named:
+        if not math.isfinite(value):
+            raise ProfileError(f"{name} must be finite, got {value!r}")
+
+
 def make_constant_profile(omega: float, interval: Interval) -> FrequencyProfile:
     """Profile with Omega^2(t) = omega^2 everywhere."""
     if omega < 0:
         raise ProfileError(f"omega must be nonnegative, got {omega}")
     w2 = float(omega) * float(omega)
+    _require_finite(("omega", float(omega)), ("omega^2", w2))
 
     def omega_sq(t, _w2=w2):
         return np.full(t.shape, _w2) if isinstance(t, np.ndarray) else _w2
 
-    prof = FrequencyProfile(
+    return FrequencyProfile(
         omega_sq=omega_sq,
         interval=interval,
         description=f"constant omega={omega}",
         config={"kind": "constant", "omega": float(omega)},
     )
-    _check_continuity(prof.omega_sq, interval)
-    return prof
 
 
 def make_modulated_profile(omega: float, eps: float, nu: float,
                            interval: Interval) -> FrequencyProfile:
     """Profile with Omega^2(t) = omega^2 * (1 + eps*sin(nu*t))."""
-    w2 = float(omega) * float(omega)
-    e, n = float(eps), float(nu)
+    w, e, n = float(omega), float(eps), float(nu)
+    w2 = w * w
+    _require_finite(("omega", w), ("eps", e), ("nu", n),
+                    ("omega^2 (1 + |eps|)", w2 * (1.0 + abs(e))),
+                    ("nu max(|t_a|, |t_b|)", n * max(abs(interval.t_a), abs(interval.t_b))))
 
     def omega_sq(t, _w2=w2, _e=e, _n=n):
         return _w2 * (1.0 + _e * _math_for(t).sin(_n * t))
 
-    prof = FrequencyProfile(
+    return FrequencyProfile(
         omega_sq=omega_sq,
         interval=interval,
         description=f"modulated omega={omega} eps={eps} nu={nu}",
         config={"kind": "modulated", "omega": float(omega), "eps": e, "nu": n},
     )
-    _check_continuity(prof.omega_sq, interval)
-    return prof
 
 
 def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,

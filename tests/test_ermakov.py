@@ -13,7 +13,7 @@ from flucdet.ermakov import (
     det_ratio_periodic_pq,
 )
 from flucdet.green import GreenKernel
-from flucdet.odesolve import make_basis, solve_ermakov
+from flucdet.odesolve import MAGNUS_STEPS_PER_RADIAN, make_basis, solve_ermakov
 
 OMEGA0_CHOICES = (0.7, 1.0, 2.3)
 
@@ -179,6 +179,29 @@ class TestBasisFromPQ:
         trace = fd.trace_omega_sq(GreenKernel(basis_from_pq(sol), "dirichlet"))
         x = omega * interval.span
         assert trace == pytest.approx(0.5 - 0.5 * x / math.tan(x), rel=1e-9)
+
+    @pytest.mark.parametrize("bc", ["initial", "periodic"])
+    def test_knots_from_the_solver_states(self, bc):
+        """The knots split the solver's steps by the phase at its own step
+        ends, with no Omega^2 call for a dense output; they agree with the
+        knots from the dense output at the step ends to 1e-14."""
+        calls = []
+        base = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
+
+        def omega_sq(t):
+            calls.append(np.size(t))
+            return base.omega_sq(t)
+
+        sol = solve_ermakov(fd.FrequencyProfile(omega_sq, base.interval), omega0=1.0, bc=bc)
+        calls.clear()
+        knots = basis_from_pq(sol).knots
+        assert calls == []
+        q = sol.state(sol.knots)[2]
+        np.testing.assert_allclose(sol.q_knots, q, rtol=1e-14, atol=0.0)
+        advance = MAGNUS_STEPS_PER_RADIAN * sol.omega0 * np.diff(q)
+        counts = np.concatenate(([0.0], np.cumsum(np.maximum(1.0, np.ceil(advance)))))
+        dense = np.interp(np.arange(counts[-1] + 1.0), counts, sol.knots)
+        np.testing.assert_allclose(knots, dense, rtol=1e-14, atol=0.0)
 
     def test_zero_mode_rejected(self):
         profile = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))

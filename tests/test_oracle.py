@@ -54,10 +54,11 @@ def dense_log_det(op: LatticeOperator) -> tuple:
 
 
 def numerov(omega_sq: float, h: float) -> tuple:
-    """(diagonal of T', weight 1/c^2) at a node where Omega^2 = omega_sq."""
+    """(gap q/c of T', whose diagonal is 2 - q/c, weight 1/c^2) at a node
+    where Omega^2 = omega_sq."""
     q = h * h * omega_sq
     c = 1.0 + q / 12.0
-    return 2.0 - q / c, 1.0 / c ** 2
+    return q / c, 1.0 / c ** 2
 
 
 def closed_form_spectrum(bc: str, n: int, step: float, omega0: float) -> np.ndarray:
@@ -69,16 +70,16 @@ def closed_form_spectrum(bc: str, n: int, step: float, omega0: float) -> np.ndar
         angles = 2.0 * np.pi * np.arange(n) / n
     else:
         angles = (2.0 * np.arange(n) + 1.0) * np.pi / n
-    diag, weight = numerov(omega0 ** 2, step)
-    return (diag - 2.0 * np.cos(angles)) / weight
+    gap, weight = numerov(omega0 ** 2, step)
+    return (2.0 - gap - 2.0 * np.cos(angles)) / weight
 
 
 def constant_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
     """The constant-omega0 Numerov lattice built explicitly, entry by entry."""
     h = span / (n + 1) if bc == "dirichlet" else span / n
-    diag, weight = numerov(omega0 ** 2, h)
+    gap, weight = numerov(omega0 ** 2, h)
     return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
-                           diag=np.full(n, diag), weight=np.full(n, weight),
+                           gap=np.full(n, gap), weight=np.full(n, weight),
                            corner={"dirichlet": 0.0, "periodic": -1.0}.get(bc, 1.0),
                            boundary=1.0 - (h * omega0) ** 2 / 6.0 if bc == "dirichlet" else 1.0)
 
@@ -112,8 +113,8 @@ class TestLatticeAssembly:
         assert op.nodes[0] == pytest.approx(op.step)
         assert op.nodes[-1] == pytest.approx(1.0 - op.step)
         assert op.corner == 0.0
-        diag, weight = numerov(1.0, op.step)
-        assert np.allclose(op.diag, diag, rtol=0.0, atol=1e-15)
+        gap, weight = numerov(1.0, op.step)
+        assert np.allclose(op.gap, gap, rtol=1e-15, atol=0.0)
         assert np.allclose(op.weight, weight, rtol=1e-15)
         # c_1 (1 - (q_0 + q_1) / 12) / c_{n+1} with q = h^2 throughout
         assert op.boundary == pytest.approx(1.0 - op.step ** 2 / 6.0, rel=1e-15)
@@ -129,14 +130,14 @@ class TestLatticeAssembly:
         op = build_lattice(modulated_profile, "periodic", 32)
         iv = modulated_profile.interval
         expected = 0.5 * (modulated_profile(iv.t_a) + modulated_profile(iv.t_b))
-        # 2 - d = q / c and c = w^-1/2
-        recovered = (2.0 - op.diag[0]) / np.sqrt(op.weight[0]) / op.step ** 2
+        # the gap is q / c and c = w^-1/2
+        recovered = op.gap[0] / np.sqrt(op.weight[0]) / op.step ** 2
         assert recovered == pytest.approx(expected, rel=1e-12)
 
     def test_coupling_scales_diagonal(self, const_profile):
         op = build_lattice(const_profile, "dirichlet", 20, g=3.0)
-        diag, weight = numerov(3.0, op.step)
-        assert np.allclose(op.diag, diag, rtol=0.0, atol=1e-15)
+        gap, weight = numerov(3.0, op.step)
+        assert np.allclose(op.gap, gap, rtol=1e-15, atol=0.0)
         assert np.allclose(op.weight, weight, rtol=1e-15)
 
     def test_minimum_size(self, const_profile):
@@ -158,12 +159,13 @@ class TestEigenvalues:
         op = build_lattice(profile, bc, 32)
         analytic = np.sort(closed_form_spectrum(bc, 32, op.step, 2.0))
         assert np.allclose(dense_spectrum(op), analytic, rtol=0.0, atol=1e-12)
-        eigs, _, boundary = _reference_spectrum(bc, 32, 1.0, 2.0)
+        eigs, log_ref, _, boundary = _reference_spectrum(bc, 32, 1.0, 2.0)
         # the pencil's eigenvalues are c0^2 = 1/w times those of T'
         assert np.allclose(np.sort(eigs) / op.weight[0], analytic, rtol=0.0, atol=1e-12)
         assert op.boundary == pytest.approx(boundary, rel=1e-15)
         log_abs, sign = dense_log_det(op)
         assert sign * math.exp(log_abs) == pytest.approx(np.prod(eigs) * boundary, rel=1e-12)
+        assert log_ref == pytest.approx(math.log(abs(np.prod(eigs))), abs=1e-13)
         assert _over_reference(op, *_sweep(op)[:2], 1.0, 2.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_count_nonpositive_monotone(self, const_profile):
@@ -187,7 +189,7 @@ class TestSturmSweep:
             diag = rng.uniform(-3.0, 3.0, size=60)
             weight = rng.uniform(0.5, 2.0, size=60)
             op = LatticeOperator(bc=bc, mesh_size=60, step=0.1, nodes=np.zeros(60),
-                                 diag=diag, weight=weight, corner=corner, boundary=1.0)
+                                 gap=2.0 - diag, weight=weight, corner=corner, boundary=1.0)
             eigs = dense_spectrum(op)
             for mu in (-4.5, -1.3, 0.0, 0.4, 2.2, 4.5):
                 log_abs, sign, below, slope = _sweep(op, mu, slope=True)
@@ -203,13 +205,25 @@ class TestSturmSweep:
         """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
         regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
         op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
-                             diag=np.ones(22), weight=np.ones(22), corner=0.0,
+                             gap=np.ones(22), weight=np.ones(22), corner=0.0,
                              boundary=1.0)
         eigs = dense_spectrum(op)
         log_abs, sign, below, _ = _sweep(op)
         assert below == np.count_nonzero(eigs < 0.0)
         assert np.isfinite(log_abs)
         assert sign * math.exp(log_abs) == pytest.approx(np.prod(eigs), abs=1e-12)
+
+    def test_zero_pivot_nudged_below_unit_bound(self):
+        """The same zero pivot under weight 8, where the Gershgorin bound is
+        3/8: eps times it is a pivot that 1 + e cannot hold, so the nudge
+        is at least eps."""
+        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+                             gap=np.ones(22), weight=np.full(22, 8.0), corner=0.0,
+                             boundary=1.0)
+        eigs = dense_spectrum(op)
+        log_abs, sign, below, _ = _sweep(op)
+        assert below == np.count_nonzero(eigs < 0.0)
+        assert sign * math.exp(log_abs) == pytest.approx(np.prod(8.0 * eigs), abs=1e-12)
 
 
 # (profile, boundary condition, omega0) without a lattice zero mode
@@ -344,7 +358,7 @@ class TestDeterminantRecurrence:
                            ("antiperiodic", 1.0)):
             diag = rng.uniform(1.5, 2.5, size=40)
             op = LatticeOperator(bc=bc, mesh_size=40, step=0.02, nodes=np.zeros(40),
-                                 diag=diag, weight=np.ones(40), corner=corner,
+                                 gap=2.0 - diag, weight=np.ones(40), corner=corner,
                                  boundary=1.0)
             direct = float(np.linalg.det(dense_matrix(op)))
             log_abs, sign, _, _ = _sweep(op)
@@ -353,12 +367,22 @@ class TestDeterminantRecurrence:
 
 class TestLatticeRatio:
     def test_converges_to_closed_form(self, const_profile):
-        """Order h^4 under Dirichlet conditions.  The meshes are coarse: at
-        n = 400 the error (2e-13) is already at the sweep's rounding."""
+        """Order h^4 under Dirichlet conditions, which holds to n = 800,
+        where the error (1.7e-14) meets the sweep's rounding."""
         exact = math.sin(1.0)
         err = [abs(lattice_ratio(const_profile, "dirichlet", 0.0, n) - exact)
                for n in (32, 64)]
         assert err[0] / err[1] == pytest.approx(16.0, rel=0.1)
+
+    @pytest.mark.parametrize("n", [800, 3200])
+    def test_no_rounding_floor(self, const_profile, n):
+        """A lattice over its own reference is 1 to rounding that does not
+        grow like n^2 eps: the sweep runs on the pivot excess p_k - 1 with
+        the gaps stored, and the reference takes the free lattice's
+        determinant exactly.  Sweeping the pivots of a stored diagonal
+        2 - g_k left 1.2e-11 at n = 800 and 1.7e-10 at n = 3200."""
+        assert lattice_ratio(const_profile, "dirichlet", 1.0, n) == pytest.approx(
+            1.0, rel=0.0, abs=1e-13)
 
     def test_wrapped_order_two_where_the_fold_does_not_close(self):
         """Omega^2(t_a) != Omega^2(t_b): the fold averages a jump, which
@@ -431,11 +455,13 @@ class TestLatticeRatio:
 
 
 class TestClosedFormReference:
-    """The reference lattice's closed-form spectrum against the sweep of the
-    same constant lattice built entry by entry.  The sweep sees a rounded to
-    a float, which moves its log-determinant by up to eps |a| sum_j 1/|t_j|:
-    1.5e-8 for omega0 T = 0.7 under periodic conditions at n = 4000, whose
-    lowest eigenvalue is -3e-8; everywhere else that is below 1e-9."""
+    """The reference lattice's closed-form spectrum and log-determinant
+    against the sweep of the same constant lattice built entry by entry.
+    The lattice stores its gaps, not the diagonal 2 - g rounded to a float
+    (which moved the log-determinant by up to eps |a| sum_j 1/|t_j|, 1.5e-8
+    for omega0 T = 0.7 under periodic conditions at n = 4000), and the
+    closed form takes the free lattice's determinant exactly, so both agree
+    to 1e-10 (3e-11 at worst, antiperiodic n = 4000)."""
 
     # (span, omega0); the last has h^2 omega0^2 > 6 at every n below
     PAIRS = ((1.0, 0.7), (2.0, 5.3), (10.0, 31.7), (3.0, 411.0), (1.0, 3.0e4))
@@ -446,16 +472,15 @@ class TestClosedFormReference:
         for span, omega0 in self.PAIRS:
             op = constant_lattice(bc, n, span, omega0)
             log_abs, sign, below, _ = _sweep(op)
-            eigs, bound, boundary = _reference_spectrum(bc, n, span, omega0)
+            eigs, log_ref, bound, boundary = _reference_spectrum(bc, n, span, omega0)
             assert below == np.count_nonzero(eigs < 0.0)
             assert sign == (-1.0 if below % 2 else 1.0)
-            rounding = np.finfo(float).eps * abs(op.diag[0]) * float(np.sum(1.0 / np.abs(eigs)))
-            assert log_abs == pytest.approx(float(np.sum(np.log(np.abs(eigs)))),
-                                            abs=1e-9 + rounding)
+            assert log_ref == pytest.approx(float(np.sum(np.log(np.abs(eigs)))), abs=1e-10)
+            assert log_abs == pytest.approx(log_ref, abs=1e-10)
             assert boundary == op.boundary
             assert bound == pytest.approx(_gershgorin(op) * op.weight[0], rel=1e-15)
             assert _over_reference(op, log_abs, sign, span, omega0) == pytest.approx(
-                1.0, abs=1e-9 + rounding)
+                1.0, abs=1e-10)
         assert (op.step * omega0) ** 2 > 6.0
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import flucdet as fd
 from flucdet.determinants import van_vleck_check
-from flucdet import odesolve
+from flucdet import odesolve, profiles
 from flucdet.green import GreenKernel, trace_omega_sq
 from flucdet.odesolve import make_basis
 from flucdet.oracle import gflow_ratio, lattice_ratio
@@ -205,20 +205,46 @@ class TestConfig:
         with pytest.raises(fd.ConfigError):
             profile_from_config("{not json", unit_interval)
 
-    @pytest.mark.parametrize("config", [
-        {"kind": "constant", "omega": math.nan},
-        {"kind": "constant", "omega": 1e200},
-        {"kind": "modulated", "omega": 1.0, "eps": math.nan, "nu": 3.0},
-        {"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": math.inf},
+    @pytest.mark.parametrize("config,iv,name", [
+        ({"kind": "constant", "omega": math.nan}, (0.0, 1.0), "omega"),
+        ({"kind": "constant", "omega": 1e200}, (0.0, 1.0), "omega^2"),
+        ({"kind": "modulated", "omega": 1.0, "eps": math.nan, "nu": 3.0}, (0.0, 1.0), "eps"),
+        ({"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": math.inf}, (0.0, 1.0), "nu"),
+        ({"kind": "modulated", "omega": 1e154, "eps": 1.0, "nu": 1.0}, (0.0, 10.0),
+         "omega^2 (1 + |eps|)"),
+        ({"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": 1e308}, (0.0, 10.0),
+         "nu max(|t_a|, |t_b|)"),
     ], ids=["constant-omega-nan", "constant-omega-1e200", "modulated-eps-nan",
-            "modulated-nu-inf"])
-    def test_nonfinite_parameters_refused(self, unit_interval, config):
-        """Parameters whose Omega^2 is not finite are refused by name of the
-        profile error, not accepted: omega^2 overflows at 1e200, NaN and inf
-        propagate through sin.  numpy's invalid-value warning on the way is
-        not the refusal, so it is silenced here."""
-        with np.errstate(invalid="ignore"), pytest.raises(fd.ProfileError):
-            profile_from_config(config, unit_interval)
+            "modulated-nu-inf", "modulated-omega-1e154", "modulated-nu-1e308"])
+    def test_nonfinite_parameters_refused(self, monkeypatch, config, iv, name):
+        """Parameters whose Omega^2 is not finite somewhere on the interval
+        are refused with a profile error that names the parameter or bound
+        that failed, before Omega^2 is evaluated: no numpy warning (errors
+        here) and no sampling.  omega^2 overflows for omega = 1e200, omega^2
+        (1 + eps sin(nu t)) where sin(t) > 0.8 for omega = 1e154, and sin's
+        argument for nu = 1e308 on [0, 10]; NaN and inf propagate."""
+        monkeypatch.setattr(profiles, "_check_continuity", _no_sampling)
+        with pytest.raises(fd.ProfileError, match=f"^{re.escape(name)} must be finite"):
+            profile_from_config(config, fd.Interval(*iv))
+
+    def test_builtin_kinds_take_no_samples(self, monkeypatch, unit_interval):
+        """constant and modulated profiles are checked by their parameters;
+        user and synthetic zero-mode profiles still by sampling."""
+        monkeypatch.setattr(profiles, "_check_continuity", _no_sampling)
+        for prof in (fd.make_constant_profile(2.0, unit_interval),
+                     fd.make_modulated_profile(1.5, 0.5, 40.0, unit_interval),
+                     profile_from_config({"kind": "constant", "omega": 2.0}, unit_interval),
+                     profile_from_config({"kind": "modulated", "omega": 1.5, "eps": 0.5,
+                                          "nu": 40.0}, unit_interval)):
+            assert math.isfinite(prof(0.5))
+        with pytest.raises(AssertionError, match="sampled"):
+            make_user_profile(lambda t: 1.0 + t, unit_interval)
+        with pytest.raises(AssertionError, match="sampled"):
+            make_zero_mode_profile(builtin_zero_mode_spec("sinpi", unit_interval))
+
+
+def _no_sampling(omega_sq, interval):
+    raise AssertionError("Omega^2 sampled for the continuity check")
 
 
 def assert_array_contract(omega_sq, iv):
