@@ -38,10 +38,6 @@ from .odesolve import (
     solve_ermakov,
 )
 from .green import (
-    BC_ANTIPERIODIC,
-    BC_DIRICHLET,
-    BC_PERIODIC,
-    BOUNDARY_CONDITIONS,
     GreenKernel,
     det_from_transfer,
     trace_omega_sq,
@@ -79,10 +75,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BC_ANTIPERIODIC",
-    "BC_DIRICHLET",
-    "BC_PERIODIC",
-    "BOUNDARY_CONDITIONS",
     "ConfigError",
     "DegenerateOperatorError",
     "DetResult",

@@ -41,14 +41,7 @@ from .errors import (
     FlucdetError,
     VerificationError,
 )
-from .green import (
-    BC_ANTIPERIODIC,
-    BC_DIRICHLET,
-    BC_PERIODIC,
-    BOUNDARY_CONDITIONS,
-    ENDPOINT_DEGENERACY_TOL,
-    GreenKernel,
-)
+from .green import _SIGMA, GreenKernel
 from .odesolve import make_basis, solve_ermakov
 from .profiles import (
     Interval,
@@ -59,11 +52,6 @@ from .profiles import (
     profile_from_config,
     profile_to_config,
 )
-
-# A determinant ratio (against the reference operator) this close to zero is
-# treated as a zero mode: plain `det` refuses and points at --regularized.
-# The ratio, unlike the determinant, is not small on every short interval.
-ZERO_MODE_GUARD = 1e-6
 
 SWEEP_PARAMS = ("omega", "T", "eps", "nu")
 SUITES = ("all", "dirichlet", "periodic", "antiperiodic", "zeromode", "gflow")
@@ -122,8 +110,8 @@ def shared_options(command):
                      show_default=True, help="Interval start."),
         click.option("--t-b", "t_b", type=float, default=1.0,
                      show_default=True, help="Interval end."),
-        click.option("--bc", type=click.Choice(BOUNDARY_CONDITIONS),
-                     default=BC_DIRICHLET, show_default=True,
+        click.option("--bc", type=click.Choice(tuple(_SIGMA)),
+                     default="dirichlet", show_default=True,
                      help="Boundary condition."),
         click.option("--omega0", type=float, default=1.0, show_default=True,
                      callback=_finite,
@@ -143,21 +131,8 @@ def cli():
 
 # -- det ----------------------------------------------------------------------
 
-def _guard_zero_mode(value: float, ratio: float, bc: str,
-                     condition: float = 0.0) -> None:
-    if abs(ratio) <= ZERO_MODE_GUARD:
-        raise DegenerateOperatorError(
-            f"zero mode detected for bc={bc} (determinant {value!r}, |ratio| <= "
-            f"ZERO_MODE_GUARD = {ZERO_MODE_GUARD}); use det --regularized")
-    if condition >= 1.0 / ENDPOINT_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            f"determinant {value!r} for bc={bc} is lost to cancellation (condition "
-            f"{condition:.3g} >= 1/ENDPOINT_DEGENERACY_TOL); use det --regularized")
-
-
 def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
     result = determinant(profile, bc=bc, omega0=omega0)
-    _guard_zero_mode(result.value, result.ratio, bc, result.diagnostics["condition"])
     diagnostics = dict(result.diagnostics)
     diagnostics.update({
         "method": "endpoint",
@@ -174,14 +149,13 @@ def _det_pq_record(profile, bc: str, omega0: float) -> dict:
         raise ConfigError("the pq route requires --omega0 > 0")
     reference, reference_value = reference_determinant(
         bc, profile.interval.span, omega0)
-    if bc == BC_DIRICHLET:
+    if _SIGMA[bc]:
+        sol = solve_ermakov(profile, omega0, bc="periodic")
+        ratio = det_ratio_periodic_pq(sol, anti=_SIGMA[bc] < 0)
+    else:
         sol = solve_ermakov(profile, omega0, bc="initial")
         ratio = det_ratio_dirichlet_pq(sol)
-    else:
-        sol = solve_ermakov(profile, omega0, bc="periodic")
-        ratio = det_ratio_periodic_pq(sol, anti=(bc == BC_ANTIPERIODIC))
     value = ratio * reference_value
-    _guard_zero_mode(value, ratio, bc)
     diagnostics = {
         "method": "pq",
         "reference": reference,
@@ -199,7 +173,7 @@ def _det_pq_record(profile, bc: str, omega0: float) -> dict:
 
 
 def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
-    if bc == BC_DIRICHLET:
+    if not _SIGMA[bc]:
         report = det_dirichlet_regularized(profile)
         diagnostics = {
             "method": "regularized-endpoint",
@@ -215,8 +189,7 @@ def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
         }
         return {"value": report.det_regularized, "ratio": None, "bc": bc,
                 "diagnostics": diagnostics}
-    report = det_periodic_regularized(
-        profile, anti=(bc == BC_ANTIPERIODIC), omega0=omega0)
+    report = det_periodic_regularized(profile, bc, omega0=omega0)
     spectrum = report.oracle_report
     diagnostics = {
         "method": "regularized-endpoint",
@@ -339,34 +312,33 @@ def _suite_dirichlet() -> list:
                                   (2.0, 1.0, math.sin(2.0) / 2.0),
                                   (1.0, 2.5, math.sin(2.5))):
         profile = make_constant_profile(omega, Interval(0.0, span))
-        value = determinant(profile, bc=BC_DIRICHLET).value
+        value = determinant(profile, bc="dirichlet").value
         rows.append(_check(f"constant omega={omega:g} T={span:g}",
-                           BC_DIRICHLET, "analytic", value, expected, 1e-8))
+                           "dirichlet", "analytic", value, expected, 1e-8))
     cases = (
         ("constant omega=1 T=1", make_constant_profile(1.0, Interval(0.0, 1.0))),
         ("modulated omega=1 eps=0.2 nu=3",
          make_modulated_profile(1.0, 0.2, 3.0, Interval(0.0, 2.0))),
     )
     for name, profile in cases:
-        closed = determinant(profile, bc=BC_DIRICHLET).ratio
-        lattice = oracle.lattice_ratio(profile, BC_DIRICHLET, omega0=0.0, n=2000)
-        rows.append(_check(name, BC_DIRICHLET, "lattice-2000",
+        closed = determinant(profile, bc="dirichlet").ratio
+        lattice = oracle.lattice_ratio(profile, "dirichlet", omega0=0.0, n=2000)
+        rows.append(_check(name, "dirichlet", "lattice-2000",
                            closed, lattice, 2e-4))
         extrapolated = oracle.lattice_ratio_richardson(
-            profile, BC_DIRICHLET, omega0=0.0, n=2000)
-        rows.append(_check(name, BC_DIRICHLET, "richardson-2000",
+            profile, "dirichlet", omega0=0.0, n=2000)
+        rows.append(_check(name, "dirichlet", "richardson-2000",
                            closed, extrapolated, 1e-6))
     return rows
 
 
 def _suite_wrapped(bc: str) -> list:
-    anti = bc == BC_ANTIPERIODIC
     rows = []
     for omega, span in ((1.0, 1.0), (2.0, 1.0)):
         profile = make_constant_profile(omega, Interval(0.0, span))
         result = determinant(profile, bc=bc, omega0=omega)
         half = 0.5 * omega * span
-        expected = 4.0 * math.cos(half) ** 2 if anti else 4.0 * math.sin(half) ** 2
+        expected = 4.0 * (math.sin(half) if bc == "periodic" else math.cos(half)) ** 2
         name = f"constant omega={omega:g} T={span:g}"
         rows.append(_check(name, bc, "analytic", result.value, expected, 1e-8))
         rows.append(_check(name, bc, "ratio-vs-1", result.ratio, 1.0, 1e-10))
@@ -386,13 +358,13 @@ def _suite_zeromode() -> list:
     report = det_dirichlet_regularized(profile)
     target = -1.0 / (2.0 * math.pi ** 2)
     rows = [
-        _check("sinpi", BC_DIRICHLET, "analytic",
+        _check("sinpi", "dirichlet", "analytic",
                report.det_regularized, target, 1e-6),
-        _check("sinpi", BC_DIRICHLET, "eps-chain",
+        _check("sinpi", "dirichlet", "eps-chain",
                report.quotient_extrapolated, report.det_regularized, 1e-3),
     ]
-    spectrum = oracle.pseudo_det_ratio(profile, BC_DIRICHLET, n=2000, omega0=0.0)
-    rows.append(_check("sinpi", BC_DIRICHLET, "lattice-2000",
+    spectrum = oracle.pseudo_det_ratio(profile, "dirichlet", n=2000, omega0=0.0)
+    rows.append(_check("sinpi", "dirichlet", "lattice-2000",
                        -spectrum.aligned_pseudo_det, target, 1e-4))
     return rows
 
@@ -404,10 +376,10 @@ def _suite_gflow() -> list:
     dirichlet_cases = (("constant omega=1 T=1", const),
                        ("modulated omega=1 eps=0.2 nu=3", modulated))
     for name, profile in dirichlet_cases:
-        closed = determinant(profile, bc=BC_DIRICHLET).ratio
-        flow = oracle.gflow_ratio(profile, BC_DIRICHLET, omega0=0.0, g_steps=32)
-        rows.append(_check(name, BC_DIRICHLET, "gauss-32", flow, closed, 1e-5))
-    for bc in (BC_PERIODIC, BC_ANTIPERIODIC):
+        closed = determinant(profile, bc="dirichlet").ratio
+        flow = oracle.gflow_ratio(profile, "dirichlet", omega0=0.0, g_steps=32)
+        rows.append(_check(name, "dirichlet", "gauss-32", flow, closed, 1e-5))
+    for bc in ("periodic", "antiperiodic"):
         closed = determinant(modulated, bc=bc, omega0=1.0).ratio
         flow = oracle.gflow_ratio(modulated, bc, omega0=1.0, g_steps=32)
         rows.append(_check("modulated omega=1 eps=0.2 nu=3", bc,
@@ -417,8 +389,8 @@ def _suite_gflow() -> list:
 
 _SUITE_BUILDERS = {
     "dirichlet": _suite_dirichlet,
-    "periodic": lambda: _suite_wrapped(BC_PERIODIC),
-    "antiperiodic": lambda: _suite_wrapped(BC_ANTIPERIODIC),
+    "periodic": lambda: _suite_wrapped("periodic"),
+    "antiperiodic": lambda: _suite_wrapped("antiperiodic"),
     "zeromode": _suite_zeromode,
     "gflow": _suite_gflow,
 }

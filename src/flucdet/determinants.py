@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
-from .green import (BC_ANTIPERIODIC, BC_DIRICHLET, BC_PERIODIC, GreenKernel, _det_slope,
-                    condition_estimate, det_from_transfer, trace_omega_sq)
+from .green import (GreenKernel, _det_slope, _refuse_degenerate, _sigma, condition_estimate,
+                    det_from_transfer, trace_omega_sq)
 from .odesolve import HomogeneousBasis, make_basis
 from .profiles import FrequencyProfile, shifted_profile
 
@@ -58,16 +58,10 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
     Dirichlet: the free operator, value span (omega0=0) or sin(w0*span)/w0.
     Periodic: 4*sin^2(w0*span/2); antiperiodic: 4*cos^2(w0*span/2).
     """
-    w0 = float(omega0)
-    if bc == BC_DIRICHLET:
-        if w0 == 0.0:
-            return span
-        return math.sin(w0 * span) / w0
-    if bc == BC_PERIODIC:
-        return 4.0 * math.sin(0.5 * w0 * span) ** 2
-    if bc == BC_ANTIPERIODIC:
-        return 4.0 * math.cos(0.5 * w0 * span) ** 2
-    raise ValueError(f"unsupported boundary condition {bc!r}")
+    w0, sigma = float(omega0), _sigma(bc)
+    if sigma:
+        return 4.0 * (math.sin if sigma > 0 else math.cos)(0.5 * w0 * span) ** 2
+    return math.sin(w0 * span) / w0 if w0 else span
 
 
 def reference_determinant(bc: str, span: float, omega0: float) -> tuple:
@@ -75,7 +69,7 @@ def reference_determinant(bc: str, span: float, omega0: float) -> tuple:
     free operator for Dirichlet, constant frequency omega0 otherwise.  The
     only test of a reference for degeneracy: |value| <= REFERENCE_DEGENERACY_TOL
     is refused."""
-    if bc == BC_DIRICHLET:
+    if not _sigma(bc):
         return REFERENCE_FREE, span
     ref = free_reference(bc, span, omega0)
     if abs(ref) <= REFERENCE_DEGENERACY_TOL:
@@ -92,40 +86,43 @@ def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
     integrator's steps and its error estimate for the entries of M,
     det_m_residual = |det M - 1| over max(1, max|M_ij|)^2, the scale of the
     rounding of det M (unscaled, det M overflows for kT above about 355), and
-    for the wrapped conditions whether Omega^2 takes one value at both ends."""
-    m, iv = basis.m, basis.interval
+    for the wrapped conditions whether Omega^2 takes one value at both ends.
+    A value zero to its condition (green._refuse_degenerate) is refused."""
+    m, iv, sigma = basis.m, basis.interval, _sigma(bc)
     value = det_from_transfer(m, bc)
     reference, ref = reference_determinant(bc, iv.span, omega0)
+    condition = condition_estimate(m, value)
+    _refuse_degenerate(condition, f"zero mode detected for bc={bc} (determinant {value!r}, "
+                       "{}); use det --regularized")
     scale = max(1.0, float(np.max(np.abs(m))))
     (a, b), (c, d) = m / scale
-    diagnostics = {"w": basis.w, "endpoint_det": basis.w * value,
-                   "condition": condition_estimate(m, value),
+    diagnostics = {"w": basis.w, "endpoint_det": basis.w * value, "condition": condition,
                    "steps": len(basis.knots) - 1,
                    "error_estimate": basis.error_estimate,
                    "det_m_residual": float(abs(a * d - b * c - 1.0 / scale / scale))}
-    if bc != BC_DIRICHLET:
+    if sigma:
         om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
         diagnostics["profile_period_compatible"] = bool(
             abs(om_a - om_b) <= 1e-8 * (1.0 + abs(om_a)))
     return DetResult(value=value, ratio=value / ref, bc=bc, reference=reference,
                      reference_value=ref, diagnostics=diagnostics,
-                     omega0=None if bc == BC_DIRICHLET else float(omega0))
+                     omega0=float(omega0) if sigma else None)
 
 
 def det_dirichlet(basis: HomogeneousBasis) -> DetResult:
     """Determinant under Dirichlet conditions, M12, over the free operator's."""
-    return _det(basis, BC_DIRICHLET, 0.0)
+    return _det(basis, "dirichlet", 0.0)
 
 
 def det_periodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
-    return _det(basis, BC_PERIODIC, omega0)
+    return _det(basis, "periodic", omega0)
 
 
 def det_antiperiodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
-    return _det(basis, BC_ANTIPERIODIC, omega0)
+    return _det(basis, "antiperiodic", omega0)
 
 
-def determinant(profile: FrequencyProfile, bc: str = BC_DIRICHLET,
+def determinant(profile: FrequencyProfile, bc: str = "dirichlet",
                 g: float = 1.0, omega0: float = 1.0) -> DetResult:
     """Build a basis and evaluate the determinant for one bc."""
     return _det(make_basis(profile, g=g), bc, omega0)
@@ -155,36 +152,34 @@ def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
 # Van Vleck cross-check
 
 
-def van_vleck_check(profile: FrequencyProfile, mass: float = 1.0) -> float:
+def van_vleck_check(profile: FrequencyProfile) -> float:
     """Determinant from the mixed derivative of the classical action.
 
-    The action of L = (mass/2)(xdot^2 - Omega^2 x^2) along the classical path
+    The action of L = (xdot^2 - Omega^2 x^2) / 2 along the classical path
     between endpoint values (x_a, x_b) is a quadratic form in them, whose
-    mixed derivative is mass * integral (x1' x2' - Omega^2 x1 x2) over the
-    unit paths x1 = (1 at t_a, 0 at t_b) and x2 = (0, 1); the determinant is
-    -mass over it.  x2 = v / M12 comes from the prefix products and
+    mixed derivative is integral (x1' x2' - Omega^2 x1 x2) over the unit
+    paths x1 = (1 at t_a, 0 at t_b) and x2 = (0, 1); the determinant is -1
+    over it.  x2 = v / M12 comes from the prefix products and
     (x1, x1') = (S12, -S11) / M12 from the suffix products S(t) = Phi(t_b, t),
     so neither path is a difference of growing solutions.  The integral is
     taken by the basis's Gauss rule on the integrator's steps
-    (HomogeneousBasis.quadrature).
+    (HomogeneousBasis.quadrature).  A path through M12 zero to its condition
+    (green._refuse_degenerate) is refused.
     """
-    if mass == 0.0 or not math.isfinite(mass):
-        raise ValueError(f"mass must be finite and nonzero, got {mass!r}")
     basis = make_basis(profile, g=1.0)
-    (m11, m12), _ = basis.m
-    if abs(m12) <= 1e-10 * profile.interval.span * max(1.0, abs(m11)):
-        raise DegenerateOperatorError(
-            "classical path is degenerate: a solution vanishes at both "
-            f"endpoints (M12 = {m12:.3e})")
+    m = basis.m
+    m12 = float(m[0, 1])
+    _refuse_degenerate(condition_estimate(m, m12), "classical path is degenerate: a solution "
+                       f"vanishes at both endpoints (M12 = {m12:.3e}, {{}})")
 
     nodes, weights = basis.quadrature
     phi, s = basis.frame(nodes)
     x2, dx2 = phi[:, 1] / m12
     (s11, s12), _ = s / m12
-    mixed = mass * float(weights @ (-s11 * dx2 - profile.omega_sq(nodes) * s12 * x2))
+    mixed = float(weights @ (-s11 * dx2 - profile.omega_sq(nodes) * s12 * x2))
     if mixed == 0.0:
         raise DegenerateOperatorError("mixed derivative of the action vanishes")
-    return -mass / mixed
+    return -1.0 / mixed
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +226,7 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
     """
 
     def shifted_m12(lam: float) -> float:
-        return det_from_transfer(make_basis(shifted_profile(profile, lam)).m,
-                                 BC_DIRICHLET)
+        return det_from_transfer(make_basis(shifted_profile(profile, lam)).m, "dirichlet")
 
     # The boundary value inherits inaccuracies of the profile representation
     # (finite-difference shapes plateau near 1e-10), so the residual target
@@ -275,7 +269,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
-    det_d = det_from_transfer(basis.m, BC_DIRICHLET)
+    det_d = det_from_transfer(basis.m, "dirichlet")
     if abs(det_d) > ZERO_MODE_PRESENT_TOL * span:
         raise ProfileError(
             f"profile has no Dirichlet zero mode (endpoint determinant {det_d:.3e})")
@@ -334,24 +328,27 @@ class WrappedZeroModeReport:
     oracle_report: object
 
 
-def det_periodic_regularized(profile: FrequencyProfile, anti: bool = False,
+def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic",
                              omega0: float = 1.0) -> WrappedZeroModeReport:
-    """det' K = -dF/dlambda at lambda = 0, F = 2 -+ tr M, for a profile with one
-    periodic (antiperiodic with anti) zero mode, next to the lattice oracle's
-    signed pseudo-determinant.  Two zero modes (M = +-I) are refused, and so
-    are two near-zero modes: Newton's step T^2 |F / (dF/dlambda)| to the
+    """det' K = -dF/dlambda at lambda = 0, F = 2 - sigma tr M, for a profile
+    with one zero mode under the wrapped bc, next to the lattice oracle's
+    signed pseudo-determinant.  Two zero modes (M = sigma I) are refused, and
+    so are two near-zero modes: Newton's step T^2 |F / (dF/dlambda)| to the
     eigenvalue nearest zero must be within ZERO_MODE_PRESENT_TOL."""
     from . import oracle
 
-    bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
+    sigma = _sigma(bc)
+    if not sigma:
+        raise ValueError("det_periodic_regularized takes a wrapped boundary condition; "
+                         "use det_dirichlet_regularized for 'dirichlet'")
     basis = make_basis(profile, g=1.0)
     m = basis.m
     det_bar = det_from_transfer(m, bc)
     if abs(det_bar) > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
             f"profile has no {bc} zero mode (endpoint determinant {det_bar:.3e})")
-    if np.max(np.abs(m - (-1.0 if anti else 1.0) * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
-        raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if anti else '+'}I "
+    if np.max(np.abs(m - sigma * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
+        raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if sigma < 0 else '+'}I "
                                       f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
     slope = _det_slope(basis, bc)
     newton = profile.interval.span ** 2 * abs(det_bar / slope) if slope else math.inf

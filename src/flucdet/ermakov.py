@@ -18,7 +18,6 @@ import numpy as np
 
 from .determinants import reference_determinant
 from .errors import DegenerateOperatorError
-from .green import BC_ANTIPERIODIC, BC_PERIODIC
 from .odesolve import (MAGNUS_STEPS_PER_RADIAN, ErmakovSolution, HomogeneousBasis,
                        _adjugate, _times)
 
@@ -29,6 +28,15 @@ PERIODICITY_RESIDUAL_TOL = 1e-6
 def _total_phase(sol: ErmakovSolution) -> float:
     """omega0 * (q_b - q_a) with q_a = 0 by normalization."""
     return sol.omega0 * sol.q_b
+
+
+def _nonzero(sine: float, what: str, bc: str) -> float:
+    """The sine a pq reader is built from; within PQ_DEGENERACY_TOL of 0 it is refused."""
+    if abs(sine) <= PQ_DEGENERACY_TOL:
+        raise DegenerateOperatorError(
+            f"amplitude-phase {what} = {sine:.3e} is within PQ_DEGENERACY_TOL = "
+            f"{PQ_DEGENERACY_TOL} of zero: the operator has a {bc} zero mode")
+    return sine
 
 
 def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
@@ -44,11 +52,7 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
     w0 = sol.omega0
     p_a, p_b = sol.p_a, sol.p_b
     phase = _total_phase(sol)
-    sin_phase = math.sin(phase)
-    if abs(sin_phase) <= PQ_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            "amplitude-phase denominator sin(omega0 q_b) vanishes "
-            f"({sin_phase:.3e}): the operator has a Dirichlet zero mode")
+    sin_phase = _nonzero(math.sin(phase), "sin(omega0 q_b)", "Dirichlet")
     d = p_a * p_b * sin_phase
     cos_phase = math.cos(phase)
     y_a = np.array([[0.0, 1.0],
@@ -77,7 +81,8 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:
     """Dirichlet determinant ratio p_a p_b sin(omega0 q_b) / (t_b - t_a)."""
-    return sol.p_a * sol.p_b * math.sin(_total_phase(sol)) / sol.interval.span
+    sine = _nonzero(math.sin(_total_phase(sol)), "sin(omega0 q_b)", "Dirichlet")
+    return sol.p_a * sol.p_b * sine / sol.interval.span
 
 
 def det_ratio_periodic_pq(sol: ErmakovSolution, anti: bool = False) -> float:
@@ -96,7 +101,9 @@ def det_ratio_periodic_pq(sol: ErmakovSolution, anti: bool = False) -> float:
             "amplitude solution does not satisfy periodic endpoint "
             f"conditions (residuals {res_p:.3e}, {res_dp:.3e}); solve with "
             "bc='periodic'")
-    bc = BC_ANTIPERIODIC if anti else BC_PERIODIC
+    bc = "antiperiodic" if anti else "periodic"
     _, ref = reference_determinant(bc, sol.interval.span, sol.omega0)
     half = 0.5 * _total_phase(sol)
-    return 4.0 * (math.cos(half) if anti else math.sin(half)) ** 2 / ref
+    sine = _nonzero(math.cos(half) if anti else math.sin(half),
+                    "cos(omega0 q_b / 2)" if anti else "sin(omega0 q_b / 2)", bc)
+    return 4.0 * sine ** 2 / ref

@@ -31,13 +31,11 @@ import numpy as np
 from .errors import DegenerateOperatorError, VerificationError
 from .odesolve import HomogeneousBasis
 
-BC_DIRICHLET = "dirichlet"
-BC_PERIODIC = "periodic"
-BC_ANTIPERIODIC = "antiperiodic"
-BOUNDARY_CONDITIONS = (BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC)
+# Each boundary condition's sign sigma: F = M12 at sigma = 0, else 2 - sigma tr M.
+_SIGMA = {"dirichlet": 0, "periodic": 1, "antiperiodic": -1}
 
-# A determinant whose condition estimate exceeds 1/ENDPOINT_DEGENERACY_TOL is
-# treated as zero: the operator has a zero mode under that condition.
+# A determinant whose condition estimate reaches 1/ENDPOINT_DEGENERACY_TOL is
+# zero: the operator has a zero mode under that condition.
 ENDPOINT_DEGENERACY_TOL = 1e-10
 BC_CHECK_TOL = 1e-7
 _PROBE_FRACTIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -48,17 +46,19 @@ def _scalar(x):
     return x if isinstance(x, np.ndarray) and x.ndim else float(x)
 
 
+def _sigma(bc: str) -> int:
+    """The sign of bc: 0 (Dirichlet), +1 (periodic) or -1 (antiperiodic)."""
+    if bc not in _SIGMA:
+        raise ValueError(f"unsupported boundary condition {bc!r}")
+    return _SIGMA[bc]
+
+
 def det_from_transfer(m: np.ndarray, bc: str) -> float:
     """The determinant of the operator under bc, read from M: M12 for
     Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic; one per
     member for M of shape (2, 2, members)."""
-    if bc == BC_DIRICHLET:
-        return _scalar(m[0, 1])
-    if bc == BC_PERIODIC:
-        return _scalar(2.0 - (m[0, 0] + m[1, 1]))
-    if bc == BC_ANTIPERIODIC:
-        return _scalar(2.0 + (m[0, 0] + m[1, 1]))
-    raise ValueError(f"unsupported boundary condition {bc!r}")
+    sigma = _sigma(bc)
+    return _scalar(2.0 - sigma * (m[0, 0] + m[1, 1]) if sigma else m[0, 1])
 
 
 def _det_slope(basis: HomogeneousBasis, bc: str, weight: Optional[Callable] = None) -> float:
@@ -73,9 +73,8 @@ def _det_slope(basis: HomogeneousBasis, bc: str, weight: Optional[Callable] = No
         weights = (np.transpose(weight(nodes)) * weights).T
     phi, s = basis.frame(nodes)
     dm = -np.einsum("in...,jn...,n...->ij...", s[:, 1], phi[0], weights)
-    if bc == BC_DIRICHLET:
-        return _scalar(dm[0, 1])
-    return _scalar(np.trace(dm) * (-1.0 if bc == BC_PERIODIC else 1.0))
+    sigma = _sigma(bc)
+    return _scalar(-sigma * np.trace(dm) if sigma else dm[0, 1])
 
 
 def condition_estimate(m: np.ndarray, value: float) -> float:
@@ -86,10 +85,12 @@ def condition_estimate(m: np.ndarray, value: float) -> float:
     return max(1.0, abs(a), abs(b), abs(c), abs(d)) / abs(value) if value else math.inf
 
 
-def _refuse_degenerate(m: np.ndarray, value: float, message: str) -> None:
-    """Refuse a determinant whose condition estimate is >= 1/ENDPOINT_DEGENERACY_TOL."""
-    if condition_estimate(m, value) >= 1.0 / ENDPOINT_DEGENERACY_TOL:
-        raise DegenerateOperatorError(message.format(value))
+def _refuse_degenerate(condition: float, message: str) -> None:
+    """The one zero verdict on a determinant read from M: refuse it at condition
+    estimate >= 1/ENDPOINT_DEGENERACY_TOL, with the verdict in message's {}."""
+    if condition >= 1.0 / ENDPOINT_DEGENERACY_TOL:
+        raise DegenerateOperatorError(message.format(
+            f"condition {condition:.3g} >= 1/ENDPOINT_DEGENERACY_TOL"))
 
 
 class GreenKernel:
@@ -105,24 +106,23 @@ class GreenKernel:
     """
 
     def __init__(self, basis: HomogeneousBasis, bc: str):
-        if bc not in BOUNDARY_CONDITIONS:
-            raise ValueError(f"unsupported boundary condition {bc!r}")
         self.basis = basis
         self.bc = bc
+        self._sigma = sigma = _sigma(bc)
         m = basis.m
         self.denom = det_from_transfer(m, bc)
-        _refuse_degenerate(m, self.denom, f"{bc} endpoint determinant vanishes "
-                           "({:.3e}); the Green function does not exist")
+        _refuse_degenerate(condition_estimate(m, self.denom),
+                           f"{bc} endpoint determinant vanishes ({self.denom:.3e}, {{}}); "
+                           "the Green function does not exist")
 
         # r has (r, r') = (sin theta, -cos theta) at t_b and W = -n, n = M12 cos
         # theta + M22 sin theta: theta = 0 for Dirichlet, else atan2(M22, M12),
         # where n = hypot(M12, M22) > 0 since det M = 1
         (m11, m12), (m21, m22) = m.tolist()
-        self._n = m12 if bc == BC_DIRICHLET else math.hypot(m12, m22)
+        self._n = math.hypot(m12, m22) if sigma else m12
         self._sin, self._cos, self._c = 0.0, 1.0, (0.0, 0.0, 0.0)
-        if bc != BC_DIRICHLET:
-            n, sigma = self._n, 1.0 if bc == BC_PERIODIC else -1.0
-            self._sigma = sigma
+        if sigma:
+            n = self._n
             sin, cos = self._sin, self._cos = m22 / n, m12 / n
             # C = D^{-1} B = -adj(D / n) B / Delta for D = Y_b - sigma Y_a, where
             # (l, r) = (M12, sin), (M22, -cos) at t_b, (0, n), (1, -(M21 sin +
@@ -206,7 +206,7 @@ class GreenKernel:
         ends = np.array([[iv.t_a], [iv.t_b]])
         lr_ends, lr_s = self._anchored(ends, s)
         values, slopes = (self._assemble(lr_ends, lr_s, ends > s, d) for d in (False, True))
-        res = (np.max(np.abs(values), axis=0) if self.bc == BC_DIRICHLET else
+        res = (np.max(np.abs(values), axis=0) if not self._sigma else
                np.maximum(np.abs(values[0] - self._sigma * values[1]),
                           np.abs(slopes[0] - self._sigma * slopes[1])))
         diagonal = self._assemble(lr_s, lr_s, False, False)

@@ -31,7 +31,8 @@ import numpy as np
 
 from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
-from .green import BC_DIRICHLET, BC_PERIODIC, BOUNDARY_CONDITIONS, _det_slope, det_from_transfer
+from .green import (_det_slope, _refuse_degenerate, _sigma, condition_estimate,
+                    det_from_transfer)
 from .odesolve import _family, _family_bases
 from .profiles import FrequencyProfile
 
@@ -41,7 +42,6 @@ from .profiles import FrequencyProfile
 # PSEUDO_ZERO_TOL.
 LATTICE_ZERO_TOL = 1e-10
 PSEUDO_ZERO_TOL = 1e-8
-FLOW_DEGENERACY_TOL = 1e-8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 _EPS = float(np.finfo(float).eps)
 
@@ -78,12 +78,11 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
     node uses the average of Omega^2 at the two interval ends, which keeps
     profiles that are not exactly interval-periodic at second order.
     """
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unsupported boundary condition {bc!r}")
+    sigma = _sigma(bc)
     if n < 16:
         raise ValueError(f"mesh size must be at least 16, got {n}")
     iv = profile.interval
-    dirichlet = bc == BC_DIRICHLET
+    dirichlet = not sigma
     h = iv.span / (n + 1) if dirichlet else iv.span / n
     times = np.append(iv.t_a + h * np.arange(n + dirichlet), iv.t_b)
     q = h * h * g * profile.omega_sq(times)
@@ -94,7 +93,7 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
     else:
         q[0] = 0.5 * (q[0] + q[-1])
         q, nodes, boundary = q[:-1], times[:-1], 1.0
-        corner = -1.0 if bc == BC_PERIODIC else 1.0
+        corner = -float(sigma)
     c = 1.0 + q / 12.0
     return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, gap=q / c,
                            weight=c ** -2.0, corner=corner, boundary=boundary)
@@ -202,8 +201,8 @@ def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
     their shared relative rounding alone moves the log by about n eps.  An
     exact zero eigenvalue gives -inf, which the callers refuse before
     reading."""
-    dirichlet = bc == BC_DIRICHLET
-    periodic = bc == BC_PERIODIC
+    sigma = _sigma(bc)
+    dirichlet, periodic = not sigma, sigma > 0
     h = span / (n + 1) if dirichlet else span / n
     q0 = (h * omega0) ** 2
     gap = q0 / (1.0 + q0 / 12.0)
@@ -237,8 +236,7 @@ def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                        "lattice determinant ratio")
 
 
-def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
-                  g: float = 1.0) -> float:
+def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> float:
     """det(K)/det(reference) on an n-point Numerov mesh; converges with order
     h^4 under Dirichlet conditions, and under the wrapped ones where the
     profile closes up at the fold (h^2 where it does not).
@@ -249,7 +247,7 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
     refused with a pointer to the pseudo-determinant; a ratio beyond the
     float range raises IntegrationError.
     """
-    op = build_lattice(profile, bc, n, g=g)
+    op = build_lattice(profile, bc, n)
     below, nonpositive = _window(op, LATTICE_ZERO_TOL)
     if nonpositive != below:
         raise DegenerateOperatorError(
@@ -259,13 +257,13 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int,
 
 
 def lattice_ratio_richardson(profile: FrequencyProfile, bc: str,
-                             omega0: float, n: int, g: float = 1.0) -> float:
+                             omega0: float, n: int) -> float:
     """One refinement step in the mesh step: (16 r_{2n} - r_n) / 15 for
     Dirichlet (order h^4), (4 r_{2n} - r_n) / 3 for the wrapped conditions,
     whose fold keeps them at order h^2."""
-    r1 = lattice_ratio(profile, bc, omega0, n, g=g)
-    r2 = lattice_ratio(profile, bc, omega0, 2 * n, g=g)
-    gain = 16.0 if bc == BC_DIRICHLET else 4.0
+    r1 = lattice_ratio(profile, bc, omega0, n)
+    r2 = lattice_ratio(profile, bc, omega0, 2 * n)
+    gain = 4.0 if _sigma(bc) else 16.0
     refined = (gain * r2 - r1) / (gain - 1.0)
     if not math.isfinite(refined):
         raise IntegrationError(
@@ -288,7 +286,7 @@ class SpectrumReport:
 
 
 def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
-                     omega0: float = 0.0, g: float = 1.0) -> SpectrumReport:
+                     omega0: float = 0.0) -> SpectrumReport:
     """Normalized lattice determinant with its near-zero eigenvalue removed.
 
     The Sturm counts at -delta and +delta (delta is PSEUDO_ZERO_TOL times the
@@ -305,7 +303,7 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
     det_periodic_regularized's value for the wrapped conditions and to minus
     det_dirichlet_regularized's closed form for Dirichlet.
     """
-    op = build_lattice(profile, bc, n, g=g)
+    op = build_lattice(profile, bc, n)
     index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
     if nonpositive - index != 1:
         raise DegenerateOperatorError(
@@ -348,17 +346,17 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     a hyperbolic integrand near s = 0.  V_s is affine in s, so the nodes and
     ends are one Magnus family; each node's trace is -dF_s/ds / F_s, with
     dF_s/ds the exact slope of the determinant read from M.  The flow must
-    stay clear of zero modes: endpoint determinants are monitored at every
-    node, a sign change between nodes is located and reported as a crossing,
+    stay clear of zero modes: every node's endpoint determinant must pass
+    the zero verdict (green._refuse_degenerate), a sign change between nodes
+    is located and reported as a crossing,
     and the lattice Sturm counts of the reference and the target, which
     differ by the number of eigenvalues the flow takes through zero, must
     agree.
     """
-    if bc not in BOUNDARY_CONDITIONS:
-        raise ValueError(f"unsupported boundary condition {bc!r}")
+    sigma = _sigma(bc)
     if not (g_steps >= 1 and float(g_steps).is_integer()):
         raise ValueError(f"g_steps must be a positive integer, got {g_steps!r}")
-    omega0_ref = 0.0 if bc == BC_DIRICHLET else float(omega0)
+    omega0_ref = float(omega0) if sigma else 0.0
     span = profile.interval.span
     reference_determinant(bc, span, omega0_ref)
 
@@ -372,15 +370,14 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
         return det_from_transfer(m[..., 0], bc)
 
     groups = _family(profile, w0sq * (1.0 - s_probe), s_probe)
-    dets = np.empty(s_probe.size)
+    dets, conditions = np.empty(s_probe.size), np.empty(s_probe.size)
     for members, _, m, _ in groups:
         dets[members] = det_from_transfer(m, bc)
-    measure = np.abs(dets) / span if bc == BC_DIRICHLET else np.abs(dets)
-    i = int(np.argmax(measure < FLOW_DEGENERACY_TOL))
-    if measure[i] < FLOW_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            f"coupling flow is degenerate at g' = {s_probe[i]:.6f} "
-            f"(endpoint determinant measure {measure[i]:.3e})")
+        conditions[members] = [condition_estimate(m[..., j], dets[k])
+                               for j, k in enumerate(members)]
+    i = int(np.argmax(conditions))
+    _refuse_degenerate(conditions[i], f"coupling flow is degenerate at g' = {s_probe[i]:.6f} "
+                       f"(endpoint determinant {dets[i]:.3e}, {{}})")
     # signs, not products: the product of two determinants can overflow
     flips = np.sign(dets[:-1]) != np.sign(dets[1:])
     if flips.any():

@@ -89,7 +89,7 @@ class TestDet:
     def test_cancelled_determinant_refused(self, capsys, omega0):
         """Periodic omega = 2 pi: 2 - tr M is rounding (-7.1e-15, condition
         1.4e14), while the reference 4 sin^2(omega0 / 2), about 2.5e-9 at
-        the first omega0, keeps the ratio (-2.8e-6) above ZERO_MODE_GUARD."""
+        the first omega0, keeps the ratio (-2.8e-6) far from zero."""
         code, out, _ = run(capsys, "det", "--bc", "periodic", "--profile",
                            '{"kind":"constant","omega":6.283185307179586}',
                            "--omega0", omega0)
@@ -111,6 +111,23 @@ class TestDet:
         code, out, _ = run(capsys, "det", *argv)
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(ratio, abs=1e-6)
+
+    @pytest.mark.parametrize("argv,expected,rel", [
+        (("--t-b", "100000"), math.sin(1e5), 1e-8),
+        (("--t-b", "999.0269638415542"), math.sin(999.0269638415542), 1e-8),
+        (("--t-b", "999.0269638415542", "--method", "pq"), math.sin(999.0269638415542), 1e-8),
+        (("--profile", '{"kind":"constant","omega":3.1415927}'),
+         math.sin(3.1415927) / 3.1415927, 1e-6),
+        (("--profile", '{"kind":"constant","omega":3.1415927}', "--method", "pq"),
+         math.sin(3.1415927) / 3.1415927, 1e-6),
+    ], ids=["long-interval", "small-ratio", "small-ratio-pq", "near-focal", "near-focal-pq"])
+    def test_small_ratio_is_not_a_zero_mode(self, capsys, argv, expected, rel):
+        """Ratios of 3.6e-7, 5e-7 and -1.5e-8 against the free reference whose
+        determinants are far from zero to their condition (28, 2000 and 6.8e7)
+        or to PQ_DEGENERACY_TOL: each is returned, not refused as a zero mode."""
+        code, out, _ = run(capsys, "det", *argv)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(expected, rel=rel)
 
     def test_regularized_dirichlet(self, capsys):
         code, out, _ = run(capsys, "det", "--profile", SINPI, "--regularized")
@@ -336,7 +353,7 @@ class TestSweep:
           "--from", "6.283185307179586", "--to", "6.283185307179586"),
          "ENDPOINT_DEGENERACY_TOL"),
         (("--t-b", "3.141592653589793", "--param", "omega", "--from", "1", "--to", "1"),
-         "ZERO_MODE_GUARD"),
+         "ENDPOINT_DEGENERACY_TOL"),
     ], ids=["cancelled", "focal-point"])
     def test_rows_refused_as_det_refuses(self, capsys, argv, guard):
         """A row that `det` refuses with exit code 2 is an error row, whose

@@ -100,10 +100,12 @@ class TestWrapped:
             1.0, abs=1e-10)
 
     def test_free_wrapped_values(self, free_profile):
+        """The free operator has the constant periodic zero mode: 2 - tr M
+        is zero to its condition and refused, as det refuses it."""
         basis = make_basis(free_profile)
-        per = det_periodic(basis, omega0=1.0)
+        with pytest.raises(fd.DegenerateOperatorError, match="ENDPOINT_DEGENERACY_TOL"):
+            det_periodic(basis, omega0=1.0)
         anti = det_antiperiodic(basis, omega0=1.0)
-        assert per.value == pytest.approx(0.0, abs=1e-10)
         assert anti.value == pytest.approx(4.0, rel=1e-10)
 
     def test_degenerate_reference_rejected(self, const_profile):
@@ -198,11 +200,6 @@ class TestVanVleck:
         value = van_vleck_check(const_profile)
         assert value == pytest.approx(SIN_1, rel=1e-5)
 
-    def test_mass_independent_result(self, const_profile):
-        v1 = van_vleck_check(const_profile, mass=1.0)
-        v2 = van_vleck_check(const_profile, mass=2.0)
-        assert v2 == pytest.approx(v1, rel=1e-9)
-
     def test_modulated_profile(self, modulated_profile):
         expected = det_dirichlet(make_basis(modulated_profile)).value
         assert van_vleck_check(modulated_profile) == pytest.approx(
@@ -212,14 +209,11 @@ class TestVanVleck:
         with pytest.raises(fd.DegenerateOperatorError):
             van_vleck_check(const(1.0, 0.0, math.pi))
 
-    def test_zero_mass_rejected(self, const_profile):
-        with pytest.raises(ValueError):
-            van_vleck_check(const_profile, mass=0.0)
-
-    def test_nonfinite_mass_rejected(self, const_profile):
-        for mass in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="mass"):
-                van_vleck_check(const_profile, mass=mass)
+    def test_degenerate_path_names_the_verdict(self):
+        """omega = pi on [0, 1]: M12 is rounding, refused by det's verdict."""
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match="classical path is degenerate.*ENDPOINT_DEGENERACY_TOL"):
+            van_vleck_check(const(math.pi))
 
     @pytest.mark.parametrize("kt", [10.0, 30.0, 60.0])
     def test_hyperbolic(self, kt):
@@ -285,7 +279,7 @@ class TestWrappedZeroMode:
     def test_shifted_bump_matches_lattice(self):
         profile = fd.make_zero_mode_profile(
             fd.builtin_zero_mode_spec("sinpi_bump", fd.Interval(-3.0, -1.5)))
-        report = det_periodic_regularized(profile, anti=True)
+        report = det_periodic_regularized(profile, "antiperiodic")
         assert report.bc == "antiperiodic"
         assert report.value == pytest.approx(report.oracle_value, rel=1e-4)
 
@@ -295,7 +289,7 @@ class TestWrappedZeroMode:
         solution is a zero mode and F has a double zero."""
         profile = sinpi_profile if anti else const(math.pi, 0.0, 2.0)
         with pytest.raises(fd.DegenerateOperatorError, match="two .*zero modes"):
-            det_periodic_regularized(profile, anti=anti)
+            det_periodic_regularized(profile, "antiperiodic" if anti else "periodic")
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-6])
     def test_two_near_zero_modes_refused(self, delta):
@@ -309,3 +303,11 @@ class TestWrappedZeroMode:
     def test_rejects_invertible_profile(self, const_profile):
         with pytest.raises(fd.ProfileError, match="zero mode"):
             det_periodic_regularized(const_profile)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "robin"])
+    def test_takes_a_wrapped_condition(self, bc):
+        """Dirichlet has its own regularized determinant
+        (det_dirichlet_regularized); an unknown condition is refused as
+        everywhere else."""
+        with pytest.raises(ValueError, match="wrapped boundary condition|unsupported"):
+            det_periodic_regularized(const(0.0, 0.0, 2.0), bc)

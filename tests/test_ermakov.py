@@ -122,6 +122,22 @@ class TestPeriodicRatio:
             det_ratio_periodic_pq(sol)
 
 
+@pytest.mark.parametrize("omega,span,bc,read", [
+    (1.0, math.pi, "initial", det_ratio_dirichlet_pq),
+    (1.0, math.pi, "initial", basis_from_pq),
+    (2.0 * math.pi, 1.0, "periodic", det_ratio_periodic_pq),
+    (math.pi, 1.0, "periodic", lambda sol: det_ratio_periodic_pq(sol, anti=True)),
+], ids=["dirichlet", "basis", "periodic", "antiperiodic"])
+def test_zero_mode_refused_by_name(omega, span, bc, read):
+    """Constant omega with omega T = pi, 2 pi or pi: the sine each reader is
+    built from (sin phi, sin phi/2 or cos phi/2) is rounding, and the
+    refusal names PQ_DEGENERACY_TOL."""
+    profile = fd.make_constant_profile(omega, fd.Interval(0.0, span))
+    sol = solve_ermakov(profile, omega0=1.0, bc=bc)
+    with pytest.raises(fd.DegenerateOperatorError, match="within PQ_DEGENERACY_TOL = 1e-10"):
+        read(sol)
+
+
 class TestBasisFromPQ:
     def test_endpoint_values(self, modulated_profile):
         sol = solve_ermakov(modulated_profile, omega0=1.0)

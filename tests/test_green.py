@@ -8,9 +8,6 @@ import pytest
 import flucdet as fd
 from flucdet import odesolve
 from flucdet.green import (
-    BC_ANTIPERIODIC,
-    BC_DIRICHLET,
-    BC_PERIODIC,
     GreenKernel,
     _det_slope,
     condition_estimate,
@@ -56,7 +53,7 @@ class TestPairFunction:
     def test_mixing_invariance(self, modulated_profile, rng):
         basis = make_basis(modulated_profile)
         mixed = fd.mix_basis(basis, rng.uniform(-2.0, 2.0, size=(2, 2)))
-        for bc in (BC_DIRICHLET, BC_PERIODIC):
+        for bc in ("dirichlet", "periodic"):
             k0, k1 = GreenKernel(basis, bc), GreenKernel(mixed, bc)
             for t, tp in ((0.3, 1.5), (1.9, 0.2)):
                 assert k1(t, tp) == pytest.approx(k0(t, tp), rel=1e-11, abs=1e-13)
@@ -65,13 +62,13 @@ class TestPairFunction:
 class TestEndpointMatrices:
     def test_dirichlet_det_constant(self, const2_profile):
         m = make_basis(const2_profile).m
-        assert det_from_transfer(m, BC_DIRICHLET) == pytest.approx(
+        assert det_from_transfer(m, "dirichlet") == pytest.approx(
             math.sin(2.0) / 2.0, rel=1e-11)
 
     def test_wrapped_det_constant(self, const_profile):
         m = make_basis(const_profile).m
-        per = det_from_transfer(m, BC_PERIODIC)
-        anti = det_from_transfer(m, BC_ANTIPERIODIC)
+        per = det_from_transfer(m, "periodic")
+        anti = det_from_transfer(m, "antiperiodic")
         assert per == pytest.approx(4.0 * math.sin(0.5) ** 2, rel=1e-11)
         assert anti == pytest.approx(4.0 * math.cos(0.5) ** 2, rel=1e-11)
 
@@ -83,9 +80,9 @@ class TestEndpointMatrices:
         (eta_a, xi_a), (deta_a, dxi_a) = basis.y_a
         (eta_b, xi_b), (deta_b, dxi_b) = basis.y_b
         w = basis.w
-        assert det_from_transfer(basis.m, BC_DIRICHLET) == pytest.approx(
+        assert det_from_transfer(basis.m, "dirichlet") == pytest.approx(
             (eta_a * xi_b - xi_a * eta_b) / w, rel=1e-14)
-        for bc, s in ((BC_PERIODIC, 1.0), (BC_ANTIPERIODIC, -1.0)):
+        for bc, s in (("periodic", 1.0), ("antiperiodic", -1.0)):
             a11, a12 = eta_b - s * eta_a, xi_b - s * xi_a
             a21, a22 = deta_b - s * deta_a, dxi_b - s * dxi_a
             assert det_from_transfer(basis.m, bc) == pytest.approx(
@@ -101,41 +98,41 @@ class TestEndpointMatrices:
         profile = fd.make_user_profile(lambda t: -4.0, fd.Interval(0.0, 30.0))
         m = make_basis(profile).m
         assert abs(np.linalg.det(m) - 1.0) <= 1e-10 * np.max(np.abs(m)) ** 2
-        for bc, sign in ((BC_PERIODIC, -1.0), (BC_ANTIPERIODIC, 1.0)):
+        for bc, sign in (("periodic", -1.0), ("antiperiodic", 1.0)):
             exact = 2.0 + sign * 2.0 * math.cosh(60.0)
             assert det_from_transfer(m, bc) == pytest.approx(exact, rel=1e-10)
 
 
 class TestKernelValues:
     def test_dirichlet_diagonal_constant(self, const_profile):
-        kernel = GreenKernel(make_basis(const_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(const_profile), "dirichlet")
         for t in (0.25, 0.5, 0.8):
             expected = math.sin(t) * math.sin(1.0 - t) / math.sin(1.0)
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-10)
 
     def test_periodic_diagonal_constant(self, const_profile):
-        kernel = GreenKernel(make_basis(const_profile), BC_PERIODIC)
+        kernel = GreenKernel(make_basis(const_profile), "periodic")
         expected = -math.cos(0.5) / (2.0 * math.sin(0.5))
         for t in (0.0, 0.3, 0.9):
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-9)
 
     def test_antiperiodic_diagonal_constant(self, const_profile):
-        kernel = GreenKernel(make_basis(const_profile), BC_ANTIPERIODIC)
+        kernel = GreenKernel(make_basis(const_profile), "antiperiodic")
         expected = math.sin(0.5) / (2.0 * math.cos(0.5))
         for t in (0.1, 0.5, 1.0):
             assert kernel.diagonal(t) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("bc,omega_sq,span", [
         # M = -I and M = +I: M12 = 0, though both kernels exist
-        (BC_PERIODIC, (0.5 * math.pi) ** 2, 2.0),
-        (BC_ANTIPERIODIC, math.pi ** 2, 2.0),
+        ("periodic", (0.5 * math.pi) ** 2, 2.0),
+        ("antiperiodic", math.pi ** 2, 2.0),
         # periodic omega T = pi + delta: M12 of size delta
-        (BC_PERIODIC, (0.5 * (math.pi + 1e-2)) ** 2, 2.0),
-        (BC_PERIODIC, (0.5 * (math.pi + 1e-6)) ** 2, 2.0),
-        (BC_PERIODIC, (0.5 * (math.pi + 1e-8)) ** 2, 2.0),
+        ("periodic", (0.5 * (math.pi + 1e-2)) ** 2, 2.0),
+        ("periodic", (0.5 * (math.pi + 1e-6)) ** 2, 2.0),
+        ("periodic", (0.5 * (math.pi + 1e-8)) ** 2, 2.0),
         # hyperbolic k T = 30: solutions of size e^30
-        (BC_PERIODIC, -(30.0 / 2.5) ** 2, 2.5),
-        (BC_ANTIPERIODIC, -(30.0 / 2.5) ** 2, 2.5),
+        ("periodic", -(30.0 / 2.5) ** 2, 2.5),
+        ("antiperiodic", -(30.0 / 2.5) ** 2, 2.5),
     ], ids=["periodic-pi", "antiperiodic-2pi", "periodic-pi+1e-2", "periodic-pi+1e-6",
             "periodic-pi+1e-8", "periodic-kT30", "antiperiodic-kT30"])
     def test_wrapped_table_closed_form(self, bc, omega_sq, span):
@@ -151,31 +148,31 @@ class TestKernelValues:
         if omega_sq > 0.0:
             w = math.sqrt(omega_sq)
             exact = (-np.cos(w * u) / (2.0 * w * math.sin(0.5 * w * span))
-                     if bc == BC_PERIODIC else
+                     if bc == "periodic" else
                      -np.sin(w * u) / (2.0 * w * math.cos(0.5 * w * span)))
         else:
             k = math.sqrt(-omega_sq)
             exact = (np.cosh(k * u) / (2.0 * k * math.sinh(0.5 * k * span))
-                     if bc == BC_PERIODIC else
+                     if bc == "periodic" else
                      -np.sinh(k * u) / (2.0 * k * math.cosh(0.5 * k * span)))
         table = kernel.evaluate(ts[:, None], ts[None, :])
         assert np.max(np.abs(table - exact)) <= 1e-13 * np.max(np.abs(exact))
 
     def test_denom_property(self, const_profile):
         basis = make_basis(const_profile)
-        assert GreenKernel(basis, BC_DIRICHLET).denom == pytest.approx(
+        assert GreenKernel(basis, "dirichlet").denom == pytest.approx(
             math.sin(1.0), rel=1e-11)
-        assert GreenKernel(basis, BC_PERIODIC).denom == pytest.approx(
+        assert GreenKernel(basis, "periodic").denom == pytest.approx(
             4.0 * math.sin(0.5) ** 2, rel=1e-11)
 
     def test_table_shape(self, const_profile):
-        kernel = GreenKernel(make_basis(const_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(const_profile), "dirichlet")
         grid, table = kernel.table(5)
         assert len(grid) == 5 and len(table) == 5
         assert all(len(row) == 5 for row in table)
         assert table[0][2] == pytest.approx(0.0, abs=1e-9)
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_table_matches_pointwise(self, modulated_profile, bc):
         kernel = GreenKernel(make_basis(modulated_profile), bc)
         grid, table = kernel.table(17)
@@ -183,7 +180,7 @@ class TestKernelValues:
             for tj, value in zip(grid, row):
                 assert abs(value - kernel(ti, tj)) <= 1e-12
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_arrays_equal_scalar_calls(self, modulated_profile, rng, bc):
         """Array calls, the (n, 1) x (1, n) broadcast included, equal the
         elementwise scalar calls exactly; scalar calls return float."""
@@ -207,7 +204,7 @@ class TestKernelValues:
         assert type(kernel.diagonal(float(ts[1]))) is float
         assert type(kernel.slope_jump(float(ts[1]))) is float
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_one_frame_per_time(self, modulated_profile, bc):
         """Once the prefix and suffix products are formed, each time costs
         one local Magnus step for both anchored solutions: Omega^2 is
@@ -227,7 +224,7 @@ class TestKernelValues:
 
 
 class TestKernelProperties:
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_symmetry(self, modulated_profile, rng, bc):
         kernel = GreenKernel(make_basis(modulated_profile), bc)
         iv = modulated_profile.interval
@@ -236,13 +233,13 @@ class TestKernelProperties:
             g1, g2 = kernel(t, tp), kernel(tp, t)
             assert abs(g1 - g2) <= 1e-9 * (1.0 + abs(g1))
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_slope_jump(self, modulated_profile, bc):
         kernel = GreenKernel(make_basis(modulated_profile), bc)
         for t in (0.4, 1.0, 1.7):
             assert kernel.slope_jump(t) == pytest.approx(-1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_annihilation_off_diagonal(self, modulated_profile, bc):
         kernel = GreenKernel(make_basis(modulated_profile), bc)
         h = 1e-3
@@ -256,7 +253,7 @@ class TestKernelProperties:
             assert abs(residual) <= 1e-6
 
     def test_dirichlet_boundary_values(self, modulated_profile):
-        kernel = GreenKernel(make_basis(modulated_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(modulated_profile), "dirichlet")
         iv = modulated_profile.interval
         for s in (0.3, 0.9, 1.5):
             assert kernel(iv.t_a, s) == pytest.approx(0.0, abs=1e-10)
@@ -265,7 +262,7 @@ class TestKernelProperties:
     def test_wrapped_boundary_relations(self, modulated_profile):
         iv = modulated_profile.interval
         basis = make_basis(modulated_profile)
-        for bc, sign in ((BC_PERIODIC, 1.0), (BC_ANTIPERIODIC, -1.0)):
+        for bc, sign in (("periodic", 1.0), ("antiperiodic", -1.0)):
             kernel = GreenKernel(basis, bc)
             for s in (0.4, 1.1, 1.8):
                 va, vb = kernel(iv.t_a, s), kernel(iv.t_b, s)
@@ -275,7 +272,7 @@ class TestKernelProperties:
                 assert db == pytest.approx(sign * da, rel=1e-6, abs=1e-8)
 
     def test_continuity_across_diagonal(self, const2_profile):
-        kernel = GreenKernel(make_basis(const2_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(const2_profile), "dirichlet")
         t, d = 0.6, 1e-8
         assert kernel(t, t + d) == pytest.approx(kernel(t, t - d), abs=1e-7)
         assert kernel(t, t) == pytest.approx(kernel(t, t + d), abs=1e-7)
@@ -283,13 +280,13 @@ class TestKernelProperties:
 
 class TestResolvent:
     CASES = (
-        (BC_DIRICHLET,
+        ("dirichlet",
          lambda s: math.sin(math.pi * s),
          lambda s: math.pi ** 2 * math.sin(math.pi * s)),
-        (BC_PERIODIC,
+        ("periodic",
          lambda s: math.sin(2.0 * math.pi * s),
          lambda s: 4.0 * math.pi ** 2 * math.sin(2.0 * math.pi * s)),
-        (BC_ANTIPERIODIC,
+        ("antiperiodic",
          lambda s: math.cos(math.pi * s),
          lambda s: math.pi ** 2 * math.cos(math.pi * s)),
     )
@@ -315,7 +312,7 @@ class TestResolvent:
 
 class TestTraces:
     def test_free_unit_weight_trace(self, free_profile):
-        kernel = GreenKernel(make_basis(free_profile), BC_DIRICHLET)
+        kernel = GreenKernel(make_basis(free_profile), "dirichlet")
         value = trace_weighted_diagonal(kernel, lambda t: 1.0)
         assert value == pytest.approx(1.0 / 6.0, rel=1e-10)
 
@@ -325,11 +322,11 @@ class TestTraces:
         delta, span = 1e-8, 2.0
         omega = (math.pi + delta) / span
         profile = fd.make_constant_profile(omega, fd.Interval(0.0, span))
-        value = trace_weighted_diagonal(GreenKernel(make_basis(profile), BC_PERIODIC),
+        value = trace_weighted_diagonal(GreenKernel(make_basis(profile), "periodic"),
                                         lambda t: 1.0)
         assert value == pytest.approx(span * math.tan(0.5 * delta) / (2.0 * omega), rel=1e-6)
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_trace_omega_sq_runs(self, modulated_profile, bc):
         basis = make_basis(modulated_profile)
         kernel = GreenKernel(basis, bc)
@@ -341,9 +338,9 @@ class TestTraces:
         """The kernel diagonal against -dF/dg / F, which _det_slope assembles
         from the frame's products without the kernel's anchored solutions."""
         basis = make_basis(modulated_profile)
-        kernel = GreenKernel(basis, BC_DIRICHLET)
+        kernel = GreenKernel(basis, "dirichlet")
         via_kernel = trace_omega_sq(kernel)
-        direct = -_det_slope(basis, BC_DIRICHLET, modulated_profile.omega_sq) / kernel.denom
+        direct = -_det_slope(basis, "dirichlet", modulated_profile.omega_sq) / kernel.denom
         assert direct == pytest.approx(via_kernel, rel=1e-9)
 
 
@@ -363,9 +360,9 @@ class TestTraceClosedForms:
 
     @pytest.mark.parametrize("x", [1.0, 6.0, 10.25, 30.3])
     @pytest.mark.parametrize("bc,closed", [
-        (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tan(x)),
-        (BC_PERIODIC, lambda x: -0.5 * x / math.tan(0.5 * x)),
-        (BC_ANTIPERIODIC, lambda x: 0.5 * x * math.tan(0.5 * x)),
+        ("dirichlet", lambda x: 0.5 - 0.5 * x / math.tan(x)),
+        ("periodic", lambda x: -0.5 * x / math.tan(0.5 * x)),
+        ("antiperiodic", lambda x: 0.5 * x * math.tan(0.5 * x)),
     ])
     def test_oscillatory(self, x, bc, closed):
         omega = x / self.SPAN
@@ -373,9 +370,9 @@ class TestTraceClosedForms:
 
     @pytest.mark.parametrize("x", [2.0, 6.0, 6.9, 16.0, 30.0])
     @pytest.mark.parametrize("bc,closed", [
-        (BC_DIRICHLET, lambda x: 0.5 - 0.5 * x / math.tanh(x)),
-        (BC_PERIODIC, lambda x: -0.5 * x / math.tanh(0.5 * x)),
-        (BC_ANTIPERIODIC, lambda x: -0.5 * x * math.tanh(0.5 * x)),
+        ("dirichlet", lambda x: 0.5 - 0.5 * x / math.tanh(x)),
+        ("periodic", lambda x: -0.5 * x / math.tanh(0.5 * x)),
+        ("antiperiodic", lambda x: -0.5 * x * math.tanh(0.5 * x)),
     ])
     def test_hyperbolic(self, x, bc, closed):
         k = x / self.SPAN
@@ -397,7 +394,7 @@ class TestFamilyKernel:
         part = odesolve._MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
         return odesolve._canonical(profile, part, m[..., j], float(error[j]))
 
-    @pytest.mark.parametrize("bc", [BC_DIRICHLET, BC_PERIODIC, BC_ANTIPERIODIC])
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_per_member_values(self, modulated_profile, bc):
         """Every member's dF/ds, unweighted, weighted by Omega^2 or by a
         members-last weight, is that member's own basis's."""
@@ -433,11 +430,11 @@ class TestDegeneracies:
     def test_dirichlet_focal_interval(self):
         prof = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))
         with pytest.raises(fd.DegenerateOperatorError):
-            GreenKernel(make_basis(prof), BC_DIRICHLET)
+            GreenKernel(make_basis(prof), "dirichlet")
 
     def test_periodic_free_interval(self, free_profile):
         with pytest.raises(fd.DegenerateOperatorError):
-            GreenKernel(make_basis(free_profile), BC_PERIODIC)
+            GreenKernel(make_basis(free_profile), "periodic")
 
     def test_unsupported_bc(self, const_profile):
         with pytest.raises(ValueError):

@@ -597,6 +597,19 @@ class TestCouplingFlow:
         with pytest.raises(fd.DegenerateOperatorError, match="omega0"):
             gflow_ratio(const_profile, "periodic", omega0=2.0 * math.pi)
 
+    @pytest.mark.parametrize("omega,bc,omega0", [
+        (math.pi, "dirichlet", 0.0),
+        (2.0 * math.pi, "periodic", 1.0),
+    ], ids=["dirichlet", "periodic"])
+    def test_degenerate_target_refused(self, omega, bc, omega0):
+        """Constant omega = pi (Dirichlet) or 2 pi (periodic) on [0, 1]: F_s
+        touches zero at the target without changing sign, and the node
+        monitor refuses s = 1 by the zero verdict of det."""
+        profile = fd.make_constant_profile(omega, fd.Interval(0.0, 1.0))
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match=r"degenerate at g' = 1\.000000 .*ENDPOINT_DEGENERACY_TOL"):
+            gflow_ratio(profile, bc, omega0=omega0)
+
     def test_ratio_beyond_float_range(self):
         """Omega^2 = -k^2 with kT = 709.5 against the antiperiodic reference
         at omega0 T = pi - 1e-3: every basis on the flow is finite, but the

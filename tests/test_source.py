@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none imports scipy.integrate."""
+none imports scipy.integrate, and only green.py decides what a boundary
+condition means."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import flucdet
+from flucdet import cli, green
 
 ALL_SOURCES = sorted(Path(flucdet.__file__).parent.glob("*.py"))
 SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
@@ -64,3 +66,17 @@ def test_detects_scipy_integrate_import():
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=[path.name for path in ALL_SOURCES])
 def test_no_scipy_integrate_import(path):
     assert scipy_integrate_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_one_boundary_condition_check():
+    """One module refuses an unknown boundary condition."""
+    refusing = [path.name for path in ALL_SOURCES
+                if "unsupported boundary condition" in path.read_text(encoding="utf-8")]
+    assert refusing == ["green.py"]
+
+
+@pytest.mark.parametrize("command", [cli.det_command, cli.green_command, cli.sweep_command],
+                         ids=["det", "green", "sweep"])
+def test_cli_bc_choices_are_greens(command):
+    (bc,) = [param for param in command.params if param.name == "bc"]
+    assert list(bc.type.choices) == list(green._SIGMA)
