@@ -41,7 +41,6 @@ from .green import (
     GreenKernel,
     det_from_transfer,
     trace_omega_sq,
-    trace_weighted_diagonal,
 )
 from .determinants import (
     DetResult,
@@ -122,6 +121,5 @@ __all__ = [
     "solve_ermakov",
     "trace_identity_residual",
     "trace_omega_sq",
-    "trace_weighted_diagonal",
     "van_vleck_check",
 ]

@@ -8,9 +8,10 @@ against a reference operator: the free operator for Dirichlet, the constant
 frequency omega0 operator for periodic and antiperiodic conditions.
 
 Zero modes: with one zero mode, F vanishes and det' K = -dF/dlambda of
-K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda.  The
-Dirichlet closed form <xi|xi>/(xi'_a xi'_b) = +dM12/dlambda = -det' K comes
-with a finite-eps chain (shift the profile by the perturbed eigenvalue, divide
+K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda, whose
+Newton step from F is the one verdict that the mode is there.  The Dirichlet
+closed form <xi|xi>/(xi'_a xi'_b) = +dM12/dlambda = -det' K comes with a
+finite-eps chain (shift the profile by the perturbed eigenvalue, divide
 determinant by eigenvalue, extrapolate eps -> 0) that must agree with it.
 """
 
@@ -186,6 +187,22 @@ def van_vleck_check(profile: FrequencyProfile) -> float:
 # zero-mode regularized determinants
 
 
+def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> float:
+    """dF/dlambda at lambda = 0 (green._det_slope), F the determinant under bc
+    read from M, for a basis with one simple zero mode under bc: the one
+    zero-mode verdict.  Newton's step T^2 |F / (dF/dlambda)| to the eigenvalue
+    nearest zero must be within ZERO_MODE_PRESENT_TOL, else the profile is
+    refused as having no simple zero mode."""
+    slope = _det_slope(basis, bc)
+    value = det_from_transfer(basis.m, bc)
+    newton = basis.interval.span ** 2 * abs(value / slope) if slope else math.inf
+    if newton > ZERO_MODE_PRESENT_TOL:
+        raise ProfileError(
+            f"profile has no simple {bc} zero mode: Newton's step T^2 |F / (dF/dlambda)| = "
+            f"{newton:.3e} exceeds ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
+    return slope
+
+
 @dataclass(frozen=True)
 class ZeroModeReport:
     """Regularized Dirichlet determinant and the finite-eps chain data."""
@@ -229,9 +246,9 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
         return det_from_transfer(make_basis(shifted_profile(profile, lam)).m, "dirichlet")
 
     # The boundary value inherits inaccuracies of the profile representation
-    # (finite-difference shapes plateau near 1e-10), so the residual target
-    # is relative to eps; a 1e-6 relative shift error is far below the 1e-3
-    # budget of the quotient chain this feeds.
+    # (its extrapolated endpoint limits and the seam next to them), so the
+    # residual target is relative to eps; a 1e-6 relative shift error is far
+    # below the 1e-3 budget of the quotient chain this feeds.
     tol = max(1e-14, 1e-6 * abs(eps))
     x0 = first_order
     x1 = first_order * 1.02 if first_order != 0.0 else eps
@@ -255,7 +272,8 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
 def det_dirichlet_regularized(profile: FrequencyProfile,
                               eps: Optional[float] = None) -> ZeroModeReport:
     """Regularized determinant <xi|xi>/(xi'_a xi'_b) for a profile whose
-    operator annihilates a Dirichlet zero mode, plus the finite-eps chain.
+    operator annihilates a Dirichlet zero mode (the verdict of
+    _zero_mode_slope), plus the finite-eps chain.
 
     The closed form equals +dM12/dlambda of K - lambda at lambda = 0: minus
     det' K = -dF/dlambda and minus the lattice's aligned_pseudo_det.  The
@@ -269,10 +287,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
-    det_d = det_from_transfer(basis.m, "dirichlet")
-    if abs(det_d) > ZERO_MODE_PRESENT_TOL * span:
-        raise ProfileError(
-            f"profile has no Dirichlet zero mode (endpoint determinant {det_d:.3e})")
+    _zero_mode_slope(basis, "dirichlet")
 
     # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
     scale = _zero_mode_scale(profile)
@@ -332,9 +347,9 @@ def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic",
                              omega0: float = 1.0) -> WrappedZeroModeReport:
     """det' K = -dF/dlambda at lambda = 0, F = 2 - sigma tr M, for a profile
     with one zero mode under the wrapped bc, next to the lattice oracle's
-    signed pseudo-determinant.  Two zero modes (M = sigma I) are refused, and
-    so are two near-zero modes: Newton's step T^2 |F / (dF/dlambda)| to the
-    eigenvalue nearest zero must be within ZERO_MODE_PRESENT_TOL."""
+    signed pseudo-determinant.  Two zero modes (M = sigma I, a double zero
+    with no simple Newton step) are refused before the zero-mode verdict
+    (_zero_mode_slope)."""
     from . import oracle
 
     sigma = _sigma(bc)
@@ -342,20 +357,10 @@ def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic",
         raise ValueError("det_periodic_regularized takes a wrapped boundary condition; "
                          "use det_dirichlet_regularized for 'dirichlet'")
     basis = make_basis(profile, g=1.0)
-    m = basis.m
-    det_bar = det_from_transfer(m, bc)
-    if abs(det_bar) > ZERO_MODE_PRESENT_TOL:
-        raise ProfileError(
-            f"profile has no {bc} zero mode (endpoint determinant {det_bar:.3e})")
-    if np.max(np.abs(m - sigma * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
+    if np.max(np.abs(basis.m - sigma * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
         raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if sigma < 0 else '+'}I "
                                       f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
-    slope = _det_slope(basis, bc)
-    newton = profile.interval.span ** 2 * abs(det_bar / slope) if slope else math.inf
-    if newton > ZERO_MODE_PRESENT_TOL:
-        raise DegenerateOperatorError(
-            f"two near-zero {bc} modes: Newton's step T^2 |F / (dF/dlambda)| = {newton:.3e} "
-            f"exceeds ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
+    slope = _zero_mode_slope(basis, bc)
 
     report = oracle.pseudo_det_ratio(profile, bc, WRAPPED_ZERO_MODE_LATTICE_N,
                                      omega0=omega0)

@@ -220,29 +220,9 @@ class GreenKernel:
                 f"conditions (residual {worst:.3e} > {BC_CHECK_TOL})")
 
 
-def trace_weighted_diagonal(kernel: GreenKernel, weight: Callable) -> float:
-    """Integral of weight(t) * G(t, t) over the interval, by the basis's
-    Gauss rule on the integrator's steps.  weight is called once, on the
-    array of Gauss nodes, as a profile's omega_sq is."""
-    nodes, weights = kernel.basis.quadrature
-    return float(weights @ (kernel.diagonal(nodes) * weight(nodes)))
-
-
 def trace_omega_sq(kernel: GreenKernel) -> float:
-    """Integral of Omega^2(t) * G(t, t) over the interval."""
-    return trace_weighted_diagonal(kernel, kernel.basis.profile.omega_sq)
-
-
-def _retarded_green(basis: HomogeneousBasis) -> Callable[[float, float], float]:
-    """Retarded kernel R(t, t') = step(t - t') * f(t, t'), f(t, t') = (eta(t)
-    xi(t') - xi(t) eta(t')) / W from the value rows (eta, xi) of Y.
-
-    Solves the same inhomogeneous equation as the boundary kernels but with
-    causal support; R vanishes for t < t' and on the diagonal.
-    """
-
-    def retarded(t: float, tp: float) -> float:
-        (eta, xi), (eta_p, xi_p) = basis.y(t)[0], basis.y(tp)[0]
-        return float((eta * xi_p - xi * eta_p) / basis.w) if t > tp else 0.0
-
-    return retarded
+    """Integral of Omega^2(t) * G(t, t) over the interval, by the basis's
+    Gauss rule on the integrator's steps, with one omega_sq call on the
+    array of Gauss nodes."""
+    nodes, weights = kernel.basis.quadrature
+    return float(weights @ (kernel.diagonal(nodes) * kernel.basis.profile.omega_sq(nodes)))

@@ -348,7 +348,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     dF_s/ds the exact slope of the determinant read from M.  The flow must
     stay clear of zero modes: every node's endpoint determinant must pass
     the zero verdict (green._refuse_degenerate), a sign change between nodes
-    is located and reported as a crossing,
+    is located by bisection and reported as a crossing,
     and the lattice Sturm counts of the reference and the target, which
     differ by the number of eigenvalues the flow takes through zero, must
     agree.
@@ -381,13 +381,14 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     # signs, not products: the product of two determinants can overflow
     flips = np.sign(dets[:-1]) != np.sign(dets[1:])
     if flips.any():
-        from scipy.optimize import brentq  # imported on first use
-
         i = int(np.argmax(flips))
-        crossing = brentq(det_at, s_probe[i], s_probe[i + 1], xtol=1e-8)
+        lo, hi, sign_lo = s_probe[i], s_probe[i + 1], np.sign(dets[i])
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if np.sign(det_at(mid)) == sign_lo else (lo, mid)
         raise DegenerateOperatorError(
             "coupling flow crosses a zero mode at g' ≈ "
-            f"{crossing:.6f}; the trace integrand diverges there")
+            f"{0.5 * (lo + hi):.6f}; the trace integrand diverges there")
     # An even number of crossings keeps the sign.  The lattice mesh is the
     # larger step count of the groups that hold the end members: at least
     # two points per radian of sqrt(max|V_s|) T.

@@ -33,8 +33,6 @@ CONTINUITY_REFINEMENTS = 12
 # residuals (~1e-6 relative at the sampling steps used); singular ones leave
 # O(1) or larger extrapolation differences, so 1e-4 separates them cleanly.
 ENDPOINT_LIMIT_TOL = 1e-4
-FD_STEP_FACTOR = 1e-4
-CURVATURE_SPLINE_NODES = 1201
 
 
 @dataclass(frozen=True)
@@ -67,16 +65,14 @@ class SyntheticZeroModeSpec:
     """Shape function xi(t) that generates a profile through Omega^2 = -xi''/xi.
 
     xi must vanish at both interval endpoints, have no zeros inside the open
-    interval, and have nonzero endpoint slopes.  If dxi/d2xi are omitted they
-    are replaced by fourth-order central finite differences, which requires
-    xi to be evaluable slightly outside the interval.  The callables need only
-    take a float.
+    interval, and have nonzero endpoint slopes; dxi and d2xi are its first
+    and second derivatives.  The callables need only take a float.
     """
 
     xi: Callable[[float], float]
     interval: Interval
-    dxi: Optional[Callable[[float], float]] = None
-    d2xi: Optional[Callable[[float], float]] = None
+    dxi: Callable[[float], float]
+    d2xi: Callable[[float], float]
     name: str = "custom"
 
 
@@ -235,15 +231,6 @@ def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,
     return prof
 
 
-def _fd_first(f, t, h):
-    return (-f(t + 2 * h) + 8 * f(t + h) - 8 * f(t - h) + f(t - 2 * h)) / (12 * h)
-
-
-def _fd_second(f, t, h):
-    return (-f(t + 2 * h) + 16 * f(t + h) - 30 * f(t)
-            + 16 * f(t - h) - f(t - 2 * h)) / (12 * h * h)
-
-
 def _endpoint_limit(xi, d2xi, t0, direction, span):
     """One-sided limit of -xi''/xi at an endpoint where xi vanishes.
 
@@ -277,10 +264,7 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     vanishing endpoint slopes, or endpoint-singular curvature ratios.
     """
     iv = spec.interval
-    xi = _lift(spec.xi)
-    h = iv.span * FD_STEP_FACTOR
-    dxi = _lift(spec.dxi) if spec.dxi is not None else (lambda t: _fd_first(xi, t, h))
-    d2xi = _lift(spec.d2xi) if spec.d2xi is not None else (lambda t: _fd_second(xi, t, h))
+    xi, dxi, d2xi = _lift(spec.xi), _lift(spec.dxi), _lift(spec.d2xi)
 
     # interior zeros make -xi''/xi singular inside the interval
     ts = iv.grid(CONTINUITY_SAMPLES)
@@ -309,16 +293,6 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
 
     def interior(t):
         return -d2xi(t) / xi(t)
-
-    if spec.d2xi is None:
-        # The pointwise finite-difference fallback carries roundoff noise of
-        # order eps/h^2 that defeats tight-tolerance integration, so tabulate
-        # the curvature ratio once and interpolate a smooth representation.
-        from scipy.interpolate import CubicSpline
-
-        step = (hi - lo) / (CURVATURE_SPLINE_NODES - 1)
-        nodes = lo + step * np.arange(CURVATURE_SPLINE_NODES)
-        interior = CubicSpline(nodes, interior(nodes))
 
     def omega_sq(t):
         if isinstance(t, np.ndarray):

@@ -153,7 +153,6 @@ class TestDet:
     @pytest.mark.parametrize("profile,t_b,bc", [
         ('{"kind": "constant", "omega": 3.141592653589793}', "2.0", "periodic"),
         (SINPI, "1.0", "antiperiodic"),
-        ('{"kind": "constant", "omega": 3.1416926535897933}', "2.0", "periodic"),
     ])
     def test_regularized_two_zero_modes_refused(self, capsys, profile, t_b, bc):
         code, out, _ = run(capsys, "det", "--profile", profile, "--t-b", t_b,
@@ -162,6 +161,19 @@ class TestDet:
         error = json.loads(out)["error"]
         assert error["type"] == "DegenerateOperatorError"
         assert "two" in error["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-b", "999.0269638415542"),
+        ("--profile", '{"kind": "constant", "omega": 3.1416926535897933}', "--t-b", "2.0",
+         "--bc", "periodic"),
+    ], ids=["small-dirichlet", "near-double-periodic"])
+    def test_regularized_without_simple_zero_mode_refused(self, capsys, argv):
+        """sin T = 5e-4 at T = 999.027 and F = 4e-8 at omega = pi + 1e-4 are
+        small, but Newton's step to the nearest eigenvalue is far beyond
+        ZERO_MODE_PRESENT_TOL: a configuration error, not a failed check."""
+        code, out, err = run(capsys, "det", *argv, "--regularized")
+        assert code == 1 and out == ""
+        assert "no simple" in err and "ZERO_MODE_PRESENT_TOL" in err
 
     def test_degenerate_reference(self, capsys):
         code, out, _ = run(capsys, "det", "--bc", "periodic",

@@ -258,8 +258,16 @@ class TestDirichletZeroMode:
             -lattice.aligned_pseudo_det, rel=1e-4)
 
     def test_rejects_invertible_profile(self, const_profile):
-        with pytest.raises(fd.ProfileError, match="no Dirichlet zero mode"):
+        with pytest.raises(fd.ProfileError,
+                           match="no simple dirichlet zero mode.*ZERO_MODE_PRESENT_TOL"):
             det_dirichlet_regularized(const_profile)
+
+    def test_small_determinant_is_not_a_zero_mode(self):
+        """omega = 1 on [0, 999.0269638415542]: M12 = sin T = 5e-4 is within
+        1e-6 of the span, but Newton's step T^2 |M12 / (dM12/dlambda)| to the
+        nearest eigenvalue is about 1, so no zero mode is there."""
+        with pytest.raises(fd.ProfileError, match="Newton's step.*ZERO_MODE_PRESENT_TOL"):
+            det_dirichlet_regularized(const(1.0, 0.0, 999.0269638415542))
 
     def test_zero_eps_rejected(self, sinpi_profile):
         with pytest.raises(ValueError, match="eps"):
@@ -293,11 +301,11 @@ class TestWrappedZeroMode:
 
     @pytest.mark.parametrize("delta", [1e-4, 1e-6])
     def test_two_near_zero_modes_refused(self, delta):
-        """omega = pi + delta on [0, 2]: F = 4 sin^2(omega) passes
+        """omega = pi + delta on [0, 2]: F = 4 sin^2(omega) is within
         ZERO_MODE_PRESENT_TOL, but both periodic modes sit near -2 pi delta,
-        so Newton's step T^2 |F / (dF/dlambda)| (about 4 pi delta) exceeds it."""
-        with pytest.raises(fd.DegenerateOperatorError,
-                           match="two near-zero periodic modes.*ZERO_MODE_PRESENT_TOL"):
+        so Newton's step T^2 |F / (dF/dlambda)| (about 4 pi delta) exceeds it
+        and no simple zero mode is there."""
+        with pytest.raises(fd.ProfileError, match="Newton's step.*ZERO_MODE_PRESENT_TOL"):
             det_periodic_regularized(const(math.pi + delta, 0.0, 2.0))
 
     def test_rejects_invertible_profile(self, const_profile):

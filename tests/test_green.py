@@ -1,4 +1,4 @@
-"""Two-point functions, Green kernels, traces, and the retarded kernel."""
+"""Two-point functions, Green kernels and traces."""
 
 import math
 
@@ -12,9 +12,7 @@ from flucdet.green import (
     _det_slope,
     condition_estimate,
     det_from_transfer,
-    _retarded_green,
     trace_omega_sq,
-    trace_weighted_diagonal,
 )
 from flucdet.odesolve import make_basis
 
@@ -43,13 +41,6 @@ def apply_kernel(kernel, source, t, interval):
 
 
 class TestPairFunction:
-    def test_constant_two_point_values(self, const2_profile):
-        # f(t, t') = (eta(t) xi(t') - xi(t) eta(t')) / W, the retarded kernel for t > t'
-        ret = _retarded_green(make_basis(const2_profile))
-        for t, tp in ((0.8, 0.1), (0.6, 0.2)):
-            assert ret(t, tp) == pytest.approx(
-                math.sin(2.0 * (tp - t)) / 2.0, abs=1e-11)
-
     def test_mixing_invariance(self, modulated_profile, rng):
         basis = make_basis(modulated_profile)
         mixed = fd.mix_basis(basis, rng.uniform(-2.0, 2.0, size=(2, 2)))
@@ -310,10 +301,16 @@ class TestResolvent:
             assert recovered == pytest.approx(phi(t), abs=1e-8)
 
 
+def unit_weight_trace(kernel) -> float:
+    """int G(t, t) dt by the basis's Gauss rule on the integrator's steps."""
+    nodes, weights = kernel.basis.quadrature
+    return float(weights @ kernel.diagonal(nodes))
+
+
 class TestTraces:
     def test_free_unit_weight_trace(self, free_profile):
         kernel = GreenKernel(make_basis(free_profile), "dirichlet")
-        value = trace_weighted_diagonal(kernel, lambda t: 1.0)
+        value = unit_weight_trace(kernel)
         assert value == pytest.approx(1.0 / 6.0, rel=1e-10)
 
     def test_periodic_unit_weight_trace_near_focal(self):
@@ -322,8 +319,7 @@ class TestTraces:
         delta, span = 1e-8, 2.0
         omega = (math.pi + delta) / span
         profile = fd.make_constant_profile(omega, fd.Interval(0.0, span))
-        value = trace_weighted_diagonal(GreenKernel(make_basis(profile), "periodic"),
-                                        lambda t: 1.0)
+        value = unit_weight_trace(GreenKernel(make_basis(profile), "periodic"))
         assert value == pytest.approx(span * math.tan(0.5 * delta) / (2.0 * omega), rel=1e-6)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
@@ -411,19 +407,6 @@ class TestFamilyKernel:
                 alone = self.alone(modulated_profile, grid, m, error, j)
                 assert slopes[j] == pytest.approx(
                     _det_slope(alone, bc, member_weight(j)), rel=1e-14)
-
-
-class TestRetarded:
-    def test_causal_support(self, const_profile):
-        basis = make_basis(const_profile)
-        ret = _retarded_green(basis)
-        assert ret(0.3, 0.8) == 0.0
-        assert ret(0.5, 0.5) == 0.0
-        assert ret(0.8, 0.3) == pytest.approx(math.sin(0.3 - 0.8), abs=1e-11)
-
-    def test_free_values(self, free_profile):
-        ret = _retarded_green(make_basis(free_profile))
-        assert ret(0.9, 0.4) == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestDegeneracies:

@@ -126,30 +126,38 @@ class TestZeroModeShapes:
         assert zm.dxi(0.0) == pytest.approx(math.pi)
 
     def test_rejects_interior_zero(self, unit_interval):
-        spec = SyntheticZeroModeSpec(lambda t: math.sin(2.0 * math.pi * t),
-                                     unit_interval, name="twonode")
+        k = 2.0 * math.pi
+        spec = SyntheticZeroModeSpec(lambda t: math.sin(k * t), unit_interval,
+                                     dxi=lambda t: k * math.cos(k * t),
+                                     d2xi=lambda t: -k * k * math.sin(k * t), name="twonode")
         with pytest.raises(fd.ProfileError):
             make_zero_mode_profile(spec)
 
     def test_rejects_flat_endpoint_slope(self, unit_interval):
-        spec = SyntheticZeroModeSpec(lambda t: t * t * (1.0 - t),
-                                     unit_interval, name="flat")
+        spec = SyntheticZeroModeSpec(lambda t: t * t * (1.0 - t), unit_interval,
+                                     dxi=lambda t: 2.0 * t - 3.0 * t * t,
+                                     d2xi=lambda t: 2.0 - 6.0 * t, name="flat")
         with pytest.raises(fd.ProfileError):
             make_zero_mode_profile(spec)
 
     def test_rejects_singular_endpoint_ratio(self, unit_interval):
         # quadratic term at the endpoint zero makes -xi''/xi blow up like 1/t
-        spec = SyntheticZeroModeSpec(
-            lambda t: math.sin(math.pi * t) * (1.0 + 0.1 * math.sin(2.0 * math.pi * t)),
-            unit_interval, name="singular")
+        k = math.pi
+
+        def xi(t):
+            return math.sin(k * t) * (1.0 + 0.1 * math.sin(2.0 * k * t))
+
+        def dxi(t):
+            return (k * math.cos(k * t) * (1.0 + 0.1 * math.sin(2.0 * k * t))
+                    + 0.2 * k * math.sin(k * t) * math.cos(2.0 * k * t))
+
+        def d2xi(t):
+            return (-k * k * xi(t) + 0.4 * k * k * math.cos(k * t) * math.cos(2.0 * k * t)
+                    - 0.4 * k * k * math.sin(k * t) * math.sin(2.0 * k * t))
+
+        spec = SyntheticZeroModeSpec(xi, unit_interval, dxi=dxi, d2xi=d2xi, name="singular")
         with pytest.raises(fd.ProfileError):
             make_zero_mode_profile(spec)
-
-    def test_finite_difference_fallback(self, unit_interval):
-        spec = SyntheticZeroModeSpec(lambda t: math.sin(math.pi * t),
-                                     unit_interval, name="fd-only")
-        prof = make_zero_mode_profile(spec)
-        assert prof(0.37) == pytest.approx(math.pi ** 2, rel=1e-6)
 
     def test_unknown_builtin_name(self, unit_interval):
         with pytest.raises(fd.ConfigError, match="sinpi"):
@@ -279,14 +287,13 @@ class TestArrayContract:
         for fn in (prof.zero_mode.xi, prof.zero_mode.dxi, prof.zero_mode.d2xi):
             assert_array_contract(fn, iv)
 
-    @pytest.mark.parametrize("derivatives", [False, True])
+    @pytest.mark.parametrize("derivatives", [True])
     def test_user_shapes(self, unit_interval, derivatives):
-        # scalar-only shapes, with the finite-difference fallback or without
+        # scalar-only shapes and their derivatives
         k = math.pi
         spec = SyntheticZeroModeSpec(
             lambda t: math.sin(k * t), unit_interval,
-            dxi=(lambda t: k * math.cos(k * t)) if derivatives else None,
-            d2xi=(lambda t: -k * k * math.sin(k * t)) if derivatives else None)
+            dxi=lambda t: k * math.cos(k * t), d2xi=lambda t: -k * k * math.sin(k * t))
         prof = make_zero_mode_profile(spec)
         assert_array_contract(prof.omega_sq, unit_interval)
         for fn in (prof.zero_mode.xi, prof.zero_mode.dxi, prof.zero_mode.d2xi):

@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none imports scipy.integrate, and only green.py decides what a boundary
-condition means."""
+none imports scipy, and only green.py decides what a boundary condition
+means."""
 
 import ast
 from pathlib import Path
@@ -37,35 +37,38 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def scipy_integrate_imports(source: str) -> list:
-    """Imports of scipy.integrate or of a module under it, at any depth."""
+def scipy_imports(source: str) -> list:
+    """Imports of scipy or of anything under it, at any depth, by the dotted
+    name each binds."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            found += [alias.name for alias in node.names
-                      if alias.name.split(".")[:2] == ["scipy", "integrate"]]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            parts = node.module.split(".")
-            if parts[:2] == ["scipy", "integrate"]:
-                found.append(node.module)
-            elif parts == ["scipy"]:
-                found += ["scipy." + alias.name for alias in node.names
-                          if alias.name == "integrate"]
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and not node.level
+              and node.module.split(".")[0] == "scipy"):
+            found += [f"{node.module}.{alias.name}" for alias in node.names]
     return found
 
 
 def test_detects_scipy_integrate_import():
-    source = ("import scipy.integrate\nimport scipy.optimize\n"
+    source = ("import scipy.integrate\nimport scipy.optimize\nimport scipyx, numpy\n"
+              "from .scipy import odesolve\n"
               "def f():\n    from scipy.integrate import solve_ivp\n"
               "    from scipy import integrate, linalg\n"
-              "    from scipy.integrate._ivp import rk\n")
-    assert scipy_integrate_imports(source) == [
-        "scipy.integrate", "scipy.integrate", "scipy.integrate", "scipy.integrate._ivp"]
+              "    from scipy.integrate._ivp import rk\n"
+              "    from scipy.interpolate import CubicSpline\n"
+              "    from scipy.optimize import brentq  # imported on first use\n"
+              "    import scipy\n")
+    assert scipy_imports(source) == [
+        "scipy.integrate", "scipy.optimize", "scipy.integrate.solve_ivp", "scipy.integrate",
+        "scipy.linalg", "scipy.integrate._ivp.rk", "scipy.interpolate.CubicSpline",
+        "scipy.optimize.brentq", "scipy"]
 
 
 @pytest.mark.parametrize("path", ALL_SOURCES, ids=[path.name for path in ALL_SOURCES])
 def test_no_scipy_integrate_import(path):
-    assert scipy_integrate_imports(path.read_text(encoding="utf-8")) == []
+    """No module of the package imports scipy, scipy.integrate included."""
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_one_boundary_condition_check():
