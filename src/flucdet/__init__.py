@@ -44,7 +44,6 @@ from .green import (
 )
 from .determinants import (
     DetResult,
-    WrappedZeroModeReport,
     ZeroModeReport,
     det_antiperiodic,
     det_dirichlet,
@@ -90,7 +89,6 @@ __all__ = [
     "SpectrumReport",
     "SyntheticZeroModeSpec",
     "VerificationError",
-    "WrappedZeroModeReport",
     "ZeroModeReport",
     "basis_from_pq",
     "build_lattice",

@@ -37,7 +37,6 @@ REFERENCE_DEGENERACY_TOL = 1e-9
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
 EIGENVALUE_SHIFT_MAX_ITER = 60
-WRAPPED_ZERO_MODE_LATTICE_N = 800  # mesh of the lattice next to the wrapped value
 
 
 @dataclass(frozen=True)
@@ -187,20 +186,22 @@ def van_vleck_check(profile: FrequencyProfile) -> float:
 # zero-mode regularized determinants
 
 
-def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> float:
+def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> tuple:
     """dF/dlambda at lambda = 0 (green._det_slope), F the determinant under bc
     read from M, for a basis with one simple zero mode under bc: the one
     zero-mode verdict.  Newton's step T^2 |F / (dF/dlambda)| to the eigenvalue
     nearest zero must be within ZERO_MODE_PRESENT_TOL, else the profile is
-    refused as having no simple zero mode."""
-    slope = _det_slope(basis, bc)
+    refused as having no simple zero mode.  Returned with Phi(t, t_a) at the
+    basis's Gauss nodes, read from the slope's own frame call."""
+    frame = basis.frame(basis.quadrature[0])
+    slope = _det_slope(basis, bc, frame=frame)
     value = det_from_transfer(basis.m, bc)
     newton = basis.interval.span ** 2 * abs(value / slope) if slope else math.inf
     if newton > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
             f"profile has no simple {bc} zero mode: Newton's step T^2 |F / (dF/dlambda)| = "
             f"{newton:.3e} exceeds ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
-    return slope
+    return slope, frame[0]
 
 
 @dataclass(frozen=True)
@@ -287,7 +288,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
-    _zero_mode_slope(basis, "dirichlet")
+    _, phi = _zero_mode_slope(basis, "dirichlet")
 
     # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
     scale = _zero_mode_scale(profile)
@@ -299,8 +300,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
             "zero-mode endpoint slope vanishes; the regularized determinant "
             f"formula is undefined (slopes {dxi_a:.3e}, {dxi_b:.3e})")
 
-    nodes, weights = basis.quadrature
-    norm_sq = float(weights @ (scale * basis.phi(nodes)[0, 1]) ** 2)
+    norm_sq = float(basis.quadrature[1] @ (scale * phi[0, 1]) ** 2)
     det_reg = norm_sq / (dxi_a * dxi_b)
 
     if eps is None:
@@ -332,26 +332,11 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
         lambda_over_eps=lam_full / eps, check_residual=residual)
 
 
-@dataclass(frozen=True)
-class WrappedZeroModeReport:
-    """Regularized determinant -dF/dlambda for a wrapped boundary condition,
-    reported next to the independent lattice pseudo-determinant."""
-
-    bc: str
-    value: float
-    oracle_value: float
-    oracle_report: object
-
-
-def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic",
-                             omega0: float = 1.0) -> WrappedZeroModeReport:
+def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic") -> float:
     """det' K = -dF/dlambda at lambda = 0, F = 2 - sigma tr M, for a profile
-    with one zero mode under the wrapped bc, next to the lattice oracle's
-    signed pseudo-determinant.  Two zero modes (M = sigma I, a double zero
-    with no simple Newton step) are refused before the zero-mode verdict
-    (_zero_mode_slope)."""
-    from . import oracle
-
+    with one zero mode under the wrapped bc.  Two zero modes (M = sigma I, a
+    double zero with no simple Newton step) are refused before the zero-mode
+    verdict (_zero_mode_slope)."""
     sigma = _sigma(bc)
     if not sigma:
         raise ValueError("det_periodic_regularized takes a wrapped boundary condition; "
@@ -360,11 +345,6 @@ def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic",
     if np.max(np.abs(basis.m - sigma * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
         raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if sigma < 0 else '+'}I "
                                       f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
-    slope = _zero_mode_slope(basis, bc)
-
-    report = oracle.pseudo_det_ratio(profile, bc, WRAPPED_ZERO_MODE_LATTICE_N,
-                                     omega0=omega0)
+    slope, _ = _zero_mode_slope(basis, bc)
     # + 0.0: a slope that rounds to -0.0 is reported as 0.0
-    return WrappedZeroModeReport(bc=bc, value=-slope + 0.0,
-                                 oracle_value=report.aligned_pseudo_det,
-                                 oracle_report=report)
+    return -slope + 0.0

@@ -461,7 +461,6 @@ class ErmakovSolution:
     periodic: bool
     knots: np.ndarray
     q_knots: np.ndarray
-    evenness_residual: Optional[float] = None
     newton_iterations: int = 0
 
     @property
@@ -540,16 +539,9 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
 
     state = _on_interval(lambda t: sol(t)[:3], iv)
     end = sol.ys[-1]
-
-    evenness = None
-    if bc == "periodic":
-        taus = 0.5 * iv.span * np.arange(51) / 50
-        p = state(np.concatenate([iv.t_a + taus, iv.t_b - taus]))[0]
-        evenness = float(np.max(np.abs(p[:51] - p[51:])))
-
     return ErmakovSolution(
         state=state, omega0=float(omega0),
         p_a=p_start, p_b=float(end[0]), dp_a=dp_start, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
-        knots=sol.ts, q_knots=sol.ys[:, 2], evenness_residual=evenness,
+        knots=sol.ts, q_knots=sol.ys[:, 2],
         newton_iterations=iterations)

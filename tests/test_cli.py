@@ -233,6 +233,16 @@ class TestDetErrors:
         assert code == 1 and out == ""
         assert "--omega0" in err
 
+    def test_pq_route_needs_positive_omega0(self, capsys):
+        code, out, err = run(capsys, "det", "--method", "pq", "--omega0", "0")
+        assert code == 1 and out == ""
+        assert "the pq route requires --omega0 > 0" in err
+
+    def test_empty_profile(self, capsys):
+        code, out, err = run(capsys, "det", "--profile", "")
+        assert code == 1 and out == ""
+        assert "empty --profile value" in err
+
 
 class TestHyperbolic:
     def test_periodic_no_false_zero_mode(self, capsys, monkeypatch):

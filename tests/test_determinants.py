@@ -18,6 +18,7 @@ from flucdet.determinants import (
 )
 from flucdet.green import _det_slope, det_from_transfer
 from flucdet.odesolve import make_basis
+from flucdet.oracle import pseudo_det_ratio
 from flucdet.profiles import shifted_profile
 
 SIN_1 = 0.8414709848078965
@@ -251,7 +252,6 @@ class TestDirichletZeroMode:
             NEG_HALF_INV_PI_SQ, rel=1e-6)
 
     def test_bump_mode_matches_lattice(self, sinpi_bump_profile):
-        from flucdet.oracle import pseudo_det_ratio
         report = det_dirichlet_regularized(sinpi_bump_profile)
         lattice = pseudo_det_ratio(sinpi_bump_profile, "dirichlet", n=1000)
         assert report.det_regularized == pytest.approx(
@@ -279,17 +279,16 @@ class TestWrappedZeroMode:
         """F = 2 - 2 cos(sqrt(lambda) T) = lambda T^2 + ..., so det' K = -T^2,
         which the lattice pseudo-determinant also converges to."""
         profile = const(0.0, 0.0, 2.0)
-        report = det_periodic_regularized(profile)
-        assert report.bc == "periodic"
-        assert report.value == pytest.approx(-4.0, rel=1e-12)
-        assert report.oracle_value == pytest.approx(-4.0, rel=1e-4)
+        lattice = pseudo_det_ratio(profile, "periodic", 800, omega0=1.0)
+        assert det_periodic_regularized(profile) == pytest.approx(-4.0, rel=1e-12)
+        assert lattice.aligned_pseudo_det == pytest.approx(-4.0, rel=1e-4)
 
     def test_shifted_bump_matches_lattice(self):
         profile = fd.make_zero_mode_profile(
             fd.builtin_zero_mode_spec("sinpi_bump", fd.Interval(-3.0, -1.5)))
-        report = det_periodic_regularized(profile, "antiperiodic")
-        assert report.bc == "antiperiodic"
-        assert report.value == pytest.approx(report.oracle_value, rel=1e-4)
+        lattice = pseudo_det_ratio(profile, "antiperiodic", 800, omega0=1.0)
+        assert det_periodic_regularized(profile, "antiperiodic") == pytest.approx(
+            lattice.aligned_pseudo_det, rel=1e-4)
 
     @pytest.mark.parametrize("anti", [False, True])
     def test_two_zero_modes_refused(self, sinpi_profile, anti):

@@ -423,6 +423,11 @@ class TestDegeneracies:
         with pytest.raises(ValueError):
             GreenKernel(make_basis(const_profile), "robin")
 
+    def test_unknown_branch_side(self, const_profile):
+        kernel = GreenKernel(make_basis(const_profile), "dirichlet")
+        with pytest.raises(ValueError, match="side must be 'auto', 'upper' or 'lower'"):
+            kernel.evaluate_dt(0.2, 0.3, side="left")
+
 
 class TestConditionEstimate:
     MATRICES = [np.array([[0.3, -2.0], [0.5, 1.2]]),

@@ -33,6 +33,16 @@ class TestCanonicalBasis:
             assert dxi == pytest.approx(-math.sin(t), abs=1e-10)
             assert deta == pytest.approx(math.cos(t), abs=1e-10)
 
+    def test_nonfinite_samples_refused(self):
+        """A profile built directly, without make_user_profile's check, that
+        is NaN on (0.5, 1]: the integrator refuses its samples."""
+        profile = fd.FrequencyProfile(
+            omega_sq=lambda t: np.where(np.asarray(t) > 0.5, np.nan, 1.0),
+            interval=fd.Interval(0.0, 1.0))
+        with pytest.raises(fd.IntegrationError,
+                           match="Omega\\^2 is not finite on the interval"):
+            make_basis(profile)
+
     def test_free_solutions(self, free_profile):
         b = make_basis(free_profile)
         for t in (0.0, 0.4, 1.0):

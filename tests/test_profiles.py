@@ -105,6 +105,31 @@ class TestFactories:
         make_user_profile(omega_sq, iv)
         assert 1 < len(calls) <= 1 + CONTINUITY_REFINEMENTS
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_user_profile_rejects_nonfinite_samples(self, unit_interval, bad):
+        with pytest.raises(fd.ProfileError, match="Omega\\^2 is not finite at t = 0.5"):
+            make_user_profile(lambda t: bad if t > 0.5 else 1.0, unit_interval)
+
+    @pytest.mark.parametrize("earlier_jump,message", [
+        (False, "Omega^2 is not finite at t = 0.50010001"),
+        (True, "Omega^2 jumps by 1.000e+00 between t = 0.2499"),
+    ], ids=["earliest", "earlier-jump-wins"])
+    def test_nonfinite_bisection_midpoint(self, unit_interval, earlier_jump, message):
+        """Omega^2 steps by 1 across the grid step [ts[5000], ts[5001]] and is
+        infinite at its midpoint, the first point the bisection samples there:
+        refused as not finite, unless a jump in an earlier step (at 0.25)
+        outlives the bisection."""
+        ts = unit_interval.grid(CONTINUITY_SAMPLES)
+        mid = 0.5 * (ts[5000] + ts[5001])
+
+        def omega_sq(t):
+            if t == mid:
+                return math.inf
+            return 1.0 + (t > mid) + (earlier_jump and t >= 0.25)
+
+        with pytest.raises(fd.ProfileError, match=re.escape(message)):
+            make_user_profile(omega_sq, unit_interval)
+
 
 class TestZeroModeShapes:
     def test_sinpi_recovers_constant_curvature(self, sinpi_profile):

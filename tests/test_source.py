@@ -1,6 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none imports scipy, and only green.py decides what a boundary condition
-means."""
+none imports scipy, only the front ends import the oracles, and only
+green.py decides what a boundary condition means."""
 
 import ast
 from pathlib import Path
@@ -69,6 +69,36 @@ def test_detects_scipy_integrate_import():
 def test_no_scipy_integrate_import(path):
     """No module of the package imports scipy, scipy.integrate included."""
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def oracle_imports(source: str) -> list:
+    """Imports of flucdet.oracle, absolute or relative, at any depth."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["flucdet" if node.level else None, node.module]))
+            names += [module] + [f"{module}.{alias.name}" for alias in node.names]
+    return [name for name in names if name == "flucdet.oracle"]
+
+
+def test_detects_oracle_import():
+    source = ("from .oracle import lattice_ratio\nimport flucdet.oracle\n"
+              "from . import green, odesolve\nfrom .oracles import x\nimport oracle\n"
+              "def f():\n    from . import oracle  # imported on first use\n"
+              "    from flucdet import oracle as o\n    from flucdet.oracle import gflow_ratio\n")
+    assert oracle_imports(source) == ["flucdet.oracle"] * 5
+
+
+ORACLE_READERS = ("oracle.py", "cli.py", "__init__.py")
+MAIN_PATH = [path for path in ALL_SOURCES if path.name not in ORACLE_READERS]
+
+
+@pytest.mark.parametrize("path", MAIN_PATH, ids=[path.name for path in MAIN_PATH])
+def test_main_path_does_not_import_oracle(path):
+    """The oracles check the main path, so no main-path module reads them."""
+    assert oracle_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_one_boundary_condition_check():
