@@ -185,19 +185,20 @@ def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
             "quotient_extrapolated": report.quotient_extrapolated,
             "check_residual": report.check_residual,
         }
-        return {"value": report.det_regularized, "ratio": None, "bc": bc,
+        # det' K = -dM12/dlambda, minus the closed form, as for the wrapped conditions
+        return {"value": -report.det_regularized, "ratio": None, "bc": bc,
                 "diagnostics": diagnostics}
     value = det_periodic_regularized(profile, bc)
-    # the independent lattice pseudo-determinant, which converges to det' K
-    spectrum = oracle.pseudo_det_ratio(profile, bc, 800, omega0=omega0)
-    diagnostics = {
-        "method": "regularized-endpoint",
-        "oracle_value": spectrum.aligned_pseudo_det,
-        "lattice_n": spectrum.mesh_size,
-        "num_nonpositive": spectrum.num_nonpositive,
-        "zero_mode_index": spectrum.zero_mode_index,
-    }
-    return {"value": value, "ratio": None, "bc": bc, "diagnostics": diagnostics}
+    # the independent lattice pseudo-determinant, which converges to det' K;
+    # the value does not depend on it, so a lattice that cannot be built is reported
+    try:
+        s = oracle.pseudo_det_ratio(profile, bc, 800, omega0=omega0)
+        lattice = {"oracle_value": s.aligned_pseudo_det, "lattice_n": s.mesh_size,
+                   "num_nonpositive": s.num_nonpositive, "zero_mode_index": s.zero_mode_index}
+    except DegenerateOperatorError as exc:
+        lattice = {"oracle_error": str(exc)}
+    return {"value": value, "ratio": None, "bc": bc,
+            "diagnostics": {"method": "regularized-endpoint", **lattice}}
 
 
 @cli.command("det")

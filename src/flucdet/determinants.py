@@ -186,22 +186,20 @@ def van_vleck_check(profile: FrequencyProfile) -> float:
 # zero-mode regularized determinants
 
 
-def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> tuple:
+def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> float:
     """dF/dlambda at lambda = 0 (green._det_slope), F the determinant under bc
     read from M, for a basis with one simple zero mode under bc: the one
     zero-mode verdict.  Newton's step T^2 |F / (dF/dlambda)| to the eigenvalue
     nearest zero must be within ZERO_MODE_PRESENT_TOL, else the profile is
-    refused as having no simple zero mode.  Returned with Phi(t, t_a) at the
-    basis's Gauss nodes, read from the slope's own frame call."""
-    frame = basis.frame(basis.quadrature[0])
-    slope = _det_slope(basis, bc, frame=frame)
+    refused as having no simple zero mode."""
+    slope = _det_slope(basis, bc)
     value = det_from_transfer(basis.m, bc)
     newton = basis.interval.span ** 2 * abs(value / slope) if slope else math.inf
     if newton > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
             f"profile has no simple {bc} zero mode: Newton's step T^2 |F / (dF/dlambda)| = "
             f"{newton:.3e} exceeds ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
-    return slope, frame[0]
+    return slope
 
 
 @dataclass(frozen=True)
@@ -288,7 +286,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
-    _, phi = _zero_mode_slope(basis, "dirichlet")
+    _zero_mode_slope(basis, "dirichlet")
 
     # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
     scale = _zero_mode_scale(profile)
@@ -300,7 +298,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
             "zero-mode endpoint slope vanishes; the regularized determinant "
             f"formula is undefined (slopes {dxi_a:.3e}, {dxi_b:.3e})")
 
-    norm_sq = float(basis.quadrature[1] @ (scale * phi[0, 1]) ** 2)
+    norm_sq = float(basis.quadrature[1] @ (scale * basis.phi(basis.quadrature[0])[0, 1]) ** 2)
     det_reg = norm_sq / (dxi_a * dxi_b)
 
     if eps is None:
@@ -345,6 +343,5 @@ def det_periodic_regularized(profile: FrequencyProfile, bc: str = "periodic") ->
     if np.max(np.abs(basis.m - sigma * np.eye(2))) <= ZERO_MODE_PRESENT_TOL:
         raise DegenerateOperatorError(f"two {bc} zero modes: M = {'-' if sigma < 0 else '+'}I "
                                       f"to ZERO_MODE_PRESENT_TOL = {ZERO_MODE_PRESENT_TOL}")
-    slope, _ = _zero_mode_slope(basis, bc)
     # + 0.0: a slope that rounds to -0.0 is reported as 0.0
-    return -slope + 0.0
+    return -_zero_mode_slope(basis, bc) + 0.0

@@ -61,19 +61,14 @@ def det_from_transfer(m: np.ndarray, bc: str) -> float:
     return _scalar(2.0 - sigma * (m[0, 0] + m[1, 1]) if sigma else m[0, 1])
 
 
-def _det_slope(basis: HomogeneousBasis, bc: str, weight: Optional[Callable] = None,
-               frame: Optional[tuple] = None) -> float:
+def _det_slope(basis, bc: str, weight: Optional[Callable] = None) -> float:
     """dF/ds at s = 0 for the operator K - s weight(t), F the determinant under
-    bc read from M (weight 1 if None): d/dlambda, or d/dg for weight Omega^2;
-    one per member for a family basis, whose weight(nodes) may carry members
-    last.  dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt, E21 having a
-    single 1 in its lower-left entry, by the basis's Gauss rule from one
-    frame call at its nodes, or from that frame if the caller has it."""
-    nodes, weights = basis.quadrature
-    if weight is not None:  # transposed, so that members last broadcast
-        weights = (np.transpose(weight(nodes)) * weights).T
-    phi, s = basis.frame(nodes) if frame is None else frame
-    dm = -np.einsum("in...,jn...,n...->ij...", s[:, 1], phi[0], weights)
+    bc read from M (weight 1 if None): d/dlambda, or d/dg for weight Omega^2,
+    from dM/ds = basis.slope(weight) (odesolve._MagnusGrid.slope), one per
+    member of a Magnus family grid; basis_from_pq carries no slope and is refused."""
+    if basis.slope is None:
+        raise ValueError("a basis_from_pq basis carries no dM/ds; use make_basis")
+    dm = basis.slope(weight)
     sigma = _sigma(bc)
     return _scalar(-sigma * np.trace(dm) if sigma else dm[0, 1])
 

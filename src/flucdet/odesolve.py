@@ -22,9 +22,10 @@ Omega^2 sample per node for all); make_basis is the one-member case (0, g).
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
 Phi(t_b, t_k) adj(E), from prefix and suffix products formed on the first
-dense call, so a determinant never pays for them.  Integrals use one Gauss
-rule on the steps between knots (HomogeneousBasis.quadrature); every basis
-keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
+dense call, which neither a determinant nor its slope dM/ds (step pairs
+reduced pairwise as M is, _MagnusGrid.slope) pays for.  Integrals use one
+Gauss rule on the steps between knots (HomogeneousBasis.quadrature); every
+basis keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
 solutions' phase, where that rule reaches rounding level.
 
 The amplitude-phase system is solved by the package's own adaptive DOP853
@@ -63,8 +64,8 @@ SHOOTING_TOL = 1e-8
 # bounds the error of M against closed forms (constant Omega^2, w T from
 # 0.01 to 1e5).  The first level has at least MAGNUS_STEPS_PER_RADIAN steps
 # per radian of w, never fewer than MAGNUS_MIN_STEPS; a level above
-# MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK steps x members per array keep
-# memory flat.
+# MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK steps or Gauss nodes x members
+# per array keep memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -84,6 +85,14 @@ _CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
 # profiles, under all three boundary conditions).
 GAUSS_NODES_PER_STEP = 4
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_STEP)
+
+
+def _gauss_rule(knots: np.ndarray) -> tuple:
+    """Nodes and weights, step by step, of the Gauss rule with GAUSS_NODES_PER_STEP
+    nodes on each step between knots: the integral of f is weights @ f(nodes)."""
+    half, mid = 0.5 * np.diff(knots)[:, None], 0.5 * (knots[1:] + knots[:-1])[:, None]
+    return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
+
 
 # the three Gauss nodes of a unit Magnus step
 _MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0])[:, None] * (math.sqrt(15.0) / 10.0)
@@ -175,6 +184,16 @@ def _reduce(e):
     return tuple(x[0] for x in e)
 
 
+def _reduce_pairs(x):
+    """The pair [E | D] of m steps from theirs along axis 2 of x, m a power of
+    two, pairwise: (E_b, D_b) o (E_a, D_a) = (E_b E_a, E_b D_a + D_b E_a)."""
+    while x.shape[2] > 1:
+        b, a = x[:, :, 1::2], x[:, :, 0::2]
+        x = np.einsum("ij...,jk...->ik...", b[:, :2], a)
+        x[:, 2:] += np.einsum("ij...,jk...->ik...", b[:, 2:], a[:, :2])
+    return x[:, :, 0]
+
+
 def _scan(e, reverse: bool = False) -> np.ndarray:
     """Prefix products p_k = e[k-1] ... e[0] for k = 0..m (p_0 = I), or with
     reverse=True suffix products s_k = e[m-1] ... e[k] (s_m = I), by log2(m)
@@ -224,29 +243,51 @@ class _MagnusGrid:
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
 
-    def _chunks(self, a0=None):
-        """Step matrices of at most MAGNUS_CHUNK steps x members (a power of two
-        of steps) each, cut from a0 if given, and each member's max |c0 + c1 Omega^2|."""
-        chunk = 1 << max(0, (MAGNUS_CHUNK // math.prod(self.members)).bit_length() - 1)
-        for lo in range(0, self.n, chunk):
-            hi = min(self.n, lo + chunk)
-            a = self.sample(self.starts(lo, hi), self.h) if a0 is None else a0[:, lo:hi]
-            yield _step_matrices(a, self.h), np.abs(a).max(axis=(0, 1))
+    def _runs(self, per: int = 1):
+        """(lo, hi) of runs of 2^j steps, of at most MAGNUS_CHUNK steps x members x per."""
+        chunk = 1 << max(0, (MAGNUS_CHUNK // (per * math.prod(self.members))).bit_length() - 1)
+        return [(lo, min(self.n, lo + chunk)) for lo in range(0, self.n, chunk)]
 
     def transfer(self, a0=None):
         """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
-        largest sampled |c0 + c1 Omega^2|; a0 as for _chunks."""
+        largest sampled |c0 + c1 Omega^2|, from the samples a0 if given."""
         acc, a_max = _IDENTITY, None
-        for e, a_chunk in self._chunks(a0):
-            acc = _mul(_reduce(e), acc)
-            a_max = a_chunk if a_max is None else np.maximum(a_max, a_chunk)
+        for lo, hi in self._runs():
+            a = self.sample(self.starts(lo, hi), self.h) if a0 is None else a0[:, lo:hi]
+            acc, top = _mul(_reduce(_step_matrices(a, self.h)), acc), np.abs(a).max(axis=(0, 1))
+            a_max = top if a_max is None else np.maximum(a_max, top)
         return np.array(acc).reshape((2, 2) + self.members), a_max
+
+    def slope(self, weight: Optional[Callable] = None) -> np.ndarray:
+        """dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt at s = 0 for Omega^2
+        + s weight (1 if None; weight(nodes) may carry members last), shape
+        (2, 2) + members, by the Gauss rule: -sum_k S_{k+1} D_k P_k, P_k =
+        Phi(t_k, t_a), S_k = Phi(t_b, t_k), D_k = E_k sum_i w_i adj(e_i) E21 e_i,
+        e_i the Magnus step from t_k to node i; no P_k or S_k is formed."""
+        per, pairs = GAUSS_NODES_PER_STEP, []
+        for lo, hi in self._runs(per):  # at most MAGNUS_CHUNK nodes x members
+            m, starts = hi - lo, self.knots[lo:hi]
+            nodes, w = _gauss_rule(self.knots[lo:hi + 1])
+            # members first, so that a weight with members last broadcasts
+            wt = w if weight is None else np.transpose(weight(nodes)) * w
+            starts = np.concatenate([starts, np.repeat(starts, per)])
+            h = np.concatenate([np.full(m, self.h), nodes - starts[m:]])
+            e = _step_matrices(self.sample(starts, h),
+                               h.reshape((-1,) + (1,) * len(self.members)))
+            # only the first row of e_i enters: sum_i w_i adj(e_i) E21 e_i = [[-p, -q], [r, p]]
+            p, q, r = ((wt * (x[m:] * y[m:]).T).T.reshape((m, per) + x.shape[1:]).sum(axis=1)
+                       for x, y in ((e[0], e[1]), (e[1], e[1]), (e[0], e[0])))
+            step = tuple(x[:m] for x in e)
+            d = _mul(step, (-p, -q, r, p))
+            pairs.append(_reduce_pairs(np.array([step[:2] + d[:2], step[2:] + d[2:]])))
+        return -_reduce_pairs(np.stack(pairs, axis=2))[:, 2:]
 
     @cached_property
     def _products(self):
         """Prefix products Phi(t_k, t_a) and suffix products Phi(t_b, t_k)
         at the knots, k = 0..n."""
-        e = np.hstack([np.array(e) for e, _ in self._chunks()])
+        e = np.hstack([np.array(_step_matrices(self.sample(self.starts(lo, hi), self.h), self.h))
+                       for lo, hi in self._runs()])
         return _scan(e), _scan(e, reverse=True)
 
     def frame(self, t) -> tuple:
@@ -330,28 +371,16 @@ def _family(profile: FrequencyProfile, c0, c1) -> list:
             for k in (level == n for n in np.unique(level).tolist())]
 
 
-def _family_bases(profile: FrequencyProfile, groups: list, keep: np.ndarray):
-    """(member indices, canonical basis) pairs of the members of the _family
-    groups that keep, a mask over the family, selects: the bases hold at most
-    MAGNUS_CHUNK members x Gauss nodes each."""
-    for members, grid, m, error in groups:
-        picked = np.flatnonzero(keep[members])
-        per = max(1, MAGNUS_CHUNK // (GAUSS_NODES_PER_STEP * grid.n))
-        for j in (picked[lo:lo + per] for lo in range(0, picked.size, per)):
-            part = _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
-            yield members[j], _canonical(profile, part, m[..., j], error[j])
-
-
 @dataclass(frozen=True, eq=False)
 class HomogeneousBasis:
     """A solution basis: its endpoint matrices Y_a, Y_b and its frame.
 
     frame(t) takes a time or a 1-D array of times and returns (Phi(t, t_a),
-    Phi(t_b, t)), each of shape (2, 2) + t.shape (+ members, for a family).
-    Column j of Y(t) = Phi(t, t_a) Y_a holds solution j: row 0 its value,
-    row 1 its slope.  knots are the integrator's step times from t_a to t_b,
-    each step at most 1/MAGNUS_STEPS_PER_RADIAN radian of the solutions'
-    phase; error_estimate is the integrator's error estimate of M, if any.
+    Phi(t_b, t)), each of shape (2, 2) + t.shape.  Column j of Y(t) =
+    Phi(t, t_a) Y_a holds solution j: row 0 its value, row 1 its slope.
+    knots are the integrator's step times from t_a to t_b, each step at most
+    1/MAGNUS_STEPS_PER_RADIAN radian of the solutions' phase; error_estimate
+    and slope are the integrator's error estimate of M and dM/ds, if any.
     """
 
     frame: Callable[[object], tuple]
@@ -360,6 +389,7 @@ class HomogeneousBasis:
     profile: FrequencyProfile
     knots: np.ndarray
     error_estimate: Optional[float] = None
+    slope: Optional[Callable] = None
 
     @property
     def interval(self) -> Interval:
@@ -374,7 +404,7 @@ class HomogeneousBasis:
     @cached_property
     def m(self) -> np.ndarray:
         """Transfer matrix M = Y_b adj(Y_a) / W."""
-        return np.matmul(self.y_b, _adjugate(self.y_a), axes=[(0, 1)] * 3) / self.w
+        return self.y_b @ _adjugate(self.y_a) / self.w
 
     def y(self, t) -> np.ndarray:
         """Y(t) = Phi(t) Y_a."""
@@ -386,11 +416,8 @@ class HomogeneousBasis:
 
     @cached_property
     def quadrature(self) -> tuple:
-        """Nodes and weights of the Gauss rule with GAUSS_NODES_PER_STEP nodes
-        on each step between knots: the integral of f is weights @ f(nodes)."""
-        half = 0.5 * np.diff(self.knots)[:, None]
-        mid = 0.5 * (self.knots[1:] + self.knots[:-1])[:, None]
-        return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
+        """The Gauss rule on the steps between knots (_gauss_rule)."""
+        return _gauss_rule(self.knots)
 
 
 def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
@@ -398,9 +425,9 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
 
     eta has (value, slope) = (0, 1) at t_a and xi has (1, 0), so M = Phi(t_b)
     and W = -1.  The frame is read from prefix and suffix products of the
-    Magnus steps, formed on the first call.  Raises IntegrationError when the
-    work estimate or the step doubling passes MAGNUS_MAX_STEPS, or when M
-    overflows.
+    Magnus steps, formed on the first call; the slope forms neither.  Raises
+    IntegrationError when the work estimate or the step doubling passes
+    MAGNUS_MAX_STEPS, or when M overflows.
     """
     gg = float(g)
     if not math.isfinite(gg):
@@ -408,15 +435,9 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     om, iv = profile.omega_sq, profile.interval
     a0 = _MagnusGrid(om, 0.0, gg, iv, MAGNUS_MIN_STEPS).samples()
     grid, m, error = _magnus(om, 0.0, gg, iv, a0)
-    return _canonical(profile, grid, m, float(error))
-
-
-def _canonical(profile: FrequencyProfile, grid: _MagnusGrid, m, error) -> HomogeneousBasis:
-    """The canonical basis on a grid whose transfer matrices are m."""
-    basis = HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval),
-                             y_a=_CANONICAL_Y_A,
-                             y_b=np.matmul(m, _CANONICAL_Y_A, axes=[(0, 1)] * 3),
-                             profile=profile, knots=grid.knots, error_estimate=error)
+    basis = HomogeneousBasis(frame=_on_interval(grid.frame, iv), y_a=_CANONICAL_Y_A,
+                             y_b=m @ _CANONICAL_Y_A, profile=profile, knots=grid.knots,
+                             error_estimate=float(error), slope=grid.slope)
     # Y_a is its own inverse and W = -1, so Y_b adj(Y_a) / W is m exactly
     basis.__dict__["m"] = m
     return basis
@@ -424,7 +445,7 @@ def _canonical(profile: FrequencyProfile, grid: _MagnusGrid, m, error) -> Homoge
 
 def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
     """The basis Y C: column j of the result is sum_i C[i, j] times column i;
-    the frame does not depend on the basis."""
+    the frame and the slope do not depend on the basis."""
     c = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("mixing matrix has a non-finite entry")

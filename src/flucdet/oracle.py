@@ -17,8 +17,8 @@ over the constant reference lattice of the same size, whose spectrum is a
 closed form.  The flow oracle integrates the Green-function trace along a
 family of operators connecting the reference to the target and exponentiates;
 the family is one batched Magnus family per step-count group, and each
-member's trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s from
-the exact slope of its determinant (green._det_slope).
+member's trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s, the
+exact slope of its determinant (green._det_slope) from its group's grid.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (_det_slope, _refuse_degenerate, _sigma, condition_estimate,
                     det_from_transfer)
-from .odesolve import _family, _family_bases
+from .odesolve import _family, _MagnusGrid
 from .profiles import FrequencyProfile
 
 # Zero-mode windows of the lattice pencil, relative to the Gershgorin bound
@@ -403,11 +403,12 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             f"{below} at the target; the trace integrand diverges there")
 
     traces = np.zeros(s_probe.size)
-    for members, basis in _family_bases(profile, groups, (s_probe > 0.0) & (s_probe < 1.0)):
-        # -dF/ds / F with 1/F in the weight: dF/ds alone overflows where F
-        # nears the float range
-        traces[members] = -_det_slope(
-            basis, bc, lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members]))
+    for members, grid, _, _ in groups:
+        j = np.flatnonzero((s_probe[members] > 0.0) & (s_probe[members] < 1.0))
+        if j.size:  # 1/F in the weight: dF/ds alone overflows where F nears the float range
+            traces[members[j]] = -_det_slope(
+                _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n), bc,
+                lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members[j]]))
     integral = float((u * ws) @ traces[1:-1])
     if -integral > _LOG_FLOAT_MAX:
         raise IntegrationError(

@@ -134,8 +134,9 @@ class TestDet:
         assert code == 0
         record = json.loads(out)
         assert record["ratio"] is None
+        # det' K = -dM12/dlambda, the sign of the wrapped conditions and the lattice
         assert record["value"] == pytest.approx(
-            -1.0 / (2.0 * math.pi ** 2), rel=1e-6)
+            1.0 / (2.0 * math.pi ** 2), rel=1e-6)
         assert record["diagnostics"]["check_residual"] <= 1e-3
 
     def test_regularized_periodic_value(self, capsys):
@@ -149,6 +150,19 @@ class TestDet:
             -4.0, rel=1e-3)
         assert not {"denominator", "discrepant"} & set(record["diagnostics"])
         assert "-0.0" not in out
+
+    def test_regularized_lattice_refusal_reported(self, capsys):
+        """At omega0 T = 2 pi the reference lattice has a zero mode, so the
+        lattice diagnostic cannot be built; det' K does not depend on it and
+        is printed, with the lattice's refusal next to it."""
+        code, out, _ = run(capsys, "det", "--profile", '{"kind": "constant", "omega": 0.0}',
+                           "--t-b", "2.0", "--bc", "periodic", "--regularized",
+                           "--omega0", repr(math.pi))
+        assert code == 0
+        record = json.loads(out)
+        assert record["value"] == pytest.approx(-4.0, rel=1e-12)
+        assert "reference lattice has a zero mode" in record["diagnostics"]["oracle_error"]
+        assert "oracle_value" not in record["diagnostics"]
 
     @pytest.mark.parametrize("profile,t_b,bc", [
         ('{"kind": "constant", "omega": 3.141592653589793}', "2.0", "periodic"),

@@ -20,8 +20,8 @@ GAUSS_NODES, GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def assert_trace_identity(value, basis, kernel):
-    """Tr[Omega^2 G] = -dF/dg / F, with dF/dg assembled by _det_slope from the
-    frame, to 1e-8 relative to 1 + |value|."""
+    """Tr[Omega^2 G] = -dF/dg / F, with dF/dg from _det_slope (the Magnus
+    grid's slope), to 1e-8 relative to 1 + |value|."""
     slope = _det_slope(basis, kernel.bc, basis.profile.omega_sq)
     assert abs(value + slope / kernel.denom) <= 1e-8 * (1.0 + abs(value))
 
@@ -331,8 +331,9 @@ class TestTraces:
         assert_trace_identity(value, basis, kernel)
 
     def test_direct_assembly_matches_kernel(self, modulated_profile):
-        """The kernel diagonal against -dF/dg / F, which _det_slope assembles
-        from the frame's products without the kernel's anchored solutions."""
+        """The kernel diagonal against -dF/dg / F, which _det_slope reads from
+        the pairwise reduction of the Magnus steps, without the kernel's
+        anchored solutions or any frame."""
         basis = make_basis(modulated_profile)
         kernel = GreenKernel(basis, "dirichlet")
         via_kernel = trace_omega_sq(kernel)
@@ -376,37 +377,115 @@ class TestTraceClosedForms:
 
 
 class TestFamilyKernel:
-    """_det_slope on a basis with a trailing member axis, as the coupling flow
-    reads it."""
+    """_det_slope on a Magnus family grid, as the coupling flow reads it."""
 
     S = np.array([0.2, 0.6, 1.0])
-
-    def family(self, profile, c0, c1):
-        ((members, grid, m, error),) = odesolve._family(profile, c0, c1)
-        return grid, m, error
-
-    def alone(self, profile, grid, m, error, j):
-        """Member j's basis on the family's grid, without a member axis."""
-        part = odesolve._MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n)
-        return odesolve._canonical(profile, part, m[..., j], float(error[j]))
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_per_member_values(self, modulated_profile, bc):
         """Every member's dF/ds, unweighted, weighted by Omega^2 or by a
-        members-last weight, is that member's own basis's."""
-        grid, m, error = self.family(modulated_profile, 1.0 - self.S, self.S)
-        basis = odesolve._canonical(modulated_profile, grid, m, error)
+        members-last weight, is that member's own grid's."""
+        ((_, grid, _, _),) = odesolve._family(modulated_profile, 1.0 - self.S, self.S)
         om, scale = modulated_profile.omega_sq, np.array([1.0, -2.5, 0.5])
         cases = ((None, lambda j: None), (om, lambda j: om),
                  (lambda t: np.multiply.outer(om(t), scale),
                   lambda j: lambda t: scale[j] * om(t)))
         for family_weight, member_weight in cases:
-            slopes = _det_slope(basis, bc, family_weight)
+            slopes = _det_slope(grid, bc, family_weight)
             assert slopes.shape == (self.S.size,)
             for j in range(self.S.size):
-                alone = self.alone(modulated_profile, grid, m, error, j)
+                alone = odesolve._MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j],
+                                             grid.iv, grid.n)
                 assert slopes[j] == pytest.approx(
                     _det_slope(alone, bc, member_weight(j)), rel=1e-14)
+
+
+def frame_slope(grid, weight=None):
+    """dM/ds = -sum_n w_n S(t_n)[:, 1] Phi(t_n)[0] over the Gauss nodes, from
+    the frame's prefix and suffix products: the assembly that the grid's
+    pairwise reduction replaced, kept as its independent reference."""
+    nodes, weights = odesolve._gauss_rule(grid.knots)
+    if weight is not None:
+        weights = (np.transpose(weight(nodes)) * weights).T
+    phi, s = grid.frame(nodes)
+    return -np.einsum("in...,jn...,n...->ij...", s[:, 1], phi[0], weights)
+
+
+def hyperbolic(kt):
+    """Omega^2 = -k^2 on [0, 1]."""
+    return fd.FrequencyProfile(omega_sq=lambda t: np.full(np.shape(t), -kt * kt),
+                               interval=fd.Interval(0.0, 1.0))
+
+
+SLOPE_PROFILES = {
+    "constant-1": fd.make_constant_profile(1.0, fd.Interval(0.0, 1.0)),
+    "constant-300": fd.make_constant_profile(300.0, fd.Interval(0.0, 1.0)),
+    "modulated": fd.make_modulated_profile(3.0, 0.3, 2.0, fd.Interval(-0.5, 1.5)),
+    "hyperbolic-33": hyperbolic(33.0),
+    "hyperbolic-60": hyperbolic(60.0),
+}
+F_SLOPE = {"dirichlet": lambda dm: dm[0, 1],
+           "periodic": lambda dm: -np.trace(dm),
+           "antiperiodic": lambda dm: np.trace(dm)}
+
+
+class TestGridSlope:
+    """_MagnusGrid.slope, the pairwise reduction of the step pairs (E_k, D_k),
+    against the frame's products, which it no longer forms."""
+
+    @pytest.mark.parametrize("bc", sorted(F_SLOPE))
+    @pytest.mark.parametrize("name", sorted(SLOPE_PROFILES))
+    def test_matches_frame_assembly(self, name, bc):
+        """Unweighted, weighted by Omega^2 and by a members-last weight, on
+        each group of a two-member family (g = 1 and 0.8)."""
+        profile = SLOPE_PROFILES[name]
+        om, scale = profile.omega_sq, np.array([1.0, -2.5])
+        for members, grid, _, _ in odesolve._family(profile, [0.0, 0.0], [1.0, 0.8]):
+            for weight in (None, om, lambda t: np.multiply.outer(om(t), scale[members])):
+                assert _det_slope(grid, bc, weight) == pytest.approx(
+                    F_SLOPE[bc](frame_slope(grid, weight)), rel=1e-13)
+
+    def test_basis_carries_its_grid_slope(self, modulated_profile):
+        """make_basis carries the slope of its final grid, bit for bit."""
+        basis = make_basis(modulated_profile)
+        grid = odesolve._MagnusGrid(modulated_profile.omega_sq, 0.0, 1.0,
+                                    modulated_profile.interval, basis.knots.size - 1)
+        assert np.array_equal(basis.slope(), grid.slope())
+
+    def test_runs_combine_in_order(self, modulated_profile, monkeypatch):
+        """At MAGNUS_CHUNK = 64 the 256 steps reduce in 16 runs of 16, whose
+        pairs are combined in the order transfer multiplies them; the slope
+        changes only in rounding against the one run it is by default."""
+        grid = odesolve._MagnusGrid(modulated_profile.omega_sq, 0.0, 1.0,
+                                    modulated_profile.interval, 256)
+        whole = grid.slope(modulated_profile.omega_sq)
+        monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
+        assert len(grid._runs(odesolve.GAUSS_NODES_PER_STEP)) == 16
+        parts = grid.slope(modulated_profile.omega_sq)
+        assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
+
+    def test_pq_basis_refused(self, modulated_profile):
+        """basis_from_pq has no Magnus product, hence no slope, and no frame
+        fallback stands in for one."""
+        basis = fd.basis_from_pq(fd.solve_ermakov(modulated_profile, 1.0))
+        with pytest.raises(ValueError, match="basis_from_pq"):
+            _det_slope(basis, "dirichlet")
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: _det_slope(make_basis(p), "periodic", p.omega_sq),
+    lambda p: fd.gflow_ratio(p, "periodic", omega0=1.0),
+    lambda p: fd.det_periodic_regularized(
+        fd.make_constant_profile(0.0, fd.Interval(0.0, 2.0))),
+], ids=["det-slope", "gflow-ratio", "det-periodic-regularized"])
+def test_slopes_form_no_products(modulated_profile, monkeypatch, call):
+    """dF/ds, the coupling flow and the wrapped regularized determinant read
+    the slope's pairwise reduction: none forms prefix or suffix products."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("prefix or suffix products formed")
+
+    monkeypatch.setattr(odesolve, "_scan", refuse)
+    assert np.all(np.isfinite(call(modulated_profile)))
 
 
 class TestDegeneracies:
