@@ -15,7 +15,8 @@ review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009) on n uniform
 steps.  Each step samples Omega^2 at three Gauss nodes, builds the Magnus
 exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
 M is the pairwise product of the n step matrices.  n starts from a work
-estimate and doubles until two levels agree to MAGNUS_REL_TARGET.  It solves
+estimate and doubles; until two levels agree to MAGNUS_REL_TARGET, n jumps
+to the level 2^k n that the sixth-order error estimate predicts.  It solves
 an affine family c0_j + c1_j Omega^2 at once (members on a trailing axis, one
 Omega^2 sample per node for all); make_basis is the one-member case (0, g).
 
@@ -55,10 +56,12 @@ DEFAULT_ATOL = 1e-14
 SHOOTING_MAX_ITER = 100
 SHOOTING_TOL = 1e-8
 
-# Magnus step doubling stops once the error estimate |M_2n - M_n| / 63 of the
-# finer level is at most MAGNUS_REL_TARGET times its largest entry, or, from
-# 2^15 steps on, n eps / 63 times it: two n-step products differ by up to
-# about n eps from rounding alone.  Rounding both levels share is invisible
+# Magnus step doubling stops once the error estimate |M_n - M_c| / (2^(6k) - 1)
+# of the finer level n = 2^k c is at most MAGNUS_REL_TARGET times its largest
+# entry, or, from 2^15 steps on, n eps / 63 times it: two n-step products
+# differ by up to about n eps from rounding alone.  The first pair has k = 1;
+# a pair that misses jumps by the k that divides its error below the target,
+# k = ceil(log2(error / target) / 6).  Rounding both levels share is invisible
 # to the doubling, so the reported estimate is at least 2 n eps times the
 # envelope max(max|M_ij|, w, min(T, 1/w)), w = max|g Omega^2|^(1/2), which
 # bounds the error of M against closed forms (constant Omega^2, w T from
@@ -170,27 +173,32 @@ def _step_matrices(a: np.ndarray, h):
     x = np.sqrt(np.abs(s))
     safe = np.where(x == 0.0, 1.0, x)
     grow = s > 0.0
-    xg = np.where(grow, x, 0.0)  # keep cosh and sinh off the unused branch
-    cc = np.where(grow, np.cosh(xg), np.cos(x))
-    sc = np.where(x == 0.0, 1.0, np.where(grow, np.sinh(xg), np.sin(x)) / safe)
+    if grow.all():
+        cc, sn = np.cosh(x), np.sinh(x)
+    elif not grow.any():
+        cc, sn = np.cos(x), np.sin(x)
+    else:
+        xg = np.where(grow, x, 0.0)  # keep cosh and sinh off the unused branch
+        cc, sn = np.where(grow, np.cosh(xg), np.cos(x)), np.where(grow, np.sinh(xg), np.sin(x))
+    sc = np.where(x == 0.0, 1.0, sn / safe)
     return (cc + sc * p, sc * q, sc * r, cc - sc * p)
 
 
-def _reduce(e):
-    """Ordered product e[m-1] ... e[1] e[0] of m step matrices, m a power of
-    two, by pairwise products."""
-    while e[0].shape[0] > 1:
-        e = _mul(tuple(x[1::2] for x in e), tuple(x[0::2] for x in e))
-    return tuple(x[0] for x in e)
+def _product(b, a):
+    """b @ a for b of shape (2, 2) and a of shape (2, c), both + trailing axes."""
+    return np.einsum("ij...,jk...->ik...", b, a)
 
 
 def _reduce_pairs(x):
-    """The pair [E | D] of m steps from theirs along axis 2 of x, m a power of
-    two, pairwise: (E_b, D_b) o (E_a, D_a) = (E_b E_a, E_b D_a + D_b E_a)."""
+    """The ordered product E = E[m-1] ... E[0] of m steps along axis 2 of x
+    of shape (2, 2, m, ...), m a power of two, by pairwise products; with x
+    of shape (2, 4, m, ...) the pair [E | D] from theirs: (E_b, D_b) o (E_a,
+    D_a) = (E_b E_a, E_b D_a + D_b E_a)."""
     while x.shape[2] > 1:
         b, a = x[:, :, 1::2], x[:, :, 0::2]
-        x = np.einsum("ij...,jk...->ik...", b[:, :2], a)
-        x[:, 2:] += np.einsum("ij...,jk...->ik...", b[:, 2:], a[:, :2])
+        x = _product(b[:, :2], a)
+        if x.shape[1] > 2:
+            x[:, 2:] += _product(b[:, 2:], a[:, :2])
     return x[:, :, 0]
 
 
@@ -251,12 +259,13 @@ class _MagnusGrid:
     def transfer(self, a0=None):
         """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
         largest sampled |c0 + c1 Omega^2|, from the samples a0 if given."""
-        acc, a_max = _IDENTITY, None
+        acc, a_max = None, None
         for lo, hi in self._runs():
             a = self.sample(self.starts(lo, hi), self.h) if a0 is None else a0[:, lo:hi]
-            acc, top = _mul(_reduce(_step_matrices(a, self.h)), acc), np.abs(a).max(axis=(0, 1))
+            e = _reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:]))
+            acc, top = e if acc is None else _product(e, acc), np.abs(a).max(axis=(0, 1))
             a_max = top if a_max is None else np.maximum(a_max, top)
-        return np.array(acc).reshape((2, 2) + self.members), a_max
+        return acc, a_max
 
     def slope(self, weight: Optional[Callable] = None) -> np.ndarray:
         """dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt at s = 0 for Omega^2
@@ -323,7 +332,7 @@ def _work_estimate(a_max: float, iv: Interval) -> tuple:
 
 def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
     """The Magnus grid, M and the error estimates of M's entries of members
-    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, doubled to MAGNUS_REL_TARGET."""
+    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET."""
     n, m, error = MAGNUS_MIN_STEPS, None, math.inf
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -334,6 +343,7 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                 n, a = level, (a0 if level == n else None)
                 m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer(a)
                 estimate, level = _work_estimate(float(a_max.max()), iv)
+            k = 1
             while True:
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
@@ -341,18 +351,21 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                         f"{MAGNUS_MAX_STEPS} steps to meet MAGNUS_REL_TARGET = "
                         f"{MAGNUS_REL_TARGET} (error estimate {np.max(error):.3e} at "
                         f"{n} steps; work estimate {estimate:.4g} steps)")
-                n *= 2
+                coarse, n = n, min(n << k, MAGNUS_MAX_STEPS)
                 grid = _MagnusGrid(om, c0, c1, iv, n)
                 fine, _ = grid.transfer()
-                error = np.abs(fine - m).max(axis=(0, 1)) / 63.0
+                error = np.abs(fine - m).max(axis=(0, 1)) / ((n // coarse) ** 6 - 1.0)
                 m = fine
                 scale = np.abs(m).max(axis=(0, 1))
-                if (error <= max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale).all():
+                tol = max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale
+                if (error <= tol).all():
                     # without a member axis (make_basis) the scalar max and sqrt cost less
                     top, sqrt = (np.maximum, np.sqrt) if grid.members else (max, math.sqrt)
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
                     return grid, m, top(error, 2.0 * n * _EPS * envelope)
+                # sixth order: 2^k times the steps divide the error by 2^(6k)
+                k = max(1, math.ceil(math.log2(np.max(error / tol)) / 6.0))
         except FloatingPointError:
             raise IntegrationError(
                 f"the fundamental matrix overflows on [{iv.t_a}, {iv.t_b}] "

@@ -236,6 +236,98 @@ class TestMagnus:
             make_basis(profile)
         assert "error estimate" in str(info.value)
 
+    @pytest.mark.parametrize("args,adjacent,levels", [
+        # (128, 256) predicts 2048 steps: 7,488 nodes where adjacent
+        # doubling samples 12,096
+        ((5.0, 0.1, 7.0, 0.0, 10.0), [128, 256, 512, 1024, 2048], [64, 128, 256, 2048]),
+        # a det-stress operator: (64, 128) predicts 512 steps, which fall
+        # short, and 1024 meet the target
+        ((3.077219978188551, 0.004594494420126185, 4.866572593155098,
+          48.697862718257255, 55.81072967325839),
+         [64, 128, 256, 512, 1024], [64, 128, 512, 1024]),
+    ], ids=["jump", "short-jump"])
+    def test_jump_to_predicted_level(self, args, adjacent, levels):
+        """After the first doubling, step doubling jumps to the level the
+        sixth-order error estimate predicts: Omega^2 is sampled on the 64
+        coarse steps and on levels only, not on the levels between that
+        adjacent doubling visits, and M, the knots and the error estimate
+        are those of adjacent doubling bit for bit."""
+        omega, eps, nu, t_a, t_b = args
+        profile = fd.make_modulated_profile(omega, eps, nu, fd.Interval(t_a, t_b))
+        calls = []
+        basis = make_basis(counted(profile, calls))
+        assert calls == levels
+        visited, grid, m, error = adjacent_doubling(profile, adjacent[0])
+        assert visited == adjacent
+        assert np.array_equal(basis.m, m)
+        assert np.array_equal(basis.knots, grid.knots)
+        assert basis.error_estimate == error
+
+    def test_jump_clamped_to_step_cap(self, monkeypatch):
+        """The jump from 256 to 2048 steps stops at MAGNUS_MAX_STEPS = 1024,
+        where the estimate still misses the target, and is refused."""
+        profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
+        monkeypatch.setattr(odesolve, "MAGNUS_MAX_STEPS", 1024)
+        calls = []
+        with pytest.raises(fd.IntegrationError,
+                           match="MAGNUS_MAX_STEPS = 1024") as info:
+            make_basis(counted(profile, calls))
+        assert "error estimate" in str(info.value)
+        assert calls == [64, 128, 256, 1024]
+
+    @pytest.mark.parametrize("omega,eps,nu,span", [
+        (5.0, 0.1, 7.0, 10.0), (3.0, 0.2, 2.0, 10.0), (1.0, 0.5, 3.0, 3.0)])
+    def test_jumped_estimate_is_an_error_estimate(self, omega, eps, nu, span):
+        """At make_basis's final level m, the estimate after a jump by 8,
+        |M_m - M_{m/8}| / (8^6 - 1), agrees with the adjacent one |M_m -
+        M_{m/2}| / 63 within a factor of 2, and both are within a factor of
+        2 of M_m's difference from M_{4m}."""
+        profile = fd.make_modulated_profile(omega, eps, nu, fd.Interval(0.0, span))
+        m = len(make_basis(profile).knots) - 1
+
+        def transfer(n):
+            return odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0,
+                                        profile.interval, n).transfer()[0]
+
+        fine = transfer(m)
+        jumped = np.max(np.abs(fine - transfer(m // 8))) / (8.0 ** 6 - 1.0)
+        adjacent = np.max(np.abs(fine - transfer(m // 2))) / 63.0
+        error = np.max(np.abs(fine - transfer(4 * m)))
+        assert 0.5 <= jumped / adjacent <= 2.0
+        for estimate in (jumped, adjacent):
+            assert 0.5 <= estimate / error <= 2.0
+
+
+def counted(profile, calls):
+    """The profile with each Omega^2 call's count of Magnus steps (three
+    Gauss nodes each) appended to calls."""
+    def omega_sq(t):
+        calls.append(np.size(t) // 3)
+        return profile.omega_sq(t)
+
+    return fd.FrequencyProfile(omega_sq=omega_sq, interval=profile.interval)
+
+
+def adjacent_doubling(profile, n):
+    """make_basis's step doubling without the jump, from a first level of n
+    steps: n, 2n, 4n, ... until |M_2n - M_n| / 63 meets the target.  The
+    levels, the last grid, M and the error estimate with its 2 n eps
+    envelope floor."""
+    iv, eps = profile.interval, np.finfo(float).eps
+    m, a_max = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n).transfer()
+    levels = [n]
+    while True:
+        n *= 2
+        levels.append(n)
+        grid = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n)
+        fine = grid.transfer()[0]
+        error, m = np.abs(fine - m).max() / 63.0, fine
+        scale = np.abs(m).max()
+        if error <= max(odesolve.MAGNUS_REL_TARGET, n * eps / 63.0) * scale:
+            w = math.sqrt(a_max)
+            envelope = max(scale, w, iv.span / max(1.0, w * iv.span))
+            return levels, grid, m, max(error, 2.0 * n * eps * envelope)
+
 
 class TestFamily:
     """The members V_j = c0_j + c1_j Omega^2 of an affine family, solved
