@@ -98,16 +98,10 @@ _COLLAPSE_LEVEL = 1e-8
 
 def _ermakov_rhs(om, w0, y, dy, h):
     """The slope at the stage state y + dy h (q is never formed): (p, p', q)'
-    = (p', p^-3 - Omega^2 p, 1 / (omega0 p^2)) at Omega^2 = om and, for seven
-    components, the variational rows (u', w')' = (w', k u) with k =
-    -(Omega^2 + 3 p^-4), u and w the two slots each of dp and dp'.  The
+    = (p', p^-3 - Omega^2 p, 1 / (omega0 p^2)) at Omega^2 = om.  The
     components of y and dy are floats or arrays of stages."""
     p = y[0] + dy[0] * h
-    f = [y[1] + dy[1] * h, 1.0 / p ** 3 - om * p, 1.0 / (w0 * p * p)]
-    if len(y) > 3:
-        k = -(om + 3.0 / p ** 4)
-        f += [y[5] + dy[5] * h, y[6] + dy[6] * h, k * (y[3] + dy[3] * h), k * (y[4] + dy[4] * h)]
-    return f
+    return [y[1] + dy[1] * h, 1.0 / p ** 3 - om * p, 1.0 / (w0 * p * p)]
 
 
 def _slope(om: float, w0: float, y: list, dy: list, h: float) -> list:
@@ -172,13 +166,12 @@ class ErmakovSteps:
 
 def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
           atol: float) -> ErmakovSteps:
-    """The amplitude-phase system (and its variational rows, for seven
-    components) on the interval iv from start, with Omega^2 = om and
-    omega0 = w0, to the tolerances rtol and atol.  Each step attempt samples
-    Omega^2, which does not depend on the state, at its stage times in one
-    array call.  Raises IntegrationError when p falls to _COLLAPSE_LEVEL at a
-    step end (at the crossing of the dense output) or the step size falls
-    below ten spacings of floats at t."""
+    """The amplitude-phase system on the interval iv from start = (p, p', q),
+    with Omega^2 = om and omega0 = w0, to the tolerances rtol and atol.
+    Each step attempt samples Omega^2, which does not depend on the state,
+    at its stage times in one array call.  Raises IntegrationError when p
+    falls to _COLLAPSE_LEVEL at a step end (at the crossing of the dense
+    output) or the step size falls below ten spacings of floats at t."""
     t, y = iv.t_a, np.array(start, dtype=float)
     n = y.size
     ts, ys, stages = [t], [y], []

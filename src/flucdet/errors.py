@@ -23,7 +23,10 @@ class DegenerateOperatorError(FlucdetError):
 
 
 class ShootingError(FlucdetError):
-    """Newton shooting for a periodic amplitude solution did not converge."""
+    """A solve for a periodic amplitude or a shifted eigenvalue failed: the
+    profile is at a parametric resonance (|tr M| >= 2, no periodic amplitude
+    exists), the corrected amplitude misses SHOOTING_TOL, or the secant solve
+    of determinants._eigenvalue_shift did not converge."""
 
 
 class VerificationError(FlucdetError):

@@ -33,9 +33,9 @@ The amplitude-phase system is solved by the package's own adaptive DOP853
 (dop853.py), which keeps that route independent of the Magnus product.  It
 steps as scipy's solve_ivp(method="DOP853") does, with one Omega^2 call per
 step attempt, and builds its dense output only for the steps a time falls
-into.  Periodic amplitude shooting integrates the variational equation of
-(p, p') in the same solve, so each Newton step costs one solve and its
-Jacobian is exact; newton_iterations counts the steps.
+into.  The periodic amplitude is Pinney's closed form in the monodromy
+that one solve's own endpoint data give, so a periodic solve costs at most
+two solves; newton_iterations counts the correction, 0 or 1.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ from .profiles import FrequencyProfile, Interval
 
 DEFAULT_RTOL = 1e-12
 DEFAULT_ATOL = 1e-14
-# periodic amplitude shooting: Newton steps and tolerance
-SHOOTING_MAX_ITER = 100
+# periodic amplitude: how closely p and p' must return to their start
 SHOOTING_TOL = 1e-8
 
 # Magnus step doubling stops once the error estimate |M_n - M_c| / (2^(6k) - 1)
@@ -479,7 +478,8 @@ class ErmakovSolution:
 
     state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
     times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
-    satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to the shooting tolerance.
+    satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to SHOOTING_TOL, and
+    newton_iterations counts the closed-form corrections it took, 0 or 1.
     knots are the integrator's step times from t_a to t_b and q_knots the
     phase at them, the solver's own step-end states.
     """
@@ -504,26 +504,33 @@ class ErmakovSolution:
 
 def _integrate_ermakov(profile, omega0, start):
     """The DOP853 solution (dop853.solve) of (p, p', q) from start = (p_a,
-    p'_a, 0) or, with seven components, also of a fundamental matrix of the
-    variational equation dp'' = -(Omega^2 + 3 p^-4) dp, row by row after q
-    from start[3:], to DEFAULT_RTOL and DEFAULT_ATOL.  The solver module is
-    compiled on the route's first use: a cold start without it skips that."""
+    p'_a, 0) to DEFAULT_RTOL and DEFAULT_ATOL.  The solver module is compiled
+    on the route's first use: a cold start without it skips that."""
     from .dop853 import solve
 
     return solve(profile.omega_sq, profile.interval, float(omega0), start,
                  DEFAULT_RTOL, DEFAULT_ATOL)
 
 
-def _shoot(profile, omega0, z):
-    """One shooting solve from (p_a, p'_a) = z: the solver steps, the
-    residual r(z) = (p, p')(t_b) - z and its Jacobian Phi_dp(t_b) - I, all
-    read from the last step's end state.  Phi_dp starts from scale * I: it
-    is linear, so only DOP853's error weights see the scale, and its
-    2 omega oscillation no longer sets the step."""
-    scale = 1e-4
-    steps = _integrate_ermakov(profile, omega0, np.concatenate([z, [0.0, scale, 0.0, 0.0, scale]]))
-    end = steps.ys[-1]
-    return steps, end[:2] - z, end[3:].reshape(2, 2) / scale - np.eye(2)
+def _pinney_start(p_a, dp_a, end, omega0):
+    """The periodic amplitude's start (p_a, p'_a) from one solve's start and
+    end state (p_b, p'_b, q_b).  The solve's basis (p cos theta, p sin theta),
+    theta = omega0 q, has Wronskian 1 and gives the monodromy M; the periodic
+    amplitude's form [[p^2, p p'], [p p', p'^2 + p^-2]] at t_a is the one M
+    leaves invariant (Pinney, Proc. AMS 1, 681, 1950; Lewis and Riesenfeld,
+    J. Math. Phys. 10, 1458, 1969), so p_a^2 = 2|M12| / sqrt(4 - tr^2 M)
+    and p_a p'_a = -sign(M12) (M11 - M22) / sqrt(4 - tr^2 M)."""
+    p_b, dp_b, q_b = end
+    s, c = math.sin(omega0 * q_b), math.cos(omega0 * q_b)
+    m11, m12, m22 = p_b * (c / p_a - dp_a * s), p_a * p_b * s, p_a * (dp_b * s + c / p_b)
+    trace = m11 + m22
+    if not abs(trace) < 2.0:
+        raise ShootingError(
+            f"no periodic amplitude: |tr M| = {abs(trace):.4g} >= 2, the profile is "
+            f"at a parametric resonance")
+    root = math.sqrt((2.0 - trace) * (2.0 + trace))
+    p = math.sqrt(2.0 * abs(m12) / root)
+    return p, -math.copysign(1.0, m12) * (m11 - m22) / (root * p)
 
 
 def solve_ermakov(profile: FrequencyProfile, omega0: float,
@@ -531,51 +538,43 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     """Solve the amplitude-phase system for the profile.
 
     bc="initial" starts from p(t_a) = Omega(t_a)^(-1/2) (or 1 if Omega^2(t_a)
-    is not positive) with p'(t_a) = 0.  bc="periodic" runs two-parameter
-    Newton shooting on (p(t_a), p'(t_a)) from there to enforce matching
-    endpoint amplitude and slope; each Newton step costs one solve, whose
-    variational equation gives the exact Jacobian with the residual.
-    newton_iterations counts the steps taken, at most SHOOTING_MAX_ITER.
+    is not positive) with p'(t_a) = 0.  bc="periodic" keeps that solve if
+    its endpoint amplitude and slope match the start to SHOOTING_TOL, and
+    otherwise solves once more from Pinney's closed form (_pinney_start),
+    read from the first solve's own monodromy; newton_iterations counts
+    these corrections, 0 or 1.  Raises ShootingError at a parametric
+    resonance (|tr M| >= 2, where no periodic amplitude exists) or when the
+    corrected solve misses SHOOTING_TOL.
     """
     if not 0.0 < omega0 < math.inf:
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
+    if bc not in ("initial", "periodic"):
+        raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
     iv = profile.interval
 
     om_a = float(profile.omega_sq(np.array(iv.t_a)))
-    p_start = om_a ** (-0.25) if om_a > 0.0 else 1.0
-    dp_start = 0.0
-    iterations = 0
+    p_a = om_a ** (-0.25) if om_a > 0.0 else 1.0
+    dp_a = 0.0
+    sol = _integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
+    corrections = 0
 
-    if bc == "initial":
-        sol = _integrate_ermakov(profile, omega0, [p_start, dp_start, 0.0])
-    elif bc == "periodic":
-        z = np.array([p_start, dp_start])
-        sol, res, jac = _shoot(profile, omega0, z)
-        while np.max(np.abs(res)) > SHOOTING_TOL * (1.0 + abs(z[0])):
-            if iterations == SHOOTING_MAX_ITER:
-                raise ShootingError(
-                    f"periodic amplitude shooting did not converge in {SHOOTING_MAX_ITER} "
-                    f"Newton steps (residual {np.max(np.abs(res)):.3e})")
-            iterations += 1
-            try:
-                step = np.linalg.solve(jac, -res)
-            except np.linalg.LinAlgError:
-                raise ShootingError(
-                    f"singular shooting Jacobian at Newton step {iterations}") from None
-            lam = 1.0
-            while z[0] + lam * step[0] <= 1e-6 and lam > 1e-4:
-                lam *= 0.5
-            z = z + lam * step
-            sol, res, jac = _shoot(profile, omega0, z)
-        p_start, dp_start = float(z[0]), float(z[1])
-    else:
-        raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
+    def residual():
+        p_b, dp_b = sol.ys[-1, :2]
+        return max(abs(p_b - p_a), abs(dp_b - dp_a))
 
-    state = _on_interval(lambda t: sol(t)[:3], iv)
+    if bc == "periodic" and residual() > SHOOTING_TOL * (1.0 + p_a):
+        p_a, dp_a = _pinney_start(p_a, dp_a, sol.ys[-1], omega0)
+        sol = _integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
+        corrections = 1
+        if residual() > SHOOTING_TOL * (1.0 + p_a):
+            raise ShootingError(
+                f"the periodic amplitude from Pinney's closed form misses SHOOTING_TOL = "
+                f"{SHOOTING_TOL} (residual {residual():.3e})")
+
     end = sol.ys[-1]
     return ErmakovSolution(
-        state=state, omega0=float(omega0),
-        p_a=p_start, p_b=float(end[0]), dp_a=dp_start, dp_b=float(end[1]),
+        state=_on_interval(sol, iv), omega0=float(omega0),
+        p_a=p_a, p_b=float(end[0]), dp_a=dp_a, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
         knots=sol.ts, q_knots=sol.ys[:, 2],
-        newton_iterations=iterations)
+        newton_iterations=corrections)

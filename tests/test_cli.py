@@ -211,6 +211,15 @@ class TestDet:
 
 
 class TestDetErrors:
+    def test_pq_parametric_resonance(self, capsys):
+        """|tr M| = 2.505: no periodic amplitude exists, and the pq route
+        says so instead of shooting for one."""
+        code, out, err = run(capsys, "det", "--method", "pq", "--bc", "periodic",
+                             "--profile", '{"kind": "modulated", "omega": 1.0, "eps": 0.9, '
+                             '"nu": 2.0}', "--t-b", "3.2")
+        assert code == 1 and out == ""
+        assert "|tr M| = 2.505" in err and "parametric resonance" in err
+
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, "det", "--profile", '{"kind": "bogus"}')
         assert code == 1 and "error" in err

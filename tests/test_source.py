@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none imports scipy, only the front ends import the oracles, and only
-green.py decides what a boundary condition means."""
+none imports scipy, only the front ends import the oracles, only green.py
+decides what a boundary condition means, and the amplitude-phase route
+names none of the main path's endpoint data."""
 
 import ast
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flucdet
-from flucdet import cli, green
+from flucdet import cli, ermakov, green, odesolve
 
 ALL_SOURCES = sorted(Path(flucdet.__file__).parent.glob("*.py"))
 SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
@@ -113,3 +114,36 @@ def test_one_boundary_condition_check():
 def test_cli_bc_choices_are_greens(command):
     (bc,) = [param for param in command.params if param.name == "bc"]
     assert list(bc.type.choices) == list(green._SIGMA)
+
+
+MAIN_PATH_NAMES = {"make_basis", "_magnus", "_MagnusGrid", "_family", "det_from_transfer"}
+
+
+def names_read(tree) -> set:
+    """Every identifier a syntax tree names: variables, attributes and imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+    return names
+
+
+def test_detects_main_path_names():
+    source = "from .odesolve import make_basis as mb\ndef f(x):\n    return odesolve._magnus(x)\n"
+    assert names_read(ast.parse(source)) & MAIN_PATH_NAMES == {"make_basis", "_magnus"}
+
+
+def test_pq_route_reads_its_own_solve():
+    """The amplitude-phase route checks the Magnus product, so neither its
+    module nor its solver names the main path's endpoint data."""
+    odesolve_tree = ast.parse(Path(odesolve.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in odesolve_tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    trees = [ast.parse(Path(ermakov.__file__).read_text(encoding="utf-8"))] + [
+        functions[name] for name in ("solve_ermakov", "_integrate_ermakov", "_pinney_start")]
+    for tree in trees:
+        assert names_read(tree) & MAIN_PATH_NAMES == set()
