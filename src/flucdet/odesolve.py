@@ -86,7 +86,11 @@ _CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
 # on constant omega T up to 300, Omega^2 = -k^2 with kT up to 60 and modulated
 # profiles, under all three boundary conditions).
 GAUSS_NODES_PER_STEP = 4
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(GAUSS_NODES_PER_STEP)
+# leggauss(GAUSS_NODES_PER_STEP) to the last bit: importing numpy.polynomial costs 5 ms
+_GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                     0.33998104358485626, 0.8611363115940526])
+_GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
+                     0.6521451548625464, 0.34785484513745357])
 
 
 def _gauss_rule(knots: np.ndarray) -> tuple:
@@ -151,36 +155,45 @@ def _step_matrices(a: np.ndarray, h):
     A1 = h A_2, A2 = sqrt(15) h / 3 (A_3 - A_1), A3 = 10 h / 3 (A_3 - 2 A_2 + A_1)
     give C1 = [A1, A2], C2 = -[A1, 2 A3 + C1] / 60 and
     Omega = A1 + A3 / 12 + [-20 A1 - A3 + C1, A2 + C2] / 240.
-    A2 and A3 have only a lower-left entry, b and c below, so the
-    commutators reduce to the closed forms written out here.  Omega^2 = s I
-    with s = -det Omega, hence exp(Omega) = cosh(sqrt s) I + sinh(sqrt s) /
-    sqrt s Omega, with cos and sin for s < 0.
+    A2 and A3 have only a lower-left entry, so with d = a3 - a1,
+    e = a3 - 2 a2 + a1, k = sqrt(15) / 3, u = h^5 d^2 / 2160 and
+    v = h^3 e / 54, Omega = (p, q, r) is
+        p = k h^2 d (h^2 (4/3 a2 + e/9) - 20) / 240,
+        q = h + h^3 (h^2 d^2 - 40 e) / 2160 = h + (u - v),
+        r = a2 (h + (u + v)) + e (5/18 h + h^3/324 e) - h^3/72 d^2,
+    each power of h folded into a coefficient and the small terms summed
+    before h is added (added one by one, they bias q and r by 0.14 ulp a
+    step).  Omega^2 = s I with s = -det Omega, hence exp(Omega) = cosh(sqrt s)
+    I + sinh(sqrt s) / sqrt s Omega, with cos and sin for s < 0.
     """
     a1, a2, a3 = a
-    b = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
-    c = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
-    hh = h * h
-    # [-20 A1 - A3 + C1, A2 + C2] with C1 = (h b, 0, 0) and
-    # C2 = (-h c / 30, h^2 b / 30, -h^2 a_2 b / 30)
-    p = h * b * (-20.0 + hh * a2 * (4.0 / 3.0) + h * c / 30.0)
-    q = hh * (h * b * b / 15.0 - c * (4.0 / 3.0))
-    r = h * (h * a2 * c * (4.0 / 3.0) + c * c / 15.0 - b * b * (2.0 - hh * a2 / 15.0))
-    p = p / 240.0
-    q = h + q / 240.0
-    r = h * a2 + c / 12.0 + r / 240.0
-    s = p * p + q * r
+    h2 = h * h
+    h3 = h2 * h
+    d = a3 - a1
+    e = a3 - 2.0 * a2 + a1
+    dd = d * d
+    k = math.sqrt(15.0) / 3.0
+    p = d * ((k / 180.0 * h2 * h2) * (a2 + e / 12.0) - k / 12.0 * h2)
+    u, v = (h3 * h2 / 2160.0) * dd, (h3 / 54.0) * e
+    q = h + (u - v)
+    r = a2 * (h + (u + v)) + (e * (5.0 / 18.0 * h + (h3 / 324.0) * e) - (h3 / 72.0) * dd)
+    s = p * p
+    s += q * r
     x = np.sqrt(np.abs(s))
-    safe = np.where(x == 0.0, 1.0, x)
     grow = s > 0.0
-    if grow.all():
+    n_grow = np.count_nonzero(grow)
+    if n_grow == grow.size:
         cc, sn = np.cosh(x), np.sinh(x)
-    elif not grow.any():
+    elif not n_grow:
         cc, sn = np.cos(x), np.sin(x)
     else:
         xg = np.where(grow, x, 0.0)  # keep cosh and sinh off the unused branch
         cc, sn = np.where(grow, np.cosh(xg), np.cos(x)), np.where(grow, np.sinh(xg), np.sin(x))
-    sc = np.where(x == 0.0, 1.0, sn / safe)
-    return (cc + sc * p, sc * q, sc * r, cc - sc * p)
+    sc = np.divide(sn, x, out=np.ones_like(x), where=x != 0.0)
+    p *= sc
+    q *= sc
+    r *= sc
+    return (cc + p, q, r, cc - p)
 
 
 def _product(b, a):

@@ -10,13 +10,15 @@ sampling, bisecting every sample step that trips the jump threshold in one
 batch (one omega_sq call on an array per level); the synthetic constructor
 also checks that its shape xi(t) produces a regular Omega^2 = -xi''/xi.
 omega_sq takes a float or an ndarray of times and returns a value of the
-same shape; user callables need only take a float, and _lift extends them.
+same shape.  User callables need only take a float: _lift passes arrays to
+one that a probe finds works on them, and element by element to the rest.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -101,17 +103,33 @@ def _on_arrays(fn):
     return fn
 
 
-def _lift(fn):
+def _lift(fn, interval: Interval):
     """fn, a callable of one float, as a callable of a float or an ndarray of
-    times: a float goes straight to fn, an array element by element."""
+    times.  A float goes to fn; an array goes to fn whole if one call on the
+    continuity grid (as a row) returns the grid's shape or one number, equal
+    bit for bit to fn's float calls at five points across the interval, and
+    element by element otherwise.  The probe keeps numpy's warnings silent."""
     if getattr(fn, "on_arrays", False):
         return fn
+    ts = interval.grid(CONTINUITY_SAMPLES)[None, :]
+    k = (np.arange(5) * (ts.size - 1)) // 4
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            vs = np.asarray(fn(ts), dtype=float)
+            whole = vs.shape in (ts.shape, ()) and (
+                np.broadcast_to(vs, ts.shape)[0, k].tobytes()
+                == np.array([fn(t) for t in ts[0, k].tolist()], dtype=float).tobytes())
+        except Exception:  # a callable of floats only: element by element
+            whole = False
 
     @_on_arrays
     def lifted(t):
-        if isinstance(t, np.ndarray):
-            return np.array([fn(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
-        return fn(t)
+        if not isinstance(t, np.ndarray):
+            return fn(t)
+        if whole:
+            return np.broadcast_to(fn(t), t.shape).astype(float)
+        return np.array([fn(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
     return lifted
 
@@ -138,7 +156,10 @@ def _check_continuity(omega_sq, interval):
     CONTINUITY_SAMPLES of the grid.
     """
     ts = interval.grid(CONTINUITY_SAMPLES)
-    vs = _finite_samples(omega_sq, ts)
+    vs = omega_sq(ts)
+    bad = np.flatnonzero(~np.isfinite(vs))
+    if bad.size:
+        raise ProfileError(f"Omega^2 is not finite at t = {float(ts[bad[0]])!r}")
     i = np.flatnonzero(np.abs(np.diff(vs)) > _jump_tol(vs[:-1], vs[1:]))
     if not i.size:
         return
@@ -167,14 +188,6 @@ def _check_continuity(omega_sq, interval):
             f"and t = {float(t1[0])!r}; profiles must be continuous")
     if refusal is not None:
         raise refusal
-
-
-def _finite_samples(omega_sq, ts):
-    vs = omega_sq(ts)
-    bad = np.flatnonzero(~np.isfinite(vs))
-    if bad.size:
-        raise ProfileError(f"Omega^2 is not finite at t = {float(ts[bad[0]])!r}")
-    return vs
 
 
 def _require_finite(*named):
@@ -225,7 +238,7 @@ def make_modulated_profile(omega: float, eps: float, nu: float,
 def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,
                       description: str = "user") -> FrequencyProfile:
     """Wrap an arbitrary continuous callable of one float as a profile."""
-    prof = FrequencyProfile(omega_sq=_lift(omega_sq), interval=interval,
+    prof = FrequencyProfile(omega_sq=_lift(omega_sq, interval), interval=interval,
                             description=description)
     _check_continuity(prof.omega_sq, interval)
     return prof
@@ -264,7 +277,7 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     vanishing endpoint slopes, or endpoint-singular curvature ratios.
     """
     iv = spec.interval
-    xi, dxi, d2xi = _lift(spec.xi), _lift(spec.dxi), _lift(spec.d2xi)
+    xi, dxi, d2xi = (_lift(fn, iv) for fn in (spec.xi, spec.dxi, spec.d2xi))
 
     # interior zeros make -xi''/xi singular inside the interval
     ts = iv.grid(CONTINUITY_SAMPLES)

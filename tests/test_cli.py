@@ -458,6 +458,16 @@ class TestImports:
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]"
 
+    def test_cli_import_loads_no_numpy_polynomial(self):
+        """The Magnus steps' Gauss rule is written out, so a cold start does
+        not load numpy.polynomial (5 ms); the flow's rule loads it when run."""
+        code = "import sys, flucdet.cli; print('numpy.polynomial' in sys.modules)"
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_pq_route_loads_no_scipy_integrate(self):
         """The amplitude-phase route runs on the package's own DOP853: a
         cold periodic pq `det` exits with no scipy.integrate module loaded."""

@@ -362,3 +362,93 @@ class TestArrayContract:
 
         for got, want in zip(routes(user), routes(builtin)):
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def counting(fn):
+    """fn and the list of the times it is called with."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return fn(t)
+
+    return counted, calls
+
+
+class TestLift:
+    """A user callable is used on arrays when one call on the continuity
+    grid returns its shape (or one number) equal to its float calls at five
+    points; any other callable goes element by element, as before."""
+
+    TIMES = np.linspace(0.0, 1.0, 7)
+
+    def array_calls(self, fn, iv):
+        """The calls of fn that one array of 7 times costs once fn is lifted."""
+        counted, calls = counting(fn)
+        lifted = profiles._lift(counted, iv)
+        calls.clear()
+        assert lifted(self.TIMES).shape == self.TIMES.shape
+        return len(calls)
+
+    @pytest.mark.parametrize("fn", [lambda t: -4.0, lambda t: 1.0 + t * t],
+                             ids=["constant", "quadratic"])
+    def test_array_callables_take_arrays(self, fn, unit_interval):
+        assert self.array_calls(fn, unit_interval) == 1
+        assert_array_contract(make_user_profile(fn, unit_interval).omega_sq, unit_interval)
+
+    @pytest.mark.parametrize("fn", [
+        lambda t: 1.0 + 0.5 * math.cos(2.0 * t),  # math refuses arrays
+        lambda t: 2.0 if t < 0.5 else 2.0 + (t - 0.5) ** 2,  # an array has no truth value
+        lambda t: np.max(t),  # agrees with its float calls at t_b only
+        lambda t: np.transpose(1.0 + t * t),  # another shape on the (1, n) grid
+    ], ids=["math", "raises", "disagrees", "shape"])
+    def test_other_callables_element_by_element(self, fn, unit_interval):
+        assert self.array_calls(fn, unit_interval) == self.TIMES.size
+        assert_array_contract(make_user_profile(fn, unit_interval).omega_sq, unit_interval)
+
+    @pytest.mark.parametrize("case", ["jump", "nonfinite", "midpoint"])
+    def test_refusals_match_element_by_element(self, case, unit_interval):
+        """The jump, non-finite and bisection-midpoint refusals of
+        TestFactories, from a float callable and from its array form."""
+        ts = unit_interval.grid(CONTINUITY_SAMPLES)
+        mid = 0.5 * (ts[5000] + ts[5001])
+        floats, arrays = {
+            "jump": (lambda t: 0.0 if t < 0.5 else 10.0,
+                     lambda t: np.where(t < 0.5, 0.0, 10.0)),
+            "nonfinite": (lambda t: math.inf if t > 0.5 else 1.0,
+                          lambda t: np.where(t > 0.5, np.inf, 1.0)),
+            "midpoint": (lambda t: math.inf if t == mid else 1.0 + (t > mid),
+                         lambda t: np.where(t == mid, np.inf, 1.0 + (t > mid))),
+        }[case]
+        assert self.array_calls(floats, unit_interval) == self.TIMES.size
+        assert self.array_calls(arrays, unit_interval) == 1
+        messages = []
+        for fn in (floats, arrays):
+            with pytest.raises(fd.ProfileError) as refused:
+                make_user_profile(fn, unit_interval)
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
+
+    def test_constant_callable_called_a_few_times(self):
+        """make_user_profile and make_basis of Omega^2 = -(30/12)^2 on
+        [-20, -8] call it at most 10 times (10,576 element by element: the
+        continuity grid and every Gauss node of two Magnus levels), with the
+        same M12."""
+        counted, calls = counting(lambda t: -(30.0 / 12.0) ** 2)
+        basis = make_basis(make_user_profile(counted, fd.Interval(-20.0, -8.0)))
+        assert len(calls) <= 10
+        assert fd.det_dirichlet(basis).value == 2137294916304.9014
+
+    def test_zero_mode_shape_takes_arrays(self, unit_interval):
+        """xi = s + s^2 with s = t (1 - t), so Omega^2 = -xi''/xi = 12 / (1 + s)."""
+        spec = SyntheticZeroModeSpec(
+            lambda t: t * (1.0 - t) * (1.0 + t * (1.0 - t)), unit_interval,
+            dxi=lambda t: (1.0 - 2.0 * t) * (1.0 + 2.0 * t * (1.0 - t)),
+            d2xi=lambda t: -12.0 * t * (1.0 - t))
+        for fn in (spec.xi, spec.dxi, spec.d2xi):
+            assert self.array_calls(fn, unit_interval) == 1
+        prof = make_zero_mode_profile(spec)
+        assert prof(0.5) == pytest.approx(12.0 / 1.25, rel=1e-14)
+        assert_array_contract(prof.omega_sq, unit_interval)
+        for fn in (prof.zero_mode.xi, prof.zero_mode.dxi, prof.zero_mode.d2xi):
+            assert_array_contract(fn, unit_interval)
