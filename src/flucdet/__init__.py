@@ -8,6 +8,8 @@ M = Phi(t_b, t_a) of one integrated fundamental matrix; independent oracles
 traces, and an amplitude-phase route) cross check every result.
 """
 
+import importlib
+
 from .errors import (
     ConfigError,
     DegenerateOperatorError,
@@ -55,20 +57,23 @@ from .determinants import (
     trace_identity_residual,
     van_vleck_check,
 )
-from .ermakov import (
-    basis_from_pq,
-    det_ratio_dirichlet_pq,
-    det_ratio_periodic_pq,
-)
-from .oracle import (
-    LatticeOperator,
-    SpectrumReport,
-    build_lattice,
-    gflow_ratio,
-    lattice_ratio,
-    lattice_ratio_richardson,
-    pseudo_det_ratio,
-)
+
+# the amplitude-phase route and the oracles load on first use (PEP 562), so
+# that a determinant compiles neither
+_LAZY = {name: module for module, names in (
+    ("ermakov", ("basis_from_pq", "det_ratio_dirichlet_pq", "det_ratio_periodic_pq")),
+    ("oracle", ("LatticeOperator", "SpectrumReport", "build_lattice", "gflow_ratio",
+                "lattice_ratio", "lattice_ratio_richardson", "pseudo_det_ratio")))
+    for name in names}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -11,6 +11,10 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 degenerate
 operator (zero mode without --regularized, vanishing reference), 3
 verification failure.
 
+The amplitude-phase route and the oracles are imported by the commands and
+options that run them (verify, --regularized, --method pq), so a plain det
+compiles neither.
+
 All numeric output uses Python's shortest round-trip float representation,
 so every printed value parses back to the exact binary double that was
 computed.  Output is deterministic: the same invocation produces byte
@@ -27,14 +31,12 @@ from typing import Optional
 
 import click
 
-from . import oracle
 from .determinants import (
     det_dirichlet_regularized,
     det_periodic_regularized,
     determinant,
     reference_determinant,
 )
-from .ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
 from .errors import (
     ConfigError,
     DegenerateOperatorError,
@@ -145,6 +147,7 @@ def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
 
 
 def _det_pq_record(profile, bc: str, omega0: float) -> dict:
+    from .ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
     if not omega0 > 0:
         raise ConfigError("the pq route requires --omega0 > 0")
     reference, reference_value = reference_determinant(
@@ -171,6 +174,7 @@ def _det_pq_record(profile, bc: str, omega0: float) -> dict:
 
 
 def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
+    from . import oracle
     if not _SIGMA[bc]:
         report = det_dirichlet_regularized(profile)
         diagnostics = {
@@ -306,6 +310,7 @@ def _check(profile_name: str, bc: str, resolution: str, closed: float,
 
 
 def _suite_dirichlet() -> list:
+    from . import oracle
     rows = []
     for omega, span, expected in ((1.0, 1.0, math.sin(1.0)),
                                   (2.0, 1.0, math.sin(2.0) / 2.0),
@@ -332,6 +337,7 @@ def _suite_dirichlet() -> list:
 
 
 def _suite_wrapped(bc: str) -> list:
+    from . import oracle
     rows = []
     for omega, span in ((1.0, 1.0), (2.0, 1.0)):
         profile = make_constant_profile(omega, Interval(0.0, span))
@@ -352,6 +358,7 @@ def _suite_wrapped(bc: str) -> list:
 
 
 def _suite_zeromode() -> list:
+    from . import oracle
     profile = make_zero_mode_profile(
         builtin_zero_mode_spec("sinpi", Interval(0.0, 1.0)))
     report = det_dirichlet_regularized(profile)
@@ -369,6 +376,7 @@ def _suite_zeromode() -> list:
 
 
 def _suite_gflow() -> list:
+    from . import oracle
     rows = []
     const = make_constant_profile(1.0, Interval(0.0, 1.0))
     modulated = make_modulated_profile(1.0, 0.2, 3.0, Interval(0.0, 2.0))

@@ -14,9 +14,11 @@ sixth-order Magnus integrator of Blanes, Casas and Ros (BIT 40, 434, 2000;
 review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009) on n uniform
 steps.  Each step samples Omega^2 at three Gauss nodes, builds the Magnus
 exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
-M is the pairwise product of the n step matrices.  n starts from a work
-estimate and doubles; until two levels agree to MAGNUS_REL_TARGET, n jumps
-to the level 2^k n that the sixth-order error estimate predicts.  It solves
+M is the pairwise product of the n step matrices.  A work estimate sets a
+level L; one array pass forms the first pair of levels (L/2, L), or (64,
+128) from the 64 coarse samples when L <= 128, and from there n jumps to the
+level 2^k n that the sixth-order error estimate predicts until two levels
+agree to MAGNUS_REL_TARGET, accepting no level below 2L.  It solves
 an affine family c0_j + c1_j Omega^2 at once (members on a trailing axis, one
 Omega^2 sample per node for all); make_basis is the one-member case (0, g).
 
@@ -60,14 +62,15 @@ SHOOTING_TOL = 1e-8
 # entry, or, from 2^15 steps on, n eps / 63 times it: two n-step products
 # differ by up to about n eps from rounding alone.  The first pair has k = 1;
 # a pair that misses jumps by the k that divides its error below the target,
-# k = ceil(log2(error / target) / 6).  Rounding both levels share is invisible
-# to the doubling, so the reported estimate is at least 2 n eps times the
-# envelope max(max|M_ij|, w, min(T, 1/w)), w = max|g Omega^2|^(1/2), which
-# bounds the error of M against closed forms (constant Omega^2, w T from
-# 0.01 to 1e5).  The first level has at least MAGNUS_STEPS_PER_RADIAN steps
-# per radian of w, never fewer than MAGNUS_MIN_STEPS; a level above
-# MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK steps or Gauss nodes x members
-# per array keep memory flat.
+# k = ceil(log2(error / target) / 6), and a pair below twice the work
+# estimate's level goes on by k = 1 where it meets it.  Rounding both levels
+# share is invisible to the doubling, so the reported estimate is at least
+# 2 n eps times the envelope max(max|M_ij|, w, min(T, 1/w)), w = max|g
+# Omega^2|^(1/2), which bounds the error of M against closed forms (constant
+# Omega^2, w T from 0.01 to 1e5).  The work estimate's level has at least
+# MAGNUS_STEPS_PER_RADIAN steps per radian of w, never fewer than
+# MAGNUS_MIN_STEPS; a level above MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK
+# steps or Gauss nodes x members per array keep memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -201,17 +204,18 @@ def _product(b, a):
     return np.einsum("ij...,jk...->ik...", b, a)
 
 
-def _reduce_pairs(x):
-    """The ordered product E = E[m-1] ... E[0] of m steps along axis 2 of x
-    of shape (2, 2, m, ...), m a power of two, by pairwise products; with x
-    of shape (2, 4, m, ...) the pair [E | D] from theirs: (E_b, D_b) o (E_a,
-    D_a) = (E_b E_a, E_b D_a + D_b E_a)."""
-    while x.shape[2] > 1:
-        b, a = x[:, :, 1::2], x[:, :, 0::2]
+def _reduce_pairs(x, axis: int = 2):
+    """The ordered product E = E[m-1] ... E[0] of m steps along an axis of x
+    of shape (2, 2, ...) (axis 2 by default), m a power of two, by pairwise
+    products; with x of shape (2, 4, ...) the pair [E | D] from theirs:
+    (E_b, D_b) o (E_a, D_a) = (E_b E_a, E_b D_a + D_b E_a)."""
+    lead = (slice(None),) * axis
+    while x.shape[axis] > 1:
+        b, a = x[lead + (slice(1, None, 2),)], x[lead + (slice(0, None, 2),)]
         x = _product(b[:, :2], a)
         if x.shape[1] > 2:
             x[:, 2:] += _product(b[:, 2:], a[:, :2])
-    return x[:, :, 0]
+    return x[lead + (0,)]
 
 
 def _scan(e, reverse: bool = False) -> np.ndarray:
@@ -255,7 +259,8 @@ class _MagnusGrid:
     def sample(self, starts: np.ndarray, h) -> np.ndarray:
         """-(c0 + c1 Omega^2) at the three Gauss nodes of the steps of length h
         from starts, from one array call, shape (3, m) + members."""
-        om = np.asarray(self.omega_sq(starts + _MAGNUS_NODES * h), dtype=float)
+        nodes = _MAGNUS_NODES if starts.ndim == 1 else _MAGNUS_NODES[..., None]
+        om = np.asarray(self.omega_sq(starts + nodes * h), dtype=float)
         a = np.multiply.outer(om, -self.c1) if self.members else -self.c1 * om
         if self.members or self.c0:  # make_basis has c0 = 0
             a -= self.c0
@@ -263,21 +268,48 @@ class _MagnusGrid:
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
 
-    def _runs(self, per: int = 1):
-        """(lo, hi) of runs of 2^j steps, of at most MAGNUS_CHUNK steps x members x per."""
-        chunk = 1 << max(0, (MAGNUS_CHUNK // (per * math.prod(self.members))).bit_length() - 1)
+    def _runs(self, per: float = 1.0, least: int = 1):
+        """(lo, hi) of runs of 2^j >= least steps, of at most MAGNUS_CHUNK steps
+        x members x per where least allows."""
+        fit = int(MAGNUS_CHUNK / (per * math.prod(self.members)))
+        chunk = max(least, 1 << max(0, fit.bit_length() - 1))
         return [(lo, min(self.n, lo + chunk)) for lo in range(0, self.n, chunk)]
 
-    def transfer(self, a0=None):
-        """M = Phi(t_b, t_a), shape (2, 2) + members, and each member's
-        largest sampled |c0 + c1 Omega^2|, from the samples a0 if given."""
-        acc, a_max = None, None
+    def transfer(self) -> np.ndarray:
+        """M = Phi(t_b, t_a), shape (2, 2) + members."""
+        acc = None
         for lo, hi in self._runs():
-            a = self.sample(self.starts(lo, hi), self.h) if a0 is None else a0[:, lo:hi]
+            a = self.sample(self.starts(lo, hi), self.h)
             e = _reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:]))
-            acc, top = e if acc is None else _product(e, acc), np.abs(a).max(axis=(0, 1))
-            a_max = top if a_max is None else np.maximum(a_max, top)
-        return acc, a_max
+            acc = e if acc is None else _product(e, acc)
+        return acc
+
+    def pair(self, a0=None, peak: bool = False) -> tuple:
+        """M on n/2 and on n steps, each of shape (2, 2) + members, in one
+        pass: one sample call on both levels' Gauss nodes (the n/2 steps'
+        are a0 if given), one _step_matrices call and one reduction of both;
+        with peak, also the largest sampled |c0 + c1 Omega^2| of the n steps.
+        A run of 2^j fine steps and its coarse ones is at most MAGNUS_CHUNK
+        steps x members."""
+        acc, top = None, None
+        h = np.array([[self.h], [self.h], [2.0 * self.h]])  # fine steps 2k, 2k + 1, coarse k
+        for lo, hi in self._runs(1.5, least=2):
+            starts = self.starts(lo, hi).reshape(-1, 2).T
+            a = self.sample(starts[[0, 1, 0]], h) if a0 is None else np.concatenate(
+                [self.sample(starts, h[:2]), a0[:, None, lo // 2:hi // 2]], axis=1)
+            if peak:
+                top = np.maximum(0.0 if top is None else top, np.abs(a[:, :2]).max(axis=(0, 1, 2)))
+            # a step of 2h on samples a is S E S^-1 for the step E of h on 4a,
+            # S = diag(1, 1/2): powers of two scale bit for bit
+            a[:, 2] *= 4.0
+            x = np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])
+            x[:, :, 1] = _product(x[:, :, 1], x[:, :, 0])
+            e = _reduce_pairs(x[:, :, 1:], axis=3)
+            acc = e if acc is None else _product(e, acc)
+        coarse = acc[:, :, 1]  # S M S^-1 from the product of the steps on 4a
+        coarse[0, 1] *= 2.0
+        coarse[1, 0] *= 0.5
+        return coarse, acc[:, :, 0], top
 
     def slope(self, weight: Optional[Callable] = None) -> np.ndarray:
         """dM/ds = -int Phi(t_b, t) E21 Phi(t, t_a) weight dt at s = 0 for Omega^2
@@ -344,40 +376,50 @@ def _work_estimate(a_max: float, iv: Interval) -> tuple:
 
 def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
     """The Magnus grid, M and the error estimates of M's entries of members
-    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET."""
-    n, m, error = MAGNUS_MIN_STEPS, None, math.inf
+    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET
+    from the first pair (c, 2c) in one pass, c = max(L/2, MAGNUS_MIN_STEPS) for
+    the work estimate's level L; no level below 2L is accepted."""
+    n, m, a_max = MAGNUS_MIN_STEPS, None, np.abs(a0).max(axis=(0, 1))
+    estimate, level = _work_estimate(float(a_max.max()), iv)
     with np.errstate(over="raise", invalid="raise"):
         try:
             # a finer level can sample a larger |Omega^2|, so the estimate
             # is checked again on every level it sets
-            estimate, level = _work_estimate(float(np.abs(a0).max()), iv)
             while m is None or n < estimate:
-                n, a = level, (a0 if level == n else None)
-                m, a_max = _MagnusGrid(om, c0, c1, iv, n).transfer(a)
-                estimate, level = _work_estimate(float(a_max.max()), iv)
-            k = 1
+                coarse = max(level // 2, MAGNUS_MIN_STEPS)
+                n, floor = 2 * coarse, 2 * level
+                grid = _MagnusGrid(om, c0, c1, iv, n)
+                # above MAGNUS_MIN_STEPS the fine level is L, whose samples check L again
+                m_coarse, m, sampled = grid.pair(a0 if coarse == MAGNUS_MIN_STEPS else None,
+                                                 peak=coarse < level)
+                if sampled is not None:
+                    a_max = sampled
+                    estimate, level = _work_estimate(float(a_max.max()), iv)
+            # without a member axis (make_basis) Python's scalar max, abs and sqrt cost less
+            if grid.members:
+                top, sqrt, largest = np.maximum, np.sqrt, lambda x: np.abs(x).max(axis=(0, 1))
+            else:
+                top, sqrt, largest = max, math.sqrt, lambda x: max(map(abs, x.ravel().tolist()))
             while True:
+                error = largest(m - m_coarse) / ((n // coarse) ** 6 - 1.0)
+                scale = largest(m)
+                tol = max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale
+                met = np.all(error <= tol)
+                if met and n >= floor:
+                    w, span = sqrt(a_max), iv.span
+                    envelope = top(top(scale, w), span / top(1.0, w * span))
+                    return grid, m, top(error, 2.0 * n * _EPS * envelope)
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
                         f"Magnus step doubling needs more than MAGNUS_MAX_STEPS = "
                         f"{MAGNUS_MAX_STEPS} steps to meet MAGNUS_REL_TARGET = "
                         f"{MAGNUS_REL_TARGET} (error estimate {np.max(error):.3e} at "
                         f"{n} steps; work estimate {estimate:.4g} steps)")
+                # sixth order: 2^k times the steps divide the error by 2^(6k)
+                k = 1 if met else max(1, math.ceil(math.log2(np.max(error / tol)) / 6.0))
                 coarse, n = n, min(n << k, MAGNUS_MAX_STEPS)
                 grid = _MagnusGrid(om, c0, c1, iv, n)
-                fine, _ = grid.transfer()
-                error = np.abs(fine - m).max(axis=(0, 1)) / ((n // coarse) ** 6 - 1.0)
-                m = fine
-                scale = np.abs(m).max(axis=(0, 1))
-                tol = max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale
-                if (error <= tol).all():
-                    # without a member axis (make_basis) the scalar max and sqrt cost less
-                    top, sqrt = (np.maximum, np.sqrt) if grid.members else (max, math.sqrt)
-                    w, span = sqrt(a_max), iv.span
-                    envelope = top(top(scale, w), span / top(1.0, w * span))
-                    return grid, m, top(error, 2.0 * n * _EPS * envelope)
-                # sixth order: 2^k times the steps divide the error by 2^(6k)
-                k = max(1, math.ceil(math.log2(np.max(error / tol)) / 6.0))
+                m_coarse, m = m, grid.transfer()
         except FloatingPointError:
             raise IntegrationError(
                 f"the fundamental matrix overflows on [{iv.t_a}, {iv.t_b}] "

@@ -103,14 +103,15 @@ def _on_arrays(fn):
     return fn
 
 
-def _lift(fn, interval: Interval):
+def _lift(fn, interval: Interval) -> tuple:
     """fn, a callable of one float, as a callable of a float or an ndarray of
-    times.  A float goes to fn; an array goes to fn whole if one call on the
+    times, and its values on the continuity grid if the probe kept them.  A
+    float goes to fn; an array goes to fn whole if one call on the
     continuity grid (as a row) returns the grid's shape or one number, equal
     bit for bit to fn's float calls at five points across the interval, and
     element by element otherwise.  The probe keeps numpy's warnings silent."""
     if getattr(fn, "on_arrays", False):
-        return fn
+        return fn, None
     ts = interval.grid(CONTINUITY_SAMPLES)[None, :]
     k = (np.arange(5) * (ts.size - 1)) // 4
     with np.errstate(all="ignore"), warnings.catch_warnings():
@@ -131,7 +132,7 @@ def _lift(fn, interval: Interval):
             return np.broadcast_to(fn(t), t.shape).astype(float)
         return np.array([fn(x) for x in t.ravel().tolist()], dtype=float).reshape(t.shape)
 
-    return lifted
+    return lifted, (np.broadcast_to(vs, ts.shape)[0].astype(float) if whole else None)
 
 
 def _math_for(t):
@@ -143,8 +144,9 @@ def _jump_tol(v0, v1):
     return CONTINUITY_REL_JUMP * (1.0 + np.maximum(np.abs(v0), np.abs(v1)))
 
 
-def _check_continuity(omega_sq, interval):
-    """Reject a profile that is not finite or not continuous on the interval.
+def _check_continuity(omega_sq, interval, vs=None):
+    """Reject a profile that is not finite or not continuous on the interval;
+    vs are omega_sq's values on the grid if known.
 
     Sample steps whose difference passes the threshold are bisected together,
     one array call of omega_sq per level, each following the half with the
@@ -156,7 +158,7 @@ def _check_continuity(omega_sq, interval):
     CONTINUITY_SAMPLES of the grid.
     """
     ts = interval.grid(CONTINUITY_SAMPLES)
-    vs = omega_sq(ts)
+    vs = omega_sq(ts) if vs is None else vs
     bad = np.flatnonzero(~np.isfinite(vs))
     if bad.size:
         raise ProfileError(f"Omega^2 is not finite at t = {float(ts[bad[0]])!r}")
@@ -238,10 +240,9 @@ def make_modulated_profile(omega: float, eps: float, nu: float,
 def make_user_profile(omega_sq: Callable[[float], float], interval: Interval,
                       description: str = "user") -> FrequencyProfile:
     """Wrap an arbitrary continuous callable of one float as a profile."""
-    prof = FrequencyProfile(omega_sq=_lift(omega_sq, interval), interval=interval,
-                            description=description)
-    _check_continuity(prof.omega_sq, interval)
-    return prof
+    lifted, vs = _lift(omega_sq, interval)
+    _check_continuity(lifted, interval, vs)
+    return FrequencyProfile(omega_sq=lifted, interval=interval, description=description)
 
 
 def _endpoint_limit(xi, d2xi, t0, direction, span):
@@ -277,11 +278,12 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     vanishing endpoint slopes, or endpoint-singular curvature ratios.
     """
     iv = spec.interval
-    xi, dxi, d2xi = (_lift(fn, iv) for fn in (spec.xi, spec.dxi, spec.d2xi))
+    (xi, xi_grid), (dxi, _), (d2xi, d2xi_grid) = (
+        _lift(fn, iv) for fn in (spec.xi, spec.dxi, spec.d2xi))
 
     # interior zeros make -xi''/xi singular inside the interval
     ts = iv.grid(CONTINUITY_SAMPLES)
-    vals = xi(ts)
+    vals = xi(ts) if xi_grid is None else xi_grid
     xmax = float(np.max(np.abs(vals)))
     if xmax == 0.0:
         raise ProfileError("shape function is identically zero on the sampling grid")
@@ -307,12 +309,17 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     def interior(t):
         return -d2xi(t) / xi(t)
 
+    def glued(t, ratio):
+        """Omega^2 at the times t: the limits up to the seams and, between
+        them, ratio(inside) = -xi''/xi at the times a mask selects."""
+        out = np.where(t <= lo, lim_a, lim_b)
+        inside = (t > lo) & (t < hi)
+        out[inside] = ratio(inside)
+        return out
+
     def omega_sq(t):
         if isinstance(t, np.ndarray):
-            out = np.where(t <= lo, lim_a, lim_b)
-            inside = (t > lo) & (t < hi)
-            out[inside] = interior(t[inside])
-            return out
+            return glued(t, lambda m: interior(t[m]))
         return lim_a if t <= lo else lim_b if t >= hi else float(interior(t))
 
     prof = FrequencyProfile(
@@ -322,7 +329,9 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
         zero_mode=replace(spec, xi=xi, dxi=dxi, d2xi=d2xi),
         config={"kind": "synthetic", "xi": spec.name},
     )
-    _check_continuity(prof.omega_sq, iv)
+    # on the continuity grid from the values its probes and the zero check took
+    d2x = (lambda m: d2xi(ts[m])) if d2xi_grid is None else d2xi_grid.__getitem__
+    _check_continuity(omega_sq, iv, glued(ts, lambda m: -d2x(m) / vals[m]))
     return prof
 
 

@@ -468,6 +468,30 @@ class TestImports:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_cli_import_loads_no_oracle(self):
+        """The package resolves the oracles' and the amplitude-phase route's
+        names on first use, so a cold start compiles neither module, while
+        the names stay public."""
+        code = ("import sys, flucdet.cli; print(sorted(m for m in sys.modules "
+                "if m in ('flucdet.oracle', 'flucdet.ermakov')))\n"
+                "import flucdet; print(flucdet.gflow_ratio.__module__, "
+                "flucdet.basis_from_pq.__module__)")
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split("\n")[:2] == ["[]", "flucdet.oracle flucdet.ermakov"]
+
+    def test_lazy_names_are_public(self):
+        """from flucdet import * binds every name of __all__, the lazily
+        resolved ones included; an unknown name is an AttributeError."""
+        namespace = {}
+        exec("from flucdet import *", namespace)
+        assert set(fd.__all__) <= set(namespace)
+        assert namespace["lattice_ratio"] is fd.oracle.lattice_ratio
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            fd.nonexistent
+
     def test_pq_route_loads_no_scipy_integrate(self):
         """The amplitude-phase route runs on the package's own DOP853: a
         cold periodic pq `det` exits with no scipy.integrate module loaded."""

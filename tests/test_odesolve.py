@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import flucdet as fd
 from flucdet import odesolve
@@ -309,7 +310,7 @@ class TestMagnus:
         profile = fd.make_modulated_profile(1.0, 0.5, 3.0, fd.Interval(-1.0, 2.0))
         exact = make_basis(profile).m
         errors = [np.max(np.abs(odesolve._MagnusGrid(
-            profile.omega_sq, 0.0, 1.0, profile.interval, n).transfer()[0] - exact))
+            profile.omega_sq, 0.0, 1.0, profile.interval, n).transfer() - exact))
             for n in (8, 16, 32, 64)]
         for coarse, fine in zip(errors, errors[1:]):
             assert 56.0 <= coarse / fine <= 72.0
@@ -350,9 +351,10 @@ class TestMagnus:
         assert "error estimate" in str(info.value)
 
     @pytest.mark.parametrize("args,adjacent,levels", [
-        # (128, 256) predicts 2048 steps: 7,488 nodes where adjacent
-        # doubling samples 12,096
-        ((5.0, 0.1, 7.0, 0.0, 10.0), [128, 256, 512, 1024, 2048], [64, 128, 256, 2048]),
+        # the work estimate's level is 128: the pair (64, 128), on the 64
+        # coarse samples and 128 new steps, predicts 2048 steps: 6,720 nodes
+        # where adjacent doubling samples 12,096
+        ((5.0, 0.1, 7.0, 0.0, 10.0), [128, 256, 512, 1024, 2048], [64, 128, 2048]),
         # a det-stress operator: (64, 128) predicts 512 steps, which fall
         # short, and 1024 meet the target
         ((3.077219978188551, 0.004594494420126185, 4.866572593155098,
@@ -360,7 +362,7 @@ class TestMagnus:
          [64, 128, 256, 512, 1024], [64, 128, 512, 1024]),
     ], ids=["jump", "short-jump"])
     def test_jump_to_predicted_level(self, args, adjacent, levels):
-        """After the first doubling, step doubling jumps to the level the
+        """After the first pair, step doubling jumps to the level the
         sixth-order error estimate predicts: Omega^2 is sampled on the 64
         coarse steps and on levels only, not on the levels between that
         adjacent doubling visits, and M, the knots and the error estimate
@@ -377,8 +379,9 @@ class TestMagnus:
         assert basis.error_estimate == error
 
     def test_jump_clamped_to_step_cap(self, monkeypatch):
-        """The jump from 256 to 2048 steps stops at MAGNUS_MAX_STEPS = 1024,
-        where the estimate still misses the target, and is refused."""
+        """The jump from the pair (64, 128) to 2048 steps stops at
+        MAGNUS_MAX_STEPS = 1024, where the estimate still misses the target,
+        and is refused."""
         profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
         monkeypatch.setattr(odesolve, "MAGNUS_MAX_STEPS", 1024)
         calls = []
@@ -386,7 +389,45 @@ class TestMagnus:
                            match="MAGNUS_MAX_STEPS = 1024") as info:
             make_basis(counted(profile, calls))
         assert "error estimate" in str(info.value)
-        assert calls == [64, 128, 256, 1024]
+        assert calls == [64, 128, 1024]
+
+    @pytest.mark.parametrize("chunk,calls", [
+        (odesolve.MAGNUS_CHUNK, [64, 384, 4096]), (64, [64] + [48] * 8 + [64] * 64)])
+    def test_first_pair_samples_once(self, monkeypatch, chunk, calls):
+        """Omega^2 = 100 (1 + 0.1 sin t) on [0, 10] has the work-estimate
+        level 256: the pair (128, 256) samples both levels' Gauss nodes in
+        one Omega^2 call (384 steps), or one per run of 32 fine and 16 coarse
+        steps at MAGNUS_CHUNK = 64, before the jump to 4096 steps."""
+        profile = fd.make_modulated_profile(10.0, 0.1, 1.0, fd.Interval(0.0, 10.0))
+        whole = make_basis(profile)
+        monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", chunk)
+        counts = []
+        basis = make_basis(counted(profile, counts))
+        assert counts == calls
+        np.testing.assert_allclose(basis.m, whole.m, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("members", [(), (3,)])
+    @pytest.mark.parametrize("kind", ["oscillate", "grow", "mixed"])
+    def test_pair_is_two_transfers(self, members, kind):
+        """Within one run the pair's M are transfer's on n and n/2 steps bit
+        for bit, the coarse one from steps of h on 4 a conjugated by diag(1,
+        1/2); over several runs they agree to rounding."""
+        omega_sq = {"oscillate": lambda t: 30.0 + 10.0 * np.sin(t),
+                    "grow": lambda t: -9.0 - np.sin(t), "mixed": lambda t: 5.0 * np.sin(3.0 * t)}
+        c1 = np.array([1.0, 0.5, 2.0]) if members else 1.0
+        c0 = np.array([0.0, 1.0, -1.0]) if members else 0.0
+        for n in (256, 8192):
+            grid = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n)
+            half = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n // 2)
+            coarse, fine, top = grid.pair(peak=True)
+            assert np.array_equal(top, np.abs(grid.samples()).max(axis=(0, 1)))
+            if n == 256:
+                assert np.array_equal(fine, grid.transfer())
+                assert np.array_equal(coarse, half.transfer())
+                assert np.array_equal(grid.pair(half.samples())[1], fine)
+            else:
+                assert np.max(np.abs(fine - grid.transfer())) <= 1e-14 * np.max(np.abs(fine))
+                assert np.max(np.abs(coarse - half.transfer())) <= 1e-14 * np.max(np.abs(coarse))
 
     @pytest.mark.parametrize("omega,eps,nu,span", [
         (5.0, 0.1, 7.0, 10.0), (3.0, 0.2, 2.0, 10.0), (1.0, 0.5, 3.0, 3.0)])
@@ -400,7 +441,7 @@ class TestMagnus:
 
         def transfer(n):
             return odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0,
-                                        profile.interval, n).transfer()[0]
+                                        profile.interval, n).transfer()
 
         fine = transfer(m)
         jumped = np.max(np.abs(fine - transfer(m // 8))) / (8.0 ** 6 - 1.0)
@@ -409,6 +450,48 @@ class TestMagnus:
         assert 0.5 <= jumped / adjacent <= 2.0
         for estimate in (jumped, adjacent):
             assert 0.5 <= estimate / error <= 2.0
+
+
+def work_level(profile) -> tuple:
+    """make_basis of the profile and the last level its work estimate set."""
+    levels = []
+    estimate = odesolve._work_estimate
+
+    def recorded(a_max, iv):
+        result = estimate(a_max, iv)
+        levels.append(result[1])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(odesolve, "_work_estimate", recorded)
+        basis = make_basis(profile)
+    return basis, levels[-1]
+
+
+SPANS = st.floats(0.5, 30.0)
+STARTS = st.floats(-20.0, 20.0)
+MODULATED = st.builds(
+    lambda wt, eps, nu, t_a, span: fd.make_modulated_profile(
+        wt / span, eps, nu, fd.Interval(t_a, t_a + span)),
+    st.floats(1.0, 100.0), st.floats(0.0, 0.5), st.floats(0.2, 5.0), STARTS, SPANS)
+HYPERBOLIC = st.builds(
+    lambda kt, t_a, span: fd.make_user_profile(
+        lambda t, k2=(kt / span) ** 2: -k2, fd.Interval(t_a, t_a + span)),
+    st.floats(0.1, 30.0), STARTS, SPANS)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(MODULATED, HYPERBOLIC))
+def test_schedule_against_adjacent_doubling(profile):
+    """The accepted level is never below twice the work estimate's level L,
+    and it is the level where adjacent doubling from L stops, or the next
+    one where the first pair, one level coarser, predicts past it.  Up to
+    omega T = 100: further out both schedules' estimates reach the rounding
+    of the product, which the 2 n eps envelope reports."""
+    basis, level = work_level(profile)
+    n = len(basis.knots) - 1
+    assert n >= 2 * level
+    assert n // adjacent_doubling(profile, level)[1].n in (1, 2)
 
 
 def counted(profile, calls):
@@ -427,13 +510,14 @@ def adjacent_doubling(profile, n):
     levels, the last grid, M and the error estimate with its 2 n eps
     envelope floor."""
     iv, eps = profile.interval, np.finfo(float).eps
-    m, a_max = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n).transfer()
+    first = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n)
+    m, a_max = first.transfer(), np.abs(first.samples()).max()
     levels = [n]
     while True:
         n *= 2
         levels.append(n)
         grid = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n)
-        fine = grid.transfer()[0]
+        fine = grid.transfer()
         error, m = np.abs(fine - m).max() / 63.0, fine
         scale = np.abs(m).max()
         if error <= max(odesolve.MAGNUS_REL_TARGET, n * eps / 63.0) * scale:

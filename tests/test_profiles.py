@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -276,7 +277,7 @@ class TestConfig:
             make_zero_mode_profile(builtin_zero_mode_spec("sinpi", unit_interval))
 
 
-def _no_sampling(omega_sq, interval):
+def _no_sampling(omega_sq, interval, vs=None):
     raise AssertionError("Omega^2 sampled for the continuity check")
 
 
@@ -385,7 +386,7 @@ class TestLift:
     def array_calls(self, fn, iv):
         """The calls of fn that one array of 7 times costs once fn is lifted."""
         counted, calls = counting(fn)
-        lifted = profiles._lift(counted, iv)
+        lifted, _ = profiles._lift(counted, iv)
         calls.clear()
         assert lifted(self.TIMES).shape == self.TIMES.shape
         return len(calls)
@@ -431,13 +432,48 @@ class TestLift:
 
     def test_constant_callable_called_a_few_times(self):
         """make_user_profile and make_basis of Omega^2 = -(30/12)^2 on
-        [-20, -8] call it at most 10 times (10,576 element by element: the
-        continuity grid and every Gauss node of two Magnus levels), with the
-        same M12."""
+        [-20, -8] call it 8 times (10,576 element by element: the continuity
+        grid and every Gauss node of two Magnus levels): the probe on the
+        grid, whose values the continuity check reads, its five points, and
+        the 64 coarse steps and the 128 of the first pair, with the same M12."""
         counted, calls = counting(lambda t: -(30.0 / 12.0) ** 2)
         basis = make_basis(make_user_profile(counted, fd.Interval(-20.0, -8.0)))
-        assert len(calls) <= 10
+        assert len(calls) == 8
         assert fd.det_dirichlet(basis).value == 2137294916304.9014
+
+    def test_user_profile_samples_grid_once(self, unit_interval):
+        """make_user_profile evaluates the callable once per point of the
+        continuity grid: one array call, the probe, whose values the check
+        reads, or, where that call fails, the check's float calls."""
+        sizes = []
+        for fn in (lambda t: 1.0 + t * t, lambda t: 1.0 + math.cos(t)):
+            counted, calls = counting(fn)
+            make_user_profile(counted, unit_interval)
+            sizes.append([np.size(t) for t in calls])
+        assert sizes == [[CONTINUITY_SAMPLES] + [1] * 5,
+                         [CONTINUITY_SAMPLES] + [1] * CONTINUITY_SAMPLES]
+
+    def test_zero_mode_shape_samples_grid_once(self, unit_interval, monkeypatch):
+        """make_zero_mode_profile evaluates xi, xi' and xi'' on the continuity
+        grid once each, in their probes: the zero and continuity checks read
+        those values, which are Omega^2's on the grid bit for bit."""
+        spec = SyntheticZeroModeSpec(
+            lambda t: t * (1.0 - t) * (1.0 + t * (1.0 - t)), unit_interval,
+            dxi=lambda t: (1.0 - 2.0 * t) * (1.0 + 2.0 * t * (1.0 - t)),
+            d2xi=lambda t: -12.0 * t * (1.0 - t))
+        counts = []
+        for name in ("xi", "dxi", "d2xi"):
+            counted, calls = counting(getattr(spec, name))
+            spec = replace(spec, **{name: counted})
+            counts.append(calls)
+        handed, check = [], profiles._check_continuity
+        monkeypatch.setattr(profiles, "_check_continuity",
+                            lambda om, iv, vs=None: handed.append(vs) or check(om, iv, vs))
+        prof = make_zero_mode_profile(spec)
+        assert [[np.size(t) for t in calls].count(CONTINUITY_SAMPLES)
+                for calls in counts] == [1, 1, 1]
+        ts = unit_interval.grid(CONTINUITY_SAMPLES)
+        assert np.array_equal(handed[0], prof.omega_sq(ts))
 
     def test_zero_mode_shape_takes_arrays(self, unit_interval):
         """xi = s + s^2 with s = t (1 - t), so Omega^2 = -xi''/xi = 12 / (1 + s)."""
