@@ -35,9 +35,9 @@ The amplitude-phase system is solved by the package's own adaptive DOP853
 (dop853.py), which keeps that route independent of the Magnus product.  It
 steps as scipy's solve_ivp(method="DOP853") does, with one Omega^2 call per
 step attempt, and builds its dense output only for the steps a time falls
-into.  The periodic amplitude is Pinney's closed form in the monodromy
-that one solve's own endpoint data give, so a periodic solve costs at most
-two solves; newton_iterations counts the correction, 0 or 1.
+into.  The periodic amplitude is superposed, by Pinney's closed form in the
+monodromy that one solve's own endpoint data give, from that one solve;
+newton_iterations counts the correction, 0 or 1.
 """
 
 from __future__ import annotations
@@ -534,9 +534,10 @@ class ErmakovSolution:
     state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
     times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
     satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to SHOOTING_TOL, and
-    newton_iterations counts the closed-form corrections it took, 0 or 1.
+    newton_iterations counts the closed-form corrections it took, 0 or 1;
+    a corrected amplitude is superposed from the initial solve's states.
     knots are the integrator's step times from t_a to t_b and q_knots the
-    phase at them, the solver's own step-end states.
+    phase at them, read from the solver's own step-end states.
     """
 
     state: Callable[[object], np.ndarray]
@@ -567,17 +568,18 @@ def _integrate_ermakov(profile, omega0, start):
                  DEFAULT_RTOL, DEFAULT_ATOL)
 
 
-def _pinney_start(p_a, dp_a, end, omega0):
-    """The periodic amplitude's start (p_a, p'_a) from one solve's start and
-    end state (p_b, p'_b, q_b).  The solve's basis (p cos theta, p sin theta),
+def _pinney_start(p_a, end, omega0):
+    """The periodic amplitude's start (p_a, p'_a) from the end state (p_b,
+    p'_b, q_b) of one solve from (p_a, 0, 0).  Its basis (p cos theta, p sin theta),
     theta = omega0 q, has Wronskian 1 and gives the monodromy M; the periodic
     amplitude's form [[p^2, p p'], [p p', p'^2 + p^-2]] at t_a is the one M
     leaves invariant (Pinney, Proc. AMS 1, 681, 1950; Lewis and Riesenfeld,
     J. Math. Phys. 10, 1458, 1969), so p_a^2 = 2|M12| / sqrt(4 - tr^2 M)
-    and p_a p'_a = -sign(M12) (M11 - M22) / sqrt(4 - tr^2 M)."""
+    and p_a p'_a = -sign(M12) (M11 - M22) / sqrt(4 - tr^2 M); _superposition
+    reads that amplitude off the same solve."""
     p_b, dp_b, q_b = end
     s, c = math.sin(omega0 * q_b), math.cos(omega0 * q_b)
-    m11, m12, m22 = p_b * (c / p_a - dp_a * s), p_a * p_b * s, p_a * (dp_b * s + c / p_b)
+    m11, m12, m22 = p_b * c / p_a, p_a * p_b * s, p_a * (dp_b * s + c / p_b)
     trace = m11 + m22
     if not abs(trace) < 2.0:
         raise ShootingError(
@@ -588,6 +590,30 @@ def _pinney_start(p_a, dp_a, end, omega0):
     return p, -math.copysign(1.0, m12) * (m11 - m22) / (root * p)
 
 
+def _superposition(p1_a, p_a, dp_a, omega0):
+    """States (p, p', q) of the amplitude from (p_a, p'_a, 0), as rows, from
+    those (p1, p1', q1) of the solve from (p1_a, 0, 0).  Every amplitude is
+    p^2 = w^T G w, det G = 1, over the Wronskian-1 basis w = p1 c, c = (cos,
+    sin)(omega0 q1) (Pinney, 1950): p = p1 (c^T G c)^(1/2) and p p' = p1 p1'
+    c^T G c + c_perp^T G c, c_perp = (-sin, cos)(omega0 q1).  omega0 q turns
+    from omega0 q1 by the angle from c to L c, G = L^T L with L upper
+    triangular; L's eigenvalues are positive, so that angle stays in (-pi, pi)."""
+    r, g12 = p_a / p1_a, p_a * dp_a  # L = [[r, g12 / r], [0, 1 / r]]
+    g11, g22 = r * r, (1.0 + g12 * g12) / (r * r)
+
+    def superposed(y):
+        p1, dp1, q1 = y
+        c, s = np.cos(omega0 * q1), np.sin(omega0 * q1)
+        cc, cs, ss = c * c, c * s, s * s
+        form = g11 * cc + 2.0 * g12 * cs + g22 * ss
+        p = p1 * np.sqrt(form)
+        dp = (p1 * dp1 * form + (g22 - g11) * cs + g12 * (cc - ss)) / p
+        turn = np.arctan2(cs * (1.0 / r - r) - g12 / r * ss, r * cc + g12 / r * cs + ss / r)
+        return np.array([p, dp, q1 + turn / omega0])
+
+    return superposed
+
+
 def solve_ermakov(profile: FrequencyProfile, omega0: float,
                   bc: str = "initial") -> ErmakovSolution:
     """Solve the amplitude-phase system for the profile.
@@ -595,11 +621,13 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     bc="initial" starts from p(t_a) = Omega(t_a)^(-1/2) (or 1 if Omega^2(t_a)
     is not positive) with p'(t_a) = 0.  bc="periodic" keeps that solve if
     its endpoint amplitude and slope match the start to SHOOTING_TOL, and
-    otherwise solves once more from Pinney's closed form (_pinney_start),
-    read from the first solve's own monodromy; newton_iterations counts
-    these corrections, 0 or 1.  Raises ShootingError at a parametric
-    resonance (|tr M| >= 2, where no periodic amplitude exists) or when the
-    corrected solve misses SHOOTING_TOL.
+    otherwise corrects it once: Pinney's closed form (_pinney_start), read
+    from the solve's own monodromy, gives the periodic start, and the
+    periodic amplitude is superposed from the same solve (_superposition),
+    so every bc costs one solve; newton_iterations counts the correction, 0
+    or 1.  Raises ShootingError at a parametric resonance (|tr M| >= 2,
+    where no periodic amplitude exists) or when the corrected amplitude
+    misses SHOOTING_TOL.
     """
     if not 0.0 < omega0 < math.inf:
         raise ValueError(f"omega0 must be positive and finite, got {omega0}")
@@ -611,25 +639,27 @@ def solve_ermakov(profile: FrequencyProfile, omega0: float,
     p_a = om_a ** (-0.25) if om_a > 0.0 else 1.0
     dp_a = 0.0
     sol = _integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
-    corrections = 0
+    state, end, q_knots, corrections = sol, sol.ys[-1], sol.ys[:, 2], 0
 
     def residual():
-        p_b, dp_b = sol.ys[-1, :2]
-        return max(abs(p_b - p_a), abs(dp_b - dp_a))
+        return max(abs(end[0] - p_a), abs(end[1] - dp_a))
 
     if bc == "periodic" and residual() > SHOOTING_TOL * (1.0 + p_a):
-        p_a, dp_a = _pinney_start(p_a, dp_a, sol.ys[-1], omega0)
-        sol = _integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
-        corrections = 1
+        p1_a, (p_a, dp_a) = p_a, _pinney_start(p_a, end, omega0)
+        superposed = _superposition(p1_a, p_a, dp_a, omega0)
+        end, q_knots, corrections = superposed(end), superposed(sol.ys.T)[2], 1
+
+        def state(t):
+            return superposed(sol(t))
+
         if residual() > SHOOTING_TOL * (1.0 + p_a):
             raise ShootingError(
                 f"the periodic amplitude from Pinney's closed form misses SHOOTING_TOL = "
                 f"{SHOOTING_TOL} (residual {residual():.3e})")
 
-    end = sol.ys[-1]
     return ErmakovSolution(
-        state=_on_interval(sol, iv), omega0=float(omega0),
+        state=_on_interval(state, iv), omega0=float(omega0),
         p_a=p_a, p_b=float(end[0]), dp_a=dp_a, dp_b=float(end[1]),
         q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
-        knots=sol.ts, q_knots=sol.ys[:, 2],
+        knots=sol.ts, q_knots=q_knots,
         newton_iterations=corrections)

@@ -77,6 +77,17 @@ class TestDet:
         steps = pq["diagnostics"]["steps"]
         assert type(steps) is int and steps >= 1
 
+    def test_pq_periodic_counts_one_solve(self, capsys):
+        """The periodic amplitude is superposed from one DOP853 solve, whose
+        steps the record counts, with its one correction."""
+        _, out, _ = run(capsys, "det", "--profile", SEAM, "--t-b", "2.0",
+                        "--bc", "periodic", "--method", "pq")
+        diag = json.loads(out)["diagnostics"]
+        profile = fd.profile_from_config(SEAM, fd.Interval(0.0, 2.0))
+        sol = fd.solve_ermakov(profile, 1.0, bc="periodic")
+        assert diag["steps"] == len(sol.knots) - 1
+        assert diag["newton_iterations"] == sol.newton_iterations == 1
+
     def test_zero_mode_guard(self, capsys):
         code, out, _ = run(capsys, "det", "--profile", SINPI)
         assert code == 2

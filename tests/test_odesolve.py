@@ -725,8 +725,8 @@ class TestErmakov:
         np.testing.assert_array_equal(periodic.knots, solve_ermakov(profile, 1.3).knots)
 
     def test_one_solve_per_newton_step(self, seam_profile, monkeypatch):
-        """A periodic amplitude that the start misses costs one correction
-        from the closed form: two solves in all."""
+        """A periodic amplitude that the start misses costs one correction,
+        read off the first solve by Pinney's superposition: one solve in all."""
         calls = []
         integrate = odesolve._integrate_ermakov
 
@@ -737,7 +737,49 @@ class TestErmakov:
         monkeypatch.setattr(odesolve, "_integrate_ermakov", counted)
         sol = solve_ermakov(seam_profile, 1.0, bc="periodic")
         assert sol.newton_iterations == 1
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name, omega0", [
+        ("seam_profile", 1.0), ("shifted_profile", 6.5), ("modulated_profile", 1.0)])
+    def test_superposition_matches_second_solve(self, request, name, omega0):
+        """The superposed periodic amplitude is the DOP853 solve from Pinney's
+        start, (p, p', q) to 1e-9 of each component's largest magnitude at
+        101 interior times, and its endpoint closes to SHOOTING_TOL."""
+        profile = request.getfixturevalue(name)
+        iv = profile.interval
+        sol = solve_ermakov(profile, omega0, bc="periodic")
+        assert sol.newton_iterations == 1
+        p1_a = float(profile.omega_sq(iv.t_a)) ** -0.25
+        first = odesolve._integrate_ermakov(profile, omega0, [p1_a, 0.0, 0.0])
+        p_a, dp_a = odesolve._pinney_start(p1_a, first.ys[-1], omega0)
+        assert (sol.p_a, sol.dp_a) == (p_a, dp_a)
+        second = odesolve._integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
+        times = np.linspace(iv.t_a, iv.t_b, 103)[1:-1]
+        ref = second(times)
+        error = np.abs(sol.state(times) - ref).max(axis=1)
+        np.testing.assert_array_less(error, 1e-9 * np.abs(ref).max(axis=1))
+        np.testing.assert_allclose(sol.q_knots, sol.state(sol.knots)[2], rtol=0.0,
+                                   atol=1e-12 * sol.q_b)
+        tol = odesolve.SHOOTING_TOL * (1.0 + sol.p_a)
+        assert abs(sol.p_b - sol.p_a) <= tol and abs(sol.dp_b - sol.dp_a) <= tol
+
+    @pytest.mark.parametrize("t_b", [3.196, 6.2])
+    def test_near_resonance(self, t_b):
+        """Modulated (1, 0.3, pi) on [0, t_b] at 2 - |tr M| of about 1e-3, by
+        a band edge on either side (tr M near -2 and near 2): the superposed
+        amplitude amplifies the first solve's error by about (4 - tr^2 M)^(-1/2)
+        and still gives det_periodic's ratios, or refuses by SHOOTING_TOL."""
+        profile = fd.make_modulated_profile(1.0, 0.3, math.pi, fd.Interval(0.0, t_b))
+        basis = make_basis(profile)
+        assert 5e-4 < 2.0 - abs(np.trace(basis.m)) < 2e-3
+        try:
+            sol = solve_ermakov(profile, 1.0, bc="periodic")
+        except fd.ShootingError as err:
+            assert "SHOOTING_TOL" in str(err)
+            return
+        for anti, det in ((False, fd.det_periodic), (True, fd.det_antiperiodic)):
+            assert fd.det_ratio_periodic_pq(sol, anti=anti) == pytest.approx(
+                det(basis, 1.0).ratio, rel=1e-8)
 
     def test_parametric_resonance_refused(self):
         """Modulated (1, 0.9, 2) on [0, 3.2] has tr M = -2.505: no periodic

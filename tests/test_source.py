@@ -144,6 +144,7 @@ def test_pq_route_reads_its_own_solve():
     functions = {node.name: node for node in odesolve_tree.body
                  if isinstance(node, ast.FunctionDef)}
     trees = [ast.parse(Path(ermakov.__file__).read_text(encoding="utf-8"))] + [
-        functions[name] for name in ("solve_ermakov", "_integrate_ermakov", "_pinney_start")]
+        functions[name] for name in ("solve_ermakov", "_integrate_ermakov", "_pinney_start",
+                                     "_superposition")]
     for tree in trees:
         assert names_read(tree) & MAIN_PATH_NAMES == set()
