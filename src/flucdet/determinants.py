@@ -10,9 +10,9 @@ frequency omega0 operator for periodic and antiperiodic conditions.
 Zero modes: with one zero mode, F vanishes and det' K = -dF/dlambda of
 K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda, whose
 Newton step from F is the one verdict that the mode is there.  The Dirichlet
-closed form <xi|xi>/(xi'_a xi'_b) = +dM12/dlambda = -det' K comes with a
-finite-eps chain (shift the profile by the perturbed eigenvalue, divide
-determinant by eigenvalue, extrapolate eps -> 0) that must agree with it.
+closed form <xi|xi>/(xi'_a xi'_b) is that slope, +dM12/dlambda = -det' K; a
+finite-eps chain (shift the profile by the perturbed eigenvalue, Newton's root
+of M12, divide determinant by eigenvalue, extrapolate eps -> 0) must agree.
 """
 
 from __future__ import annotations
@@ -232,50 +232,45 @@ def _zero_mode_scale(profile: FrequencyProfile) -> float:
     return 1.0 if zm is None else float(zm.dxi(profile.interval.t_a))
 
 
-def _eigenvalue_shift(profile: FrequencyProfile, slope_b: float,
-                      eps: float, first_order: float):
-    """Solve A(lam) = eps by the secant method, where A(lam) is the value at
-    t_a of the solution of the lam-shifted equation with (0, slope_b) at t_b.
+def _eigenvalue_shift(profile: FrequencyProfile, slope: float, slope_b: float, eps: float):
+    """Solve A(lam) = eps by Newton's method, where A(lam) is the value at t_a
+    of the solution of the lam-shifted equation with (0, slope_b) at t_b.
 
     That solution is M^{-1} (0, slope_b) at t_a, so A = -slope_b M12(lam) with
-    det M = 1.  Returns lam and M12(lam), the shifted Dirichlet determinant.
+    det M = 1.  The first step is from lam = 0, where M12 = 0 and dM12/dlam =
+    slope (the verdict's), the next from _det_slope of the shifted basis: only
+    M12 values set the root.  A slope that is zero or not finite, like a miss,
+    is refused.  Returns lam and M12(lam), the shifted Dirichlet determinant.
     """
-
-    def shifted_m12(lam: float) -> float:
-        return det_from_transfer(make_basis(shifted_profile(profile, lam)).m, "dirichlet")
-
     # The boundary value inherits inaccuracies of the profile representation
     # (its extrapolated endpoint limits and the seam next to them), so the
     # residual target is relative to eps; a 1e-6 relative shift error is far
     # below the 1e-3 budget of the quotient chain this feeds.
     tol = max(1e-14, 1e-6 * abs(eps))
-    x0 = first_order
-    x1 = first_order * 1.02 if first_order != 0.0 else eps
-    d1 = shifted_m12(x1)
-    f0 = -slope_b * shifted_m12(x0) - eps
-    f1 = -slope_b * d1 - eps
+    lam, m12, dm12, residual = 0.0, 0.0, slope, abs(eps)
     for _ in range(EIGENVALUE_SHIFT_MAX_ITER):
-        if abs(f1) <= tol:
-            return x1, d1
-        if f1 == f0:
+        if not (dm12 and math.isfinite(dm12)):
             break
-        x0, x1 = x1, x1 - f1 * (x1 - x0) / (f1 - f0)
-        d1 = shifted_m12(x1)
-        f0, f1 = f1, -slope_b * d1 - eps
-    if abs(f1) <= tol:
-        return x1, d1
+        lam -= (m12 + eps / slope_b) / dm12
+        basis = make_basis(shifted_profile(profile, lam))
+        m12 = det_from_transfer(basis.m, "dirichlet")
+        residual = abs(slope_b * m12 + eps)
+        if residual <= tol:
+            return lam, m12
+        dm12 = _det_slope(basis, "dirichlet")
     raise ShootingError(
-        f"perturbed-eigenvalue solve did not converge (residual {abs(f1):.3e})")
+        f"perturbed-eigenvalue Newton solve misses within EIGENVALUE_SHIFT_MAX_ITER = "
+        f"{EIGENVALUE_SHIFT_MAX_ITER} steps (residual {residual:.3e}, dM12/dlambda {dm12!r})")
 
 
 def det_dirichlet_regularized(profile: FrequencyProfile,
                               eps: Optional[float] = None) -> ZeroModeReport:
     """Regularized determinant <xi|xi>/(xi'_a xi'_b) for a profile whose
-    operator annihilates a Dirichlet zero mode (the verdict of
-    _zero_mode_slope), plus the finite-eps chain.
+    operator annihilates a Dirichlet zero mode, plus the finite-eps chain.
 
-    The closed form equals +dM12/dlambda of K - lambda at lambda = 0: minus
-    det' K = -dF/dlambda and minus the lattice's aligned_pseudo_det.  The
+    The closed form is +dM12/dlambda of K - lambda at lambda = 0, the slope of
+    the zero-mode verdict (_zero_mode_slope), minus det' K = -dF/dlambda and
+    minus the lattice's aligned_pseudo_det; <xi|xi> is read from it.  The
     chain perturbs the boundary value at t_a to eps (finite, nonzero), solves
     for the perturbed eigenvalue, shifts the profile by it, and divides the
     shifted determinant by the eigenvalue; one Richardson step in eps must
@@ -286,29 +281,23 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     span = profile.interval.span
 
     basis = make_basis(profile, g=1.0)
-    _zero_mode_slope(basis, "dirichlet")
+    det_reg = _zero_mode_slope(basis, "dirichlet")
 
     # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
-    scale = _zero_mode_scale(profile)
-    dxi_a = scale
-    dxi_b = scale * float(basis.m[1, 1])
+    dxi_a = _zero_mode_scale(profile)
+    dxi_b = dxi_a * float(basis.m[1, 1])
     slope_floor = 1e-8 * max(abs(dxi_a), abs(dxi_b), 1.0 / span)
     if abs(dxi_a) <= slope_floor or abs(dxi_b) <= slope_floor:
         raise DegenerateOperatorError(
             "zero-mode endpoint slope vanishes; the regularized determinant "
             f"formula is undefined (slopes {dxi_a:.3e}, {dxi_b:.3e})")
 
-    norm_sq = float(basis.quadrature[1] @ (scale * basis.phi(basis.quadrature[0])[0, 1]) ** 2)
-    det_reg = norm_sq / (dxi_a * dxi_b)
-
     if eps is None:
         eps = 1e-4 * span * max(abs(dxi_a), abs(dxi_b))
     eps = float(eps)
-    slope_ratio = -dxi_a / norm_sq
 
     def quotient(e: float):
-        lam, det_shifted = _eigenvalue_shift(profile, dxi_b, e,
-                                             first_order=slope_ratio * e)
+        lam, det_shifted = _eigenvalue_shift(profile, det_reg, dxi_b, e)
         return det_shifted / lam, lam
 
     q_full, lam_full = quotient(eps)
@@ -323,7 +312,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
             f"(relative residual {residual:.3e})")
 
     return ZeroModeReport(
-        xi_norm_sq=norm_sq, dxi_a=dxi_a, dxi_b=dxi_b,
+        xi_norm_sq=det_reg * dxi_a * dxi_b, dxi_a=dxi_a, dxi_b=dxi_b,
         lambda_eps=lam_full, eps=eps, det_regularized=det_reg,
         det_eps=q_full * lam_full, quotient_eps=q_full,
         quotient_eps_half=q_half, quotient_extrapolated=q_star,

@@ -25,8 +25,8 @@ class DegenerateOperatorError(FlucdetError):
 class ShootingError(FlucdetError):
     """A solve for a periodic amplitude or a shifted eigenvalue failed: the
     profile is at a parametric resonance (|tr M| >= 2, no periodic amplitude
-    exists), the corrected amplitude misses SHOOTING_TOL, or the secant solve
-    of determinants._eigenvalue_shift did not converge."""
+    exists), the corrected amplitude misses SHOOTING_TOL, or the Newton solve
+    of determinants._eigenvalue_shift fails within EIGENVALUE_SHIFT_MAX_ITER steps."""
 
 
 class VerificationError(FlucdetError):

@@ -11,6 +11,8 @@ import pytest
 
 import flucdet as fd
 from flucdet import cli
+from flucdet.green import _det_slope
+from flucdet.odesolve import make_basis
 
 MODULATED = '{"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": 3.0}'
 SEAM = ('{"kind": "modulated", "omega": 1.0, "eps": 0.3, '
@@ -149,6 +151,18 @@ class TestDet:
         assert record["value"] == pytest.approx(
             1.0 / (2.0 * math.pi ** 2), rel=1e-6)
         assert record["diagnostics"]["check_residual"] <= 1e-3
+
+    @pytest.mark.parametrize("profile,t_b,bc", [
+        (SINPI, "1.0", "dirichlet"),
+        ('{"kind": "constant", "omega": 0.0}', "2.0", "periodic"),
+    ])
+    def test_regularized_value_is_minus_the_slope(self, capsys, profile, t_b, bc):
+        """det' K = -dF/dlambda, the one slope, bit for bit under every bc."""
+        code, out, _ = run(capsys, "det", "--profile", profile, "--t-b", t_b, "--bc", bc,
+                           "--regularized")
+        assert code == 0
+        basis = make_basis(fd.profile_from_config(profile, fd.Interval(0.0, float(t_b))))
+        assert json.loads(out)["value"] == -_det_slope(basis, bc)
 
     def test_regularized_periodic_value(self, capsys):
         code, out, _ = run(capsys, "det", "--profile",

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import flucdet as fd
+from flucdet import determinants, odesolve
 from flucdet.determinants import (
     det_antiperiodic,
     det_dirichlet,
@@ -189,11 +190,20 @@ class TestDetSlope:
         assert _det_slope(basis, bc, profile.omega_sq) == pytest.approx(d_g, rel=1e-7)
 
     def test_dirichlet_closed_form_sign(self, sinpi_profile, sinpi_bump_profile):
-        """<xi|xi>/(xi'_a xi'_b) is +dM12/dlambda, minus det' K."""
-        for profile in (sinpi_profile, sinpi_bump_profile):
+        """<xi|xi>/(xi'_a xi'_b) is +dM12/dlambda, minus det' K: the norm by
+        the basis's Gauss rule over Phi12 = v, scaled to the shape's slope at
+        t_a, agrees with the report's slope-read closed form."""
+        shifted = fd.make_zero_mode_profile(
+            fd.builtin_zero_mode_spec("sinpi_bump", fd.Interval(-2.3, 0.4)))
+        for profile in (sinpi_profile, sinpi_bump_profile, shifted):
             report = det_dirichlet_regularized(profile)
+            basis = make_basis(profile)
+            nodes, weights = basis.quadrature
+            norm_sq = float(weights @ (report.dxi_a * basis.phi(nodes)[0, 1]) ** 2)
+            assert report.xi_norm_sq == pytest.approx(norm_sq, rel=1e-12)
             assert report.det_regularized == pytest.approx(
-                _det_slope(make_basis(profile), "dirichlet"), rel=1e-12)
+                norm_sq / (report.dxi_a * report.dxi_b), rel=1e-12)
+            assert report.det_regularized == _det_slope(basis, "dirichlet")
 
 
 class TestVanVleck:
@@ -272,6 +282,44 @@ class TestDirichletZeroMode:
     def test_zero_eps_rejected(self, sinpi_profile):
         with pytest.raises(ValueError, match="eps"):
             det_dirichlet_regularized(sinpi_profile, eps=0.0)
+
+    @pytest.mark.parametrize("name", ["sinpi", "sinpi_bump"])
+    def test_five_bases_and_no_products(self, monkeypatch, name):
+        """The closed form is the verdict's slope and the chain's Newton steps
+        read slopes, so no prefix or suffix products are formed; one basis for
+        the verdict and two Newton steps for each of eps and eps / 2."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("prefix or suffix products formed")
+
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return make_basis(*args, **kwargs)
+
+        monkeypatch.setattr(odesolve, "_scan", refuse)
+        monkeypatch.setattr(determinants, "make_basis", counted)
+        profile = fd.make_zero_mode_profile(
+            fd.builtin_zero_mode_spec(name, fd.Interval(0.0, 1.0)))
+        assert det_dirichlet_regularized(profile).check_residual <= 1e-8
+        assert len(built) == 5
+
+    def test_newton_miss_refused(self, monkeypatch, sinpi_profile):
+        monkeypatch.setattr(determinants, "EIGENVALUE_SHIFT_MAX_ITER", 1)
+        with pytest.raises(fd.ShootingError, match="EIGENVALUE_SHIFT_MAX_ITER = 1 "):
+            det_dirichlet_regularized(sinpi_profile)
+
+    @pytest.mark.parametrize("shifted_slope", [0.0, math.nan, math.inf])
+    def test_newton_undefined_slope_refused(self, monkeypatch, sinpi_profile, shifted_slope):
+        """A shifted basis whose dM12/dlambda is zero or not finite stops
+        Newton's method with a named refusal; the verdict keeps its slope."""
+        def slope(basis, bc, weight=None):
+            return _det_slope(basis, bc) if basis.profile is sinpi_profile else shifted_slope
+
+        monkeypatch.setattr(determinants, "_det_slope", slope)
+        with pytest.raises(fd.ShootingError, match=f"EIGENVALUE_SHIFT_MAX_ITER = 60 .*"
+                                                   f"dM12/dlambda {shifted_slope!r}"):
+            det_dirichlet_regularized(sinpi_profile)
 
 
 class TestWrappedZeroMode:
