@@ -45,18 +45,9 @@ from .errors import (
 )
 from .green import _SIGMA, GreenKernel
 from .odesolve import make_basis, solve_ermakov
-from .profiles import (
-    Interval,
-    builtin_zero_mode_spec,
-    make_constant_profile,
-    make_modulated_profile,
-    make_zero_mode_profile,
-    profile_from_config,
-    profile_to_config,
-)
+from .profiles import Interval, profile_from_config, profile_to_config
 
 SWEEP_PARAMS = ("omega", "T", "eps", "nu")
-SUITES = ("all", "dirichlet", "periodic", "antiperiodic", "zeromode", "gflow")
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -303,104 +294,74 @@ def sweep_command(profile_spec, t_a, t_b, bc, omega0, out, param, start,
 
 # -- verify -------------------------------------------------------------------
 
-def _check(profile_name: str, bc: str, resolution: str, closed: float,
-           oracle_value: float, tol: float) -> tuple:
-    rel = abs(closed - oracle_value) / max(abs(oracle_value), 1e-300)
-    return (profile_name, bc, resolution, closed, oracle_value, rel, tol)
-
-
-def _suite_dirichlet() -> list:
-    from . import oracle
-    rows = []
-    for omega, span, expected in ((1.0, 1.0, math.sin(1.0)),
-                                  (2.0, 1.0, math.sin(2.0) / 2.0),
-                                  (1.0, 2.5, math.sin(2.5))):
-        profile = make_constant_profile(omega, Interval(0.0, span))
-        value = determinant(profile, bc="dirichlet").value
-        rows.append(_check(f"constant omega={omega:g} T={span:g}",
-                           "dirichlet", "analytic", value, expected, 1e-8))
-    cases = (
-        ("constant omega=1 T=1", make_constant_profile(1.0, Interval(0.0, 1.0))),
-        ("modulated omega=1 eps=0.2 nu=3",
-         make_modulated_profile(1.0, 0.2, 3.0, Interval(0.0, 2.0))),
-    )
-    for name, profile in cases:
-        closed = determinant(profile, bc="dirichlet").ratio
-        lattice = oracle.lattice_ratio(profile, "dirichlet", omega0=0.0, n=2000)
-        rows.append(_check(name, "dirichlet", "lattice-2000",
-                           closed, lattice, 2e-4))
-        extrapolated = oracle.lattice_ratio_richardson(
-            profile, "dirichlet", omega0=0.0, n=2000)
-        rows.append(_check(name, "dirichlet", "richardson-2000",
-                           closed, extrapolated, 1e-6))
-    return rows
-
-
-def _suite_wrapped(bc: str) -> list:
-    from . import oracle
-    rows = []
-    for omega, span in ((1.0, 1.0), (2.0, 1.0)):
-        profile = make_constant_profile(omega, Interval(0.0, span))
-        result = determinant(profile, bc=bc, omega0=omega)
-        half = 0.5 * omega * span
-        expected = 4.0 * (math.sin(half) if bc == "periodic" else math.cos(half)) ** 2
-        name = f"constant omega={omega:g} T={span:g}"
-        rows.append(_check(name, bc, "analytic", result.value, expected, 1e-8))
-        rows.append(_check(name, bc, "ratio-vs-1", result.ratio, 1.0, 1e-10))
-    profile = make_modulated_profile(1.0, 0.2, 3.0, Interval(0.0, 2.0))
-    name = "modulated omega=1 eps=0.2 nu=3"
-    closed = determinant(profile, bc=bc, omega0=1.0).ratio
-    lattice = oracle.lattice_ratio(profile, bc, omega0=1.0, n=2000)
-    rows.append(_check(name, bc, "lattice-2000", closed, lattice, 2e-4))
-    extrapolated = oracle.lattice_ratio_richardson(profile, bc, omega0=1.0, n=2000)
-    rows.append(_check(name, bc, "richardson-2000", closed, extrapolated, 1e-6))
-    return rows
-
-
-def _suite_zeromode() -> list:
-    from . import oracle
-    profile = make_zero_mode_profile(
-        builtin_zero_mode_spec("sinpi", Interval(0.0, 1.0)))
-    report = det_dirichlet_regularized(profile)
-    target = -1.0 / (2.0 * math.pi ** 2)
-    rows = [
-        _check("sinpi", "dirichlet", "analytic",
-               report.det_regularized, target, 1e-6),
-        _check("sinpi", "dirichlet", "eps-chain",
-               report.quotient_extrapolated, report.det_regularized, 1e-3),
-    ]
-    spectrum = oracle.pseudo_det_ratio(profile, "dirichlet", n=2000, omega0=0.0)
-    rows.append(_check("sinpi", "dirichlet", "lattice-2000",
-                       -spectrum.aligned_pseudo_det, target, 1e-4))
-    return rows
-
-
-def _suite_gflow() -> list:
-    from . import oracle
-    rows = []
-    const = make_constant_profile(1.0, Interval(0.0, 1.0))
-    modulated = make_modulated_profile(1.0, 0.2, 3.0, Interval(0.0, 2.0))
-    dirichlet_cases = (("constant omega=1 T=1", const),
-                       ("modulated omega=1 eps=0.2 nu=3", modulated))
-    for name, profile in dirichlet_cases:
-        closed = determinant(profile, bc="dirichlet").ratio
-        flow = oracle.gflow_ratio(profile, "dirichlet", omega0=0.0, g_steps=32)
-        rows.append(_check(name, "dirichlet", "gauss-32", flow, closed, 1e-5))
-    for bc in ("periodic", "antiperiodic"):
-        closed = determinant(modulated, bc=bc, omega0=1.0).ratio
-        flow = oracle.gflow_ratio(modulated, bc, omega0=1.0, g_steps=32)
-        rows.append(_check("modulated omega=1 eps=0.2 nu=3", bc,
-                           "gauss-32", flow, closed, 1e-5))
-    return rows
-
-
-_SUITE_BUILDERS = {
-    "dirichlet": _suite_dirichlet,
-    "periodic": lambda: _suite_wrapped("periodic"),
-    "antiperiodic": lambda: _suite_wrapped("antiperiodic"),
-    "zeromode": _suite_zeromode,
-    "gflow": _suite_gflow,
+_MODULATED = "modulated omega=1 eps=0.2 nu=3"
+_PROFILES = {  # label: (config, T) on [0, T]
+    "constant omega=1 T=1": ({"kind": "constant", "omega": 1.0}, 1.0),
+    "constant omega=2 T=1": ({"kind": "constant", "omega": 2.0}, 1.0),
+    "constant omega=1 T=2.5": ({"kind": "constant", "omega": 1.0}, 2.5),
+    _MODULATED: ({"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": 3.0}, 2.0),
+    "sinpi": ({"kind": "synthetic", "xi": "sinpi"}, 1.0),
 }
+_DET_PRIME_SINPI = -1.0 / (2.0 * math.pi ** 2)
+# one row per check, printed in this order: suite tag, profile, bc, omega0,
+# route, tolerance, and the analytic value where the row has one
+_CHECKS = (
+    ("dirichlet", "constant omega=1 T=1", "dirichlet", 0.0, "analytic", 1e-8, math.sin(1.0)),
+    ("dirichlet", "constant omega=2 T=1", "dirichlet", 0.0, "analytic", 1e-8, math.sin(2.0) / 2.0),
+    ("dirichlet", "constant omega=1 T=2.5", "dirichlet", 0.0, "analytic", 1e-8, math.sin(2.5)),
+    ("dirichlet", "constant omega=1 T=1", "dirichlet", 0.0, "lattice-2000", 2e-4, None),
+    ("dirichlet", "constant omega=1 T=1", "dirichlet", 0.0, "richardson-2000", 1e-6, None),
+    ("dirichlet", _MODULATED, "dirichlet", 0.0, "lattice-2000", 2e-4, None),
+    ("dirichlet", _MODULATED, "dirichlet", 0.0, "richardson-2000", 1e-6, None),
+    ("periodic", "constant omega=1 T=1", "periodic", 1.0, "analytic", 1e-8,
+     4.0 * math.sin(0.5) ** 2),
+    ("periodic", "constant omega=1 T=1", "periodic", 1.0, "ratio-vs-1", 1e-10, 1.0),
+    ("periodic", "constant omega=2 T=1", "periodic", 2.0, "analytic", 1e-8,
+     4.0 * math.sin(1.0) ** 2),
+    ("periodic", "constant omega=2 T=1", "periodic", 2.0, "ratio-vs-1", 1e-10, 1.0),
+    ("periodic", _MODULATED, "periodic", 1.0, "lattice-2000", 2e-4, None),
+    ("periodic", _MODULATED, "periodic", 1.0, "richardson-2000", 1e-6, None),
+    ("antiperiodic", "constant omega=1 T=1", "antiperiodic", 1.0, "analytic", 1e-8,
+     4.0 * math.cos(0.5) ** 2),
+    ("antiperiodic", "constant omega=1 T=1", "antiperiodic", 1.0, "ratio-vs-1", 1e-10, 1.0),
+    ("antiperiodic", "constant omega=2 T=1", "antiperiodic", 2.0, "analytic", 1e-8,
+     4.0 * math.cos(1.0) ** 2),
+    ("antiperiodic", "constant omega=2 T=1", "antiperiodic", 2.0, "ratio-vs-1", 1e-10, 1.0),
+    ("antiperiodic", _MODULATED, "antiperiodic", 1.0, "lattice-2000", 2e-4, None),
+    ("antiperiodic", _MODULATED, "antiperiodic", 1.0, "richardson-2000", 1e-6, None),
+    ("zeromode", "sinpi", "dirichlet", 0.0, "analytic", 1e-6, _DET_PRIME_SINPI),
+    ("zeromode", "sinpi", "dirichlet", 0.0, "eps-chain", 1e-3, None),
+    ("zeromode", "sinpi", "dirichlet", 0.0, "lattice-2000", 1e-4, _DET_PRIME_SINPI),
+    ("gflow", "constant omega=1 T=1", "dirichlet", 0.0, "gauss-32", 1e-5, None),
+    ("gflow", _MODULATED, "dirichlet", 0.0, "gauss-32", 1e-5, None),
+    ("gflow", _MODULATED, "periodic", 1.0, "gauss-32", 1e-5, None),
+    ("gflow", _MODULATED, "antiperiodic", 1.0, "gauss-32", 1e-5, None),
+)
+SUITES = ("all", *dict.fromkeys(row[0] for row in _CHECKS))
+
+
+def _evaluate(profile_name: str, bc: str, omega0: float, route: str, analytic) -> tuple:
+    """(closed_form, oracle) of one check; a flow row puts the flow first."""
+    from . import oracle
+    config, span = _PROFILES[profile_name]
+    profile = profile_from_config(config, Interval(0.0, span))
+    if profile_name == "sinpi":  # det' K with the zero mode removed
+        if route == "lattice-2000":
+            spectrum = oracle.pseudo_det_ratio(profile, bc, n=2000, omega0=omega0)
+            return -spectrum.aligned_pseudo_det, analytic
+        report = det_dirichlet_regularized(profile)
+        if route == "eps-chain":
+            return report.quotient_extrapolated, report.det_regularized
+        return report.det_regularized, analytic
+    result = determinant(profile, bc=bc, omega0=omega0)
+    if route == "analytic":
+        return result.value, analytic
+    if route == "ratio-vs-1":
+        return result.ratio, analytic
+    if route == "gauss-32":
+        return oracle.gflow_ratio(profile, bc, omega0=omega0, g_steps=32), result.ratio
+    lattice = oracle.lattice_ratio if route == "lattice-2000" else oracle.lattice_ratio_richardson
+    return result.ratio, lattice(profile, bc, omega0=omega0, n=2000)
 
 
 @cli.command("verify")
@@ -410,17 +371,15 @@ _SUITE_BUILDERS = {
               help="Write the CSV to this file instead of stdout.")
 def verify_command(suite, out):
     """Run cross-validation suites and print one CSV row per check."""
-    names = list(SUITES[1:]) if suite == "all" else [suite]
-    rows = []
-    for name in names:
-        rows.extend(_SUITE_BUILDERS[name]())
+    rows = [row for row in _CHECKS if suite in ("all", row[0])]
     lines = ["profile,bc,resolution,closed_form,oracle,rel_err"]
     failures = 0
-    for profile_name, bc, resolution, closed, oracle_value, rel, tol in rows:
-        lines.append(f"{profile_name},{bc},{resolution},"
+    for _, profile_name, bc, omega0, route, tol, analytic in rows:
+        closed, oracle_value = _evaluate(profile_name, bc, omega0, route, analytic)
+        rel = abs(closed - oracle_value) / max(abs(oracle_value), 1e-300)
+        lines.append(f"{profile_name},{bc},{route},"
                      f"{_fmt(closed)},{_fmt(oracle_value)},{_fmt(rel)}")
-        if rel > tol:
-            failures += 1
+        failures += not rel <= tol  # a NaN is out of tolerance
     _emit("\n".join(lines) + "\n", out)
     click.echo(f"verify: {len(rows) - failures}/{len(rows)} checks "
                "within tolerance", err=True)

@@ -123,9 +123,9 @@ def det_antiperiodic(basis: HomogeneousBasis, omega0: float) -> DetResult:
 
 
 def determinant(profile: FrequencyProfile, bc: str = "dirichlet",
-                g: float = 1.0, omega0: float = 1.0) -> DetResult:
+                omega0: float = 1.0) -> DetResult:
     """Build a basis and evaluate the determinant for one bc."""
-    return _det(make_basis(profile, g=g), bc, omega0)
+    return _det(make_basis(profile), bc, omega0)
 
 
 # ---------------------------------------------------------------------------

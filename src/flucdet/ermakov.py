@@ -22,7 +22,6 @@ from .odesolve import (MAGNUS_STEPS_PER_RADIAN, ErmakovSolution, HomogeneousBasi
                        _adjugate, _times)
 
 PQ_DEGENERACY_TOL = 1e-10
-PERIODICITY_RESIDUAL_TOL = 1e-6
 
 
 def _total_phase(sol: ErmakovSolution) -> float:
@@ -90,17 +89,13 @@ def det_ratio_periodic_pq(sol: ErmakovSolution, anti: bool = False) -> float:
     determinant 4sin^2(omega0 T/2) (cosines for the antiperiodic case).
 
     Valid only for an amplitude satisfying the periodic endpoint conditions,
-    which the formula's derivation assumes; a non-periodic solution is
-    rejected.
+    which the formula's derivation assumes: solve_ermakov(bc="periodic")
+    holds it to SHOOTING_TOL and marks the solution periodic, and any other
+    solution is rejected.
     """
-    res_p = abs(sol.p_b - sol.p_a)
-    res_dp = abs(sol.dp_b - sol.dp_a)
-    if (res_p > PERIODICITY_RESIDUAL_TOL * (1.0 + abs(sol.p_a))
-            or res_dp > PERIODICITY_RESIDUAL_TOL * (1.0 + abs(sol.dp_a))):
-        raise ValueError(
-            "amplitude solution does not satisfy periodic endpoint "
-            f"conditions (residuals {res_p:.3e}, {res_dp:.3e}); solve with "
-            "bc='periodic'")
+    if not sol.periodic:
+        raise ValueError("amplitude solution does not satisfy periodic endpoint "
+                         "conditions; solve with bc='periodic'")
     bc = "antiperiodic" if anti else "periodic"
     _, ref = reference_determinant(bc, sol.interval.span, sol.omega0)
     half = 0.5 * _total_phase(sol)

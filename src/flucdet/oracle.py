@@ -2,7 +2,7 @@
 
 Two oracles live here.  The lattice oracle discretizes the operator by
 Numerov's fourth-order scheme, N = T' C: C = diag(c_k), c_k = 1 + q_k / 12
-with q_k = h^2 g Omega^2(t_k), and T' tridiagonal (bordered for the wrapped
+with q_k = h^2 Omega^2(t_k), and T' tridiagonal (bordered for the wrapped
 conditions) with off-diagonals -1 and diagonal 2 - q_k / c_k.  Everything is
 read from one O(n) LDL^T sweep of T' - mu W, W = C^-2, the pencil whose shift
 in mu is, to first order, that of T' in h^2 lambda: the log-determinant and
@@ -68,9 +68,8 @@ class LatticeOperator:
         return 2.0 - self.gap
 
 
-def build_lattice(profile: FrequencyProfile, bc: str, n: int,
-                  g: float = 1.0) -> LatticeOperator:
-    """Discretize -d^2/dt^2 - g*Omega^2 on n mesh points by Numerov's scheme.
+def build_lattice(profile: FrequencyProfile, bc: str, n: int) -> LatticeOperator:
+    """Discretize -d^2/dt^2 - Omega^2 on n mesh points by Numerov's scheme.
 
     Dirichlet uses the n interior points of an (n+1)-step mesh; the samples
     at t_a and t_b set its boundary factor.  The wrapped conditions use n
@@ -85,7 +84,7 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int,
     dirichlet = not sigma
     h = iv.span / (n + 1) if dirichlet else iv.span / n
     times = np.append(iv.t_a + h * np.arange(n + dirichlet), iv.t_b)
-    q = h * h * g * profile.omega_sq(times)
+    q = h * h * profile.omega_sq(times)
     if dirichlet:
         # c_1 (1 - (q_0 + q_1) / 12) / c_{n+1}
         boundary = float((12.0 + q[1]) * (1.0 - (q[0] + q[1]) / 12.0) / (12.0 + q[-1]))

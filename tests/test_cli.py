@@ -20,6 +20,47 @@ SEAM = ('{"kind": "modulated", "omega": 1.0, "eps": 0.3, '
 SINPI = '{"kind": "synthetic", "xi": "sinpi"}'
 
 
+MOD = "modulated omega=1 eps=0.2 nu=3"
+VERIFY_LABELS = {  # suite: (profile, bc, resolution) of each row, as `all` prints them
+    "dirichlet": [
+        ("constant omega=1 T=1", "dirichlet", "analytic"),
+        ("constant omega=2 T=1", "dirichlet", "analytic"),
+        ("constant omega=1 T=2.5", "dirichlet", "analytic"),
+        ("constant omega=1 T=1", "dirichlet", "lattice-2000"),
+        ("constant omega=1 T=1", "dirichlet", "richardson-2000"),
+        (MOD, "dirichlet", "lattice-2000"),
+        (MOD, "dirichlet", "richardson-2000"),
+    ],
+    "periodic": [
+        ("constant omega=1 T=1", "periodic", "analytic"),
+        ("constant omega=1 T=1", "periodic", "ratio-vs-1"),
+        ("constant omega=2 T=1", "periodic", "analytic"),
+        ("constant omega=2 T=1", "periodic", "ratio-vs-1"),
+        (MOD, "periodic", "lattice-2000"),
+        (MOD, "periodic", "richardson-2000"),
+    ],
+    "antiperiodic": [
+        ("constant omega=1 T=1", "antiperiodic", "analytic"),
+        ("constant omega=1 T=1", "antiperiodic", "ratio-vs-1"),
+        ("constant omega=2 T=1", "antiperiodic", "analytic"),
+        ("constant omega=2 T=1", "antiperiodic", "ratio-vs-1"),
+        (MOD, "antiperiodic", "lattice-2000"),
+        (MOD, "antiperiodic", "richardson-2000"),
+    ],
+    "zeromode": [
+        ("sinpi", "dirichlet", "analytic"),
+        ("sinpi", "dirichlet", "eps-chain"),
+        ("sinpi", "dirichlet", "lattice-2000"),
+    ],
+    "gflow": [
+        ("constant omega=1 T=1", "dirichlet", "gauss-32"),
+        (MOD, "dirichlet", "gauss-32"),
+        (MOD, "periodic", "gauss-32"),
+        (MOD, "antiperiodic", "gauss-32"),
+    ],
+}
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -459,15 +500,39 @@ class TestVerify:
         assert "checks within tolerance" in err
 
     def test_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            cli._SUITE_BUILDERS, "zeromode",
-            lambda: [cli._check("fake", "dirichlet", "analytic",
-                                1.0, 2.0, 1e-6)])
+        monkeypatch.setattr(cli, "_CHECKS", (
+            ("zeromode", "fake", "dirichlet", 0.0, "analytic", 1e-6, 2.0),))
+        monkeypatch.setattr(cli, "_evaluate", lambda *row: (1.0, 2.0))
         code, out, err = run(capsys, "verify", "--suite", "zeromode")
         assert code == 3
         assert "fake,dirichlet,analytic" in out
         assert "verification failure" in err
         assert "0/1" in err
+
+    def test_nan_is_a_failure(self, capsys, monkeypatch):
+        """A NaN oracle gives a NaN rel_err, which no tolerance admits."""
+        from flucdet import oracle
+        monkeypatch.setattr(oracle, "gflow_ratio", lambda *args, **kwargs: math.nan)
+        code, out, err = run(capsys, "verify", "--suite", "gflow")
+        assert code == 3
+        assert all(line.endswith(",nan") for line in out.strip().split("\n")[1:])
+        assert "0/4" in err
+
+    @pytest.mark.parametrize("suite", list(VERIFY_LABELS))
+    def test_suite_is_a_tag(self, capsys, suite):
+        """`all` runs the 26 checks written out above, in order, and each
+        suite prints exactly the rows of `all` that carry its tag."""
+        assert cli.SUITES == ("all", *VERIFY_LABELS)
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert [tuple(row.split(",")[:3]) for row in rows] == [
+            label for labels in VERIFY_LABELS.values() for label in labels]
+        names = list(VERIFY_LABELS)
+        start = sum(len(VERIFY_LABELS[name]) for name in names[:names.index(suite)])
+        code, out, _ = run(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert out.strip().split("\n")[1:] == rows[start:start + len(VERIFY_LABELS[suite])]
 
 
 class TestImports:

@@ -133,8 +133,12 @@ class TestConvenienceEntry:
             assert via.bc == bc
 
     def test_coupling_argument(self, const_profile):
-        scaled = determinant(const_profile, g=4.0)
+        """Coupling g = 4 on omega = 1 is the constant profile of frequency
+        omega sqrt(g) = 2, through make_basis and through determinant."""
+        scaled = det_dirichlet(make_basis(const_profile, g=4.0))
         assert scaled.value == pytest.approx(math.sin(2.0) / 2.0, rel=1e-10)
+        direct = determinant(fd.make_constant_profile(2.0, const_profile.interval))
+        assert direct.value == pytest.approx(math.sin(2.0) / 2.0, rel=1e-10)
 
     def test_bad_bc(self, const_profile):
         with pytest.raises(ValueError):

@@ -135,8 +135,9 @@ class TestLatticeAssembly:
         assert recovered == pytest.approx(expected, rel=1e-12)
 
     def test_coupling_scales_diagonal(self, const_profile):
-        op = build_lattice(const_profile, "dirichlet", 20, g=3.0)
-        gap, weight = numerov(3.0, op.step)
+        """Coupling g = 4 on omega = 1: the lattice of frequency omega sqrt(g) = 2."""
+        op = build_lattice(fd.make_constant_profile(2.0, const_profile.interval), "dirichlet", 20)
+        gap, weight = numerov(4.0, op.step)
         assert np.allclose(op.gap, gap, rtol=1e-15, atol=0.0)
         assert np.allclose(op.weight, weight, rtol=1e-15)
 
@@ -169,9 +170,12 @@ class TestEigenvalues:
         assert _over_reference(op, *_sweep(op)[:2], 1.0, 2.0) == pytest.approx(1.0, rel=1e-13)
 
     def test_count_nonpositive_monotone(self, const_profile):
-        profile = fd.make_constant_profile(4.0, fd.Interval(0.0, 2.0))
-        counts = [_sweep(build_lattice(profile, "dirichlet", 200, g=g))[2]
-                  for g in (0.1, 0.5, 1.0, 2.0)]
+        """Couplings g = 1/16, 9/16, 1 and 9/4 on omega = 4 on [0, 2]: the
+        lattices of frequency omega sqrt(g) = 1, 3, 4 and 6."""
+        interval = fd.Interval(0.0, 2.0)
+        counts = [_sweep(build_lattice(fd.make_constant_profile(4.0 * root_g, interval),
+                                       "dirichlet", 200))[2]
+                  for root_g in (0.25, 0.75, 1.0, 1.5)]
         assert counts == sorted(counts)
         assert counts[-1] > counts[0]
 
