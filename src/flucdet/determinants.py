@@ -88,18 +88,21 @@ def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
     rounding of det M (unscaled, det M overflows for kT above about 355), and
     for the wrapped conditions whether Omega^2 takes one value at both ends.
     A value zero to its condition (green._refuse_degenerate) is refused."""
-    m, iv, sigma = basis.m, basis.interval, _sigma(bc)
-    value = det_from_transfer(m, bc)
+    # M read once: det_from_transfer and condition_estimate on floats
+    (a, b), (c, d) = basis.m.tolist()
+    iv, sigma = basis.interval, _sigma(bc)
+    value = 2.0 - sigma * (a + d) if sigma else b
     reference, ref = reference_determinant(bc, iv.span, omega0)
-    condition = condition_estimate(m, value)
+    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    condition = scale / abs(value) if value else math.inf
     _refuse_degenerate(condition, f"zero mode detected for bc={bc} (determinant {value!r}, "
                        "{}); use det --regularized")
-    scale = max(1.0, float(np.max(np.abs(m))))
-    (a, b), (c, d) = m / scale
-    diagnostics = {"w": basis.w, "endpoint_det": basis.w * value, "condition": condition,
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    w = basis.w
+    diagnostics = {"w": w, "endpoint_det": w * value, "condition": condition,
                    "steps": len(basis.knots) - 1,
                    "error_estimate": basis.error_estimate,
-                   "det_m_residual": float(abs(a * d - b * c - 1.0 / scale / scale))}
+                   "det_m_residual": abs(a * d - b * c - 1.0 / scale / scale)}
     if sigma:
         om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
         diagnostics["profile_period_compatible"] = bool(

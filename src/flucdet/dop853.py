@@ -5,10 +5,12 @@ its seventh-order dense output (Hairer, Norsett & Wanner, Solving Ordinary
 Differential Equations I, II.5-II.6), run as scipy.integrate.solve_ivp runs
 method="DOP853": the same error norm (E5 weighted by its ratio to E3),
 step-size control (safety 0.9, factors 0.2 to 10) and initial step, with the
-stage sums and norms made by the same numpy calls, so that on equal Omega^2
-samples the knots and states are scipy's to the last bit.  The coefficients
-are those of scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause),
-printed at double precision.  Row s of _A gives stage s at time t + _C[s] h;
+stage sums and norms made by the same C dot routine as np.dot (ndarray.dot,
+without np.dot's dispatch) and the slopes and states on floats in scipy's
+order of operations, so that on equal Omega^2 samples the knots and states
+are scipy's to the last bit.  The coefficients are those of
+scipy/integrate/_ivp/dop853_coefficients.py (BSD-3-Clause), printed at
+double precision.  Row s of _A gives stage s at time t + _C[s] h;
 stages 0-11 make a step, stage 12 is the slope at its end
 (first-same-as-last) and stages 13-15 serve the dense output only.
 """
@@ -16,6 +18,7 @@ stages 0-11 make a step, stage 12 is the slope at its end
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,8 +64,7 @@ _A = np.array([row + (0,) * (16 - len(row)) for row in (
         (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
          4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
          2.9475147891527724, -9.15095847217987))], dtype=float)
-# the eighth-order step is row 12; the error estimators are E5 and E3
-_B = _A[12, :12]
+# the eighth-order step is row 12 (_ROWS[12]); the error estimators are E5 and E3
 _E5, _E3 = np.array([
     (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
      1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
@@ -119,16 +121,21 @@ def _rms(x: np.ndarray) -> float:
 
 class ErmakovSteps:
     """The accepted DOP853 steps of one amplitude-phase solve: knots ts, the
-    states ys at the knots (ys[-1] is the end state) and each step's stages.
-    Calling it at times evaluates the dense output, one column per time (a
-    vector for one time); the interpolant of a step is built the first time
-    a time falls into it, for all such steps of a call at once."""
+    states ys at the knots (ys[-1] is the end state) and each step's stages,
+    stacked on their first read.  Calling it at times evaluates the dense
+    output, one column per time (a vector for one time); the interpolant of
+    a step is built the first time a time falls into it, for all such steps
+    of a call at once."""
 
     def __init__(self, om: Callable, w0: float, ts: list, ys: list, stages: list):
-        self.om, self.w0 = om, w0
-        self.ts, self.ys, self.stages = np.array(ts), np.array(ys), np.array(stages)
+        self.om, self.w0, self._stages = om, w0, stages
+        self.ts, self.ys = np.array(ts), np.array(ys)
         self._poly = np.empty((len(stages), 7, self.ys.shape[1]))
         self._built = np.zeros(len(stages), dtype=bool)
+
+    @cached_property
+    def stages(self) -> np.ndarray:
+        return np.array(self._stages)
 
     def _build(self, steps: np.ndarray) -> None:
         """The interpolant coefficients F_0..F_6 of the steps; their three
@@ -173,13 +180,14 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
     falls to _COLLAPSE_LEVEL at a step end (at the crossing of the dense
     output) or the step size falls below ten spacings of floats at t."""
     t, y = iv.t_a, np.array(start, dtype=float)
-    n = y.size
-    ts, ys, stages = [t], [y], []
-    k = np.empty((13, n))
-    k_t = [k[:s].T for s in range(13)]  # stages 0..s-1, one column each
+    k = np.empty((13, 3))
+    kv = k.reshape(-1).data  # stage s is kv[3 s : 3 s + 3]
+    # stage s: stages 0..s-1 (one column each), its row of _A and its slot in
+    # kv; stage 12's sum is the eighth-order step, as it is in scipy
+    sums = [(k[:s].T, _ROWS[s], 3 * s) for s in range(1, 13)]
     with np.errstate(all="ignore"):  # a failed trial step only shrinks the step
         # initial step: Hairer, Norsett & Wanner II.4, as scipy selects it
-        f = np.array(_slope(float(om(t)), w0, y.tolist(), [0.0] * n, 0.0))
+        f = np.array(_slope(float(om(t)), w0, y.tolist(), [0.0] * 3, 0.0))
         scale = atol + np.abs(y) * rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, iv.span)
@@ -187,9 +195,11 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
         d2 = _rms((f1 - f) / scale) / h0
         h_abs = min(100.0 * h0, iv.span, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
                     else (0.01 / max(d1, d2)) ** 0.125)
+        k[0], y = f, y.tolist()
+        ts, ys, stages = [t], [y], []
         while t < iv.t_b:
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-            h_abs, rejected, y_list = max(h_abs, min_step), False, y.tolist()
+            h_abs, rejected, (y0, y1, y2) = max(h_abs, min_step), False, y
             while True:
                 if h_abs < min_step:
                     raise IntegrationError(
@@ -198,17 +208,25 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
                 t_new = min(t + h_abs, iv.t_b)
                 h = t_new - t
                 om_s = np.asarray(om(t + _C_STEP * h), dtype=float).tolist()
-                k[0] = f
-                for s in range(1, 12):
-                    dy = np.dot(k_t[s], _ROWS[s]).tolist()
-                    k[s] = _slope(om_s[s - 1], w0, y_list, dy, h)
-                dy = np.dot(k_t[12], _B)
-                y_new = y + h * dy
-                k[12] = _slope(om_s[10], w0, y_list, dy.tolist(), h)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                e5, e3 = np.dot(k.T, _E5) / scale, np.dot(k.T, _E3) / scale
-                e5, e3 = math.sqrt(e5 @ e5) ** 2, math.sqrt(e3 @ e3) ** 2
-                error = h * e5 / math.sqrt((e5 + 0.01 * e3) * n) if e5 or e3 else 0.0
+                om_s.append(om_s[10])  # stage 12 is at the step's end, as stage 11
+                for (k_t, row, i), om_i in zip(sums, om_s):
+                    d0, d1, d2 = k_t.dot(row).tolist()
+                    # _ermakov_rhs on floats, written in place; where p = 0 or a
+                    # power of p overflows, numpy scalars give inf and nan
+                    try:
+                        p = y0 + d0 * h
+                        kv[i], kv[i + 1], kv[i + 2] = (
+                            y1 + d1 * h, 1.0 / p ** 3 - om_i * p, 1.0 / (w0 * p * p))
+                    except ArithmeticError:
+                        k[i // 3] = _ermakov_rhs(om_i, w0, np.array(y), np.array([d0, d1, d2]), h)
+                # the eighth-order step, at whose end stage 12 sampled the slope
+                y_new = [y0 + h * d0, y1 + h * d1, y2 + h * d2]
+                # |y_new| first: a NaN there gives a NaN scale, as np.maximum does
+                # (y, an accepted state, has none: a NaN scale rejects the attempt)
+                scale = np.array([atol + max(abs(b), abs(a)) * rtol for a, b in zip(y, y_new)])
+                e5, e3 = k.T.dot(_E5) / scale, k.T.dot(_E3) / scale
+                e5, e3 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
+                error = h * e5 / math.sqrt((e5 + 0.01 * e3) * 3) if e5 or e3 else 0.0
                 if error < 1.0:
                     factor = _MAX_FACTOR if error == 0.0 else min(
                         _MAX_FACTOR, _SAFETY * error ** -0.125)
@@ -220,8 +238,8 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
             ts.append(t)
             ys.append(y_new)
             stages.append(k.copy())
-            f = k[12].copy()
-            if y[0] >= _COLLAPSE_LEVEL >= y_new[0]:
+            kv[:3] = kv[36:]  # first same as last
+            if y0 >= _COLLAPSE_LEVEL >= y_new[0]:
                 steps = ErmakovSteps(om, w0, ts, ys, stages)
                 lo, hi = ts[-2], t
                 for _ in range(100):  # bisection on the dense output

@@ -395,16 +395,19 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                 if sampled is not None:
                     a_max = sampled
                     estimate, level = _work_estimate(float(a_max.max()), iv)
-            # without a member axis (make_basis) Python's scalar max, abs and sqrt cost less
+            # without a member axis (make_basis) Python's scalar max, abs, sqrt and
+            # comparisons cost less
             if grid.members:
                 top, sqrt, largest = np.maximum, np.sqrt, lambda x: np.abs(x).max(axis=(0, 1))
+                every, worst = np.all, np.max
             else:
                 top, sqrt, largest = max, math.sqrt, lambda x: max(map(abs, x.ravel().tolist()))
+                every, worst = bool, float
             while True:
                 error = largest(m - m_coarse) / ((n // coarse) ** 6 - 1.0)
                 scale = largest(m)
                 tol = max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale
-                met = np.all(error <= tol)
+                met = every(error <= tol)
                 if met and n >= floor:
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
@@ -416,7 +419,7 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                         f"{MAGNUS_REL_TARGET} (error estimate {np.max(error):.3e} at "
                         f"{n} steps; work estimate {estimate:.4g} steps)")
                 # sixth order: 2^k times the steps divide the error by 2^(6k)
-                k = 1 if met else max(1, math.ceil(math.log2(np.max(error / tol)) / 6.0))
+                k = 1 if met else max(1, math.ceil(math.log2(worst(error / tol)) / 6.0))
                 coarse, n = n, min(n << k, MAGNUS_MAX_STEPS)
                 grid = _MagnusGrid(om, c0, c1, iv, n)
                 m_coarse, m = m, grid.transfer()

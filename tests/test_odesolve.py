@@ -858,6 +858,66 @@ class TestDop853Port:
         np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(port.ys.T, ref.y, rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name, omega0", [
+        ("const_profile", 1.0), ("modulated_profile", 1.0), ("seam_profile", 1.0),
+        ("shifted_profile", 6.5), ("user_profile", 1.0), ("overflowing", 1.0)])
+    def test_steps_without_np_dot(self, request, monkeypatch, name, omega0):
+        """The step loop makes its stage and error sums by ndarray.dot, not
+        through np.dot's dispatch: with np.dot raising, the port still
+        matches scipy's solve_ivp (run outside the patch) as
+        test_matches_scipy and test_overflowing_amplitude_matches_scipy
+        check it."""
+        overflowing = name == "overflowing"
+        if overflowing:
+            profile = fd.make_user_profile(lambda t: -1.0, fd.Interval(0.0, 240.0))
+            start = [1.0, 0.0, 0.0]
+        else:
+            profile = request.getfixturevalue(name)
+            start = [float(profile.omega_sq(profile.interval.t_a)) ** -0.25, 0.0, 0.0]
+        with np.errstate(over="ignore"):
+            ref = _scipy_dop853(profile, omega0, start)
+
+        def no_dot(*args, **kwargs):
+            raise AssertionError("np.dot called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "dot", no_dot)
+            port = odesolve._integrate_ermakov(profile, omega0, start)
+        assert ref.status == 0
+        assert port.ts.size == ref.t.size
+        np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
+        if overflowing:
+            np.testing.assert_allclose(port.ys.T, ref.y, rtol=1e-12, atol=0.0)
+        else:
+            np.testing.assert_allclose(port.ys.T, ref.y, rtol=0.0, atol=1e-12)
+            times = np.linspace(profile.interval.t_a, profile.interval.t_b, 103)[1:-1]
+            np.testing.assert_allclose(port(times), ref.sol(times), rtol=0.0, atol=1e-12)
+
+    def test_rejected_steps_match_scipy(self):
+        """Omega^2 = 1 + 30 exp(-((t - 1)/0.05)^2) on [0, 2]: the steps
+        overshoot the narrow bump and are rejected and retried there, so
+        Omega^2 is sampled in more array calls than the accepted steps plus
+        the two of the initial step; the retried steps are scipy's."""
+        bump = fd.make_user_profile(lambda t: 1.0 + 30.0 * math.exp(-((t - 1.0) / 0.05) ** 2),
+                                    fd.Interval(0.0, 2.0))
+        calls = []
+
+        def om(t):
+            calls.append(t)
+            return bump.omega_sq(t)
+
+        start = [1.0, 0.0, 0.0]
+        port = odesolve._integrate_ermakov(
+            fd.FrequencyProfile(omega_sq=om, interval=bump.interval), 1.0, start)
+        assert len(calls) > port.ts.size - 1 + 2
+        ref = _scipy_dop853(bump, 1.0, start)
+        assert ref.status == 0
+        assert port.ts.size == ref.t.size
+        np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(port.ys.T, ref.y, rtol=0.0, atol=1e-12)
+        times = np.linspace(0.0, 2.0, 103)[1:-1]
+        np.testing.assert_allclose(port(times), ref.sol(times), rtol=0.0, atol=1e-12)
+
     def test_dense_output_shapes(self, modulated_profile):
         port = odesolve._integrate_ermakov(modulated_profile, 1.0, [1.0, 0.0, 0.0])
         assert port(0.7).shape == (3,)
