@@ -159,7 +159,7 @@ class ErmakovSteps:
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         k = np.clip(np.searchsorted(self.ts, flat) - 1, 0, len(self._built) - 1)
-        new = np.unique(k[~self._built[k]])
+        new = np.flatnonzero((np.bincount(k, minlength=self._built.size) > 0) & ~self._built)
         if new.size:
             self._build(new)
         t0 = self.ts[k]
@@ -201,7 +201,7 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
             min_step = 10.0 * (math.nextafter(t, math.inf) - t)
             h_abs, rejected, (y0, y1, y2) = max(h_abs, min_step), False, y
             while True:
-                if h_abs < min_step:
+                if not h_abs >= min_step:  # a NaN start makes h_abs NaN
                     raise IntegrationError(
                         f"amplitude-phase integration failed near t = {t}: Required "
                         f"step size is less than spacing between numbers.")

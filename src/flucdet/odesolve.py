@@ -438,7 +438,7 @@ def _family(profile: FrequencyProfile, c0, c1) -> list:
     a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
     level = np.array([_work_estimate(a, iv)[1] for a in np.abs(a0).max(axis=(0, 1)).tolist()])
     return [(np.flatnonzero(k), *_magnus(om, c0[k], c1[k], iv, a0[..., k]))
-            for k in (level == n for n in np.unique(level).tolist())]
+            for k in (level == n for n in sorted(set(level.tolist())))]
 
 
 @dataclass(frozen=True, eq=False)

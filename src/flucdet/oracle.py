@@ -4,21 +4,24 @@ Two oracles live here.  The lattice oracle discretizes the operator by
 Numerov's fourth-order scheme, N = T' C: C = diag(c_k), c_k = 1 + q_k / 12
 with q_k = h^2 Omega^2(t_k), and T' tridiagonal (bordered for the wrapped
 conditions) with off-diagonals -1 and diagonal 2 - q_k / c_k.  Everything is
-read from one O(n) LDL^T sweep of T' - mu W, W = C^-2, the pencil whose shift
+read from O(n) LDL^T sweeps of T' - mu W, W = C^-2, the pencil whose shift
 in mu is, to first order, that of T' in h^2 lambda: the log-determinant and
 its sign from the pivots, Sturm counts of the pencil's eigenvalues below a
-shift from the pivot signs, and the derivative of the log-determinant in the
-shift, which gives the determinant with one zero mode removed (Kirsten and
-McKane, Ann. Phys. 308, 502, 2003) without computing a spectrum.  Dirichlet
-reads M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
+shift from the pivot signs alone (_count, which takes no logs), and the
+derivative of the log-determinant in the shift, which gives the determinant
+with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
+without computing a spectrum.  lattice_ratio keeps the zero verdict and
+determinant of the 4 lattices last read, keyed by content.  Dirichlet reads
+M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
 c_{n+1}, which starts the recurrence at the solution's value at t_a + h to
 O(h^5); the wrapped conditions read 2 -+ tr M as det T'.  Ratios are taken
 over the constant reference lattice of the same size, whose spectrum is a
 closed form.  The flow oracle integrates the Green-function trace along a
-family of operators connecting the reference to the target and exponentiates;
-the family is one batched Magnus family per step-count group, and each
-member's trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s, the
-exact slope of its determinant (green._det_slope) from its group's grid.
+family of operators connecting the reference to the target, by a
+Gauss-Legendre rule that Newton's method finds, and exponentiates; the
+family is one batched Magnus family per step-count group, and each member's
+trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s, the exact
+slope of its determinant (green._det_slope) from its group's grid.
 """
 
 from __future__ import annotations
@@ -131,12 +134,12 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
     for gk in (gap[:-1] if wrapped else gap).tolist():
         e = r - gk
         p = 1.0 + e
-        if lo < p < floor:
+        if p < floor and lo < p:
             e = lo - 1.0
             p = 1.0 + e
         append(e)
         r = e / p
-    exc = np.array(exc)
+    exc = np.fromiter(exc, float, len(exc))
     piv = 1.0 + exc
     logs = np.log1p(np.where(exc > -1.0, exc, -2.0 - exc))  # |p| - 1 = -2 - e for p < 0
     dlog = math.nan
@@ -147,13 +150,7 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
             dp = -wk + dp / (prev * prev)
             dlog += dp / pk
     if wrapped:
-        # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
-        y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
-        y[-1] -= 1.0
-        z = y / piv
-        s = float(2.0 - gap[-1] - y @ z)
-        if -floor < s < floor:
-            s = -floor
+        z, s = _schur(op, gap, piv, floor)
         if slope:
             # T^-1 b = L^-T z, one backward pass with the same pivots
             x = norm = 0.0
@@ -168,12 +165,42 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
     return float(np.sum(logs)), (-1.0 if below % 2 else 1.0), below, dlog
 
 
+def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray, floor: float) -> tuple:
+    """z = L^-1 b / piv and the last row's Schur complement s, nudged as a
+    pivot, from the block T's pivots."""
+    # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
+    y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
+    y[-1] -= 1.0
+    z = y / piv
+    s = float(2.0 - gap[-1] - y @ z)
+    return z, -floor if -floor < s < floor else s
+
+
+def _count(op: LatticeOperator, mu: float) -> int:
+    """_sweep(op, mu)'s count alone: its pivots, nudged alike, where one test
+    per row both nudges and counts (a nudged pivot is negative); no logs."""
+    gap, wrapped = op.gap + mu * op.weight, op.corner != 0.0
+    floor = _EPS * max(_gershgorin(op), 1.0)
+    lo, below, piv, r = -floor, 0, [], 1.0
+    for gk in (gap[:-1] if wrapped else gap).tolist():
+        e = r - gk
+        p = 1.0 + e
+        if p < floor:
+            if lo < p:
+                e = lo - 1.0
+                p = 1.0 + e
+            below += 1
+        if wrapped:
+            piv.append(p)
+        r = e / p
+    return below + (wrapped and _schur(op, gap, np.fromiter(piv, float, len(piv)), floor)[1] < 0.0)
+
+
 def _window(op: LatticeOperator, tol: float) -> tuple:
     """Counts of the pencil's eigenvalues below -delta and below +delta, with
-    delta = tol * _gershgorin(op); they differ by the number in
-    [-delta, delta)."""
+    delta = tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
     delta = tol * _gershgorin(op)
-    return _sweep(op, -delta)[2], _sweep(op, delta)[2]
+    return _count(op, -delta), _count(op, delta)
 
 
 def _exp_signed(log_abs: float, sign: float, what: str) -> float:
@@ -247,12 +274,20 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> 
     float range raises IntegrationError.
     """
     op = build_lattice(profile, bc, n)
+    log_abs, sign = _verdict(op.corner, op.gap.tobytes(), op.weight.tobytes())
+    return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
+
+
+@lru_cache(maxsize=4)
+def _verdict(corner: float, gap: bytes, weight: bytes) -> tuple:
+    """lattice_ratio's zero verdict and (log|det T'|, sign) of the lattice of
+    this content, rebuilt without bc, step or nodes; refusals are not cached."""
+    gap, weight = np.frombuffer(gap), np.frombuffer(weight)
+    op = LatticeOperator("", gap.size, math.nan, np.empty(0), gap, weight, corner, 1.0)
     below, nonpositive = _window(op, LATTICE_ZERO_TOL)
     if nonpositive != below:
-        raise DegenerateOperatorError(
-            "zero mode on lattice; use the pseudo-determinant path")
-    log_abs, sign, _, _ = _sweep(op)
-    return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
+        raise DegenerateOperatorError("zero mode on lattice; use the pseudo-determinant path")
+    return _sweep(op)[:2]
 
 
 def lattice_ratio_richardson(profile: FrequencyProfile, bc: str,
@@ -326,10 +361,25 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
 
 @lru_cache(maxsize=8)
 def _gauss_legendre(n: int) -> tuple:
-    """The n Gauss-Legendre nodes and weights on [-1, 1], read-only."""
-    xs, ws = np.polynomial.legendre.leggauss(n)
-    xs.flags.writeable = ws.flags.writeable = False
-    return xs, ws
+    """The n Gauss-Legendre nodes, ascending, and weights on [-1, 1], read-only:
+    Newton's method on Bonnet's recurrence (k + 1) P_{k+1} = (2k + 1) x P_k -
+    k P_{k-1} from x = -cos(pi (k - 1/4) / (n + 1/2)), kept symmetric, and
+    2 / ((1 - x)(1 + x) P_n'^2) at the last nodes, normalized to sum 2."""
+    x, step = -np.cos(math.pi / (n + 0.5) * (np.arange(1, n + 1) - 0.25)), math.inf
+    for _ in range(100):
+        p0, p1 = np.ones(n), x
+        for k in range(1, n):
+            p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        dp = n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))  # P_n'
+        if step <= _EPS:
+            break
+        dx = p1 / dp
+        step, x = float(np.max(np.abs(dx))), x - dx
+        x = 0.5 * (x - x[::-1])
+    ws = 1.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    ws *= 2.0 / ws.sum()
+    x.flags.writeable = ws.flags.writeable = False
+    return x, ws
 
 
 def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
@@ -394,7 +444,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     n = max(grid.n for members, grid, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = int(np.count_nonzero(_reference_spectrum(bc, n, span, omega0_ref)[0] < 0.0))
-    below = _sweep(build_lattice(profile, bc, n))[2]
+    below = _count(build_lattice(profile, bc, n), 0.0)
     if below != below_ref:
         raise DegenerateOperatorError(
             f"coupling flow passes zero modes without a sign change: the lattice "

@@ -550,13 +550,30 @@ class TestImports:
 
     def test_cli_import_loads_no_numpy_polynomial(self):
         """The Magnus steps' Gauss rule is written out, so a cold start does
-        not load numpy.polynomial (5 ms); the flow's rule loads it when run."""
+        not load numpy.polynomial (5 ms)."""
         code = "import sys, flucdet.cli; print('numpy.polynomial' in sys.modules)"
         src = str(Path(fd.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
+
+    def test_flow_and_pq_state_load_no_numpy_polynomial_or_ma(self):
+        """The coupling flow builds its Gauss rule by Newton's method and
+        groups its members, and the dense pq output finds the steps to
+        build, without np.unique: a cold process that runs gflow_ratio and a
+        periodic pq state loads neither numpy.polynomial (3-7 ms) nor
+        numpy.ma (10-15 ms, which np.unique's masked-array check imports)."""
+        code = ("import sys, numpy as np, flucdet as fd\n"
+                "profile = fd.make_modulated_profile(1.0, 0.2, 3.0, fd.Interval(0.0, 2.0))\n"
+                "fd.gflow_ratio(profile, 'periodic', omega0=1.0)\n"
+                "fd.solve_ermakov(profile, 1.0, bc='periodic').state(np.linspace(0.0, 2.0, 9))\n"
+                "print(sorted(m for m in ('numpy.ma', 'numpy.polynomial') if m in sys.modules))")
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_cli_import_loads_no_oracle(self):
         """The package resolves the oracles' and the amplitude-phase route's

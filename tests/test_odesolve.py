@@ -1,7 +1,11 @@
 """Homogeneous solutions, basis construction, and the amplitude-phase solver."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -943,3 +947,19 @@ class TestDop853Port:
         with pytest.raises(fd.IntegrationError, match="integration failed near t") as info:
             odesolve._integrate_ermakov(profile, 1.0, [1.0, 0.0, 0.0])
         assert float(str(info.value).split("= ")[1].split(":")[0]) == pytest.approx(1.0)
+
+    def test_nan_start_refused(self):
+        """Omega^2 NaN at t_a (a profile built directly, which
+        make_user_profile would refuse) makes the first step size NaN, which
+        no comparison with the minimum step is true of: the solve must
+        refuse it, not retry forever, so it runs in a subprocess under a
+        timeout."""
+        code = ("import numpy as np, flucdet as fd\n"
+                "profile = fd.FrequencyProfile(omega_sq=lambda t: np.where(\n"
+                "    np.asarray(t) <= 0.0, np.nan, 1.0), interval=fd.Interval(0.0, 2.0))\n"
+                "try:\n    fd.solve_ermakov(profile, 1.0)\n"
+                "except fd.IntegrationError as exc:\n    print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(fd.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert "integration failed near t = 0.0" in out

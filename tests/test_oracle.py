@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 import flucdet as fd
-from flucdet import cli, odesolve
+from flucdet import cli, odesolve, oracle
 from flucdet.determinants import det_dirichlet, det_periodic, determinant
 from flucdet.odesolve import make_basis
 from flucdet.oracle import (
     LATTICE_ZERO_TOL,
     PSEUDO_ZERO_TOL,
     LatticeOperator,
+    _count,
+    _gauss_legendre,
     _gershgorin,
     _over_reference,
     _reference_spectrum,
@@ -229,6 +231,36 @@ class TestSturmSweep:
         assert below == np.count_nonzero(eigs < 0.0)
         assert sign * math.exp(log_abs) == pytest.approx(np.prod(8.0 * eigs), abs=1e-12)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    def test_count_is_the_sweeps(self, bc):
+        """_count, which only counts, reads _sweep's count on the closed-form
+        reference's lattices, at zero, at both ends of both zero windows and
+        at shifts of both signs that split the spectrum."""
+        for n in (100, 2000):
+            for span, omega0 in TestClosedFormReference.PAIRS:
+                op = constant_lattice(bc, n, span, omega0)
+                bound = _gershgorin(op)
+                for tol in (0.0, LATTICE_ZERO_TOL, PSEUDO_ZERO_TOL, 1e-3, 0.3):
+                    for mu in (-tol * bound, tol * bound):
+                        assert _count(op, mu) == _sweep(op, mu)[2]
+
+    @pytest.mark.parametrize("bc,corner", [("dirichlet", 0.0),
+                                           ("periodic", -1.0),
+                                           ("antiperiodic", 1.0)])
+    def test_count_where_the_nudge_fires(self, bc, corner):
+        """The lattice of test_exact_zero_pivot_is_nudged, whose second pivot
+        1 - 1/1 is zero at mu = 0 and, at the other shifts below, -2/3, +2/3
+        and +1/3 of the floor eps * bound: _count nudges it to a negative
+        pivot and counts it as _sweep does, and both count the dense
+        spectrum."""
+        op = LatticeOperator(bc=bc, mesh_size=22, step=0.1, nodes=np.zeros(22),
+                             gap=np.ones(22), weight=np.ones(22), corner=corner,
+                             boundary=1.0)
+        eigs = dense_spectrum(op)
+        floor = np.finfo(float).eps * _gershgorin(op)
+        for mu in (0.0, 0.25 * floor, -0.25 * floor, -0.1 * floor):
+            assert _count(op, mu) == _sweep(op, mu)[2] == np.count_nonzero(eigs < mu)
+
 
 # (profile, boundary condition, omega0) without a lattice zero mode
 RATIO_CASES = {
@@ -433,6 +465,40 @@ class TestLatticeRatio:
                            match="pseudo-determinant"):
             lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
 
+    @pytest.mark.parametrize("bc,omega0", [("dirichlet", 0.0),
+                                           ("periodic", 1.0),
+                                           ("antiperiodic", 1.0)])
+    def test_richardson_reuses_the_n_lattice(self, modulated_profile, monkeypatch,
+                                             bc, omega0):
+        """lattice_ratio and then lattice_ratio_richardson on one operator:
+        the n-lattice's window (two counts) and determinant (one sweep) run
+        once, as do the 2n-lattice's, and both values are bit for bit the
+        ones read after the cache is cleared."""
+        loops = []
+        for name in ("_count", "_sweep"):
+            def counted(op, *args, _fn=getattr(oracle, name), _name=name, **kwargs):
+                loops.append((_name, op.mesh_size))
+                return _fn(op, *args, **kwargs)
+            monkeypatch.setattr(oracle, name, counted)
+        oracle._verdict.cache_clear()
+        plain = lattice_ratio(modulated_profile, bc, omega0, 200)
+        refined = lattice_ratio_richardson(modulated_profile, bc, omega0, 200)
+        assert sorted(loops) == [("_count", 200)] * 2 + [("_count", 400)] * 2 + [
+            ("_sweep", 200), ("_sweep", 400)]
+        oracle._verdict.cache_clear()
+        assert lattice_ratio(modulated_profile, bc, omega0, 200).hex() == plain.hex()
+        oracle._verdict.cache_clear()
+        assert lattice_ratio_richardson(
+            modulated_profile, bc, omega0, 200).hex() == refined.hex()
+
+    def test_zero_mode_refused_on_every_call(self, sinpi_profile):
+        """A refusal is raised, not cached: the repeated call refuses too."""
+        oracle._verdict.cache_clear()
+        for _ in range(2):
+            with pytest.raises(fd.DegenerateOperatorError, match="pseudo-determinant"):
+                lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
+        assert oracle._verdict.cache_info().currsize == 0
+
 
     @pytest.mark.parametrize("fn", [lattice_ratio, lattice_ratio_richardson])
     def test_degenerate_reference_rejected(self, modulated_profile, fn):
@@ -534,6 +600,39 @@ class TestPseudoDeterminant:
             pseudo_det_ratio(const_profile, "dirichlet", 200)
 
 
+class TestGaussLegendre:
+    """The coupling flow's Gauss-Legendre rule, found by Newton's method."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32, 64])
+    def test_against_30_digit_references(self, n):
+        """Each node refined by Newton's method on mpmath's Legendre
+        polynomial at 30 digits, its weight 2 / ((1 - x^2) P_n'^2) with
+        P_n' = n (P_{n-1} - x P_n) / (1 - x^2)."""
+        import mpmath
+
+        xs, ws = _gauss_legendre(n)
+        assert not xs.flags.writeable and not ws.flags.writeable
+        assert np.all(np.diff(xs) > 0.0)
+        with mpmath.workdps(30):
+            for x, w in zip(xs.tolist(), ws.tolist()):
+                root = mpmath.mpf(x)
+                for _ in range(4):
+                    p, prev = mpmath.legendre(n, root), mpmath.legendre(n - 1, root)
+                    slope = n * (prev - root * p) / (1 - root * root)
+                    root -= p / slope
+                weight = 2 / ((1 - root * root) * slope * slope)
+                assert abs(x - root) <= 2e-16
+                assert abs(w / weight - 1) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 32, 64])
+    def test_exact_on_monomials(self, n):
+        """The n-point rule integrates x^k over [-1, 1] exactly for k < 2n."""
+        xs, ws = _gauss_legendre(n)
+        for k in range(2 * n):
+            assert float(ws @ xs ** k) == pytest.approx(
+                0.0 if k % 2 else 2.0 / (k + 1), abs=1e-14)
+
+
 class TestCouplingFlow:
     def test_dirichlet_constant(self, const_profile):
         ratio = gflow_ratio(const_profile, "dirichlet")
@@ -543,7 +642,7 @@ class TestCouplingFlow:
         """Constant Omega^2 chosen so that the flow's node s_20 (of 32) has
         omega_s T = pi on [0, 2]: that member's M12 is zero to rounding, yet
         its periodic determinant is 4, and the flow keeps its digits."""
-        nodes = (0.5 * (np.polynomial.legendre.leggauss(32)[0] + 1.0)) ** 2
+        nodes = (0.5 * (_gauss_legendre(32)[0] + 1.0)) ** 2
         omega_sq = 1.0 + ((0.5 * math.pi) ** 2 - 1.0) / nodes[20]
         profile = fd.make_constant_profile(math.sqrt(omega_sq), fd.Interval(0.0, 2.0))
         expected = (1.0 - math.cos(2.0 * math.sqrt(omega_sq))) / (1.0 - math.cos(2.0))
@@ -680,17 +779,14 @@ class TestNoEigensolve:
     def test_lattice_oracles_and_verify_without_eigensolvers(
             self, monkeypatch, capsys, modulated_profile, sinpi_profile):
         """The lattice oracle and every verify suite run with the dense and
-        tridiagonal eigensolvers disabled.  The coupling flow's Gauss rule,
-        whose nodes numpy finds as companion-matrix eigenvalues, is taken
-        before they are."""
+        tridiagonal eigensolvers disabled, the coupling flow's Gauss rule
+        included: Newton's method finds its nodes, no eigensolver."""
         import scipy.linalg
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigensolver called")
 
-        rule = np.polynomial.legendre.leggauss(32)
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
-                            lambda deg: rule if deg == 32 else refuse())
+        _gauss_legendre.cache_clear()
         for name in ("eigvalsh", "eigh", "eigvals", "eig"):
             monkeypatch.setattr(np.linalg, name, refuse)
         for name in ("eigvalsh_tridiagonal", "eigh_tridiagonal"):

@@ -72,6 +72,47 @@ def test_no_scipy_integrate_import(path):
     assert scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
+NUMPY_AVOIDED = ("unique", "polynomial", "ma")
+
+
+def numpy_avoided(source: str) -> list:
+    """Reads of np.unique, np.polynomial and np.ma (numpy. alike) and
+    imports of them or of anything under the last two, by dotted name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in ("np", "numpy") and node.attr in NUMPY_AVOIDED:
+                found.append(f"numpy.{node.attr}")
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [".".join(name.split(".")[:2]) for name in names
+                  if name.split(".")[0] == "numpy" and name.split(".")[1:2] in (
+                      [word] for word in NUMPY_AVOIDED)]
+    return found
+
+
+def test_detects_numpy_avoided():
+    source = ("import numpy as np\nimport numpy.ma\nimport numpy.linalg\n"
+              "from numpy.polynomial import legendre\nfrom numpy import unique, sort\n"
+              "def f(x):\n    np.unique(x)\n    numpy.ma.is_masked(x)\n"
+              "    return np.polynomial.legendre.leggauss(4), np.sort(x), np.ma\n")
+    assert sorted(numpy_avoided(source)) == ["numpy.ma"] * 3 + ["numpy.polynomial"] * 2 + [
+        "numpy.unique"] * 2
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=[path.name for path in ALL_SOURCES])
+def test_no_numpy_unique_polynomial_or_ma(path):
+    """np.unique imports numpy.ma (10-15 ms) to check for masked arrays and
+    np.polynomial costs 3-7 ms to import, so no module calls or reaches
+    them."""
+    assert numpy_avoided(path.read_text(encoding="utf-8")) == []
+
+
 def oracle_imports(source: str) -> list:
     """Imports of flucdet.oracle, absolute or relative, at any depth."""
     names = []
