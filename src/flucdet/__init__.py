@@ -33,11 +33,9 @@ from .profiles import (
     shifted_profile,
 )
 from .odesolve import (
-    ErmakovSolution,
     HomogeneousBasis,
     make_basis,
     mix_basis,
-    solve_ermakov,
 )
 from .green import (
     GreenKernel,
@@ -61,7 +59,8 @@ from .determinants import (
 # the amplitude-phase route and the oracles load on first use (PEP 562), so
 # that a determinant compiles neither
 _LAZY = {name: module for module, names in (
-    ("ermakov", ("basis_from_pq", "det_ratio_dirichlet_pq", "det_ratio_periodic_pq")),
+    ("ermakov", ("ErmakovSolution", "basis_from_pq", "det_ratio_dirichlet_pq",
+                 "det_ratio_periodic_pq", "solve_ermakov")),
     ("oracle", ("LatticeOperator", "SpectrumReport", "build_lattice", "gflow_ratio",
                 "lattice_ratio", "lattice_ratio_richardson", "pseudo_det_ratio")))
     for name in names}

@@ -44,7 +44,7 @@ from .errors import (
     VerificationError,
 )
 from .green import _SIGMA, GreenKernel
-from .odesolve import make_basis, solve_ermakov
+from .odesolve import make_basis
 from .profiles import Interval, profile_from_config, profile_to_config
 
 SWEEP_PARAMS = ("omega", "T", "eps", "nu")
@@ -138,7 +138,7 @@ def _det_endpoint_record(profile, bc: str, omega0: float) -> dict:
 
 
 def _det_pq_record(profile, bc: str, omega0: float) -> dict:
-    from .ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
+    from .ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq, solve_ermakov
     if not omega0 > 0:
         raise ConfigError("the pq route requires --omega0 > 0")
     reference, reference_value = reference_determinant(

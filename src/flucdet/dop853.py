@@ -1,4 +1,5 @@
-"""DOP853 for the amplitude-phase system of odesolve.solve_ermakov.
+"""DOP853 for the amplitude-phase system of ermakov.solve_ermakov, which
+imports this module on the route's first solve.
 
 The explicit Runge-Kutta pair of order 8(5, 3) of Dormand and Prince with
 its seventh-order dense output (Hairer, Norsett & Wanner, Solving Ordinary
@@ -106,15 +107,6 @@ def _ermakov_rhs(om, w0, y, dy, h):
     return [y[1] + dy[1] * h, 1.0 / p ** 3 - om * p, 1.0 / (w0 * p * p)]
 
 
-def _slope(om: float, w0: float, y: list, dy: list, h: float) -> list:
-    """_ermakov_rhs on floats, unless p = 0 or a power of p overflows, where
-    numpy scalars give inf and nan as floats cannot."""
-    try:
-        return _ermakov_rhs(om, w0, y, dy, h)
-    except ArithmeticError:
-        return _ermakov_rhs(om, w0, np.array(y), np.array(dy), h)
-
-
 def _rms(x: np.ndarray) -> float:
     return float(np.linalg.norm(x)) / x.size ** 0.5
 
@@ -187,11 +179,12 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
     sums = [(k[:s].T, _ROWS[s], 3 * s) for s in range(1, 13)]
     with np.errstate(all="ignore"):  # a failed trial step only shrinks the step
         # initial step: Hairer, Norsett & Wanner II.4, as scipy selects it
-        f = np.array(_slope(float(om(t)), w0, y.tolist(), [0.0] * 3, 0.0))
+        # on numpy scalars: inf and nan where p = 0 or a power of p overflows
+        f = np.array(_ermakov_rhs(float(om(t)), w0, y, np.zeros(3), 0.0))
         scale = atol + np.abs(y) * rtol
         d0, d1 = _rms(y / scale), _rms(f / scale)
         h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, iv.span)
-        f1 = np.array(_slope(float(om(t + h0)), w0, y.tolist(), f.tolist(), h0))
+        f1 = np.array(_ermakov_rhs(float(om(t + h0)), w0, y, f, h0))
         d2 = _rms((f1 - f) / scale) / h0
         h_abs = min(100.0 * h0, iv.span, max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15
                     else (0.01 / max(d1, d2)) ** 0.125)

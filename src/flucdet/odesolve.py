@@ -1,4 +1,4 @@
-"""Homogeneous solutions and amplitude-phase solutions of h'' = -g*Omega^2(t)*h.
+"""Homogeneous solutions of h'' = -g*Omega^2(t)*h by the Magnus integrator.
 
 A solution basis is one 2x2 fundamental matrix Y(t): its columns are two
 independent solutions, its first row their values and its second row their
@@ -30,14 +30,6 @@ reduced pairwise as M is, _MagnusGrid.slope) pays for.  Integrals use one
 Gauss rule on the steps between knots (HomogeneousBasis.quadrature); every
 basis keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
 solutions' phase, where that rule reaches rounding level.
-
-The amplitude-phase system is solved by the package's own adaptive DOP853
-(dop853.py), which keeps that route independent of the Magnus product.  It
-steps as scipy's solve_ivp(method="DOP853") does, with one Omega^2 call per
-step attempt, and builds its dense output only for the steps a time falls
-into.  The periodic amplitude is superposed, by Pinney's closed form in the
-monodromy that one solve's own endpoint data give, from that one solve;
-newton_iterations counts the correction, 0 or 1.
 """
 
 from __future__ import annotations
@@ -49,13 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import IntegrationError, ShootingError
+from .errors import IntegrationError
 from .profiles import FrequencyProfile, Interval
-
-DEFAULT_RTOL = 1e-12
-DEFAULT_ATOL = 1e-14
-# periodic amplitude: how closely p and p' must return to their start
-SHOOTING_TOL = 1e-8
 
 # Magnus step doubling stops once the error estimate |M_n - M_c| / (2^(6k) - 1)
 # of the finer level n = 2^k c is at most MAGNUS_REL_TARGET times its largest
@@ -121,11 +108,6 @@ def _on_interval(fn: Callable, iv: Interval) -> Callable:
         return fn(np.clip(tt, iv.t_a, iv.t_b))
 
     return restricted
-
-
-def _times(y: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Y C for Y of shape (2, 2) or (2, 2, n) and a constant 2x2 matrix C."""
-    return np.einsum("ij...,jk->ik...", y, c)
 
 
 def _adjugate(y: np.ndarray) -> np.ndarray:
@@ -200,7 +182,8 @@ def _step_matrices(a: np.ndarray, h):
 
 
 def _product(b, a):
-    """b @ a for b of shape (2, 2) and a of shape (2, c), both + trailing axes."""
+    """b @ a for b of shape (2, 2) and a of shape (2, c), both + trailing axes,
+    which broadcast: a constant matrix times a stack of them, or the reverse."""
     return np.einsum("ij...,jk...->ik...", b, a)
 
 
@@ -478,7 +461,7 @@ class HomogeneousBasis:
 
     def y(self, t) -> np.ndarray:
         """Y(t) = Phi(t) Y_a."""
-        return _times(self.phi(t), self.y_a)
+        return _product(self.phi(t), self.y_a)
 
     def phi(self, t) -> np.ndarray:
         """Phi(t) = Phi(t, t_a), the fundamental matrix equal to I at t_a."""
@@ -526,143 +509,9 @@ def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
     return replace(basis, y_a=basis.y_a @ c, y_b=basis.y_b @ c)
 
 
-# ---------------------------------------------------------------------------
-# amplitude-phase representation
-
-
-@dataclass(frozen=True, eq=False)
-class ErmakovSolution:
-    """Amplitude p(t) and phase q(t) with p'' + Omega^2 p = p^-3, omega0*q'*p^2 = 1.
-
-    state(t) returns (p, p', q) at a time or, as rows, at a 1-D array of
-    times.  q is normalized to q(t_a) = 0.  For bc="periodic" the amplitude
-    satisfies p(t_b) = p(t_a) and p'(t_b) = p'(t_a) to SHOOTING_TOL, and
-    newton_iterations counts the closed-form corrections it took, 0 or 1;
-    a corrected amplitude is superposed from the initial solve's states.
-    knots are the integrator's step times from t_a to t_b and q_knots the
-    phase at them, read from the solver's own step-end states.
-    """
-
-    state: Callable[[object], np.ndarray]
-    omega0: float
-    p_a: float
-    p_b: float
-    dp_a: float
-    dp_b: float
-    q_b: float
-    profile: FrequencyProfile
-    periodic: bool
-    knots: np.ndarray
-    q_knots: np.ndarray
-    newton_iterations: int = 0
-
-    @property
-    def interval(self) -> Interval:
-        return self.profile.interval
-
-
-def _integrate_ermakov(profile, omega0, start):
-    """The DOP853 solution (dop853.solve) of (p, p', q) from start = (p_a,
-    p'_a, 0) to DEFAULT_RTOL and DEFAULT_ATOL.  The solver module is compiled
-    on the route's first use: a cold start without it skips that."""
-    from .dop853 import solve
-
-    return solve(profile.omega_sq, profile.interval, float(omega0), start,
-                 DEFAULT_RTOL, DEFAULT_ATOL)
-
-
-def _pinney_start(p_a, end, omega0):
-    """The periodic amplitude's start (p_a, p'_a) from the end state (p_b,
-    p'_b, q_b) of one solve from (p_a, 0, 0).  Its basis (p cos theta, p sin theta),
-    theta = omega0 q, has Wronskian 1 and gives the monodromy M; the periodic
-    amplitude's form [[p^2, p p'], [p p', p'^2 + p^-2]] at t_a is the one M
-    leaves invariant (Pinney, Proc. AMS 1, 681, 1950; Lewis and Riesenfeld,
-    J. Math. Phys. 10, 1458, 1969), so p_a^2 = 2|M12| / sqrt(4 - tr^2 M)
-    and p_a p'_a = -sign(M12) (M11 - M22) / sqrt(4 - tr^2 M); _superposition
-    reads that amplitude off the same solve."""
-    p_b, dp_b, q_b = end
-    s, c = math.sin(omega0 * q_b), math.cos(omega0 * q_b)
-    m11, m12, m22 = p_b * c / p_a, p_a * p_b * s, p_a * (dp_b * s + c / p_b)
-    trace = m11 + m22
-    if not abs(trace) < 2.0:
-        raise ShootingError(
-            f"no periodic amplitude: |tr M| = {abs(trace):.4g} >= 2, the profile is "
-            f"at a parametric resonance")
-    root = math.sqrt((2.0 - trace) * (2.0 + trace))
-    p = math.sqrt(2.0 * abs(m12) / root)
-    return p, -math.copysign(1.0, m12) * (m11 - m22) / (root * p)
-
-
-def _superposition(p1_a, p_a, dp_a, omega0):
-    """States (p, p', q) of the amplitude from (p_a, p'_a, 0), as rows, from
-    those (p1, p1', q1) of the solve from (p1_a, 0, 0).  Every amplitude is
-    p^2 = w^T G w, det G = 1, over the Wronskian-1 basis w = p1 c, c = (cos,
-    sin)(omega0 q1) (Pinney, 1950): p = p1 (c^T G c)^(1/2) and p p' = p1 p1'
-    c^T G c + c_perp^T G c, c_perp = (-sin, cos)(omega0 q1).  omega0 q turns
-    from omega0 q1 by the angle from c to L c, G = L^T L with L upper
-    triangular; L's eigenvalues are positive, so that angle stays in (-pi, pi)."""
-    r, g12 = p_a / p1_a, p_a * dp_a  # L = [[r, g12 / r], [0, 1 / r]]
-    g11, g22 = r * r, (1.0 + g12 * g12) / (r * r)
-
-    def superposed(y):
-        p1, dp1, q1 = y
-        c, s = np.cos(omega0 * q1), np.sin(omega0 * q1)
-        cc, cs, ss = c * c, c * s, s * s
-        form = g11 * cc + 2.0 * g12 * cs + g22 * ss
-        p = p1 * np.sqrt(form)
-        dp = (p1 * dp1 * form + (g22 - g11) * cs + g12 * (cc - ss)) / p
-        turn = np.arctan2(cs * (1.0 / r - r) - g12 / r * ss, r * cc + g12 / r * cs + ss / r)
-        return np.array([p, dp, q1 + turn / omega0])
-
-    return superposed
-
-
-def solve_ermakov(profile: FrequencyProfile, omega0: float,
-                  bc: str = "initial") -> ErmakovSolution:
-    """Solve the amplitude-phase system for the profile.
-
-    bc="initial" starts from p(t_a) = Omega(t_a)^(-1/2) (or 1 if Omega^2(t_a)
-    is not positive) with p'(t_a) = 0.  bc="periodic" keeps that solve if
-    its endpoint amplitude and slope match the start to SHOOTING_TOL, and
-    otherwise corrects it once: Pinney's closed form (_pinney_start), read
-    from the solve's own monodromy, gives the periodic start, and the
-    periodic amplitude is superposed from the same solve (_superposition),
-    so every bc costs one solve; newton_iterations counts the correction, 0
-    or 1.  Raises ShootingError at a parametric resonance (|tr M| >= 2,
-    where no periodic amplitude exists) or when the corrected amplitude
-    misses SHOOTING_TOL.
-    """
-    if not 0.0 < omega0 < math.inf:
-        raise ValueError(f"omega0 must be positive and finite, got {omega0}")
-    if bc not in ("initial", "periodic"):
-        raise ValueError(f"bc must be 'initial' or 'periodic', got {bc!r}")
-    iv = profile.interval
-
-    om_a = float(profile.omega_sq(np.array(iv.t_a)))
-    p_a = om_a ** (-0.25) if om_a > 0.0 else 1.0
-    dp_a = 0.0
-    sol = _integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
-    state, end, q_knots, corrections = sol, sol.ys[-1], sol.ys[:, 2], 0
-
-    def residual():
-        return max(abs(end[0] - p_a), abs(end[1] - dp_a))
-
-    if bc == "periodic" and residual() > SHOOTING_TOL * (1.0 + p_a):
-        p1_a, (p_a, dp_a) = p_a, _pinney_start(p_a, end, omega0)
-        superposed = _superposition(p1_a, p_a, dp_a, omega0)
-        end, q_knots, corrections = superposed(end), superposed(sol.ys.T)[2], 1
-
-        def state(t):
-            return superposed(sol(t))
-
-        if residual() > SHOOTING_TOL * (1.0 + p_a):
-            raise ShootingError(
-                f"the periodic amplitude from Pinney's closed form misses SHOOTING_TOL = "
-                f"{SHOOTING_TOL} (residual {residual():.3e})")
-
-    return ErmakovSolution(
-        state=_on_interval(state, iv), omega0=float(omega0),
-        p_a=p_a, p_b=float(end[0]), dp_a=dp_a, dp_b=float(end[1]),
-        q_b=float(end[2]), profile=profile, periodic=(bc == "periodic"),
-        knots=sol.ts, q_knots=q_knots,
-        newton_iterations=corrections)
+def __getattr__(name):
+    """solve_ermakov of the amplitude-phase route (ermakov.py), loaded on first use."""
+    if name != "solve_ermakov":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .ermakov import solve_ermakov
+    return solve_ermakov

@@ -20,9 +20,9 @@ from flucdet.determinants import (
     trace_identity_residual,
     van_vleck_check,
 )
-from flucdet.ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq
+from flucdet.ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq, solve_ermakov
 from flucdet.green import GreenKernel
-from flucdet.odesolve import make_basis, mix_basis, solve_ermakov
+from flucdet.odesolve import make_basis, mix_basis
 from flucdet.oracle import (
     gflow_ratio,
     lattice_ratio,

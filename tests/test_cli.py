@@ -312,6 +312,17 @@ class TestDetErrors:
         code, _, err = run(capsys, "det", "--profile", "/nonexistent.json")
         assert code == 1 and "not found" in err
 
+    def test_non_object_profile(self, capsys, tmp_path):
+        """A --profile that does not start with '{' names a file; a file
+        whose JSON is not an object is refused by name."""
+        code, out, err = run(capsys, "det", "--profile", "[1]")
+        assert code == 1 and out == "" and "not found" in err
+        path = tmp_path / "list.json"
+        path.write_text("[1]", encoding="utf-8")
+        code, out, err = run(capsys, "det", "--profile", str(path))
+        assert code == 1 and out == ""
+        assert "must be a JSON object" in err
+
     def test_nan_omega0_rejected(self, capsys):
         code, out, err = run(capsys, "det", "--bc", "periodic", "--omega0", "nan")
         assert code == 1 and out == ""
@@ -577,10 +588,10 @@ class TestImports:
 
     def test_cli_import_loads_no_oracle(self):
         """The package resolves the oracles' and the amplitude-phase route's
-        names on first use, so a cold start compiles neither module, while
-        the names stay public."""
+        names on first use, so a cold start compiles neither module nor the
+        route's DOP853, while the names stay public."""
         code = ("import sys, flucdet.cli; print(sorted(m for m in sys.modules "
-                "if m in ('flucdet.oracle', 'flucdet.ermakov')))\n"
+                "if m in ('flucdet.oracle', 'flucdet.ermakov', 'flucdet.dop853')))\n"
                 "import flucdet; print(flucdet.gflow_ratio.__module__, "
                 "flucdet.basis_from_pq.__module__)")
         src = str(Path(fd.__file__).resolve().parents[1])
@@ -588,6 +599,30 @@ class TestImports:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.split("\n")[:2] == ["[]", "flucdet.oracle flucdet.ermakov"]
+
+    def test_odesolve_resolves_solve_ermakov(self):
+        """odesolve re-exports the amplitude-phase solve, the same function
+        object, and no other name it does not define."""
+        from flucdet import ermakov, odesolve
+        from flucdet.odesolve import make_basis, solve_ermakov
+
+        assert solve_ermakov is odesolve.solve_ermakov is ermakov.solve_ermakov
+        assert make_basis is fd.make_basis and fd.solve_ermakov is solve_ermakov
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            odesolve.nonexistent
+
+    def test_pq_solver_loads_on_first_solve(self):
+        """A cold import of the amplitude-phase route's module leaves its
+        DOP853 uncompiled until the route's first solve."""
+        code = ("import sys, flucdet as fd, flucdet.ermakov\n"
+                "print('flucdet.dop853' in sys.modules)\n"
+                "fd.solve_ermakov(fd.make_constant_profile(1.0, fd.Interval(0.0, 1.0)), 1.0)\n"
+                "print('flucdet.dop853' in sys.modules)")
+        src = str(Path(fd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["False", "True"]
 
     def test_lazy_names_are_public(self):
         """from flucdet import * binds every name of __all__, the lazily

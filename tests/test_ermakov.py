@@ -11,9 +11,10 @@ from flucdet.ermakov import (
     basis_from_pq,
     det_ratio_dirichlet_pq,
     det_ratio_periodic_pq,
+    solve_ermakov,
 )
 from flucdet.green import GreenKernel
-from flucdet.odesolve import MAGNUS_STEPS_PER_RADIAN, make_basis, solve_ermakov
+from flucdet.odesolve import MAGNUS_STEPS_PER_RADIAN, make_basis
 
 OMEGA0_CHOICES = (0.7, 1.0, 2.3)
 

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flucdet as fd
-from flucdet import odesolve
+from flucdet import dop853, ermakov, odesolve
+from flucdet.ermakov import solve_ermakov
 from flucdet.odesolve import (
     MAGNUS_MAX_STEPS,
     make_basis,
     mix_basis,
-    solve_ermakov,
 )
 
 
@@ -732,13 +732,13 @@ class TestErmakov:
         """A periodic amplitude that the start misses costs one correction,
         read off the first solve by Pinney's superposition: one solve in all."""
         calls = []
-        integrate = odesolve._integrate_ermakov
+        integrate = dop853.solve
 
         def counted(*args):
             calls.append(args)
             return integrate(*args)
 
-        monkeypatch.setattr(odesolve, "_integrate_ermakov", counted)
+        monkeypatch.setattr(dop853, "solve", counted)
         sol = solve_ermakov(seam_profile, 1.0, bc="periodic")
         assert sol.newton_iterations == 1
         assert len(calls) == 1
@@ -754,17 +754,17 @@ class TestErmakov:
         sol = solve_ermakov(profile, omega0, bc="periodic")
         assert sol.newton_iterations == 1
         p1_a = float(profile.omega_sq(iv.t_a)) ** -0.25
-        first = odesolve._integrate_ermakov(profile, omega0, [p1_a, 0.0, 0.0])
-        p_a, dp_a = odesolve._pinney_start(p1_a, first.ys[-1], omega0)
+        first = dop853_solve(profile, omega0, [p1_a, 0.0, 0.0])
+        p_a, dp_a = ermakov._pinney_start(p1_a, first.ys[-1], omega0)
         assert (sol.p_a, sol.dp_a) == (p_a, dp_a)
-        second = odesolve._integrate_ermakov(profile, omega0, [p_a, dp_a, 0.0])
+        second = dop853_solve(profile, omega0, [p_a, dp_a, 0.0])
         times = np.linspace(iv.t_a, iv.t_b, 103)[1:-1]
         ref = second(times)
         error = np.abs(sol.state(times) - ref).max(axis=1)
         np.testing.assert_array_less(error, 1e-9 * np.abs(ref).max(axis=1))
         np.testing.assert_allclose(sol.q_knots, sol.state(sol.knots)[2], rtol=0.0,
                                    atol=1e-12 * sol.q_b)
-        tol = odesolve.SHOOTING_TOL * (1.0 + sol.p_a)
+        tol = ermakov.SHOOTING_TOL * (1.0 + sol.p_a)
         assert abs(sol.p_b - sol.p_a) <= tol and abs(sol.dp_b - sol.dp_a) <= tol
 
     @pytest.mark.parametrize("t_b", [3.196, 6.2])
@@ -807,6 +807,13 @@ class TestErmakov:
             solve_ermakov(const_profile, 1.0, bc="none")
 
 
+def dop853_solve(profile, omega0, start):
+    """dop853.solve of (p, p', q) from start to the pq route's tolerances, as
+    solve_ermakov calls it."""
+    return dop853.solve(profile.omega_sq, profile.interval, float(omega0), start,
+                        ermakov.DEFAULT_RTOL, ermakov.DEFAULT_ATOL)
+
+
 def _scipy_dop853(profile, omega0, start):
     """scipy's DOP853 on the Ermakov right-hand side, one scalar Omega^2
     call per stage: the reference the package's port must reproduce."""
@@ -820,7 +827,7 @@ def _scipy_dop853(profile, omega0, start):
 
     iv = profile.interval
     return solve_ivp(rhs, (iv.t_a, iv.t_b), start, method="DOP853", dense_output=True,
-                     rtol=odesolve.DEFAULT_RTOL, atol=odesolve.DEFAULT_ATOL)
+                     rtol=ermakov.DEFAULT_RTOL, atol=ermakov.DEFAULT_ATOL)
 
 
 class TestDop853Port:
@@ -839,7 +846,7 @@ class TestDop853Port:
         profile = request.getfixturevalue(name)
         iv = profile.interval
         start = [float(profile.omega_sq(iv.t_a)) ** -0.25, 0.0, 0.0]
-        port = odesolve._integrate_ermakov(profile, omega0, start)
+        port = dop853_solve(profile, omega0, start)
         ref = _scipy_dop853(profile, omega0, start)
         assert ref.status == 0
         assert port.ys.shape[1] == components
@@ -854,7 +861,7 @@ class TestDop853Port:
         the port then steps on numpy scalars' inf, as scipy does."""
         profile = fd.make_user_profile(lambda t: -1.0, fd.Interval(0.0, 240.0))
         start = [1.0, 0.0, 0.0]
-        port = odesolve._integrate_ermakov(profile, 1.0, start)
+        port = dop853_solve(profile, 1.0, start)
         with np.errstate(over="ignore"):
             ref = _scipy_dop853(profile, 1.0, start)
         assert ref.status == 0 and ref.y[0, -1] > 1e104
@@ -886,7 +893,7 @@ class TestDop853Port:
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "dot", no_dot)
-            port = odesolve._integrate_ermakov(profile, omega0, start)
+            port = dop853_solve(profile, omega0, start)
         assert ref.status == 0
         assert port.ts.size == ref.t.size
         np.testing.assert_allclose(port.ts, ref.t, rtol=1e-13, atol=0.0)
@@ -911,7 +918,7 @@ class TestDop853Port:
             return bump.omega_sq(t)
 
         start = [1.0, 0.0, 0.0]
-        port = odesolve._integrate_ermakov(
+        port = dop853_solve(
             fd.FrequencyProfile(omega_sq=om, interval=bump.interval), 1.0, start)
         assert len(calls) > port.ts.size - 1 + 2
         ref = _scipy_dop853(bump, 1.0, start)
@@ -923,7 +930,7 @@ class TestDop853Port:
         np.testing.assert_allclose(port(times), ref.sol(times), rtol=0.0, atol=1e-12)
 
     def test_dense_output_shapes(self, modulated_profile):
-        port = odesolve._integrate_ermakov(modulated_profile, 1.0, [1.0, 0.0, 0.0])
+        port = dop853_solve(modulated_profile, 1.0, [1.0, 0.0, 0.0])
         assert port(0.7).shape == (3,)
         assert port(np.array([0.7])).shape == (3, 1)
         np.testing.assert_array_equal(port(np.array([0.7, 1.3]))[:, 1], port(1.3))
@@ -935,7 +942,7 @@ class TestDop853Port:
         t = 1e-9, where the refusal names the crossing."""
         profile = fd.make_constant_profile(1.3, fd.Interval(0.0, 2.0))
         with pytest.raises(fd.IntegrationError, match="collapsed to zero near t") as info:
-            odesolve._integrate_ermakov(profile, 1.3, [1.0, -1e9, 0.0])
+            dop853_solve(profile, 1.3, [1.0, -1e9, 0.0])
         assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(1e-9, rel=1e-6)
 
     def test_step_too_small_refused(self):
@@ -945,7 +952,7 @@ class TestDop853Port:
             omega_sq=lambda t: np.where(np.asarray(t) < 1.0, 1.0, np.nan),
             interval=fd.Interval(0.0, 2.0))
         with pytest.raises(fd.IntegrationError, match="integration failed near t") as info:
-            odesolve._integrate_ermakov(profile, 1.0, [1.0, 0.0, 0.0])
+            dop853_solve(profile, 1.0, [1.0, 0.0, 0.0])
         assert float(str(info.value).split("= ")[1].split(":")[0]) == pytest.approx(1.0)
 
     def test_nan_start_refused(self):

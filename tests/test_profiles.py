@@ -185,6 +185,12 @@ class TestZeroModeShapes:
         with pytest.raises(fd.ProfileError):
             make_zero_mode_profile(spec)
 
+    def test_rejects_identically_zero_shape(self, unit_interval):
+        spec = SyntheticZeroModeSpec(lambda t: 0.0, unit_interval, dxi=lambda t: 0.0,
+                                     d2xi=lambda t: 0.0, name="zero")
+        with pytest.raises(fd.ProfileError, match="identically zero"):
+            make_zero_mode_profile(spec)
+
     def test_unknown_builtin_name(self, unit_interval):
         with pytest.raises(fd.ConfigError, match="sinpi"):
             builtin_zero_mode_spec("nope", unit_interval)
@@ -238,6 +244,19 @@ class TestConfig:
     def test_invalid_json_text(self, unit_interval):
         with pytest.raises(fd.ConfigError):
             profile_from_config("{not json", unit_interval)
+
+    def test_non_object_refused(self, unit_interval):
+        with pytest.raises(fd.ConfigError, match="must be a JSON object"):
+            profile_from_config("[1]", unit_interval)
+
+    def test_synthetic_shape_must_be_a_name(self, unit_interval):
+        with pytest.raises(fd.ConfigError, match="must name a built-in shape, got 3"):
+            profile_from_config({"kind": "synthetic", "xi": 3}, unit_interval)
+
+    def test_user_profile_not_representable(self, unit_interval):
+        profile = make_user_profile(lambda t: 1.0, unit_interval, description="flat")
+        with pytest.raises(fd.ConfigError, match="'flat' is not representable"):
+            profile_to_config(profile)
 
     @pytest.mark.parametrize("config,iv,name", [
         ({"kind": "constant", "omega": math.nan}, (0.0, 1.0), "omega"),

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports scipy, only the front ends import the oracles, only green.py
 decides what a boundary condition means, and the amplitude-phase route
-names none of the main path's endpoint data."""
+names none of the main path's endpoint data, nor the Magnus integrator's
+module any of that route's."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flucdet
-from flucdet import cli, ermakov, green, odesolve
+from flucdet import cli, dop853, ermakov, green, odesolve
 
 ALL_SOURCES = sorted(Path(flucdet.__file__).parent.glob("*.py"))
 SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
@@ -181,11 +182,42 @@ def test_detects_main_path_names():
 def test_pq_route_reads_its_own_solve():
     """The amplitude-phase route checks the Magnus product, so neither its
     module nor its solver names the main path's endpoint data."""
-    odesolve_tree = ast.parse(Path(odesolve.__file__).read_text(encoding="utf-8"))
-    functions = {node.name: node for node in odesolve_tree.body
-                 if isinstance(node, ast.FunctionDef)}
-    trees = [ast.parse(Path(ermakov.__file__).read_text(encoding="utf-8"))] + [
-        functions[name] for name in ("solve_ermakov", "_integrate_ermakov", "_pinney_start",
-                                     "_superposition")]
-    for tree in trees:
+    for module in (ermakov, dop853):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         assert names_read(tree) & MAIN_PATH_NAMES == set()
+
+
+PQ_NAMES = {"ermakov", "solve_ermakov", "ErmakovSolution", "_pinney_start", "_superposition",
+            "SHOOTING_TOL", "DEFAULT_RTOL", "DEFAULT_ATOL", "dop853"}
+
+
+def pq_names(source: str) -> set:
+    """The amplitude-phase route's names that a module defines, imports or
+    reads outside its module-level __getattr__ (a PEP 562 re-export)."""
+    names = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "__getattr__":
+            continue
+        names |= names_read(top)
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+    return names & PQ_NAMES
+
+
+def test_detects_pq_names():
+    source = ("from .dop853 import solve\nSHOOTING_TOL = 1e-8\n"
+              "class ErmakovSolution:\n    pass\n"
+              "def _pinney_start(sol):\n    return sol.DEFAULT_RTOL\n"
+              "def __getattr__(name):\n    from .ermakov import solve_ermakov\n"
+              "    return solve_ermakov\n")
+    assert pq_names(source) == {"dop853", "SHOOTING_TOL", "ErmakovSolution", "_pinney_start",
+                                "DEFAULT_RTOL"}
+
+
+def test_odesolve_is_the_magnus_integrator_alone():
+    """odesolve.py defines, imports and reads none of the amplitude-phase
+    route's names; only its __getattr__ resolves solve_ermakov."""
+    assert pq_names(Path(odesolve.__file__).read_text(encoding="utf-8")) == set()
