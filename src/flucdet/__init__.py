@@ -40,6 +40,7 @@ from .odesolve import (
 from .green import (
     GreenKernel,
     det_from_transfer,
+    free_reference,
     trace_omega_sq,
 )
 from .determinants import (
@@ -51,7 +52,6 @@ from .determinants import (
     det_periodic,
     det_periodic_regularized,
     determinant,
-    free_reference,
     trace_identity_residual,
     van_vleck_check,
 )

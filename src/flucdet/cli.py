@@ -35,7 +35,6 @@ from .determinants import (
     det_dirichlet_regularized,
     det_periodic_regularized,
     determinant,
-    reference_determinant,
 )
 from .errors import (
     ConfigError,
@@ -43,7 +42,7 @@ from .errors import (
     FlucdetError,
     VerificationError,
 )
-from .green import _SIGMA, GreenKernel
+from .green import _SIGMA, GreenKernel, reference_determinant
 from .odesolve import make_basis
 from .profiles import Interval, profile_from_config, profile_to_config
 
@@ -79,7 +78,7 @@ def _load(profile_spec: str, t_a: float, t_b: float):
     text = profile_spec.strip()
     if not text:
         raise ConfigError("empty --profile value")
-    if not text.startswith("{"):
+    if not text.startswith(("{", "[")):
         if not os.path.exists(text):
             raise ConfigError(f"profile config file not found: {text}")
         with open(text, "r", encoding="utf-8") as fh:
@@ -205,6 +204,8 @@ def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
               help="endpoint: boundary-value construction; pq: amplitude-phase route.")
 def det_command(profile_spec, t_a, t_b, bc, omega0, out, regularized, method):
     """Compute one functional determinant and print a JSON record."""
+    if regularized and method == "pq":
+        raise ConfigError("--regularized runs the endpoint route; drop --method pq")
     _, profile = _load(profile_spec, t_a, t_b)
     if regularized:
         record = _det_regularized_record(profile, bc, omega0)

@@ -1,11 +1,12 @@
 """Functional determinants of -d^2/dt^2 - Omega^2(t) from the transfer matrix.
 
 Each determinant is read from the transfer matrix M = Y_b Y_a^{-1} of a
-solution basis Y(t) (see odesolve): M12 under Dirichlet, 2 - tr M under
-periodic and 2 + tr M under antiperiodic conditions.  Values are signed
-(negative beyond a focal point) and are reported together with the ratio
-against a reference operator: the free operator for Dirichlet, the constant
-frequency omega0 operator for periodic and antiperiodic conditions.
+solution basis Y(t) (see odesolve) by green.py's one float read of M: M12
+under Dirichlet, 2 - tr M under periodic and 2 + tr M under antiperiodic
+conditions.  Values are signed (negative beyond a focal point) and are
+reported together with the ratio against green.py's reference operator: the
+free operator for Dirichlet, the constant frequency omega0 operator for
+periodic and antiperiodic conditions.
 
 Zero modes: with one zero mode, F vanishes and det' K = -dF/dlambda of
 K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda, whose
@@ -25,15 +26,11 @@ import numpy as np
 
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
-from .green import (GreenKernel, _det_slope, _refuse_degenerate, _sigma, condition_estimate,
-                    det_from_transfer, trace_omega_sq)
+from .green import (GreenKernel, _det_slope, _read_transfer, _refuse_degenerate, _sigma,
+                    det_from_transfer, reference_determinant, trace_omega_sq)
 from .odesolve import HomogeneousBasis, make_basis
 from .profiles import FrequencyProfile, shifted_profile
 
-REFERENCE_FREE = "free"
-REFERENCE_CONSTANT = "constant-frequency"
-
-REFERENCE_DEGENERACY_TOL = 1e-9
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
 EIGENVALUE_SHIFT_MAX_ITER = 60
@@ -52,33 +49,6 @@ class DetResult:
     diagnostics: dict = field(repr=False)
 
 
-def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
-    """Determinant of the reference operator on an interval of length span.
-
-    Dirichlet: the free operator, value span (omega0=0) or sin(w0*span)/w0.
-    Periodic: 4*sin^2(w0*span/2); antiperiodic: 4*cos^2(w0*span/2).
-    """
-    w0, sigma = float(omega0), _sigma(bc)
-    if sigma:
-        return 4.0 * (math.sin if sigma > 0 else math.cos)(0.5 * w0 * span) ** 2
-    return math.sin(w0 * span) / w0 if w0 else span
-
-
-def reference_determinant(bc: str, span: float, omega0: float) -> tuple:
-    """(name, value) of the reference operator a ratio is taken against: the
-    free operator for Dirichlet, constant frequency omega0 otherwise.  The
-    only test of a reference for degeneracy: |value| <= REFERENCE_DEGENERACY_TOL
-    is refused."""
-    if not _sigma(bc):
-        return REFERENCE_FREE, span
-    ref = free_reference(bc, span, omega0)
-    if abs(ref) <= REFERENCE_DEGENERACY_TOL:
-        raise DegenerateOperatorError(
-            f"reference operator for {bc} is degenerate at omega0 = {omega0} "
-            f"(reference determinant {ref:.3e}); choose a different omega0")
-    return REFERENCE_CONSTANT, ref
-
-
 def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
     """The determinant under bc read from M, its ratio over the reference and
     its diagnostics: the Wronskian, the determinant of the basis endpoint
@@ -88,15 +58,12 @@ def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
     rounding of det M (unscaled, det M overflows for kT above about 355), and
     for the wrapped conditions whether Omega^2 takes one value at both ends.
     A value zero to its condition (green._refuse_degenerate) is refused."""
-    # M read once: det_from_transfer and condition_estimate on floats
-    (a, b), (c, d) = basis.m.tolist()
     iv, sigma = basis.interval, _sigma(bc)
-    value = 2.0 - sigma * (a + d) if sigma else b
+    value, condition, ((a, b), (c, d)) = _read_transfer(basis.m, bc)
     reference, ref = reference_determinant(bc, iv.span, omega0)
-    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
-    condition = scale / abs(value) if value else math.inf
     _refuse_degenerate(condition, f"zero mode detected for bc={bc} (determinant {value!r}, "
                        "{}); use det --regularized")
+    scale = max(1.0, abs(a), abs(b), abs(c), abs(d))
     a, b, c, d = a / scale, b / scale, c / scale, d / scale
     w = basis.w
     diagnostics = {"w": w, "endpoint_det": w * value, "condition": condition,
@@ -170,9 +137,8 @@ def van_vleck_check(profile: FrequencyProfile) -> float:
     (green._refuse_degenerate) is refused.
     """
     basis = make_basis(profile, g=1.0)
-    m = basis.m
-    m12 = float(m[0, 1])
-    _refuse_degenerate(condition_estimate(m, m12), "classical path is degenerate: a solution "
+    m12, condition, _ = _read_transfer(basis.m, "dirichlet")
+    _refuse_degenerate(condition, "classical path is degenerate: a solution "
                        f"vanishes at both endpoints (M12 = {m12:.3e}, {{}})")
 
     nodes, weights = basis.quadrature
@@ -221,18 +187,6 @@ class ZeroModeReport:
     quotient_extrapolated: float
     lambda_over_eps: float
     check_residual: float
-
-
-def _zero_mode_scale(profile: FrequencyProfile) -> float:
-    """Normalization constant matching the supplied zero-mode shape, if any.
-
-    The zero mode is integrated as an initial-value solution with unit slope
-    at t_a; all reported quantities are rescaled so the endpoint slope at t_a
-    matches the shape stored on the profile (the regularized determinant is
-    scale invariant either way).
-    """
-    zm = profile.zero_mode
-    return 1.0 if zm is None else float(zm.dxi(profile.interval.t_a))
 
 
 def _eigenvalue_shift(profile: FrequencyProfile, slope: float, slope_b: float, eps: float):
@@ -286,10 +240,12 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     basis = make_basis(profile, g=1.0)
     det_reg = _zero_mode_slope(basis, "dirichlet")
 
-    # the zero mode is the column v of Phi, scaled to the shape's slope at t_a
-    dxi_a = _zero_mode_scale(profile)
+    # the zero mode is the column v of Phi (unit slope at t_a) scaled to the slope
+    # of the profile's shape at t_a, if any: det_reg and the floor do not depend on it
+    zm = profile.zero_mode
+    dxi_a = 1.0 if zm is None else float(zm.dxi(profile.interval.t_a))
     dxi_b = dxi_a * float(basis.m[1, 1])
-    slope_floor = 1e-8 * max(abs(dxi_a), abs(dxi_b), 1.0 / span)
+    slope_floor = 1e-8 * max(abs(dxi_a), abs(dxi_b))
     if abs(dxi_a) <= slope_floor or abs(dxi_b) <= slope_floor:
         raise DegenerateOperatorError(
             "zero-mode endpoint slope vanishes; the regularized determinant "

@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .determinants import reference_determinant
 from .errors import DegenerateOperatorError, ShootingError
+from .green import reference_determinant
 from .odesolve import (MAGNUS_STEPS_PER_RADIAN, HomogeneousBasis, _adjugate, _on_interval,
                        _product)
 from .profiles import FrequencyProfile, Interval

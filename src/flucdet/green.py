@@ -6,10 +6,14 @@ of Phi start from (1, 0) and (0, 1) at t_a.  The determinants are
 
     Dirichlet M12,   periodic 2 - tr M,   antiperiodic 2 + tr M
 
-(Gel'fand-Yaglom, Forman).  Every kernel is Wronski's construction from l =
-v, which vanishes at t_a, and r with (r, r') = (sin theta, -cos theta) at t_b,
-read as S(t)^{-1} (sin theta, -cos theta) from suffix products, so r is never
-a difference of growing solutions.  With W = -(M12 cos theta + M22 sin theta)
+(Gel'fand-Yaglom, Forman), formed from M's entries here alone
+(det_from_transfer).  Every route takes F, its condition estimate and M's
+entries from one float read of M (_read_transfer), and the zero verdict
+(_refuse_degenerate) and the reference operator (reference_determinant) from
+this module.  Every kernel is Wronski's construction from l = v, which
+vanishes at t_a, and r with (r, r') = (sin theta, -cos theta) at t_b, read as
+S(t)^{-1} (sin theta, -cos theta) from suffix products, so r is never a
+difference of growing solutions.  With W = -(M12 cos theta + M22 sin theta)
 
     G(t, t') = -l(min(t, t')) r(max(t, t')) / W + [l r](t) A [l r](t')^T.
 
@@ -34,6 +38,11 @@ from .odesolve import HomogeneousBasis
 # Each boundary condition's sign sigma: F = M12 at sigma = 0, else 2 - sigma tr M.
 _SIGMA = {"dirichlet": 0, "periodic": 1, "antiperiodic": -1}
 
+REFERENCE_FREE = "free"
+REFERENCE_CONSTANT = "constant-frequency"
+
+REFERENCE_DEGENERACY_TOL = 1e-9
+
 # A determinant whose condition estimate reaches 1/ENDPOINT_DEGENERACY_TOL is
 # zero: the operator has a zero mode under that condition.
 ENDPOINT_DEGENERACY_TOL = 1e-10
@@ -56,9 +65,46 @@ def _sigma(bc: str) -> int:
 def det_from_transfer(m: np.ndarray, bc: str) -> float:
     """The determinant of the operator under bc, read from M: M12 for
     Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic; one per
-    member for M of shape (2, 2, members)."""
+    member for M of shape (2, 2, members), a float for a 2x2 array or list."""
     sigma = _sigma(bc)
-    return _scalar(2.0 - sigma * (m[0, 0] + m[1, 1]) if sigma else m[0, 1])
+    return _scalar(2.0 - sigma * (m[0][0] + m[1][1]) if sigma else m[0][1])
+
+
+def _read_transfer(m: np.ndarray, bc: str) -> tuple:
+    """(F, condition, [[M11, M12], [M21, M22]]) from one float read of a 2x2 M:
+    F as det_from_transfer reads it, the condition the largest entry of M (at
+    least 1), which sets the integration error of the read, over |F|; inf at F = +-0."""
+    rows = m.tolist()
+    value = det_from_transfer(rows, bc)
+    condition = max(1.0, *map(abs, rows[0] + rows[1])) / abs(value) if value else math.inf
+    return value, condition, rows
+
+
+def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
+    """Determinant of the reference operator on an interval of length span.
+
+    Dirichlet: the free operator, value span (omega0=0) or sin(w0*span)/w0.
+    Periodic: 4*sin^2(w0*span/2); antiperiodic: 4*cos^2(w0*span/2).
+    """
+    w0, sigma = float(omega0), _sigma(bc)
+    if sigma:
+        return 4.0 * (math.sin if sigma > 0 else math.cos)(0.5 * w0 * span) ** 2
+    return math.sin(w0 * span) / w0 if w0 else span
+
+
+def reference_determinant(bc: str, span: float, omega0: float) -> tuple:
+    """(name, value) of the reference operator a ratio is taken against: the
+    free operator for Dirichlet, constant frequency omega0 otherwise.  The
+    only test of a reference for degeneracy: |value| <= REFERENCE_DEGENERACY_TOL
+    is refused."""
+    if not _sigma(bc):
+        return REFERENCE_FREE, span
+    ref = free_reference(bc, span, omega0)
+    if abs(ref) <= REFERENCE_DEGENERACY_TOL:
+        raise DegenerateOperatorError(
+            f"reference operator for {bc} is degenerate at omega0 = {omega0} "
+            f"(reference determinant {ref:.3e}); choose a different omega0")
+    return REFERENCE_CONSTANT, ref
 
 
 def _det_slope(basis, bc: str, weight: Optional[Callable] = None) -> float:
@@ -71,14 +117,6 @@ def _det_slope(basis, bc: str, weight: Optional[Callable] = None) -> float:
     dm = basis.slope(weight)
     sigma = _sigma(bc)
     return _scalar(-sigma * np.trace(dm) if sigma else dm[0, 1])
-
-
-def condition_estimate(m: np.ndarray, value: float) -> float:
-    """Cancellation estimate of a determinant read from M: the largest entry
-    of M (at least 1), which sets the integration error of the read, over
-    |value|; inf at value = +-0."""
-    (a, b), (c, d) = m.tolist()
-    return max(1.0, abs(a), abs(b), abs(c), abs(d)) / abs(value) if value else math.inf
 
 
 def _refuse_degenerate(condition: float, message: str) -> None:
@@ -105,16 +143,14 @@ class GreenKernel:
         self.basis = basis
         self.bc = bc
         self._sigma = sigma = _sigma(bc)
-        m = basis.m
-        self.denom = det_from_transfer(m, bc)
-        _refuse_degenerate(condition_estimate(m, self.denom),
+        self.denom, condition, ((m11, m12), (m21, m22)) = _read_transfer(basis.m, bc)
+        _refuse_degenerate(condition,
                            f"{bc} endpoint determinant vanishes ({self.denom:.3e}, {{}}); "
                            "the Green function does not exist")
 
         # r has (r, r') = (sin theta, -cos theta) at t_b and W = -n, n = M12 cos
         # theta + M22 sin theta: theta = 0 for Dirichlet, else atan2(M22, M12),
         # where n = hypot(M12, M22) > 0 since det M = 1
-        (m11, m12), (m21, m22) = m.tolist()
         self._n = math.hypot(m12, m22) if sigma else m12
         self._sin, self._cos, self._c = 0.0, 1.0, (0.0, 0.0, 0.0)
         if sigma:

@@ -32,10 +32,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .determinants import free_reference, reference_determinant
 from .errors import DegenerateOperatorError, IntegrationError
-from .green import (_det_slope, _refuse_degenerate, _sigma, condition_estimate,
-                    det_from_transfer)
+from .green import (_det_slope, _read_transfer, _refuse_degenerate, _sigma, det_from_transfer,
+                    free_reference, reference_determinant)
 from .odesolve import _family, _MagnusGrid
 from .profiles import FrequencyProfile
 
@@ -421,9 +420,8 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     groups = _family(profile, w0sq * (1.0 - s_probe), s_probe)
     dets, conditions = np.empty(s_probe.size), np.empty(s_probe.size)
     for members, _, m, _ in groups:
-        dets[members] = det_from_transfer(m, bc)
-        conditions[members] = [condition_estimate(m[..., j], dets[k])
-                               for j, k in enumerate(members)]
+        for j, k in enumerate(members):
+            dets[k], conditions[k], _ = _read_transfer(m[..., j], bc)
     i = int(np.argmax(conditions))
     _refuse_degenerate(conditions[i], f"coupling flow is degenerate at g' = {s_probe[i]:.6f} "
                        f"(endpoint determinant {dets[i]:.3e}, {{}})")

@@ -286,6 +286,15 @@ class TestDetErrors:
         assert code == 1 and out == ""
         assert "|tr M| = 2.505" in err and "parametric resonance" in err
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    def test_regularized_pq_refused(self, capsys, bc):
+        """--regularized runs the endpoint route, so --method pq with it is a
+        configuration error, not a silently ignored flag."""
+        code, out, err = run(capsys, "det", "--profile", SINPI, "--bc", bc, "--regularized",
+                             "--method", "pq")
+        assert code == 1 and out == ""
+        assert "--regularized runs the endpoint route" in err
+
     def test_unknown_kind(self, capsys):
         code, _, err = run(capsys, "det", "--profile", '{"kind": "bogus"}')
         assert code == 1 and "error" in err
@@ -313,10 +322,11 @@ class TestDetErrors:
         assert code == 1 and "not found" in err
 
     def test_non_object_profile(self, capsys, tmp_path):
-        """A --profile that does not start with '{' names a file; a file
-        whose JSON is not an object is refused by name."""
+        """A --profile that starts with '[' is inline JSON, as one that starts
+        with '{' is; a list, inline or in a file, is refused by name."""
         code, out, err = run(capsys, "det", "--profile", "[1]")
-        assert code == 1 and out == "" and "not found" in err
+        assert code == 1 and out == ""
+        assert "must be a JSON object" in err and "not found" not in err
         path = tmp_path / "list.json"
         path.write_text("[1]", encoding="utf-8")
         code, out, err = run(capsys, "det", "--profile", str(path))

@@ -1,6 +1,7 @@
 """Endpoint determinants, trace identity, action check, zero-mode paths."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,11 +14,10 @@ from flucdet.determinants import (
     det_periodic,
     det_periodic_regularized,
     determinant,
-    free_reference,
     trace_identity_residual,
     van_vleck_check,
 )
-from flucdet.green import _det_slope, det_from_transfer
+from flucdet.green import _det_slope, det_from_transfer, free_reference
 from flucdet.odesolve import make_basis
 from flucdet.oracle import pseudo_det_ratio
 from flucdet.profiles import shifted_profile
@@ -258,6 +258,41 @@ class TestDirichletZeroMode:
         assert report.quotient_extrapolated == pytest.approx(extrapolated)
         assert report.lambda_eps == pytest.approx(
             report.lambda_over_eps * report.eps, rel=1e-12)
+
+    def test_eps_chain_disagreement_refused(self, monkeypatch, sinpi_profile):
+        """A chain whose relative residual exceeds EPS_CHAIN_CHECK_TOL is
+        refused with both values and the residual; at 0 every chain does."""
+        monkeypatch.setattr(determinants, "EPS_CHAIN_CHECK_TOL", 0.0)
+        with pytest.raises(fd.VerificationError, match=r"finite-eps chain disagrees .* "
+                                                       r"\(relative residual \S+\)$"):
+            det_dirichlet_regularized(sinpi_profile)
+
+    @pytest.mark.parametrize("span", [0.01, 1.0, 30.0])
+    def test_scaled_shape(self, span):
+        """s sin(pi t / T) on [0, T] has the determinant of s = 1 for every s,
+        and <xi|xi> scales as s^2: the slope floor compares the shape's
+        slopes with each other, not with 1/T."""
+        def report(s):
+            k = math.pi / span
+            spec = fd.SyntheticZeroModeSpec(
+                lambda t: s * math.sin(k * t), fd.Interval(0.0, span),
+                dxi=lambda t: s * k * math.cos(k * t), d2xi=lambda t: -s * k * k * math.sin(k * t))
+            return det_dirichlet_regularized(fd.make_zero_mode_profile(spec))
+
+        unit = report(1.0)
+        for s in (1e-12, 1e-9, 1e-6, 1e3, 1e9):
+            scaled = report(s)
+            assert scaled.det_regularized == pytest.approx(unit.det_regularized, rel=1e-15)
+            assert scaled.xi_norm_sq == pytest.approx(s * s * unit.xi_norm_sq, rel=1e-15)
+
+    def test_zero_endpoint_slope_refused(self, sinpi_profile):
+        """A shape whose slope at t_a is 0 (both slopes are then 0) is refused
+        by the slope floor, whatever its scale."""
+        zm = sinpi_profile.zero_mode
+        flat = replace(sinpi_profile, zero_mode=replace(zm, dxi=lambda t: 0.0 * t))
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match=r"zero-mode endpoint slope vanishes.*slopes 0\.000e\+00, "):
+            det_dirichlet_regularized(flat)
 
     def test_eps_override(self, sinpi_profile):
         report = det_dirichlet_regularized(sinpi_profile, eps=1e-5)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import flucdet as fd
-from flucdet import odesolve
+from flucdet import green, odesolve
 from flucdet.green import (
     GreenKernel,
     _det_slope,
-    condition_estimate,
+    _read_transfer,
     det_from_transfer,
     trace_omega_sq,
 )
@@ -502,6 +502,17 @@ class TestDegeneracies:
         with pytest.raises(ValueError):
             GreenKernel(make_basis(const_profile), "robin")
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
+    def test_boundary_check_refused(self, monkeypatch, modulated_profile, bc):
+        """A kernel whose boundary or jump residual exceeds BC_CHECK_TOL is
+        refused with the residual and the tolerance; at 0 every kernel's
+        rounding exceeds it."""
+        monkeypatch.setattr(green, "BC_CHECK_TOL", 0.0)
+        with pytest.raises(fd.VerificationError, match=rf"{bc} Green function violates its "
+                                                       r"boundary or jump conditions \(residual "
+                                                       r"\S+ > 0\.0\)"):
+            GreenKernel(make_basis(modulated_profile), bc)
+
     def test_unknown_branch_side(self, const_profile):
         kernel = GreenKernel(make_basis(const_profile), "dirichlet")
         with pytest.raises(ValueError, match="side must be 'auto', 'upper' or 'lower'"):
@@ -509,20 +520,38 @@ class TestDegeneracies:
 
 
 class TestConditionEstimate:
-    MATRICES = [np.array([[0.3, -2.0], [0.5, 1.2]]),
-                np.array([[0.1, 0.2], [-0.3, 0.4]]),
+    # M11 is a dyadic or an integer, so that M22 = sigma (2 - F) - M11 sums
+    # back exactly to +-2 at F = +-0
+    MATRICES = [np.array([[0.25, -2.0], [0.5, 1.2]]),
+                np.array([[0.125, 0.2], [-0.3, 0.4]]),
                 np.array([[-7.5e8, 1e-3], [2.0, -1.3e-9]])]
     VALUES = [0.01, -3.0, 2.5e-12, 0.0, -0.0, 1e300]
+
+    @staticmethod
+    def with_value(m, value, bc):
+        """m with M12 = value (Dirichlet), or with M22 set so that 2 - sigma tr M
+        is value up to the rounding of 2 - value and of the sum."""
+        m, sigma = m.copy(), {"dirichlet": 0, "periodic": 1, "antiperiodic": -1}[bc]
+        if sigma:
+            m[1, 1] = sigma * (2.0 - value) - m[0, 0]
+        else:
+            m[0, 1] = value
+        return m
 
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_scalar_path_equals_array_path(self, index, value):
-        """M takes a path on floats, equal to max(1, max|M_ij|) / |value|
-        formed on arrays; inf at value = +-0."""
-        m = self.MATRICES[index]
-        scalar = condition_estimate(m, value)
-        assert type(scalar) is float
-        with np.errstate(divide="ignore"):
-            assert scalar == np.maximum(1.0, np.abs(m).max()) / np.abs(value)
-        if value == 0.0:
-            assert scalar == math.inf
+        """Under each condition, the float read of M gives det_from_transfer's
+        F, the condition max(1, max|M_ij|) / |F| formed on arrays and M's
+        entries; inf at F = +-0."""
+        for bc in ("dirichlet", "periodic", "antiperiodic"):
+            m = self.with_value(self.MATRICES[index], value, bc)
+            f, condition, entries = _read_transfer(m, bc)
+            assert type(f) is float and type(condition) is float
+            assert f == det_from_transfer(m, bc)
+            assert math.copysign(1.0, f) == math.copysign(1.0, det_from_transfer(m, bc))
+            assert entries == m.tolist()
+            with np.errstate(divide="ignore"):
+                assert condition == np.maximum(1.0, np.abs(m).max()) / np.abs(f)
+            if value == 0.0:
+                assert f == 0.0 and condition == math.inf

@@ -792,6 +792,14 @@ class TestErmakov:
         with pytest.raises(fd.ShootingError, match=r"\|tr M\| = 2\.505 .*parametric resonance"):
             solve_ermakov(profile, 1.0, bc="periodic")
 
+    def test_pinney_miss_refused(self, monkeypatch, seam_profile):
+        """A corrected amplitude that does not close to SHOOTING_TOL is refused
+        by that name; at 1e-300 no solve closes."""
+        monkeypatch.setattr(ermakov, "SHOOTING_TOL", 1e-300)
+        with pytest.raises(fd.ShootingError, match=r"Pinney's closed form misses "
+                                                   r"SHOOTING_TOL = 1e-300 \(residual"):
+            solve_ermakov(seam_profile, 1.0, bc="periodic")
+
     def test_invalid_omega0(self, const_profile):
         with pytest.raises(ValueError):
             solve_ermakov(const_profile, 0.0)

@@ -458,6 +458,16 @@ class TestLatticeRatio:
         assert abs(refined - exact) < 0.01 * abs(plain - exact)
         assert refined == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("bc,gain", [("dirichlet", 16), ("periodic", 4)])
+    def test_richardson_float_range_refused(self, monkeypatch, modulated_profile, bc, gain):
+        """Two finite lattice ratios whose extrapolation overflows are refused
+        by name, with the gain and both ratios."""
+        monkeypatch.setattr(oracle, "lattice_ratio", lambda *args: 1e308)
+        with pytest.raises(fd.IntegrationError,
+                           match=rf"Richardson lattice ratio \({gain} 1e\+308 - 1e\+308\) / "
+                                 rf"{gain - 1} exceeds the float range"):
+            lattice_ratio_richardson(modulated_profile, bc, 1.0, 100)
+
     def test_zero_mode_rejected(self, sinpi_profile):
         # the discrete zero-mode eigenvalue shrinks like h^6 in scaled units;
         # from n=48 it sits below the degeneracy guard

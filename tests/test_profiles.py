@@ -185,6 +185,16 @@ class TestZeroModeShapes:
         with pytest.raises(fd.ProfileError):
             make_zero_mode_profile(spec)
 
+    def test_rejects_non_finite_endpoint_ratio(self, unit_interval):
+        """-xi''/xi that overflows near t_a is refused as singular there; numpy's
+        overflow warning is silenced, since the refusal names it."""
+        spec = SyntheticZeroModeSpec(lambda t: math.sin(math.pi * t), unit_interval,
+                                     dxi=lambda t: math.pi * math.cos(math.pi * t),
+                                     d2xi=lambda t: 1e308, name="overflow")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                fd.ProfileError, match=r"Omega\^2 = -xi''/xi is singular near t = 0\.0$"):
+            make_zero_mode_profile(spec)
+
     def test_rejects_identically_zero_shape(self, unit_interval):
         spec = SyntheticZeroModeSpec(lambda t: 0.0, unit_interval, dxi=lambda t: 0.0,
                                      d2xi=lambda t: 0.0, name="zero")

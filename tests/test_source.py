@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
 none imports scipy, only the front ends import the oracles, only green.py
-decides what a boundary condition means, and the amplitude-phase route
+decides what a boundary condition means and forms a determinant from M's
+entries, no route imports determinants.py, and the amplitude-phase route
 names none of the main path's endpoint data, nor the Magnus integrator's
 module any of that route's."""
 
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import flucdet
-from flucdet import cli, dop853, ermakov, green, odesolve
+from flucdet import cli, dop853, ermakov, green, odesolve, oracle
 
 ALL_SOURCES = sorted(Path(flucdet.__file__).parent.glob("*.py"))
 SOURCES = [path for path in ALL_SOURCES if path.name != "__init__.py"]
@@ -114,8 +115,9 @@ def test_no_numpy_unique_polynomial_or_ma(path):
     assert numpy_avoided(path.read_text(encoding="utf-8")) == []
 
 
-def oracle_imports(source: str) -> list:
-    """Imports of flucdet.oracle, absolute or relative, at any depth."""
+def module_imports(source: str, target: str) -> list:
+    """Imports of the module target (say flucdet.oracle), absolute or
+    relative, at any depth."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -123,7 +125,7 @@ def oracle_imports(source: str) -> list:
         elif isinstance(node, ast.ImportFrom):
             module = ".".join(filter(None, ["flucdet" if node.level else None, node.module]))
             names += [module] + [f"{module}.{alias.name}" for alias in node.names]
-    return [name for name in names if name == "flucdet.oracle"]
+    return [name for name in names if name == target]
 
 
 def test_detects_oracle_import():
@@ -131,7 +133,7 @@ def test_detects_oracle_import():
               "from . import green, odesolve\nfrom .oracles import x\nimport oracle\n"
               "def f():\n    from . import oracle  # imported on first use\n"
               "    from flucdet import oracle as o\n    from flucdet.oracle import gflow_ratio\n")
-    assert oracle_imports(source) == ["flucdet.oracle"] * 5
+    assert module_imports(source, "flucdet.oracle") == ["flucdet.oracle"] * 5
 
 
 ORACLE_READERS = ("oracle.py", "cli.py", "__init__.py")
@@ -141,7 +143,7 @@ MAIN_PATH = [path for path in ALL_SOURCES if path.name not in ORACLE_READERS]
 @pytest.mark.parametrize("path", MAIN_PATH, ids=[path.name for path in MAIN_PATH])
 def test_main_path_does_not_import_oracle(path):
     """The oracles check the main path, so no main-path module reads them."""
-    assert oracle_imports(path.read_text(encoding="utf-8")) == []
+    assert module_imports(path.read_text(encoding="utf-8"), "flucdet.oracle") == []
 
 
 def test_one_boundary_condition_check():
@@ -149,6 +151,51 @@ def test_one_boundary_condition_check():
     refusing = [path.name for path in ALL_SOURCES
                 if "unsupported boundary condition" in path.read_text(encoding="utf-8")]
     assert refusing == ["green.py"]
+
+
+@pytest.mark.parametrize("module", [ermakov, oracle], ids=["ermakov", "oracle"])
+def test_routes_do_not_import_determinants(module):
+    """The pq route and the oracles read F's reference and zero verdict from
+    green.py; determinants.py assembles the endpoint route's records."""
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    assert module_imports(source, "flucdet.determinants") == []
+
+
+def forms_f(source: str) -> list:
+    """Line numbers where F is formed from M's entries: 2 plus or minus a
+    sum or a trace, or a multiple of one (2 - sigma (M11 + M22))."""
+    def sum_or_trace(node) -> bool:
+        return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add))
+                or (isinstance(node, ast.Call) and "trace" in ast.unparse(node.func)))
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and isinstance(node.left, ast.Constant) and node.left.value == 2):
+            right = node.right
+            if sum_or_trace(right) or (isinstance(right, ast.BinOp)
+                                       and isinstance(right.op, ast.Mult)
+                                       and (sum_or_trace(right.left) or sum_or_trace(right.right))):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_detects_forming_f():
+    source = ("f = 2.0 - sigma * (a + d) if sigma else b\ng = 2 + (m[0, 0] + m[1, 1])\n"
+              "h = 2.0 - np.trace(m) * s\nk = 2.0 - trace\nz = 2.0 - gap[-1] - y @ z\n"
+              "w = abs(2.0 - gap) + 2.0\nroot = (2.0 - trace) * (2.0 + trace)\n")
+    assert forms_f(source) == [1, 2, 3]
+    # det_from_transfer, which green.py's float read calls too
+    assert len(forms_f(Path(green.__file__).read_text(encoding="utf-8"))) == 1
+
+
+NOT_GREEN = [path for path in SOURCES if path.name != "green.py"]
+
+
+@pytest.mark.parametrize("path", NOT_GREEN, ids=[path.name for path in NOT_GREEN])
+def test_only_green_forms_f(path):
+    """F = M12 or 2 - sigma tr M is formed from M's entries in green.py alone."""
+    assert forms_f(path.read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("command", [cli.det_command, cli.green_command, cli.sweep_command],
