@@ -11,9 +11,9 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 degenerate
 operator (zero mode without --regularized, vanishing reference), 3
 verification failure.
 
-The amplitude-phase route and the oracles are imported by the commands and
-options that run them (verify, --regularized, --method pq), so a plain det
-compiles neither.
+argparse parses the options. The amplitude-phase route and the oracles are
+imported by the commands and options that run them (verify, --regularized,
+--method pq), so a plain det compiles neither.
 
 All numeric output uses Python's shortest round-trip float representation,
 so every printed value parses back to the exact binary double that was
@@ -23,13 +23,12 @@ identical output.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import re
 import sys
-from typing import Optional
-
-import click
 
 from .determinants import (
     det_dirichlet_regularized,
@@ -60,12 +59,12 @@ def _csv_quote(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 # -- config loading -----------------------------------------------------------
@@ -86,39 +85,14 @@ def _load(profile_spec: str, t_a: float, t_b: float):
     return interval, profile_from_config(text, interval)
 
 
-def _finite(ctx, param, value: float) -> float:
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
-        raise click.BadParameter(f"must be a finite number, got {value!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
     return value
-
-
-def shared_options(command):
-    decorators = [
-        click.option("--profile", "profile_spec",
-                     default='{"kind": "constant", "omega": 1.0}',
-                     show_default=True,
-                     help="Inline JSON profile config or a path to a JSON file."),
-        click.option("--t-a", "t_a", type=float, default=0.0,
-                     show_default=True, help="Interval start."),
-        click.option("--t-b", "t_b", type=float, default=1.0,
-                     show_default=True, help="Interval end."),
-        click.option("--bc", type=click.Choice(tuple(_SIGMA)),
-                     default="dirichlet", show_default=True,
-                     help="Boundary condition."),
-        click.option("--omega0", type=float, default=1.0, show_default=True,
-                     callback=_finite,
-                     help="Reference frequency for ratios and the pq route."),
-        click.option("--out", default=None,
-                     help="Write output to this file instead of stdout."),
-    ]
-    for decorator in reversed(decorators):
-        command = decorator(command)
-    return command
-
-
-@click.group()
-def cli():
-    """Functional determinants of one-dimensional fluctuation operators."""
 
 
 # -- det ----------------------------------------------------------------------
@@ -195,13 +169,6 @@ def _det_regularized_record(profile, bc: str, omega0: float) -> dict:
             "diagnostics": {"method": "regularized-endpoint", **lattice}}
 
 
-@cli.command("det")
-@shared_options
-@click.option("--regularized", is_flag=True,
-              help="Remove a single zero mode and report the reduced determinant.")
-@click.option("--method", type=click.Choice(["endpoint", "pq"]),
-              default="endpoint", show_default=True,
-              help="endpoint: boundary-value construction; pq: amplitude-phase route.")
 def det_command(profile_spec, t_a, t_b, bc, omega0, out, regularized, method):
     """Compute one functional determinant and print a JSON record."""
     if regularized and method == "pq":
@@ -219,10 +186,6 @@ def det_command(profile_spec, t_a, t_b, bc, omega0, out, regularized, method):
 
 # -- green --------------------------------------------------------------------
 
-@cli.command("green")
-@shared_options
-@click.option("--grid-size", type=int, default=21, show_default=True,
-              help="Number of grid points per axis.")
 def green_command(profile_spec, t_a, t_b, bc, omega0, out, grid_size):
     """Tabulate the Green function on a square grid and print CSV."""
     _, profile = _load(profile_spec, t_a, t_b)
@@ -253,15 +216,6 @@ def _sweep_row(v: float, param: str, config: dict, interval: Interval,
     return f"{_fmt(v)},{_fmt(record['value'])},{_fmt(record['ratio'])},"
 
 
-@cli.command("sweep")
-@shared_options
-@click.option("--param", type=click.Choice(SWEEP_PARAMS), required=True,
-              help="Parameter to sweep.")
-@click.option("--from", "start", type=float, required=True,
-              help="First parameter value.")
-@click.option("--to", "stop", type=float, required=True,
-              help="Last parameter value.")
-@click.option("--steps", type=int, required=True, help="Number of rows.")
 def sweep_command(profile_spec, t_a, t_b, bc, omega0, out, param, start,
                   stop, steps):
     """Sweep one parameter and print a determinant per row as CSV.
@@ -365,11 +319,6 @@ def _evaluate(profile_name: str, bc: str, omega0: float, route: str, analytic) -
     return result.ratio, lattice(profile, bc, omega0=omega0, n=2000)
 
 
-@cli.command("verify")
-@click.option("--suite", type=click.Choice(SUITES), default="all",
-              show_default=True, help="Which cross-validation suite to run.")
-@click.option("--out", default=None,
-              help="Write the CSV to this file instead of stdout.")
 def verify_command(suite, out):
     """Run cross-validation suites and print one CSV row per check."""
     rows = [row for row in _CHECKS if suite in ("all", row[0])]
@@ -382,8 +331,8 @@ def verify_command(suite, out):
                      f"{_fmt(closed)},{_fmt(oracle_value)},{_fmt(rel)}")
         failures += not rel <= tol  # a NaN is out of tolerance
     _emit("\n".join(lines) + "\n", out)
-    click.echo(f"verify: {len(rows) - failures}/{len(rows)} checks "
-               "within tolerance", err=True)
+    print(f"verify: {len(rows) - failures}/{len(rows)} checks within tolerance",
+          file=sys.stderr)
     if failures:
         raise VerificationError(
             f"{failures} of {len(rows)} checks out of tolerance")
@@ -391,27 +340,78 @@ def verify_command(suite, out):
 
 # -- entry point --------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """No abbreviated options, every default in --help, and a usage error
+    raised as a ConfigError, which main reports with exit code 1."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False,
+                         formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
+        # no option looks like a number, so -1e3 and -inf are option values
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    shared = _Parser(add_help=False)
+    shared.add_argument("--profile", dest="profile_spec",
+                        default='{"kind": "constant", "omega": 1.0}',
+                        help="Inline JSON profile config or a path to a JSON file.")
+    shared.add_argument("--t-a", type=float, default=0.0, help="Interval start.")
+    shared.add_argument("--t-b", type=float, default=1.0, help="Interval end.")
+    shared.add_argument("--bc", choices=tuple(_SIGMA), default="dirichlet",
+                        help="Boundary condition.")
+    shared.add_argument("--omega0", type=_finite, default=1.0,
+                        help="Reference frequency for ratios and the pq route.")
+    shared.add_argument("--out", help="Write output to this file instead of stdout.")
+    parser = _Parser(prog="flucdet", description="Functional determinants of "
+                     "one-dimensional fluctuation operators.")
+    commands = parser.add_subparsers(required=True)
+
+    def command(name, run, *parents):
+        sub = commands.add_parser(name, parents=parents, help=run.__doc__.split("\n")[0],
+                                  description=run.__doc__)
+        sub.set_defaults(run=run)
+        return sub
+
+    det = command("det", det_command, shared)
+    det.add_argument("--regularized", action="store_true",
+                     help="Remove a single zero mode and report the reduced determinant.")
+    det.add_argument("--method", choices=("endpoint", "pq"), default="endpoint",
+                     help="endpoint: boundary-value construction; pq: amplitude-phase route.")
+    command("green", green_command, shared).add_argument(
+        "--grid-size", type=int, default=21, help="Number of grid points per axis.")
+    sweep = command("sweep", sweep_command, shared)
+    sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True, help="Parameter to sweep.")
+    sweep.add_argument("--from", dest="start", type=float, required=True,
+                       help="First parameter value.")
+    sweep.add_argument("--to", dest="stop", type=float, required=True,
+                       help="Last parameter value.")
+    sweep.add_argument("--steps", type=int, required=True, help="Number of rows.")
+    verify = command("verify", verify_command)
+    verify.add_argument("--suite", choices=SUITES, default="all",
+                        help="Which cross-validation suite to run.")
+    verify.add_argument("--out", help="Write the CSV to this file instead of stdout.")
+    return parser
+
+
 def main(argv=None) -> int:
     """Run the CLI and translate exceptions into the exit-code contract."""
     try:
-        cli.main(args=argv, prog_name="flucdet", standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return int(exc.exit_code)
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except click.ClickException as exc:
-        exc.show()
-        return 1
+        args = vars(_parser().parse_args(argv))
+        args.pop("run")(**args)
+    except SystemExit as exc:  # --help, argparse's one exit of its own
+        return exc.code
     except DegenerateOperatorError as exc:
-        click.echo(json.dumps({"error": {
-            "type": "DegenerateOperatorError", "message": str(exc)}}))
+        print(json.dumps({"error": {"type": "DegenerateOperatorError", "message": str(exc)}}))
         return 2
     except VerificationError as exc:
-        click.echo(f"verification failure: {exc}", err=True)
+        print(f"verification failure: {exc}", file=sys.stderr)
         return 3
     except (FlucdetError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
 

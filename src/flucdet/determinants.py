@@ -268,7 +268,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
         raise VerificationError(
             "finite-eps chain disagrees with the closed-form regularized "
             f"determinant: extrapolated {q_star!r} vs {det_reg!r} "
-            f"(relative residual {residual:.3e})")
+            f"(relative residual {residual:.3e} > EPS_CHAIN_CHECK_TOL = {EPS_CHAIN_CHECK_TOL})")
 
     return ZeroModeReport(
         xi_norm_sq=det_reg * dxi_a * dxi_b, dxi_a=dxi_a, dxi_b=dxi_b,

@@ -249,7 +249,7 @@ class GreenKernel:
         if worst > BC_CHECK_TOL:
             raise VerificationError(
                 f"{self.bc} Green function violates its boundary or jump "
-                f"conditions (residual {worst:.3e} > {BC_CHECK_TOL})")
+                f"conditions (residual {worst:.3e} > BC_CHECK_TOL = {BC_CHECK_TOL})")
 
 
 def trace_omega_sq(kernel: GreenKernel) -> float:

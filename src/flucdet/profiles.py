@@ -257,9 +257,9 @@ def _endpoint_limit(xi, d2xi, t0, direction, span):
     if np.any(xs == 0.0):
         raise ProfileError("shape function vanishes at interior point "
                            f"t = {float(ts[xs == 0.0][0])!r}")
-    v1, v2, v3 = -d2xi(ts) / xs
-    l1 = 2 * v2 - v1
-    l2 = 2 * v3 - v2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite limit is refused below
+        v1, v2, v3 = -d2xi(ts) / xs
+        l1, l2 = 2 * v2 - v1, 2 * v3 - v2
     if not all(math.isfinite(v) for v in (l1, l2)):
         raise ProfileError(f"Omega^2 = -xi''/xi is singular near t = {t0!r}")
     if abs(l2 - l1) > ENDPOINT_LIMIT_TOL * (1.0 + abs(l2)):

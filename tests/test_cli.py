@@ -336,12 +336,12 @@ class TestDetErrors:
     def test_nan_omega0_rejected(self, capsys):
         code, out, err = run(capsys, "det", "--bc", "periodic", "--omega0", "nan")
         assert code == 1 and out == ""
-        assert "--omega0" in err
+        assert "--omega0" in err and "must be a finite number" in err
 
     def test_infinite_omega0_rejected(self, capsys):
         code, out, err = run(capsys, "det", "--bc", "periodic", "--omega0", "inf")
         assert code == 1 and out == ""
-        assert "--omega0" in err
+        assert "--omega0" in err and "must be a finite number" in err
 
     def test_pq_route_needs_positive_omega0(self, capsys):
         code, out, err = run(capsys, "det", "--method", "pq", "--omega0", "0")
@@ -559,7 +559,7 @@ class TestVerify:
 class TestImports:
     def test_cli_import_loads_no_scipy_solver(self):
         """scipy is imported where a route needs it, never by the CLI
-        module itself: a cold `det` pays only for numpy and click."""
+        module itself: a cold `det` pays only for numpy."""
         code = ("import sys, flucdet.cli; print(sorted(m for m in sys.modules "
                 "if m.split('.')[:2] in (['scipy', 'integrate'], "
                 "['scipy', 'optimize'], ['scipy', 'linalg'])))")
@@ -683,3 +683,61 @@ class TestOutput:
         _, from_file, _ = run(capsys, "det", "--profile", str(config),
                               "--t-b", "2.0")
         assert from_file == inline
+
+
+DET_DEFAULTS = {  # det's options in the order --help lists them, with their defaults
+    "--profile": '{"kind": "constant", "omega": 1.0}', "--t-a": "0.0", "--t-b": "1.0",
+    "--bc": "dirichlet", "--omega0": "1.0", "--out": None, "--regularized": None,
+    "--method": "endpoint"}
+
+
+class TestUsage:
+    """Usage errors exit 1 through main, as any configuration error does,
+    with nothing on stdout."""
+
+    def test_no_command(self, capsys):
+        code, out, err = run(capsys)
+        assert code == 1 and out == "" and err
+
+    def test_unknown_command(self, capsys):
+        code, out, err = run(capsys, "bogus")
+        assert code == 1 and out == "" and "bogus" in err
+
+    def test_help(self, capsys):
+        code, out, err = run(capsys, "--help")
+        assert code == 0 and err == ""
+        assert out.lower().startswith("usage: flucdet")
+        assert all(command in out for command in ("det", "green", "sweep", "verify"))
+
+    @pytest.mark.parametrize("argv", [
+        ("det", "--regul"),
+        ("det", "--meth", "pq"),
+        ("sweep", "--par", "omega", "--from", "1", "--to", "2", "--steps", "1"),
+    ], ids=["det-regul", "det-meth", "sweep-par"])
+    def test_abbreviated_option_refused(self, capsys, argv):
+        """An option is spelled out: a unique prefix of one is refused, never
+        run as the option."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and argv[1] in err
+
+    def test_negative_exponent_is_a_value(self, capsys):
+        """-1e3 and -inf after an option are its value, not an option: the
+        interval starts at -1000, and -inf is refused by --omega0's own check."""
+        code, out, err = run(capsys, "det", "--t-a", "-1e3", "--t-b", "1")
+        assert code == 0 and err == ""
+        assert out == run(capsys, "det", "--t-a=-1000.0", "--t-b=1.0")[1]
+        assert json.loads(out)["diagnostics"]["reference_value"] == 1001.0
+        code, out, err = run(capsys, "det", "--omega0", "-inf")
+        assert code == 1 and out == ""
+        assert "--omega0" in err and "must be a finite number" in err
+
+    def test_det_help_lists_every_default(self, capsys):
+        code, out, _ = run(capsys, "det", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        starts = [text.rindex(option + " ") for option in DET_DEFAULTS]
+        assert starts == sorted(starts)
+        for (option, default), start, end in zip(DET_DEFAULTS.items(), starts,
+                                                 starts[1:] + [len(text)]):
+            if default is not None:
+                assert f"default: {default}" in text[start:end], option

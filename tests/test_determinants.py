@@ -261,10 +261,12 @@ class TestDirichletZeroMode:
 
     def test_eps_chain_disagreement_refused(self, monkeypatch, sinpi_profile):
         """A chain whose relative residual exceeds EPS_CHAIN_CHECK_TOL is
-        refused with both values and the residual; at 0 every chain does."""
+        refused with both values, the residual and the tolerance by name; at 0
+        every chain does."""
         monkeypatch.setattr(determinants, "EPS_CHAIN_CHECK_TOL", 0.0)
-        with pytest.raises(fd.VerificationError, match=r"finite-eps chain disagrees .* "
-                                                       r"\(relative residual \S+\)$"):
+        with pytest.raises(fd.VerificationError,
+                           match=r"finite-eps chain disagrees .* \(relative residual \S+ > "
+                                 r"EPS_CHAIN_CHECK_TOL = 0\.0\)$"):
             det_dirichlet_regularized(sinpi_profile)
 
     @pytest.mark.parametrize("span", [0.01, 1.0, 30.0])

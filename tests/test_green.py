@@ -505,12 +505,12 @@ class TestDegeneracies:
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_boundary_check_refused(self, monkeypatch, modulated_profile, bc):
         """A kernel whose boundary or jump residual exceeds BC_CHECK_TOL is
-        refused with the residual and the tolerance; at 0 every kernel's
-        rounding exceeds it."""
+        refused with the residual and the tolerance by name; at 0 every
+        kernel's rounding exceeds it."""
         monkeypatch.setattr(green, "BC_CHECK_TOL", 0.0)
         with pytest.raises(fd.VerificationError, match=rf"{bc} Green function violates its "
                                                        r"boundary or jump conditions \(residual "
-                                                       r"\S+ > 0\.0\)"):
+                                                       r"\S+ > BC_CHECK_TOL = 0\.0\)"):
             GreenKernel(make_basis(modulated_profile), bc)
 
     def test_unknown_branch_side(self, const_profile):

@@ -186,13 +186,26 @@ class TestZeroModeShapes:
             make_zero_mode_profile(spec)
 
     def test_rejects_non_finite_endpoint_ratio(self, unit_interval):
-        """-xi''/xi that overflows near t_a is refused as singular there; numpy's
-        overflow warning is silenced, since the refusal names it."""
+        """-xi''/xi that overflows near t_a is refused as singular there, under
+        numpy's default error state: the profile silences the overflow, since
+        the refusal names it."""
         spec = SyntheticZeroModeSpec(lambda t: math.sin(math.pi * t), unit_interval,
                                      dxi=lambda t: math.pi * math.cos(math.pi * t),
                                      d2xi=lambda t: 1e308, name="overflow")
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                fd.ProfileError, match=r"Omega\^2 = -xi''/xi is singular near t = 0\.0$"):
+        with pytest.raises(fd.ProfileError,
+                           match=r"Omega\^2 = -xi''/xi is singular near t = 0\.0$"):
+            make_zero_mode_profile(spec)
+
+    def test_rejects_non_finite_ratio_at_t_b(self, unit_interval):
+        """The same overflow near t_b alone, past a finite limit at t_a, is
+        refused as singular at t_b, with no warning either."""
+        spec = SyntheticZeroModeSpec(
+            lambda t: math.sin(math.pi * t), unit_interval,
+            dxi=lambda t: math.pi * math.cos(math.pi * t),
+            d2xi=lambda t: 1e308 if t > 0.5 else -math.pi ** 2 * math.sin(math.pi * t),
+            name="overflow-b")
+        with pytest.raises(fd.ProfileError,
+                           match=r"Omega\^2 = -xi''/xi is singular near t = 1\.0$"):
             make_zero_mode_profile(spec)
 
     def test_rejects_identically_zero_shape(self, unit_interval):

@@ -1,11 +1,16 @@
 """Source hygiene: no module of the package imports a name it never uses,
-none imports scipy, only the front ends import the oracles, only green.py
-decides what a boundary condition means and forms a determinant from M's
-entries, no route imports determinants.py, and the amplitude-phase route
-names none of the main path's endpoint data, nor the Magnus integrator's
-module any of that route's."""
+the package imports exactly the dependencies pyproject.toml lists (click
+not among them), none imports scipy, only the front ends import the
+oracles, only green.py decides what a boundary condition means and forms a
+determinant from M's entries, no route imports determinants.py, and the
+amplitude-phase route names none of the main path's endpoint data, nor the
+Magnus integrator's module any of that route's."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,6 +43,49 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level names of the absolute imports at any depth, less the
+    standard library and flucdet itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"flucdet"}
+
+
+def test_detects_third_party_imports():
+    source = ("from __future__ import annotations\nimport argparse, numpy as np\n"
+              "import numpy.linalg\nfrom flucdet.green import F\nfrom . import click\n"
+              "def f():\n    import scipy.integrate  # imported on first use\n"
+              "    from click import echo\n")
+    assert third_party_imports(source) == {"numpy", "scipy", "click"}
+
+
+def test_imports_are_the_listed_dependencies():
+    """The package imports what pyproject.toml's dependencies list, and
+    nothing it lists goes unimported: numpy alone."""
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    listed = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    names = {re.match(r"[\w.-]+", req).group(0).lower().replace("-", "_")
+             for req in re.findall(r'"([^"]+)"', listed)}
+    imported = set().union(*(third_party_imports(path.read_text(encoding="utf-8"))
+                             for path in ALL_SOURCES))
+    assert imported == names == {"numpy"}
+
+
+def test_cli_import_loads_no_click():
+    """The command line parses with argparse: a cold import of the CLI
+    module loads no click module."""
+    code = ("import sys, flucdet.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'click'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(flucdet.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def scipy_imports(source: str) -> list:
@@ -198,11 +246,13 @@ def test_only_green_forms_f(path):
     assert forms_f(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("command", [cli.det_command, cli.green_command, cli.sweep_command],
-                         ids=["det", "green", "sweep"])
-def test_cli_bc_choices_are_greens(command):
-    (bc,) = [param for param in command.params if param.name == "bc"]
-    assert list(bc.type.choices) == list(green._SIGMA)
+@pytest.mark.parametrize("command", ["det", "green", "sweep"])
+def test_cli_bc_choices_are_greens(capsys, command):
+    """Each command's --bc choices, as its parser lists them, are green.py's
+    conditions in green.py's order."""
+    assert cli.main([command, "--help"]) == 0
+    choices = re.findall(r"--bc \{(.*?)\}", capsys.readouterr().out)
+    assert choices and all(found.split(",") == list(green._SIGMA) for found in choices)
 
 
 MAIN_PATH_NAMES = {"make_basis", "_magnus", "_MagnusGrid", "_family", "det_from_transfer"}
