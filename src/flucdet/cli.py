@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 
 from .determinants import (
@@ -347,8 +346,14 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False,
                          formatter_class=argparse.ArgumentDefaultsHelpFormatter, **kwargs)
-        # no option looks like a number, so -1e3 and -inf are option values
-        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
+
+    def _parse_optional(self, arg_string):
+        # every option but -h has two dashes, so a word with one dash that names
+        # no option is a value: -1e3, -inf, or a file named -o.txt
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and (
+                arg_string not in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         raise ConfigError(message)

@@ -240,6 +240,8 @@ def solve(om: Callable, iv: Interval, w0: float, start, rtol: float,
                     if not lo < mid < hi:
                         break
                     lo, hi = (mid, hi) if steps(mid)[0] > _COLLAPSE_LEVEL else (lo, mid)
-                raise IntegrationError(f"amplitude solution collapsed to zero near t = {mid}")
+                raise IntegrationError(
+                    f"p fell to dop853._COLLAPSE_LEVEL = {_COLLAPSE_LEVEL}: amplitude "
+                    f"solution collapsed to zero near t = {mid}")
             y = y_new
     return ErmakovSteps(om, w0, ts, ys, stages)

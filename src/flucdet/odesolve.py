@@ -10,26 +10,20 @@ Y_b = Y(t_b):
     Phi(t) = Y(t) Y_a^{-1}    columns u, v start from (1, 0) and (0, 1) at t_a
 
 M does not depend on the choice of basis.  make_basis takes M from the
-sixth-order Magnus integrator of Blanes, Casas and Ros (BIT 40, 434, 2000;
-review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009) on n uniform
-steps.  Each step samples Omega^2 at three Gauss nodes, builds the Magnus
-exponent Omega_k, a traceless 2x2 matrix, and exponentiates it in closed form;
-M is the pairwise product of the n step matrices.  A work estimate sets a
-level L; one array pass forms the first pair of levels (L/2, L), or (64,
-128) from the 64 coarse samples when L <= 128, and from there n jumps to the
-level 2^k n that the sixth-order error estimate predicts until two levels
-agree to MAGNUS_REL_TARGET, accepting no level below 2L.  It solves
-an affine family c0_j + c1_j Omega^2 at once (members on a trailing axis, one
-Omega^2 sample per node for all); make_basis is the one-member case (0, g).
+eighth-order Magnus integrator of Blanes, Casas and Ros (BIT 40, 434, 2000;
+review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009): the pairwise
+product of n uniform steps, each exp of its Magnus exponent (a traceless
+2x2 matrix) from Omega^2 at the four Gauss nodes of the quadrature below.
+It solves an affine family c0_j + c1_j Omega^2 at once (members on a
+trailing axis); make_basis is the one-member case (0, g).
 
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
 Phi(t_b, t_k) adj(E), from prefix and suffix products formed on the first
 dense call, which neither a determinant nor its slope dM/ds (step pairs
-reduced pairwise as M is, _MagnusGrid.slope) pays for.  Integrals use one
-Gauss rule on the steps between knots (HomogeneousBasis.quadrature); every
-basis keeps its steps within 1/MAGNUS_STEPS_PER_RADIAN = 1/2 radian of the
-solutions' phase, where that rule reaches rounding level.
+reduced pairwise as M is, _MagnusGrid.slope) pays for.  Integrals use the
+same Gauss nodes (HomogeneousBasis.quadrature), at rounding level on the steps
+of at most 1/4 radian that every basis below MAGNUS_MAX_STEPS has.
 """
 
 from __future__ import annotations
@@ -44,20 +38,20 @@ import numpy as np
 from .errors import IntegrationError
 from .profiles import FrequencyProfile, Interval
 
-# Magnus step doubling stops once the error estimate |M_n - M_c| / (2^(6k) - 1)
-# of the finer level n = 2^k c is at most MAGNUS_REL_TARGET times its largest
-# entry, or, from 2^15 steps on, n eps / 63 times it: two n-step products
-# differ by up to about n eps from rounding alone.  The first pair has k = 1;
-# a pair that misses jumps by the k that divides its error below the target,
-# k = ceil(log2(error / target) / 6), and a pair below twice the work
-# estimate's level goes on by k = 1 where it meets it.  Rounding both levels
-# share is invisible to the doubling, so the reported estimate is at least
-# 2 n eps times the envelope max(max|M_ij|, w, min(T, 1/w)), w = max|g
-# Omega^2|^(1/2), which bounds the error of M against closed forms (constant
-# Omega^2, w T from 0.01 to 1e5).  The work estimate's level has at least
-# MAGNUS_STEPS_PER_RADIAN steps per radian of w, never fewer than
-# MAGNUS_MIN_STEPS; a level above MAGNUS_MAX_STEPS is refused.  MAGNUS_CHUNK
-# steps or Gauss nodes x members per array keep memory flat.
+# A work estimate on MAGNUS_MIN_STEPS coarse steps, MAGNUS_STEPS_PER_RADIAN steps
+# per radian of w = max|g Omega^2|^(1/2), is refused above MAGNUS_MAX_STEPS.  The
+# first level L is the power of two at or above 4 times it where Omega^2 varies
+# on the coarse samples, else 2 times (every step integrates a constant Omega^2
+# exactly; the Gauss rule below sets its steps), at most MAGNUS_MAX_STEPS and at
+# least MAGNUS_MIN_STEPS.  One array pass forms the levels (L/2, L), the coarse
+# samples serving as L = 64, and it usually meets the target.  Doubling stops once
+# |M_n - M_c| / (2^(8k) - 1), n = 2^k c, is at most MAGNUS_REL_TARGET max|M_ij|,
+# or from 2^17 steps on n eps / 255 max|M_ij| (rounding alone moves an n-step
+# product by about n eps), else n jumps by k = ceil(log2(error / target) / 8).
+# The estimate reported is at least 2 n eps max(max|M_ij|, w, min(T, 1/w)), the
+# rounding both levels share, which bounds the error against closed forms
+# (constant Omega^2, w T from 0.01 to 1e5).  MAGNUS_CHUNK steps or Gauss nodes
+# x members per array keep memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -69,12 +63,12 @@ MAGNUS_CHUNK = 1 << 12
 _CANONICAL_Y_A = np.array([[0.0, 1.0], [1.0, 0.0]])
 _CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
 
-# Gauss-Legendre rule on each Magnus step.  On the steps make_basis chooses
-# (h sqrt|g Omega^2| <= 1/2), Omega^2 G integrated with four nodes agrees with
-# a 16-node rule to 4.3e-13 of the integral of its modulus, the rounding level
-# that five to eight nodes reach as well; three nodes leave 1.9e-10 (measured
-# on constant omega T up to 300, Omega^2 = -k^2 with kT up to 60 and modulated
-# profiles, under all three boundary conditions).
+# Gauss-Legendre rule on each Magnus step, whose nodes the step samples.  On steps
+# of h sqrt|g Omega^2| <= 1/4, Omega^2 G integrated with four nodes agrees with a
+# 16-node rule to 4.3e-13 of the integral of its modulus, as five to eight nodes
+# do; three leave 1.9e-10 (constant omega T up to 300, Omega^2 = -k^2 with kT up
+# to 60 and modulated profiles, all three conditions).  At 1/2 radian a step's
+# rule misses exp(2 w t) by 5.4e-10 of it.
 GAUSS_NODES_PER_STEP = 4
 # leggauss(GAUSS_NODES_PER_STEP) to the last bit: importing numpy.polynomial costs 5 ms
 _GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
@@ -90,8 +84,6 @@ def _gauss_rule(knots: np.ndarray) -> tuple:
     return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
-# the three Gauss nodes of a unit Magnus step
-_MAGNUS_NODES = 0.5 + np.array([-1.0, 0.0, 1.0])[:, None] * (math.sqrt(15.0) / 10.0)
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 _EPS = float(np.finfo(float).eps)
 
@@ -117,12 +109,27 @@ def _adjugate(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# sixth-order Magnus steps for Y' = [[0, 1], [-g Omega^2, 0]] Y
+# eighth-order Magnus steps for Y' = [[0, 1], [a(t), 0]] Y, a = -g Omega^2
 #
 # 2x2 matrices are tuples of entries (m11, m12, m21, m22), each an array over
-# steps or times, and traceless ones are triples (p, q, r) for
-# [[p, q], [r, -p]], whose commutator is
-# [(p, q, r), (p', q', r')] = (q r' - q' r, 2 (p q' - q p'), 2 (r p' - p r')).
+# steps or times, and traceless ones are triples (p, q, r) for [[p, q], [r, -p]].
+# A step samples a at its Gauss nodes, u_i h = x_i h / 2 from its midpoint; the
+# cubic through the samples is sum_k C_k u^k, C = V^-1 a with V_ik = u_i^k, so
+# C_k is a's k-th Taylor coefficient at the midpoint times h^k.  Truncating the
+# logarithm of the cubic's exact step at O(h^9) gives Omega = (p, q, r), b = h^2 C:
+#   p   = -(b1/12 + b3/80) + b0 b1/180 + b0 b3/1680 + 13 b1 b2/15120 - b0^2 b1/1890
+#   q/h = 1 - b2/180 + b0 b2/1890 + b1^2/7560
+#   r h = b0 + b2/12 + b0 b2/180 - b1^2/120 - b1 b3/420 + b2^2/3024
+#         + b0 b1^2/1080 - b0^2 b2/1890
+# that is (p, q/h - 1, r h) = b1 (X1, B1, X3) + b2 (0, Z, X2) + (b0 Y, 0, 0) + leads in
+# the forms _FORMS, whose X1 and X2 lose b0 Z and X3 gains b1 b0/1080 (cubic terms).
+_TAYLOR = np.linalg.inv(np.vander(0.5 * _GAUSS_X, 4, increasing=True))
+_FORMS = np.array([  # rows b0, b1, b2; X1, B1, X3; Z, X2, Y; minus the leads; b0/1080
+    [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+    [1 / 180, 0, 13 / 15120, 0], [0, 1 / 7560, 0, 0], [0, -1 / 120, 0, -1 / 420],
+    [1 / 1890, 0, 0, 0], [1 / 180, 0, 1 / 3024, 0], [0, 0, 0, 1 / 1680],
+    [0, 1 / 12, 0, 1 / 80], [0, 0, 1 / 180, 0], [-1, 0, -1 / 12, 0], [1 / 1080, 0, 0, 0],
+]) @ _TAYLOR
 
 
 def _mul(b, a):
@@ -131,37 +138,31 @@ def _mul(b, a):
             b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3])
 
 
-def _step_matrices(a: np.ndarray, h):
-    """exp(Omega) for Magnus steps of length h whose three Gauss nodes carry
-    a = -g Omega^2, an array of shape (3, m); h is a float or an array of m
-    lengths.
+def _step_matrices(a: np.ndarray, h) -> np.ndarray:
+    """exp(Omega), entries (m11, m12, m21, m22) along the first axis, of the
+    Magnus steps of length h whose four Gauss nodes carry a = -g Omega^2 of
+    shape (4, m) + members; h is a float or broadcasts against (m,) + members.
 
-    With A(t) = [[0, 1], [a, 0]] and A_i at node i, the node combinations
-    A1 = h A_2, A2 = sqrt(15) h / 3 (A_3 - A_1), A3 = 10 h / 3 (A_3 - 2 A_2 + A_1)
-    give C1 = [A1, A2], C2 = -[A1, 2 A3 + C1] / 60 and
-    Omega = A1 + A3 / 12 + [-20 A1 - A3 + C1, A2 + C2] / 240.
-    A2 and A3 have only a lower-left entry, so with d = a3 - a1,
-    e = a3 - 2 a2 + a1, k = sqrt(15) / 3, u = h^5 d^2 / 2160 and
-    v = h^3 e / 54, Omega = (p, q, r) is
-        p = k h^2 d (h^2 (4/3 a2 + e/9) - 20) / 240,
-        q = h + h^3 (h^2 d^2 - 40 e) / 2160 = h + (u - v),
-        r = a2 (h + (u + v)) + e (5/18 h + h^3/324 e) - h^3/72 d^2,
-    each power of h folded into a coefficient and the small terms summed
-    before h is added (added one by one, they bias q and r by 0.14 ulp a
-    step).  Omega^2 = s I with s = -det Omega, hence exp(Omega) = cosh(sqrt s)
-    I + sinh(sqrt s) / sqrt s Omega, with cos and sin for s < 0.
+    One matrix product gives every form; the small terms are summed before
+    each lead is added (added one by one they would bias q and r).  Omega^2 =
+    s I with s = -det Omega, so exp(Omega) = cosh(sqrt s) I + sinh(sqrt s) /
+    sqrt s Omega, with cos and sin for s < 0.
     """
-    a1, a2, a3 = a
-    h2 = h * h
-    h3 = h2 * h
-    d = a3 - a1
-    e = a3 - 2.0 * a2 + a1
-    dd = d * d
-    k = math.sqrt(15.0) / 3.0
-    p = d * ((k / 180.0 * h2 * h2) * (a2 + e / 12.0) - k / 12.0 * h2)
-    u, v = (h3 * h2 / 2160.0) * dd, (h3 / 54.0) * e
-    q = h + (u - v)
-    r = a2 * (h + (u + v)) + (e * (5.0 / 18.0 * h + (h3 / 324.0) * e) - (h3 / 72.0) * dd)
+    shape = a.shape[1:]
+    forms, a = (_FORMS, a * (h * h)) if isinstance(h, np.ndarray) else (_FORMS * (h * h), a)
+    f = np.dot(forms, a.reshape(4, -1)).reshape((13,) + shape)
+    b0, b1, b2 = f[:3]
+    f[3:8:4] -= b0 * f[6]
+    f[5] += b1 * f[12]
+    e = np.empty((4,) + shape)
+    p, q, r = terms = np.multiply(b1, f[3:6], out=e[:3])
+    terms[1:] += b2 * f[6:8]
+    p += b0 * f[8]
+    terms -= f[9:12]
+    q *= h
+    q += h
+    # a frame time on a knot takes a step of h = 0, whose r h is 0
+    np.divide(r, h, out=r, where=h != 0.0)
     s = p * p
     s += q * r
     x = np.sqrt(np.abs(s))
@@ -174,11 +175,10 @@ def _step_matrices(a: np.ndarray, h):
     else:
         xg = np.where(grow, x, 0.0)  # keep cosh and sinh off the unused branch
         cc, sn = np.where(grow, np.cosh(xg), np.cos(x)), np.where(grow, np.sinh(xg), np.sin(x))
-    sc = np.divide(sn, x, out=np.ones_like(x), where=x != 0.0)
-    p *= sc
-    q *= sc
-    r *= sc
-    return (cc + p, q, r, cc - p)
+    terms *= sn / x if x.all() else np.divide(sn, x, out=np.ones_like(x), where=x != 0.0)
+    np.subtract(cc, p, out=e[3])
+    p += cc
+    return e
 
 
 def _product(b, a):
@@ -240,10 +240,10 @@ class _MagnusGrid:
         return knots
 
     def sample(self, starts: np.ndarray, h) -> np.ndarray:
-        """-(c0 + c1 Omega^2) at the three Gauss nodes of the steps of length h
-        from starts, from one array call, shape (3, m) + members."""
-        nodes = _MAGNUS_NODES if starts.ndim == 1 else _MAGNUS_NODES[..., None]
-        om = np.asarray(self.omega_sq(starts + nodes * h), dtype=float)
+        """-(c0 + c1 Omega^2) at the four Gauss nodes of the steps of length h
+        from starts, from one array call, shape (4, m) + members."""
+        x = _GAUSS_X[:, None] if starts.ndim == 1 else _GAUSS_X[:, None, None]
+        om = np.asarray(self.omega_sq((starts + 0.5 * h) + (0.5 * h) * x), dtype=float)
         a = np.multiply.outer(om, -self.c1) if self.members else -self.c1 * om
         if self.members or self.c0:  # make_basis has c0 = 0
             a -= self.c0
@@ -259,27 +259,26 @@ class _MagnusGrid:
         return [(lo, min(self.n, lo + chunk)) for lo in range(0, self.n, chunk)]
 
     def transfer(self) -> np.ndarray:
-        """M = Phi(t_b, t_a), shape (2, 2) + members."""
-        acc = None
+        """M = Phi(t_b, t_a), shape (2, 2) + members, the runs' products
+        reduced pairwise as the steps of one run are."""
+        runs = []
         for lo, hi in self._runs():
             a = self.sample(self.starts(lo, hi), self.h)
-            e = _reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:]))
-            acc = e if acc is None else _product(e, acc)
-        return acc
+            runs.append(_reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])))
+        return _reduce_pairs(np.stack(runs, axis=2))
 
     def pair(self, a0=None, peak: bool = False) -> tuple:
-        """M on n/2 and on n steps, each of shape (2, 2) + members, in one
-        pass: one sample call on both levels' Gauss nodes (the n/2 steps'
-        are a0 if given), one _step_matrices call and one reduction of both;
-        with peak, also the largest sampled |c0 + c1 Omega^2| of the n steps.
-        A run of 2^j fine steps and its coarse ones is at most MAGNUS_CHUNK
-        steps x members."""
-        acc, top = None, None
+        """M on n/2 and on n steps, each of shape (2, 2) + members, in one pass
+        over runs of 2^j fine steps and their coarse ones (MAGNUS_CHUNK steps x
+        members): one sample call (a0 are the n steps' samples, if given), one
+        _step_matrices call and one reduction; with peak, also max|a| of the n."""
+        runs, top = [], None
         h = np.array([[self.h], [self.h], [2.0 * self.h]])  # fine steps 2k, 2k + 1, coarse k
         for lo, hi in self._runs(1.5, least=2):
             starts = self.starts(lo, hi).reshape(-1, 2).T
             a = self.sample(starts[[0, 1, 0]], h) if a0 is None else np.concatenate(
-                [self.sample(starts, h[:2]), a0[:, None, lo // 2:hi // 2]], axis=1)
+                [a0[:, lo:hi].reshape((4, -1, 2) + self.members).swapaxes(1, 2),
+                 self.sample(starts[0], h[2])[:, None]], axis=1)
             if peak:
                 top = np.maximum(0.0 if top is None else top, np.abs(a[:, :2]).max(axis=(0, 1, 2)))
             # a step of 2h on samples a is S E S^-1 for the step E of h on 4a,
@@ -287,8 +286,8 @@ class _MagnusGrid:
             a[:, 2] *= 4.0
             x = np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])
             x[:, :, 1] = _product(x[:, :, 1], x[:, :, 0])
-            e = _reduce_pairs(x[:, :, 1:], axis=3)
-            acc = e if acc is None else _product(e, acc)
+            runs.append(_reduce_pairs(x[:, :, 1:], axis=3))
+        acc = _reduce_pairs(np.stack(runs, axis=3), axis=3)
         coarse = acc[:, :, 1]  # S M S^-1 from the product of the steps on 4a
         coarse[0, 1] *= 2.0
         coarse[1, 0] *= 0.5
@@ -300,29 +299,29 @@ class _MagnusGrid:
         (2, 2) + members, by the Gauss rule: -sum_k S_{k+1} D_k P_k, P_k =
         Phi(t_k, t_a), S_k = Phi(t_b, t_k), D_k = E_k sum_i w_i adj(e_i) E21 e_i,
         e_i the Magnus step from t_k to node i; no P_k or S_k is formed."""
-        per, pairs = GAUSS_NODES_PER_STEP, []
+        per, pairs, tail = GAUSS_NODES_PER_STEP, [], (1,) * len(self.members)
         for lo, hi in self._runs(per):  # at most MAGNUS_CHUNK nodes x members
             m, starts = hi - lo, self.knots[lo:hi]
-            nodes, w = _gauss_rule(self.knots[lo:hi + 1])
-            # members first, so that a weight with members last broadcasts
-            wt = w if weight is None else np.transpose(weight(nodes)) * w
-            starts = np.concatenate([starts, np.repeat(starts, per)])
-            h = np.concatenate([np.full(m, self.h), nodes - starts[m:]])
-            e = _step_matrices(self.sample(starts, h),
-                               h.reshape((-1,) + (1,) * len(self.members)))
-            # only the first row of e_i enters: sum_i w_i adj(e_i) E21 e_i = [[-p, -q], [r, p]]
-            p, q, r = ((wt * (x[m:] * y[m:]).T).T.reshape((m, per) + x.shape[1:]).sum(axis=1)
-                       for x, y in ((e[0], e[1]), (e[1], e[1]), (e[0], e[0])))
-            step = tuple(x[:m] for x in e)
-            d = _mul(step, (-p, -q, r, p))
-            pairs.append(_reduce_pairs(np.array([step[:2] + d[:2], step[2:] + d[2:]])))
+            # node by node over the run's steps, shape (per, m), members last
+            nodes, w = (x.reshape(m, per).T for x in _gauss_rule(self.knots[lo:hi + 1]))
+            wt = w if weight is None else (np.transpose(weight(nodes)) * w.T).T
+            wt = wt.reshape((per, m) + (tail if wt.ndim == 2 else self.members))
+            h = np.concatenate([np.full(m, self.h), (nodes - starts).ravel()])
+            e = _step_matrices(self.sample(np.tile(starts, 1 + per), h), h.reshape((-1,) + tail))
+            e = e.reshape((2, 2, 1 + per, m) + self.members)
+            # of e_i only the first row enters: sum_i w_i adj(e_i) E21 e_i = J G,
+            # J = [[0, -1], [1, 0]] and G = sum_i w_i e_i[0]^T e_i[0]
+            first, step = e[0, :, 1:], e[:, :, 0]
+            gram = ((wt * first)[:, None] * first).sum(axis=2)
+            pairs.append(_reduce_pairs(np.concatenate(
+                [step, _product(step, np.stack([-gram[1], gram[0]]))], axis=1)))
         return -_reduce_pairs(np.stack(pairs, axis=2))[:, 2:]
 
     @cached_property
     def _products(self):
         """Prefix products Phi(t_k, t_a) and suffix products Phi(t_b, t_k)
         at the knots, k = 0..n."""
-        e = np.hstack([np.array(_step_matrices(self.sample(self.starts(lo, hi), self.h), self.h))
+        e = np.hstack([_step_matrices(self.sample(self.starts(lo, hi), self.h), self.h)
                        for lo, hi in self._runs()])
         return _scan(e), _scan(e, reverse=True)
 
@@ -343,55 +342,56 @@ class _MagnusGrid:
                 np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
 
 
-def _work_estimate(a_max: float, iv: Interval) -> tuple:
-    """Steps for MAGNUS_STEPS_PER_RADIAN per radian of the largest sampled
-    frequency, and its level: the power of two of steps at or above it, at
-    least MAGNUS_MIN_STEPS.  Above MAGNUS_MAX_STEPS it is refused."""
-    estimate = MAGNUS_STEPS_PER_RADIAN * math.sqrt(a_max) * iv.span
-    if estimate > MAGNUS_MAX_STEPS:
+def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
+    """The work estimate, MAGNUS_STEPS_PER_RADIAN steps per radian of the
+    largest frequency of members sampled as a0 on the coarse steps (or of
+    peaks, their largest |a| sampled since), the members' first levels (see
+    the MAGNUS_* constants) and their largest |a|, as lists."""
+    axes = (0, 1) if a0.ndim > 2 else None
+    lo, hi = a0.min(axis=axes), a0.max(axis=axes)
+    peaks = np.ravel(np.maximum(hi, -lo) if peaks is None else peaks).tolist()
+    steps = [MAGNUS_STEPS_PER_RADIAN * math.sqrt(a) * iv.span for a in peaks]
+    if max(steps) > MAGNUS_MAX_STEPS:
         raise IntegrationError(
-            f"work estimate of {estimate:.4g} Magnus steps "
+            f"work estimate of {max(steps):.4g} Magnus steps "
             f"(MAGNUS_STEPS_PER_RADIAN = {MAGNUS_STEPS_PER_RADIAN} per radian "
             f"of max|g Omega^2|^(1/2) over T = {iv.span}) exceeds "
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
-    return estimate, 1 << math.ceil(math.log2(max(estimate, MAGNUS_MIN_STEPS)))
+    return max(steps), [1 << math.ceil(math.log2(max(
+        min((4.0 if v else 2.0) * n, MAGNUS_MAX_STEPS), MAGNUS_MIN_STEPS)))
+        for n, v in zip(steps, np.ravel(lo < hi).tolist())], peaks
 
 
 def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
     """The Magnus grid, M and the error estimates of M's entries of members
     (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET
-    from the first pair (c, 2c) in one pass, c = max(L/2, MAGNUS_MIN_STEPS) for
-    the work estimate's level L; no level below 2L is accepted."""
-    n, m, a_max = MAGNUS_MIN_STEPS, None, np.abs(a0).max(axis=(0, 1))
-    estimate, level = _work_estimate(float(a_max.max()), iv)
+    from the first pair of levels (L/2, L), L the work estimate's first level."""
+    n, m = MAGNUS_MIN_STEPS, None
+    estimate, levels, peaks = _work_estimate(a0, iv)
     with np.errstate(over="raise", invalid="raise"):
         try:
-            # a finer level can sample a larger |Omega^2|, so the estimate
-            # is checked again on every level it sets
+            # a finer level can sample a larger |Omega^2|: above MAGNUS_MIN_STEPS
+            # the first level's samples are new and check the estimate again
             while m is None or n < estimate:
-                coarse = max(level // 2, MAGNUS_MIN_STEPS)
-                n, floor = 2 * coarse, 2 * level
+                n = max(levels)
+                coarse = n // 2
                 grid = _MagnusGrid(om, c0, c1, iv, n)
-                # above MAGNUS_MIN_STEPS the fine level is L, whose samples check L again
-                m_coarse, m, sampled = grid.pair(a0 if coarse == MAGNUS_MIN_STEPS else None,
-                                                 peak=coarse < level)
+                m_coarse, m, sampled = grid.pair(a0 if n == MAGNUS_MIN_STEPS else None,
+                                                 peak=n > MAGNUS_MIN_STEPS)
                 if sampled is not None:
-                    a_max = sampled
-                    estimate, level = _work_estimate(float(a_max.max()), iv)
-            # without a member axis (make_basis) Python's scalar max, abs, sqrt and
-            # comparisons cost less
+                    estimate, levels, peaks = _work_estimate(a0, iv, sampled)
+            # without a member axis (make_basis) Python's scalars cost less
             if grid.members:
                 top, sqrt, largest = np.maximum, np.sqrt, lambda x: np.abs(x).max(axis=(0, 1))
-                every, worst = np.all, np.max
+                every, worst, a_max = np.all, np.max, np.array(peaks)
             else:
                 top, sqrt, largest = max, math.sqrt, lambda x: max(map(abs, x.ravel().tolist()))
-                every, worst = bool, float
+                every, worst, (a_max,) = bool, float, peaks
             while True:
-                error = largest(m - m_coarse) / ((n // coarse) ** 6 - 1.0)
+                error = largest(m - m_coarse) / ((n // coarse) ** 8 - 1.0)
                 scale = largest(m)
-                tol = max(MAGNUS_REL_TARGET, n * _EPS / 63.0) * scale
-                met = every(error <= tol)
-                if met and n >= floor:
+                tol = max(MAGNUS_REL_TARGET, n * _EPS / 255.0) * scale
+                if every(error <= tol):
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
                     return grid, m, top(error, 2.0 * n * _EPS * envelope)
@@ -401,8 +401,8 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                         f"{MAGNUS_MAX_STEPS} steps to meet MAGNUS_REL_TARGET = "
                         f"{MAGNUS_REL_TARGET} (error estimate {np.max(error):.3e} at "
                         f"{n} steps; work estimate {estimate:.4g} steps)")
-                # sixth order: 2^k times the steps divide the error by 2^(6k)
-                k = 1 if met else max(1, math.ceil(math.log2(worst(error / tol)) / 6.0))
+                # eighth order: 2^k times the steps divide the error by 2^(8k)
+                k = math.ceil(math.log2(worst(error / tol)) / 8.0)
                 coarse, n = n, min(n << k, MAGNUS_MAX_STEPS)
                 grid = _MagnusGrid(om, c0, c1, iv, n)
                 m_coarse, m = m, grid.transfer()
@@ -414,12 +414,12 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
 
 def _family(profile: FrequencyProfile, c0, c1) -> list:
     """The members Omega_j^2 = c0_j + c1_j Omega^2 in groups whose work
-    estimates on one coarse sampling have the same level, each doubled on its
-    own from there: a list of (member indices, grid, M, error)."""
+    estimates on one coarse sampling have the same first level, each doubled
+    on its own from there: a list of (member indices, grid, M, error)."""
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
-    level = np.array([_work_estimate(a, iv)[1] for a in np.abs(a0).max(axis=(0, 1)).tolist()])
+    level = np.array(_work_estimate(a0, iv)[1])
     return [(np.flatnonzero(k), *_magnus(om, c0[k], c1[k], iv, a0[..., k]))
             for k in (level == n for n in sorted(set(level.tolist())))]
 
@@ -474,7 +474,7 @@ class HomogeneousBasis:
 
 
 def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
-    """Canonical basis (eta, xi) from the sixth-order Magnus product.
+    """Canonical basis (eta, xi) from the eighth-order Magnus product.
 
     eta has (value, slope) = (0, 1) at t_a and xi has (1, 0), so M = Phi(t_b)
     and W = -1.  The frame is read from prefix and suffix products of the

@@ -731,6 +731,36 @@ class TestUsage:
         assert code == 1 and out == ""
         assert "--omega0" in err and "must be a finite number" in err
 
+    def test_dash_word_is_a_value(self, capsys, tmp_path, monkeypatch):
+        """A word with one dash that names no option is the value of the
+        option before it: --out -o.txt writes the file -o.txt, and --profile
+        -x.json refuses that missing file by name."""
+        monkeypatch.chdir(tmp_path)
+        _, stdout_text, _ = run(capsys, "det")
+        code, out, err = run(capsys, "det", "--out", "-o.txt")
+        assert code == 0 and out == "" and err == ""
+        assert (tmp_path / "-o.txt").read_text(encoding="utf-8") == stdout_text
+        code, out, err = run(capsys, "det", "--profile", "-x.json")
+        assert code == 1 and out == ""
+        assert "profile config file not found: -x.json" in err
+
+    @pytest.mark.parametrize("argv", [("-h",), ("det", "-h")], ids=["top", "det"])
+    def test_short_help(self, capsys, argv):
+        """-h stays --help."""
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out == run(capsys, *argv[:-1], "--help")[1]
+
+    @pytest.mark.parametrize("argv", [
+        ("det", "--nope"), ("det", "-x"), ("det", "--t-b", "2", "-q", "--bc", "periodic"),
+    ], ids=["long", "short", "between"])
+    def test_unknown_option_refused(self, capsys, argv):
+        """An option no command has is a usage error, exit code 1, with one
+        dash or two."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err
+
     def test_det_help_lists_every_default(self, capsys):
         code, out, _ = run(capsys, "det", "--help")
         assert code == 0

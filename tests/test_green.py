@@ -199,7 +199,7 @@ class TestKernelValues:
     def test_one_frame_per_time(self, modulated_profile, bc):
         """Once the prefix and suffix products are formed, each time costs
         one local Magnus step for both anchored solutions: Omega^2 is
-        sampled at its three Gauss nodes, once."""
+        sampled at its four Gauss nodes, once."""
         sampled = []
 
         def omega_sq(t):
@@ -211,7 +211,7 @@ class TestKernelValues:
         ts = modulated_profile.interval.grid(101)
         sampled.clear()
         kernel.diagonal(ts)
-        assert sum(sampled) == 3 * len(ts)
+        assert sum(sampled) == 4 * len(ts)
 
 
 class TestKernelProperties:

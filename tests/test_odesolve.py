@@ -141,19 +141,22 @@ def constant_transfer(omega_sq: float, tau):
 
 
 def nested_step_matrices(a, h):
-    """exp(Omega) of the Magnus steps as _step_matrices formed it from the
-    nested commutators b = sqrt(15) h / 3 (a3 - a1) and c = 10 h / 3 (a3 -
-    2 a2 + a1), in 61 array operations: the reference for its closed form."""
-    a1, a2, a3 = a
-    b = (math.sqrt(15.0) / 3.0) * h * (a3 - a1)
-    c = (10.0 / 3.0) * h * (a3 - 2.0 * a2 + a1)
-    hh = h * h
-    p = h * b * (-20.0 + hh * a2 * (4.0 / 3.0) + h * c / 30.0)
-    q = hh * (h * b * b / 15.0 - c * (4.0 / 3.0))
-    r = h * (h * a2 * c * (4.0 / 3.0) + c * c / 15.0 - b * b * (2.0 - hh * a2 / 15.0))
-    p = p / 240.0
-    q = h + q / 240.0
-    r = h * a2 + c / 12.0 + r / 240.0
+    """exp(Omega) of the Magnus steps from the exponent as odesolve writes it
+    out, term by term in the Taylor coefficients C = V^-1 a (V_ik = u_i^k at
+    the nodes u_i = x_i / 2, solved with np.linalg.solve) and powers of h, in
+    75 array operations: the reference for _step_matrices' factored form."""
+    u = 0.5 * odesolve._GAUSS_X
+    c0, c1, c2, c3 = np.linalg.solve(np.vander(u, 4, increasing=True),
+                                     a.reshape(4, -1)).reshape(a.shape)
+    h2 = h * h
+    h3, h4 = h2 * h, h2 * h2
+    p = (-h2 * (c1 / 12.0 + c3 / 80.0)
+         + h4 * (c0 * c1 / 180.0 + c0 * c3 / 1680.0 + 13.0 * c1 * c2 / 15120.0)
+         - h4 * h2 * c0 * c0 * c1 / 1890.0)
+    q = h - h3 * c2 / 180.0 + h4 * h * (c0 * c2 / 1890.0 + c1 * c1 / 7560.0)
+    r = (h * (c0 + c2 / 12.0)
+         + h3 * (c0 * c2 / 180.0 - c1 * c1 / 120.0 - c1 * c3 / 420.0 + c2 * c2 / 3024.0)
+         + h4 * h * c0 * (c1 * c1 / 1080.0 - c0 * c2 / 1890.0))
     s = p * p + q * r
     x = np.sqrt(np.abs(s))
     safe = np.where(x == 0.0, 1.0, x)
@@ -201,9 +204,9 @@ def array_operations(kernel, a, h) -> int:
 
 
 def step_samples(kind: str, rng, m: int = 40, members: tuple = ()) -> np.ndarray:
-    """a = -g Omega^2 at the three Gauss nodes of m steps: s > 0 ("grow"),
+    """a = -g Omega^2 at the four Gauss nodes of m steps: s > 0 ("grow"),
     s < 0 ("oscillate"), both, or a = 0, where s = 0 and x = 0."""
-    size = (3, m) + members
+    size = (4, m) + members
     a = 25.0 * (1.0 + 0.3 * rng.standard_normal(size))
     if kind == "oscillate":
         return -a
@@ -213,7 +216,7 @@ def step_samples(kind: str, rng, m: int = 40, members: tuple = ()) -> np.ndarray
 
 
 class TestMagnus:
-    """The sixth-order Magnus product against closed forms, on a shifted
+    """The eighth-order Magnus product against closed forms, on a shifted
     interval [-3, 7]."""
 
     T_A, SPAN = -3.0, 10.0
@@ -291,33 +294,56 @@ class TestMagnus:
     def test_step_kernel_constant(self, omega_sq, form, rng):
         """With constant Omega^2 a step is cos/sin or cosh/sinh of w h."""
         h = 0.09 if form == "float" else rng.uniform(0.0, 0.09, 40)
-        e = np.array(odesolve._step_matrices(np.full((3, 40), -omega_sq), h))
+        e = np.array(odesolve._step_matrices(np.full((4, 40), -omega_sq), h))
         exact = constant_transfer(omega_sq, np.broadcast_to(h, (40,))).reshape(4, 40)
         assert np.max(np.abs(e - exact)) <= 1e-15 * np.max(np.abs(exact))
 
     @pytest.mark.parametrize("kind", ["grow", "oscillate"])
     def test_step_kernel_array_operations(self, kind, rng):
-        """With a float h the kernel makes at most 42 numpy operations, where
-        the nested form makes 61 (62 with cos and sin), which checks the
+        """With a float h the kernel makes at most 28 numpy operations, where
+        the nested form makes 75 (76 with cos and sin), which checks the
         count; with an array of h it makes fewer than the nested form."""
         a = step_samples(kind, rng)
         h = 0.08 * rng.uniform(0.2, 1.0, 40)
-        assert array_operations(odesolve._step_matrices, a, 0.08) <= 42
-        assert array_operations(nested_step_matrices, a, 0.08) == 61 + (kind != "grow")
+        assert array_operations(odesolve._step_matrices, a, 0.08) <= 28
+        assert array_operations(nested_step_matrices, a, 0.08) == 75 + (kind != "grow")
         assert (array_operations(odesolve._step_matrices, a, h)
                 < array_operations(nested_step_matrices, a, h))
 
-    def test_sixth_order(self):
-        """Halving the step divides the error of M by 2^6 on a varying
-        profile, where the commutator terms of the Magnus exponent matter
-        (constant profiles are integrated exactly at any step)."""
-        profile = fd.make_modulated_profile(1.0, 0.5, 3.0, fd.Interval(-1.0, 2.0))
-        exact = make_basis(profile).m
-        errors = [np.max(np.abs(odesolve._MagnusGrid(
-            profile.omega_sq, 0.0, 1.0, profile.interval, n).transfer() - exact))
-            for n in (8, 16, 32, 64)]
+    def test_eighth_order_step(self):
+        """One step on a = -1 + t/2 - 3 t^2/10 + t^3/5, a cubic that the four
+        nodes determine, against mpmath's Taylor solve: halving h divides the
+        error by about 2^9 (437 and 473 from h = 0.4 to 0.1), so every term of
+        the exponent through h^8 is right."""
+        mpmath = pytest.importorskip("mpmath")
+        coef = (-1.0, 0.5, -0.3, 0.2)
+        errors = []
+        for h in (0.4, 0.2, 0.1):
+            with mpmath.workdps(30):
+                exact = [mpmath.odefun(lambda t, y: [y[1], mpmath.polyval(coef[::-1], t) * y[0]],
+                                       0, start)(h) for start in ([1, 0], [0, 1])]
+            exact = np.array([[float(x) for x in column] for column in exact]).T
+            a = np.polyval(coef[::-1], h * (0.5 + 0.5 * odesolve._GAUSS_X))[:, None]
+            step = odesolve._step_matrices(a, h).reshape(2, 2)
+            errors.append(np.max(np.abs(step - exact)))
         for coarse, fine in zip(errors, errors[1:]):
-            assert 56.0 <= coarse / fine <= 72.0
+            assert 2.0 ** 8.5 <= coarse / fine <= 2.0 ** 9.5
+
+    def test_eighth_order(self):
+        """Doubling the steps divides the error of M by 2^8 on a varying
+        profile, where the commutator terms of the Magnus exponent matter
+        (constant profiles are integrated exactly at any step): 4.9e-8,
+        1.9e-10 and 7.3e-13 of max|M_ij| at 256, 512 and 1024 steps."""
+        profile = fd.make_modulated_profile(7.5, 0.2, 3.0, fd.Interval(-5.0, 15.0))
+
+        def transfer(n):
+            return odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, profile.interval,
+                                        n).transfer()
+
+        exact = transfer(4096)
+        errors = [np.max(np.abs(transfer(n) - exact)) for n in (256, 512, 1024)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 224.0 <= coarse / fine <= 288.0
 
     def test_chunked_product(self, monkeypatch):
         """Steps are multiplied MAGNUS_CHUNK at a time; more chunks change
@@ -355,19 +381,18 @@ class TestMagnus:
         assert "error estimate" in str(info.value)
 
     @pytest.mark.parametrize("args,adjacent,levels", [
-        # the work estimate's level is 128: the pair (64, 128), on the 64
-        # coarse samples and 128 new steps, predicts 2048 steps: 6,720 nodes
-        # where adjacent doubling samples 12,096
-        ((5.0, 0.1, 7.0, 0.0, 10.0), [128, 256, 512, 1024, 2048], [64, 128, 2048]),
-        # a det-stress operator: (64, 128) predicts 512 steps, which fall
-        # short, and 1024 meet the target
-        ((3.077219978188551, 0.004594494420126185, 4.866572593155098,
-          48.697862718257255, 55.81072967325839),
-         [64, 128, 256, 512, 1024], [64, 128, 512, 1024]),
+        # the first level is 64: the pair (32, 64), on the 64 coarse samples
+        # and 32 new steps, predicts 512 steps: 2,432 nodes where adjacent
+        # doubling samples 3,968
+        ((1.0, 0.9, 20.0, 0.0, 5.0), [32, 64, 128, 256, 512], [64, 32, 512]),
+        # (32, 64) predicts 256 steps, which fall short, and 512 meet the target
+        ((0.7442750006798367, 0.6448260412713754, 19.493234738870946,
+          46.93135101824825, 50.56290129223184),
+         [32, 64, 128, 256, 512], [64, 32, 256, 512]),
     ], ids=["jump", "short-jump"])
     def test_jump_to_predicted_level(self, args, adjacent, levels):
         """After the first pair, step doubling jumps to the level the
-        sixth-order error estimate predicts: Omega^2 is sampled on the 64
+        eighth-order error estimate predicts: Omega^2 is sampled on the 64
         coarse steps and on levels only, not on the levels between that
         adjacent doubling visits, and M, the knots and the error estimate
         are those of adjacent doubling bit for bit."""
@@ -376,32 +401,33 @@ class TestMagnus:
         calls = []
         basis = make_basis(counted(profile, calls))
         assert calls == levels
-        visited, grid, m, error = adjacent_doubling(profile, adjacent[0])
+        visited, grid, m, error = adjacent_doubling(profile, 2 * adjacent[0])
         assert visited == adjacent
         assert np.array_equal(basis.m, m)
         assert np.array_equal(basis.knots, grid.knots)
         assert basis.error_estimate == error
 
     def test_jump_clamped_to_step_cap(self, monkeypatch):
-        """The jump from the pair (64, 128) to 2048 steps stops at
-        MAGNUS_MAX_STEPS = 1024, where the estimate still misses the target,
+        """The jump from the pair (32, 64) to 512 steps stops at
+        MAGNUS_MAX_STEPS = 256, where the estimate still misses the target,
         and is refused."""
-        profile = fd.make_modulated_profile(5.0, 0.1, 7.0, fd.Interval(0.0, 10.0))
-        monkeypatch.setattr(odesolve, "MAGNUS_MAX_STEPS", 1024)
+        profile = fd.make_modulated_profile(1.0, 0.9, 20.0, fd.Interval(0.0, 5.0))
+        monkeypatch.setattr(odesolve, "MAGNUS_MAX_STEPS", 256)
         calls = []
         with pytest.raises(fd.IntegrationError,
-                           match="MAGNUS_MAX_STEPS = 1024") as info:
+                           match="MAGNUS_MAX_STEPS = 256") as info:
             make_basis(counted(profile, calls))
         assert "error estimate" in str(info.value)
-        assert calls == [64, 128, 1024]
+        assert calls == [64, 32, 256]
 
     @pytest.mark.parametrize("chunk,calls", [
-        (odesolve.MAGNUS_CHUNK, [64, 384, 4096]), (64, [64] + [48] * 8 + [64] * 64)])
+        (odesolve.MAGNUS_CHUNK, [64, 1536]), (64, [64] + [48] * 32)])
     def test_first_pair_samples_once(self, monkeypatch, chunk, calls):
-        """Omega^2 = 100 (1 + 0.1 sin t) on [0, 10] has the work-estimate
-        level 256: the pair (128, 256) samples both levels' Gauss nodes in
-        one Omega^2 call (384 steps), or one per run of 32 fine and 16 coarse
-        steps at MAGNUS_CHUNK = 64, before the jump to 4096 steps."""
+        """Omega^2 = 100 (1 + 0.1 sin t) on [0, 10] varies on the coarse
+        samples, so its first level is 1024, the level of 4 times its work
+        estimate of 210 steps: the pair (512, 1024) samples both levels' Gauss
+        nodes in one Omega^2 call (1536 steps), or one per run of 32 fine and
+        16 coarse steps at MAGNUS_CHUNK = 64, and meets the target."""
         profile = fd.make_modulated_profile(10.0, 0.1, 1.0, fd.Interval(0.0, 10.0))
         whole = make_basis(profile)
         monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", chunk)
@@ -428,28 +454,30 @@ class TestMagnus:
             if n == 256:
                 assert np.array_equal(fine, grid.transfer())
                 assert np.array_equal(coarse, half.transfer())
-                assert np.array_equal(grid.pair(half.samples())[1], fine)
+                given = grid.pair(grid.samples())
+                assert np.array_equal(given[0], coarse) and np.array_equal(given[1], fine)
             else:
                 assert np.max(np.abs(fine - grid.transfer())) <= 1e-14 * np.max(np.abs(fine))
                 assert np.max(np.abs(coarse - half.transfer())) <= 1e-14 * np.max(np.abs(coarse))
 
     @pytest.mark.parametrize("omega,eps,nu,span", [
-        (5.0, 0.1, 7.0, 10.0), (3.0, 0.2, 2.0, 10.0), (1.0, 0.5, 3.0, 3.0)])
+        (5.0, 0.1, 7.0, 10.0), (3.0, 0.2, 2.0, 10.0), (1.0, 0.5, 3.0, 4.0)])
     def test_jumped_estimate_is_an_error_estimate(self, omega, eps, nu, span):
-        """At make_basis's final level m, the estimate after a jump by 8,
-        |M_m - M_{m/8}| / (8^6 - 1), agrees with the adjacent one |M_m -
-        M_{m/2}| / 63 within a factor of 2, and both are within a factor of
-        2 of M_m's difference from M_{4m}."""
+        """At half make_basis's final level, m, where the error of M_m is
+        truncation (at the final level both estimates read rounding, 7e-16 to
+        7e-15), the estimate after a jump by 8, |M_m - M_{m/8}| / (8^8 - 1),
+        agrees with the adjacent one |M_m - M_{m/2}| / 255 within a factor of
+        2, and both are within a factor of 2 of M_m's difference from M_{4m}."""
         profile = fd.make_modulated_profile(omega, eps, nu, fd.Interval(0.0, span))
-        m = len(make_basis(profile).knots) - 1
+        m = (len(make_basis(profile).knots) - 1) // 2
 
         def transfer(n):
             return odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0,
                                         profile.interval, n).transfer()
 
         fine = transfer(m)
-        jumped = np.max(np.abs(fine - transfer(m // 8))) / (8.0 ** 6 - 1.0)
-        adjacent = np.max(np.abs(fine - transfer(m // 2))) / 63.0
+        jumped = np.max(np.abs(fine - transfer(m // 8))) / (8.0 ** 8 - 1.0)
+        adjacent = np.max(np.abs(fine - transfer(m // 2))) / 255.0
         error = np.max(np.abs(fine - transfer(4 * m)))
         assert 0.5 <= jumped / adjacent <= 2.0
         for estimate in (jumped, adjacent):
@@ -457,13 +485,13 @@ class TestMagnus:
 
 
 def work_level(profile) -> tuple:
-    """make_basis of the profile and the last level its work estimate set."""
+    """make_basis of the profile and the last first level its work estimate set."""
     levels = []
     estimate = odesolve._work_estimate
 
-    def recorded(a_max, iv):
-        result = estimate(a_max, iv)
-        levels.append(result[1])
+    def recorded(a0, iv, peaks=None):
+        result = estimate(a0, iv, peaks)
+        levels.append(max(result[1]))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -487,44 +515,45 @@ HYPERBOLIC = st.builds(
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.one_of(MODULATED, HYPERBOLIC))
 def test_schedule_against_adjacent_doubling(profile):
-    """The accepted level is never below twice the work estimate's level L,
-    and it is the level where adjacent doubling from L stops, or the next
-    one where the first pair, one level coarser, predicts past it.  Up to
-    omega T = 100: further out both schedules' estimates reach the rounding
-    of the product, which the 2 n eps envelope reports."""
+    """The accepted level is never below the first level L, and it is the
+    level where adjacent doubling from the pair (L/2, L) stops, or the next
+    one where a jump predicts past it.  Up to omega T = 100: further out both
+    schedules' estimates reach the rounding of the product, which the 2 n eps
+    envelope reports."""
     basis, level = work_level(profile)
     n = len(basis.knots) - 1
-    assert n >= 2 * level
+    assert n >= level
     assert n // adjacent_doubling(profile, level)[1].n in (1, 2)
 
 
 def counted(profile, calls):
-    """The profile with each Omega^2 call's count of Magnus steps (three
+    """The profile with each Omega^2 call's count of Magnus steps (four
     Gauss nodes each) appended to calls."""
     def omega_sq(t):
-        calls.append(np.size(t) // 3)
+        calls.append(np.size(t) // 4)
         return profile.omega_sq(t)
 
     return fd.FrequencyProfile(omega_sq=omega_sq, interval=profile.interval)
 
 
-def adjacent_doubling(profile, n):
-    """make_basis's step doubling without the jump, from a first level of n
-    steps: n, 2n, 4n, ... until |M_2n - M_n| / 63 meets the target.  The
-    levels, the last grid, M and the error estimate with its 2 n eps
-    envelope floor."""
-    iv, eps = profile.interval, np.finfo(float).eps
-    first = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n)
-    m, a_max = first.transfer(), np.abs(first.samples()).max()
+def adjacent_doubling(profile, level):
+    """make_basis's step doubling without the jump, from the first pair of
+    levels (level/2, level): n = level/2, level, 2 level, ... until
+    |M_2n - M_n| / 255 meets the target.  The levels, the last grid, M and
+    the error estimate with its 2 n eps envelope floor, w from the first
+    level's samples."""
+    iv, eps, n = profile.interval, np.finfo(float).eps, level // 2
+    a_max = np.abs(odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, level).samples()).max()
+    m = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n).transfer()
     levels = [n]
     while True:
         n *= 2
         levels.append(n)
         grid = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n)
         fine = grid.transfer()
-        error, m = np.abs(fine - m).max() / 63.0, fine
+        error, m = np.abs(fine - m).max() / 255.0, fine
         scale = np.abs(m).max()
-        if error <= max(odesolve.MAGNUS_REL_TARGET, n * eps / 63.0) * scale:
+        if error <= max(odesolve.MAGNUS_REL_TARGET, n * eps / 255.0) * scale:
             w = math.sqrt(a_max)
             envelope = max(scale, w, iv.span / max(1.0, w * iv.span))
             return levels, grid, m, max(error, 2.0 * n * eps * envelope)
@@ -583,7 +612,8 @@ class TestFamily:
     def test_first_level_takes_the_coarse_samples(self, modulated_profile):
         """A first level of 64 steps multiplies the coarse samples, so no
         node is sampled twice: one call on the 64 coarse steps, one on the
-        128 steps of the doubling, for make_basis and for a family alike."""
+        32 steps of the pair's coarse level, for make_basis and for a family
+        alike."""
         calls = []
 
         def omega_sq(t):
@@ -593,11 +623,11 @@ class TestFamily:
         counted = fd.FrequencyProfile(omega_sq=omega_sq, interval=modulated_profile.interval)
         calls.clear()
         assert np.array_equal(make_basis(counted).m, make_basis(modulated_profile).m)
-        assert calls == [3 * 64, 3 * 128]
+        assert calls == [4 * 64, 4 * 32]
         calls.clear()
         ((_, _, m, _),) = odesolve._family(counted, [0.0, 0.0], [0.5, 1.0])
         assert np.array_equal(m[..., 1], make_basis(modulated_profile).m)
-        assert calls == [3 * 64, 3 * 128]
+        assert calls == [4 * 64, 4 * 32]
 
 
 class TestMixing:
@@ -952,6 +982,15 @@ class TestDop853Port:
         with pytest.raises(fd.IntegrationError, match="collapsed to zero near t") as info:
             dop853_solve(profile, 1.3, [1.0, -1e9, 0.0])
         assert float(str(info.value).rsplit("= ", 1)[1]) == pytest.approx(1e-9, rel=1e-6)
+
+    def test_collapse_names_its_level(self):
+        """The collapse refusal names the level p fell to: here on modulated
+        (1, 5, 1) over [0, 200], where the endpoint ratio is 2.8e63."""
+        profile = fd.make_modulated_profile(1.0, 5.0, 1.0, fd.Interval(0.0, 200.0))
+        with pytest.raises(fd.IntegrationError,
+                           match=r"p fell to dop853\._COLLAPSE_LEVEL = 1e-08: amplitude "
+                                 r"solution collapsed to zero near t = 20\.03"):
+            solve_ermakov(profile, 1.0, bc="initial")
 
     def test_step_too_small_refused(self):
         """Omega^2 that is NaN from t = 1 on rejects every step across it,

@@ -381,11 +381,11 @@ class TestArrayContract:
         grid = odesolve._MagnusGrid(modulated_profile.omega_sq, 1.69 * (1.0 - s), s, iv, 16)
         starts = grid.starts(0, grid.n)
         samples = grid.sample(starts, grid.h)
-        assert samples.shape == (3, grid.n, s.size)
+        assert samples.shape == (4, grid.n, s.size)
         for j in range(s.size):
             alone = odesolve._MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], iv, grid.n)
             assert np.array_equal(samples[..., j], alone.sample(starts, grid.h))
-        ts = starts + odesolve._MAGNUS_NODES * grid.h
+        ts = (starts + 0.5 * grid.h) + (0.5 * grid.h) * odesolve._GAUSS_X[:, None]
         np.testing.assert_allclose(
             -samples[..., 1], 1.69 + 0.4 * (modulated_profile.omega_sq(ts) - 1.69),
             rtol=1e-15, atol=0.0)
