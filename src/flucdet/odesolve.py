@@ -50,8 +50,13 @@ from .profiles import FrequencyProfile, Interval
 # product by about n eps), else n jumps by k = ceil(log2(error / target) / 8).
 # The estimate reported is at least 2 n eps max(max|M_ij|, w, min(T, 1/w)), the
 # rounding both levels share, which bounds the error against closed forms
-# (constant Omega^2, w T from 0.01 to 1e5).  MAGNUS_CHUNK steps or Gauss nodes
-# x members per array keep memory flat.
+# (constant Omega^2, w T from 0.01 to 1e5).  The accepted grid also records the
+# coarsest level known to meet the target (_MagnusGrid.coarsest): the coarse level
+# c of the last comparison where every member's error (n/c)^8 <= tol and c is at
+# least twice the work estimate (steps of at most 1/4 radian, on which the Gauss
+# rule below holds), else n.  Only the coupling flow's dF/ds reads c; M, the
+# frames, make_basis's slope, the traces and the zero modes keep n and its
+# digits.  MAGNUS_CHUNK steps or Gauss nodes x members per array keep memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -225,6 +230,7 @@ class _MagnusGrid:
     def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
         self.omega_sq, self.iv, self.n, self.h = omega_sq, iv, n, iv.span / n
         self.c0, self.c1, self.members = c0, c1, c1.shape if isinstance(c1, np.ndarray) else ()
+        self.coarsest = n  # the coarsest level known to meet the target (_magnus)
 
     def samples(self) -> np.ndarray:
         return self.sample(self.starts(0, self.n), self.h)
@@ -365,7 +371,8 @@ def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
 def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
     """The Magnus grid, M and the error estimates of M's entries of members
     (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET
-    from the first pair of levels (L/2, L), L the work estimate's first level."""
+    from the first pair of levels (L/2, L), L the work estimate's first level;
+    the grid's coarsest is set as the MAGNUS_* constants say."""
     n, m = MAGNUS_MIN_STEPS, None
     estimate, levels, peaks = _work_estimate(a0, iv)
     with np.errstate(over="raise", invalid="raise"):
@@ -392,6 +399,8 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
                 scale = largest(m)
                 tol = max(MAGNUS_REL_TARGET, n * _EPS / 255.0) * scale
                 if every(error <= tol):
+                    if 2.0 * estimate <= coarse and every(error * (n // coarse) ** 8 <= tol):
+                        grid.coarsest = coarse
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
                     return grid, m, top(error, 2.0 * n * _EPS * envelope)

@@ -11,7 +11,8 @@ shift from the pivot signs alone (_count, which takes no logs), and the
 derivative of the log-determinant in the shift, which gives the determinant
 with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
 without computing a spectrum.  lattice_ratio keeps the zero verdict and
-determinant of the 4 lattices last read, keyed by content.  Dirichlet reads
+determinant of the 4 lattices last read, keyed by content, and every
+oracle the closed-form reference spectra of the 8 last read.  Dirichlet reads
 M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
 c_{n+1}, which starts the recurrence at the solution's value at t_a + h to
 O(h^5); the wrapped conditions read 2 -+ tr M as det T'.  Ratios are taken
@@ -20,8 +21,11 @@ closed form.  The flow oracle integrates the Green-function trace along a
 family of operators connecting the reference to the target, by a
 Gauss-Legendre rule that Newton's method finds, and exponentiates; the
 family is one batched Magnus family per step-count group, and each member's
-trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s, the exact
-slope of its determinant (green._det_slope) from its group's grid.
+trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s.  F_s and the
+zero verdict read M on the group's accepted grid; dF_s/ds, the exact slope
+of the determinant (green._det_slope), is read on the coarsest level of that
+grid that already meets the Magnus target with steps of at most 1/4 radian
+(odesolve._MagnusGrid.coarsest): often half its steps.
 """
 
 from __future__ import annotations
@@ -177,10 +181,13 @@ def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray, floor: float) 
 
 def _count(op: LatticeOperator, mu: float) -> int:
     """_sweep(op, mu)'s count alone: its pivots, nudged alike, where one test
-    per row both nudges and counts (a nudged pivot is negative); no logs."""
+    per row both nudges and counts (a nudged pivot is negative); no logs.  A
+    wrapped lattice sums _schur's y^T z = sum_k y_k z_k along the rows, z_k =
+    y_k / p_k = y_{k+1}, whose last y_k lacks _schur's -1 until the end, and
+    nudges the Schur complement as _schur does."""
     gap, wrapped = op.gap + mu * op.weight, op.corner != 0.0
     floor = _EPS * max(_gershgorin(op), 1.0)
-    lo, below, piv, r = -floor, 0, [], 1.0
+    lo, below, r, y, yz = -floor, 0, 1.0, op.corner, 0.0
     for gk in (gap[:-1] if wrapped else gap).tolist():
         e = r - gk
         p = 1.0 + e
@@ -190,9 +197,13 @@ def _count(op: LatticeOperator, mu: float) -> int:
                 p = 1.0 + e
             below += 1
         if wrapped:
-            piv.append(p)
+            yz += y * (y := y / p)
         r = e / p
-    return below + (wrapped and _schur(op, gap, np.fromiter(piv, float, len(piv)), floor)[1] < 0.0)
+    if wrapped:
+        # (y - 1)^2 / p = y z - 2 z + 1 / p on the last row; s below the
+        # floor is negative or nudged to a negative one
+        below += 2.0 - float(gap[-1]) - (yz - 2.0 * y + 1.0 / p) < floor
+    return below
 
 
 def _window(op: LatticeOperator, tol: float) -> tuple:
@@ -209,13 +220,15 @@ def _exp_signed(log_abs: float, sign: float, what: str) -> float:
     return sign * math.exp(log_abs)
 
 
+@lru_cache(maxsize=8)
 def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
-    """The constant-omega0 reference lattice in closed form: the eigenvalues
-    a - 2 cos(theta_j) of its T', a = 2 - g0 with g0 = h^2 omega0^2 / c0,
-    and theta_j = pi j / (n+1) (Dirichlet, j = 1..n), 2 pi j / n (periodic)
-    or (2j+1) pi / n (antiperiodic); the log of |det T'|; the Gershgorin
-    bound c0^2 (|a| + 2) of its pencil, whose eigenvalues are c0^2 times
-    those of T'; and its Dirichlet boundary factor 1 - h^2 omega0^2 / 6.
+    """The constant-omega0 reference lattice in closed form, cached and
+    read-only: the eigenvalues a - 2 cos(theta_j) of its T', a = 2 - g0 with
+    g0 = h^2 omega0^2 / c0, and theta_j = pi j / (n+1) (Dirichlet, j =
+    1..n), 2 pi j / n (periodic) or (2j+1) pi / n (antiperiodic); the log of
+    |det T'|; the Gershgorin bound c0^2 (|a| + 2) of its pencil, whose
+    eigenvalues are c0^2 times those of T'; and its Dirichlet boundary
+    factor 1 - h^2 omega0^2 / 6.
 
     An eigenvalue is s_j - g0 with s_j = 4 sin^2(theta_j / 2), which keeps
     its digits where a is near 2.  The log-determinant is log prod s_j +
@@ -241,7 +254,9 @@ def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
     with np.errstate(divide="ignore"):
         logs = np.log1p(np.where(ratio < 1.0, -ratio, ratio - 2.0))  # log|1 - ratio|
         lone = np.log(gap) if periodic else 0.0  # the periodic eigenvalue -g0
-    return (free - gap, float(log_free + lone + np.sum(logs)), abs(2.0 - gap) + 2.0,
+    eigs = free - gap
+    eigs.flags.writeable = False
+    return (eigs, float(log_free + lone + np.sum(logs)), abs(2.0 - gap) + 2.0,
             1.0 - q0 / 6.0 if dirichlet else 1.0)
 
 
@@ -249,7 +264,8 @@ def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                     span: float, omega0: float) -> float:
     """sign exp(log_abs) det T' times the lattice's boundary factor over the
     reference lattice's, from the reference's closed-form spectrum."""
-    eigs, log_ref, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span, omega0)
+    eigs, log_ref, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span,
+                                                         float(omega0))
     delta = LATTICE_ZERO_TOL * bound
     if np.any((eigs >= -delta) & (eigs < delta)):
         raise DegenerateOperatorError(
@@ -392,14 +408,15 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     taken in u = sqrt(s), with g_steps Gauss-Legendre nodes u_i on [0, 1]:
     s = u_i^2 with weights 2 u_i w_i, which absorbs the 1/sqrt(s) growth of
     a hyperbolic integrand near s = 0.  V_s is affine in s, so the nodes and
-    ends are one Magnus family; each node's trace is -dF_s/ds / F_s, with
-    dF_s/ds the exact slope of the determinant read from M.  The flow must
-    stay clear of zero modes: every node's endpoint determinant must pass
-    the zero verdict (green._refuse_degenerate), a sign change between nodes
-    is located by bisection and reported as a crossing,
-    and the lattice Sturm counts of the reference and the target, which
-    differ by the number of eigenvalues the flow takes through zero, must
-    agree.
+    ends are one Magnus family; each node's trace is -dF_s/ds / F_s, with F_s
+    read from M on its group's accepted grid and dF_s/ds the exact slope of
+    the determinant on the coarsest level known to meet the Magnus target
+    (odesolve._MagnusGrid.coarsest), often half the accepted steps.  The
+    flow must stay clear of zero modes: every node's endpoint determinant
+    must pass the zero verdict (green._refuse_degenerate), a sign change
+    between nodes is located by bisection and reported as a crossing, and
+    the lattice Sturm counts of the reference and the target, which differ
+    by the number of eigenvalues the flow takes through zero, must agree.
     """
     sigma = _sigma(bc)
     if not (g_steps >= 1 and float(g_steps).is_integer()):
@@ -454,7 +471,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
         j = np.flatnonzero((s_probe[members] > 0.0) & (s_probe[members] < 1.0))
         if j.size:  # 1/F in the weight: dF/ds alone overflows where F nears the float range
             traces[members[j]] = -_det_slope(
-                _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.n), bc,
+                _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.coarsest), bc,
                 lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members[j]]))
     integral = float((u * ws) @ traces[1:-1])
     if -integral > _LOG_FLOAT_MAX:

@@ -452,6 +452,28 @@ class TestGridSlope:
                                     modulated_profile.interval, basis.knots.size - 1)
         assert np.array_equal(basis.slope(), grid.slope())
 
+    def test_basis_reads_the_accepted_level(self, modulated_profile, monkeypatch):
+        """make_basis's slope and frames, and so its kernels and traces, run
+        on the accepted 64 steps, though its grid knows that 32 meet the
+        target (the level only the coupling flow's dF/ds reads): the main
+        path keeps the digits of its finest M."""
+        levels = set()
+
+        def spy(name, method):
+            def record(grid, *args):
+                levels.add((name, grid.n))
+                return method(grid, *args)
+            return record
+
+        for name in ("slope", "frame"):
+            monkeypatch.setattr(odesolve._MagnusGrid, name,
+                                spy(name, getattr(odesolve._MagnusGrid, name)))
+        basis = make_basis(modulated_profile)
+        assert basis.knots.size - 1 == 64 and basis.slope.__self__.coarsest == 32
+        trace_omega_sq(GreenKernel(basis, "periodic"))
+        _det_slope(basis, "dirichlet")
+        assert levels == {("slope", 64), ("frame", 64)}
+
     def test_runs_combine_in_order(self, modulated_profile, monkeypatch):
         """At MAGNUS_CHUNK = 64 the 256 steps reduce in 16 runs of 16, whose
         pairs are combined in the order transfer multiplies them; the slope

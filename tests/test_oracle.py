@@ -261,6 +261,18 @@ class TestSturmSweep:
         for mu in (0.0, 0.25 * floor, -0.25 * floor, -0.1 * floor):
             assert _count(op, mu) == _sweep(op, mu)[2] == np.count_nonzero(eigs < mu)
 
+    @pytest.mark.parametrize("case", ["sinpi_bump-antiperiodic", "free-periodic"])
+    def test_wrapped_count_at_the_pseudo_window(self, case):
+        """The wrapped count, whose y^T z is summed along the rows, reads
+        _sweep's count at n = 4000 at both ends of the pseudo-determinant's
+        zero window, which holds the one zero mode."""
+        make, bc, _ = PSEUDO_CASES[case]
+        op = build_lattice(make(), bc, 4000)
+        delta = PSEUDO_ZERO_TOL * _gershgorin(op)
+        counts = [_count(op, mu) for mu in (-delta, delta)]
+        assert counts == [_sweep(op, mu)[2] for mu in (-delta, delta)]
+        assert counts[1] - counts[0] == 1 and all(type(c) is int for c in counts)
+
 
 # (profile, boundary condition, omega0) without a lattice zero mode
 RATIO_CASES = {
@@ -736,6 +748,66 @@ class TestCouplingFlow:
         with pytest.raises(fd.IntegrationError, match="float range"):
             gflow_ratio(profile, "antiperiodic", omega0=(math.pi - 1e-3) / span,
                         g_steps=192)
+
+
+class TestCouplingFlowLevels:
+    """The flow reads F_s on each group's accepted level n and dF_s/ds on
+    its coarsest level that meets the Magnus target on steps of at most 1/4
+    radian: the last comparison's coarse level c where every member's error
+    (n/c)^8 meets the tolerance and c is at least twice the work estimate."""
+
+    @staticmethod
+    def slope_levels(monkeypatch, profile, bc) -> tuple:
+        """(the step counts of the _MagnusGrid.slope calls, the accepted
+        steps of the flow's groups) of one gflow_ratio, and its ratio."""
+        levels, accepted = [], []
+        slope, family = odesolve._MagnusGrid.slope, oracle._family
+
+        def spy_slope(grid, weight=None):
+            levels.append(grid.n)
+            return slope(grid, weight)
+
+        def spy_family(*args):
+            groups = family(*args)
+            accepted.extend(grid.n for _, grid, _, _ in groups)
+            return groups
+
+        monkeypatch.setattr(odesolve._MagnusGrid, "slope", spy_slope)
+        monkeypatch.setattr(oracle, "_family", spy_family)
+        ratio = gflow_ratio(profile, bc)
+        return levels, accepted, ratio
+
+    def test_small_modulated_takes_half(self, monkeypatch, modulated_profile):
+        """Omega^2 = 1 + 0.2 sin(3t) on [0, 2]: one group, accepted at 64
+        steps from the pair (32, 64), whose 32 steps already meet the target;
+        the flow keeps its tolerance against the determinant."""
+        levels, accepted, ratio = self.slope_levels(monkeypatch, modulated_profile,
+                                                    "dirichlet")
+        assert accepted == [64] and levels == [32]
+        assert ratio == pytest.approx(det_dirichlet(make_basis(modulated_profile)).ratio,
+                                      rel=1e-5)
+
+    @pytest.mark.parametrize("kt,level", [(6.0, 32), (12.0, 64)])
+    def test_hyperbolic_keeps_the_quarter_radian(self, monkeypatch, kt, level):
+        """Omega^2 = -k^2 on [0, 2] is integrated exactly on every step, so
+        32 steps always meet the target; at kT = 12 (work estimate 24 steps)
+        they are 0.375 radian each, where the Gauss rule misses, and dF_s/ds
+        stays on the accepted 64; at kT = 6 (0.19 radian) it takes 32."""
+        levels, accepted, ratio = self.slope_levels(monkeypatch, hyperbolic(kt), "dirichlet")
+        assert accepted == [64] and levels == [level]
+        assert ratio == pytest.approx(math.sinh(kt) / kt, rel=1e-12)
+
+    def test_coarse_level_missing_the_target_is_not_read(self, monkeypatch):
+        """Omega^2 = 1 + 0.3 sin(5t) on [0, 2]: accepted at 64 steps from the
+        pair (32, 64) on steps well under 1/4 radian (work estimate 4.6
+        steps), but 32 steps alone miss the target, so dF_s/ds stays on 64."""
+        profile = fd.make_modulated_profile(1.0, 0.3, 5.0, fd.Interval(0.0, 2.0))
+        a0 = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, profile.interval,
+                                  odesolve.MAGNUS_MIN_STEPS).samples()
+        assert 2.0 * odesolve._work_estimate(a0, profile.interval)[0] <= 32
+        levels, accepted, ratio = self.slope_levels(monkeypatch, profile, "dirichlet")
+        assert accepted == [64] and levels == [64]
+        assert ratio == pytest.approx(det_dirichlet(make_basis(profile)).ratio, rel=1e-5)
 
 
 class TestCouplingFlowHyperbolic:
