@@ -10,9 +10,14 @@ its sign from the pivots, Sturm counts of the pencil's eigenvalues below a
 shift from the pivot signs alone (_count, which takes no logs), and the
 derivative of the log-determinant in the shift, which gives the determinant
 with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
-without computing a spectrum.  lattice_ratio keeps the zero verdict and
-determinant of the 4 lattices last read, keyed by content, and every
-oracle the closed-form reference spectra of the 8 last read.  Dirichlet reads
+without computing a spectrum.  lattice_ratio reads its determinant and
+its zero verdict from one pivot loop: a few numpy passes over that loop's
+pivots certify that no eigenvalue lies within LATTICE_ZERO_TOL of zero
+(_certified, whose docstring holds the proof), and only a lattice they
+cannot certify runs the two Sturm counts of _window.  lattice_ratio keeps
+the verdict and determinant of the 4 lattices last read, keyed by content,
+and the lattice it last built for one profile object; every oracle keeps
+the closed-form reference spectra of the 8 last read.  Dirichlet reads
 M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
 c_{n+1}, which starts the recurrence at the solution's value at t_a + h to
 O(h^5); the wrapped conditions read 2 -+ tr M as det T'.  Ratios are taken
@@ -110,73 +115,85 @@ def _gershgorin(op: LatticeOperator) -> float:
     return float(np.max(np.abs(op.diag)) + 2.0) / float(np.min(op.weight))
 
 
-def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
-    """One LDL^T pass over T' - mu W, in O(n): (log|det|, sign of det, number
-    of the pencil's eigenvalues below mu, d/dmu log|det|).
+def _pivots(op: LatticeOperator, mu: float = 0.0) -> tuple:
+    """The LDL^T pivots of T' - mu W in one O(n) pass: (pivots, log|pivots|,
+    _schur's z or None, whether a pivot was nudged).
 
     The pivots p_k = (2 - g_k - mu w_k) - 1/p_{k-1} are swept as their
     excess e_k = p_k - 1 = e_{k-1}/p_{k-1} - (g_k + mu w_k), whose log1p
     keeps the digits of pivots near 1 (the free lattice's are (k+1)/k).
     They run over all n rows for Dirichlet; the wrapped conditions run them
-    over the first n-1 rows (the block T) and add the Schur complement of
+    over the first n-1 rows (the block T) and append the Schur complement of
     the last row, s = 2 - g_n - mu w_n - b^T T^-1 b with b = (c, 0, ..., 0,
-    -1).  The count is that of negative pivots and of s < 0 (Sylvester's
-    inertia law, Haynsworth's additivity; W is positive).  The slope, only
-    on request, sums p_k'/p_k, p_k' = -w_k + p_{k-1}'/p_{k-1}^2, and s'/s,
-    s' = -w_n - sum_k w_k x_k^2 with x = T^-1 b.  A pivot zero to working
-    precision is nudged to a negative one of that size, as in LAPACK's
-    bisection.
+    -1).  A pivot, or s, zero to working precision is nudged to a negative
+    one of that size, as in LAPACK's bisection.
     """
     gap = op.gap + mu * op.weight
     wrapped = op.corner != 0.0
     # 1 + e resolves a pivot to eps at best, so the floor is at least eps
     floor = _EPS * max(_gershgorin(op), 1.0)
-    exc, lo = [], -floor
+    exc, lo, nudged = [], -floor, False
     append = exc.append
     r = 1.0  # e_{k-1} / p_{k-1}, 1 before the first row
     for gk in (gap[:-1] if wrapped else gap).tolist():
         e = r - gk
         p = 1.0 + e
         if p < floor and lo < p:
-            e = lo - 1.0
+            e, nudged = lo - 1.0, True
             p = 1.0 + e
         append(e)
         r = e / p
     exc = np.fromiter(exc, float, len(exc))
     piv = 1.0 + exc
     logs = np.log1p(np.where(exc > -1.0, exc, -2.0 - exc))  # |p| - 1 = -2 - e for p < 0
+    z = None
+    if wrapped:
+        z, s = _schur(op, gap, piv)
+        if lo < s < floor:
+            s, nudged = lo, True
+        piv = np.append(piv, s)
+        logs = np.append(logs, math.log(abs(s)))
+    return piv, logs, z, nudged
+
+
+def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
+    """One LDL^T pass over T' - mu W, in O(n) (_pivots): (log|det|, sign of
+    det, number of the pencil's eigenvalues below mu, d/dmu log|det|).
+
+    The count is that of negative pivots and of s < 0 (Sylvester's inertia
+    law, Haynsworth's additivity; W is positive).  The slope, only on
+    request, sums p_k'/p_k, p_k' = -w_k + p_{k-1}'/p_{k-1}^2, and s'/s, s' =
+    -w_n - sum_k w_k x_k^2 with x = T^-1 b.
+    """
+    piv, logs, z, _ = _pivots(op, mu)
     dlog = math.nan
     if slope:
+        block = piv if z is None else piv[:-1]
         dp = dlog = 0.0
-        pivots = piv.tolist()
+        pivots = block.tolist()
         for wk, prev, pk in zip(op.weight.tolist(), [math.inf] + pivots[:-1], pivots):
             dp = -wk + dp / (prev * prev)
             dlog += dp / pk
-    if wrapped:
-        z, s = _schur(op, gap, piv, floor)
-        if slope:
+        if z is not None:
             # T^-1 b = L^-T z, one backward pass with the same pivots
             x = norm = 0.0
-            for zk, pk, wk in zip(z[::-1].tolist(), piv[::-1].tolist(),
+            for zk, pk, wk in zip(z[::-1].tolist(), block[::-1].tolist(),
                                   op.weight[-2::-1].tolist()):
                 x = zk + x / pk
                 norm += wk * x * x
-            dlog += (-op.weight[-1] - norm) / s
-        piv = np.append(piv, s)
-        logs = np.append(logs, math.log(abs(s)))
+            dlog += (-op.weight[-1] - norm) / float(piv[-1])
     below = int(np.count_nonzero(piv < 0.0))
     return float(np.sum(logs)), (-1.0 if below % 2 else 1.0), below, dlog
 
 
-def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray, floor: float) -> tuple:
-    """z = L^-1 b / piv and the last row's Schur complement s, nudged as a
-    pivot, from the block T's pivots."""
+def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray) -> tuple:
+    """z = L^-1 b / piv and the last row's Schur complement s, from the block
+    T's pivots."""
     # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
     y = op.corner * np.cumprod(np.append(1.0, 1.0 / piv[:-1]))
     y[-1] -= 1.0
     z = y / piv
-    s = float(2.0 - gap[-1] - y @ z)
-    return z, -floor if -floor < s < floor else s
+    return z, float(2.0 - gap[-1] - y @ z)
 
 
 def _count(op: LatticeOperator, mu: float) -> int:
@@ -184,7 +201,7 @@ def _count(op: LatticeOperator, mu: float) -> int:
     per row both nudges and counts (a nudged pivot is negative); no logs.  A
     wrapped lattice sums _schur's y^T z = sum_k y_k z_k along the rows, z_k =
     y_k / p_k = y_{k+1}, whose last y_k lacks _schur's -1 until the end, and
-    nudges the Schur complement as _schur does."""
+    nudges the Schur complement as _pivots does."""
     gap, wrapped = op.gap + mu * op.weight, op.corner != 0.0
     floor = _EPS * max(_gershgorin(op), 1.0)
     lo, below, r, y, yz = -floor, 0, 1.0, op.corner, 0.0
@@ -211,6 +228,69 @@ def _window(op: LatticeOperator, tol: float) -> tuple:
     delta = tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
     delta = tol * _gershgorin(op)
     return _count(op, -delta), _count(op, delta)
+
+
+def _certified(op: LatticeOperator, piv: np.ndarray, logs: np.ndarray, tol: float) -> bool:
+    """True when _pivots(op)'s pivots prove that the pencil has no eigenvalue
+    in [-delta, delta], delta = tol * _gershgorin(op): no pivot of T' - mu W,
+    and no Schur complement, can vanish for |mu| <= delta.  A few numpy
+    passes over the pivots, where _window sweeps twice more.
+
+    Pivots.  Let a_k = p_k(0) be the m block pivots (m = n, or n - 1 when
+    wrapped), l_k = -2 sum_{i<k} log|a_i|, r = 1/n and F = (1 - r)^-n.  With
+    D_k = delta w_k + D_{k-1} / a_{k-1}^2 = delta e^{l_k} sum_{j<=k} w_j
+    e^{-l_j} (the first-order shift, |p_k'(0)| delta), the certificate asks F
+    D_k <= r |a_k| for every k.  Then |p_k(mu) - a_k| <= (1 - r)^-k D_k <=
+    r |a_k| for |mu| <= delta, by induction: where it holds below k,
+    |p_{k-1}(mu)| >= (1 - r) |a_{k-1}|, and p_k(mu) - a_k = -mu w_k +
+    (p_{k-1}(mu) - a_{k-1}) / (p_{k-1}(mu) a_{k-1}) is at most delta w_k +
+    (1 - r)^-k D_{k-1} / a_{k-1}^2 <= (1 - r)^-k D_k.  So no pivot changes
+    sign, and every 1/|p_k(mu)| is at most (1 - r)^-1 / |a_k|; k < n leaves
+    a factor 1 - r of slack for rounding of relative order n eps.
+
+    Schur complement (wrapped).  s(mu) = d_n - mu w_n - b^T T(mu)^-1 b has
+    s' = -w_n - x^T W x, x(mu) = T(mu)^-1 b, so |s(mu) - s(0)| <= delta (w_n
+    + max x^T W x).  At 0, x_k = P_k sum_{j>=k} t_j with P_k = a_0 ...
+    a_{k-1}, |P_k| = e^{-l_k/2}, and t_j = z_j / P_j = c e^{l_j} / a_j, less
+    1 / (P_j a_j) at j = m - 1 (the -1 of b): one signed reverse cumsum.
+    Each l_j is within 3 m eps max|l| of its value, so the sum is within m
+    eps (2 + 3 max|l|) times the sum of |t_j|, however much cancels.  Away
+    from 0, x(mu) - x(0) = mu T(mu)^-1 W x(0), and T(mu)^-1 = L^-T D^-1 L^-1 has
+    entries sum_{j >= i, k} 1 / (p_i ... p_{j-1} p_j p_k ... p_{j-1}), at
+    most 2n pivots each: so |T(mu)^-1 v|_i <= F^2 G(|v|)_i with G(v)_i =
+    e^{-l_i/2} sum_{j>=i} (e^{l_j} / |a_j|) sum_{k<=j} e^{-l_k/2} v_k, two
+    cumsums.  With X the bound of |x(0)|, |x(mu)| <= X + delta F^2 G(W X),
+    and the certificate asks delta (w_n + sum_k w_k (X_k + delta F^2
+    G(W X)_k)^2) <= |s(0)| / 2: this bound holds at every mu, with no
+    induction to feed, so a margin of 1/2, not r, is all rounding needs.
+
+    Then det(T' - mu W) = prod_k p_k(mu) s(mu) has no zero for |mu| <=
+    delta, so the Sturm counts at -+delta agree.  An exponent beyond the
+    float range gives inf or nan, which fails.
+    """
+    n, wrapped = op.mesh_size, op.corner != 0.0
+    m, r = logs.size - wrapped, 1.0 / n
+    grow, delta = (1.0 - r) ** -n, tol * _gershgorin(op)
+    ls = np.zeros(m)
+    np.cumsum(logs[:m - 1], out=ls[1:])
+    ls *= -2.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        up, down = np.exp(ls), np.exp(-ls)  # e^{l_k}, e^{-l_k}
+        block, weight = np.abs(piv[:m]), op.weight[:m]
+        if not np.all(grow * delta * up * np.cumsum(weight * down) <= r * block):
+            return False
+        if not wrapped:
+            return True
+        root = np.sqrt(down)  # |P_k|
+        t = op.corner * up / piv[:m]
+        sign = -1.0 if np.count_nonzero(piv[:m - 1] < 0.0) % 2 else 1.0  # of P_{m-1}
+        t[-1] -= sign / (root[-1] * piv[m - 1])
+        err = m * _EPS * (2.0 + 3.0 * float(np.max(np.abs(ls))))
+        x = root * (np.abs(np.cumsum(t[::-1])[::-1]) + err * np.cumsum(np.abs(t[::-1]))[::-1])
+        spread = root * np.cumsum((up / block * np.cumsum(root * weight * x))[::-1])[::-1]
+        x += delta * grow * grow * spread
+        shift = delta * (op.weight[-1] + float(weight @ (x * x)))
+        return bool(shift <= 0.5 * abs(piv[-1]))
 
 
 def _exp_signed(log_abs: float, sign: float, what: str) -> float:
@@ -277,18 +357,30 @@ def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                        "lattice determinant ratio")
 
 
+# (profile, bc, n, lattice) of lattice_ratio's last lattice; it holds the
+# profile (immutable), so no other object can take its id while kept
+_last_lattice: list = [None]
+
+
 def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> float:
     """det(K)/det(reference) on an n-point Numerov mesh; converges with order
     h^4 under Dirichlet conditions, and under the wrapped ones where the
     profile closes up at the fold (h^2 where it does not).
 
     The target's determinant comes from the pivots of one sweep, the
-    reference's from its closed-form spectrum.  An eigenvalue within
-    LATTICE_ZERO_TOL of zero (Sturm counts at -+delta that differ) is
-    refused with a pointer to the pseudo-determinant; a ratio beyond the
-    float range raises IntegrationError.
+    reference's from its closed-form spectrum.  The same pivots decide the
+    zero verdict where they certify that no eigenvalue lies within
+    LATTICE_ZERO_TOL of zero (_certified); otherwise Sturm counts at -+delta
+    decide it (_window), and counts that differ are refused with a pointer
+    to the pseudo-determinant.  A ratio beyond the float range raises
+    IntegrationError.  The lattice last built is kept for the same profile
+    object, bc and n, so Richardson's r_n after a plain r_n samples no
+    Omega^2.
     """
-    op = build_lattice(profile, bc, n)
+    last = _last_lattice[0]
+    if last is None or last[0] is not profile or last[1:3] != (bc, n):
+        last = _last_lattice[0] = (profile, bc, n, build_lattice(profile, bc, n))
+    op = last[3]
     log_abs, sign = _verdict(op.corner, op.gap.tobytes(), op.weight.tobytes())
     return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
 
@@ -296,13 +388,22 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> 
 @lru_cache(maxsize=4)
 def _verdict(corner: float, gap: bytes, weight: bytes) -> tuple:
     """lattice_ratio's zero verdict and (log|det T'|, sign) of the lattice of
-    this content, rebuilt without bc, step or nodes; refusals are not cached."""
+    this content, rebuilt without bc, step or nodes; refusals are not cached.
+    One pivot loop (_pivots) reads the determinant, and its pivots decide the
+    verdict where _certified shows no eigenvalue within delta of zero; a
+    nudged pivot, an exponent beyond the float range or a missed margin
+    falls back to _window's two Sturm counts."""
     gap, weight = np.frombuffer(gap), np.frombuffer(weight)
     op = LatticeOperator("", gap.size, math.nan, np.empty(0), gap, weight, corner, 1.0)
-    below, nonpositive = _window(op, LATTICE_ZERO_TOL)
-    if nonpositive != below:
-        raise DegenerateOperatorError("zero mode on lattice; use the pseudo-determinant path")
-    return _sweep(op)[:2]
+    piv, logs, _, nudged = _pivots(op)
+    if nudged or not _certified(op, piv, logs, LATTICE_ZERO_TOL):
+        below, nonpositive = _window(op, LATTICE_ZERO_TOL)
+        if nonpositive != below:
+            raise DegenerateOperatorError(
+                f"zero mode on lattice (Sturm counts {below} and {nonpositive} differ "
+                f"within LATTICE_ZERO_TOL = {LATTICE_ZERO_TOL:g} of the Gershgorin bound); "
+                "use the pseudo-determinant path")
+    return float(np.sum(logs)), (-1.0 if np.count_nonzero(piv < 0.0) % 2 else 1.0)
 
 
 def lattice_ratio_richardson(profile: FrequencyProfile, bc: str,
@@ -356,8 +457,9 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
     index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
     if nonpositive - index != 1:
         raise DegenerateOperatorError(
-            f"expected exactly one near-zero lattice eigenvalue, found "
-            f"{nonpositive - index}")
+            f"expected exactly one near-zero lattice eigenvalue (Sturm counts {index} and "
+            f"{nonpositive} within PSEUDO_ZERO_TOL = {PSEUDO_ZERO_TOL:g} of the Gershgorin "
+            f"bound), found {nonpositive - index}")
     log_abs, sign, _, slope = _sweep(op, slope=True)
     span = profile.interval.span
     raw = _over_reference(op, log_abs + math.log(abs(slope)) + 2.0 * math.log(op.step),

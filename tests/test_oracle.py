@@ -86,6 +86,22 @@ def constant_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOper
                            boundary=1.0 - (h * omega0) ** 2 / 6.0 if bc == "dirichlet" else 1.0)
 
 
+def random_pencil(rng, bc: str, corner: float, n: int = 60) -> LatticeOperator:
+    """A pencil with a random diagonal in [-3, 3] and random weights in
+    [0.5, 2]: eigenvalues of both signs."""
+    diag = rng.uniform(-3.0, 3.0, size=n)
+    weight = rng.uniform(0.5, 2.0, size=n)
+    return LatticeOperator(bc=bc, mesh_size=n, step=0.1, nodes=np.zeros(n),
+                           gap=2.0 - diag, weight=weight, corner=corner, boundary=1.0)
+
+
+def shifted(op: LatticeOperator, mu: float) -> LatticeOperator:
+    """The pencil (T' - mu W, W), whose eigenvalues are op's less mu."""
+    return LatticeOperator(bc=op.bc, mesh_size=op.mesh_size, step=op.step, nodes=op.nodes,
+                           gap=op.gap + mu * op.weight, weight=op.weight, corner=op.corner,
+                           boundary=op.boundary)
+
+
 def log_product(values: np.ndarray) -> tuple:
     """(log|prod|, sign of prod)."""
     sign = -1.0 if np.count_nonzero(values < 0.0) % 2 else 1.0
@@ -192,16 +208,13 @@ class TestSturmSweep:
         """Random diagonals and weights: det(T' - mu W) = det W prod(lambda_j
         - mu) over the pencil's eigenvalues."""
         for _ in range(5):
-            diag = rng.uniform(-3.0, 3.0, size=60)
-            weight = rng.uniform(0.5, 2.0, size=60)
-            op = LatticeOperator(bc=bc, mesh_size=60, step=0.1, nodes=np.zeros(60),
-                                 gap=2.0 - diag, weight=weight, corner=corner, boundary=1.0)
+            op = random_pencil(rng, bc, corner)
             eigs = dense_spectrum(op)
             for mu in (-4.5, -1.3, 0.0, 0.4, 2.2, 4.5):
                 log_abs, sign, below, slope = _sweep(op, mu, slope=True)
                 assert below == np.count_nonzero(eigs < mu)
                 dense_log, dense_sign = log_product(eigs - mu)
-                dense_log += float(np.sum(np.log(weight)))
+                dense_log += float(np.sum(np.log(op.weight)))
                 assert log_abs == pytest.approx(dense_log, abs=1e-9)
                 assert sign == dense_sign
                 trace = float(np.sum(1.0 / (eigs - mu)))
@@ -400,6 +413,140 @@ class TestDenseCrossCheck:
                 sign * math.exp(log_ratio), rel=noise)
 
 
+def spy(monkeypatch) -> list:
+    """Record (name, mesh size) of every build_lattice, _pivots and _count
+    call from here on."""
+    loops = []
+    for name in ("build_lattice", "_pivots", "_count"):
+        def counted(first, *args, _fn=getattr(oracle, name), _name=name, **kwargs):
+            result = _fn(first, *args, **kwargs)
+            size = result if _name == "build_lattice" else first
+            loops.append((_name, size.mesh_size))
+            return result
+        monkeypatch.setattr(oracle, name, counted)
+    return loops
+
+
+def clear_caches() -> None:
+    """Forget lattice_ratio's kept lattice and verdicts."""
+    oracle._verdict.cache_clear()
+    oracle._last_lattice[0] = None
+
+
+def constant_angles(bc: str, n: int) -> np.ndarray:
+    """theta_j of the constant lattice's eigenvalues 4 sin^2(theta_j / 2) - g."""
+    if bc == "dirichlet":
+        return math.pi / (n + 1) * np.arange(1, n + 1)
+    return math.pi / n * (2.0 * np.arange(n) + (bc == "antiperiodic"))
+
+
+def certified(op: LatticeOperator, tol: float) -> bool:
+    """_verdict's test: un-nudged pivots that _certified passes."""
+    piv, logs, _, nudged = oracle._pivots(op)
+    return not nudged and oracle._certified(op, piv, logs, tol)
+
+
+CORNERS = {"dirichlet": 0.0, "periodic": -1.0, "antiperiodic": 1.0}
+# relative offsets of a lattice from a zero mode, both signs
+OFFSETS = [sign * 10.0 ** -e for e in range(1, 17) for sign in (1.0, -1.0)]
+
+
+class TestZeroCertificate:
+    """_verdict's certificate: a few numpy passes over the pivots of the one
+    sweep that reads the determinant, which prove that no eigenvalue lies
+    within delta of zero, or leave the verdict to _window's Sturm counts."""
+
+    @pytest.mark.parametrize("bc", list(CORNERS))
+    def test_random_pencils_near_zero(self, rng, bc):
+        """The random pencils of test_random_diagonals_of_both_signs, shifted
+        so that one eigenvalue (the smallest, the largest or one between)
+        sits at a relative offset of 1e-1 to 1e-16 from zero: a passed
+        certificate always goes with a dense spectrum that has no eigenvalue
+        in [-delta, delta], at both zero tolerances."""
+        passed = 0
+        for _ in range(5):
+            op = random_pencil(rng, bc, CORNERS[bc])
+            eigs = dense_spectrum(op)
+            for lam in eigs[[0, 29, -1]]:
+                for offset in OFFSETS:
+                    near = shifted(op, lam * (1.0 + offset))
+                    moved = dense_spectrum(near)
+                    for tol in (LATTICE_ZERO_TOL, PSEUDO_ZERO_TOL):
+                        if certified(near, tol):
+                            passed += 1
+                            delta = tol * _gershgorin(near)
+                            assert not np.any(np.abs(moved) <= delta), (lam, offset, tol)
+        assert passed >= 30
+
+    @pytest.mark.parametrize("bc", list(CORNERS))
+    def test_constant_lattices_near_zero(self, bc):
+        """Constant lattices of gap g = s_j (1 + offset) near their zero modes
+        s_j - g = 0 (the lowest and a middle one; periodic's lowest is s_0 =
+        0, approached by g = offset), n = 16 to 4000, at both tolerances:
+        a passed certificate always goes with a closed-form spectrum (s -
+        g) / w that has no eigenvalue in [-delta, delta], and with Sturm
+        counts at -+delta that agree.  The certificate does pass a share of
+        them, so the check is not empty."""
+        passed = 0
+        for n in (16, 64, 250, 1000, 4000):
+            free = 4.0 * np.sin(0.5 * constant_angles(bc, n)) ** 2
+            for j in (0, n // 3):
+                for offset in OFFSETS:
+                    g = free[j] * (1.0 + offset) if free[j] > 0.0 else offset
+                    w = (1.0 - g / 12.0) ** 2  # 1/c^2 with g = q/c, c = 1 + q/12
+                    op = LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+                                         gap=np.full(n, g), weight=np.full(n, w),
+                                         corner=CORNERS[bc], boundary=1.0)
+                    eigs = (free - g) / w
+                    for tol in (LATTICE_ZERO_TOL, PSEUDO_ZERO_TOL):
+                        if certified(op, tol):
+                            passed += 1
+                            delta = tol * _gershgorin(op)
+                            assert not np.any(np.abs(eigs) <= delta), (n, j, offset, tol)
+                            below, nonpositive = oracle._window(op, tol)
+                            assert below == nonpositive
+        assert passed >= 100
+
+    @pytest.mark.parametrize("case", ["random-dirichlet", "random-periodic",
+                                      "random-antiperiodic", "near-free-periodic",
+                                      "near-lowest-antiperiodic", "modulated-periodic"])
+    def test_pivots_move_within_the_certified_margin(self, rng, case):
+        """At the largest tol the certificate passes (bisected), the pivots
+        swept at mu = -+delta, the ends of the window (each pivot is
+        monotone in mu), are within r |p_k(0)| of their values at 0, r =
+        1/n, and a wrapped Schur complement within |s(0)| / 2: what the
+        proof in _certified's docstring claims, where the window is as wide
+        as the certificate allows."""
+        kind, bc = case.rsplit("-", 1)
+        if kind == "random":
+            op = random_pencil(rng, bc, CORNERS[bc])
+        elif kind == "modulated":
+            make, bc, _ = RATIO_CASES["modulated-periodic"]
+            op = build_lattice(make(), bc, 400)
+        else:
+            n = 200
+            s = 0.0 if kind == "near-free" else 4.0 * math.sin(0.5 * math.pi / n) ** 2
+            g = s + 1e-7
+            op = LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+                                 gap=np.full(n, g), weight=np.full(n, (1.0 - g / 12.0) ** 2),
+                                 corner=CORNERS[bc], boundary=1.0)
+        piv, logs, _, nudged = oracle._pivots(op)
+        assert not nudged
+        lo, hi = -30.0, 2.0  # log10 of tol
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if oracle._certified(op, piv, logs, 10.0 ** mid) else (lo, mid)
+        assert lo > -20.0
+        delta = 10.0 ** lo * _gershgorin(op)
+        m = op.mesh_size - (op.corner != 0.0)
+        for mu in (-delta, delta):
+            moved = oracle._pivots(op, mu)[0]
+            shift = np.abs(moved - piv)
+            assert np.all(shift[:m] <= np.abs(piv[:m]) / op.mesh_size * (1.0 + 1e-9) + 1e-14)
+            if op.corner != 0.0:
+                assert shift[-1] <= 0.5 * abs(piv[-1]) * (1.0 + 1e-9) + 1e-14
+
+
 class TestDeterminantRecurrence:
     def test_matches_dense_determinant(self, rng):
         for bc, corner in (("dirichlet", 0.0), ("periodic", -1.0),
@@ -493,25 +640,76 @@ class TestLatticeRatio:
     def test_richardson_reuses_the_n_lattice(self, modulated_profile, monkeypatch,
                                              bc, omega0):
         """lattice_ratio and then lattice_ratio_richardson on one operator:
-        the n-lattice's window (two counts) and determinant (one sweep) run
-        once, as do the 2n-lattice's, and both values are bit for bit the
-        ones read after the cache is cleared."""
-        loops = []
-        for name in ("_count", "_sweep"):
-            def counted(op, *args, _fn=getattr(oracle, name), _name=name, **kwargs):
-                loops.append((_name, op.mesh_size))
-                return _fn(op, *args, **kwargs)
-            monkeypatch.setattr(oracle, name, counted)
-        oracle._verdict.cache_clear()
+        the n-lattice is built (one Omega^2 sampling) and its pivots swept
+        once, as are the 2n-lattice's; both verdicts are certified, so no
+        Sturm count runs; and both values are bit for bit the ones read
+        after the caches are cleared."""
+        loops = spy(monkeypatch)
+        clear_caches()
         plain = lattice_ratio(modulated_profile, bc, omega0, 200)
         refined = lattice_ratio_richardson(modulated_profile, bc, omega0, 200)
-        assert sorted(loops) == [("_count", 200)] * 2 + [("_count", 400)] * 2 + [
-            ("_sweep", 200), ("_sweep", 400)]
-        oracle._verdict.cache_clear()
+        assert sorted(loops) == [("_pivots", 200), ("_pivots", 400),
+                                 ("build_lattice", 200), ("build_lattice", 400)]
+        clear_caches()
         assert lattice_ratio(modulated_profile, bc, omega0, 200).hex() == plain.hex()
-        oracle._verdict.cache_clear()
+        clear_caches()
         assert lattice_ratio_richardson(
             modulated_profile, bc, omega0, 200).hex() == refined.hex()
+
+    def test_lattice_kept_per_profile_object(self, monkeypatch):
+        """The kept lattice matches only the very profile object it was built
+        from: a new profile, equal or not, is built afresh, even where the
+        one before it is gone and the new one may take its id."""
+        loops = spy(monkeypatch)
+        clear_caches()
+        for omega in (1.1, 1.2, 1.2, 1.3):
+            profile = constant(omega, 2.0)
+            op = build_lattice(profile, "dirichlet", 100)
+            expected = _over_reference(op, *_sweep(op)[:2], 2.0, 0.0)
+            assert lattice_ratio(profile, "dirichlet", 0.0, 100) == expected
+            del profile
+        assert loops.count(("build_lattice", 100)) == 4
+
+    @pytest.mark.parametrize("case", ["constant-dirichlet", "constant-periodic",
+                                      "constant-antiperiodic", "modulated-dirichlet",
+                                      "hyperbolic60-dirichlet", "hyperbolic60-periodic",
+                                      "hyperbolic60-antiperiodic"])
+    def test_certified_verdict_counts_nothing(self, monkeypatch, case):
+        """A lattice far from any zero mode: the one pivot sweep certifies
+        the verdict, and no Sturm count runs."""
+        make, bc, omega0 = RATIO_CASES[case]
+        loops = spy(monkeypatch)
+        clear_caches()
+        lattice_ratio(make(), bc, omega0, 400)
+        assert sorted(loops) == [("_pivots", 400), ("build_lattice", 400)]
+
+    @pytest.mark.parametrize("case", list(PSEUDO_CASES) + ["sinpi-periodic"])
+    def test_uncertified_verdict_falls_back(self, monkeypatch, case):
+        """A lattice with an eigenvalue inside the window falls back to the
+        two Sturm counts and is refused.  sinpi under periodic conditions
+        has none there, but its Dirichlet block (the first n-1 rows) is
+        nearly singular, so a pivot nears zero and the certificate fails:
+        it falls back too, and the counts let it through."""
+        make, bc, omega0 = {**PSEUDO_CASES, **RATIO_CASES}[case]
+        loops = spy(monkeypatch)
+        clear_caches()
+        if case in PSEUDO_CASES:
+            with pytest.raises(fd.DegenerateOperatorError, match="LATTICE_ZERO_TOL = 1e-10"):
+                lattice_ratio(make(), bc, omega0, 400)
+        else:
+            lattice_ratio(make(), bc, omega0, 400)
+        assert sorted(loops) == [("_count", 400)] * 2 + [("_pivots", 400), ("build_lattice", 400)]
+
+    def test_refusals_name_their_tolerance(self, sinpi_profile, const_profile):
+        """Each lattice refusal names the tolerance that caused it."""
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match=r"zero mode on lattice \(Sturm counts 0 and 1 differ within "
+                                 r"LATTICE_ZERO_TOL = 1e-10 .*\); use the pseudo-determinant path"):
+            lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
+        with pytest.raises(fd.DegenerateOperatorError,
+                           match=r"expected exactly one near-zero lattice eigenvalue .*"
+                                 r"PSEUDO_ZERO_TOL = 1e-08 .*found 0"):
+            pseudo_det_ratio(const_profile, "dirichlet", 200)
 
     def test_zero_mode_refused_on_every_call(self, sinpi_profile):
         """A refusal is raised, not cached: the repeated call refuses too."""
