@@ -62,6 +62,14 @@ def _sigma(bc: str) -> int:
     return _SIGMA[bc]
 
 
+def _omega0(omega0: float) -> float:
+    """The reference frequency omega0 as a float; the one check of it, which
+    refuses a value that is not finite."""
+    if not math.isfinite(omega0):
+        raise ValueError(f"omega0 must be finite, got {omega0!r}")
+    return float(omega0)
+
+
 def det_from_transfer(m: np.ndarray, bc: str) -> float:
     """The determinant of the operator under bc, read from M: M12 for
     Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic; one per
@@ -86,7 +94,7 @@ def free_reference(bc: str, span: float, omega0: float = 0.0) -> float:
     Dirichlet: the free operator, value span (omega0=0) or sin(w0*span)/w0.
     Periodic: 4*sin^2(w0*span/2); antiperiodic: 4*cos^2(w0*span/2).
     """
-    w0, sigma = float(omega0), _sigma(bc)
+    w0, sigma = _omega0(omega0), _sigma(bc)
     if sigma:
         return 4.0 * (math.sin if sigma > 0 else math.cos)(0.5 * w0 * span) ** 2
     return math.sin(w0 * span) / w0 if w0 else span

@@ -7,16 +7,16 @@ conditions) with off-diagonals -1 and diagonal 2 - q_k / c_k.  Everything is
 read from O(n) LDL^T sweeps of T' - mu W, W = C^-2, the pencil whose shift
 in mu is, to first order, that of T' in h^2 lambda: the log-determinant and
 its sign from the pivots, Sturm counts of the pencil's eigenvalues below a
-shift from the pivot signs alone (_count, which takes no logs), and the
-derivative of the log-determinant in the shift, which gives the determinant
-with one zero mode removed (Kirsten and McKane, Ann. Phys. 308, 502, 2003)
-without computing a spectrum.  lattice_ratio reads its determinant and
-its zero verdict from one pivot loop: a few numpy passes over that loop's
-pivots certify that no eigenvalue lies within LATTICE_ZERO_TOL of zero
-(_certified, whose docstring holds the proof), and only a lattice they
-cannot certify runs the two Sturm counts of _window.  lattice_ratio keeps
-the verdict and determinant of the 4 lattices last read, keyed by content,
-and the lattice it last built for one profile object; every oracle keeps
+shift from the pivot signs, and the derivative of the log-determinant in
+the shift, which gives the determinant with one zero mode removed (Kirsten
+and McKane, Ann. Phys. 308, 502, 2003) without computing a spectrum.  One
+pivot loop (_pivots) is the only loop over a lattice's rows.  lattice_ratio
+reads its determinant and its zero verdict from one sweep: a few numpy
+passes over its pivots certify that no eigenvalue lies within
+LATTICE_ZERO_TOL of zero (_certified, whose docstring holds the proof), and
+only a lattice they cannot certify sweeps twice more for the two Sturm
+counts of _window.  lattice_ratio keeps its last read that passed the
+verdict, its lattice and determinant, per profile object; every oracle keeps
 the closed-form reference spectra of the 8 last read.  Dirichlet reads
 M12 as h det T' times the boundary factor c_1 (1 - (q_0 + q_1) / 12) /
 c_{n+1}, which starts the recurrence at the solution's value at t_a + h to
@@ -42,8 +42,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateOperatorError, IntegrationError
-from .green import (_det_slope, _read_transfer, _refuse_degenerate, _sigma, det_from_transfer,
-                    free_reference, reference_determinant)
+from .green import (_det_slope, _omega0, _read_transfer, _refuse_degenerate, _sigma,
+                    det_from_transfer, free_reference, reference_determinant)
 from .odesolve import _family, _MagnusGrid
 from .profiles import FrequencyProfile
 
@@ -89,6 +89,9 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int) -> LatticeOperator
     profiles that are not exactly interval-periodic at second order.
     """
     sigma = _sigma(bc)
+    if not float(n).is_integer():
+        raise ValueError(f"mesh size n must be a finite integer, got {n!r}")
+    n = int(n)
     if n < 16:
         raise ValueError(f"mesh size must be at least 16, got {n}")
     iv = profile.interval
@@ -196,38 +199,11 @@ def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray) -> tuple:
     return z, float(2.0 - gap[-1] - y @ z)
 
 
-def _count(op: LatticeOperator, mu: float) -> int:
-    """_sweep(op, mu)'s count alone: its pivots, nudged alike, where one test
-    per row both nudges and counts (a nudged pivot is negative); no logs.  A
-    wrapped lattice sums _schur's y^T z = sum_k y_k z_k along the rows, z_k =
-    y_k / p_k = y_{k+1}, whose last y_k lacks _schur's -1 until the end, and
-    nudges the Schur complement as _pivots does."""
-    gap, wrapped = op.gap + mu * op.weight, op.corner != 0.0
-    floor = _EPS * max(_gershgorin(op), 1.0)
-    lo, below, r, y, yz = -floor, 0, 1.0, op.corner, 0.0
-    for gk in (gap[:-1] if wrapped else gap).tolist():
-        e = r - gk
-        p = 1.0 + e
-        if p < floor:
-            if lo < p:
-                e = lo - 1.0
-                p = 1.0 + e
-            below += 1
-        if wrapped:
-            yz += y * (y := y / p)
-        r = e / p
-    if wrapped:
-        # (y - 1)^2 / p = y z - 2 z + 1 / p on the last row; s below the
-        # floor is negative or nudged to a negative one
-        below += 2.0 - float(gap[-1]) - (yz - 2.0 * y + 1.0 / p) < floor
-    return below
-
-
 def _window(op: LatticeOperator, tol: float) -> tuple:
     """Counts of the pencil's eigenvalues below -delta and below +delta, with
     delta = tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
     delta = tol * _gershgorin(op)
-    return _count(op, -delta), _count(op, delta)
+    return _sweep(op, -delta)[2], _sweep(op, delta)[2]
 
 
 def _certified(op: LatticeOperator, piv: np.ndarray, logs: np.ndarray, tol: float) -> bool:
@@ -345,7 +321,7 @@ def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
     """sign exp(log_abs) det T' times the lattice's boundary factor over the
     reference lattice's, from the reference's closed-form spectrum."""
     eigs, log_ref, bound, boundary = _reference_spectrum(op.bc, op.mesh_size, span,
-                                                         float(omega0))
+                                                         _omega0(omega0))
     delta = LATTICE_ZERO_TOL * bound
     if np.any((eigs >= -delta) & (eigs < delta)):
         raise DegenerateOperatorError(
@@ -357,9 +333,10 @@ def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
                        "lattice determinant ratio")
 
 
-# (profile, bc, n, lattice) of lattice_ratio's last lattice; it holds the
-# profile (immutable), so no other object can take its id while kept
-_last_lattice: list = [None]
+# (profile, bc, n, lattice, log|det T'|, sign) of lattice_ratio's last read
+# that passed its verdict; it holds the profile (immutable), so no other
+# object can take its id while kept
+_last_read: list = [None]
 
 
 def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> float:
@@ -367,34 +344,28 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> 
     h^4 under Dirichlet conditions, and under the wrapped ones where the
     profile closes up at the fold (h^2 where it does not).
 
-    The target's determinant comes from the pivots of one sweep, the
-    reference's from its closed-form spectrum.  The same pivots decide the
-    zero verdict where they certify that no eigenvalue lies within
-    LATTICE_ZERO_TOL of zero (_certified); otherwise Sturm counts at -+delta
-    decide it (_window), and counts that differ are refused with a pointer
-    to the pseudo-determinant.  A ratio beyond the float range raises
-    IntegrationError.  The lattice last built is kept for the same profile
-    object, bc and n, so Richardson's r_n after a plain r_n samples no
-    Omega^2.
+    The target's determinant and zero verdict come from _verdict, the
+    reference's determinant from its closed-form spectrum.  A ratio beyond
+    the float range raises IntegrationError.  The last read that passed its
+    verdict is kept for the same profile object, bc and n, so Richardson's
+    r_n after a plain r_n samples no Omega^2 and sweeps no pivots; a refusal
+    is raised again on every call, never kept.
     """
-    last = _last_lattice[0]
+    last = _last_read[0]
     if last is None or last[0] is not profile or last[1:3] != (bc, n):
-        last = _last_lattice[0] = (profile, bc, n, build_lattice(profile, bc, n))
-    op = last[3]
-    log_abs, sign = _verdict(op.corner, op.gap.tobytes(), op.weight.tobytes())
+        op = build_lattice(profile, bc, n)
+        last = _last_read[0] = (profile, bc, n, op, *_verdict(op))
+    _, _, _, op, log_abs, sign = last
     return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
 
 
-@lru_cache(maxsize=4)
-def _verdict(corner: float, gap: bytes, weight: bytes) -> tuple:
-    """lattice_ratio's zero verdict and (log|det T'|, sign) of the lattice of
-    this content, rebuilt without bc, step or nodes; refusals are not cached.
-    One pivot loop (_pivots) reads the determinant, and its pivots decide the
-    verdict where _certified shows no eigenvalue within delta of zero; a
+def _verdict(op: LatticeOperator) -> tuple:
+    """(log|det T'|, sign) of the lattice, after its zero verdict.  One pivot
+    loop (_pivots) reads the determinant, and its pivots decide the verdict
+    where _certified shows no eigenvalue within LATTICE_ZERO_TOL of zero; a
     nudged pivot, an exponent beyond the float range or a missed margin
-    falls back to _window's two Sturm counts."""
-    gap, weight = np.frombuffer(gap), np.frombuffer(weight)
-    op = LatticeOperator("", gap.size, math.nan, np.empty(0), gap, weight, corner, 1.0)
+    falls back to _window's two Sturm counts, and counts that differ are
+    refused with a pointer to the pseudo-determinant."""
     piv, logs, _, nudged = _pivots(op)
     if nudged or not _certified(op, piv, logs, LATTICE_ZERO_TOL):
         below, nonpositive = _window(op, LATTICE_ZERO_TOL)
@@ -469,7 +440,7 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
         zero_mode_index=index,
         pseudo_det_ratio=raw,
         aligned_pseudo_det=raw * free_reference(bc, span, omega0),
-        mesh_size=n, bc=bc, omega0=float(omega0))
+        mesh_size=op.mesh_size, bc=bc, omega0=float(omega0))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +532,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     n = max(grid.n for members, grid, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = int(np.count_nonzero(_reference_spectrum(bc, n, span, omega0_ref)[0] < 0.0))
-    below = _count(build_lattice(profile, bc, n), 0.0)
+    below = _sweep(build_lattice(profile, bc, n))[2]
     if below != below_ref:
         raise DegenerateOperatorError(
             f"coupling flow passes zero modes without a sign change: the lattice "

@@ -510,6 +510,32 @@ def test_slopes_form_no_products(modulated_profile, monkeypatch, call):
     assert np.all(np.isfinite(call(modulated_profile)))
 
 
+@pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("read", [
+    lambda p, w: fd.determinant(p, "periodic", omega0=w),
+    lambda p, w: fd.determinant(p, "antiperiodic", omega0=w),
+    lambda p, w: fd.lattice_ratio(p, "periodic", w, 200),
+    lambda p, w: fd.lattice_ratio(p, "dirichlet", w, 200),
+    lambda p, w: fd.lattice_ratio_richardson(p, "periodic", w, 200),
+    lambda p, w: fd.pseudo_det_ratio(fd.make_constant_profile(0.0, p.interval), "periodic",
+                                     200, omega0=w),
+    lambda p, w: fd.gflow_ratio(p, "periodic", omega0=w, g_steps=4),
+], ids=["endpoint-periodic", "endpoint-antiperiodic", "lattice-periodic", "lattice-dirichlet",
+        "richardson", "pseudo", "flow"])
+def test_non_finite_omega0_refused(modulated_profile, read, omega0):
+    """Every route that reads omega0 refuses a value that is not finite by
+    name (green._omega0): NaN read a NaN ratio, and inf failed with a math
+    domain error."""
+    with pytest.raises(ValueError, match="omega0 must be finite"):
+        read(modulated_profile, omega0)
+
+
+def test_dirichlet_endpoint_ignores_omega0(modulated_profile):
+    """The Dirichlet endpoint ratio is over the free operator: omega0 is not read."""
+    ratio = fd.determinant(modulated_profile, "dirichlet", omega0=1.0).ratio
+    assert fd.determinant(modulated_profile, "dirichlet", omega0=math.nan).ratio == ratio
+
+
 class TestDegeneracies:
     def test_dirichlet_focal_interval(self):
         prof = fd.make_constant_profile(1.0, fd.Interval(0.0, math.pi))

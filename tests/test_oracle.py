@@ -13,7 +13,6 @@ from flucdet.oracle import (
     LATTICE_ZERO_TOL,
     PSEUDO_ZERO_TOL,
     LatticeOperator,
-    _count,
     _gauss_legendre,
     _gershgorin,
     _over_reference,
@@ -244,46 +243,35 @@ class TestSturmSweep:
         assert below == np.count_nonzero(eigs < 0.0)
         assert sign * math.exp(log_abs) == pytest.approx(np.prod(8.0 * eigs), abs=1e-12)
 
-    @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
-    def test_count_is_the_sweeps(self, bc):
-        """_count, which only counts, reads _sweep's count on the closed-form
-        reference's lattices, at zero, at both ends of both zero windows and
-        at shifts of both signs that split the spectrum."""
-        for n in (100, 2000):
-            for span, omega0 in TestClosedFormReference.PAIRS:
-                op = constant_lattice(bc, n, span, omega0)
-                bound = _gershgorin(op)
-                for tol in (0.0, LATTICE_ZERO_TOL, PSEUDO_ZERO_TOL, 1e-3, 0.3):
-                    for mu in (-tol * bound, tol * bound):
-                        assert _count(op, mu) == _sweep(op, mu)[2]
-
     @pytest.mark.parametrize("bc,corner", [("dirichlet", 0.0),
                                            ("periodic", -1.0),
                                            ("antiperiodic", 1.0)])
     def test_count_where_the_nudge_fires(self, bc, corner):
         """The lattice of test_exact_zero_pivot_is_nudged, whose second pivot
         1 - 1/1 is zero at mu = 0 and, at the other shifts below, -2/3, +2/3
-        and +1/3 of the floor eps * bound: _count nudges it to a negative
-        pivot and counts it as _sweep does, and both count the dense
-        spectrum."""
+        and +1/3 of the floor eps * bound: _sweep nudges it to a negative
+        pivot and counts it, and its count and _window's, at 0 and at
+        -+1/4 of the floor, are the dense spectrum's."""
         op = LatticeOperator(bc=bc, mesh_size=22, step=0.1, nodes=np.zeros(22),
                              gap=np.ones(22), weight=np.ones(22), corner=corner,
                              boundary=1.0)
         eigs = dense_spectrum(op)
-        floor = np.finfo(float).eps * _gershgorin(op)
+        eps = np.finfo(float).eps
+        floor = eps * _gershgorin(op)
         for mu in (0.0, 0.25 * floor, -0.25 * floor, -0.1 * floor):
-            assert _count(op, mu) == _sweep(op, mu)[2] == np.count_nonzero(eigs < mu)
+            assert _sweep(op, mu)[2] == np.count_nonzero(eigs < mu)
+        for tol in (0.0, 0.25 * eps):
+            delta = tol * _gershgorin(op)
+            assert oracle._window(op, tol) == (np.count_nonzero(eigs < -delta),
+                                               np.count_nonzero(eigs < delta))
 
     @pytest.mark.parametrize("case", ["sinpi_bump-antiperiodic", "free-periodic"])
     def test_wrapped_count_at_the_pseudo_window(self, case):
-        """The wrapped count, whose y^T z is summed along the rows, reads
-        _sweep's count at n = 4000 at both ends of the pseudo-determinant's
-        zero window, which holds the one zero mode."""
+        """The wrapped counts at n = 4000, at both ends of the
+        pseudo-determinant's zero window, differ by the one zero mode it
+        holds."""
         make, bc, _ = PSEUDO_CASES[case]
-        op = build_lattice(make(), bc, 4000)
-        delta = PSEUDO_ZERO_TOL * _gershgorin(op)
-        counts = [_count(op, mu) for mu in (-delta, delta)]
-        assert counts == [_sweep(op, mu)[2] for mu in (-delta, delta)]
+        counts = oracle._window(build_lattice(make(), bc, 4000), PSEUDO_ZERO_TOL)
         assert counts[1] - counts[0] == 1 and all(type(c) is int for c in counts)
 
 
@@ -414,10 +402,10 @@ class TestDenseCrossCheck:
 
 
 def spy(monkeypatch) -> list:
-    """Record (name, mesh size) of every build_lattice, _pivots and _count
-    call from here on."""
+    """Record (name, mesh size) of every build_lattice and _pivots call
+    from here on."""
     loops = []
-    for name in ("build_lattice", "_pivots", "_count"):
+    for name in ("build_lattice", "_pivots"):
         def counted(first, *args, _fn=getattr(oracle, name), _name=name, **kwargs):
             result = _fn(first, *args, **kwargs)
             size = result if _name == "build_lattice" else first
@@ -427,10 +415,9 @@ def spy(monkeypatch) -> list:
     return loops
 
 
-def clear_caches() -> None:
-    """Forget lattice_ratio's kept lattice and verdicts."""
-    oracle._verdict.cache_clear()
-    oracle._last_lattice[0] = None
+def forget_read() -> None:
+    """Forget lattice_ratio's kept read."""
+    oracle._last_read[0] = None
 
 
 def constant_angles(bc: str, n: int) -> np.ndarray:
@@ -643,16 +630,16 @@ class TestLatticeRatio:
         the n-lattice is built (one Omega^2 sampling) and its pivots swept
         once, as are the 2n-lattice's; both verdicts are certified, so no
         Sturm count runs; and both values are bit for bit the ones read
-        after the caches are cleared."""
+        after the kept read is forgotten."""
         loops = spy(monkeypatch)
-        clear_caches()
+        forget_read()
         plain = lattice_ratio(modulated_profile, bc, omega0, 200)
         refined = lattice_ratio_richardson(modulated_profile, bc, omega0, 200)
         assert sorted(loops) == [("_pivots", 200), ("_pivots", 400),
                                  ("build_lattice", 200), ("build_lattice", 400)]
-        clear_caches()
+        forget_read()
         assert lattice_ratio(modulated_profile, bc, omega0, 200).hex() == plain.hex()
-        clear_caches()
+        forget_read()
         assert lattice_ratio_richardson(
             modulated_profile, bc, omega0, 200).hex() == refined.hex()
 
@@ -661,7 +648,7 @@ class TestLatticeRatio:
         from: a new profile, equal or not, is built afresh, even where the
         one before it is gone and the new one may take its id."""
         loops = spy(monkeypatch)
-        clear_caches()
+        forget_read()
         for omega in (1.1, 1.2, 1.2, 1.3):
             profile = constant(omega, 2.0)
             op = build_lattice(profile, "dirichlet", 100)
@@ -679,26 +666,27 @@ class TestLatticeRatio:
         the verdict, and no Sturm count runs."""
         make, bc, omega0 = RATIO_CASES[case]
         loops = spy(monkeypatch)
-        clear_caches()
+        forget_read()
         lattice_ratio(make(), bc, omega0, 400)
         assert sorted(loops) == [("_pivots", 400), ("build_lattice", 400)]
 
     @pytest.mark.parametrize("case", list(PSEUDO_CASES) + ["sinpi-periodic"])
     def test_uncertified_verdict_falls_back(self, monkeypatch, case):
         """A lattice with an eigenvalue inside the window falls back to the
-        two Sturm counts and is refused.  sinpi under periodic conditions
-        has none there, but its Dirichlet block (the first n-1 rows) is
-        nearly singular, so a pivot nears zero and the certificate fails:
-        it falls back too, and the counts let it through."""
+        two Sturm counts, each one more pivot sweep, and is refused.  sinpi
+        under periodic conditions has none there, but its Dirichlet block
+        (the first n-1 rows) is nearly singular, so a pivot nears zero and
+        the certificate fails: it falls back too, and the counts let it
+        through."""
         make, bc, omega0 = {**PSEUDO_CASES, **RATIO_CASES}[case]
         loops = spy(monkeypatch)
-        clear_caches()
+        forget_read()
         if case in PSEUDO_CASES:
             with pytest.raises(fd.DegenerateOperatorError, match="LATTICE_ZERO_TOL = 1e-10"):
                 lattice_ratio(make(), bc, omega0, 400)
         else:
             lattice_ratio(make(), bc, omega0, 400)
-        assert sorted(loops) == [("_count", 400)] * 2 + [("_pivots", 400), ("build_lattice", 400)]
+        assert sorted(loops) == [("_pivots", 400)] * 3 + [("build_lattice", 400)]
 
     def test_refusals_name_their_tolerance(self, sinpi_profile, const_profile):
         """Each lattice refusal names the tolerance that caused it."""
@@ -711,14 +699,43 @@ class TestLatticeRatio:
                                  r"PSEUDO_ZERO_TOL = 1e-08 .*found 0"):
             pseudo_det_ratio(const_profile, "dirichlet", 200)
 
-    def test_zero_mode_refused_on_every_call(self, sinpi_profile):
-        """A refusal is raised, not cached: the repeated call refuses too."""
-        oracle._verdict.cache_clear()
+    def test_zero_mode_refused_on_every_call(self, monkeypatch, sinpi_profile):
+        """A refusal is raised, not kept: the repeated call builds and sweeps
+        its lattice again (the verdict's sweep and the window's two) and
+        refuses too."""
+        loops = spy(monkeypatch)
+        forget_read()
         for _ in range(2):
             with pytest.raises(fd.DegenerateOperatorError, match="pseudo-determinant"):
                 lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
-        assert oracle._verdict.cache_info().currsize == 0
+            assert oracle._last_read[0] is None
+        assert sorted(loops) == [("_pivots", 400)] * 6 + [("build_lattice", 400)] * 2
 
+    @pytest.mark.parametrize("n", [100.5, math.nan, math.inf])
+    @pytest.mark.parametrize("read", [
+        lambda n: lattice_ratio(constant(1.0, 1.0), "dirichlet", 0.0, n),
+        lambda n: lattice_ratio(constant(1.0, 1.0), "periodic", 2.0, n),
+        lambda n: lattice_ratio_richardson(constant(1.0, 1.0), "dirichlet", 0.0, n),
+        lambda n: pseudo_det_ratio(zero_mode("sinpi"), "dirichlet", n),
+    ], ids=["lattice-dirichlet", "lattice-periodic", "richardson", "pseudo"])
+    def test_non_integer_mesh_size_refused(self, read, n):
+        """A mesh size that is not a finite integer is refused by name: 100.5
+        read 0.844122 (sin 1 = 0.841471) under Dirichlet conditions, and NaN
+        failed in numpy."""
+        with pytest.raises(ValueError, match="mesh size n must be a finite integer"):
+            read(n)
+
+    def test_integral_float_mesh_size(self, modulated_profile, sinpi_profile):
+        """An integral float mesh size reads what the integer reads, bit for bit."""
+        for bc, omega0 in (("dirichlet", 0.0), ("periodic", 1.0)):
+            values = []
+            for n in (200, 200.0):
+                forget_read()
+                values.append(lattice_ratio(modulated_profile, bc, omega0, n).hex())
+                values.append(lattice_ratio_richardson(modulated_profile, bc, omega0, n).hex())
+            assert values[:2] == values[2:]
+        reports = [pseudo_det_ratio(sinpi_profile, "dirichlet", n) for n in (400, 400.0)]
+        assert reports[0] == reports[1] and type(reports[1].mesh_size) is int
 
     @pytest.mark.parametrize("fn", [lattice_ratio, lattice_ratio_richardson])
     def test_degenerate_reference_rejected(self, modulated_profile, fn):

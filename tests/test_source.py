@@ -2,9 +2,10 @@
 the package imports exactly the dependencies pyproject.toml lists (click
 not among them), none imports scipy, only the front ends import the
 oracles, only green.py decides what a boundary condition means and forms a
-determinant from M's entries, no route imports determinants.py, and the
-amplitude-phase route names none of the main path's endpoint data, nor the
-Magnus integrator's module any of that route's."""
+determinant from M's entries, no route imports determinants.py, one pivot
+loop reads a lattice's rows, and the amplitude-phase route names none of the
+main path's endpoint data, nor the Magnus integrator's module any of that
+route's."""
 
 import ast
 import os
@@ -207,6 +208,41 @@ def test_routes_do_not_import_determinants(module):
     green.py; determinants.py assembles the endpoint route's records."""
     source = Path(module.__file__).read_text(encoding="utf-8")
     assert module_imports(source, "flucdet.determinants") == []
+
+
+ROW_NAMES = {"gap", "diag"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def row_loops(source: str) -> list:
+    """The module-level functions with a loop (for, while or a comprehension)
+    that reads a lattice's rows, its gaps or its diagonal 2 - gap (a name or
+    attribute gap or diag), in its iterable, condition or body."""
+    def reads_rows(loop) -> bool:
+        return any((isinstance(node, ast.Name) and node.id in ROW_NAMES)
+                   or (isinstance(node, ast.Attribute) and node.attr in ROW_NAMES)
+                   for node in ast.walk(loop))
+
+    return [top.name for top in ast.parse(source).body
+            if isinstance(top, ast.FunctionDef)
+            and any(isinstance(node, LOOPS) and reads_rows(node) for node in ast.walk(top))]
+
+
+def test_detects_row_loops():
+    source = ("def _pivots(op):\n    for g in op.gap.tolist():\n        pass\n"
+              "def _count(op, mu):\n    gap, k = op.gap + mu, 0\n"
+              "    while k < len(gap):\n        k += 1\n"
+              "def _dense(op):\n    return [op.diag[k] for k in range(3)]\n"
+              "def _slope(op, piv):\n    for w, p in zip(op.weight, piv):\n        pass\n"
+              "    return op.gap\n")
+    assert row_loops(source) == ["_pivots", "_count", "_dense"]
+
+
+def test_one_pivot_loop():
+    """_pivots is the one loop over a lattice's rows: every determinant,
+    zero verdict and Sturm count of the lattice oracles reads its pivots,
+    and the slope pass of _sweep runs over those pivots and the weights."""
+    assert row_loops(Path(oracle.__file__).read_text(encoding="utf-8")) == ["_pivots"]
 
 
 def forms_f(source: str) -> list:
