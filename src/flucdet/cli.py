@@ -294,11 +294,17 @@ _CHECKS = (
 SUITES = ("all", *dict.fromkeys(row[0] for row in _CHECKS))
 
 
-def _evaluate(profile_name: str, bc: str, omega0: float, route: str, analytic) -> tuple:
-    """(closed_form, oracle) of one check; a flow row puts the flow first."""
+def _evaluate(profile_name: str, bc: str, omega0: float, route: str, analytic,
+              profiles: dict) -> tuple:
+    """(closed_form, oracle) of one check; a flow row puts the flow first.
+    profiles keeps one profile object per label for the run, so that
+    lattice_ratio's kept read carries from a lattice-2000 row to the
+    richardson-2000 row after it."""
     from . import oracle
-    config, span = _PROFILES[profile_name]
-    profile = profile_from_config(config, Interval(0.0, span))
+    profile = profiles.get(profile_name)
+    if profile is None:
+        config, span = _PROFILES[profile_name]
+        profile = profiles[profile_name] = profile_from_config(config, Interval(0.0, span))
     if profile_name == "sinpi":  # det' K with the zero mode removed
         if route == "lattice-2000":
             spectrum = oracle.pseudo_det_ratio(profile, bc, n=2000, omega0=omega0)
@@ -322,9 +328,9 @@ def verify_command(suite, out):
     """Run cross-validation suites and print one CSV row per check."""
     rows = [row for row in _CHECKS if suite in ("all", row[0])]
     lines = ["profile,bc,resolution,closed_form,oracle,rel_err"]
-    failures = 0
+    failures, profiles = 0, {}
     for _, profile_name, bc, omega0, route, tol, analytic in rows:
-        closed, oracle_value = _evaluate(profile_name, bc, omega0, route, analytic)
+        closed, oracle_value = _evaluate(profile_name, bc, omega0, route, analytic, profiles)
         rel = abs(closed - oracle_value) / max(abs(oracle_value), 1e-300)
         lines.append(f"{profile_name},{bc},{route},"
                      f"{_fmt(closed)},{_fmt(oracle_value)},{_fmt(rel)}")

@@ -71,7 +71,8 @@ def _det(basis: HomogeneousBasis, bc: str, omega0: float) -> DetResult:
                    "error_estimate": basis.error_estimate,
                    "det_m_residual": abs(a * d - b * c - 1.0 / scale / scale)}
     if sigma:
-        om_a, om_b = basis.profile.omega_sq(np.array([iv.t_a, iv.t_b]))
+        om = basis.profile.omega_sq
+        om_a, om_b = om(iv.t_a), om(iv.t_b)
         diagnostics["profile_period_compatible"] = bool(
             abs(om_a - om_b) <= 1e-8 * (1.0 + abs(om_a)))
     return DetResult(value=value, ratio=value / ref, bc=bc, reference=reference,

@@ -15,7 +15,10 @@ review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009): the pairwise
 product of n uniform steps, each exp of its Magnus exponent (a traceless
 2x2 matrix) from Omega^2 at the four Gauss nodes of the quadrature below.
 It solves an affine family c0_j + c1_j Omega^2 at once (members on a
-trailing axis); make_basis is the one-member case (0, g).
+trailing axis); make_basis is the one-member case (0, g).  One Omega^2 call
+on the MAGNUS_MIN_STEPS coarse steps and the half as many steps of twice
+their length feeds the work estimate and, at the usual first level of 64
+steps, both levels of the first step-doubling pair.
 
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
@@ -43,11 +46,13 @@ from .profiles import FrequencyProfile, Interval
 # first level L is the power of two at or above 4 times it where Omega^2 varies
 # on the coarse samples, else 2 times (every step integrates a constant Omega^2
 # exactly; the Gauss rule below sets its steps), at most MAGNUS_MAX_STEPS and at
-# least MAGNUS_MIN_STEPS.  One array pass forms the levels (L/2, L), the coarse
-# samples serving as L = 64, and it usually meets the target.  Doubling stops once
-# |M_n - M_c| / (2^(8k) - 1), n = 2^k c, is at most MAGNUS_REL_TARGET max|M_ij|,
-# or from 2^17 steps on n eps / 255 max|M_ij| (rounding alone moves an n-step
-# product by about n eps), else n jumps by k = ceil(log2(error / target) / 8).
+# least MAGNUS_MIN_STEPS.  One array pass forms the levels (L/2, L), and it
+# usually meets the target; the coarse samples, taken in one call with the 32
+# steps of 2h, are both levels at L = 64 (above it those 32 go unused).
+# Doubling stops once |M_n - M_c| / (2^(8k) - 1), n = 2^k c, is at most
+# MAGNUS_REL_TARGET max|M_ij|, or from 2^17 steps on n eps / 255 max|M_ij|
+# (rounding alone moves an n-step product by about n eps), else n jumps by
+# k = ceil(log2(error / target) / 8).
 # The estimate reported is at least 2 n eps max(max|M_ij|, w, min(T, 1/w)), the
 # rounding both levels share, which bounds the error against closed forms
 # (constant Omega^2, w T from 0.01 to 1e5).  The accepted grid also records the
@@ -89,18 +94,20 @@ def _gauss_rule(knots: np.ndarray) -> tuple:
     return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
 
+# the steps of a pair of levels from knot 2k: fine 2k and 2k + 1 of h, coarse k of 2h
+_PAIR_KNOTS, _PAIR_STEPS = np.array([[0.0], [1.0], [0.0]]), np.array([[1.0], [1.0], [2.0]])
 _IDENTITY = (1.0, 0.0, 0.0, 1.0)
 _EPS = float(np.finfo(float).eps)
 
 
 def _on_interval(fn: Callable, iv: Interval) -> Callable:
     """fn restricted to [t_a, t_b]: times within a relative 1e-9 of the ends
-    are clipped onto the interval, times further out are an error."""
-    slack = 1e-9 * iv.span
+    are clipped onto the interval, times further out or NaN are an error."""
+    lo, hi = iv.t_a - 1e-9 * iv.span, iv.t_b + 1e-9 * iv.span
 
     def restricted(t):
         tt = np.asarray(t, dtype=float)
-        if np.any(tt < iv.t_a - slack) or np.any(tt > iv.t_b + slack):
+        if not np.all((tt >= lo) & (tt <= hi)):  # NaN included
             raise ValueError(f"t = {t!r} outside solution domain [{iv.t_a}, {iv.t_b}]")
         return fn(np.clip(tt, iv.t_a, iv.t_b))
 
@@ -232,8 +239,17 @@ class _MagnusGrid:
         self.c0, self.c1, self.members = c0, c1, c1.shape if isinstance(c1, np.ndarray) else ()
         self.coarsest = n  # the coarsest level known to meet the target (_magnus)
 
-    def samples(self) -> np.ndarray:
-        return self.sample(self.starts(0, self.n), self.h)
+    def samples(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """a = -(c0 + c1 Omega^2) on the fine steps lo..hi (all n by default)
+        and on the coarse steps of 2h over them, from one sample call, as the
+        step kernel of pair takes them: shape (4, 3, (hi - lo)/2) + members,
+        a on the fine steps 2k and 2k + 1, then 4a on the coarse step k (a
+        step of 2h on a is S E S^-1 for the step E of h on 4a, S = diag(1,
+        1/2): powers of two scale bit for bit)."""
+        k = np.arange(lo, self.n if hi is None else hi, 2.0) + _PAIR_KNOTS
+        a = self.sample(k * self.h + self.iv.t_a, self.h * _PAIR_STEPS)
+        a[:, 2] *= 4.0
+        return a
 
     def starts(self, lo: int, hi: int) -> np.ndarray:
         """The knots t_a + k h, k = lo..hi-1."""
@@ -247,13 +263,13 @@ class _MagnusGrid:
 
     def sample(self, starts: np.ndarray, h) -> np.ndarray:
         """-(c0 + c1 Omega^2) at the four Gauss nodes of the steps of length h
-        from starts, from one array call, shape (4, m) + members."""
-        x = _GAUSS_X[:, None] if starts.ndim == 1 else _GAUSS_X[:, None, None]
-        om = np.asarray(self.omega_sq((starts + 0.5 * h) + (0.5 * h) * x), dtype=float)
+        from starts, from one array call, shape (4,) + starts.shape + members."""
+        x, half = (_GAUSS_X[:, None] if starts.ndim == 1 else _GAUSS_X[:, None, None]), 0.5 * h
+        om = np.asarray(self.omega_sq((starts + half) + half * x), dtype=float)
         a = np.multiply.outer(om, -self.c1) if self.members else -self.c1 * om
         if self.members or self.c0:  # make_basis has c0 = 0
             a -= self.c0
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise IntegrationError("Omega^2 is not finite on the interval")
         return a
 
@@ -271,29 +287,23 @@ class _MagnusGrid:
         for lo, hi in self._runs():
             a = self.sample(self.starts(lo, hi), self.h)
             runs.append(_reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])))
-        return _reduce_pairs(np.stack(runs, axis=2))
+        return runs[0] if len(runs) == 1 else _reduce_pairs(np.stack(runs, axis=2))
 
     def pair(self, a0=None, peak: bool = False) -> tuple:
         """M on n/2 and on n steps, each of shape (2, 2) + members, in one pass
         over runs of 2^j fine steps and their coarse ones (MAGNUS_CHUNK steps x
-        members): one sample call (a0 are the n steps' samples, if given), one
-        _step_matrices call and one reduction; with peak, also max|a| of the n."""
+        members): one sample call (none if a0, the grid's samples(), is
+        given), one _step_matrices call and one reduction; with peak, also
+        max|a| of the n."""
         runs, top = [], None
-        h = np.array([[self.h], [self.h], [2.0 * self.h]])  # fine steps 2k, 2k + 1, coarse k
         for lo, hi in self._runs(1.5, least=2):
-            starts = self.starts(lo, hi).reshape(-1, 2).T
-            a = self.sample(starts[[0, 1, 0]], h) if a0 is None else np.concatenate(
-                [a0[:, lo:hi].reshape((4, -1, 2) + self.members).swapaxes(1, 2),
-                 self.sample(starts[0], h[2])[:, None]], axis=1)
+            a = self.samples(lo, hi) if a0 is None else a0[:, :, lo // 2:hi // 2]
             if peak:
                 top = np.maximum(0.0 if top is None else top, np.abs(a[:, :2]).max(axis=(0, 1, 2)))
-            # a step of 2h on samples a is S E S^-1 for the step E of h on 4a,
-            # S = diag(1, 1/2): powers of two scale bit for bit
-            a[:, 2] *= 4.0
             x = np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])
             x[:, :, 1] = _product(x[:, :, 1], x[:, :, 0])
             runs.append(_reduce_pairs(x[:, :, 1:], axis=3))
-        acc = _reduce_pairs(np.stack(runs, axis=3), axis=3)
+        acc = runs[0] if len(runs) == 1 else _reduce_pairs(np.stack(runs, axis=3), axis=3)
         coarse = acc[:, :, 1]  # S M S^-1 from the product of the steps on 4a
         coarse[0, 1] *= 2.0
         coarse[1, 0] *= 0.5
@@ -350,12 +360,19 @@ class _MagnusGrid:
 
 def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
     """The work estimate, MAGNUS_STEPS_PER_RADIAN steps per radian of the
-    largest frequency of members sampled as a0 on the coarse steps (or of
-    peaks, their largest |a| sampled since), the members' first levels (see
-    the MAGNUS_* constants) and their largest |a|, as lists."""
-    axes = (0, 1) if a0.ndim > 2 else None
-    lo, hi = a0.min(axis=axes), a0.max(axis=axes)
-    peaks = np.ravel(np.maximum(hi, -lo) if peaks is None else peaks).tolist()
+    largest frequency of members sampled as a0 (samples() on the
+    MAGNUS_MIN_STEPS coarse steps, of which it reads the fine rows) or of
+    peaks, their largest |a| sampled since; the members' first levels (see
+    the MAGNUS_* constants) and their largest |a|, as lists.  One member
+    (no member axis) takes its extremes as floats."""
+    fine = a0[:, :2]
+    if a0.ndim > 3:
+        lo, hi = fine.min(axis=(0, 1, 2)), fine.max(axis=(0, 1, 2))
+        peaks = np.ravel(np.maximum(hi, -lo) if peaks is None else peaks).tolist()
+        varies = (lo < hi).tolist()
+    else:
+        lo, hi = float(fine.min()), float(fine.max())
+        peaks, varies = [max(hi, -lo) if peaks is None else float(peaks)], [lo < hi]
     steps = [MAGNUS_STEPS_PER_RADIAN * math.sqrt(a) * iv.span for a in peaks]
     if max(steps) > MAGNUS_MAX_STEPS:
         raise IntegrationError(
@@ -365,14 +382,16 @@ def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
     return max(steps), [1 << math.ceil(math.log2(max(
         min((4.0 if v else 2.0) * n, MAGNUS_MAX_STEPS), MAGNUS_MIN_STEPS)))
-        for n, v in zip(steps, np.ravel(lo < hi).tolist())], peaks
+        for n, v in zip(steps, varies)], peaks
 
 
-def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
-    """The Magnus grid, M and the error estimates of M's entries of members
-    (c0, c1) sampled as a0 on MAGNUS_MIN_STEPS steps, refined to MAGNUS_REL_TARGET
-    from the first pair of levels (L/2, L), L the work estimate's first level;
-    the grid's coarsest is set as the MAGNUS_* constants say."""
+def _magnus(grid: _MagnusGrid, a0: np.ndarray):
+    """The Magnus grid, M and the error estimates of M's entries of the
+    members of grid, on MAGNUS_MIN_STEPS steps and sampled as a0 =
+    grid.samples(), refined to MAGNUS_REL_TARGET from the first pair of levels
+    (L/2, L), L the work estimate's first level; the grid's coarsest is set as
+    the MAGNUS_* constants say."""
+    om, c0, c1, iv = grid.omega_sq, grid.c0, grid.c1, grid.iv
     n, m = MAGNUS_MIN_STEPS, None
     estimate, levels, peaks = _work_estimate(a0, iv)
     with np.errstate(over="raise", invalid="raise"):
@@ -382,7 +401,8 @@ def _magnus(om: Callable, c0, c1, iv: Interval, a0: np.ndarray):
             while m is None or n < estimate:
                 n = max(levels)
                 coarse = n // 2
-                grid = _MagnusGrid(om, c0, c1, iv, n)
+                if n != grid.n:
+                    grid = _MagnusGrid(om, c0, c1, iv, n)
                 m_coarse, m, sampled = grid.pair(a0 if n == MAGNUS_MIN_STEPS else None,
                                                  peak=n > MAGNUS_MIN_STEPS)
                 if sampled is not None:
@@ -429,7 +449,8 @@ def _family(profile: FrequencyProfile, c0, c1) -> list:
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
     level = np.array(_work_estimate(a0, iv)[1])
-    return [(np.flatnonzero(k), *_magnus(om, c0[k], c1[k], iv, a0[..., k]))
+    return [(np.flatnonzero(k),
+             *_magnus(_MagnusGrid(om, c0[k], c1[k], iv, MAGNUS_MIN_STEPS), a0[..., k]))
             for k in (level == n for n in sorted(set(level.tolist())))]
 
 
@@ -494,9 +515,9 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     gg = float(g)
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
-    om, iv = profile.omega_sq, profile.interval
-    a0 = _MagnusGrid(om, 0.0, gg, iv, MAGNUS_MIN_STEPS).samples()
-    grid, m, error = _magnus(om, 0.0, gg, iv, a0)
+    iv = profile.interval
+    grid = _MagnusGrid(profile.omega_sq, 0.0, gg, iv, MAGNUS_MIN_STEPS)
+    grid, m, error = _magnus(grid, grid.samples())
     basis = HomogeneousBasis(frame=_on_interval(grid.frame, iv), y_a=_CANONICAL_Y_A,
                              y_b=m @ _CANONICAL_Y_A, profile=profile, knots=grid.knots,
                              error_estimate=float(error), slope=grid.slope)

@@ -539,6 +539,27 @@ class TestVerify:
         assert all(line.endswith(",nan") for line in out.strip().split("\n")[1:])
         assert "0/4" in err
 
+    def test_lattice_reads_carry_to_richardson(self, capsys, monkeypatch):
+        """A run builds one profile object per label, so lattice_ratio's kept
+        read carries from each lattice-2000 row to the richardson-2000 row
+        after it: 15 pivot loops where a fresh profile per row sweeps 19, and
+        the same CSV."""
+        from flucdet import oracle
+        loops, pivots, evaluate = [], oracle._pivots, cli._evaluate
+
+        def counted(*args, **kwargs):
+            loops.append(args[0].mesh_size)
+            return pivots(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_pivots", counted)
+        code, out, _ = run(capsys, "verify")
+        assert code == 0 and len(loops) == 15
+        loops.clear()
+        monkeypatch.setattr(cli, "_evaluate", lambda *row: evaluate(*row[:-1], {}))
+        code, fresh, _ = run(capsys, "verify")
+        assert code == 0 and len(loops) == 19
+        assert fresh == out
+
     @pytest.mark.parametrize("suite", list(VERIFY_LABELS))
     def test_suite_is_a_tag(self, capsys, suite):
         """`all` runs the 26 checks written out above, in order, and each

@@ -106,6 +106,25 @@ class TestCanonicalBasis:
         with pytest.raises(ValueError):
             b.y(-0.2)
 
+    @pytest.mark.parametrize("route", ["magnus", "green", "ermakov", "pq"])
+    def test_nan_time_is_outside_the_domain(self, modulated_profile, route):
+        """A NaN time, alone or in an array, is refused as outside the
+        solution domain by every dense reader, with no numpy warning first:
+        the Magnus frame, the Green kernel, the amplitude-phase state and the
+        pq basis's frame."""
+        if route in ("magnus", "green"):
+            basis = make_basis(modulated_profile)
+            read = basis.frame if route == "magnus" else (
+                lambda t, kernel=fd.GreenKernel(basis, "dirichlet"): kernel.evaluate(t, 0.5))
+        else:
+            sol = solve_ermakov(modulated_profile, 1.0)
+            read = sol.state if route == "ermakov" else fd.basis_from_pq(sol).frame
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (math.nan, np.array([0.5, math.nan])):
+                with pytest.raises(ValueError, match="outside solution domain"):
+                    read(t)
+
     def test_linear_combination(self, const_profile):
         b = make_basis(const_profile)
         combo = mix_basis(b, ((2.0, 1.0), (0.5, -1.0)))
@@ -381,19 +400,19 @@ class TestMagnus:
         assert "error estimate" in str(info.value)
 
     @pytest.mark.parametrize("args,adjacent,levels", [
-        # the first level is 64: the pair (32, 64), on the 64 coarse samples
-        # and 32 new steps, predicts 512 steps: 2,432 nodes where adjacent
-        # doubling samples 3,968
-        ((1.0, 0.9, 20.0, 0.0, 5.0), [32, 64, 128, 256, 512], [64, 32, 512]),
+        # the first level is 64: the pair (32, 64), on the 64 coarse steps
+        # and the 32 steps of 2h sampled with them in one call, predicts 512
+        # steps: 2,432 nodes where adjacent doubling samples 3,968
+        ((1.0, 0.9, 20.0, 0.0, 5.0), [32, 64, 128, 256, 512], [96, 512]),
         # (32, 64) predicts 256 steps, which fall short, and 512 meet the target
         ((0.7442750006798367, 0.6448260412713754, 19.493234738870946,
           46.93135101824825, 50.56290129223184),
-         [32, 64, 128, 256, 512], [64, 32, 256, 512]),
+         [32, 64, 128, 256, 512], [96, 256, 512]),
     ], ids=["jump", "short-jump"])
     def test_jump_to_predicted_level(self, args, adjacent, levels):
         """After the first pair, step doubling jumps to the level the
         eighth-order error estimate predicts: Omega^2 is sampled on the 64
-        coarse steps and on levels only, not on the levels between that
+        coarse steps with the first pair's 32 and on levels only, not on the levels between that
         adjacent doubling visits, and M, the knots and the error estimate
         are those of adjacent doubling bit for bit."""
         omega, eps, nu, t_a, t_b = args
@@ -418,16 +437,18 @@ class TestMagnus:
                            match="MAGNUS_MAX_STEPS = 256") as info:
             make_basis(counted(profile, calls))
         assert "error estimate" in str(info.value)
-        assert calls == [64, 32, 256]
+        assert calls == [96, 256]
 
     @pytest.mark.parametrize("chunk,calls", [
-        (odesolve.MAGNUS_CHUNK, [64, 1536]), (64, [64] + [48] * 32)])
+        (odesolve.MAGNUS_CHUNK, [96, 1536]), (64, [96] + [48] * 32)])
     def test_first_pair_samples_once(self, monkeypatch, chunk, calls):
         """Omega^2 = 100 (1 + 0.1 sin t) on [0, 10] varies on the coarse
         samples, so its first level is 1024, the level of 4 times its work
-        estimate of 210 steps: the pair (512, 1024) samples both levels' Gauss
-        nodes in one Omega^2 call (1536 steps), or one per run of 32 fine and
-        16 coarse steps at MAGNUS_CHUNK = 64, and meets the target."""
+        estimate of 210 steps: after the one call on the 64 coarse steps and
+        the 32 of 2h that a first level of 64 would take, the pair (512, 1024)
+        samples both levels' Gauss nodes in one Omega^2 call (1536 steps), or
+        one per run of 32 fine and 16 coarse steps at MAGNUS_CHUNK = 64, and
+        meets the target."""
         profile = fd.make_modulated_profile(10.0, 0.1, 1.0, fd.Interval(0.0, 10.0))
         whole = make_basis(profile)
         monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", chunk)
@@ -450,7 +471,7 @@ class TestMagnus:
             grid = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n)
             half = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n // 2)
             coarse, fine, top = grid.pair(peak=True)
-            assert np.array_equal(top, np.abs(grid.samples()).max(axis=(0, 1)))
+            assert np.array_equal(top, np.abs(grid.samples()[:, :2]).max(axis=(0, 1, 2)))
             if n == 256:
                 assert np.array_equal(fine, grid.transfer())
                 assert np.array_equal(coarse, half.transfer())
@@ -543,7 +564,8 @@ def adjacent_doubling(profile, level):
     the error estimate with its 2 n eps envelope floor, w from the first
     level's samples."""
     iv, eps, n = profile.interval, np.finfo(float).eps, level // 2
-    a_max = np.abs(odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, level).samples()).max()
+    a_max = np.abs(odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv,
+                                        level).samples()[:, :2]).max()
     m = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, iv, n).transfer()
     levels = [n]
     while True:
@@ -611,8 +633,8 @@ class TestFamily:
 
     def test_first_level_takes_the_coarse_samples(self, modulated_profile):
         """A first level of 64 steps multiplies the coarse samples, so no
-        node is sampled twice: one call on the 64 coarse steps, one on the
-        32 steps of the pair's coarse level, for make_basis and for a family
+        node is sampled twice: one call on the 64 coarse steps and the 32
+        steps of the pair's coarse level, for make_basis and for a family
         alike."""
         calls = []
 
@@ -623,11 +645,73 @@ class TestFamily:
         counted = fd.FrequencyProfile(omega_sq=omega_sq, interval=modulated_profile.interval)
         calls.clear()
         assert np.array_equal(make_basis(counted).m, make_basis(modulated_profile).m)
-        assert calls == [4 * 64, 4 * 32]
+        assert calls == [4 * 96]
         calls.clear()
         ((_, _, m, _),) = odesolve._family(counted, [0.0, 0.0], [0.5, 1.0])
         assert np.array_equal(m[..., 1], make_basis(modulated_profile).m)
-        assert calls == [4 * 64, 4 * 32]
+        assert calls == [4 * 96]
+
+    @pytest.mark.parametrize("name", ["const_profile", "modulated_profile", "shifted_profile",
+                                      "hyperbolic", "sinpi_bump_profile", "fast"])
+    def test_first_pair_from_the_one_call(self, name, request, monkeypatch):
+        """The first pair read from the one sample call on the coarse steps
+        is the pair that samples both of its levels itself, bit for bit: M,
+        the error estimate, the knots and the coarsest level, for make_basis
+        and a two-member family, at a first level of 64 and (fast, 1024)
+        above it."""
+        profile = {
+            "hyperbolic": fd.make_user_profile(lambda t: -9.0, fd.Interval(-1.0, 1.5)),
+            "fast": fd.make_modulated_profile(10.0, 0.1, 1.0, fd.Interval(0.0, 10.0)),
+        }.get(name) or request.getfixturevalue(name)
+
+        def solve():
+            grids, magnus = [], odesolve._magnus
+
+            def recorded(*args):
+                out = magnus(*args)
+                grids.append(out[0])
+                return out
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(odesolve, "_magnus", recorded)
+                basis = make_basis(profile)
+                family = odesolve._family(profile, [0.0, 0.4], [1.0, 0.5])
+            return basis, grids[0], family
+
+        one_call = solve()
+        pair = odesolve._MagnusGrid.pair
+        monkeypatch.setattr(odesolve._MagnusGrid, "pair",
+                            lambda self, a0=None, peak=False: pair(self, None, peak))
+        itself = solve()
+        (basis, grid, family), (basis_itself, grid_itself, family_itself) = one_call, itself
+        assert np.array_equal(basis.m, basis_itself.m)
+        assert basis.error_estimate == basis_itself.error_estimate
+        assert np.array_equal(basis.knots, basis_itself.knots)
+        assert grid.coarsest == grid_itself.coarsest
+        assert len(family) == len(family_itself)
+        for (members, g, m, error), (members_i, g_i, m_i, error_i) in zip(family, family_itself):
+            assert np.array_equal(members, members_i)
+            assert np.array_equal(m, m_i) and np.array_equal(error, error_i)
+            assert np.array_equal(g.knots, g_i.knots) and g.coarsest == g_i.coarsest
+
+    def test_work_estimate_of_members(self, modulated_profile, rng):
+        """On a member axis the work estimate is the largest of the members'
+        own, and the first levels and largest |a| are each member's, bit for
+        bit, from the coarse samples and from peaks sampled since; constant
+        members (c1 = 0) take 2, not 4, times their estimate."""
+        iv = modulated_profile.interval
+        c0, c1 = rng.uniform(-2e3, 2e3, 16), rng.uniform(-300.0, 300.0, 16)
+        c1[::5] = 0.0
+        a0 = odesolve._MagnusGrid(modulated_profile.omega_sq, c0, c1, iv,
+                                  odesolve.MAGNUS_MIN_STEPS).samples()
+        for peaks in (None, rng.uniform(0.0, 3e3, 16)):
+            estimate, levels, top = odesolve._work_estimate(a0, iv, peaks)
+            alone = [odesolve._work_estimate(a0[..., j], iv, None if peaks is None else peaks[j])
+                     for j in range(16)]
+            assert estimate == max(e for e, _, _ in alone)
+            assert levels == [level for _, (level,), _ in alone]
+            assert len(set(levels)) > 2
+            assert top == [a for *_, (a,) in alone]
 
 
 class TestMixing:
