@@ -29,17 +29,10 @@ from .profiles import (
     make_user_profile,
     make_zero_mode_profile,
     profile_from_config,
-    profile_to_config,
-    shifted_profile,
 )
-from .odesolve import (
-    HomogeneousBasis,
-    make_basis,
-    mix_basis,
-)
+from .odesolve import HomogeneousBasis, make_basis
 from .green import (
     GreenKernel,
-    det_from_transfer,
     free_reference,
     trace_omega_sq,
 )
@@ -52,7 +45,6 @@ from .determinants import (
     det_periodic,
     det_periodic_regularized,
     determinant,
-    trace_identity_residual,
     van_vleck_check,
 )
 
@@ -61,8 +53,8 @@ from .determinants import (
 _LAZY = {name: module for module, names in (
     ("ermakov", ("ErmakovSolution", "basis_from_pq", "det_ratio_dirichlet_pq",
                  "det_ratio_periodic_pq", "solve_ermakov")),
-    ("oracle", ("LatticeOperator", "SpectrumReport", "build_lattice", "gflow_ratio",
-                "lattice_ratio", "lattice_ratio_richardson", "pseudo_det_ratio")))
+    ("oracle", ("SpectrumReport", "gflow_ratio", "lattice_ratio", "lattice_ratio_richardson",
+                "pseudo_det_ratio")))
     for name in names}
 
 
@@ -87,7 +79,6 @@ __all__ = [
     "HomogeneousBasis",
     "IntegrationError",
     "Interval",
-    "LatticeOperator",
     "ProfileError",
     "ShootingError",
     "SpectrumReport",
@@ -95,12 +86,10 @@ __all__ = [
     "VerificationError",
     "ZeroModeReport",
     "basis_from_pq",
-    "build_lattice",
     "builtin_zero_mode_spec",
     "det_antiperiodic",
     "det_dirichlet",
     "det_dirichlet_regularized",
-    "det_from_transfer",
     "det_periodic",
     "det_periodic_regularized",
     "det_ratio_dirichlet_pq",
@@ -115,13 +104,9 @@ __all__ = [
     "make_modulated_profile",
     "make_user_profile",
     "make_zero_mode_profile",
-    "mix_basis",
     "profile_from_config",
-    "profile_to_config",
     "pseudo_det_ratio",
-    "shifted_profile",
     "solve_ermakov",
-    "trace_identity_residual",
     "trace_omega_sq",
     "van_vleck_check",
 ]

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .green import _SIGMA, GreenKernel, reference_determinant
 from .odesolve import make_basis
-from .profiles import Interval, profile_from_config, profile_to_config
+from .profiles import Interval, profile_from_config
 
 SWEEP_PARAMS = ("omega", "T", "eps", "nu")
 
@@ -227,7 +227,7 @@ def sweep_command(profile_spec, t_a, t_b, bc, omega0, out, param, start,
     interval, profile = _load(profile_spec, t_a, t_b)
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
-    config = profile_to_config(profile)
+    config = profile.config
     if param in ("omega", "eps", "nu") and param not in config:
         raise ConfigError(
             f"profile kind {config.get('kind')!r} has no parameter {param!r}")

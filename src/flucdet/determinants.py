@@ -27,9 +27,9 @@ import numpy as np
 from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
 from .green import (GreenKernel, _det_slope, _read_transfer, _refuse_degenerate, _sigma,
-                    det_from_transfer, reference_determinant, trace_omega_sq)
+                    reference_determinant, trace_omega_sq)
 from .odesolve import HomogeneousBasis, make_basis
-from .profiles import FrequencyProfile, shifted_profile
+from .profiles import FrequencyProfile, _shifted_profile
 
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
@@ -103,7 +103,7 @@ def determinant(profile: FrequencyProfile, bc: str = "dirichlet",
 # trace identity: Tr Omega^2 G_g = -d/dg log det K_g
 
 
-def trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
+def _trace_identity_residual(profile: FrequencyProfile, bc: str, g: float):
     """Both sides of the trace identity at coupling g.
 
     Returns (trace, -dlogdet/dg, relative residual).  The trace of
@@ -163,7 +163,7 @@ def _zero_mode_slope(basis: HomogeneousBasis, bc: str) -> float:
     nearest zero must be within ZERO_MODE_PRESENT_TOL, else the profile is
     refused as having no simple zero mode."""
     slope = _det_slope(basis, bc)
-    value = det_from_transfer(basis.m, bc)
+    value = _read_transfer(basis.m, bc)[0]
     newton = basis.interval.span ** 2 * abs(value / slope) if slope else math.inf
     if newton > ZERO_MODE_PRESENT_TOL:
         raise ProfileError(
@@ -210,8 +210,8 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope: float, slope_b: float, e
         if not (dm12 and math.isfinite(dm12)):
             break
         lam -= (m12 + eps / slope_b) / dm12
-        basis = make_basis(shifted_profile(profile, lam))
-        m12 = det_from_transfer(basis.m, "dirichlet")
+        basis = make_basis(_shifted_profile(profile, lam))
+        m12 = _read_transfer(basis.m, "dirichlet")[0]
         residual = abs(slope_b * m12 + eps)
         if residual <= tol:
             return lam, m12

@@ -6,14 +6,14 @@ of Phi start from (1, 0) and (0, 1) at t_a.  The determinants are
 
     Dirichlet M12,   periodic 2 - tr M,   antiperiodic 2 + tr M
 
-(Gel'fand-Yaglom, Forman), formed from M's entries here alone
-(det_from_transfer).  Every route takes F, its condition estimate and M's
-entries from one float read of M (_read_transfer), and the zero verdict
-(_refuse_degenerate) and the reference operator (reference_determinant) from
-this module.  Every kernel is Wronski's construction from l = v, which
-vanishes at t_a, and r with (r, r') = (sin theta, -cos theta) at t_b, read as
-S(t)^{-1} (sin theta, -cos theta) from suffix products, so r is never a
-difference of growing solutions.  With W = -(M12 cos theta + M22 sin theta)
+(Gel'fand-Yaglom, Forman), formed from M's entries here alone: every route
+takes F, its condition estimate and M's entries from the one float read of M
+(_read_transfer), and the zero verdict (_refuse_degenerate) and the
+reference operator (reference_determinant) from this module.  Every kernel
+is Wronski's construction from l = v, which vanishes at t_a, and r with (r,
+r') = (sin theta, -cos theta) at t_b, read as S(t)^{-1} (sin theta, -cos
+theta) from suffix products, so r is never a difference of growing
+solutions.  With W = -(M12 cos theta + M22 sin theta)
 
     G(t, t') = -l(min(t, t')) r(max(t, t')) / W + [l r](t) A [l r](t')^T.
 
@@ -70,20 +70,16 @@ def _omega0(omega0: float) -> float:
     return float(omega0)
 
 
-def det_from_transfer(m: np.ndarray, bc: str) -> float:
-    """The determinant of the operator under bc, read from M: M12 for
-    Dirichlet, 2 - tr M for periodic and 2 + tr M for antiperiodic; one per
-    member for M of shape (2, 2, members), a float for a 2x2 array or list."""
-    sigma = _sigma(bc)
-    return _scalar(2.0 - sigma * (m[0][0] + m[1][1]) if sigma else m[0][1])
-
-
 def _read_transfer(m: np.ndarray, bc: str) -> tuple:
     """(F, condition, [[M11, M12], [M21, M22]]) from one float read of a 2x2 M:
-    F as det_from_transfer reads it, the condition the largest entry of M (at
-    least 1), which sets the integration error of the read, over |F|; inf at F = +-0."""
+    the determinant of the operator under bc, M12 for Dirichlet, 2 - tr M for
+    periodic and 2 + tr M for antiperiodic; the condition the largest entry of
+    M (at least 1), which sets the integration error of the read, over |F|;
+    inf at F = +-0."""
+    sigma = _sigma(bc)
     rows = m.tolist()
-    value = det_from_transfer(rows, bc)
+    (m11, m12), (_, m22) = rows
+    value = 2.0 - sigma * (m11 + m22) if sigma else m12
     condition = max(1.0, *map(abs, rows[0] + rows[1])) / abs(value) if value else math.inf
     return value, condition, rows
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -78,9 +79,8 @@ _CANONICAL_Y_A.setflags(write=False)  # shared by every canonical basis
 # 16-node rule to 4.3e-13 of the integral of its modulus, as five to eight nodes
 # do; three leave 1.9e-10 (constant omega T up to 300, Omega^2 = -k^2 with kT up
 # to 60 and modulated profiles, all three conditions).  At 1/2 radian a step's
-# rule misses exp(2 w t) by 5.4e-10 of it.
-GAUSS_NODES_PER_STEP = 4
-# leggauss(GAUSS_NODES_PER_STEP) to the last bit: importing numpy.polynomial costs 5 ms
+# rule misses exp(2 w t) by 5.4e-10 of it.  leggauss(4) to the last bit (importing
+# numpy.polynomial costs 5 ms); the step kernel below is written for these nodes.
 _GAUSS_X = np.array([-0.8611363115940526, -0.33998104358485626,
                      0.33998104358485626, 0.8611363115940526])
 _GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
@@ -88,8 +88,8 @@ _GAUSS_W = np.array([0.34785484513745357, 0.6521451548625464,
 
 
 def _gauss_rule(knots: np.ndarray) -> tuple:
-    """Nodes and weights, step by step, of the Gauss rule with GAUSS_NODES_PER_STEP
-    nodes on each step between knots: the integral of f is weights @ f(nodes)."""
+    """Nodes and weights, step by step, of the Gauss rule with the four nodes
+    of _GAUSS_X on each step between knots: the integral of f is weights @ f(nodes)."""
     half, mid = 0.5 * np.diff(knots)[:, None], 0.5 * (knots[1:] + knots[:-1])[:, None]
     return (mid + half * _GAUSS_X).ravel(), (half * _GAUSS_W).ravel()
 
@@ -315,7 +315,7 @@ class _MagnusGrid:
         (2, 2) + members, by the Gauss rule: -sum_k S_{k+1} D_k P_k, P_k =
         Phi(t_k, t_a), S_k = Phi(t_b, t_k), D_k = E_k sum_i w_i adj(e_i) E21 e_i,
         e_i the Magnus step from t_k to node i; no P_k or S_k is formed."""
-        per, pairs, tail = GAUSS_NODES_PER_STEP, [], (1,) * len(self.members)
+        per, pairs, tail = _GAUSS_X.size, [], (1,) * len(self.members)
         for lo, hi in self._runs(per):  # at most MAGNUS_CHUNK nodes x members
             m, starts = hi - lo, self.knots[lo:hi]
             # node by node over the run's steps, shape (per, m), members last
@@ -359,12 +359,12 @@ class _MagnusGrid:
 
 
 def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
-    """The work estimate, MAGNUS_STEPS_PER_RADIAN steps per radian of the
-    largest frequency of members sampled as a0 (samples() on the
+    """The work estimates, MAGNUS_STEPS_PER_RADIAN steps per radian of the
+    largest frequency of each member sampled as a0 (samples() on the
     MAGNUS_MIN_STEPS coarse steps, of which it reads the fine rows) or of
     peaks, their largest |a| sampled since; the members' first levels (see
-    the MAGNUS_* constants) and their largest |a|, as lists.  One member
-    (no member axis) takes its extremes as floats."""
+    the MAGNUS_* constants) and their largest |a|: three lists, one entry
+    per member.  One member (no member axis) takes its extremes as floats."""
     fine = a0[:, :2]
     if a0.ndim > 3:
         lo, hi = fine.min(axis=(0, 1, 2)), fine.max(axis=(0, 1, 2))
@@ -380,25 +380,25 @@ def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
             f"(MAGNUS_STEPS_PER_RADIAN = {MAGNUS_STEPS_PER_RADIAN} per radian "
             f"of max|g Omega^2|^(1/2) over T = {iv.span}) exceeds "
             f"MAGNUS_MAX_STEPS = {MAGNUS_MAX_STEPS}")
-    return max(steps), [1 << math.ceil(math.log2(max(
+    return steps, [1 << math.ceil(math.log2(max(
         min((4.0 if v else 2.0) * n, MAGNUS_MAX_STEPS), MAGNUS_MIN_STEPS)))
         for n, v in zip(steps, varies)], peaks
 
 
-def _magnus(grid: _MagnusGrid, a0: np.ndarray):
+def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple):
     """The Magnus grid, M and the error estimates of M's entries of the
     members of grid, on MAGNUS_MIN_STEPS steps and sampled as a0 =
-    grid.samples(), refined to MAGNUS_REL_TARGET from the first pair of levels
-    (L/2, L), L the work estimate's first level; the grid's coarsest is set as
-    the MAGNUS_* constants say."""
+    grid.samples(), whose _work_estimate is work, refined to MAGNUS_REL_TARGET
+    from the first pair of levels (L/2, L), L the members' largest first
+    level; the grid's coarsest is set as the MAGNUS_* constants say."""
     om, c0, c1, iv = grid.omega_sq, grid.c0, grid.c1, grid.iv
     n, m = MAGNUS_MIN_STEPS, None
-    estimate, levels, peaks = _work_estimate(a0, iv)
+    steps, levels, peaks = work
     with np.errstate(over="raise", invalid="raise"):
         try:
             # a finer level can sample a larger |Omega^2|: above MAGNUS_MIN_STEPS
             # the first level's samples are new and check the estimate again
-            while m is None or n < estimate:
+            while m is None or n < max(steps):
                 n = max(levels)
                 coarse = n // 2
                 if n != grid.n:
@@ -406,7 +406,8 @@ def _magnus(grid: _MagnusGrid, a0: np.ndarray):
                 m_coarse, m, sampled = grid.pair(a0 if n == MAGNUS_MIN_STEPS else None,
                                                  peak=n > MAGNUS_MIN_STEPS)
                 if sampled is not None:
-                    estimate, levels, peaks = _work_estimate(a0, iv, sampled)
+                    steps, levels, peaks = _work_estimate(a0, iv, sampled)
+            estimate = max(steps)
             # without a member axis (make_basis) Python's scalars cost less
             if grid.members:
                 top, sqrt, largest = np.maximum, np.sqrt, lambda x: np.abs(x).max(axis=(0, 1))
@@ -444,14 +445,16 @@ def _magnus(grid: _MagnusGrid, a0: np.ndarray):
 def _family(profile: FrequencyProfile, c0, c1) -> list:
     """The members Omega_j^2 = c0_j + c1_j Omega^2 in groups whose work
     estimates on one coarse sampling have the same first level, each doubled
-    on its own from there: a list of (member indices, grid, M, error)."""
+    on its own from there with its members' part of that one estimate: a list
+    of (member indices, grid, M, error)."""
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
-    level = np.array(_work_estimate(a0, iv)[1])
-    return [(np.flatnonzero(k),
-             *_magnus(_MagnusGrid(om, c0[k], c1[k], iv, MAGNUS_MIN_STEPS), a0[..., k]))
-            for k in (level == n for n in sorted(set(level.tolist())))]
+    work = _work_estimate(a0, iv)
+    level = np.array(work[1])
+    return [(np.flatnonzero(k), *_magnus(_MagnusGrid(om, c0[k], c1[k], iv, MAGNUS_MIN_STEPS),
+                                         a0[..., k], [list(compress(x, k)) for x in work]))
+            for k in (level == n for n in sorted(set(work[1])))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -517,7 +520,8 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
         raise ValueError("coupling g must be finite")
     iv = profile.interval
     grid = _MagnusGrid(profile.omega_sq, 0.0, gg, iv, MAGNUS_MIN_STEPS)
-    grid, m, error = _magnus(grid, grid.samples())
+    a0 = grid.samples()
+    grid, m, error = _magnus(grid, a0, _work_estimate(a0, iv))
     basis = HomogeneousBasis(frame=_on_interval(grid.frame, iv), y_a=_CANONICAL_Y_A,
                              y_b=m @ _CANONICAL_Y_A, profile=profile, knots=grid.knots,
                              error_estimate=float(error), slope=grid.slope)
@@ -526,7 +530,7 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     return basis
 
 
-def mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
+def _mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
     """The basis Y C: column j of the result is sum_i C[i, j] times column i;
     the frame and the slope do not depend on the basis."""
     c = np.asarray(matrix, dtype=float)

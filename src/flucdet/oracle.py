@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (_det_slope, _omega0, _read_transfer, _refuse_degenerate, _sigma,
-                    det_from_transfer, free_reference, reference_determinant)
+                    free_reference, reference_determinant)
 from .odesolve import _family, _MagnusGrid
 from .profiles import FrequencyProfile
 
@@ -58,7 +58,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class LatticeOperator:
+class _LatticeOperator:
     """Numerov discretization N = T' C in the scaled (h^2 K) convention: the
     gaps g_k = q_k / c_k of T', whose diagonal is 2 - g_k, the pencil weight
     w_k = 1/c_k^2, the corner entry of T' (0 for Dirichlet) and the Dirichlet
@@ -79,7 +79,7 @@ class LatticeOperator:
         return 2.0 - self.gap
 
 
-def build_lattice(profile: FrequencyProfile, bc: str, n: int) -> LatticeOperator:
+def _build_lattice(profile: FrequencyProfile, bc: str, n: int) -> _LatticeOperator:
     """Discretize -d^2/dt^2 - Omega^2 on n mesh points by Numerov's scheme.
 
     Dirichlet uses the n interior points of an (n+1)-step mesh; the samples
@@ -108,17 +108,17 @@ def build_lattice(profile: FrequencyProfile, bc: str, n: int) -> LatticeOperator
         q, nodes, boundary = q[:-1], times[:-1], 1.0
         corner = -float(sigma)
     c = 1.0 + q / 12.0
-    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, gap=q / c,
+    return _LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, gap=q / c,
                            weight=c ** -2.0, corner=corner, boundary=boundary)
 
 
-def _gershgorin(op: LatticeOperator) -> float:
+def _gershgorin(op: _LatticeOperator) -> float:
     """(max|d_k| + 2) / min w_k, a bound of every |eigenvalue| of the pencil
     (T', W), which are those of C T' C."""
     return float(np.max(np.abs(op.diag)) + 2.0) / float(np.min(op.weight))
 
 
-def _pivots(op: LatticeOperator, mu: float = 0.0) -> tuple:
+def _pivots(op: _LatticeOperator, mu: float = 0.0) -> tuple:
     """The LDL^T pivots of T' - mu W in one O(n) pass: (pivots, log|pivots|,
     _schur's z or None, whether a pivot was nudged).
 
@@ -159,7 +159,7 @@ def _pivots(op: LatticeOperator, mu: float = 0.0) -> tuple:
     return piv, logs, z, nudged
 
 
-def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
+def _sweep(op: _LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
     """One LDL^T pass over T' - mu W, in O(n) (_pivots): (log|det|, sign of
     det, number of the pencil's eigenvalues below mu, d/dmu log|det|).
 
@@ -189,7 +189,7 @@ def _sweep(op: LatticeOperator, mu: float = 0.0, slope: bool = False) -> tuple:
     return float(np.sum(logs)), (-1.0 if below % 2 else 1.0), below, dlog
 
 
-def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray) -> tuple:
+def _schur(op: _LatticeOperator, gap: np.ndarray, piv: np.ndarray) -> tuple:
     """z = L^-1 b / piv and the last row's Schur complement s, from the block
     T's pivots."""
     # y = L^-1 b: y_k = c / (leading k-1 determinant) up to y_{n-1} -= 1
@@ -199,14 +199,14 @@ def _schur(op: LatticeOperator, gap: np.ndarray, piv: np.ndarray) -> tuple:
     return z, float(2.0 - gap[-1] - y @ z)
 
 
-def _window(op: LatticeOperator, tol: float) -> tuple:
+def _window(op: _LatticeOperator, tol: float) -> tuple:
     """Counts of the pencil's eigenvalues below -delta and below +delta, with
     delta = tol * _gershgorin(op); they differ by the number in [-delta, delta)."""
     delta = tol * _gershgorin(op)
     return _sweep(op, -delta)[2], _sweep(op, delta)[2]
 
 
-def _certified(op: LatticeOperator, piv: np.ndarray, logs: np.ndarray, tol: float) -> bool:
+def _certified(op: _LatticeOperator, piv: np.ndarray, logs: np.ndarray, tol: float) -> bool:
     """True when _pivots(op)'s pivots prove that the pencil has no eigenvalue
     in [-delta, delta], delta = tol * _gershgorin(op): no pivot of T' - mu W,
     and no Schur complement, can vanish for |mu| <= delta.  A few numpy
@@ -316,7 +316,7 @@ def _reference_spectrum(bc: str, n: int, span: float, omega0: float) -> tuple:
             1.0 - q0 / 6.0 if dirichlet else 1.0)
 
 
-def _over_reference(op: LatticeOperator, log_abs: float, sign: float,
+def _over_reference(op: _LatticeOperator, log_abs: float, sign: float,
                     span: float, omega0: float) -> float:
     """sign exp(log_abs) det T' times the lattice's boundary factor over the
     reference lattice's, from the reference's closed-form spectrum."""
@@ -353,13 +353,13 @@ def lattice_ratio(profile: FrequencyProfile, bc: str, omega0: float, n: int) -> 
     """
     last = _last_read[0]
     if last is None or last[0] is not profile or last[1:3] != (bc, n):
-        op = build_lattice(profile, bc, n)
+        op = _build_lattice(profile, bc, n)
         last = _last_read[0] = (profile, bc, n, op, *_verdict(op))
     _, _, _, op, log_abs, sign = last
     return _over_reference(op, log_abs, sign, profile.interval.span, omega0)
 
 
-def _verdict(op: LatticeOperator) -> tuple:
+def _verdict(op: _LatticeOperator) -> tuple:
     """(log|det T'|, sign) of the lattice, after its zero verdict.  One pivot
     loop (_pivots) reads the determinant, and its pivots decide the verdict
     where _certified shows no eigenvalue within LATTICE_ZERO_TOL of zero; a
@@ -424,7 +424,7 @@ def pseudo_det_ratio(profile: FrequencyProfile, bc: str, n: int,
     det_periodic_regularized's value for the wrapped conditions and to minus
     det_dirichlet_regularized's closed form for Dirichlet.
     """
-    op = build_lattice(profile, bc, n)
+    op = _build_lattice(profile, bc, n)
     index, nonpositive = _window(op, PSEUDO_ZERO_TOL)
     if nonpositive - index != 1:
         raise DegenerateOperatorError(
@@ -505,7 +505,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
 
     def det_at(s: float) -> float:
         ((_, _, m, _),) = _family(profile, [w0sq * (1.0 - s)], [s])
-        return det_from_transfer(m[..., 0], bc)
+        return _read_transfer(m[..., 0], bc)[0]
 
     groups = _family(profile, w0sq * (1.0 - s_probe), s_probe)
     dets, conditions = np.empty(s_probe.size), np.empty(s_probe.size)
@@ -532,7 +532,7 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     n = max(grid.n for members, grid, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = int(np.count_nonzero(_reference_spectrum(bc, n, span, omega0_ref)[0] < 0.0))
-    below = _sweep(build_lattice(profile, bc, n))[2]
+    below = _sweep(_build_lattice(profile, bc, n))[2]
     if below != below_ref:
         raise DegenerateOperatorError(
             f"coupling flow passes zero modes without a sign change: the lattice "
@@ -547,7 +547,4 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
                 _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.coarsest), bc,
                 lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members[j]]))
     integral = float((u * ws) @ traces[1:-1])
-    if -integral > _LOG_FLOAT_MAX:
-        raise IntegrationError(
-            f"coupling-flow ratio exp({-integral:.6g}) exceeds the float range")
-    return math.exp(-integral)
+    return _exp_signed(-integral, 1.0, "coupling-flow ratio")

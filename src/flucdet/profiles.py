@@ -56,6 +56,9 @@ class Interval:
 
     def grid(self, n: int) -> np.ndarray:
         """n equally spaced points t_a + i*h, h = span/(n - 1), i = 0..n-1."""
+        if not float(n).is_integer():
+            raise ValueError(f"grid size n must be a finite integer, got {n!r}")
+        n = int(n)
         if n < 2:
             raise ValueError("grid needs at least 2 points")
         h = self.span / (n - 1)
@@ -335,7 +338,7 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     return prof
 
 
-def shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile:
+def _shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile:
     """Profile with Omega^2(t) + shift; used for spectral-parameter sweeps."""
     base = profile.omega_sq
     return FrequencyProfile(
@@ -458,11 +461,3 @@ def profile_from_config(config, interval: Interval) -> FrequencyProfile:
     if not isinstance(shape, str):
         raise ConfigError(f"key 'xi' must name a built-in shape, got {shape!r}")
     return make_zero_mode_profile(builtin_zero_mode_spec(shape, interval))
-
-
-def profile_to_config(profile: FrequencyProfile) -> dict:
-    """Serialize a config-born profile back to its JSON mapping."""
-    if profile.config is None:
-        raise ConfigError(
-            f"profile {profile.description!r} is not representable as a config mapping")
-    return dict(profile.config)

@@ -12,17 +12,17 @@ import pytest
 
 import flucdet as fd
 from flucdet.determinants import (
+    _trace_identity_residual,
     det_antiperiodic,
     det_dirichlet,
     det_dirichlet_regularized,
     det_periodic,
     determinant,
-    trace_identity_residual,
     van_vleck_check,
 )
 from flucdet.ermakov import det_ratio_dirichlet_pq, det_ratio_periodic_pq, solve_ermakov
 from flucdet.green import GreenKernel
-from flucdet.odesolve import make_basis, mix_basis
+from flucdet.odesolve import _mix_basis, make_basis
 from flucdet.oracle import (
     gflow_ratio,
     lattice_ratio,
@@ -132,7 +132,7 @@ def test_criterion_06_trace_identity(modulated_profile):
     worst = 0.0
     for bc in ALL_BCS:
         for g in (0.2, 0.5, 0.8):
-            _, _, rel = trace_identity_residual(modulated_profile, bc, g)
+            _, _, rel = _trace_identity_residual(modulated_profile, bc, g)
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5
@@ -188,7 +188,7 @@ def test_criterion_09_basis_independence(modulated_profile, rng):
         if abs(np.linalg.det(matrix)) < 0.1:
             continue
         produced += 1
-        mixed = mix_basis(basis, matrix)
+        mixed = _mix_basis(basis, matrix)
         for bc, expected in reference.items():
             if bc == "dirichlet":
                 value = det_dirichlet(mixed).value

@@ -8,19 +8,19 @@ import pytest
 import flucdet as fd
 from flucdet import determinants, odesolve
 from flucdet.determinants import (
+    _trace_identity_residual,
     det_antiperiodic,
     det_dirichlet,
     det_dirichlet_regularized,
     det_periodic,
     det_periodic_regularized,
     determinant,
-    trace_identity_residual,
     van_vleck_check,
 )
-from flucdet.green import _det_slope, det_from_transfer, free_reference
+from flucdet.green import _det_slope, _read_transfer, free_reference
 from flucdet.odesolve import make_basis
 from flucdet.oracle import pseudo_det_ratio
-from flucdet.profiles import shifted_profile
+from flucdet.profiles import _shifted_profile
 
 SIN_1 = 0.8414709848078965
 SIN_2_OVER_2 = 0.45464871341284085
@@ -149,7 +149,7 @@ class TestTraceIdentity:
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     @pytest.mark.parametrize("g", [0.2, 0.5, 0.8])
     def test_residual_small(self, modulated_profile, bc, g):
-        lhs, rhs, rel = trace_identity_residual(modulated_profile, bc, g)
+        lhs, rhs, rel = _trace_identity_residual(modulated_profile, bc, g)
         assert math.isfinite(lhs) and math.isfinite(rhs)
         assert rel <= 1e-5
 
@@ -162,7 +162,7 @@ class TestTraceIdentity:
             return make_basis(*args, **kwargs)
 
         monkeypatch.setattr(fd.determinants, "make_basis", counted)
-        trace_identity_residual(modulated_profile, "periodic", 0.5)
+        _trace_identity_residual(modulated_profile, "periodic", 0.5)
         assert calls == [0.5]
 
 
@@ -179,17 +179,17 @@ def central_difference(f, step=1e-5):
 
 
 class TestDetSlope:
-    """_det_slope against central differences of det_from_transfer."""
+    """_det_slope against central differences of F read from M."""
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     @pytest.mark.parametrize("case", sorted(SLOPE_CASES))
     def test_lambda_and_coupling_derivatives(self, case, bc):
         profile = SLOPE_CASES[case]
         basis = make_basis(profile)
-        d_lambda = central_difference(lambda s: det_from_transfer(
-            make_basis(shifted_profile(profile, s)).m, bc))
-        d_g = central_difference(lambda s: det_from_transfer(
-            make_basis(profile, g=1.0 + s).m, bc))
+        d_lambda = central_difference(lambda s: _read_transfer(
+            make_basis(_shifted_profile(profile, s)).m, bc)[0])
+        d_g = central_difference(lambda s: _read_transfer(
+            make_basis(profile, g=1.0 + s).m, bc)[0])
         assert _det_slope(basis, bc) == pytest.approx(d_lambda, rel=1e-7)
         assert _det_slope(basis, bc, profile.omega_sq) == pytest.approx(d_g, rel=1e-7)
 

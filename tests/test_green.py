@@ -11,7 +11,6 @@ from flucdet.green import (
     GreenKernel,
     _det_slope,
     _read_transfer,
-    det_from_transfer,
     trace_omega_sq,
 )
 from flucdet.odesolve import make_basis
@@ -43,7 +42,7 @@ def apply_kernel(kernel, source, t, interval):
 class TestPairFunction:
     def test_mixing_invariance(self, modulated_profile, rng):
         basis = make_basis(modulated_profile)
-        mixed = fd.mix_basis(basis, rng.uniform(-2.0, 2.0, size=(2, 2)))
+        mixed = odesolve._mix_basis(basis, rng.uniform(-2.0, 2.0, size=(2, 2)))
         for bc in ("dirichlet", "periodic"):
             k0, k1 = GreenKernel(basis, bc), GreenKernel(mixed, bc)
             for t, tp in ((0.3, 1.5), (1.9, 0.2)):
@@ -53,13 +52,13 @@ class TestPairFunction:
 class TestEndpointMatrices:
     def test_dirichlet_det_constant(self, const2_profile):
         m = make_basis(const2_profile).m
-        assert det_from_transfer(m, "dirichlet") == pytest.approx(
+        assert _read_transfer(m, "dirichlet")[0] == pytest.approx(
             math.sin(2.0) / 2.0, rel=1e-11)
 
     def test_wrapped_det_constant(self, const_profile):
         m = make_basis(const_profile).m
-        per = det_from_transfer(m, "periodic")
-        anti = det_from_transfer(m, "antiperiodic")
+        per = _read_transfer(m, "periodic")[0]
+        anti = _read_transfer(m, "antiperiodic")[0]
         assert per == pytest.approx(4.0 * math.sin(0.5) ** 2, rel=1e-11)
         assert anti == pytest.approx(4.0 * math.cos(0.5) ** 2, rel=1e-11)
 
@@ -71,17 +70,17 @@ class TestEndpointMatrices:
         (eta_a, xi_a), (deta_a, dxi_a) = basis.y_a
         (eta_b, xi_b), (deta_b, dxi_b) = basis.y_b
         w = basis.w
-        assert det_from_transfer(basis.m, "dirichlet") == pytest.approx(
+        assert _read_transfer(basis.m, "dirichlet")[0] == pytest.approx(
             (eta_a * xi_b - xi_a * eta_b) / w, rel=1e-14)
         for bc, s in (("periodic", 1.0), ("antiperiodic", -1.0)):
             a11, a12 = eta_b - s * eta_a, xi_b - s * xi_a
             a21, a22 = deta_b - s * deta_a, dxi_b - s * dxi_a
-            assert det_from_transfer(basis.m, bc) == pytest.approx(
+            assert _read_transfer(basis.m, bc)[0] == pytest.approx(
                 (a11 * a22 - a12 * a21) / w, rel=1e-12)
 
     def test_endpoint_matrix_bad_bc(self, const_profile):
         with pytest.raises(ValueError):
-            det_from_transfer(make_basis(const_profile).m, "neumann")
+            _read_transfer(make_basis(const_profile).m, "neumann")
 
     def test_hyperbolic_wrapped_no_cancellation(self):
         """Omega^2 = -4 on [0, 30]: 2 -+ tr M = 2 -+ 2 cosh(60), where the
@@ -91,7 +90,7 @@ class TestEndpointMatrices:
         assert abs(np.linalg.det(m) - 1.0) <= 1e-10 * np.max(np.abs(m)) ** 2
         for bc, sign in (("periodic", -1.0), ("antiperiodic", 1.0)):
             exact = 2.0 + sign * 2.0 * math.cosh(60.0)
-            assert det_from_transfer(m, bc) == pytest.approx(exact, rel=1e-10)
+            assert _read_transfer(m, bc)[0] == pytest.approx(exact, rel=1e-10)
 
 
 class TestKernelValues:
@@ -162,6 +161,14 @@ class TestKernelValues:
         assert len(grid) == 5 and len(table) == 5
         assert all(len(row) == 5 for row in table)
         assert table[0][2] == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("size", [2.5, math.nan])
+    def test_table_size_must_be_an_integer(self, const_profile, size):
+        """A table of 2.5 or nan points is refused by its grid size, not by
+        the frame's domain check or numpy's arange."""
+        kernel = GreenKernel(make_basis(const_profile), "dirichlet")
+        with pytest.raises(ValueError, match="grid size n must be a finite integer"):
+            kernel.table(size)
 
     @pytest.mark.parametrize("bc", ["dirichlet", "periodic", "antiperiodic"])
     def test_table_matches_pointwise(self, modulated_profile, bc):
@@ -482,7 +489,7 @@ class TestGridSlope:
                                     modulated_profile.interval, 256)
         whole = grid.slope(modulated_profile.omega_sq)
         monkeypatch.setattr(odesolve, "MAGNUS_CHUNK", 64)
-        assert len(grid._runs(odesolve.GAUSS_NODES_PER_STEP)) == 16
+        assert len(grid._runs(odesolve._GAUSS_X.size)) == 16
         parts = grid.slope(modulated_profile.omega_sq)
         assert np.max(np.abs(parts - whole)) <= 1e-14 * np.max(np.abs(whole))
 
@@ -589,15 +596,17 @@ class TestConditionEstimate:
     @pytest.mark.parametrize("value", VALUES)
     @pytest.mark.parametrize("index", range(len(MATRICES)))
     def test_scalar_path_equals_array_path(self, index, value):
-        """Under each condition, the float read of M gives det_from_transfer's
-        F, the condition max(1, max|M_ij|) / |F| formed on arrays and M's
-        entries; inf at F = +-0."""
-        for bc in ("dirichlet", "periodic", "antiperiodic"):
+        """Under each condition, the float read of M gives F = M12 or 2 - sigma
+        tr M as formed on the array, the sign of zero included, the condition
+        max(1, max|M_ij|) / |F| formed on arrays and M's entries; inf at F =
+        +-0."""
+        for bc, sigma in (("dirichlet", 0), ("periodic", 1), ("antiperiodic", -1)):
             m = self.with_value(self.MATRICES[index], value, bc)
             f, condition, entries = _read_transfer(m, bc)
             assert type(f) is float and type(condition) is float
-            assert f == det_from_transfer(m, bc)
-            assert math.copysign(1.0, f) == math.copysign(1.0, det_from_transfer(m, bc))
+            expected = 2.0 - sigma * (m[0, 0] + m[1, 1]) if sigma else m[0, 1]
+            assert f == expected
+            assert math.copysign(1.0, f) == math.copysign(1.0, expected)
             assert entries == m.tolist()
             with np.errstate(divide="ignore"):
                 assert condition == np.maximum(1.0, np.abs(m).max()) / np.abs(f)

@@ -16,8 +16,8 @@ from flucdet import dop853, ermakov, odesolve
 from flucdet.ermakov import solve_ermakov
 from flucdet.odesolve import (
     MAGNUS_MAX_STEPS,
+    _mix_basis,
     make_basis,
-    mix_basis,
 )
 
 
@@ -66,7 +66,7 @@ class TestCanonicalBasis:
         # Phi(t) = Y(t) Y_a^{-1} does not depend on the basis, so the solution
         # with data (2, -3) at t_a is the same combination in any basis
         b = make_basis(modulated_profile)
-        mixed = mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
+        mixed = _mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
         for t in (0.3, 1.1, 1.9):
             (eta, xi), _ = b.y(t)
             y = mixed.phi(t) @ (2.0, -3.0)
@@ -127,7 +127,7 @@ class TestCanonicalBasis:
 
     def test_linear_combination(self, const_profile):
         b = make_basis(const_profile)
-        combo = mix_basis(b, ((2.0, 1.0), (0.5, -1.0)))
+        combo = _mix_basis(b, ((2.0, 1.0), (0.5, -1.0)))
         t = 0.6
         (eta, xi), (deta, dxi) = b.y(t)
         (value, _), (slope, _) = combo.y(t)
@@ -141,7 +141,7 @@ class TestCanonicalBasis:
 
 def test_gauss_rule_is_leggauss():
     """The Gauss rule on each Magnus step is numpy's leggauss bit for bit."""
-    x, w = np.polynomial.legendre.leggauss(odesolve.GAUSS_NODES_PER_STEP)
+    x, w = np.polynomial.legendre.leggauss(odesolve._GAUSS_X.size)
     assert np.array_equal(odesolve._GAUSS_X, x)
     assert np.array_equal(odesolve._GAUSS_W, w)
 
@@ -695,30 +695,48 @@ class TestFamily:
             assert np.array_equal(g.knots, g_i.knots) and g.coarsest == g_i.coarsest
 
     def test_work_estimate_of_members(self, modulated_profile, rng):
-        """On a member axis the work estimate is the largest of the members'
-        own, and the first levels and largest |a| are each member's, bit for
-        bit, from the coarse samples and from peaks sampled since; constant
-        members (c1 = 0) take 2, not 4, times their estimate."""
+        """On a member axis the work estimates, the first levels and the
+        largest |a| are each member's, bit for bit, from the coarse samples
+        and from peaks sampled since; constant members (c1 = 0) take 2, not
+        4, times their estimate."""
         iv = modulated_profile.interval
         c0, c1 = rng.uniform(-2e3, 2e3, 16), rng.uniform(-300.0, 300.0, 16)
         c1[::5] = 0.0
         a0 = odesolve._MagnusGrid(modulated_profile.omega_sq, c0, c1, iv,
                                   odesolve.MAGNUS_MIN_STEPS).samples()
         for peaks in (None, rng.uniform(0.0, 3e3, 16)):
-            estimate, levels, top = odesolve._work_estimate(a0, iv, peaks)
+            steps, levels, top = odesolve._work_estimate(a0, iv, peaks)
             alone = [odesolve._work_estimate(a0[..., j], iv, None if peaks is None else peaks[j])
                      for j in range(16)]
-            assert estimate == max(e for e, _, _ in alone)
+            assert steps == [e for (e,), _, _ in alone]
             assert levels == [level for _, (level,), _ in alone]
             assert len(set(levels)) > 2
             assert top == [a for *_, (a,) in alone]
+
+    def test_family_estimates_its_work_once(self, monkeypatch):
+        """A family in two groups (first levels 64 and 1024) is estimated
+        once on its coarse samples; each group doubles from its members'
+        part of that estimate and estimates again only where its first
+        level is above 64, on that level's own samples."""
+        profile = fd.make_modulated_profile(1.0, 0.3, 2.0, fd.Interval(0.0, 3.0))
+        calls, estimate = [], odesolve._work_estimate
+
+        def recorded(a0, iv, peaks=None):
+            result = estimate(a0, iv, peaks)
+            calls.append((a0.shape[-1], peaks is None, result[1]))
+            return result
+
+        monkeypatch.setattr(odesolve, "_work_estimate", recorded)
+        groups = odesolve._family(profile, [0.0, 0.0], [1.0, 400.0])
+        assert [members.tolist() for members, *_ in groups] == [[0], [1]]
+        assert calls == [(2, True, [64, 1024]), (1, False, [1024])]
 
 
 class TestMixing:
     def test_endpoint_data_transforms(self, modulated_profile, rng):
         b = make_basis(modulated_profile)
         m = rng.uniform(-2.0, 2.0, size=(2, 2))
-        mixed = mix_basis(b, m)
+        mixed = _mix_basis(b, m)
         det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
         assert mixed.w == pytest.approx(det * b.w, rel=1e-14)
         t = 1.3
@@ -730,18 +748,18 @@ class TestMixing:
     def test_singular_matrix_rejected(self, const_profile):
         b = make_basis(const_profile)
         with pytest.raises(ValueError):
-            mix_basis(b, ((1.0, 2.0), (2.0, 4.0)))
+            _mix_basis(b, ((1.0, 2.0), (2.0, 4.0)))
 
     def test_nonfinite_matrix_rejected(self, const_profile):
         b = make_basis(const_profile)
         with pytest.raises(ValueError, match="matrix"):
-            mix_basis(b, ((1.0, math.nan), (0.0, 1.0)))
+            _mix_basis(b, ((1.0, math.nan), (0.0, 1.0)))
 
     def test_frame_shared(self, modulated_profile, rng):
         """Phi(t, t_a) and Phi(t_b, t) do not depend on the basis, so mixing
         leaves them exactly as they were."""
         b = make_basis(modulated_profile)
-        mixed = mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
+        mixed = _mix_basis(b, rng.uniform(-2.0, 2.0, size=(2, 2)))
         ts = modulated_profile.interval.grid(41)
         assert np.array_equal(mixed.phi(ts), b.phi(ts))
         assert np.array_equal(mixed.frame(ts)[1], b.frame(ts)[1])
@@ -756,7 +774,7 @@ def test_frame_composes_to_transfer_matrix(modulated_profile, kind):
     else:
         basis = make_basis(modulated_profile)
         if kind == "mixed":
-            basis = mix_basis(basis, ((2.0, 1.0), (0.5, -1.0)))
+            basis = _mix_basis(basis, ((2.0, 1.0), (0.5, -1.0)))
     ts = modulated_profile.interval.grid(41)
     m = basis.m
     composed = np.einsum("ijn,jkn->ikn", basis.frame(ts)[1], basis.phi(ts))
@@ -768,7 +786,7 @@ class TestClassicalPathConvention:
     def classical_path(basis):
         # columns (eta, xi) with eta = 0 at t_a and 1 at t_b, xi the reverse
         (m11, m12), _ = basis.m
-        return mix_basis(basis, ((1.0 / m12, -m11 / m12), (0.0, 1.0)))
+        return _mix_basis(basis, ((1.0 / m12, -m11 / m12), (0.0, 1.0)))
 
     def test_boundary_values(self, const_profile):
         b = self.classical_path(make_basis(const_profile))

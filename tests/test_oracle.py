@@ -12,13 +12,13 @@ from flucdet.odesolve import make_basis
 from flucdet.oracle import (
     LATTICE_ZERO_TOL,
     PSEUDO_ZERO_TOL,
-    LatticeOperator,
+    _LatticeOperator,
+    _build_lattice,
     _gauss_legendre,
     _gershgorin,
     _over_reference,
     _reference_spectrum,
     _sweep,
-    build_lattice,
     gflow_ratio,
     lattice_ratio,
     lattice_ratio_richardson,
@@ -26,7 +26,7 @@ from flucdet.oracle import (
 )
 
 
-def dense_matrix(op: LatticeOperator) -> np.ndarray:
+def dense_matrix(op: _LatticeOperator) -> np.ndarray:
     """T' as a dense matrix."""
     mat = np.diag(op.diag)
     idx = np.arange(op.mesh_size - 1)
@@ -38,7 +38,7 @@ def dense_matrix(op: LatticeOperator) -> np.ndarray:
     return mat
 
 
-def dense_spectrum(op: LatticeOperator) -> np.ndarray:
+def dense_spectrum(op: _LatticeOperator) -> np.ndarray:
     """Ascending eigenvalues of the pencil (T', W), those of C T' C with C =
     W^-1/2, from a dense eigensolve: the test-only check of the O(n) sweep."""
     assert op.mesh_size <= 500
@@ -46,7 +46,7 @@ def dense_spectrum(op: LatticeOperator) -> np.ndarray:
     return np.linalg.eigvalsh(c[:, None] * dense_matrix(op) * c[None, :])
 
 
-def dense_log_det(op: LatticeOperator) -> tuple:
+def dense_log_det(op: _LatticeOperator) -> tuple:
     """(log|det T' * boundary|, its sign) from the dense pencil spectrum:
     det T' = det(C T' C) det W."""
     log_abs, sign = log_product(dense_spectrum(op))
@@ -75,28 +75,28 @@ def closed_form_spectrum(bc: str, n: int, step: float, omega0: float) -> np.ndar
     return (2.0 - gap - 2.0 * np.cos(angles)) / weight
 
 
-def constant_lattice(bc: str, n: int, span: float, omega0: float) -> LatticeOperator:
+def constant_lattice(bc: str, n: int, span: float, omega0: float) -> _LatticeOperator:
     """The constant-omega0 Numerov lattice built explicitly, entry by entry."""
     h = span / (n + 1) if bc == "dirichlet" else span / n
     gap, weight = numerov(omega0 ** 2, h)
-    return LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
+    return _LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
                            gap=np.full(n, gap), weight=np.full(n, weight),
                            corner={"dirichlet": 0.0, "periodic": -1.0}.get(bc, 1.0),
                            boundary=1.0 - (h * omega0) ** 2 / 6.0 if bc == "dirichlet" else 1.0)
 
 
-def random_pencil(rng, bc: str, corner: float, n: int = 60) -> LatticeOperator:
+def random_pencil(rng, bc: str, corner: float, n: int = 60) -> _LatticeOperator:
     """A pencil with a random diagonal in [-3, 3] and random weights in
     [0.5, 2]: eigenvalues of both signs."""
     diag = rng.uniform(-3.0, 3.0, size=n)
     weight = rng.uniform(0.5, 2.0, size=n)
-    return LatticeOperator(bc=bc, mesh_size=n, step=0.1, nodes=np.zeros(n),
+    return _LatticeOperator(bc=bc, mesh_size=n, step=0.1, nodes=np.zeros(n),
                            gap=2.0 - diag, weight=weight, corner=corner, boundary=1.0)
 
 
-def shifted(op: LatticeOperator, mu: float) -> LatticeOperator:
+def shifted(op: _LatticeOperator, mu: float) -> _LatticeOperator:
     """The pencil (T' - mu W, W), whose eigenvalues are op's less mu."""
-    return LatticeOperator(bc=op.bc, mesh_size=op.mesh_size, step=op.step, nodes=op.nodes,
+    return _LatticeOperator(bc=op.bc, mesh_size=op.mesh_size, step=op.step, nodes=op.nodes,
                            gap=op.gap + mu * op.weight, weight=op.weight, corner=op.corner,
                            boundary=op.boundary)
 
@@ -124,7 +124,7 @@ def hyperbolic(kt: float, span: float = 2.0, t_a: float = 0.0) -> fd.FrequencyPr
 
 class TestLatticeAssembly:
     def test_dirichlet_mesh(self, const_profile):
-        op = build_lattice(const_profile, "dirichlet", 20)
+        op = _build_lattice(const_profile, "dirichlet", 20)
         assert op.mesh_size == 20
         assert op.step == pytest.approx(1.0 / 21.0)
         assert op.nodes[0] == pytest.approx(op.step)
@@ -137,14 +137,14 @@ class TestLatticeAssembly:
         assert op.boundary == pytest.approx(1.0 - op.step ** 2 / 6.0, rel=1e-15)
 
     def test_wrapped_mesh_and_corners(self, const_profile):
-        per = build_lattice(const_profile, "periodic", 20)
-        anti = build_lattice(const_profile, "antiperiodic", 20)
+        per = _build_lattice(const_profile, "periodic", 20)
+        anti = _build_lattice(const_profile, "antiperiodic", 20)
         assert per.step == pytest.approx(0.05)
         assert per.nodes[0] == pytest.approx(0.0)
         assert per.corner == -1.0 and anti.corner == 1.0
 
     def test_seam_average(self, modulated_profile):
-        op = build_lattice(modulated_profile, "periodic", 32)
+        op = _build_lattice(modulated_profile, "periodic", 32)
         iv = modulated_profile.interval
         expected = 0.5 * (modulated_profile(iv.t_a) + modulated_profile(iv.t_b))
         # the gap is q / c and c = w^-1/2
@@ -153,18 +153,18 @@ class TestLatticeAssembly:
 
     def test_coupling_scales_diagonal(self, const_profile):
         """Coupling g = 4 on omega = 1: the lattice of frequency omega sqrt(g) = 2."""
-        op = build_lattice(fd.make_constant_profile(2.0, const_profile.interval), "dirichlet", 20)
+        op = _build_lattice(fd.make_constant_profile(2.0, const_profile.interval), "dirichlet", 20)
         gap, weight = numerov(4.0, op.step)
         assert np.allclose(op.gap, gap, rtol=1e-15, atol=0.0)
         assert np.allclose(op.weight, weight, rtol=1e-15)
 
     def test_minimum_size(self, const_profile):
         with pytest.raises(ValueError, match="at least 16"):
-            build_lattice(const_profile, "dirichlet", 8)
+            _build_lattice(const_profile, "dirichlet", 8)
 
     def test_bad_bc(self, const_profile):
         with pytest.raises(ValueError):
-            build_lattice(const_profile, "robin", 32)
+            _build_lattice(const_profile, "robin", 32)
 
 
 class TestEigenvalues:
@@ -174,7 +174,7 @@ class TestEigenvalues:
         the closed-form eigenvalues; its determinant with the boundary factor
         against the closed-form reference's, by sweep and densely."""
         profile = fd.make_constant_profile(2.0, fd.Interval(0.0, 1.0))
-        op = build_lattice(profile, bc, 32)
+        op = _build_lattice(profile, bc, 32)
         analytic = np.sort(closed_form_spectrum(bc, 32, op.step, 2.0))
         assert np.allclose(dense_spectrum(op), analytic, rtol=0.0, atol=1e-12)
         eigs, log_ref, _, boundary = _reference_spectrum(bc, 32, 1.0, 2.0)
@@ -190,7 +190,7 @@ class TestEigenvalues:
         """Couplings g = 1/16, 9/16, 1 and 9/4 on omega = 4 on [0, 2]: the
         lattices of frequency omega sqrt(g) = 1, 3, 4 and 6."""
         interval = fd.Interval(0.0, 2.0)
-        counts = [_sweep(build_lattice(fd.make_constant_profile(4.0 * root_g, interval),
+        counts = [_sweep(_build_lattice(fd.make_constant_profile(4.0 * root_g, interval),
                                        "dirichlet", 200))[2]
                   for root_g in (0.25, 0.75, 1.0, 1.5)]
         assert counts == sorted(counts)
@@ -222,7 +222,7 @@ class TestSturmSweep:
     def test_exact_zero_pivot_is_nudged(self):
         """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
         regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
-        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
                              gap=np.ones(22), weight=np.ones(22), corner=0.0,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -235,7 +235,7 @@ class TestSturmSweep:
         """The same zero pivot under weight 8, where the Gershgorin bound is
         3/8: eps times it is a pivot that 1 + e cannot hold, so the nudge
         is at least eps."""
-        op = LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
                              gap=np.ones(22), weight=np.full(22, 8.0), corner=0.0,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -252,7 +252,7 @@ class TestSturmSweep:
         and +1/3 of the floor eps * bound: _sweep nudges it to a negative
         pivot and counts it, and its count and _window's, at 0 and at
         -+1/4 of the floor, are the dense spectrum's."""
-        op = LatticeOperator(bc=bc, mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc=bc, mesh_size=22, step=0.1, nodes=np.zeros(22),
                              gap=np.ones(22), weight=np.ones(22), corner=corner,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -271,7 +271,7 @@ class TestSturmSweep:
         pseudo-determinant's zero window, differ by the one zero mode it
         holds."""
         make, bc, _ = PSEUDO_CASES[case]
-        counts = oracle._window(build_lattice(make(), bc, 4000), PSEUDO_ZERO_TOL)
+        counts = oracle._window(_build_lattice(make(), bc, 4000), PSEUDO_ZERO_TOL)
         assert counts[1] - counts[0] == 1 and all(type(c) is int for c in counts)
 
 
@@ -307,7 +307,7 @@ PSEUDO_CASES = {
 def dense_ratio(profile, bc: str, omega0: float, n: int) -> tuple:
     """(log|ratio|, sign) of the lattice against the constant reference
     lattice, each from its dense pencil spectrum and boundary factor."""
-    op = build_lattice(profile, bc, n)
+    op = _build_lattice(profile, bc, n)
     log_num, sign_num = dense_log_det(op)
     log_den, sign_den = dense_log_det(constant_lattice(bc, n, profile.interval.span, omega0))
     return log_num - log_den, sign_num * sign_den
@@ -341,7 +341,7 @@ class TestDenseCrossCheck:
         profile = make()
         n = 300
         report = pseudo_det_ratio(profile, bc, n, omega0=omega0)
-        op = build_lattice(profile, bc, n)
+        op = _build_lattice(profile, bc, n)
         eigs = dense_spectrum(op)
         delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         assert report.zero_mode_index == np.count_nonzero(eigs < -delta)
@@ -371,7 +371,7 @@ class TestDenseCrossCheck:
         """Two continuum zero modes give two near-zero lattice eigenvalues;
         dense counts the same window."""
         prof = constant(omega, 1.0)
-        op = build_lattice(prof, bc, 300)
+        op = _build_lattice(prof, bc, 300)
         delta = PSEUDO_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         assert np.count_nonzero(np.abs(dense_spectrum(op)) < delta) == 2
         with pytest.raises(fd.DegenerateOperatorError, match="found 2"):
@@ -386,7 +386,7 @@ class TestDenseCrossCheck:
         is -4.8e-15 at n = 300)."""
         make, bc, omega0 = PSEUDO_CASES[case]
         profile = make()
-        op = build_lattice(profile, bc, 32)
+        op = _build_lattice(profile, bc, 32)
         delta = LATTICE_ZERO_TOL * (np.max(np.abs(op.diag)) + 2.0) / np.min(op.weight)
         eigs = dense_spectrum(op)
         if np.any((eigs >= -delta) & (eigs < delta)):
@@ -402,13 +402,13 @@ class TestDenseCrossCheck:
 
 
 def spy(monkeypatch) -> list:
-    """Record (name, mesh size) of every build_lattice and _pivots call
+    """Record (name, mesh size) of every _build_lattice and _pivots call
     from here on."""
     loops = []
-    for name in ("build_lattice", "_pivots"):
+    for name in ("_build_lattice", "_pivots"):
         def counted(first, *args, _fn=getattr(oracle, name), _name=name, **kwargs):
             result = _fn(first, *args, **kwargs)
-            size = result if _name == "build_lattice" else first
+            size = result if _name == "_build_lattice" else first
             loops.append((_name, size.mesh_size))
             return result
         monkeypatch.setattr(oracle, name, counted)
@@ -427,7 +427,7 @@ def constant_angles(bc: str, n: int) -> np.ndarray:
     return math.pi / n * (2.0 * np.arange(n) + (bc == "antiperiodic"))
 
 
-def certified(op: LatticeOperator, tol: float) -> bool:
+def certified(op: _LatticeOperator, tol: float) -> bool:
     """_verdict's test: un-nudged pivots that _certified passes."""
     piv, logs, _, nudged = oracle._pivots(op)
     return not nudged and oracle._certified(op, piv, logs, tol)
@@ -481,7 +481,7 @@ class TestZeroCertificate:
                 for offset in OFFSETS:
                     g = free[j] * (1.0 + offset) if free[j] > 0.0 else offset
                     w = (1.0 - g / 12.0) ** 2  # 1/c^2 with g = q/c, c = 1 + q/12
-                    op = LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+                    op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
                                          gap=np.full(n, g), weight=np.full(n, w),
                                          corner=CORNERS[bc], boundary=1.0)
                     eigs = (free - g) / w
@@ -509,12 +509,12 @@ class TestZeroCertificate:
             op = random_pencil(rng, bc, CORNERS[bc])
         elif kind == "modulated":
             make, bc, _ = RATIO_CASES["modulated-periodic"]
-            op = build_lattice(make(), bc, 400)
+            op = _build_lattice(make(), bc, 400)
         else:
             n = 200
             s = 0.0 if kind == "near-free" else 4.0 * math.sin(0.5 * math.pi / n) ** 2
             g = s + 1e-7
-            op = LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+            op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
                                  gap=np.full(n, g), weight=np.full(n, (1.0 - g / 12.0) ** 2),
                                  corner=CORNERS[bc], boundary=1.0)
         piv, logs, _, nudged = oracle._pivots(op)
@@ -539,7 +539,7 @@ class TestDeterminantRecurrence:
         for bc, corner in (("dirichlet", 0.0), ("periodic", -1.0),
                            ("antiperiodic", 1.0)):
             diag = rng.uniform(1.5, 2.5, size=40)
-            op = LatticeOperator(bc=bc, mesh_size=40, step=0.02, nodes=np.zeros(40),
+            op = _LatticeOperator(bc=bc, mesh_size=40, step=0.02, nodes=np.zeros(40),
                                  gap=2.0 - diag, weight=np.ones(40), corner=corner,
                                  boundary=1.0)
             direct = float(np.linalg.det(dense_matrix(op)))
@@ -635,8 +635,8 @@ class TestLatticeRatio:
         forget_read()
         plain = lattice_ratio(modulated_profile, bc, omega0, 200)
         refined = lattice_ratio_richardson(modulated_profile, bc, omega0, 200)
-        assert sorted(loops) == [("_pivots", 200), ("_pivots", 400),
-                                 ("build_lattice", 200), ("build_lattice", 400)]
+        assert sorted(loops) == [("_build_lattice", 200), ("_build_lattice", 400),
+                                 ("_pivots", 200), ("_pivots", 400)]
         forget_read()
         assert lattice_ratio(modulated_profile, bc, omega0, 200).hex() == plain.hex()
         forget_read()
@@ -651,11 +651,11 @@ class TestLatticeRatio:
         forget_read()
         for omega in (1.1, 1.2, 1.2, 1.3):
             profile = constant(omega, 2.0)
-            op = build_lattice(profile, "dirichlet", 100)
+            op = _build_lattice(profile, "dirichlet", 100)
             expected = _over_reference(op, *_sweep(op)[:2], 2.0, 0.0)
             assert lattice_ratio(profile, "dirichlet", 0.0, 100) == expected
             del profile
-        assert loops.count(("build_lattice", 100)) == 4
+        assert loops.count(("_build_lattice", 100)) == 4
 
     @pytest.mark.parametrize("case", ["constant-dirichlet", "constant-periodic",
                                       "constant-antiperiodic", "modulated-dirichlet",
@@ -668,7 +668,7 @@ class TestLatticeRatio:
         loops = spy(monkeypatch)
         forget_read()
         lattice_ratio(make(), bc, omega0, 400)
-        assert sorted(loops) == [("_pivots", 400), ("build_lattice", 400)]
+        assert sorted(loops) == [("_build_lattice", 400), ("_pivots", 400)]
 
     @pytest.mark.parametrize("case", list(PSEUDO_CASES) + ["sinpi-periodic"])
     def test_uncertified_verdict_falls_back(self, monkeypatch, case):
@@ -686,7 +686,7 @@ class TestLatticeRatio:
                 lattice_ratio(make(), bc, omega0, 400)
         else:
             lattice_ratio(make(), bc, omega0, 400)
-        assert sorted(loops) == [("_pivots", 400)] * 3 + [("build_lattice", 400)]
+        assert sorted(loops) == [("_build_lattice", 400)] + [("_pivots", 400)] * 3
 
     def test_refusals_name_their_tolerance(self, sinpi_profile, const_profile):
         """Each lattice refusal names the tolerance that caused it."""
@@ -709,7 +709,7 @@ class TestLatticeRatio:
             with pytest.raises(fd.DegenerateOperatorError, match="pseudo-determinant"):
                 lattice_ratio(sinpi_profile, "dirichlet", 0.0, 400)
             assert oracle._last_read[0] is None
-        assert sorted(loops) == [("_pivots", 400)] * 6 + [("build_lattice", 400)] * 2
+        assert sorted(loops) == [("_build_lattice", 400)] * 2 + [("_pivots", 400)] * 6
 
     @pytest.mark.parametrize("n", [100.5, math.nan, math.inf])
     @pytest.mark.parametrize("read", [
@@ -1019,7 +1019,7 @@ class TestCouplingFlowLevels:
         profile = fd.make_modulated_profile(1.0, 0.3, 5.0, fd.Interval(0.0, 2.0))
         a0 = odesolve._MagnusGrid(profile.omega_sq, 0.0, 1.0, profile.interval,
                                   odesolve.MAGNUS_MIN_STEPS).samples()
-        assert 2.0 * odesolve._work_estimate(a0, profile.interval)[0] <= 32
+        assert 2.0 * max(odesolve._work_estimate(a0, profile.interval)[0]) <= 32
         levels, accepted, ratio = self.slope_levels(monkeypatch, profile, "dirichlet")
         assert accepted == [64] and levels == [64]
         assert ratio == pytest.approx(det_dirichlet(make_basis(profile)).ratio, rel=1e-5)

@@ -20,12 +20,11 @@ from flucdet.profiles import (
     SyntheticZeroModeSpec,
     _jump_tol,
     _on_arrays,
+    _shifted_profile,
     builtin_zero_mode_spec,
     make_user_profile,
     make_zero_mode_profile,
     profile_from_config,
-    profile_to_config,
-    shifted_profile,
 )
 
 
@@ -50,6 +49,15 @@ class TestInterval:
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
             fd.Interval(0.0, 1.0).grid(1)
+
+    @pytest.mark.parametrize("n", [3.0000001, 2.5, math.nan, math.inf])
+    def test_grid_size_must_be_an_integer(self, n):
+        """A size that is not a finite integer is refused by name, where it
+        gave a point past t_b (3.0000001), too few points (2.5) or numpy's
+        arange error (nan); an integral float is a size."""
+        with pytest.raises(ValueError, match=f"grid size n must be a finite integer, got {n!r}"):
+            fd.Interval(0.0, 1.0).grid(n)
+        assert np.array_equal(fd.Interval(0.0, 1.0).grid(4.0), fd.Interval(0.0, 1.0).grid(4))
 
 
 class TestFactories:
@@ -221,7 +229,7 @@ class TestZeroModeShapes:
 
 class TestHelpers:
     def test_shifted_profile(self, const_profile):
-        shifted = shifted_profile(const_profile, 2.5)
+        shifted = _shifted_profile(const_profile, 2.5)
         assert shifted(0.4) == pytest.approx(3.5)
 
 
@@ -229,18 +237,18 @@ class TestConfig:
     def test_constant_roundtrip(self, unit_interval):
         cfg = {"kind": "constant", "omega": 2.0}
         prof = profile_from_config(cfg, unit_interval)
-        assert profile_to_config(prof) == cfg
+        assert prof.config == cfg
         assert prof(0.1) == pytest.approx(4.0)
 
     def test_modulated_roundtrip(self, unit_interval):
         cfg = {"kind": "modulated", "omega": 1.0, "eps": 0.2, "nu": 3.0}
         prof = profile_from_config(cfg, unit_interval)
-        assert profile_to_config(prof) == cfg
+        assert prof.config == cfg
 
     def test_synthetic_roundtrip(self, unit_interval):
         cfg = {"kind": "synthetic", "xi": "sinpi"}
         prof = profile_from_config(cfg, unit_interval)
-        assert profile_to_config(prof) == cfg
+        assert prof.config == cfg
         assert prof.zero_mode is not None
 
     def test_json_string_accepted(self, unit_interval):
@@ -278,8 +286,7 @@ class TestConfig:
 
     def test_user_profile_not_representable(self, unit_interval):
         profile = make_user_profile(lambda t: 1.0, unit_interval, description="flat")
-        with pytest.raises(fd.ConfigError, match="'flat' is not representable"):
-            profile_to_config(profile)
+        assert profile.config is None
 
     @pytest.mark.parametrize("config,iv,name", [
         ({"kind": "constant", "omega": math.nan}, (0.0, 1.0), "omega"),
@@ -373,7 +380,7 @@ class TestArrayContract:
 
     def test_shifted_and_flow_profiles(self, modulated_profile):
         iv = modulated_profile.interval
-        assert_array_contract(shifted_profile(modulated_profile, -0.7).omega_sq, iv)
+        assert_array_contract(_shifted_profile(modulated_profile, -0.7).omega_sq, iv)
         # the coupling flow samples V_s = 1.3^2 + s (Omega^2 - 1.3^2) as the
         # members (c0, c1) = (1.3^2 (1 - s), s) of one array call: each
         # member's slice is that member sampled alone, and the value is V_s

@@ -269,7 +269,7 @@ def test_detects_forming_f():
               "h = 2.0 - np.trace(m) * s\nk = 2.0 - trace\nz = 2.0 - gap[-1] - y @ z\n"
               "w = abs(2.0 - gap) + 2.0\nroot = (2.0 - trace) * (2.0 + trace)\n")
     assert forms_f(source) == [1, 2, 3]
-    # det_from_transfer, which green.py's float read calls too
+    # _read_transfer, the one float read of M
     assert len(forms_f(Path(green.__file__).read_text(encoding="utf-8"))) == 1
 
 
@@ -291,7 +291,7 @@ def test_cli_bc_choices_are_greens(capsys, command):
     assert choices and all(found.split(",") == list(green._SIGMA) for found in choices)
 
 
-MAIN_PATH_NAMES = {"make_basis", "_magnus", "_MagnusGrid", "_family", "det_from_transfer"}
+MAIN_PATH_NAMES = {"make_basis", "_magnus", "_MagnusGrid", "_family", "_read_transfer"}
 
 
 def names_read(tree) -> set:
@@ -354,3 +354,30 @@ def test_odesolve_is_the_magnus_integrator_alone():
     """odesolve.py defines, imports and reads none of the amplitude-phase
     route's names; only its __getattr__ resolves solve_ermakov."""
     assert pq_names(Path(odesolve.__file__).read_text(encoding="utf-8")) == set()
+
+
+PUBLIC_NAMES = [
+    "ConfigError", "DegenerateOperatorError", "DetResult", "ErmakovSolution", "FlucdetError",
+    "FrequencyProfile", "GreenKernel", "HomogeneousBasis", "IntegrationError", "Interval",
+    "ProfileError", "ShootingError", "SpectrumReport", "SyntheticZeroModeSpec",
+    "VerificationError", "ZeroModeReport", "basis_from_pq", "builtin_zero_mode_spec",
+    "det_antiperiodic", "det_dirichlet", "det_dirichlet_regularized", "det_periodic",
+    "det_periodic_regularized", "det_ratio_dirichlet_pq", "det_ratio_periodic_pq",
+    "determinant", "free_reference", "gflow_ratio", "lattice_ratio",
+    "lattice_ratio_richardson", "make_basis", "make_constant_profile",
+    "make_modulated_profile", "make_user_profile", "make_zero_mode_profile",
+    "profile_from_config", "pseudo_det_ratio", "solve_ermakov", "trace_omega_sq",
+    "van_vleck_check",
+]
+PRIVATE_NAMES = ["det_from_transfer", "build_lattice", "LatticeOperator", "shifted_profile",
+                 "profile_to_config", "mix_basis", "trace_identity_residual"]
+
+
+def test_public_names():
+    """The package's public surface is these 40 names, so a change to it
+    edits this list; the names that went private to their modules do not
+    resolve on the package."""
+    assert sorted(flucdet.__all__) == PUBLIC_NAMES
+    for name in PRIVATE_NAMES:
+        with pytest.raises(AttributeError):
+            getattr(flucdet, name)
