@@ -7,7 +7,8 @@ green   Green-function values on a square grid, CSV
 sweep   determinants along a parameter range, CSV
 verify  cross-validation suites, CSV plus a summary on stderr
 
-Exit codes: 0 success, 1 usage or configuration problem, 2 degenerate
+Exit codes: 0 success, 1 usage or configuration problem (an unreadable
+--profile file or an unwritable --out file among them), 2 degenerate
 operator (zero mode without --regularized, vanishing reference), 3
 verification failure.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .determinants import (
@@ -60,8 +60,11 @@ def _csv_quote(text: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -77,10 +80,12 @@ def _load(profile_spec: str, t_a: float, t_b: float):
     if not text:
         raise ConfigError("empty --profile value")
     if not text.startswith(("{", "[")):
-        if not os.path.exists(text):
-            raise ConfigError(f"profile config file not found: {text}")
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            problem = "not found" if isinstance(exc, FileNotFoundError) else "unreadable"
+            raise ConfigError(f"profile config file {problem}: {text} ({exc.strerror})") from exc
     return interval, profile_from_config(text, interval)
 
 

@@ -96,7 +96,6 @@ def _gauss_rule(knots: np.ndarray) -> tuple:
 
 # the steps of a pair of levels from knot 2k: fine 2k and 2k + 1 of h, coarse k of 2h
 _PAIR_KNOTS, _PAIR_STEPS = np.array([[0.0], [1.0], [0.0]]), np.array([[1.0], [1.0], [2.0]])
-_IDENTITY = (1.0, 0.0, 0.0, 1.0)
 _EPS = float(np.finfo(float).eps)
 
 
@@ -123,8 +122,8 @@ def _adjugate(y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # eighth-order Magnus steps for Y' = [[0, 1], [a(t), 0]] Y, a = -g Omega^2
 #
-# 2x2 matrices are tuples of entries (m11, m12, m21, m22), each an array over
-# steps or times, and traceless ones are triples (p, q, r) for [[p, q], [r, -p]].
+# 2x2 matrices are (2, 2, ...) stacks over steps or times, multiplied by _product
+# alone, and traceless ones are triples (p, q, r) for [[p, q], [r, -p]].
 # A step samples a at its Gauss nodes, u_i h = x_i h / 2 from its midpoint; the
 # cubic through the samples is sum_k C_k u^k, C = V^-1 a with V_ik = u_i^k, so
 # C_k is a's k-th Taylor coefficient at the midpoint times h^k.  Truncating the
@@ -144,14 +143,8 @@ _FORMS = np.array([  # rows b0, b1, b2; X1, B1, X3; Z, X2, Y; minus the leads; b
 ]) @ _TAYLOR
 
 
-def _mul(b, a):
-    """b @ a, entrywise over the arrays."""
-    return (b[0] * a[0] + b[1] * a[2], b[0] * a[1] + b[1] * a[3],
-            b[2] * a[0] + b[3] * a[2], b[2] * a[1] + b[3] * a[3])
-
-
 def _step_matrices(a: np.ndarray, h) -> np.ndarray:
-    """exp(Omega), entries (m11, m12, m21, m22) along the first axis, of the
+    """exp(Omega), a (2, 2, m) + members view of the entries it fills, of the
     Magnus steps of length h whose four Gauss nodes carry a = -g Omega^2 of
     shape (4, m) + members; h is a float or broadcasts against (m,) + members.
 
@@ -190,7 +183,7 @@ def _step_matrices(a: np.ndarray, h) -> np.ndarray:
     terms *= sn / x if x.all() else np.divide(sn, x, out=np.ones_like(x), where=x != 0.0)
     np.subtract(cc, p, out=e[3])
     p += cc
-    return e
+    return e.reshape((2, 2) + shape)
 
 
 def _product(b, a):
@@ -215,18 +208,15 @@ def _reduce_pairs(x, axis: int = 2):
 
 def _scan(e, reverse: bool = False) -> np.ndarray:
     """Prefix products p_k = e[k-1] ... e[0] for k = 0..m (p_0 = I), or with
-    reverse=True suffix products s_k = e[m-1] ... e[k] (s_m = I), by log2(m)
-    passes of pairwise products; entries along the rows of a (4, m+1) array."""
-    p = np.array(e)
-    d = 1
-    while d < p.shape[1]:
-        if reverse:
-            p[:, :-d] = _mul(p[:, d:], p[:, :-d])
-        else:
-            p[:, d:] = _mul(p[:, d:], p[:, :-d])
+    reverse=True suffix products s_k = e[m-1] ... e[k] (s_m = I), of the steps
+    e, (2, 2, m) + members, along axis 2 by log2(m) passes of _product."""
+    p, d = np.array(e), 1
+    while d < p.shape[2]:
+        later, earlier = p[:, :, d:], p[:, :, :-d]
+        (earlier if reverse else later)[...] = _product(later, earlier)
         d *= 2
-    one = np.broadcast_to(np.reshape(_IDENTITY, (4, 1) + (1,) * (p.ndim - 2)), p[:, :1].shape)
-    return np.concatenate([p, one] if reverse else [one, p], axis=1)
+    one = np.broadcast_to(np.eye(2).reshape((2, 2) + (1,) * (p.ndim - 2)), p[:, :, :1].shape)
+    return np.concatenate([p, one] if reverse else [one, p], axis=2)
 
 
 class _MagnusGrid:
@@ -286,7 +276,7 @@ class _MagnusGrid:
         runs = []
         for lo, hi in self._runs():
             a = self.sample(self.starts(lo, hi), self.h)
-            runs.append(_reduce_pairs(np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])))
+            runs.append(_reduce_pairs(_step_matrices(a, self.h)))
         return runs[0] if len(runs) == 1 else _reduce_pairs(np.stack(runs, axis=2))
 
     def pair(self, a0=None, peak: bool = False) -> tuple:
@@ -300,7 +290,7 @@ class _MagnusGrid:
             a = self.samples(lo, hi) if a0 is None else a0[:, :, lo // 2:hi // 2]
             if peak:
                 top = np.maximum(0.0 if top is None else top, np.abs(a[:, :2]).max(axis=(0, 1, 2)))
-            x = np.reshape(_step_matrices(a, self.h), (2, 2) + a.shape[1:])
+            x = _step_matrices(a, self.h)
             x[:, :, 1] = _product(x[:, :, 1], x[:, :, 0])
             runs.append(_reduce_pairs(x[:, :, 1:], axis=3))
         acc = runs[0] if len(runs) == 1 else _reduce_pairs(np.stack(runs, axis=3), axis=3)
@@ -336,26 +326,26 @@ class _MagnusGrid:
     @cached_property
     def _products(self):
         """Prefix products Phi(t_k, t_a) and suffix products Phi(t_b, t_k)
-        at the knots, k = 0..n."""
-        e = np.hstack([_step_matrices(self.sample(self.starts(lo, hi), self.h), self.h)
-                       for lo, hi in self._runs()])
+        at the knots, k = 0..n, along axis 2."""
+        e = np.concatenate([_step_matrices(self.sample(self.starts(lo, hi), self.h), self.h)
+                            for lo, hi in self._runs()], axis=2)
         return _scan(e), _scan(e, reverse=True)
 
     def frame(self, t) -> tuple:
         """(Phi(t, t_a), Phi(t_b, t)) = (E Phi(t_k, t_a), Phi(t_b, t_k) E^{-1}),
         where t_k is the knot before t and E the Magnus step from t_k to t,
         whose inverse is its adjugate; each of shape (2, 2) + t.shape +
-        members."""
+        members; take gathers the knots' products as contiguous stacks."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
         k = np.clip(np.floor((flat - self.iv.t_a) / self.h), 0, self.n).astype(np.intp)
         tau = flat - self.knots[k]
         h = tau.reshape((-1,) + (1,) * len(self.members))
-        e11, e12, e21, e22 = e = _step_matrices(self.sample(self.knots[k], tau), h)
+        e = _step_matrices(self.sample(self.knots[k], tau), h)
         pre, suf = self._products
         shape = (2, 2) + t.shape + self.members
-        return (np.array(_mul(e, pre[:, k])).reshape(shape),
-                np.array(_mul(suf[:, k], (e22, -e12, -e21, e11))).reshape(shape))
+        return (_product(e, pre.take(k, axis=2)).reshape(shape),
+                _product(suf.take(k, axis=2), _adjugate(e)).reshape(shape))
 
 
 def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:

@@ -706,6 +706,34 @@ class TestOutput:
         assert from_file == inline
 
 
+class TestFileErrors:
+    """A file that cannot be read or written is one error line and exit
+    code 1, as any other bad input is."""
+
+    @pytest.mark.parametrize("argv", [
+        ("det",), ("green", "--grid-size", "2"),
+        ("sweep", "--param", "omega", "--from", "1", "--to", "1", "--steps", "1"),
+        ("verify", "--suite", "gflow")], ids=["det", "green", "sweep", "verify"])
+    def test_unwritable_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: cannot write --out file {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", ["--out", "--profile"])
+    def test_no_traceback(self, tmp_path, option):
+        """det --out into a missing directory, and det --profile naming a
+        directory, from a fresh interpreter."""
+        path = str(tmp_path / "missing" / "x.json" if option == "--out" else tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(fd.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "flucdet.cli", "det", option, path],
+                              env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and path in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 DET_DEFAULTS = {  # det's options in the order --help lists them, with their defaults
     "--profile": '{"kind": "constant", "omega": 1.0}', "--t-a": "0.0", "--t-b": "1.0",
     "--bc": "dirichlet", "--omega0": "1.0", "--out": None, "--regularized": None,

@@ -295,6 +295,20 @@ class TestMagnus:
         scale = np.max(np.abs(exact_back), axis=(0, 1))
         assert np.all(np.abs(basis.frame(ts)[1] - exact_back) <= 1e-12 * scale)
 
+    @pytest.mark.parametrize("c0,c1", [(0.0, 1.0), (np.array([0.0, 2.0, -1.0]),
+                                                    np.array([1.0, 0.5, 3.0]))],
+                             ids=["one", "members"])
+    def test_frame_at_knots_is_the_products(self, c0, c1):
+        """At a knot the local step is exactly I, so the frame there is the
+        prefix and suffix products bit for bit, for one member and along a
+        member axis, where a gather along the wrong axis fails."""
+        profile = fd.make_modulated_profile(1.0, 0.2, 3.0, fd.Interval(-1.0, 3.0))
+        grid = odesolve._MagnusGrid(profile.omega_sq, c0, c1, profile.interval, 64)
+        pre, suf = grid._products
+        phi, back = grid.frame(grid.knots)
+        assert phi.shape == back.shape == suf.shape == pre.shape == (2, 2, 65) + grid.members
+        assert np.array_equal(phi, pre) and np.array_equal(back, suf)
+
     @pytest.mark.parametrize("kind", ["grow", "oscillate", "mixed", "zero"])
     @pytest.mark.parametrize("form", ["float", "array", "members"])
     def test_step_kernel_matches_nested_form(self, kind, form, rng):
@@ -304,7 +318,8 @@ class TestMagnus:
         members = (3,) if form == "members" else ()
         a = step_samples(kind, rng, members=members)
         h = 0.08 if form == "float" else 0.08 * rng.uniform(0.2, 1.0, (40,) + (1,) * len(members))
-        e, ref = np.array(odesolve._step_matrices(a, h)), np.array(nested_step_matrices(a, h))
+        e = odesolve._step_matrices(a, h).reshape((4,) + a.shape[1:])
+        ref = np.array(nested_step_matrices(a, h))
         assert e.shape == ref.shape == (4, 40) + members
         assert np.max(np.abs(e - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -313,7 +328,7 @@ class TestMagnus:
     def test_step_kernel_constant(self, omega_sq, form, rng):
         """With constant Omega^2 a step is cos/sin or cosh/sinh of w h."""
         h = 0.09 if form == "float" else rng.uniform(0.0, 0.09, 40)
-        e = np.array(odesolve._step_matrices(np.full((4, 40), -omega_sq), h))
+        e = odesolve._step_matrices(np.full((4, 40), -omega_sq), h).reshape(4, 40)
         exact = constant_transfer(omega_sq, np.broadcast_to(h, (40,))).reshape(4, 40)
         assert np.max(np.abs(e - exact)) <= 1e-15 * np.max(np.abs(exact))
 

@@ -3,9 +3,9 @@ the package imports exactly the dependencies pyproject.toml lists (click
 not among them), none imports scipy, only the front ends import the
 oracles, only green.py decides what a boundary condition means and forms a
 determinant from M's entries, no route imports determinants.py, one pivot
-loop reads a lattice's rows, and the amplitude-phase route names none of the
-main path's endpoint data, nor the Magnus integrator's module any of that
-route's."""
+loop reads a lattice's rows, one function forms the Magnus layer's 2x2
+products, and the amplitude-phase route names none of the main path's
+endpoint data, nor the Magnus integrator's module any of that route's."""
 
 import ast
 import os
@@ -348,6 +348,44 @@ def test_detects_pq_names():
               "    return solve_ermakov\n")
     assert pq_names(source) == {"dop853", "SHOOTING_TOL", "ErmakovSolution", "_pinney_start",
                                 "DEFAULT_RTOL"}
+
+
+def matrix_products(source: str) -> list:
+    """The functions that form 2x2 products: those that call einsum, and
+    those that return a tuple holding a sum or difference of two products
+    (b[0] * a[0] + b[1] * a[2], an entry of b @ a)."""
+    def sum_of_products(node) -> bool:
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub))
+                and all(isinstance(x, ast.BinOp) and isinstance(x.op, ast.Mult)
+                        for x in (node.left, node.right)))
+
+    names = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            einsum = any(isinstance(n, ast.Attribute) and n.attr == "einsum"
+                         or isinstance(n, ast.Name) and n.id == "einsum" for n in nodes)
+            entries = any(isinstance(n, ast.Return) and isinstance(n.value, ast.Tuple)
+                          and any(map(sum_of_products, n.value.elts)) for n in nodes)
+            if einsum or entries:
+                names.append(fn.name)
+    return sorted(names)
+
+
+def test_detects_matrix_products():
+    source = ("def mul(b, a):\n    return (b[0] * a[0] + b[1] * a[2], b[0] * a[1])\n"
+              "def prod(b, a):\n    return np.einsum('ij,jk->ik', b, a)\n"
+              "def ein(b, a):\n    return einsum('ij,jk->ik', b, a)\n"
+              "def det(y):\n    return y[0] * y[3] - y[1] * y[2]\n"
+              "def pair(x, y):\n    return x + y, x * y\n")
+    assert matrix_products(source) == ["ein", "mul", "prod"]
+
+
+def test_one_matrix_product():
+    """odesolve.py forms 2x2 products in _product alone: the step kernel,
+    the pairwise reductions, the scans and the frames share one (2, 2, ...)
+    layout, with no second, entrywise product."""
+    assert matrix_products(Path(odesolve.__file__).read_text(encoding="utf-8")) == ["_product"]
 
 
 def test_odesolve_is_the_magnus_integrator_alone():
