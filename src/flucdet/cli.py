@@ -401,9 +401,9 @@ def _parser() -> argparse.ArgumentParser:
         "--grid-size", type=int, default=21, help="Number of grid points per axis.")
     sweep = command("sweep", sweep_command, shared)
     sweep.add_argument("--param", choices=SWEEP_PARAMS, required=True, help="Parameter to sweep.")
-    sweep.add_argument("--from", dest="start", type=float, required=True,
+    sweep.add_argument("--from", dest="start", type=_finite, required=True,
                        help="First parameter value.")
-    sweep.add_argument("--to", dest="stop", type=float, required=True,
+    sweep.add_argument("--to", dest="stop", type=_finite, required=True,
                        help="Last parameter value.")
     sweep.add_argument("--steps", type=int, required=True, help="Number of rows.")
     verify = command("verify", verify_command)

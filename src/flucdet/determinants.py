@@ -12,7 +12,7 @@ Zero modes: with one zero mode, F vanishes and det' K = -dF/dlambda of
 K - lambda at 0 (McKane-Tarlie 1995) is read from the exact dM/dlambda, whose
 Newton step from F is the one verdict that the mode is there.  The Dirichlet
 closed form <xi|xi>/(xi'_a xi'_b) is that slope, +dM12/dlambda = -det' K; a
-finite-eps chain (shift the profile by the perturbed eigenvalue, Newton's root
+finite-eps chain (solve K - lambda at the perturbed eigenvalue, Newton's root
 of M12, divide determinant by eigenvalue, extrapolate eps -> 0) must agree.
 """
 
@@ -28,8 +28,8 @@ from .errors import (DegenerateOperatorError, ProfileError, ShootingError,
                      VerificationError)
 from .green import (GreenKernel, _det_slope, _read_transfer, _refuse_degenerate, _sigma,
                     reference_determinant, trace_omega_sq)
-from .odesolve import HomogeneousBasis, make_basis
-from .profiles import FrequencyProfile, _shifted_profile
+from .odesolve import HomogeneousBasis, _solve, make_basis
+from .profiles import FrequencyProfile
 
 ZERO_MODE_PRESENT_TOL = 1e-6
 EPS_CHAIN_CHECK_TOL = 1e-3
@@ -196,9 +196,10 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope: float, slope_b: float, e
 
     That solution is M^{-1} (0, slope_b) at t_a, so A = -slope_b M12(lam) with
     det M = 1.  The first step is from lam = 0, where M12 = 0 and dM12/dlam =
-    slope (the verdict's), the next from _det_slope of the shifted basis: only
-    M12 values set the root.  A slope that is zero or not finite, like a miss,
-    is refused.  Returns lam and M12(lam), the shifted Dirichlet determinant.
+    slope (the verdict's), the next from _det_slope of K - lam's Magnus grid
+    (_solve(profile, lam, 1)): only M12 values set the root.  A slope that is
+    zero or not finite, like a miss, is refused.  Returns lam and M12(lam), the
+    shifted Dirichlet determinant.
     """
     # The boundary value inherits inaccuracies of the profile representation
     # (its extrapolated endpoint limits and the seam next to them), so the
@@ -210,12 +211,12 @@ def _eigenvalue_shift(profile: FrequencyProfile, slope: float, slope_b: float, e
         if not (dm12 and math.isfinite(dm12)):
             break
         lam -= (m12 + eps / slope_b) / dm12
-        basis = make_basis(_shifted_profile(profile, lam))
-        m12 = _read_transfer(basis.m, "dirichlet")[0]
+        grid, m, _, _ = _solve(profile, lam, 1.0)
+        m12 = _read_transfer(m, "dirichlet")[0]
         residual = abs(slope_b * m12 + eps)
         if residual <= tol:
             return lam, m12
-        dm12 = _det_slope(basis, "dirichlet")
+        dm12 = _det_slope(grid, "dirichlet")
     raise ShootingError(
         f"perturbed-eigenvalue Newton solve misses within EIGENVALUE_SHIFT_MAX_ITER = "
         f"{EIGENVALUE_SHIFT_MAX_ITER} steps (residual {residual:.3e}, dM12/dlambda {dm12!r})")
@@ -230,7 +231,7 @@ def det_dirichlet_regularized(profile: FrequencyProfile,
     the zero-mode verdict (_zero_mode_slope), minus det' K = -dF/dlambda and
     minus the lattice's aligned_pseudo_det; <xi|xi> is read from it.  The
     chain perturbs the boundary value at t_a to eps (finite, nonzero), solves
-    for the perturbed eigenvalue, shifts the profile by it, and divides the
+    for the perturbed eigenvalue, shifts the operator by it, and divides the
     shifted determinant by the eigenvalue; one Richardson step in eps must
     reproduce the closed form to 1e-3 relative or a verification error is raised.
     """

@@ -212,7 +212,7 @@ def basis_from_pq(sol: ErmakovSolution) -> HomogeneousBasis:
     advance = MAGNUS_STEPS_PER_RADIAN * w0 * np.diff(sol.q_knots)
     counts = np.concatenate(([0.0], np.cumsum(np.maximum(1.0, np.ceil(advance)))))
     knots = np.interp(np.arange(counts[-1] + 1.0), counts, sol.knots)
-    return HomogeneousBasis(frame=frame, y_a=y_a, y_b=y_b, profile=sol.profile, knots=knots)
+    return HomogeneousBasis(frame=frame, y_a=y_a, y_b=y_b, m=m, profile=sol.profile, knots=knots)
 
 
 def det_ratio_dirichlet_pq(sol: ErmakovSolution) -> float:

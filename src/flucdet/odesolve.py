@@ -14,11 +14,12 @@ eighth-order Magnus integrator of Blanes, Casas and Ros (BIT 40, 434, 2000;
 review: Blanes, Casas, Oteo, Ros, Phys. Rep. 470, 151, 2009): the pairwise
 product of n uniform steps, each exp of its Magnus exponent (a traceless
 2x2 matrix) from Omega^2 at the four Gauss nodes of the quadrature below.
-It solves an affine family c0_j + c1_j Omega^2 at once (members on a
-trailing axis); make_basis is the one-member case (0, g).  One Omega^2 call
-on the MAGNUS_MIN_STEPS coarse steps and the half as many steps of twice
-their length feeds the work estimate and, at the usual first level of 64
-steps, both levels of the first step-doubling pair.
+_solve integrates one operator c0 + c1 Omega^2 on Python floats (make_basis
+is (0, g)), _family the members c0_j + c1_j Omega^2 on a trailing axis; both
+return the grid, M, its error estimate and the coarsest level that meets the
+target.  One Omega^2 call on the MAGNUS_MIN_STEPS coarse steps and the half
+as many steps of twice their length feeds the work estimate and, at the
+usual first level of 64 steps, both levels of the first step-doubling pair.
 
 Dense output is one frame per time: one local Magnus step E from the knot
 t_k before t gives both Phi(t, t_a) = E Phi(t_k, t_a) and Phi(t_b, t) =
@@ -56,13 +57,13 @@ from .profiles import FrequencyProfile, Interval
 # k = ceil(log2(error / target) / 8).
 # The estimate reported is at least 2 n eps max(max|M_ij|, w, min(T, 1/w)), the
 # rounding both levels share, which bounds the error against closed forms
-# (constant Omega^2, w T from 0.01 to 1e5).  The accepted grid also records the
-# coarsest level known to meet the target (_MagnusGrid.coarsest): the coarse level
-# c of the last comparison where every member's error (n/c)^8 <= tol and c is at
-# least twice the work estimate (steps of at most 1/4 radian, on which the Gauss
-# rule below holds), else n.  Only the coupling flow's dF/ds reads c; M, the
-# frames, make_basis's slope, the traces and the zero modes keep n and its
-# digits.  MAGNUS_CHUNK steps or Gauss nodes x members per array keep memory flat.
+# (constant Omega^2, w T from 0.01 to 1e5).  _magnus also returns the coarsest
+# level known to meet the target: the coarse level c of the last comparison where
+# every member's error (n/c)^8 <= tol and c is at least twice the work estimate
+# (steps of at most 1/4 radian, on which the Gauss rule below holds), else n.
+# Only the coupling flow's dF/ds reads c; M, the frames, make_basis's slope, the
+# traces and the zero modes keep n and its digits.  MAGNUS_CHUNK steps or Gauss
+# nodes x members per array keep memory flat.
 MAGNUS_REL_TARGET = 1e-13
 MAGNUS_STEPS_PER_RADIAN = 2.0
 MAGNUS_MIN_STEPS = 64
@@ -227,7 +228,6 @@ class _MagnusGrid:
     def __init__(self, omega_sq: Callable, c0, c1, iv: Interval, n: int):
         self.omega_sq, self.iv, self.n, self.h = omega_sq, iv, n, iv.span / n
         self.c0, self.c1, self.members = c0, c1, c1.shape if isinstance(c1, np.ndarray) else ()
-        self.coarsest = n  # the coarsest level known to meet the target (_magnus)
 
     def samples(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """a = -(c0 + c1 Omega^2) on the fine steps lo..hi (all n by default)
@@ -279,16 +279,16 @@ class _MagnusGrid:
             runs.append(_reduce_pairs(_step_matrices(a, self.h)))
         return runs[0] if len(runs) == 1 else _reduce_pairs(np.stack(runs, axis=2))
 
-    def pair(self, a0=None, peak: bool = False) -> tuple:
+    def pair(self, a0=None) -> tuple:
         """M on n/2 and on n steps, each of shape (2, 2) + members, in one pass
         over runs of 2^j fine steps and their coarse ones (MAGNUS_CHUNK steps x
         members): one sample call (none if a0, the grid's samples(), is
-        given), one _step_matrices call and one reduction; with peak, also
-        max|a| of the n."""
+        given), one _step_matrices call and one reduction; and max|a| of the
+        n if it samples, else None."""
         runs, top = [], None
         for lo, hi in self._runs(1.5, least=2):
             a = self.samples(lo, hi) if a0 is None else a0[:, :, lo // 2:hi // 2]
-            if peak:
+            if a0 is None:
                 top = np.maximum(0.0 if top is None else top, np.abs(a[:, :2]).max(axis=(0, 1, 2)))
             x = _step_matrices(a, self.h)
             x[:, :, 1] = _product(x[:, :, 1], x[:, :, 0])
@@ -375,12 +375,12 @@ def _work_estimate(a0: np.ndarray, iv: Interval, peaks=None) -> tuple:
         for n, v in zip(steps, varies)], peaks
 
 
-def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple):
-    """The Magnus grid, M and the error estimates of M's entries of the
-    members of grid, on MAGNUS_MIN_STEPS steps and sampled as a0 =
+def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple) -> tuple:
+    """The Magnus grid, M, the error estimates of M's entries and the
+    coarsest level known to meet the target (see the MAGNUS_* constants) of
+    the members of grid, on MAGNUS_MIN_STEPS steps and sampled as a0 =
     grid.samples(), whose _work_estimate is work, refined to MAGNUS_REL_TARGET
-    from the first pair of levels (L/2, L), L the members' largest first
-    level; the grid's coarsest is set as the MAGNUS_* constants say."""
+    from the first pair of levels (L/2, L), L the members' largest first level."""
     om, c0, c1, iv = grid.omega_sq, grid.c0, grid.c1, grid.iv
     n, m = MAGNUS_MIN_STEPS, None
     steps, levels, peaks = work
@@ -393,12 +393,11 @@ def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple):
                 coarse = n // 2
                 if n != grid.n:
                     grid = _MagnusGrid(om, c0, c1, iv, n)
-                m_coarse, m, sampled = grid.pair(a0 if n == MAGNUS_MIN_STEPS else None,
-                                                 peak=n > MAGNUS_MIN_STEPS)
+                m_coarse, m, sampled = grid.pair(a0 if n == MAGNUS_MIN_STEPS else None)
                 if sampled is not None:
                     steps, levels, peaks = _work_estimate(a0, iv, sampled)
             estimate = max(steps)
-            # without a member axis (make_basis) Python's scalars cost less
+            # without a member axis (_solve) Python's scalars cost less
             if grid.members:
                 top, sqrt, largest = np.maximum, np.sqrt, lambda x: np.abs(x).max(axis=(0, 1))
                 every, worst, a_max = np.all, np.max, np.array(peaks)
@@ -410,11 +409,10 @@ def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple):
                 scale = largest(m)
                 tol = max(MAGNUS_REL_TARGET, n * _EPS / 255.0) * scale
                 if every(error <= tol):
-                    if 2.0 * estimate <= coarse and every(error * (n // coarse) ** 8 <= tol):
-                        grid.coarsest = coarse
+                    fits = 2.0 * estimate <= coarse and every(error * (n // coarse) ** 8 <= tol)
                     w, span = sqrt(a_max), iv.span
                     envelope = top(top(scale, w), span / top(1.0, w * span))
-                    return grid, m, top(error, 2.0 * n * _EPS * envelope)
+                    return grid, m, top(error, 2.0 * n * _EPS * envelope), coarse if fits else n
                 if 2 * n > MAGNUS_MAX_STEPS:
                     raise IntegrationError(
                         f"Magnus step doubling needs more than MAGNUS_MAX_STEPS = "
@@ -432,11 +430,20 @@ def _magnus(grid: _MagnusGrid, a0: np.ndarray, work: tuple):
                 f"at {n} Magnus steps") from None
 
 
+def _solve(profile: FrequencyProfile, c0: float, c1: float) -> tuple:
+    """The one operator -d^2/dt^2 - (c0 + c1 Omega^2), on Python floats (no
+    member axis): _magnus's (grid, M, error estimate, coarsest level)."""
+    iv = profile.interval
+    grid = _MagnusGrid(profile.omega_sq, c0, c1, iv, MAGNUS_MIN_STEPS)
+    a0 = grid.samples()
+    return _magnus(grid, a0, _work_estimate(a0, iv))
+
+
 def _family(profile: FrequencyProfile, c0, c1) -> list:
     """The members Omega_j^2 = c0_j + c1_j Omega^2 in groups whose work
     estimates on one coarse sampling have the same first level, each doubled
     on its own from there with its members' part of that one estimate: a list
-    of (member indices, grid, M, error)."""
+    of (member indices, grid, M, error, coarsest level), as _magnus returns."""
     iv, om = profile.interval, profile.omega_sq
     c0, c1 = np.asarray(c0, dtype=float), np.asarray(c1, dtype=float)
     a0 = _MagnusGrid(om, c0, c1, iv, MAGNUS_MIN_STEPS).samples()
@@ -454,7 +461,8 @@ class HomogeneousBasis:
     frame(t) takes a time or a 1-D array of times and returns (Phi(t, t_a),
     Phi(t_b, t)), each of shape (2, 2) + t.shape.  Column j of Y(t) =
     Phi(t, t_a) Y_a holds solution j: row 0 its value, row 1 its slope.
-    knots are the integrator's step times from t_a to t_b, each step at most
+    m is the transfer matrix M = Y_b adj(Y_a) / W.  knots are the
+    integrator's step times from t_a to t_b, each step at most
     1/MAGNUS_STEPS_PER_RADIAN radian of the solutions' phase; error_estimate
     and slope are the integrator's error estimate of M and dM/ds, if any.
     """
@@ -462,6 +470,7 @@ class HomogeneousBasis:
     frame: Callable[[object], tuple]
     y_a: np.ndarray
     y_b: np.ndarray
+    m: np.ndarray
     profile: FrequencyProfile
     knots: np.ndarray
     error_estimate: Optional[float] = None
@@ -476,11 +485,6 @@ class HomogeneousBasis:
         """Wronskian det Y_a."""
         (a, b), (c, d) = self.y_a
         return float(a * d - b * c)
-
-    @cached_property
-    def m(self) -> np.ndarray:
-        """Transfer matrix M = Y_b adj(Y_a) / W."""
-        return self.y_b @ _adjugate(self.y_a) / self.w
 
     def y(self, t) -> np.ndarray:
         """Y(t) = Phi(t) Y_a."""
@@ -508,21 +512,17 @@ def make_basis(profile: FrequencyProfile, g: float = 1.0) -> HomogeneousBasis:
     gg = float(g)
     if not math.isfinite(gg):
         raise ValueError("coupling g must be finite")
-    iv = profile.interval
-    grid = _MagnusGrid(profile.omega_sq, 0.0, gg, iv, MAGNUS_MIN_STEPS)
-    a0 = grid.samples()
-    grid, m, error = _magnus(grid, a0, _work_estimate(a0, iv))
-    basis = HomogeneousBasis(frame=_on_interval(grid.frame, iv), y_a=_CANONICAL_Y_A,
-                             y_b=m @ _CANONICAL_Y_A, profile=profile, knots=grid.knots,
-                             error_estimate=float(error), slope=grid.slope)
+    grid, m, error, _ = _solve(profile, 0.0, gg)
     # Y_a is its own inverse and W = -1, so Y_b adj(Y_a) / W is m exactly
-    basis.__dict__["m"] = m
-    return basis
+    return HomogeneousBasis(frame=_on_interval(grid.frame, profile.interval), y_a=_CANONICAL_Y_A,
+                            y_b=m @ _CANONICAL_Y_A, m=m, profile=profile, knots=grid.knots,
+                            error_estimate=error, slope=grid.slope)
 
 
 def _mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
-    """The basis Y C: column j of the result is sum_i C[i, j] times column i;
-    the frame and the slope do not depend on the basis."""
+    """The basis Y C: column j of the result is sum_i C[i, j] times column i,
+    and M = Y_b adj(Y_a) / W of its endpoint matrices; the frame and the
+    slope do not depend on the basis."""
     c = np.asarray(matrix, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("mixing matrix has a non-finite entry")
@@ -530,7 +530,9 @@ def _mix_basis(basis: HomogeneousBasis, matrix) -> HomogeneousBasis:
     scale = float(np.max(np.abs(c)))
     if abs(det) <= 1e-14 * scale * scale:
         raise ValueError("mixing matrix is singular")
-    return replace(basis, y_a=basis.y_a @ c, y_b=basis.y_b @ c)
+    y_a, y_b = basis.y_a @ c, basis.y_b @ c
+    (p, q), (r, s) = y_a  # W = det Y_a as HomogeneousBasis.w forms it
+    return replace(basis, y_a=y_a, y_b=y_b, m=y_b @ _adjugate(y_a) / float(p * s - q * r))
 
 
 def __getattr__(name):

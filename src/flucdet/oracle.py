@@ -28,9 +28,9 @@ Gauss-Legendre rule that Newton's method finds, and exponentiates; the
 family is one batched Magnus family per step-count group, and each member's
 trace Tr[(Omega^2 - omega0^2) G_s] is read as -dF_s/ds / F_s.  F_s and the
 zero verdict read M on the group's accepted grid; dF_s/ds, the exact slope
-of the determinant (green._det_slope), is read on the coarsest level of that
-grid that already meets the Magnus target with steps of at most 1/4 radian
-(odesolve._MagnusGrid.coarsest): often half its steps.
+of the determinant (green._det_slope), is read on the coarsest level that
+already meets the Magnus target with steps of at most 1/4 radian, which the
+family returns with each group: often half its steps.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DegenerateOperatorError, IntegrationError
 from .green import (_det_slope, _omega0, _read_transfer, _refuse_degenerate, _sigma,
                     free_reference, reference_determinant)
-from .odesolve import _family, _MagnusGrid
+from .odesolve import _family, _MagnusGrid, _solve
 from .profiles import FrequencyProfile
 
 # Zero-mode windows of the lattice pencil, relative to the Gershgorin bound
@@ -68,7 +68,6 @@ class _LatticeOperator:
     bc: str
     mesh_size: int
     step: float
-    nodes: np.ndarray = field(repr=False)
     gap: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
     corner: float
@@ -102,14 +101,13 @@ def _build_lattice(profile: FrequencyProfile, bc: str, n: int) -> _LatticeOperat
     if dirichlet:
         # c_1 (1 - (q_0 + q_1) / 12) / c_{n+1}
         boundary = float((12.0 + q[1]) * (1.0 - (q[0] + q[1]) / 12.0) / (12.0 + q[-1]))
-        q, nodes, corner = q[1:-1], times[1:-1], 0.0
+        q, corner = q[1:-1], 0.0
     else:
         q[0] = 0.5 * (q[0] + q[-1])
-        q, nodes, boundary = q[:-1], times[:-1], 1.0
-        corner = -float(sigma)
+        q, boundary, corner = q[:-1], 1.0, -float(sigma)
     c = 1.0 + q / 12.0
-    return _LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=nodes, gap=q / c,
-                           weight=c ** -2.0, corner=corner, boundary=boundary)
+    return _LatticeOperator(bc=bc, mesh_size=n, step=h, gap=q / c, weight=c ** -2.0,
+                           corner=corner, boundary=boundary)
 
 
 def _gershgorin(op: _LatticeOperator) -> float:
@@ -483,13 +481,14 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     a hyperbolic integrand near s = 0.  V_s is affine in s, so the nodes and
     ends are one Magnus family; each node's trace is -dF_s/ds / F_s, with F_s
     read from M on its group's accepted grid and dF_s/ds the exact slope of
-    the determinant on the coarsest level known to meet the Magnus target
-    (odesolve._MagnusGrid.coarsest), often half the accepted steps.  The
-    flow must stay clear of zero modes: every node's endpoint determinant
-    must pass the zero verdict (green._refuse_degenerate), a sign change
-    between nodes is located by bisection and reported as a crossing, and
-    the lattice Sturm counts of the reference and the target, which differ
-    by the number of eigenvalues the flow takes through zero, must agree.
+    the determinant on the coarsest level known to meet the Magnus target,
+    which odesolve._family returns with the group: often half the accepted
+    steps.  The flow must stay clear of zero modes: every node's endpoint
+    determinant must pass the zero verdict (green._refuse_degenerate), a sign
+    change between nodes is located by bisection (one odesolve._solve per
+    probe) and reported as a crossing, and the lattice Sturm counts of the
+    reference and the target, which differ by the number of eigenvalues the
+    flow takes through zero, must agree.
     """
     sigma = _sigma(bc)
     if not (g_steps >= 1 and float(g_steps).is_integer()):
@@ -503,13 +502,9 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     s_probe = np.concatenate([[0.0], u * u, [1.0]])
     w0sq = omega0_ref * omega0_ref
 
-    def det_at(s: float) -> float:
-        ((_, _, m, _),) = _family(profile, [w0sq * (1.0 - s)], [s])
-        return _read_transfer(m[..., 0], bc)[0]
-
     groups = _family(profile, w0sq * (1.0 - s_probe), s_probe)
     dets, conditions = np.empty(s_probe.size), np.empty(s_probe.size)
-    for members, _, m, _ in groups:
+    for members, _, m, _, _ in groups:
         for j, k in enumerate(members):
             dets[k], conditions[k], _ = _read_transfer(m[..., j], bc)
     i = int(np.argmax(conditions))
@@ -519,17 +514,18 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
     flips = np.sign(dets[:-1]) != np.sign(dets[1:])
     if flips.any():
         i = int(np.argmax(flips))
-        lo, hi, sign_lo = s_probe[i], s_probe[i + 1], np.sign(dets[i])
+        lo, hi, sign_lo = float(s_probe[i]), float(s_probe[i + 1]), np.sign(dets[i])
         while hi - lo > 1e-8:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if np.sign(det_at(mid)) == sign_lo else (lo, mid)
+            det_mid = _read_transfer(_solve(profile, w0sq * (1.0 - mid), mid)[1], bc)[0]
+            lo, hi = (mid, hi) if np.sign(det_mid) == sign_lo else (lo, mid)
         raise DegenerateOperatorError(
             "coupling flow crosses a zero mode at g' ≈ "
             f"{0.5 * (lo + hi):.6f}; the trace integrand diverges there")
     # An even number of crossings keeps the sign.  The lattice mesh is the
     # larger step count of the groups that hold the end members: at least
     # two points per radian of sqrt(max|V_s|) T.
-    n = max(grid.n for members, grid, _, _ in groups
+    n = max(grid.n for members, grid, _, _, _ in groups
             if members[0] == 0 or members[-1] == s_probe.size - 1)
     below_ref = int(np.count_nonzero(_reference_spectrum(bc, n, span, omega0_ref)[0] < 0.0))
     below = _sweep(_build_lattice(profile, bc, n))[2]
@@ -540,11 +536,11 @@ def gflow_ratio(profile: FrequencyProfile, bc: str, omega0: float = 0.0,
             f"{below} at the target; the trace integrand diverges there")
 
     traces = np.zeros(s_probe.size)
-    for members, grid, _, _ in groups:
+    for members, grid, _, _, coarsest in groups:
         j = np.flatnonzero((s_probe[members] > 0.0) & (s_probe[members] < 1.0))
         if j.size:  # 1/F in the weight: dF/ds alone overflows where F nears the float range
             traces[members[j]] = -_det_slope(
-                _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, grid.coarsest), bc,
+                _MagnusGrid(grid.omega_sq, grid.c0[j], grid.c1[j], grid.iv, coarsest), bc,
                 lambda t: np.divide.outer(profile.omega_sq(t) - w0sq, dets[members[j]]))
     integral = float((u * ws) @ traces[1:-1])
     return _exp_signed(-integral, 1.0, "coupling-flow ratio")

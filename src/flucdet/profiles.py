@@ -39,14 +39,15 @@ ENDPOINT_LIMIT_TOL = 1e-4
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed time interval [t_a, t_b] with t_b > t_a."""
+    """Closed time interval [t_a, t_b] with t_b > t_a and a finite span."""
 
     t_a: float
     t_b: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t_a) and math.isfinite(self.t_b)):
-            raise ValueError("interval endpoints must be finite")
+        if not math.isfinite(self.span):  # a NaN or infinite end, or a span that overflows
+            raise ValueError(f"interval ends and span t_b - t_a must be finite, got "
+                             f"[{self.t_a}, {self.t_b}] (span {self.span})")
         if not self.t_b > self.t_a:
             raise ValueError(f"interval requires t_b > t_a, got [{self.t_a}, {self.t_b}]")
 
@@ -336,16 +337,6 @@ def make_zero_mode_profile(spec: SyntheticZeroModeSpec) -> FrequencyProfile:
     d2x = (lambda m: d2xi(ts[m])) if d2xi_grid is None else d2xi_grid.__getitem__
     _check_continuity(omega_sq, iv, glued(ts, lambda m: -d2x(m) / vals[m]))
     return prof
-
-
-def _shifted_profile(profile: FrequencyProfile, shift: float) -> FrequencyProfile:
-    """Profile with Omega^2(t) + shift; used for spectral-parameter sweeps."""
-    base = profile.omega_sq
-    return FrequencyProfile(
-        omega_sq=lambda t, _b=base, _s=float(shift): _b(t) + _s,
-        interval=profile.interval,
-        description=f"{profile.description} shifted by {shift}",
-    )
 
 
 # ---------------------------------------------------------------------------

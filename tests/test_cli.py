@@ -343,6 +343,15 @@ class TestDetErrors:
         assert code == 1 and out == ""
         assert "--omega0" in err and "must be a finite number" in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_span_refused(self, capsys):
+        """Finite ends whose span overflows are refused by name, with no
+        numpy warning and no bare NaN conversion error."""
+        code, out, err = run(capsys, "det", "--t-a", "-1e308", "--t-b", "1e308",
+                             "--profile", '{"kind": "constant", "omega": 0}')
+        assert code == 1 and out == ""
+        assert "span t_b - t_a must be finite" in err
+
     def test_pq_route_needs_positive_omega0(self, capsys):
         code, out, err = run(capsys, "det", "--method", "pq", "--omega0", "0")
         assert code == 1 and out == ""
@@ -495,6 +504,16 @@ class TestSweep:
         row = out.strip().split("\n")[1]
         assert ",,," in row and "DegenerateOperatorError" in row and guard in row
         assert "det --regularized" in row
+
+    @pytest.mark.parametrize("start,stop,bad", [
+        ("0.5", "inf", "--to"), ("nan", "1.5", "--from"), ("-inf", "1.5", "--from")])
+    def test_nonfinite_bounds_refused(self, capsys, start, stop, bad):
+        """--from and --to must be finite numbers: an infinite or NaN bound
+        printed NaN rows and exited 0."""
+        code, out, err = run(capsys, "sweep", "--param", "omega",
+                             "--from", start, "--to", stop, "--steps", "3")
+        assert code == 1 and out == ""
+        assert bad in err and "must be a finite number" in err
 
     def test_zero_steps(self, capsys):
         code, _, err = run(capsys, "sweep", "--param", "omega",

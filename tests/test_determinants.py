@@ -18,9 +18,8 @@ from flucdet.determinants import (
     van_vleck_check,
 )
 from flucdet.green import _det_slope, _read_transfer, free_reference
-from flucdet.odesolve import make_basis
+from flucdet.odesolve import _solve, make_basis
 from flucdet.oracle import pseudo_det_ratio
-from flucdet.profiles import _shifted_profile
 
 SIN_1 = 0.8414709848078965
 SIN_2_OVER_2 = 0.45464871341284085
@@ -187,7 +186,7 @@ class TestDetSlope:
         profile = SLOPE_CASES[case]
         basis = make_basis(profile)
         d_lambda = central_difference(lambda s: _read_transfer(
-            make_basis(_shifted_profile(profile, s)).m, bc)[0])
+            _solve(profile, s, 1.0)[1], bc)[0])
         d_g = central_difference(lambda s: _read_transfer(
             make_basis(profile, g=1.0 + s).m, bc)[0])
         assert _det_slope(basis, bc) == pytest.approx(d_lambda, rel=1e-7)
@@ -327,19 +326,21 @@ class TestDirichletZeroMode:
     @pytest.mark.parametrize("name", ["sinpi", "sinpi_bump"])
     def test_five_bases_and_no_products(self, monkeypatch, name):
         """The closed form is the verdict's slope and the chain's Newton steps
-        read slopes, so no prefix or suffix products are formed; one basis for
-        the verdict and two Newton steps for each of eps and eps / 2."""
+        read slopes, so no prefix or suffix products are formed; five Magnus
+        solves, one through make_basis for the verdict and two Newton steps
+        of the shifted operator for each of eps and eps / 2."""
         def refuse(*args, **kwargs):
             raise AssertionError("prefix or suffix products formed")
 
-        built = []
+        built, solve = [], odesolve._solve
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             built.append(args)
-            return make_basis(*args, **kwargs)
+            return solve(*args)
 
         monkeypatch.setattr(odesolve, "_scan", refuse)
-        monkeypatch.setattr(determinants, "make_basis", counted)
+        monkeypatch.setattr(odesolve, "_solve", counted)
+        monkeypatch.setattr(determinants, "_solve", counted)
         profile = fd.make_zero_mode_profile(
             fd.builtin_zero_mode_spec(name, fd.Interval(0.0, 1.0)))
         assert det_dirichlet_regularized(profile).check_residual <= 1e-8
@@ -352,10 +353,12 @@ class TestDirichletZeroMode:
 
     @pytest.mark.parametrize("shifted_slope", [0.0, math.nan, math.inf])
     def test_newton_undefined_slope_refused(self, monkeypatch, sinpi_profile, shifted_slope):
-        """A shifted basis whose dM12/dlambda is zero or not finite stops
-        Newton's method with a named refusal; the verdict keeps its slope."""
+        """A shifted operator whose dM12/dlambda is zero or not finite stops
+        Newton's method with a named refusal; the verdict's basis keeps its
+        slope, and only the shifted operators' grids read the stub."""
         def slope(basis, bc, weight=None):
-            return _det_slope(basis, bc) if basis.profile is sinpi_profile else shifted_slope
+            shifted = isinstance(basis, odesolve._MagnusGrid)
+            return shifted_slope if shifted else _det_slope(basis, bc)
 
         monkeypatch.setattr(determinants, "_det_slope", slope)
         with pytest.raises(fd.ShootingError, match=f"EIGENVALUE_SHIFT_MAX_ITER = 60 .*"

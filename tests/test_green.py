@@ -392,7 +392,7 @@ class TestFamilyKernel:
     def test_per_member_values(self, modulated_profile, bc):
         """Every member's dF/ds, unweighted, weighted by Omega^2 or by a
         members-last weight, is that member's own grid's."""
-        ((_, grid, _, _),) = odesolve._family(modulated_profile, 1.0 - self.S, self.S)
+        ((_, grid, _, _, _),) = odesolve._family(modulated_profile, 1.0 - self.S, self.S)
         om, scale = modulated_profile.omega_sq, np.array([1.0, -2.5, 0.5])
         cases = ((None, lambda j: None), (om, lambda j: om),
                  (lambda t: np.multiply.outer(om(t), scale),
@@ -447,7 +447,7 @@ class TestGridSlope:
         each group of a two-member family (g = 1 and 0.8)."""
         profile = SLOPE_PROFILES[name]
         om, scale = profile.omega_sq, np.array([1.0, -2.5])
-        for members, grid, _, _ in odesolve._family(profile, [0.0, 0.0], [1.0, 0.8]):
+        for members, grid, _, _, _ in odesolve._family(profile, [0.0, 0.0], [1.0, 0.8]):
             for weight in (None, om, lambda t: np.multiply.outer(om(t), scale[members])):
                 assert _det_slope(grid, bc, weight) == pytest.approx(
                     F_SLOPE[bc](frame_slope(grid, weight)), rel=1e-13)
@@ -461,9 +461,9 @@ class TestGridSlope:
 
     def test_basis_reads_the_accepted_level(self, modulated_profile, monkeypatch):
         """make_basis's slope and frames, and so its kernels and traces, run
-        on the accepted 64 steps, though its grid knows that 32 meet the
-        target (the level only the coupling flow's dF/ds reads): the main
-        path keeps the digits of its finest M."""
+        on the accepted 64 steps, though its solve returns 32 as the coarsest
+        level that meets the target (the level only the coupling flow's dF/ds
+        reads): the main path keeps the digits of its finest M."""
         levels = set()
 
         def spy(name, method):
@@ -475,8 +475,9 @@ class TestGridSlope:
         for name in ("slope", "frame"):
             monkeypatch.setattr(odesolve._MagnusGrid, name,
                                 spy(name, getattr(odesolve._MagnusGrid, name)))
-        basis = make_basis(modulated_profile)
-        assert basis.knots.size - 1 == 64 and basis.slope.__self__.coarsest == 32
+        basis, (grid, _, _, coarsest) = (make_basis(modulated_profile),
+                                         odesolve._solve(modulated_profile, 0.0, 1.0))
+        assert basis.knots.size - 1 == grid.n == 64 and coarsest == 32
         trace_omega_sq(GreenKernel(basis, "periodic"))
         _det_slope(basis, "dirichlet")
         assert levels == {("slope", 64), ("frame", 64)}

@@ -485,13 +485,14 @@ class TestMagnus:
         for n in (256, 8192):
             grid = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n)
             half = odesolve._MagnusGrid(omega_sq[kind], c0, c1, fd.Interval(-1.0, 3.0), n // 2)
-            coarse, fine, top = grid.pair(peak=True)
+            coarse, fine, top = grid.pair()
             assert np.array_equal(top, np.abs(grid.samples()[:, :2]).max(axis=(0, 1, 2)))
             if n == 256:
                 assert np.array_equal(fine, grid.transfer())
                 assert np.array_equal(coarse, half.transfer())
                 given = grid.pair(grid.samples())
                 assert np.array_equal(given[0], coarse) and np.array_equal(given[1], fine)
+                assert given[2] is None
             else:
                 assert np.max(np.abs(fine - grid.transfer())) <= 1e-14 * np.max(np.abs(fine))
                 assert np.max(np.abs(coarse - half.transfer())) <= 1e-14 * np.max(np.abs(coarse))
@@ -609,7 +610,7 @@ class TestFamily:
         ts = np.linspace(profile.interval.t_a, profile.interval.t_b, 23)
         for g in (1.0, -0.6):
             basis = make_basis(profile, g)
-            ((members, grid, m, error),) = odesolve._family(profile, [0.0], [g])
+            ((members, grid, m, error, _),) = odesolve._family(profile, [0.0], [g])
             assert members.tolist() == [0]
             assert np.array_equal(basis.m, m[..., 0])
             assert np.array_equal(basis.knots, grid.knots)
@@ -624,7 +625,7 @@ class TestFamily:
         w0sq, s = 1.1 ** 2, np.array([0.05, 0.5, 0.95])
         groups = odesolve._family(modulated_profile, w0sq * (1.0 - s), s)
         assert sorted(np.concatenate([g[0] for g in groups]).tolist()) == [0, 1, 2]
-        for members, _, m, _ in groups:
+        for members, _, m, _, _ in groups:
             for j, i in enumerate(members.tolist()):
                 v_s = fd.FrequencyProfile(
                     omega_sq=lambda t, si=s[i]: w0sq + si * (modulated_profile.omega_sq(t) - w0sq),
@@ -640,7 +641,7 @@ class TestFamily:
         g = np.array([400.0, 1.0, 1e4])
         groups = odesolve._family(profile, np.zeros(3), g)
         assert [members.tolist() for members, *_ in groups] == [[1], [0], [2]]
-        for members, grid, m, error in groups:
+        for members, grid, m, error, _ in groups:
             alone = make_basis(profile, g[members[0]])
             assert len(alone.knots) == grid.n + 1
             assert np.array_equal(alone.m, m[..., 0])
@@ -662,7 +663,7 @@ class TestFamily:
         assert np.array_equal(make_basis(counted).m, make_basis(modulated_profile).m)
         assert calls == [4 * 96]
         calls.clear()
-        ((_, _, m, _),) = odesolve._family(counted, [0.0, 0.0], [0.5, 1.0])
+        ((_, _, m, _, _),) = odesolve._family(counted, [0.0, 0.0], [0.5, 1.0])
         assert np.array_equal(m[..., 1], make_basis(modulated_profile).m)
         assert calls == [4 * 96]
 
@@ -680,34 +681,24 @@ class TestFamily:
         }.get(name) or request.getfixturevalue(name)
 
         def solve():
-            grids, magnus = [], odesolve._magnus
-
-            def recorded(*args):
-                out = magnus(*args)
-                grids.append(out[0])
-                return out
-
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(odesolve, "_magnus", recorded)
-                basis = make_basis(profile)
-                family = odesolve._family(profile, [0.0, 0.4], [1.0, 0.5])
-            return basis, grids[0], family
+            return make_basis(profile), odesolve._solve(profile, 0.0, 1.0), odesolve._family(
+                profile, [0.0, 0.4], [1.0, 0.5])
 
         one_call = solve()
         pair = odesolve._MagnusGrid.pair
-        monkeypatch.setattr(odesolve._MagnusGrid, "pair",
-                            lambda self, a0=None, peak=False: pair(self, None, peak))
+        monkeypatch.setattr(odesolve._MagnusGrid, "pair", lambda self, a0=None: pair(self))
         itself = solve()
-        (basis, grid, family), (basis_itself, grid_itself, family_itself) = one_call, itself
+        (basis, alone, family), (basis_itself, alone_itself, family_itself) = one_call, itself
         assert np.array_equal(basis.m, basis_itself.m)
         assert basis.error_estimate == basis_itself.error_estimate
         assert np.array_equal(basis.knots, basis_itself.knots)
-        assert grid.coarsest == grid_itself.coarsest
+        assert alone[3] == alone_itself[3]
         assert len(family) == len(family_itself)
-        for (members, g, m, error), (members_i, g_i, m_i, error_i) in zip(family, family_itself):
+        for (members, g, m, error, c), (members_i, g_i, m_i, error_i, c_i) in zip(
+                family, family_itself):
             assert np.array_equal(members, members_i)
             assert np.array_equal(m, m_i) and np.array_equal(error, error_i)
-            assert np.array_equal(g.knots, g_i.knots) and g.coarsest == g_i.coarsest
+            assert np.array_equal(g.knots, g_i.knots) and c == c_i
 
     def test_work_estimate_of_members(self, modulated_profile, rng):
         """On a member axis the work estimates, the first levels and the

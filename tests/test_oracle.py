@@ -79,8 +79,8 @@ def constant_lattice(bc: str, n: int, span: float, omega0: float) -> _LatticeOpe
     """The constant-omega0 Numerov lattice built explicitly, entry by entry."""
     h = span / (n + 1) if bc == "dirichlet" else span / n
     gap, weight = numerov(omega0 ** 2, h)
-    return _LatticeOperator(bc=bc, mesh_size=n, step=h, nodes=np.zeros(n),
-                           gap=np.full(n, gap), weight=np.full(n, weight),
+    return _LatticeOperator(bc=bc, mesh_size=n, step=h, gap=np.full(n, gap),
+                           weight=np.full(n, weight),
                            corner={"dirichlet": 0.0, "periodic": -1.0}.get(bc, 1.0),
                            boundary=1.0 - (h * omega0) ** 2 / 6.0 if bc == "dirichlet" else 1.0)
 
@@ -90,13 +90,13 @@ def random_pencil(rng, bc: str, corner: float, n: int = 60) -> _LatticeOperator:
     [0.5, 2]: eigenvalues of both signs."""
     diag = rng.uniform(-3.0, 3.0, size=n)
     weight = rng.uniform(0.5, 2.0, size=n)
-    return _LatticeOperator(bc=bc, mesh_size=n, step=0.1, nodes=np.zeros(n),
-                           gap=2.0 - diag, weight=weight, corner=corner, boundary=1.0)
+    return _LatticeOperator(bc=bc, mesh_size=n, step=0.1, gap=2.0 - diag, weight=weight,
+                           corner=corner, boundary=1.0)
 
 
 def shifted(op: _LatticeOperator, mu: float) -> _LatticeOperator:
     """The pencil (T' - mu W, W), whose eigenvalues are op's less mu."""
-    return _LatticeOperator(bc=op.bc, mesh_size=op.mesh_size, step=op.step, nodes=op.nodes,
+    return _LatticeOperator(bc=op.bc, mesh_size=op.mesh_size, step=op.step,
                            gap=op.gap + mu * op.weight, weight=op.weight, corner=op.corner,
                            boundary=op.boundary)
 
@@ -122,13 +122,30 @@ def hyperbolic(kt: float, span: float = 2.0, t_a: float = 0.0) -> fd.FrequencyPr
                                interval=fd.Interval(t_a, t_a + span))
 
 
+def recording(profile: fd.FrequencyProfile) -> tuple:
+    """profile with an Omega^2 that records the times it is sampled at, and
+    the list they are recorded in, one array per call."""
+    calls = []
+
+    def omega_sq(t):
+        calls.append(np.array(t, dtype=float))
+        return profile.omega_sq(t)
+
+    return fd.FrequencyProfile(omega_sq=omega_sq, interval=profile.interval), calls
+
+
 class TestLatticeAssembly:
     def test_dirichlet_mesh(self, const_profile):
-        op = _build_lattice(const_profile, "dirichlet", 20)
+        """The n interior nodes of an (n+1)-step mesh, and both ends for the
+        boundary factor, in one sample call."""
+        profile, calls = recording(const_profile)
+        op = _build_lattice(profile, "dirichlet", 20)
         assert op.mesh_size == 20
         assert op.step == pytest.approx(1.0 / 21.0)
-        assert op.nodes[0] == pytest.approx(op.step)
-        assert op.nodes[-1] == pytest.approx(1.0 - op.step)
+        (times,) = calls
+        assert times.size == 22 and times[0] == 0.0 and times[-1] == 1.0
+        assert times[1] == pytest.approx(op.step)
+        assert times[-2] == pytest.approx(1.0 - op.step)
         assert op.corner == 0.0
         gap, weight = numerov(1.0, op.step)
         assert np.allclose(op.gap, gap, rtol=1e-15, atol=0.0)
@@ -137,10 +154,14 @@ class TestLatticeAssembly:
         assert op.boundary == pytest.approx(1.0 - op.step ** 2 / 6.0, rel=1e-15)
 
     def test_wrapped_mesh_and_corners(self, const_profile):
-        per = _build_lattice(const_profile, "periodic", 20)
+        """n nodes from t_a, and t_b for the fold's average."""
+        profile, calls = recording(const_profile)
+        per = _build_lattice(profile, "periodic", 20)
         anti = _build_lattice(const_profile, "antiperiodic", 20)
         assert per.step == pytest.approx(0.05)
-        assert per.nodes[0] == pytest.approx(0.0)
+        (times,) = calls
+        assert times.size == 21 and times[0] == pytest.approx(0.0) and times[-1] == 1.0
+        assert times[-2] == pytest.approx(1.0 - per.step)
         assert per.corner == -1.0 and anti.corner == 1.0
 
     def test_seam_average(self, modulated_profile):
@@ -222,7 +243,7 @@ class TestSturmSweep:
     def test_exact_zero_pivot_is_nudged(self):
         """d = 1 makes the second pivot 1 - 1/1 = 0 exactly; the matrix is
         regular for n = 22 (its eigenvalues are 1 - 2 cos(k pi / 23))."""
-        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1,
                              gap=np.ones(22), weight=np.ones(22), corner=0.0,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -235,7 +256,7 @@ class TestSturmSweep:
         """The same zero pivot under weight 8, where the Gershgorin bound is
         3/8: eps times it is a pivot that 1 + e cannot hold, so the nudge
         is at least eps."""
-        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc="dirichlet", mesh_size=22, step=0.1,
                              gap=np.ones(22), weight=np.full(22, 8.0), corner=0.0,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -252,7 +273,7 @@ class TestSturmSweep:
         and +1/3 of the floor eps * bound: _sweep nudges it to a negative
         pivot and counts it, and its count and _window's, at 0 and at
         -+1/4 of the floor, are the dense spectrum's."""
-        op = _LatticeOperator(bc=bc, mesh_size=22, step=0.1, nodes=np.zeros(22),
+        op = _LatticeOperator(bc=bc, mesh_size=22, step=0.1,
                              gap=np.ones(22), weight=np.ones(22), corner=corner,
                              boundary=1.0)
         eigs = dense_spectrum(op)
@@ -481,7 +502,7 @@ class TestZeroCertificate:
                 for offset in OFFSETS:
                     g = free[j] * (1.0 + offset) if free[j] > 0.0 else offset
                     w = (1.0 - g / 12.0) ** 2  # 1/c^2 with g = q/c, c = 1 + q/12
-                    op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+                    op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0,
                                          gap=np.full(n, g), weight=np.full(n, w),
                                          corner=CORNERS[bc], boundary=1.0)
                     eigs = (free - g) / w
@@ -514,7 +535,7 @@ class TestZeroCertificate:
             n = 200
             s = 0.0 if kind == "near-free" else 4.0 * math.sin(0.5 * math.pi / n) ** 2
             g = s + 1e-7
-            op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0, nodes=np.zeros(n),
+            op = _LatticeOperator(bc=bc, mesh_size=n, step=1.0,
                                  gap=np.full(n, g), weight=np.full(n, (1.0 - g / 12.0) ** 2),
                                  corner=CORNERS[bc], boundary=1.0)
         piv, logs, _, nudged = oracle._pivots(op)
@@ -539,7 +560,7 @@ class TestDeterminantRecurrence:
         for bc, corner in (("dirichlet", 0.0), ("periodic", -1.0),
                            ("antiperiodic", 1.0)):
             diag = rng.uniform(1.5, 2.5, size=40)
-            op = _LatticeOperator(bc=bc, mesh_size=40, step=0.02, nodes=np.zeros(40),
+            op = _LatticeOperator(bc=bc, mesh_size=40, step=0.02,
                                  gap=2.0 - diag, weight=np.ones(40), corner=corner,
                                  boundary=1.0)
             direct = float(np.linalg.det(dense_matrix(op)))
@@ -984,7 +1005,7 @@ class TestCouplingFlowLevels:
 
         def spy_family(*args):
             groups = family(*args)
-            accepted.extend(grid.n for _, grid, _, _ in groups)
+            accepted.extend(grid.n for _, grid, _, _, _ in groups)
             return groups
 
         monkeypatch.setattr(odesolve._MagnusGrid, "slope", spy_slope)

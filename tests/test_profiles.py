@@ -20,7 +20,6 @@ from flucdet.profiles import (
     SyntheticZeroModeSpec,
     _jump_tol,
     _on_arrays,
-    _shifted_profile,
     builtin_zero_mode_spec,
     make_user_profile,
     make_zero_mode_profile,
@@ -38,9 +37,16 @@ class TestInterval:
         with pytest.raises(ValueError):
             fd.Interval(2.0, 1.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            fd.Interval(0.0, math.inf)
+        """A NaN or infinite end, or finite ends whose span t_b - t_a
+        overflows, is refused by name before numpy can warn downstream; the
+        largest finite span is an interval."""
+        for t_a, t_b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (math.inf, math.inf),
+                         (-1e308, 1e308), (-9e307, 9e307)):
+            with pytest.raises(ValueError, match="ends and span t_b - t_a must be finite"):
+                fd.Interval(t_a, t_b)
+        assert fd.Interval(-1e308, 7e307).span == 1.7e308
 
     def test_grid_endpoints(self):
         g = fd.Interval(0.0, 1.0).grid(5)
@@ -227,12 +233,6 @@ class TestZeroModeShapes:
             builtin_zero_mode_spec("nope", unit_interval)
 
 
-class TestHelpers:
-    def test_shifted_profile(self, const_profile):
-        shifted = _shifted_profile(const_profile, 2.5)
-        assert shifted(0.4) == pytest.approx(3.5)
-
-
 class TestConfig:
     def test_constant_roundtrip(self, unit_interval):
         cfg = {"kind": "constant", "omega": 2.0}
@@ -380,7 +380,6 @@ class TestArrayContract:
 
     def test_shifted_and_flow_profiles(self, modulated_profile):
         iv = modulated_profile.interval
-        assert_array_contract(_shifted_profile(modulated_profile, -0.7).omega_sq, iv)
         # the coupling flow samples V_s = 1.3^2 + s (Omega^2 - 1.3^2) as the
         # members (c0, c1) = (1.3^2 (1 - s), s) of one array call: each
         # member's slice is that member sampled alone, and the value is V_s

@@ -4,10 +4,13 @@ not among them), none imports scipy, only the front ends import the
 oracles, only green.py decides what a boundary condition means and forms a
 determinant from M's entries, no route imports determinants.py, one pivot
 loop reads a lattice's rows, one function forms the Magnus layer's 2x2
-products, and the amplitude-phase route names none of the main path's
+products, two entries (one operator, one family) run the Magnus step
+doubling and hand back what it finds, only profiles.py's make_* functions
+build a profile, and the amplitude-phase route names none of the main path's
 endpoint data, nor the Magnus integrator's module any of that route's."""
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -386,6 +389,66 @@ def test_one_matrix_product():
     the pairwise reductions, the scans and the frames share one (2, 2, ...)
     layout, with no second, entrywise product."""
     assert matrix_products(Path(odesolve.__file__).read_text(encoding="utf-8")) == ["_product"]
+
+
+def callers(source: str, name: str) -> set:
+    """The innermost functions, by name, that call name(...) or x.name(...),
+    with '<module>' for a call outside every function."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detects_callers():
+    source = ("def f():\n    return _magnus(1)\n"
+              "def g():\n    def h():\n        return odesolve._magnus(2)\n    return h\n"
+              "x = FrequencyProfile(_magnus)\n")
+    assert callers(source, "_magnus") == {"f", "h"}
+    assert callers(source, "FrequencyProfile") == {"<module>"}
+
+
+def all_callers(name: str) -> set:
+    """(module file, function) of every call of name in the package."""
+    return {(path.name, fn) for path in ALL_SOURCES
+            for fn in callers(path.read_text(encoding="utf-8"), name)}
+
+
+def test_two_magnus_entries():
+    """The step doubling runs under _solve, one operator c0 + c1 Omega^2 on
+    Python floats, and _family, members on an axis, alone."""
+    assert all_callers("_magnus") == {("odesolve.py", "_solve"), ("odesolve.py", "_family")}
+
+
+def test_profiles_built_by_make_functions():
+    """FrequencyProfile(...) is built in profiles.py's public make_*
+    functions alone: a shifted or scaled Omega^2 is a Magnus member (c0,
+    c1), not a wrapped profile."""
+    found = all_callers("FrequencyProfile")
+    assert found and all(module == "profiles.py" and fn.startswith("make_")
+                         for module, fn in found)
+
+
+def test_results_handed_back(modulated_profile):
+    """The solves return the coarsest level next to M, so no grid carries
+    it; a basis holds the M it is built with as a field, and no module
+    writes into an object's __dict__."""
+    grids = [odesolve._solve(modulated_profile, 0.0, 1.0)[0]] + [
+        group[1] for group in odesolve._family(modulated_profile, [0.0, 0.0], [1.0, 0.5])]
+    assert not any(hasattr(grid, "coarsest") for grid in grids)
+    assert "m" in {f.name for f in dataclasses.fields(odesolve.HomogeneousBasis)}
+    for path in ALL_SOURCES:
+        assert "__dict__" not in {node.attr for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8"))) if isinstance(node, ast.Attribute)}
 
 
 def test_odesolve_is_the_magnus_integrator_alone():
